@@ -1,0 +1,11 @@
+"""Make the ladder's modules (and ``repro``) importable from the tests."""
+
+import os
+import sys
+
+LADDER = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+ROOT = os.path.dirname(os.path.dirname(LADDER))
+
+for path in (os.path.join(ROOT, "src"), LADDER):
+    if path not in sys.path:
+        sys.path.insert(0, path)
