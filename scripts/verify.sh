@@ -78,6 +78,14 @@ echo "== net smoke =="
 # not a slow test.
 timeout 60 python scripts/net_smoke.py
 
+echo "== ladder tests =="
+# The ladder benchmark drives repro.net through its public surface
+# (ShardServer/ShardEndpoint/LoopThread/ShardProxy, the proto frames) and
+# checks every value read against an oracle: a transport change that
+# breaks its oracle or its teardown must fail here, not in the next
+# benchmark run. ~45 s.
+python -m pytest benchmarks/ladder/tests -q
+
 echo "== adaptive smoke =="
 # The adaptive arbiter must keep its price and its tracking: the shadow
 # machinery costs <= 15% on the serving hot path with the live policy

@@ -350,8 +350,6 @@ class NetworkSpec:
     host: str = "127.0.0.1"
     #: persistent connections per shard in the front-end pool
     pool_size: int = 1
-    #: bounded per-connection inflight queue (server backpressure)
-    inflight_limit: int = 256
     #: per-request client timeout (seconds) → ``ShardTimeoutError``
     timeout: float = 5.0
 
@@ -363,7 +361,6 @@ class NetworkSpec:
             cluster,
             host=self.host,
             pool_size=self.pool_size,
-            inflight_limit=self.inflight_limit,
             timeout=self.timeout,
         ).start()
 

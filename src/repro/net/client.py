@@ -3,10 +3,13 @@
 Three layers (DESIGN.md §15):
 
 * :class:`Connection` — one persistent socket with **request
-  pipelining**: requests are written immediately (a shared lazy-drain
-  task coalesces concurrent writes into one syscall) and a FIFO of
-  futures matches responses back to requests in order. Head-of-line
-  semantics match memcached: responses come back in request order.
+  pipelining**, written as an :class:`asyncio.Protocol`: requests
+  issued in one event-loop turn collect in an outbox that a single
+  ``call_soon`` flush writes with one ``transport.write`` (one ``send``
+  per turn), and a FIFO of futures matches responses back to requests
+  in order. Head-of-line semantics match memcached: responses come back
+  in request order. One sweep timer per connection expires overdue
+  requests.
 * :class:`ShardEndpoint` — a **connection pool** per shard; each
   request picks the pooled connection with the fewest inflight
   requests, reconnecting lazily (and counting reconnects) after a drop.
@@ -26,6 +29,7 @@ keys by ring owner and sends one multi-key ``get`` per group.
 from __future__ import annotations
 
 import asyncio
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Hashable, Iterable
 
@@ -47,8 +51,6 @@ from repro.policies.base import MISSING
 
 __all__ = ["Connection", "NetClientStats", "ShardEndpoint"]
 
-_READ_SIZE = 1 << 16
-
 
 @dataclass
 class NetClientStats:
@@ -57,12 +59,14 @@ class NetClientStats:
     connections: int = 0
     reconnects: int = 0
     requests: int = 0
+    #: ``transport.write`` calls, i.e. real ``send``s: one per loop turn
+    #: per connection that had requests to send
     batches: int = 0
     timeouts: int = 0
     errors: int = 0
     bytes_in: int = 0
     bytes_out: int = 0
-    #: write-coalescing depth distribution: {depth: flushes at that depth}
+    #: requests per ``send``: {depth: sends that carried that many}
     batch_depths: dict[int, int] = field(default_factory=dict)
 
     def note_batch(self, depth: int) -> None:
@@ -70,29 +74,36 @@ class NetClientStats:
         self.batch_depths[depth] = self.batch_depths.get(depth, 0) + 1
 
 
-class Connection:
+class Connection(asyncio.Protocol):
     """One pipelined persistent connection to a shard server."""
 
-    def __init__(self, reader, writer, stats: NetClientStats) -> None:
-        self.reader = reader
-        self.writer = writer
+    def __init__(self, name: str, timeout: float, stats: NetClientStats) -> None:
+        self.name = name
+        self.timeout = timeout
         self.stats = stats
         self.decoder = ResponseDecoder()
-        self.pending: "asyncio.Queue[asyncio.Future] | None" = None
-        self._fifo: list[asyncio.Future] = []
-        self._written_since_drain = 0
-        self._drain_task: asyncio.Task | None = None
-        self._recv_task = asyncio.ensure_future(self._receive_loop())
         self.dead = False
+        self._loop = asyncio.get_running_loop()
+        self._transport: asyncio.Transport | None = None
+        #: one ``(future, deadline)`` slot per request awaiting its reply,
+        #: in wire order; a timed-out slot stays so later replies still match
+        self._fifo: deque[tuple[asyncio.Future, float]] = deque()
+        self._outbox: list[bytes] = []
+        self._sweep: asyncio.TimerHandle | None = None
+        self._closed: asyncio.Future = self._loop.create_future()
 
     @classmethod
-    async def open(cls, host: str, port: int, stats: NetClientStats) -> "Connection":
+    async def open(
+        cls, name: str, host: str, port: int, timeout: float, stats: NetClientStats
+    ) -> "Connection":
         try:
-            reader, writer = await asyncio.open_connection(host, port)
+            _, conn = await asyncio.get_running_loop().create_connection(
+                lambda: cls(name, timeout, stats), host, port
+            )
         except OSError as exc:
             raise ShardDownError(f"connect to {host}:{port} failed: {exc}") from exc
         stats.connections += 1
-        return cls(reader, writer, stats)
+        return conn
 
     @property
     def inflight(self) -> int:
@@ -101,75 +112,94 @@ class Connection:
     def request(self, payload: bytes) -> "asyncio.Future[Reply]":
         """Pipeline one encoded request; the future resolves to its reply.
 
-        The write lands in the stream buffer immediately; one lazy drain
-        task per burst flushes everything written since the last flush
-        in a single syscall (the client-side half of pipelining).
+        The frame joins the outbox; the first frame of a loop turn
+        schedules the flush that sends the whole outbox at once.
         """
         if self.dead:
             raise ShardDownError("connection is closed")
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._fifo.append(future)
+        loop = self._loop
+        future: asyncio.Future = loop.create_future()
+        deadline = loop.time() + self.timeout
+        self._fifo.append((future, deadline))
+        if not self._outbox:
+            loop.call_soon(self._flush)
+        self._outbox.append(payload)
+        if self._sweep is None:
+            self._sweep = loop.call_at(deadline, self._expire)
         self.stats.requests += 1
         self.stats.bytes_out += len(payload)
-        self.writer.write(payload)
-        self._written_since_drain += 1
-        if self._drain_task is None or self._drain_task.done():
-            self._drain_task = asyncio.ensure_future(self._drain())
         return future
 
-    async def _drain(self) -> None:
-        depth, self._written_since_drain = self._written_since_drain, 0
-        self.stats.note_batch(depth)
-        try:
-            await self.writer.drain()
-        except (ConnectionError, OSError) as exc:
-            self._fail_all(ShardDownError(f"connection lost: {exc}"))
+    def _flush(self) -> None:
+        outbox, self._outbox = self._outbox, []
+        if not self.dead:
+            self.stats.note_batch(len(outbox))
+            self._transport.write(b"".join(outbox))
 
-    async def _receive_loop(self) -> None:
-        try:
-            while True:
-                data = await self.reader.read(_READ_SIZE)
-                if not data:
-                    self._fail_all(ShardDownError("server closed the connection"))
-                    return
-                self.stats.bytes_in += len(data)
-                for reply in self.decoder.feed(data):
-                    if not self._fifo:
-                        # Unsolicited frame: the stream is unsyncable.
-                        self._fail_all(ProtocolError("unsolicited response"))
-                        return
-                    future = self._fifo.pop(0)
-                    if not future.done():
-                        future.set_result(reply)
-                if self.decoder.broken:
-                    self._fail_all(ProtocolError("response stream unparsable"))
-                    return
-        except (ConnectionError, OSError) as exc:
-            self._fail_all(ShardDownError(f"connection lost: {exc}"))
-        except asyncio.CancelledError:
-            self._fail_all(ShardDownError("connection closed"))
-            raise
+    def _expire(self) -> None:
+        """Fail every overdue request, then sleep until the next deadline.
 
-    def _fail_all(self, exc: Exception) -> None:
+        Deadlines rise along the FIFO, so the walk ends at the first
+        live slot; with nothing inflight the timer is simply dropped
+        (the next request re-arms it), so steady traffic pays one timer
+        per ``timeout``, not one per request.
+        """
+        self._sweep = None
+        now = self._loop.time()
+        for future, deadline in self._fifo:
+            if future.done():
+                continue
+            if deadline > now:
+                self._sweep = self._loop.call_at(deadline, self._expire)
+                return
+            self.stats.timeouts += 1
+            future.set_exception(
+                ShardTimeoutError(
+                    f"{self.name} did not answer within {self.timeout}s"
+                )
+            )
+
+    # ------------------------------------------------- asyncio.Protocol
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self._transport = transport
+
+    def data_received(self, data: bytes) -> None:
+        self.stats.bytes_in += len(data)
+        fifo = self._fifo
+        for reply in self.decoder.feed(data):
+            if not fifo:
+                # Unsolicited frame: the stream is unsyncable.
+                self._fail(ProtocolError("unsolicited response"))
+                return
+            future = fifo.popleft()[0]
+            if not future.done():
+                future.set_result(reply)
+        if self.decoder.broken:
+            self._fail(ProtocolError("response stream unparsable"))
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        if exc is None:
+            self._fail(ShardDownError("server closed the connection"))
+        else:
+            self._fail(ShardDownError(f"connection lost: {exc}"))
+        self._closed.set_result(None)
+
+    def _fail(self, exc: Exception) -> None:
+        """Go dead: fail every pending request and close the socket."""
         self.dead = True
-        fifo, self._fifo = self._fifo, []
-        for future in fifo:
+        fifo, self._fifo = self._fifo, deque()
+        for future, _deadline in fifo:
             if not future.done():
                 future.set_exception(exc)
-        self.writer.close()
+        if self._sweep is not None:
+            self._sweep.cancel()
+            self._sweep = None
+        self._transport.close()
 
     async def close(self) -> None:
-        self.dead = True
-        self._recv_task.cancel()
-        try:
-            await self._recv_task
-        except (asyncio.CancelledError, Exception):
-            pass
-        self.writer.close()
-        try:
-            await self.writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
+        self._fail(ShardDownError("connection closed"))
+        await self._closed
 
 
 class ShardEndpoint:
@@ -203,17 +233,14 @@ class ShardEndpoint:
 
     # ------------------------------------------------------------ transport
 
-    async def _connection(self) -> Connection:
-        """The pooled live connection with the fewest inflight requests.
+    async def _connect(self) -> Connection:
+        """Fill one empty or dead pool slot (or share one just filled).
 
         Connection establishment is serialized behind a lock so a burst
         of concurrent requests against an empty (or just-dropped) pool
         shares the slot's one socket instead of racing opens — the whole
         point of pipelining is many requests per connection.
         """
-        best = self._pick()
-        if best is not None:
-            return best
         if self._connect_lock is None:
             self._connect_lock = asyncio.Lock()
         async with self._connect_lock:
@@ -224,7 +251,9 @@ class ShardEndpoint:
                 if conn is None or conn.dead:
                     if conn is not None and conn.dead:
                         self.stats.reconnects += 1
-                    opened = await Connection.open(self.host, self.port, self.stats)
+                    opened = await Connection.open(
+                        self.server_id, self.host, self.port, self.timeout, self.stats
+                    )
                     self._pool[slot] = opened
                     return opened
         raise ShardDownError("connection pool exhausted")  # pragma: no cover
@@ -245,16 +274,8 @@ class ShardEndpoint:
 
     async def request(self, command: Any) -> Reply:
         """One pipelined round-trip, with timeout/error → failure mapping."""
-        try:
-            conn = await self._connection()
-            reply = await asyncio.wait_for(
-                conn.request(command.encode()), timeout=self.timeout
-            )
-        except asyncio.TimeoutError:
-            self.stats.timeouts += 1
-            raise ShardTimeoutError(
-                f"{self.server_id} did not answer within {self.timeout}s"
-            ) from None
+        conn = self._pick() or await self._connect()
+        reply = await conn.request(command.encode())
         if reply.kind == "SERVER_ERROR":
             self.stats.errors += 1
             raise proto.decode_failure(reply)

@@ -116,13 +116,11 @@ class NetworkPlane:
         cluster: CacheCluster,
         host: str = "127.0.0.1",
         pool_size: int = 1,
-        inflight_limit: int = 256,
         timeout: float = 5.0,
     ) -> None:
         self.cluster = cluster
         self.host = host
         self.pool_size = pool_size
-        self.inflight_limit = inflight_limit
         self.timeout = timeout
         self.client_stats = NetClientStats()
         self._loop: LoopThread | None = None
@@ -178,11 +176,7 @@ class NetworkPlane:
     def _serve_shard(self, server_id: str) -> None:
         assert self._loop is not None
         backend = self.cluster.server(server_id)
-        server = ShardServer(
-            backend,
-            host=self.host,
-            inflight_limit=self.inflight_limit,
-        )
+        server = ShardServer(backend, host=self.host)
         self._loop.call(server.start())
         endpoint = ShardEndpoint(
             server_id,

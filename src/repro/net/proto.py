@@ -38,6 +38,7 @@ the same exception types on both planes.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from repro.errors import (
@@ -121,11 +122,12 @@ def load_value(flags: int, payload: bytes) -> object:
     raise ProtocolError(f"unknown value flags: {flags}")
 
 
+_KEY_RE = re.compile("[!-~]{1,%d}" % MAX_KEY_BYTES)
+
+
 def valid_key(key: str) -> bool:
     """Whether ``key`` is legal on the wire (token, ≤250 bytes, printable)."""
-    if not isinstance(key, str) or not 0 < len(key) <= MAX_KEY_BYTES:
-        return False
-    return all(33 <= ord(ch) <= 126 for ch in key)
+    return isinstance(key, str) and _KEY_RE.fullmatch(key) is not None
 
 
 def _require_key(key: str) -> bytes:
@@ -305,47 +307,57 @@ class _LineBuffer:
 
     ``readline`` returns ``None`` while incomplete, raises nothing, and
     flags overlong lines through ``overflowed`` so the owner can go
-    fatal instead of buffering unboundedly.
+    fatal instead of buffering unboundedly. Reads advance an offset;
+    the owner calls ``compact`` once at the end of each ``feed`` to drop
+    the consumed prefix, so a batch of frames costs one buffer shift.
     """
 
     def __init__(self) -> None:
         self._buf = bytearray()
-        self._scan = 0  # no byte before this offset contains CRLF
+        self._pos = 0  # bytes before this offset are consumed
+        self._scan = 0  # >= _pos; no line feed in [_pos, _scan)
         self.overflowed = False
 
     def feed(self, data: bytes) -> None:
         self._buf += data
 
+    def compact(self) -> None:
+        pos = self._pos
+        if pos:
+            del self._buf[:pos]
+            self._scan -= pos
+            self._pos = 0
+
     def readline(self) -> bytes | None:
-        idx = self._buf.find(b"\n", self._scan)
+        buf = self._buf
+        idx = buf.find(b"\n", self._scan)
         if idx < 0:
-            if len(self._buf) > MAX_LINE_BYTES:
+            self._scan = len(buf)
+            if self._scan - self._pos > MAX_LINE_BYTES:
                 self.overflowed = True
-            self._scan = len(self._buf)
             return None
-        line = bytes(self._buf[:idx])
-        del self._buf[: idx + 1]
-        self._scan = 0
-        if line.endswith(b"\r"):
-            line = line[:-1]
-        if len(line) > MAX_LINE_BYTES:
+        pos = self._pos
+        self._pos = self._scan = idx + 1
+        if idx > pos and buf[idx - 1] == 13:  # strip the CR of CRLF
+            idx -= 1
+        if idx - pos > MAX_LINE_BYTES:
             self.overflowed = True
-        return line
+        return bytes(buf[pos:idx])
 
     def readblock(self, nbytes: int) -> bytes | None:
         """A counted data block + its trailing CRLF (``None`` if short)."""
-        if len(self._buf) < nbytes + 2:
+        buf = self._buf
+        pos = self._pos
+        end = pos + nbytes
+        if len(buf) < end + 2:
             return None
-        block = bytes(self._buf[:nbytes])
-        trailer = bytes(self._buf[nbytes : nbytes + 2])
-        del self._buf[: nbytes + 2]
-        self._scan = 0
-        if trailer != CRLF:
+        self._pos = self._scan = end + 2
+        if buf[end : end + 2] != CRLF:
             raise ProtocolError("data block not CRLF-terminated")
-        return block
+        return bytes(buf[pos:end])
 
     def pending(self) -> int:
-        return len(self._buf)
+        return len(self._buf) - self._pos
 
 
 class RequestDecoder:
@@ -377,6 +389,7 @@ class RequestDecoder:
             if isinstance(frame, BadCommand) and frame.fatal:
                 self._broken = True
                 break
+        self._lines.compact()
         return out
 
     def _next_frame(self) -> Command | None:
@@ -422,7 +435,7 @@ class RequestDecoder:
             keys = parts[1:]
             if not keys:
                 return BadCommand("get needs at least one key")
-            if not all(valid_key(k) for k in keys):
+            if not all(map(valid_key, keys)):
                 return BadCommand("bad key")
             return GetCommand(tuple(keys), cas=(verb == "gets"))
         if verb == "set":
@@ -494,8 +507,8 @@ class ResponseDecoder:
         self._lines = _LineBuffer()
         self.max_value_bytes = max_value_bytes
         self._values: list[Value] = []
-        self._pending_value: Value | None = None
-        self._pending_nbytes = 0
+        #: header of the VALUE whose data block is awaited: key, flags, cas, nbytes
+        self._pending_value: tuple[str, int, int | None, int] | None = None
         self._broken = False
 
     @property
@@ -517,41 +530,44 @@ class ResponseDecoder:
             if reply is None:
                 break
             out.append(reply)
+        self._lines.compact()
         return out
 
     def _next_reply(self) -> Reply | None:
-        if self._pending_value is not None:
-            head = self._pending_value
-            block = self._lines.readblock(self._pending_nbytes)
-            if block is None:
+        lines = self._lines
+        while True:
+            if self._pending_value is not None:
+                key, flags, cas, nbytes = self._pending_value
+                block = lines.readblock(nbytes)
+                if block is None:
+                    return None
+                self._pending_value = None
+                self._values.append(Value(key, flags, block, cas))
+            line = lines.readline()
+            if line is None:
+                if lines.overflowed:
+                    raise ProtocolError("response line exceeds maximum length")
                 return None
-            self._pending_value = None
-            self._values.append(Value(head.key, head.flags, block, head.cas))
-            return self._next_reply()
-        line = self._lines.readline()
-        if line is None:
-            if self._lines.overflowed:
-                raise ProtocolError("response line exceeds maximum length")
-            return None
-        text = line.decode("ascii", errors="replace")
-        parts = text.split()
-        kind = parts[0] if parts else ""
-        if kind == "VALUE":
-            return self._start_value(parts)
-        if kind == "END":
-            values, self._values = tuple(self._values), []
-            return Reply("END", values=values)
-        if kind in self._SIMPLE:
-            if self._values:
-                raise ProtocolError(f"{kind} interleaved with VALUE frames")
-            return Reply(kind)
-        if kind in ("CLIENT_ERROR", "SERVER_ERROR", "VERSION"):
-            # An error aborts any multi-get in flight; partial values drop.
-            self._values = []
-            return Reply(kind, text[len(kind) + 1 :])
-        raise ProtocolError(f"unparsable response line: {text!r}")
+            text = line.decode("ascii", errors="replace")
+            parts = text.split()
+            kind = parts[0] if parts else ""
+            if kind == "VALUE":
+                self._start_value(parts)
+                continue
+            if kind == "END":
+                values, self._values = tuple(self._values), []
+                return Reply("END", values=values)
+            if kind in self._SIMPLE:
+                if self._values:
+                    raise ProtocolError(f"{kind} interleaved with VALUE frames")
+                return Reply(kind)
+            if kind in ("CLIENT_ERROR", "SERVER_ERROR", "VERSION"):
+                # An error aborts any multi-get in flight; partial values drop.
+                self._values = []
+                return Reply(kind, text[len(kind) + 1 :])
+            raise ProtocolError(f"unparsable response line: {text!r}")
 
-    def _start_value(self, parts: list[str]) -> Reply | None:
+    def _start_value(self, parts: list[str]) -> None:
         if len(parts) not in (4, 5):
             raise ProtocolError("bad VALUE header")
         try:
@@ -561,6 +577,4 @@ class ResponseDecoder:
             raise ProtocolError("bad VALUE header") from None
         if nbytes < 0 or nbytes > self.max_value_bytes:
             raise ProtocolError("VALUE payload exceeds maximum size")
-        self._pending_nbytes = nbytes
-        self._pending_value = Value(parts[1], flags, b"", cas)
-        return self._next_reply()
+        self._pending_value = (parts[1], flags, cas, nbytes)

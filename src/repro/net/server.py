@@ -2,32 +2,35 @@
 
 One :class:`ShardServer` wraps one
 :class:`~repro.cluster.backend.BackendCacheServer` and serves it over a
-TCP socket. The connection design is queue-based load leveling
+TCP socket, one :class:`asyncio.Protocol` per connection
 (DESIGN.md §15):
 
-* a **reader task** per connection parses requests incrementally
-  (:class:`~repro.net.proto.RequestDecoder`) and enqueues them on a
-  **bounded inflight queue** — when the shard falls behind, the queue
-  fills, the reader stops draining the socket, and TCP backpressure
-  propagates to the client instead of unbounded buffering;
-* a **worker task** per connection drains the queue in arrival order,
-  executes commands against the backend, and **coalesces every response
-  that is ready into one socket write** — the server-side half of
-  pipelining (the batch-depth distribution is recorded per drain);
+* ``data_received`` parses the chunk incrementally
+  (:class:`~repro.net.proto.RequestDecoder`), executes every decoded
+  command against the backend — the calls are synchronous — and
+  **answers the whole batch with one socket write**, the server-side
+  half of pipelining (the batch-depth distribution is recorded per
+  write);
+* load leveling is the transport's own flow control: when a peer stops
+  reading, its write buffer passes the high-water mark, the connection
+  stops reading the socket and stops executing decoded commands, and
+  TCP backpressure reaches the client instead of unbounded buffering;
+  the held commands run, in order, once the buffer drains;
 * injected shard failures (:class:`~repro.errors.ShardFailure`) become
   ``SERVER_ERROR <code> …`` frames, so fault schedules exercise the
   wire path end to end and the client reconstructs the exact exception
   type for its retry/breaker layer.
 
 Shutdown is a **graceful drain**: :meth:`ShardServer.stop` first closes
-the listener (no new connections), then waits for every inflight queue
-to empty and every response to flush before tearing connections down —
-acknowledged work is never dropped on the floor.
+the listener (no new connections), then closes every connection the
+flushing way — replies to requests already received are delivered
+before the socket goes — and only aborts what outlives the timeout.
 """
 
 from __future__ import annotations
 
 import asyncio
+from collections import deque
 from dataclasses import dataclass, field
 
 from repro.cluster.backend import BackendCacheServer
@@ -51,10 +54,6 @@ __all__ = ["ShardServer", "ShardServerStats", "SERVER_VERSION"]
 
 SERVER_VERSION = "repro-net/1"
 
-#: socket read size; large enough that a deep pipeline arrives in one read.
-_READ_SIZE = 1 << 16
-
-
 @dataclass
 class ShardServerStats:
     """Wire-level counters for one shard server (feeds ``net.*`` telemetry)."""
@@ -67,101 +66,101 @@ class ShardServerStats:
     bytes_out: int = 0
     protocol_errors: int = 0
     fault_errors: int = 0
-    #: response-coalescing depth distribution: {depth: drains at that depth}
+    #: commands answered per socket write: {depth: writes at that depth}
     batch_depths: dict[int, int] = field(default_factory=dict)
 
 
-class _Connection:
-    """One client connection: reader task + bounded queue + worker task."""
+class _Connection(asyncio.Protocol):
+    """One client connection: decode, execute, answer — all in ``data_received``."""
 
-    def __init__(self, server: "ShardServer", reader, writer) -> None:
+    def __init__(self, server: "ShardServer") -> None:
         self.server = server
-        self.reader = reader
-        self.writer = writer
-        self.queue: asyncio.Queue = asyncio.Queue(maxsize=server.inflight_limit)
         self.decoder = RequestDecoder(max_value_bytes=server.max_value_bytes)
-        self.closing = False
+        self.transport: asyncio.Transport | None = None
+        #: decoded commands not yet executed (non-empty only while paused)
+        self._backlog: deque = deque()
+        self._paused = False  # the transport's write buffer is over high water
+        self._closing = False  # close once the backlog is answered
+        self._high_water = 0
 
-    async def run(self) -> None:
-        stats = self.server.stats
-        stats.connections += 1
-        stats.active_connections += 1
-        worker = asyncio.ensure_future(self._worker())
-        try:
-            await self._read_loop()
-        finally:
-            # EOF (or a fatal protocol error): let queued work drain,
-            # then stop the worker and flush/close the socket.
-            await self.queue.join()
-            worker.cancel()
-            try:
-                await worker
-            except asyncio.CancelledError:
-                pass
-            stats.active_connections -= 1
-            self.writer.close()
-            try:
-                await self.writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport
+        self._high_water = transport.get_write_buffer_limits()[1]
+        server = self.server
+        server.stats.connections += 1
+        server.stats.active_connections += 1
+        server._connections.add(self)
+        server._idle.clear()
+        if server._server is None:  # accepted while stop() was closing the listener
+            transport.abort()
 
-    async def _read_loop(self) -> None:
-        stats = self.server.stats
-        while not self.closing:
-            try:
-                data = await self.reader.read(_READ_SIZE)
-            except (ConnectionError, OSError):
-                break
-            if not data:
-                break
-            stats.bytes_in += len(data)
-            for command in self.decoder.feed(data):
-                # Bounded inflight queue: block (and stop reading the
-                # socket) when the shard is behind — queue-based load
-                # leveling instead of unbounded buffering.
-                await self.queue.put(command)
-                if isinstance(command, QuitCommand) or (
-                    isinstance(command, BadCommand) and command.fatal
-                ):
-                    self.closing = True
-                    break
+    def connection_lost(self, exc: Exception | None) -> None:
+        server = self.server
+        server.stats.active_connections -= 1
+        server._connections.discard(self)
+        if not server._connections:
+            server._idle.set()
 
-    async def _worker(self) -> None:
+    def data_received(self, data: bytes) -> None:
+        self.server.stats.bytes_in += len(data)
+        self._backlog.extend(self.decoder.feed(data))
+        self._serve()
+
+    def eof_received(self) -> bool:
+        self.shutdown()
+        return True  # shutdown() closes, now or when the backlog is answered
+
+    def pause_writing(self) -> None:
+        # The peer is not reading its replies: stop taking its requests.
+        self._paused = True
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self._paused = False
+        self._serve()
+        if not self._paused:
+            self.transport.resume_reading()
+
+    def shutdown(self) -> None:
+        """Answer what was already received, flush, then close."""
+        self._closing = True
+        if not self._backlog:
+            self.transport.close()
+
+    def _hang_up(self) -> None:
+        """``quit`` or lost framing: nothing after this command is served."""
+        self._backlog.clear()
+        self._closing = True
+
+    def _serve(self) -> None:
+        """Execute backlogged commands in order, one write per batch.
+
+        A batch ends when the backlog does, or early once its replies
+        fill the room left under the write buffer's high-water mark — so
+        a peer that does not read is owed at most that mark plus one
+        reply. The write may pause the transport, which ends the loop.
+        """
         stats = self.server.stats
-        while True:
-            command = await self.queue.get()
-            batch = [command]
-            # Coalesce everything already queued into one write+drain:
-            # the server-side half of pipelining.
-            while not self.queue.empty():
-                batch.append(self.queue.get_nowait())
-            out = bytearray()
-            quit_after = False
-            for cmd in batch:
-                reply = self._execute(cmd)
+        transport = self.transport
+        backlog = self._backlog
+        while backlog and not self._paused:
+            room = self._high_water - transport.get_write_buffer_size()
+            out: list[bytes] = []
+            size = depth = 0
+            while backlog and size <= room:
+                depth += 1
+                reply = self._execute(backlog.popleft())
                 if reply is not None:
-                    out += reply
-                if isinstance(cmd, QuitCommand) or (
-                    isinstance(cmd, BadCommand) and cmd.fatal
-                ):
-                    quit_after = True
-            stats.requests += len(batch)
+                    out.append(reply)
+                    size += len(reply)
+            stats.requests += depth
             stats.batches += 1
-            depth = len(batch)
             stats.batch_depths[depth] = stats.batch_depths.get(depth, 0) + 1
             if out:
-                stats.bytes_out += len(out)
-                try:
-                    self.writer.write(bytes(out))
-                    await self.writer.drain()
-                except (ConnectionError, OSError):
-                    quit_after = True
-            for _ in batch:
-                self.queue.task_done()
-            if quit_after:
-                self.closing = True
-                self.writer.close()
-                return
+                stats.bytes_out += size
+                transport.write(b"".join(out))
+        if self._closing and not backlog:
+            transport.close()  # flushes the replies just written first
 
     def _execute(self, cmd) -> bytes | None:
         backend = self.server.backend
@@ -202,9 +201,12 @@ class _Connection:
             if isinstance(cmd, VersionCommand):
                 return Reply("VERSION", SERVER_VERSION).encode()
             if isinstance(cmd, QuitCommand):
+                self._hang_up()
                 return None
             if isinstance(cmd, BadCommand):
                 stats.protocol_errors += 1
+                if cmd.fatal:
+                    self._hang_up()
                 return Reply(cmd.kind, cmd.message).encode()
         except ShardFailure as exc:
             stats.fault_errors += 1
@@ -221,18 +223,17 @@ class ShardServer:
         backend: BackendCacheServer,
         host: str = "127.0.0.1",
         port: int = 0,
-        inflight_limit: int = 256,
         max_value_bytes: int = proto.MAX_VALUE_BYTES,
     ) -> None:
         self.backend = backend
         self.host = host
         self.port = port
-        self.inflight_limit = inflight_limit
         self.max_value_bytes = max_value_bytes
         self.stats = ShardServerStats()
         self._server: asyncio.AbstractServer | None = None
         self._connections: set[_Connection] = set()
-        self._conn_tasks: set[asyncio.Task] = set()
+        self._idle = asyncio.Event()  # set while there are no connections
+        self._idle.set()
 
     @property
     def server_id(self) -> str:
@@ -243,24 +244,11 @@ class ShardServer:
         return (self.host, self.port)
 
     async def start(self) -> "ShardServer":
-        self._server = await asyncio.start_server(
-            self._on_connect, self.host, self.port
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
         return self
-
-    async def _on_connect(self, reader, writer) -> None:
-        conn = _Connection(self, reader, writer)
-        self._connections.add(conn)
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-        try:
-            await conn.run()
-        finally:
-            self._connections.discard(conn)
-            if task is not None:
-                self._conn_tasks.discard(task)
 
     def abort_connections(self) -> None:
         """Hard-drop every live connection (simulates an instance crash).
@@ -269,32 +257,24 @@ class ShardServer:
         analogue of a killed shard — and reconnect lazily on next use.
         """
         for conn in list(self._connections):
-            conn.closing = True
-            transport = conn.writer.transport
-            if transport is not None:
-                transport.abort()
+            conn.transport.abort()
 
     async def stop(self, drain: bool = True, timeout: float = 5.0) -> None:
         """Stop serving; with ``drain`` (default) finish inflight work first."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        listener, self._server = self._server, None
+        if listener is not None:
+            listener.close()
         if drain:
-            pending = [c.queue.join() for c in list(self._connections)]
-            if pending:
-                try:
-                    await asyncio.wait_for(
-                        asyncio.gather(*pending), timeout=timeout
-                    )
-                except asyncio.TimeoutError:
-                    pass
+            for conn in list(self._connections):
+                conn.shutdown()
+            await self._wait_idle(timeout)
         self.abort_connections()
-        tasks = list(self._conn_tasks)
-        for task in tasks:
-            task.cancel()
-        for task in tasks:
-            try:
-                await task
-            except (asyncio.CancelledError, ConnectionError, OSError):
-                pass
+        await self._wait_idle(timeout)
+        if listener is not None:
+            await listener.wait_closed()
+
+    async def _wait_idle(self, timeout: float) -> None:
+        try:
+            await asyncio.wait_for(self._idle.wait(), timeout)
+        except asyncio.TimeoutError:
+            pass

@@ -9,16 +9,24 @@ net-smoke stage, not here.
 
 from __future__ import annotations
 
+import asyncio
+import logging
+import socket
+
 import pytest
 
+from repro.cluster.backend import BackendCacheServer
 from repro.cluster.client import FrontEndClient
 from repro.cluster.cluster import CacheCluster
 from repro.cluster.faults import FaultInjector
 from repro.cluster.retry import BreakerState
 from repro.cluster.storage import PersistentStore
-from repro.errors import ProtocolError, ShardDownError
+from repro.errors import ProtocolError, ShardDownError, ShardTimeoutError
+from repro.net.client import Connection, NetClientStats, ShardEndpoint
 from repro.net.harness import decision_equivalence
 from repro.net.plane import NetworkPlane
+from repro.net.proto import Reply, ResponseDecoder, Value
+from repro.net.server import ShardServer
 from repro.policies.base import MISSING
 from repro.policies.registry import make_policy
 
@@ -220,3 +228,244 @@ def test_network_specs_are_not_process_parallelizable():
 
     assert cluster_spec_parallelizable(spec(False))
     assert not cluster_spec_parallelizable(spec(True))
+
+
+# ------------------------------------------------------- transport contract
+#
+# Raw peers on both sides of the wire: a listener that says only what the
+# test tells it to (against the client transport) and a plain socket that
+# pipelines bytes and reads when it chooses (against the shard server).
+
+BIG = 1 << 16
+
+
+class ScriptedPeer(asyncio.Protocol):
+    """Server side of one accepted connection: records, never answers."""
+
+    def __init__(self, accepted: list) -> None:
+        self.received = bytearray()
+        self.closed = False
+        accepted.append(self)
+
+    def connection_made(self, transport):
+        self.transport = transport
+
+    def data_received(self, data):
+        self.received += data
+
+    def connection_lost(self, exc):
+        self.closed = True
+
+
+async def scripted_listener():
+    accepted: list[ScriptedPeer] = []
+    listener = await asyncio.get_running_loop().create_server(
+        lambda: ScriptedPeer(accepted), "127.0.0.1", 0
+    )
+    return listener, listener.sockets[0].getsockname()[1], accepted
+
+
+async def until(condition, timeout: float = 5.0) -> None:
+    deadline = asyncio.get_running_loop().time() + timeout
+    while not condition():
+        assert asyncio.get_running_loop().time() < deadline, "condition never held"
+        await asyncio.sleep(0.005)
+
+
+def test_mute_server_times_out_and_late_reply_does_not_shift_the_fifo():
+    async def main():
+        listener, port, accepted = await scripted_listener()
+        endpoint = ShardEndpoint("mute", "127.0.0.1", port, timeout=0.2)
+        loop = asyncio.get_running_loop()
+        start = loop.time()
+        with pytest.raises(ShardTimeoutError, match="mute did not answer"):
+            await endpoint.get("a")
+        assert 0.2 <= loop.time() - start < 1.0
+        assert endpoint.stats.timeouts == 1
+        # The reply to "a" turns up late, ahead of the reply to "b".
+        second = asyncio.ensure_future(endpoint.get("b"))
+        await until(lambda: b"get b" in accepted[0].received)
+        accepted[0].transport.write(
+            Reply("END", values=(Value("a", 0, b"late"),)).encode()
+            + Reply("END", values=(Value("b", 0, b"mine"),)).encode()
+        )
+        assert await second == b"mine"
+        assert endpoint.stats.timeouts == 1
+        assert endpoint.stats.reconnects == 0
+        await endpoint.close()
+        listener.close()
+
+    asyncio.run(main())
+
+
+def test_unsolicited_reply_kills_the_connection():
+    async def main():
+        listener, port, accepted = await scripted_listener()
+        endpoint = ShardEndpoint("chatty", "127.0.0.1", port, timeout=1.0)
+        first = asyncio.ensure_future(endpoint.get("a"))
+        await until(lambda: accepted and b"get a" in accepted[0].received)
+        accepted[0].transport.write(b"END\r\nSTORED\r\n")  # one reply too many
+        assert await first is MISSING
+        await until(lambda: accepted[0].closed)  # the client hung up
+        assert endpoint._pool[0].dead
+        # The stream cannot be trusted again: the next request reconnects.
+        second = asyncio.ensure_future(endpoint.get("b"))
+        await until(lambda: len(accepted) == 2 and b"get b" in accepted[1].received)
+        assert endpoint.stats.reconnects == 1
+        accepted[1].transport.write(b"END\r\n")
+        assert await second is MISSING
+        await endpoint.close()
+        listener.close()
+
+    asyncio.run(main())
+
+
+def test_requests_of_one_loop_turn_leave_in_one_write():
+    class RecordingTransport:
+        def __init__(self):
+            self.writes = []
+
+        def write(self, data):
+            self.writes.append(data)
+
+        def close(self):
+            pass
+
+    async def main():
+        stats = NetClientStats()
+        conn = Connection("s", 1.0, stats)
+        transport = RecordingTransport()
+        conn.connection_made(transport)
+        frames = [b"get k%d\r\n" % i for i in range(7)]
+        futures = [conn.request(frame) for frame in frames]
+        assert transport.writes == []  # nothing leaves before the turn ends
+        await asyncio.sleep(0)
+        assert transport.writes == [b"".join(frames)]
+        assert (stats.requests, stats.batches, stats.batch_depths) == (7, 1, {7: 1})
+        conn.data_received(b"END\r\n" * 7)
+        assert [f.result().kind for f in futures] == ["END"] * 7
+        conn.connection_lost(None)
+
+    asyncio.run(main())
+
+
+async def big_value_server(keys: int = 4):
+    backend = BackendCacheServer("s", capacity_bytes=1 << 30)
+    for i in range(keys):
+        backend.set(f"k{i}", bytes([65 + i]) * BIG)
+    return await ShardServer(backend).start()
+
+
+async def raw_peer(server: ShardServer) -> socket.socket:
+    sock = socket.socket()
+    # A small receive buffer: the kernel holds little on the peer's behalf.
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, BIG)
+    sock.setblocking(False)
+    await asyncio.get_running_loop().sock_connect(sock, server.address)
+    return sock
+
+
+async def read_replies(sock: socket.socket, count: int | None) -> list[Reply]:
+    """``count`` replies off a raw socket (``None``: all of them, to EOF)."""
+    loop, decoder, replies = asyncio.get_running_loop(), ResponseDecoder(), []
+    while count is None or len(replies) < count:
+        data = await loop.sock_recv(sock, 1 << 20)
+        if not data:
+            assert count is None, f"EOF after {len(replies)} of {count} replies"
+            break
+        replies += decoder.feed(data)
+    return replies
+
+
+def test_peer_that_does_not_read_stalls_the_server_not_its_memory():
+    sent = 2_000
+
+    async def main():
+        server = await big_value_server()
+        sock = await raw_peer(server)
+        pipeline = b"".join(b"get k%d\r\n" % (i % 4) for i in range(sent))
+        await asyncio.get_running_loop().sock_sendall(sock, pipeline)
+        await until(lambda: server.stats.bytes_in == len(pipeline))
+        (conn,) = server._connections
+        await until(lambda: conn._paused)
+        stalled_at = server.stats.requests
+        await asyncio.sleep(0.1)
+        # Flow control, not a queue: the server executes no further than
+        # the socket can take, and owes at most the mark plus one reply.
+        assert server.stats.requests == stalled_at < sent
+        high_water = conn.transport.get_write_buffer_limits()[1]
+        assert conn.transport.get_write_buffer_size() <= high_water + BIG + 64
+        replies = await read_replies(sock, sent)
+        assert [r.values[0].key for r in replies] == [f"k{i % 4}" for i in range(sent)]
+        assert all(r.values[0].data == bytes([65 + i % 4]) * BIG for i, r in enumerate(replies))
+        assert server.stats.requests == sent
+        sock.close()
+        await server.stop()
+
+    asyncio.run(main())
+
+
+def test_drain_delivers_replies_of_requests_already_received():
+    sent = 300  # ~19 MiB of replies: most are unwritten when stop() is called
+
+    async def main():
+        server = await big_value_server()
+        sock = await raw_peer(server)
+        pipeline = b"".join(b"get k%d\r\n" % (i % 4) for i in range(sent))
+        await asyncio.get_running_loop().sock_sendall(sock, pipeline)
+        await until(lambda: server.stats.bytes_in == len(pipeline))
+        assert server.stats.requests < sent
+        stopping = asyncio.ensure_future(server.stop(drain=True))
+        replies = await read_replies(sock, None)  # to EOF: the drain closes the socket
+        assert [r.values[0].key for r in replies] == [f"k{i % 4}" for i in range(sent)]
+        await stopping
+        assert server.stats.active_connections == 0
+        sock.close()
+
+    asyncio.run(main())
+
+
+@pytest.mark.parametrize(
+    "sent, expected",
+    [
+        (b"get a\r\nquit\r\nget b\r\n", b"END\r\n"),
+        (b"get a\r\nset k 0 0 nan\r\nget b\r\n", b"END\r\nCLIENT_ERROR bad set header\r\n"),
+    ],
+    ids=["quit", "fatal-frame"],
+)
+def test_quit_and_fatal_frames_answer_then_close(sent, expected):
+    async def main():
+        server = await ShardServer(BackendCacheServer("s")).start()
+        sock = await raw_peer(server)
+        loop = asyncio.get_running_loop()
+        await loop.sock_sendall(sock, sent)
+        received = bytearray()
+        while data := await loop.sock_recv(sock, 4096):
+            received += data
+        assert bytes(received) == expected  # then EOF: nothing after is served
+        await until(lambda: server.stats.active_connections == 0)
+        sock.close()
+        await server.stop()
+
+    asyncio.run(main())
+
+
+def test_stop_right_after_the_client_closes_logs_nothing(caplog):
+    """PR 12 finding: stop() used to cancel connection tasks mid-close."""
+
+    async def main():
+        complaints = []
+        asyncio.get_running_loop().set_exception_handler(
+            lambda _loop, context: complaints.append(context)
+        )
+        server = await ShardServer(BackendCacheServer("s")).start()
+        endpoint = ShardEndpoint("s", server.host, server.port)
+        await endpoint.set("k", b"v")
+        # Both in one loop turn: the server meets the client's EOF inside stop().
+        await asyncio.gather(endpoint.close(), server.stop())
+        assert server.stats.active_connections == 0
+        return complaints
+
+    with caplog.at_level(logging.DEBUG, logger="asyncio"):
+        assert asyncio.run(main()) == []
+    assert [r for r in caplog.records if r.levelno >= logging.WARNING] == []

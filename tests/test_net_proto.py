@@ -12,6 +12,8 @@ unterminated line) mark it broken.
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -277,3 +279,54 @@ def test_valid_key_rejects_whitespace_control_and_long():
     assert not valid_key("")
     assert not valid_key("k" * 251)
     assert valid_key("k" * 250)
+
+
+def _valid_key_reference(key: object) -> bool:
+    """The definition the compiled pattern replaced, one character at a time."""
+    if not isinstance(key, str) or not 0 < len(key) <= 250:
+        return False
+    return all(33 <= ord(ch) <= 126 for ch in key)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    key=st.one_of(
+        st.text(max_size=260),  # any code points: controls, spaces, non-ASCII
+        st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=127), max_size=260),
+        st.builds(  # around the length limit, clean and with one bad tail
+            lambda n, tail: "k" * n + tail,
+            st.integers(245, 255),
+            st.sampled_from(["", "\n", " ", "\x7f", "é"]),
+        ),
+        st.binary(max_size=8),
+        st.integers(),
+        st.none(),
+    )
+)
+def test_valid_key_agrees_with_the_per_character_definition(key):
+    assert valid_key(key) is _valid_key_reference(key)
+
+
+@pytest.mark.parametrize(
+    "decoder, stream",
+    [
+        (RequestDecoder(), b"get a b\r\nset k 0 0 3\r\nabc\r\ndelete k\r\n"),
+        (
+            ResponseDecoder(),
+            Reply("END", values=(Value("a", 0, b"x" * 64),)).encode() + b"STORED\r\n",
+        ),
+    ],
+    ids=["request", "response"],
+)
+def test_whole_frames_leave_nothing_buffered(decoder, stream):
+    chunk = bytes(bytearray(stream))  # a fresh object only this test refers to
+    references = sys.getrefcount(chunk)
+    assert len(decoder.feed(chunk)) >= 2
+    assert decoder._lines.pending() == 0
+    assert len(decoder._lines._buf) == 0  # consumed bytes are dropped, not skipped
+    assert sys.getrefcount(chunk) == references  # the received chunk is released
+    # A split frame is the only thing that stays behind, and only until it ends.
+    decoder.feed(stream[:5])
+    assert decoder._lines.pending() == 5
+    decoder.feed(stream[5:])
+    assert decoder._lines.pending() == 0
