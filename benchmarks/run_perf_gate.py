@@ -580,6 +580,9 @@ def check_network(record: dict | None = None) -> int:
           f"depth-{pipelining['depth']:.0f} {pipelining['pipelined']:>10,.0f} "
           f"req/s  (speedup {speedup:.2f}x, target >= "
           f"{NETWORK_PIPELINE_TARGET:g}x)")
+    print(f"  lockstep round trip p50: awaited on the loop "
+          f"{pipelining['awaited_p50_us']:,.0f}us, through ShardProxy "
+          f"{pipelining['proxy_p50_us']:,.0f}us")
     print(f"  decision equivalence on {record['equivalence_accesses']:,} "
           f"requests: {'identical' if record['decision_equivalent'] else 'DIVERGED'}")
     failed = []

@@ -10,7 +10,11 @@ hard 60s timeout):
    requests/sec plus the measured latency distribution;
 2. **pipelining** — one connection drives the same stream in lockstep
    and at depth 32; the pipelined run must be faster (the hard >= 3x
-   gate lives in the perf gate, this stage only proves the mechanism);
+   gate lives in the perf gate, this stage only proves the mechanism).
+   The same requests then go through a blocking ``ShardProxy``: its
+   median round trip may be at most 1.15x the median awaited on the
+   loop, both taken in this run, so a per-request hop to another thread
+   (~2x when ``ShardProxy`` had one) cannot come back unnoticed;
 3. **equivalence** — a 10k-request mixed stream replays through both
    planes with identical seeds; every front-end decision, shard counter
    and storage counter must match exactly.
@@ -50,6 +54,15 @@ def main() -> int:
     )
     if pipelining["speedup"] <= 1.0:
         print("net smoke: pipelining did not beat lockstep", file=sys.stderr)
+        return 1
+    awaited, proxy = pipelining["awaited_p50_us"], pipelining["proxy_p50_us"]
+    print(
+        f"(lockstep round trip: awaited on the loop p50 {awaited:,.0f}us, "
+        f"through ShardProxy p50 {proxy:,.0f}us, ratio {proxy / awaited:.2f})"
+    )
+    if proxy > 1.15 * awaited:
+        print("net smoke: ShardProxy's round trip costs more than the loop's",
+              file=sys.stderr)
         return 1
 
     equal, in_process, networked = decision_equivalence(accesses=10_000)

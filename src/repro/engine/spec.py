@@ -339,7 +339,7 @@ class NetworkSpec:
     runner wraps the run's cluster in a
     :class:`~repro.net.plane.NetworkPlane`: each shard is served over a
     localhost TCP socket by an asyncio memcached-protocol server and
-    front ends reach it through the pipelined transport
+    front ends reach it over one blocking socket per shard
     (DESIGN.md §15). Decisions are identical by construction — the
     equivalence gate (:func:`repro.net.harness.decision_equivalence`)
     enforces it — but the run pays (and ``net.*`` telemetry measures)
@@ -348,8 +348,6 @@ class NetworkSpec:
 
     enabled: bool = False
     host: str = "127.0.0.1"
-    #: persistent connections per shard in the front-end pool
-    pool_size: int = 1
     #: per-request client timeout (seconds) → ``ShardTimeoutError``
     timeout: float = 5.0
 
@@ -357,12 +355,7 @@ class NetworkSpec:
         """The started socket plane this spec describes."""
         from repro.net.plane import NetworkPlane
 
-        return NetworkPlane(
-            cluster,
-            host=self.host,
-            pool_size=self.pool_size,
-            timeout=self.timeout,
-        ).start()
+        return NetworkPlane(cluster, host=self.host, timeout=self.timeout).start()
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,10 @@ Two planes serve the same decision logic (DESIGN.md §15):
   run on (:mod:`repro.cluster`), where shard calls are object calls;
 * the **network plane** (this package) — real asyncio socket servers
   speaking a memcached-style text protocol (:mod:`repro.net.server`), a
-  pipelined front-end transport (:mod:`repro.net.client`), and a
-  closed-loop multi-process load harness (:mod:`repro.net.harness`).
+  pipelined front-end transport for coroutine callers
+  (:mod:`repro.net.client`), a blocking one for synchronous callers
+  (:class:`repro.net.plane.ShardProxy`), and a closed-loop multi-process
+  load harness (:mod:`repro.net.harness`).
 
 The :class:`~repro.net.plane.NetworkPlane` facade makes a
 :class:`~repro.cluster.cluster.CacheCluster` reachable over localhost

@@ -1,6 +1,8 @@
 """Pipelined asyncio front-end transport for the shard servers.
 
-Three layers (DESIGN.md §15):
+For coroutine callers, which keep many requests in flight; a caller that
+blocks for one reply goes through :class:`repro.net.plane.ShardProxy`, a
+blocking socket in its own thread. Four parts (DESIGN.md §15):
 
 * :class:`Connection` — one persistent socket with **request
   pipelining**, written as an :class:`asyncio.Protocol`: requests
@@ -19,11 +21,14 @@ Three layers (DESIGN.md §15):
   ``RetryPolicy``/``CircuitBreaker`` layer retries and trips exactly as
   it does on the in-process plane; ``SERVER_ERROR`` frames reconstruct
   the injected exception type via :func:`repro.net.proto.decode_failure`.
+* the **shard verbs** — ``encode_*``/``decode_*``: a verb's frame and
+  what its reply means. Both transports call these (and count into
+  :class:`NetClientStats`), so they cannot answer a request differently.
 * :class:`NetClientStats` — wire counters (bytes, timeouts, reconnects,
   pipelined batch depths) that surface as ``net.*`` telemetry.
 
-A ``get_many`` is **one wire round-trip per shard**: the caller groups
-keys by ring owner and sends one multi-key ``get`` per group.
+A ``get_many`` (the proxy's) is **one wire round-trip per shard**: the
+caller groups keys by ring owner and sends one multi-key ``get`` per group.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from __future__ import annotations
 import asyncio
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Hashable, Iterable
+from typing import Any, Hashable
 
 from repro.errors import (
     ProtocolError,
@@ -45,7 +50,6 @@ from repro.net.proto import (
     Reply,
     ResponseDecoder,
     SetCommand,
-    TouchCommand,
 )
 from repro.policies.base import MISSING
 
@@ -69,9 +73,63 @@ class NetClientStats:
     #: requests per ``send``: {depth: sends that carried that many}
     batch_depths: dict[int, int] = field(default_factory=dict)
 
-    def note_batch(self, depth: int) -> None:
+    def sent(self, depth: int, nbytes: int) -> None:
+        """Count one ``send`` of ``nbytes`` that carried ``depth`` requests."""
+        self.requests += depth
         self.batches += 1
+        self.bytes_out += nbytes
         self.batch_depths[depth] = self.batch_depths.get(depth, 0) + 1
+
+    def timed_out(self, name: str, timeout: float) -> ShardTimeoutError:
+        """Count one request that outlived its deadline; the error to raise."""
+        self.timeouts += 1
+        return ShardTimeoutError(f"{name} did not answer within {timeout}s")
+
+    def checked(self, name: str, reply: Reply) -> Reply:
+        """Pass ``reply`` through unless it is an error frame, which is counted and raised:
+        ``SERVER_ERROR`` as the shard failure it carries, any other as ``ProtocolError``."""
+        if reply.is_error:
+            self.errors += 1
+            if reply.kind == "SERVER_ERROR":
+                raise proto.decode_failure(reply)
+            raise ProtocolError(f"{name}: {reply.kind} {reply.message}")
+        return reply
+
+
+# The shard verbs: a verb's frame and what its reply means, for both transports.
+
+
+def encode_get(key: Hashable) -> bytes:
+    return GetCommand((str(key),)).encode()
+
+
+def encode_get_many(keys: list[Hashable]) -> bytes:
+    return GetCommand(tuple(map(str, keys))).encode()
+
+
+def encode_set(key: Hashable, value: Any) -> bytes:
+    flags, payload = proto.dump_value(value)
+    return SetCommand(str(key), flags, 0, payload).encode()
+
+
+def encode_delete(key: Hashable) -> bytes:
+    return DeleteCommand(str(key)).encode()
+
+
+def decode_get(reply: Reply) -> Any:
+    if not reply.values:
+        return MISSING
+    value = reply.values[0]
+    return proto.load_value(value.flags, value.data)
+
+
+def decode_get_many(keys: list[Hashable], reply: Reply) -> dict[Hashable, Any]:
+    by_wire_key = {v.key: proto.load_value(v.flags, v.data) for v in reply.values}
+    return {k: by_wire_key[str(k)] for k in keys if str(k) in by_wire_key}
+
+
+def decode_delete(reply: Reply) -> bool:
+    return reply.kind == "DELETED"
 
 
 class Connection(asyncio.Protocol):
@@ -126,15 +184,14 @@ class Connection(asyncio.Protocol):
         self._outbox.append(payload)
         if self._sweep is None:
             self._sweep = loop.call_at(deadline, self._expire)
-        self.stats.requests += 1
-        self.stats.bytes_out += len(payload)
         return future
 
     def _flush(self) -> None:
         outbox, self._outbox = self._outbox, []
         if not self.dead:
-            self.stats.note_batch(len(outbox))
-            self._transport.write(b"".join(outbox))
+            data = b"".join(outbox)
+            self.stats.sent(len(outbox), len(data))
+            self._transport.write(data)
 
     def _expire(self) -> None:
         """Fail every overdue request, then sleep until the next deadline.
@@ -152,12 +209,7 @@ class Connection(asyncio.Protocol):
             if deadline > now:
                 self._sweep = self._loop.call_at(deadline, self._expire)
                 return
-            self.stats.timeouts += 1
-            future.set_exception(
-                ShardTimeoutError(
-                    f"{self.name} did not answer within {self.timeout}s"
-                )
-            )
+            future.set_exception(self.stats.timed_out(self.name, self.timeout))
 
     # ------------------------------------------------- asyncio.Protocol
 
@@ -207,10 +259,9 @@ class ShardEndpoint:
 
     The async surface mirrors the
     :class:`~repro.cluster.backend.BackendCacheServer` client surface
-    (``get``/``get_many``/``set``/``delete``), returning/raising exactly
-    what the in-process plane would — including ``MISSING`` on a miss
-    and :class:`~repro.errors.ShardFailure` subclasses on faults — so a
-    proxy over this endpoint is a drop-in shard object.
+    (``get``/``set``/``delete``), returning/raising exactly what the
+    in-process plane would — including ``MISSING`` on a miss and
+    :class:`~repro.errors.ShardFailure` subclasses on faults.
     """
 
     def __init__(
@@ -272,48 +323,21 @@ class ShardEndpoint:
                 best = conn
         return best
 
-    async def request(self, command: Any) -> Reply:
+    async def request(self, frame: bytes) -> Reply:
         """One pipelined round-trip, with timeout/error → failure mapping."""
         conn = self._pick() or await self._connect()
-        reply = await conn.request(command.encode())
-        if reply.kind == "SERVER_ERROR":
-            self.stats.errors += 1
-            raise proto.decode_failure(reply)
-        if reply.is_error:
-            self.stats.errors += 1
-            raise ProtocolError(f"{self.server_id}: {reply.kind} {reply.message}")
-        return reply
+        return self.stats.checked(self.server_id, await conn.request(frame))
 
     # -------------------------------------------------------- shard surface
 
     async def get(self, key: Hashable) -> Any:
-        reply = await self.request(GetCommand((str(key),)))
-        if not reply.values:
-            return MISSING
-        value = reply.values[0]
-        return proto.load_value(value.flags, value.data)
-
-    async def get_many(self, keys: Iterable[Hashable]) -> dict[Hashable, Any]:
-        keys = list(keys)
-        if not keys:
-            return {}
-        reply = await self.request(GetCommand(tuple(str(k) for k in keys)))
-        by_wire_key = {
-            v.key: proto.load_value(v.flags, v.data) for v in reply.values
-        }
-        return {k: by_wire_key[str(k)] for k in keys if str(k) in by_wire_key}
+        return decode_get(await self.request(encode_get(key)))
 
     async def set(self, key: Hashable, value: Any, size: int | None = None) -> None:
-        flags, payload = proto.dump_value(value)
-        await self.request(SetCommand(str(key), flags, 0, payload))
+        await self.request(encode_set(key, value))
 
     async def delete(self, key: Hashable) -> bool:
-        reply = await self.request(DeleteCommand(str(key)))
-        return reply.kind == "DELETED"
-
-    async def touch(self, key: Hashable, exptime: int = 0) -> bool:
-        reply = await self.request(TouchCommand(str(key), exptime))
-        return reply.kind == "TOUCHED"
+        return decode_delete(await self.request(encode_delete(key)))
 
     async def close(self) -> None:
         pool, self._pool = self._pool, [None] * self.pool_size

@@ -33,6 +33,7 @@ import asyncio
 import itertools
 import multiprocessing
 import os
+import statistics
 import time
 from dataclasses import dataclass, field
 from typing import Any, Hashable
@@ -329,10 +330,14 @@ def measure_pipelining(
 
     One spawned server process; the client runs in this process on one
     persistent connection (pool size 1) so the *only* difference between
-    the two measurements is the number of outstanding requests.
-    Returns ``{"pipelined": req/s, "unpipelined": req/s, "speedup": x}``.
+    the two measurements is the number of outstanding requests. The same
+    requests then go through a blocking :class:`~repro.net.plane.ShardProxy`,
+    so the median lockstep round trip is known for both transports.
+    Returns ``{"pipelined": req/s, "unpipelined": req/s, "speedup": x,
+    "awaited_p50_us": us, "proxy_p50_us": us}``.
     """
     from repro.net.client import NetClientStats, ShardEndpoint
+    from repro.net.plane import ShardProxy
 
     ctx = multiprocessing.get_context("spawn")
     ready_q: Any = ctx.Queue()
@@ -348,7 +353,7 @@ def measure_pipelining(
         _, port = ready_q.get(timeout=30.0)
         keys = [format_key(i % key_space) for i in range(requests)]
 
-        async def drive(concurrency: int) -> float:
+        async def drive(concurrency: int) -> tuple[float, list[int]]:
             endpoint = ShardEndpoint(
                 "cache-0", _HOST, port, pool_size=1, stats=NetClientStats()
             )
@@ -357,22 +362,34 @@ def measure_pipelining(
             for key in sorted(set(keys)):
                 await endpoint.set(key, b"v")
             counter = itertools.count()
+            latencies: list[int] = []
 
             async def worker() -> None:
                 while True:
                     i = next(counter)
                     if i >= requests:
                         return
+                    start = time.perf_counter_ns()
                     await endpoint.get(keys[i])
+                    latencies.append(time.perf_counter_ns() - start)
 
             begin = time.perf_counter()
             await asyncio.gather(*(worker() for _ in range(concurrency)))
             elapsed = time.perf_counter() - begin
             await endpoint.close()
-            return elapsed
+            return elapsed, latencies
 
-        sequential = requests / asyncio.run(drive(1))
-        pipelined = requests / asyncio.run(drive(depth))
+        elapsed, awaited = asyncio.run(drive(1))
+        sequential = requests / elapsed
+        pipelined = requests / asyncio.run(drive(depth))[0]
+        proxy, blocked = ShardProxy(ShardEndpoint("cache-0", _HOST, port)), []
+        try:
+            for key in keys:
+                start = time.perf_counter_ns()
+                proxy.get(key)
+                blocked.append(time.perf_counter_ns() - start)
+        finally:
+            proxy.close()
     finally:
         stop_evt.set()
         proc.join(timeout=10.0)
@@ -383,6 +400,8 @@ def measure_pipelining(
         "pipelined": pipelined,
         "depth": float(depth),
         "speedup": pipelined / sequential if sequential else 0.0,
+        "awaited_p50_us": statistics.median(awaited) / 1e3,
+        "proxy_p50_us": statistics.median(blocked) / 1e3,
     }
 
 

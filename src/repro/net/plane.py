@@ -8,8 +8,12 @@ running in a dedicated thread). It then re-exposes the cluster's entire
 *client-facing* surface — ``ring``, ``storage``, ``server_ids``,
 ``server()``/``server_for()``, the revival/removal listener lists — but
 ``server()`` resolves to a :class:`ShardProxy` whose
-``get``/``get_many``/``set``/``delete`` cross the wire through the
-pipelined transport (:mod:`repro.net.client`).
+``get``/``get_many``/``set``/``delete`` cross the wire on a blocking
+socket **in the caller's thread**: a caller that blocks for one reply
+has nothing to pipeline, so the loop thread only serves, and
+:meth:`LoopThread.call` is left with lifecycle work. (Coroutine
+callers, which do pipeline, use :class:`~repro.net.client.ShardEndpoint`;
+both transports share the verbs and counters of :mod:`repro.net.client`.)
 
 Because the facade duck-types ``CacheCluster`` exactly where front ends
 touch it, an **unchanged** :class:`~repro.cluster.client.FrontEndClient`
@@ -21,22 +25,25 @@ argument (DESIGN.md §15), and :func:`repro.net.harness.decision_equivalence`
 checks it end to end.
 
 Topology churn maps onto real sockets: shards added after start are
-served lazily on first route; removed shards tear their server down via
-the cluster's ``removal_listeners``; :meth:`drop_connections` hard-drops
-a shard's live connections (the network face of a kill) so clients
-observe ``ConnectionError`` → :class:`~repro.errors.ShardDownError` and
-reconnect lazily after the revival.
+served lazily on first route; removed shards tear their server and
+their proxy's socket down via the cluster's ``removal_listeners``;
+:meth:`drop_connections` hard-drops a shard's sockets at both ends (the
+network face of a kill) and the proxy reconnects lazily on next use.
 """
 
 from __future__ import annotations
 
 import asyncio
+import socket
 import threading
+from time import monotonic
 from typing import Any, Callable, Hashable, Iterable
 
 from repro.cluster.cluster import CacheCluster
-from repro.errors import ClusterError, ShardDownError
+from repro.errors import ClusterError, ProtocolError, ShardDownError
+from repro.net import client
 from repro.net.client import NetClientStats, ShardEndpoint
+from repro.net.proto import Reply, ResponseDecoder
 from repro.net.server import ShardServer, ShardServerStats
 
 __all__ = ["LoopThread", "NetworkPlane", "ShardProxy"]
@@ -57,7 +64,7 @@ class LoopThread:
         self.loop.run_forever()
 
     def call(self, coro, timeout: float | None = None) -> Any:
-        """Run ``coro`` on the loop and block for its result."""
+        """Run ``coro`` on the loop and block for its result (lifecycle work only)."""
         future = asyncio.run_coroutine_threadsafe(coro, self.loop)
         return future.result(timeout)
 
@@ -69,46 +76,116 @@ class LoopThread:
 
 
 class ShardProxy:
-    """Synchronous shard-object stand-in backed by a wire endpoint.
+    """Synchronous shard-object stand-in: one blocking socket to one shard.
 
     Exposes exactly the surface front ends use on a
     :class:`~repro.cluster.backend.BackendCacheServer` — ``server_id``,
-    ``get``, ``get_many``, ``set``, ``delete`` — with every call one
-    blocking round-trip through the plane's loop thread. Exceptions
-    (injected faults, timeouts, dead connections) surface as the same
+    ``get``, ``get_many``, ``set``, ``delete`` — each call one round trip
+    made in the calling thread, raising the same
     :class:`~repro.errors.ShardFailure` types the in-process plane
-    raises, so the retry/breaker layer upstack is oblivious.
+    raises. Address, timeout and counters are those of ``endpoint``
+    (whose own connections go unused); ``loop`` is accepted and ignored.
+
+    A lock admits one request at a time, so the next bytes on the socket
+    are its reply. Whenever that stops being certain — the deadline
+    passed, the peer hung up, the stream did not parse, a second reply
+    arrived — the socket is closed: a late reply has nowhere to arrive,
+    and the next request connects afresh.
     """
 
-    def __init__(self, endpoint: ShardEndpoint, loop: LoopThread) -> None:
+    def __init__(self, endpoint: ShardEndpoint, loop: LoopThread | None = None) -> None:
+        self.server_id = endpoint.server_id
         self._endpoint = endpoint
-        self._loop = loop
+        self._lock = threading.RLock()
+        self._sock: socket.socket | None = None
+        self._decoder = ResponseDecoder()
+        self._lost = False  # a socket was closed: the next connect is a reconnect
 
-    @property
-    def server_id(self) -> str:
-        return self._endpoint.server_id
+    def _connect(self) -> socket.socket:
+        endpoint = self._endpoint
+        address = (endpoint.host, endpoint.port)
+        try:
+            sock = socket.create_connection(address, endpoint.timeout)
+        except OSError as exc:
+            raise ShardDownError(f"connect to {address} failed: {exc}") from exc
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)  # as asyncio does
+        endpoint.stats.connections += 1
+        endpoint.stats.reconnects += self._lost
+        self._sock, self._decoder, self._lost = sock, ResponseDecoder(), False
+        return sock
+
+    def close(self) -> None:
+        """Close the socket, once no request is in flight on it."""
+        with self._lock:
+            if self._sock is not None:
+                self._sock.close()
+                self._sock, self._lost = None, True
+
+    def _receive(self, sock: socket.socket) -> list[Reply]:
+        data = sock.recv(1 << 16)
+        if not data:
+            raise ShardDownError("server closed the connection")
+        self._endpoint.stats.bytes_in += len(data)
+        return self._decoder.feed(data)
+
+    def _round_trip(self, frame: bytes) -> Reply:
+        """Send one frame and block for its one reply."""
+        stats, timeout = self._endpoint.stats, self._endpoint.timeout
+        with self._lock:
+            sock = self._sock or self._connect()
+            deadline = monotonic() + timeout
+            try:
+                sock.sendall(frame)
+                stats.sent(1, len(frame))
+                replies = self._receive(sock)
+                while not replies:
+                    # The reply is arriving in pieces. The socket's timeout bounds
+                    # one recv; the rest share what is left of the request's deadline.
+                    left = deadline - monotonic()
+                    if left <= 0:
+                        raise TimeoutError
+                    sock.settimeout(left)
+                    replies = self._receive(sock)
+                    sock.settimeout(timeout)
+                if len(replies) > 1 or self._decoder.broken or not self._decoder.idle:
+                    raise ProtocolError(f"{self.server_id}: unparsable or unsolicited response")
+            except TimeoutError:
+                self.close()
+                raise stats.timed_out(self.server_id, timeout) from None
+            except OSError as exc:
+                self.close()
+                raise ShardDownError(f"connection lost: {exc}") from exc
+            except (ShardDownError, ProtocolError):
+                self.close()
+                raise
+        return stats.checked(self.server_id, replies[0])
+
+    # -------------------------------------------------------- shard surface
 
     def get(self, key: Hashable) -> Any:
-        return self._loop.call(self._endpoint.get(key))
+        return client.decode_get(self._round_trip(client.encode_get(key)))
 
     def get_many(self, keys: Iterable[Hashable]) -> dict[Hashable, Any]:
-        return self._loop.call(self._endpoint.get_many(list(keys)))
+        keys = list(keys)
+        if not keys:
+            return {}
+        return client.decode_get_many(keys, self._round_trip(client.encode_get_many(keys)))
 
     def set(self, key: Hashable, value: Any, size: int | None = None) -> None:
-        return self._loop.call(self._endpoint.set(key, value, size))
+        self._round_trip(client.encode_set(key, value))
 
     def delete(self, key: Hashable) -> bool:
-        return self._loop.call(self._endpoint.delete(key))
-
-    def touch(self, key: Hashable, exptime: int = 0) -> bool:
-        return self._loop.call(self._endpoint.touch(key, exptime))
+        return client.decode_delete(self._round_trip(client.encode_delete(key)))
 
 
 class NetworkPlane:
     """Serve a :class:`CacheCluster`'s shards over localhost sockets.
 
     Construct, :meth:`start`, hand to front ends in place of the
-    cluster, :meth:`close` when done (also a context manager).
+    cluster, :meth:`close` when done (also a context manager). Each
+    shard gets one :class:`ShardProxy`, hence one client socket:
+    ``pool_size`` is accepted for callers that still pass it and has no
+    effect.
     """
 
     def __init__(
@@ -120,12 +197,10 @@ class NetworkPlane:
     ) -> None:
         self.cluster = cluster
         self.host = host
-        self.pool_size = pool_size
         self.timeout = timeout
         self.client_stats = NetClientStats()
         self._loop: LoopThread | None = None
         self._servers: dict[str, ShardServer] = {}
-        self._endpoints: dict[str, ShardEndpoint] = {}
         self._proxies: dict[str, ShardProxy] = {}
         self._started = False
 
@@ -149,22 +224,9 @@ class NetworkPlane:
             self.cluster.removal_listeners.remove(self._on_server_removed)
         except ValueError:
             pass
-        loop = self._loop
-        assert loop is not None
-        for endpoint in self._endpoints.values():
-            try:
-                loop.call(endpoint.close(), timeout=5.0)
-            except Exception:
-                pass
-        for server in self._servers.values():
-            try:
-                loop.call(server.stop(), timeout=5.0)
-            except Exception:
-                pass
-        self._endpoints.clear()
-        self._proxies.clear()
-        self._servers.clear()
-        loop.stop()
+        for server_id in list(self._servers):
+            self._on_server_removed(server_id)
+        self._loop.stop()
         self._loop = None
 
     def __enter__(self) -> "NetworkPlane":
@@ -182,26 +244,18 @@ class NetworkPlane:
             server_id,
             server.host,
             server.port,
-            pool_size=self.pool_size,
             timeout=self.timeout,
             stats=self.client_stats,
         )
         self._servers[server_id] = server
-        self._endpoints[server_id] = endpoint
-        self._proxies[server_id] = ShardProxy(endpoint, self._loop)
+        self._proxies[server_id] = ShardProxy(endpoint)
 
     def _on_server_removed(self, server_id: str) -> None:
         server = self._servers.pop(server_id, None)
-        endpoint = self._endpoints.pop(server_id, None)
-        self._proxies.pop(server_id, None)
-        if self._loop is None:
-            return
-        if endpoint is not None:
-            try:
-                self._loop.call(endpoint.close(), timeout=5.0)
-            except Exception:
-                pass
-        if server is not None:
+        proxy = self._proxies.pop(server_id, None)
+        if proxy is not None:
+            proxy.close()
+        if server is not None and self._loop is not None:
             try:
                 self._loop.call(server.stop(), timeout=5.0)
             except Exception:
@@ -210,11 +264,12 @@ class NetworkPlane:
     # ------------------------------------------------------- fault surface
 
     def drop_connections(self, server_id: str) -> None:
-        """Hard-drop a shard's live sockets (network face of a kill)."""
+        """Hard-drop a shard's live sockets, both ends (network face of a kill)."""
         server = self._servers.get(server_id)
         if server is None or self._loop is None:
             return
         self._loop.loop.call_soon_threadsafe(server.abort_connections)
+        self._proxies[server_id].close()
 
     # -------------------------------------------------- cluster duck-typing
 

@@ -515,6 +515,11 @@ class ResponseDecoder:
     def broken(self) -> bool:
         return self._broken
 
+    @property
+    def idle(self) -> bool:
+        """Whether every byte fed so far belonged to a reply already emitted."""
+        return not (self._lines.pending() or self._values or self._pending_value)
+
     def feed(self, data: bytes) -> list[Reply]:
         if self._broken:
             return []

@@ -11,7 +11,12 @@ from __future__ import annotations
 
 import asyncio
 import logging
+import random
 import socket
+import sys
+import threading
+import time
+from contextlib import contextmanager
 
 import pytest
 
@@ -24,7 +29,7 @@ from repro.cluster.storage import PersistentStore
 from repro.errors import ProtocolError, ShardDownError, ShardTimeoutError
 from repro.net.client import Connection, NetClientStats, ShardEndpoint
 from repro.net.harness import decision_equivalence
-from repro.net.plane import NetworkPlane
+from repro.net.plane import NetworkPlane, ShardProxy
 from repro.net.proto import Reply, ResponseDecoder, Value
 from repro.net.server import ShardServer
 from repro.policies.base import MISSING
@@ -114,24 +119,23 @@ def test_drop_connections_forces_reconnect(plane):
     shard.set("k", 1)
     before = plane.client_stats.reconnects
     plane.drop_connections(sid)
-    # The dropped socket surfaces as ShardDownError at most once; the
-    # pool then reconnects lazily and the shard is reachable again.
-    for _attempt in range(3):
-        try:
-            assert shard.get("k") == 1
-            break
-        except ShardDownError:
-            continue
-    else:
-        pytest.fail("shard never became reachable after the drop")
-    assert plane.client_stats.reconnects > before
+    # Both ends of the socket are gone, so no request meets a dead one:
+    # the next call connects afresh and the shard is reachable at once.
+    assert shard.get("k") == 1
+    assert plane.client_stats.reconnects == before + 1
 
 
 def test_removed_shard_tears_down_its_server(plane):
     sid = plane.server_ids[-1]
-    assert sid in plane.server_stats()
+    shard = plane.server(sid)
+    shard.set("k", 1)
+    server = plane._servers[sid]
+    assert sid in plane.server_stats() and server.stats.active_connections == 1
     plane.cluster.remove_server(sid)
     assert sid not in plane.server_stats()
+    assert shard._sock is None and server.stats.active_connections == 0
+    with pytest.raises(ShardDownError, match="connect to"):
+        shard.get("k")  # nothing listens there any more
 
 
 def test_oversized_value_is_a_protocol_error(plane):
@@ -151,6 +155,61 @@ def test_decision_equivalence_small_stream():
         accesses=1_500, key_space=400, cache_lines=64
     )
     assert equal, {"in_process": in_process, "networked": networked}
+
+
+def test_decision_equivalence_two_front_ends_sharing_the_proxies():
+    equal, in_process, networked = decision_equivalence(
+        accesses=1_500, key_space=400, cache_lines=64, num_front_ends=2
+    )
+    assert equal, {"in_process": in_process, "networked": networked}
+
+
+def faulted_trace(network: bool, steps: int = 1_200) -> dict:
+    """Counters after one seeded schedule with a shard killed, severed and revived."""
+    cluster = make_cluster(faults=True)
+    plane = NetworkPlane(cluster).start() if network else None
+    try:
+        client = FrontEndClient(plane or cluster, make_policy("cot", 32))
+        rng = random.Random(5)
+        victim = cluster.server_ids[0]
+        for step in range(steps):
+            if step == steps // 3:
+                cluster.kill_server(victim)
+                if plane is not None:
+                    plane.drop_connections(victim)
+            elif step == 2 * steps // 3:
+                cluster.revive_server(victim, cold=True)
+            key, draw = f"usertable:{rng.randrange(150)}", rng.random()
+            if draw < 0.1:
+                client.set(key, ("w", key, step))
+            elif draw < 0.15:
+                client.delete(key)
+            else:
+                client.get(key)
+        policy, guard, storage = client.policy.stats, client.guard.stats, cluster.storage.stats
+        return {
+            "policy": (policy.accesses, policy.hits, policy.misses, policy.insertions),
+            "cached": sorted(client.policy.cached_keys()),
+            "guard": (guard.operations, guard.retries, guard.failures),
+            "breaker": client.guard.breaker(victim).state,
+            "shards": {
+                sid: (s.stats.gets, s.stats.get_hits, s.stats.sets, s.stats.deletes,
+                      s.stats.evictions, sorted(s.keys()))
+                for sid, s in ((sid, cluster.server(sid)) for sid in cluster.server_ids)
+            },
+            "storage": (storage.reads, storage.writes, storage.deletes),
+            "reconnects": plane.client_stats.reconnects if plane else None,
+        }
+    finally:
+        if plane is not None:
+            plane.close()
+
+
+def test_planes_agree_through_a_kill_a_severed_socket_and_a_revival():
+    in_process, networked = faulted_trace(network=False), faulted_trace(network=True)
+    assert networked.pop("reconnects") >= 1 and in_process.pop("reconnects") is None
+    assert in_process["guard"][2] > 0  # the schedule did meet the dead shard
+    assert in_process == networked
 
 
 def test_telemetry_counts_real_traffic(plane):
@@ -318,6 +377,187 @@ def test_unsolicited_reply_kills_the_connection():
         listener.close()
 
     asyncio.run(main())
+
+
+# The blocking proxy against a listener on a thread of its own: ``script`` is
+# handed the listening socket and plays the shard, accepting when it chooses.
+
+
+@contextmanager
+def scripted_shard(script, timeout: float):
+    listener = socket.create_server(("127.0.0.1", 0))
+    failures: list[BaseException] = []
+
+    def run() -> None:
+        try:
+            script(listener)
+        except BaseException as exc:  # re-raised in the test's thread below
+            failures.append(exc)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    port = listener.getsockname()[1]
+    proxy = ShardProxy(ShardEndpoint("scripted", "127.0.0.1", port, timeout=timeout))
+    try:
+        yield proxy
+        thread.join(5.0)
+        assert not thread.is_alive(), "the scripted shard never finished"
+        if failures:
+            raise failures[0]
+    finally:
+        proxy.close()
+        listener.close()
+
+
+def accept_request(listener: socket.socket, expected: bytes) -> socket.socket:
+    conn, _ = listener.accept()
+    conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    received = b""
+    while not received.endswith(b"\r\n"):
+        received += conn.recv(4096)
+    assert received == expected
+    return conn
+
+
+def trickle(conn: socket.socket, data: bytes, gap: float) -> None:
+    """One byte per segment; stops when the peer hangs up."""
+    try:
+        for i in range(len(data)):
+            conn.sendall(data[i : i + 1])
+            time.sleep(gap)
+    except OSError:
+        pass
+
+
+def value_reply(key: str, data: bytes) -> bytes:
+    return Reply("END", values=(Value(key, 0, data),)).encode()
+
+
+def test_blocking_proxy_mute_peer_times_out_and_its_late_reply_is_never_read():
+    gave_up = threading.Event()
+
+    def script(listener):
+        first = accept_request(listener, b"get a\r\n")
+        assert gave_up.wait(5.0)
+        assert first.recv(4096) == b""  # the proxy hung up on the mute socket
+        try:
+            first.sendall(value_reply("a", b"late"))  # so this has nowhere to arrive
+        except OSError:
+            pass
+        second = accept_request(listener, b"get b\r\n")
+        second.sendall(value_reply("b", b"mine"))
+        first.close()
+        second.close()
+
+    with scripted_shard(script, timeout=0.2) as proxy:
+        stats = proxy._endpoint.stats
+        start = time.monotonic()
+        with pytest.raises(ShardTimeoutError, match="scripted did not answer"):
+            proxy.get("a")
+        assert 0.2 <= time.monotonic() - start < 1.0
+        assert (stats.timeouts, stats.reconnects) == (1, 0)
+        gave_up.set()
+        assert proxy.get("b") == b"mine"
+        assert (stats.timeouts, stats.reconnects, stats.connections) == (1, 1, 2)
+
+
+def test_blocking_proxy_deadline_covers_the_request_not_each_recv():
+    reply = value_reply("a", b"x" * 60)
+
+    def script(listener):
+        conn = accept_request(listener, b"get a\r\n")
+        trickle(conn, reply, gap=0.02)  # 1.5 s in all, never 0.3 s between two bytes
+        conn.close()
+
+    with scripted_shard(script, timeout=0.3) as proxy:
+        start = time.monotonic()
+        with pytest.raises(ShardTimeoutError):
+            proxy.get("a")
+        assert 0.3 <= time.monotonic() - start < 1.0
+        assert proxy._endpoint.stats.timeouts == 1
+        assert proxy._sock is None
+
+
+def test_blocking_proxy_reads_a_reply_that_arrives_a_byte_at_a_time():
+    def script(listener):
+        conn = accept_request(listener, b"get a\r\n")
+        trickle(conn, value_reply("a", b"slowly"), gap=0.002)
+        assert conn.recv(4096) == b"get b\r\n"  # on the same socket: nothing was dropped
+        conn.sendall(b"END\r\n")
+        conn.close()
+
+    with scripted_shard(script, timeout=2.0) as proxy:
+        assert proxy.get("a") == b"slowly"
+        assert proxy._sock.gettimeout() == pytest.approx(2.0)  # not what the deadline had left
+        assert proxy.get("b") is MISSING
+        assert proxy._endpoint.stats.connections == 1
+
+
+def test_blocking_proxy_peer_closing_mid_reply_is_a_dead_shard_then_a_reconnect():
+    def script(listener):
+        conn = accept_request(listener, b"get a\r\n")
+        conn.sendall(b"VALUE a 0 10\r\nabc")
+        conn.close()
+        conn = accept_request(listener, b"get a\r\n")
+        conn.sendall(value_reply("a", b"whole"))
+        conn.close()
+
+    with scripted_shard(script, timeout=2.0) as proxy:
+        stats = proxy._endpoint.stats
+        with pytest.raises(ShardDownError, match="closed the connection"):
+            proxy.get("a")
+        assert (stats.reconnects, stats.timeouts) == (0, 0)
+        assert proxy.get("a") == b"whole"  # and not b"abc" + the start of this reply
+        assert stats.reconnects == 1
+
+
+def test_blocking_proxy_second_reply_kills_the_socket():
+    def script(listener):
+        conn = accept_request(listener, b"get a\r\n")
+        conn.sendall(b"END\r\nSTORED\r\n")  # one reply too many
+        assert conn.recv(4096) == b""  # the proxy hung up
+        conn.close()
+        conn = accept_request(listener, b"get b\r\n")
+        conn.sendall(b"END\r\n")
+        conn.close()
+
+    with scripted_shard(script, timeout=2.0) as proxy:
+        with pytest.raises(ProtocolError, match="unsolicited"):
+            proxy.get("a")
+        assert proxy.get("b") is MISSING  # and not the stray STORED
+        assert proxy._endpoint.stats.reconnects == 1
+
+
+def test_threads_sharing_a_proxy_never_read_each_others_reply(plane):
+    shard = plane.server(plane.server_ids[0])
+    wrong: list[tuple] = []
+    done = []
+    stop_at = time.monotonic() + 10.0
+
+    def hammer(name: str) -> None:
+        for i in range(1_500):
+            key = f"{name}:{i % 40}"
+            shard.set(key, (name, i % 40))
+            got = shard.get(key)
+            if got != (name, i % 40):
+                wrong.append((key, got))
+            if time.monotonic() > stop_at:
+                return
+        done.append(name)
+
+    threads = [threading.Thread(target=hammer, args=(n,), daemon=True) for n in "abc"]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads as often as the interpreter can
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(15.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []
+    assert sorted(done) == ["a", "b", "c"] and not any(t.is_alive() for t in threads)
+    assert plane.client_stats.connections == 1  # one socket carried all of it
 
 
 def test_requests_of_one_loop_turn_leave_in_one_write():
