@@ -19,8 +19,10 @@ echo "== lint =="
 if python -m ruff --version >/dev/null 2>&1; then
     python -m ruff check src tests benchmarks
 else
-    echo "(ruff not installed; falling back to a compile check)"
+    echo "(ruff not installed; falling back to a compile check plus an ast pass"
+    echo " for what a deletion leaves behind: unused imports, dangling __all__)"
     python -m compileall -q src tests benchmarks
+    python scripts/lint_unused.py src tests benchmarks scripts
 fi
 
 echo "== tests =="

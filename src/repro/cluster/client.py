@@ -18,20 +18,21 @@ The client is policy-agnostic: any :class:`~repro.policies.base.CachePolicy`
 (including :class:`~repro.core.cache.CoTCache`) plugs in unchanged, which
 is how all the comparison experiments share one code path.
 
-When a :class:`~repro.cluster.replication.HotKeyRouter` is attached
-(:meth:`FrontEndClient.attach_router`), keys the router promoted into the
-replicated hot-key tier take a different route: reads pick among the
-key's replica shards with power-of-two-choices over this front end's own
-per-shard load window (dead replicas excluded via the circuit breakers),
-and writes fan the invalidation out to every shard that may hold a copy.
-With no router attached — the default — every path below is byte-for-byte
-the classic single-owner protocol.
+Each step exists once. :meth:`FrontEndClient._fetch_from_backend` is the
+only miss body: a sampled request marks stage starts on its trace as it
+runs through it, and when a :class:`~repro.cluster.replication.HotKeyRouter`
+is attached (:meth:`FrontEndClient.attach_router`) a promoted key only
+changes which shard it asks — power-of-two-choices over this front end's
+per-shard load window, dead replicas excluded via the circuit breakers.
+Writes to such keys go through the one :meth:`FrontEndClient._fan_out`, to
+every shard that may hold a copy. With no router attached — the default —
+every path is byte-for-byte the classic single-owner protocol.
 """
 
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Any, Hashable
+from typing import TYPE_CHECKING, Any, Callable, Hashable
 
 from repro.cluster.cluster import CacheCluster
 from repro.cluster.loadmonitor import LoadMonitor
@@ -40,7 +41,7 @@ from repro.cluster.retry import BreakerState, ClusterGuard
 from repro.errors import ClusterError, ShardUnavailableError
 from repro.obs.trace import Trace, Tracer
 from repro.policies.base import MISSING, CachePolicy
-from repro.workloads.request import OpType, Request
+from repro.workloads.request import OpType
 
 if TYPE_CHECKING:  # cycle-free: writepolicy only names this class in hints
     from repro.cluster.writepolicy import (
@@ -79,11 +80,10 @@ class FrontEndClient:
         fed to :meth:`LoadMonitor.record_degraded` (the untimed data
         plane measures time, it does not spend it).
     tracer:
-        optional sampling :class:`~repro.obs.trace.Tracer`; sampled reads
-        record a span tree (front-end cache → ring route → shard lookup →
-        retry/breaker → storage fallback). ``None`` (and any sampling
-        rate of 0) leaves the hot path untouched — decisions, counters
-        and outputs are identical with and without it.
+        optional sampling :class:`~repro.obs.trace.Tracer`; a sampled
+        read records the stages it went through (front-end cache → ring
+        route → shard lookup → storage fallback → backfill → admission).
+        The same calls run sampled or not, so outputs match at any rate.
     """
 
     def __init__(
@@ -116,6 +116,9 @@ class FrontEndClient:
         #: mode pays one ``is None`` test, never an isinstance
         self._write_ttl: "TTLWritePolicy | None" = None
         self._write_behind: "WriteBehindPolicy | None" = None
+        #: the sampled request in flight, if any: set and cleared by
+        #: :meth:`get`, read by the miss body — nobody configures it
+        self._trace: Trace | None = None
         # Purge per-shard routing state the moment a shard is scaled in:
         # a forgotten breaker / load-window entry keyed on the departed id
         # would otherwise linger forever and poison any later shard that
@@ -206,120 +209,91 @@ class FrontEndClient:
 
         Dispatches through the policy's fused ``get_or_admit`` entry
         point: the policy resolves the key once, and only on a local miss
-        does :meth:`_fetch_from_backend` route to the owning shard.
-
-        The sampling gate is inlined (credit accumulator arithmetic, no
-        method call) so an attached low-rate tracer costs almost nothing
-        on unsampled requests — the perf gate pins the overhead at <5%.
+        does :meth:`_fetch_from_backend` route to a shard. The sampling
+        gate is inlined (credit arithmetic, no method call) so a low-rate
+        tracer costs almost nothing on unsampled requests (the perf gate
+        pins it at <5%). A sampled request makes the same calls: it only
+        parks its :class:`Trace` in ``self._trace`` for the miss body to
+        mark stage starts on.
         """
         ttl = self._write_ttl
         if ttl is not None:
             ttl.expire_local(self, key)
             was_cached = key in self.policy
+        trace = None
         tracer = self.tracer
         if tracer is not None:
             tracer.credit += tracer.sample_rate
             if tracer.credit >= 1.0:
-                return self._traced_get(
-                    key, tracer.start_sampled("request.get")
-                )
-        value = self.policy.get_or_admit(key, self._fetch_from_backend)
+                trace = self._trace = tracer.start_sampled("request.get")
+                trace.note("key", key)
+                trace.note("outcome", "hit")
+                trace.stage("frontend.cache")
+                retries_before = self.guard.stats.retries
+        try:
+            value = self.policy.get_or_admit(key, self._fetch_from_backend)
+        finally:
+            if trace is not None:
+                self._trace = None
+                retried = self.guard.stats.retries - retries_before
+                if retried:
+                    trace.note("retries", retried)
+                tracer.finish(trace)
         # Stamp only copies that actually entered the cache: the policy
         # may decline to admit a loader's result (CoT's hotness bar).
         if ttl is not None and not was_cached and key in self.policy:
             ttl.note_local_fill(self.client_id, key)
         return value
 
-    def _traced_get(self, key: Hashable, trace: Trace) -> Any:
-        """Sampled read: same decisions as :meth:`get`, plus a span tree.
-
-        The policy/guard/monitor calls are identical to the untraced path
-        (the equivalence test pins this); only span bookkeeping is added
-        around them, so a traced run's counters and outputs match an
-        untraced run access-for-access.
-        """
-        trace.note("key", key)
-        trace.note("outcome", "hit")
-        ttl = self._write_ttl
-        was_cached = ttl is not None and key in self.policy
-        try:
-            with trace.span("frontend.cache"):
-                value = self.policy.get_or_admit(
-                    key, lambda k: self._traced_fetch(k, trace)
-                )
-        finally:
-            self.tracer.finish(trace)
-        if ttl is not None and not was_cached and key in self.policy:
-            ttl.note_local_fill(self.client_id, key)
-        return value
-
-    def _traced_fetch(self, key: Hashable, trace: Trace) -> Any:
-        """Traced twin of :meth:`_fetch_from_backend` (span per stage)."""
-        trace.note("outcome", "miss")
-        routes = self._routes
-        if routes is not None:
-            entry = routes.get(key)
-            if entry is not None:
-                with trace.span("shard.replicated_lookup"):
-                    return self._fetch_replicated(key, entry)
-        with trace.span("ring.route"):
-            server = self.cluster.server_for(key)
-        server_id = server.server_id
-        self.monitor.record_lookup(server_id)
-        ttl = self._write_ttl
-        if ttl is not None:
-            ttl.expire_shard(self, server_id, key)
-        stats = self.guard.stats
-        retries_before = stats.retries
-        try:
-            with trace.span("shard.lookup", shard=server_id) as span:
-                try:
-                    value = self.guard.call(server_id, lambda: server.get(key))
-                finally:
-                    retried = stats.retries - retries_before
-                    if retried:
-                        span.meta["retries"] = retried
-        except ShardUnavailableError:
-            trace.note("outcome", "degraded")
-            with trace.span("storage.degraded_read", shard=server_id):
-                value = self._degraded_read(server_id, key)
-            return value
-        if value is MISSING:
-            with trace.span("storage.fallback"):
-                value = self._resolve_miss(key)
-            with trace.span("shard.backfill", shard=server_id):
-                self._backfill(server, key, value)
-        return value
-
     def _fetch_from_backend(self, key: Hashable) -> Any:
-        """Miss loader: guarded shard lookup with storage backfill.
+        """The miss body — the only one: route, guarded lookup, backfill.
 
-        An unavailable shard turns the read into a degraded read: the
-        value comes straight from persistent storage (always correct —
-        storage is authoritative) and the fallback is counted.
-
-        Keys promoted into the replicated tier branch to
-        :meth:`_fetch_replicated` instead; with no router attached the
-        branch costs nothing.
+        Routing is the one place the replicated tier differs: a promoted
+        key goes to the replica :meth:`_pick_replica` chooses, any other
+        to its ring owner. After that it is the classic shard protocol;
+        an unavailable shard turns the read into a degraded read, served
+        from persistent storage (authoritative, so correct) and counted.
+        On a sampled request each step marks where its stage starts
+        (``ring.route`` → ``shard.lookup`` → ``storage.degraded_read`` |
+        ``storage.fallback`` → ``shard.backfill``, then ``frontend.admit``
+        for what the policy does with the value); unsampled, that costs
+        one attribute read and a few ``is not None`` tests per miss. One
+        function on purpose: a frame more per miss shows on the ladder.
         """
+        trace = self._trace
+        if trace is not None:
+            trace.note("outcome", "miss")
+            trace.stage("ring.route")
         routes = self._routes
-        if routes is not None:
-            entry = routes.get(key)
-            if entry is not None:
-                return self._fetch_replicated(key, entry)
-        server = self.cluster.server_for(key)
-        server_id = server.server_id
+        if routes is not None and (entry := routes.get(key)) is not None:
+            server_id = self._pick_replica(entry)
+            server = self.cluster.server(server_id)
+        else:
+            server = self.cluster.server_for(key)
+            server_id = server.server_id
         self.monitor.record_lookup(server_id)
+        if trace is not None:
+            trace.stage("shard.lookup", shard=server_id)
         ttl = self._write_ttl
         if ttl is not None:
             ttl.expire_shard(self, server_id, key)
         try:
             value = self.guard.call(server_id, lambda: server.get(key))
         except ShardUnavailableError:
-            return self._degraded_read(server_id, key)
-        if value is MISSING:
-            value = self._resolve_miss(key)
-            self._backfill(server, key, value)
+            if trace is not None:
+                trace.note("outcome", "degraded")
+                trace.stage("storage.degraded_read", shard=server_id)
+            value = self._degraded_read(server_id, key)
+        else:
+            if value is MISSING:
+                if trace is not None:
+                    trace.stage("storage.fallback")
+                value = self._resolve_miss(key)
+                if trace is not None:
+                    trace.stage("shard.backfill", shard=server_id)
+                self._backfill(server, key, value)
+        if trace is not None:
+            trace.stage("frontend.admit")
         return value
 
     def _resolve_miss(self, key: Hashable) -> Any:
@@ -338,71 +312,48 @@ class FrontEndClient:
                 return value
         return self.cluster.storage.get(key)
 
-    def _fetch_replicated(self, key: Hashable, entry: ReplicaEntry) -> Any:
-        """Replicated-tier read: power-of-``d``-choices over live replicas.
+    def _pick_replica(self, entry: ReplicaEntry) -> str:
+        """Replicated-tier routing: power-of-``d``-choices over live replicas.
 
         The choice set is the entry's eligible replicas (quarantined
         shards already excluded) minus shards whose circuit breaker is
         OPEN — a killed replica falls out within one breaker trip and
         folds back in through the HALF_OPEN probe after it revives. Two
         (or ``d``) distinct candidates are sampled with this front end's
-        seeded RNG and the one with the lighter epoch-load window wins;
-        the shard-side protocol (guarded lookup, storage backfill on a
-        layer miss, degraded read when unavailable) is the classic one.
-
-        With every replica OPEN the read falls back to the primary,
-        whose open breaker fails fast into a degraded storage read — the
-        same behaviour the unreplicated path has when the owner is down.
+        seeded RNG and the first with the lightest epoch-load window
+        wins. Only a shard id comes back: replication changes which node
+        a read is routed to and nothing after that. With every replica
+        OPEN that is the primary, whose open breaker fails fast into a
+        degraded read — as on the unreplicated path with the owner down.
         """
         router = self.router
         rstats = router.stats
         rstats.replicated_reads += 1
-        guard = self.guard
-        state = guard.state
+        state = self.guard.state
         open_state = BreakerState.OPEN
         alive = [sid for sid in entry.eligible if state(sid) is not open_state]
         count = len(alive)
         if count == 0:
             rstats.primary_fallbacks += 1
-            target = entry.replicas[0]
-        elif count == 1:
-            target = alive[0]
+            return entry.replicas[0]
+        if count == 1:
+            return alive[0]
+        rng = self._route_rng
+        d = router.config.choices
+        if d >= count:
+            sample = alive
+        elif d == 2:
+            i = rng.randrange(count)
+            j = rng.randrange(count - 1)
+            if j >= i:
+                j += 1
+            sample = (alive[i], alive[j])
         else:
-            rng = self._route_rng
-            d = router.config.choices
-            if d >= count:
-                sample = alive
-            elif d == 2:
-                i = rng.randrange(count)
-                j = rng.randrange(count - 1)
-                if j >= i:
-                    j += 1
-                sample = (alive[i], alive[j])
-            else:
-                sample = rng.sample(alive, d)
-            loads = self.monitor.epoch_window
-            target = sample[0]
-            best = loads.get(target, 0)
-            for sid in sample[1:]:
-                load = loads.get(sid, 0)
-                if load < best:
-                    target = sid
-                    best = load
-            if len(sample) > 1:
-                rstats.two_choice_reads += 1
-        self.monitor.record_lookup(target)
-        server = self.cluster.server(target)
-        ttl = self._write_ttl
-        if ttl is not None:
-            ttl.expire_shard(self, target, key)
-        try:
-            value = guard.call(target, lambda: server.get(key))
-        except ShardUnavailableError:
-            return self._degraded_read(target, key)
-        if value is MISSING:
-            value = self._resolve_miss(key)
-            self._backfill(server, key, value)
-        return value
+            sample = rng.sample(alive, d)
+        if len(sample) > 1:
+            rstats.two_choice_reads += 1
+        loads = self.monitor.epoch_window
+        return min(sample, key=lambda sid: loads.get(sid, 0))
 
     def _degraded_read(self, server_id: str, key: Hashable) -> Any:
         """Serve ``key`` from storage because its shard is unavailable."""
@@ -459,15 +410,13 @@ class FrontEndClient:
         for key in keys:
             if key not in policy and key not in queued:
                 queued.add(key)
-                if routes is not None:
-                    entry = routes.get(key)
-                    if entry is not None:
-                        # Replicated keys keep their two-choices routing
-                        # even inside a batch — grouping them under the
-                        # primary would re-concentrate the hot load the
-                        # tier exists to spread.
-                        prefetched[key] = self._fetch_replicated(key, entry)
-                        continue
+                if routes is not None and key in routes:
+                    # Replicated keys keep their two-choices routing
+                    # even inside a batch — grouping them under the
+                    # primary would re-concentrate the hot load the
+                    # tier exists to spread.
+                    prefetched[key] = self._fetch_from_backend(key)
+                    continue
                 misses_by_server.setdefault(ring_server_for(key), []).append(key)
         for server_id, missed in misses_by_server.items():
             server = self.cluster.server(server_id)
@@ -539,16 +488,14 @@ class FrontEndClient:
 
         Storage already holds the authoritative value, so a lost
         invalidation only risks shard-side staleness — which cold revival
-        (:meth:`CacheCluster.revive_server`) wipes.
-
-        Keys with replicated-tier state fan out instead: see
-        :meth:`_invalidate_replicas`.
+        (:meth:`CacheCluster.revive_server`) wipes. Keys with
+        replicated-tier state go through :meth:`_fan_out` instead.
         """
         router = self.router
         if router is not None:
             targets = router.write_targets(key)
             if targets:
-                self._invalidate_replicas(key, targets)
+                self._fan_out(key, targets, lambda shard: shard.delete(key))
                 return
         server = self.cluster.server_for(key)
         try:
@@ -556,21 +503,26 @@ class FrontEndClient:
         except ShardUnavailableError:
             self.guard.stats.lost_invalidations += 1
 
-    def _invalidate_replicas(self, key: Hashable, targets: tuple[str, ...]) -> None:
-        """Fan a write's invalidation out to every shard holding a copy.
+    def _fan_out(
+        self, key: Hashable, targets: tuple[str, ...], op: Callable[[Any], Any]
+    ) -> int:
+        """Run a write's ``op(shard)`` on every shard that may hold a copy.
 
-        ``targets`` is the router's write-target set: the full replica
-        set plus any quarantined shards from earlier failed deletes. A
-        delete that cannot land quarantines its shard — the copy there
-        may now be stale, so the shard leaves the read choice set until
-        some later delete succeeds or it revives cold. A delete that does
-        land lifts any quarantine. This is what preserves the zero-
-        stale-read guarantee under kill/revive during replicated writes.
+        ``targets`` is the router's write-target set: the replica set
+        plus any shards quarantined by earlier failed writes. ``op`` is a
+        delete (cache-aside) or a SET of the new value (write-through,
+        write-behind) — a SET that lands invalidates at least as strongly
+        as a delete, so the bookkeeping is one. An ``op`` that cannot land
+        quarantines its shard (its copy may now be stale) out of the read
+        choice set until a later ``op`` lands or it revives cold; that is
+        what keeps reads zero-stale under kill/revive during replicated
+        writes. Returns how many shards ``op`` landed on.
         """
         router = self.router
         rstats = router.stats
         guard = self.guard
         cluster = self.cluster
+        landed = 0
         for server_id in targets:
             try:
                 server = cluster.server(server_id)
@@ -580,20 +532,22 @@ class FrontEndClient:
                 continue
             rstats.replica_invalidations += 1
             try:
-                guard.call(server_id, lambda s=server: s.delete(key))
+                guard.call(server_id, lambda s=server: op(s))
             except ShardUnavailableError:
                 guard.stats.lost_invalidations += 1
                 rstats.failed_replica_invalidations += 1
                 router.quarantine(key, server_id)
             else:
                 router.clear_pending(key, server_id)
+                landed += 1
+        return landed
 
     def execute(self, request: Any) -> Any:
         """Dispatch one workload operation.
 
-        Accepts :class:`Request` (get/set/delete) and the YCSB
-        :class:`~repro.workloads.ycsb.ScanRequest` (mapped onto
-        :meth:`get_many` over the scan's key range).
+        Accepts :class:`~repro.workloads.request.Request` (get/set/delete)
+        and the YCSB :class:`~repro.workloads.ycsb.ScanRequest` (mapped
+        onto :meth:`get_many` over the scan's key range).
         """
         from repro.workloads.ycsb import ScanRequest  # cycle-free local import
 

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Hashable, Iterable, Sequence
+from typing import TYPE_CHECKING, Hashable, Sequence
 
 from repro.cluster.retry import ClusterGuard
 from repro.errors import ClusterError, ConfigurationError, ShardUnavailableError

@@ -13,8 +13,7 @@ mode declaratively (``WriteSpec`` on ``TopologySpec``):
 * :class:`WriteThroughPolicy` — the authoritative storage write plus a
   *SET* (not a delete) on the owning shard, so the caching layer holds
   the fresh value the moment the write is acknowledged. Replicated keys
-  fan the SET out to every write target; a SET that cannot land
-  quarantines its replica exactly as a failed invalidation does.
+  fan the SET out to every write target (``FrontEndClient._fan_out``).
 * :class:`WriteBehindPolicy` — acknowledged writes land in the shard's
   copy immediately and in a bounded per-shard dirty buffer (the
   stand-in for the shard's write-behind queue); storage sees them when
@@ -41,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Hashable
 
-from repro.errors import ClusterError, ConfigurationError, ShardUnavailableError
+from repro.errors import ConfigurationError, ShardUnavailableError
 from repro.policies.base import MISSING
 
 if TYPE_CHECKING:  # import cycle: client imports this module
@@ -200,11 +199,8 @@ class WriteThroughPolicy(WritePolicy):
     lost invalidations); its stale copy is unreachable while it is down
     and wiped by cold revival, the same argument cache-aside relies on.
 
-    Replicated keys fan the SET out to every write target. A failed
-    replica SET quarantines the replica (its copy may be stale) and a
-    successful one lifts the quarantine — identical bookkeeping to the
-    delete fan-out, because a SET that lands is at least as strong an
-    invalidation as a delete.
+    Replicated keys fan the SET out through the client's ``_fan_out``:
+    the delete fan-out with a SET for ``op``, same quarantine bookkeeping.
     """
 
     mode = "write-through"
@@ -217,7 +213,9 @@ class WriteThroughPolicy(WritePolicy):
         if router is not None:
             targets = router.write_targets(key)
             if targets:
-                self._propagate_replicas(client, key, value, targets)
+                self.stats.through_writes += client._fan_out(
+                    key, targets, lambda shard: shard.set(key, value)
+                )
                 return
         server = client.cluster.server_for(key)
         try:
@@ -226,35 +224,6 @@ class WriteThroughPolicy(WritePolicy):
             client.guard.stats.lost_invalidations += 1
         else:
             self.stats.through_writes += 1
-
-    def _propagate_replicas(
-        self,
-        client: "FrontEndClient",
-        key: Hashable,
-        value: Any,
-        targets: tuple[str, ...],
-    ) -> None:
-        """SET fan-out over the write-target set (mirrors the delete fan-out)."""
-        router = client.router
-        rstats = router.stats
-        guard = client.guard
-        cluster = client.cluster
-        for server_id in targets:
-            try:
-                server = cluster.server(server_id)
-            except ClusterError:
-                router.clear_pending(key, server_id)
-                continue
-            rstats.replica_invalidations += 1
-            try:
-                guard.call(server_id, lambda s=server: s.set(key, value))
-            except ShardUnavailableError:
-                guard.stats.lost_invalidations += 1
-                rstats.failed_replica_invalidations += 1
-                router.quarantine(key, server_id)
-            else:
-                router.clear_pending(key, server_id)
-                self.stats.through_writes += 1
 
 
 class WriteBehindPolicy(WriteThroughPolicy):
@@ -311,7 +280,9 @@ class WriteBehindPolicy(WriteThroughPolicy):
                 # Replicas must receive the *value* (a delete would let a
                 # two-choices read miss and backfill the stale durable
                 # value from storage before the queue flushes).
-                self._propagate_replicas(client, key, value, targets)
+                self.stats.through_writes += client._fan_out(
+                    key, targets, lambda shard: shard.set(key, value)
+                )
                 self._enqueue(targets[0], key, value)
                 return
         server = client.cluster.server_for(key)

@@ -186,15 +186,21 @@ class IndexedMinHeap(Generic[K]):
         self._pos.clear()
 
     def scale_priorities(self, factor: float) -> None:
-        """Multiply every priority by ``factor`` (heap order is preserved).
+        """Multiply every priority by ``factor``, keeping the heap ordered.
 
         Used by the half-life decay algorithm, which halves all hotness
-        values at once; a uniform positive scaling never reorders the heap.
+        values at once. A uniform positive scaling keeps distinct reals in
+        order, but two distinct *floats* can round to one value (7.0 and
+        the next float up are both 2.1 after ``* 0.3``); the tie then goes
+        to the older sequence number, which may be the child's. So the
+        heap is re-sifted bottom-up — no element moves unless a tie arose.
         """
         if factor < 0:
             raise ValueError("scale factor must be non-negative")
         for i in range(len(self._priorities)):
             self._priorities[i] *= factor
+        for i in range(len(self._priorities) // 2 - 1, -1, -1):
+            self._sift_down(i)
 
     def nsmallest(self, n: int) -> list[tuple[K, float]]:
         """Return the ``n`` smallest ``(key, priority)`` pairs, ascending.

@@ -10,7 +10,7 @@ hand-maintained id list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.errors import ExperimentError

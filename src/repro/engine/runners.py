@@ -33,7 +33,6 @@ from repro.engine import telemetry as T
 from repro.engine.spec import RunContext, ScenarioSpec, make_generator
 from repro.engine.telemetry import PhaseTelemetry, TelemetryBus, TelemetrySnapshot
 from repro.errors import ConfigurationError
-from repro.metrics.latency import LatencyRecorder
 from repro.obs.hist import LatencyHistogram
 from repro.policies.adaptive import AdaptiveArbiter
 from repro.policies.base import MISSING, CachePolicy
@@ -765,18 +764,14 @@ class SimRunner:
         )
         latency_total = sum(c.latencies_sum for c in clients)
         bus.mean_latency = latency_total / total_requests if total_requests else 0.0
-        # Cross-client percentiles go through the count-weighted reservoir
-        # merge — concatenating raw reservoirs weighs every client equally
-        # once any reservoir saturates, biasing the merged p50/p99 toward
-        # low-traffic clients. The fixed-bucket histogram merge is exact
-        # and is what the bus publishes as the full distribution.
-        merged = LatencyRecorder.merged(
-            (c.latency_recorder for c in clients), seed=0
-        )
-        bus.p50_latency = merged.percentile(50) if merged.count else 0.0
-        bus.p99_latency = merged.percentile(99) if merged.count else 0.0
+        # One estimator for the percentiles and the published distribution:
+        # the fixed-bucket merge is exact, and ``merge_snapshots`` derives
+        # p50/p99 from the same histogram, so merged and unmerged snapshots
+        # of one run agree.
         histogram = LatencyHistogram.merged(c.latency_histogram for c in clients)
         if histogram.count:
+            bus.p50_latency = histogram.percentile(50)
+            bus.p99_latency = histogram.percentile(99)
             bus.record_histogram(T.REQUEST_LATENCY, histogram)
         bus.fallback_latency = sum(c.fallback_latency_sum for c in clients)
         return bus

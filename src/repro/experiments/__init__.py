@@ -8,7 +8,6 @@ index."""
 
 from repro.experiments import (  # noqa: F401  (imported to register specs)
     appendix_tracker_size,
-    export,
     extension_adaptive,
     extension_chaos,
     extension_decay,
@@ -30,7 +29,6 @@ __all__ = [
     "ExperimentResult",
     "Scale",
     "appendix_tracker_size",
-    "export",
     "extension_adaptive",
     "extension_chaos",
     "extension_decay",

@@ -1,4 +1,4 @@
-"""Measurement utilities: imbalance metrics, latency percentiles, series
+"""Measurement utilities: imbalance metrics, resilience summaries, series
 recording, and plain-text table rendering for the experiment harnesses."""
 
 from repro.metrics.imbalance import (
@@ -9,7 +9,6 @@ from repro.metrics.imbalance import (
     relative_load,
     summarize_loads,
 )
-from repro.metrics.latency import LatencyRecorder, percentile
 from repro.metrics.resilience import ResilienceSummary, summarize_resilience
 from repro.metrics.series import SeriesRecorder, sparkline
 from repro.metrics.table import format_cell, render_table
@@ -23,8 +22,6 @@ __all__ = [
     "peak_to_mean",
     "relative_load",
     "summarize_loads",
-    "LatencyRecorder",
-    "percentile",
     "SeriesRecorder",
     "sparkline",
     "format_cell",

@@ -2,10 +2,10 @@
 
 The production-shaped lens over the engine's telemetry (DESIGN.md §9)::
 
-    Tracer ──▶ span trees ──▶ slow-request exemplars (render_trace)
+    Tracer ──▶ stage-tiled traces ──▶ slow-request exemplars (render_trace)
     LatencyHistogram ──▶ exact cross-client merge ──▶ TelemetrySnapshot
     TelemetrySnapshot ──▶ PrometheusExporter ──▶ metrics page (--metrics-out)
-    SectionTimer / PeriodicSnapshotter ──▶ per-subsystem attribution
+    PeriodicSnapshotter ──▶ counter growth per run segment
 
 Everything here is strictly additive: attaching a tracer at sample rate
 0 or a :class:`SnapshotCollector` to a run leaves experiment output
@@ -22,13 +22,12 @@ from repro.obs.export import (
     render_prometheus,
     write_metrics,
 )
-from repro.obs.profile import PeriodicSnapshotter, SectionTimer
+from repro.obs.profile import PeriodicSnapshotter
 
 __all__ = [
     "LatencyHistogram",
     "PeriodicSnapshotter",
     "PrometheusExporter",
-    "SectionTimer",
     "SnapshotCollector",
     "Span",
     "Trace",

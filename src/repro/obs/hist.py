@@ -198,7 +198,7 @@ class LatencyHistogram:
         return out
 
     def summary(self) -> dict[str, float]:
-        """Mean/p50/p99/max bundle, same shape as ``LatencyRecorder``."""
+        """Mean/p50/p99/max bundle (all zero while empty)."""
         if not self.count:
             return {"count": 0, "mean": 0.0, "p50": 0.0, "p99": 0.0, "max": 0.0}
         return {

@@ -1,106 +1,25 @@
-"""Profiling hooks: per-subsystem section timing and periodic snapshots.
+"""Profiling hook: periodic telemetry snapshots.
 
-Two lightweight tools for attributing *where a run's wall-clock went*
-(the benches) and *how telemetry evolved over a run* (the chaos
-experiment):
-
-* :class:`SectionTimer` — a named-section accumulator built on
-  ``perf_counter``: ``with timer.section("shard.lookup"): ...`` adds the
-  elapsed time and one call to that section's totals. Overhead is two
-  clock reads per enter/exit, cheap enough to leave in benchmark
-  harnesses permanently.
-* :class:`PeriodicSnapshotter` — epoch-aligned telemetry sampling:
-  ``maybe_sample(i)`` freezes the bus every ``every`` ticks (accesses,
-  epochs — whatever the caller counts), producing a time series of
-  :class:`~repro.engine.telemetry.TelemetrySnapshot`\\ s that lets a
-  report attribute counter growth to run segments after the fact.
+:class:`PeriodicSnapshotter` attributes *how telemetry evolved over a
+run* (the chaos experiment): ``maybe_sample(i)`` freezes the bus every
+``every`` ticks (accesses, epochs — whatever the caller counts),
+producing a time series of
+:class:`~repro.engine.telemetry.TelemetrySnapshot`\\ s that lets a
+report attribute counter growth to run segments after the fact. (Where
+a run's wall-clock went is the ladder's question:
+``benchmarks/ladder --trace 1`` prices every layer.)
 """
 
 from __future__ import annotations
 
-import time
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.telemetry import TelemetryBus, TelemetrySnapshot
 
-__all__ = ["PeriodicSnapshotter", "SectionTimer"]
-
-
-class _SectionHandle:
-    """Context manager accumulating one timed section entry."""
-
-    __slots__ = ("_timer", "_name", "_started")
-
-    def __init__(self, timer: "SectionTimer", name: str) -> None:
-        self._timer = timer
-        self._name = name
-        self._started = 0.0
-
-    def __enter__(self) -> "_SectionHandle":
-        self._started = self._timer._clock()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self._timer.add(self._name, self._timer._clock() - self._started)
-
-
-class SectionTimer:
-    """Accumulates wall-clock time per named section.
-
-    The clock is injectable for deterministic tests; the default is
-    ``time.perf_counter``.
-    """
-
-    def __init__(self, clock: Callable[[], float] = time.perf_counter) -> None:
-        self._clock = clock
-        self._totals: dict[str, float] = {}
-        self._calls: dict[str, int] = {}
-
-    def section(self, name: str) -> _SectionHandle:
-        """Time one ``with``-block under ``name``."""
-        return _SectionHandle(self, name)
-
-    def add(self, name: str, seconds: float, calls: int = 1) -> None:
-        """Credit ``seconds`` (and ``calls``) to a section directly."""
-        self._totals[name] = self._totals.get(name, 0.0) + seconds
-        self._calls[name] = self._calls.get(name, 0) + calls
-
-    def total(self, name: str) -> float:
-        """Accumulated seconds for one section (0 if never entered)."""
-        return self._totals.get(name, 0.0)
-
-    def calls(self, name: str) -> int:
-        """Number of entries into one section."""
-        return self._calls.get(name, 0)
-
-    def totals(self) -> dict[str, float]:
-        """Accumulated seconds per section, largest first."""
-        return dict(
-            sorted(self._totals.items(), key=lambda item: -item[1])
-        )
-
-    def report(self) -> str:
-        """Aligned text attribution: section, calls, total, share."""
-        if not self._totals:
-            return "(no sections timed)"
-        grand_total = sum(self._totals.values())
-        width = max(len(name) for name in self._totals)
-        lines = [f"{'section':<{width}}  {'calls':>8}  {'total_s':>10}  share"]
-        for name, total in self.totals().items():
-            share = total / grand_total if grand_total else 0.0
-            lines.append(
-                f"{name:<{width}}  {self._calls[name]:>8}  "
-                f"{total:>10.6f}  {share:>5.1%}"
-            )
-        return "\n".join(lines)
-
-    def reset(self) -> None:
-        """Zero every section."""
-        self._totals.clear()
-        self._calls.clear()
+__all__ = ["PeriodicSnapshotter"]
 
 
 class PeriodicSnapshotter:

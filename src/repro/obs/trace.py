@@ -4,8 +4,10 @@ The paper motivates CoT with tail latency, and a p99 scalar cannot tell
 you *where* a slow request spent its time — front-end miss, ring route,
 shard queueing, a retry burst, or the storage fallback. A
 :class:`Tracer` samples a deterministic fraction of requests and records
-a tree of :class:`Span`s per sampled request; the slowest completed
-traces are retained as exemplars and render as an indented text tree
+a :class:`Span` per stage of each sampled request — on the live path
+the stages tile the request, each starting where the last ended, so
+their durations sum to the root's; the slowest completed traces are
+retained as exemplars and render as an indented text tree
 (:func:`render_trace`).
 
 Design constraints, in order:
@@ -64,31 +66,18 @@ class Span:
         return f"Span({self.name!r}, {self.duration:.6g}s)"
 
 
-class _SpanHandle:
-    """Context manager closing one span on exit (sampled requests only)."""
-
-    __slots__ = ("_trace", "_index")
-
-    def __init__(self, trace: "Trace", index: int) -> None:
-        self._trace = trace
-        self._index = index
-
-    def __enter__(self) -> Span:
-        return self._trace.spans[self._index]
-
-    def __exit__(self, *exc_info: object) -> None:
-        self._trace.end_span(self._index)
-
-
 class Trace:
     """The span tree of one sampled request.
 
-    ``span(name)`` opens a child of the innermost open span as a context
-    manager (live path); ``add_span(name, start, end)`` records a closed
-    span with explicit timestamps (simulation path).
+    ``stage(name)`` marks where the next stage of the request starts
+    (live path): it closes the stage that was open and opens this one
+    under the root, so the stages tile the request — each starts where
+    the last ended and the last ends with the root. ``add_span(name,
+    start, end)`` records a closed span with explicit timestamps
+    (simulation path).
     """
 
-    __slots__ = ("name", "spans", "_stack", "_clock", "meta")
+    __slots__ = ("name", "spans", "_clock", "meta")
 
     def __init__(
         self, name: str, clock: Callable[[], float], at: float | None = None
@@ -97,25 +86,22 @@ class Trace:
         self._clock = clock
         start = clock() if at is None else at
         self.spans: list[Span] = [Span(name, start)]
-        self._stack: list[int] = [0]
         self.meta: dict[str, Any] = {}
 
     # ------------------------------------------------------------- recording
 
-    def span(self, name: str, **meta: Any) -> _SpanHandle:
-        """Open a child span of the innermost open span (context manager)."""
-        index = len(self.spans)
-        self.spans.append(
-            Span(name, self._clock(), parent=self._stack[-1], meta=meta or None)
-        )
-        self._stack.append(index)
-        return _SpanHandle(self, index)
-
-    def end_span(self, index: int) -> None:
-        """Close the span at ``index`` (and pop it off the open stack)."""
-        self.spans[index].end = self._clock()
-        if len(self._stack) > 1 and self._stack[-1] == index:
-            self._stack.pop()
+    def stage(self, name: str, **meta: Any) -> None:
+        """Close the open stage and open ``name`` under the root, at one
+        instant; the first stage starts with the root, so nothing is untiled."""
+        spans = self.spans
+        last = spans[-1]
+        if last is spans[0]:
+            now = last.start
+        else:
+            now = self._clock()
+            if math.isnan(last.end):
+                last.end = now
+        spans.append(Span(name, now, parent=0, meta=meta or None))
 
     def add_span(
         self,
@@ -135,12 +121,11 @@ class Trace:
         self.meta[key] = value
 
     def finish(self, at: float | None = None) -> None:
-        """Close the root span (and any spans left open by an exception)."""
+        """Close the root span and the stage still open, at one instant."""
         end = self._clock() if at is None else at
-        for index in reversed(self._stack):
-            if math.isnan(self.spans[index].end):
-                self.spans[index].end = end
-        del self._stack[1:]
+        for span in (self.spans[0], self.spans[-1]):
+            if math.isnan(span.end):
+                span.end = end
 
     # ------------------------------------------------------------ inspection
 
@@ -284,10 +269,13 @@ def render_trace(trace: Trace) -> str:
 
     Example shape::
 
-        request.get 1.204ms  outcome=miss key=usertable:77
+        request.get 1.204ms  key=usertable:77  outcome=miss  retries=2
+        ├─ frontend.cache 1.9µs
         ├─ ring.route 2.1µs
-        ├─ shard.lookup 1.050ms  shard=cache-3 retries=2
-        └─ storage.fallback 120.0µs
+        ├─ shard.lookup 1.050ms  shard=cache-3
+        ├─ storage.fallback 120.0µs
+        ├─ shard.backfill 26.0µs  shard=cache-3
+        └─ frontend.admit 4.0µs
     """
     lines: list[str] = []
     root = trace.root

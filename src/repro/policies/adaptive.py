@@ -48,7 +48,7 @@ from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 
 from repro.core.hotness import HotnessModel
 from repro.errors import ConfigurationError
-from repro.policies.base import MISSING, CachePolicy
+from repro.policies.base import CachePolicy
 from repro.policies.registry import POLICY_NAMES, make_policy
 from repro.policies.stats import CacheStats
 

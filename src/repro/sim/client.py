@@ -12,7 +12,6 @@ the owning shard, with writes invalidating both tiers.
 from __future__ import annotations
 
 from repro.cluster.cluster import CacheCluster
-from repro.metrics.latency import LatencyRecorder
 from repro.obs.hist import LatencyHistogram
 from repro.obs.trace import Tracer
 from repro.policies.base import MISSING, CachePolicy
@@ -101,11 +100,9 @@ class SimClient:
         self.fallback_latency_sum = 0.0
         #: shard-side invalidations lost to a down shard on the write path
         self.failed_invalidations = 0
-        #: full latency distribution (reservoir-sampled) — load-imbalance
-        #: hurts the tail first, so the harness reports p50/p99 too.
-        self.latency_recorder = LatencyRecorder(seed=client_id)
-        #: fixed-bucket twin of the reservoir: merges *exactly* across
-        #: clients, which is what the engine publishes to the bus
+        #: full latency distribution — load-imbalance hurts the tail first,
+        #: so the harness reports p50/p99 too. Fixed buckets merge *exactly*
+        #: across clients, which is what the engine publishes to the bus.
         self.latency_histogram = LatencyHistogram()
         self.tracer = tracer
         self._active_trace = None
@@ -148,7 +145,6 @@ class SimClient:
         self.completed += 1
         elapsed = self.sim.now - self._started_at
         self.latencies_sum += elapsed
-        self.latency_recorder.record(elapsed)
         self.latency_histogram.record(elapsed)
         trace = self._active_trace
         if trace is not None:

@@ -1,107 +1,14 @@
-"""Tests for result export/analysis helpers and extension experiments."""
+"""Tests for the extension experiments."""
 
 from __future__ import annotations
 
-import csv
-import json
-
-import pytest
-
-from repro.core.epoch import EpochRecord, EpochSnapshot
-from repro.errors import ExperimentError
 from repro.experiments import extension_decay, extension_edge_rtt
-from repro.experiments.common import ExperimentResult, Scale
-from repro.experiments.export import (
-    cache_savings,
-    convergence_summary,
-    to_csv,
-    to_json,
-    win_matrix,
-)
-
-
-def sample_result() -> ExperimentResult:
-    return ExperimentResult(
-        experiment_id="x",
-        title="T",
-        headers=["size", "lru", "cot"],
-        rows=[[2, 10.0, 12.0], [4, 20.0, 25.0], [8, 30.0, 29.0]],
-        notes=["n"],
-        extras={"scale": "tiny", "series": object()},
-    )
+from repro.experiments.common import Scale
 
 
 def tiny() -> Scale:
     return Scale("tiny", key_space=4_000, accesses=20_000,
                  num_clients=2, num_servers=4)
-
-
-class TestExport:
-    def test_to_csv_roundtrip(self, tmp_path):
-        path = to_csv(sample_result(), tmp_path / "r.csv")
-        with open(path) as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["size", "lru", "cot"]
-        assert rows[2] == ["4", "20.0", "25.0"]
-
-    def test_to_json_skips_unserializable_extras(self, tmp_path):
-        path = to_json(sample_result(), tmp_path / "r.json")
-        payload = json.loads(path.read_text())
-        assert payload["experiment_id"] == "x"
-        assert payload["extras"] == {"scale": "tiny"}
-        assert payload["rows"][0] == [2, 10.0, 12.0]
-
-    def test_win_matrix(self):
-        matrix = win_matrix(sample_result(), ["lru", "cot"])
-        assert matrix["cot"]["lru"] == 2
-        assert matrix["lru"]["cot"] == 1
-        with pytest.raises(ExperimentError):
-            win_matrix(sample_result(), ["ghost"])
-
-    def test_cache_savings(self):
-        result = ExperimentResult(
-            "t2", "T", ["dist", "no_cache", "lru", "lfu", "arc", "lru2", "cot"],
-            rows=[
-                ["zipf-0.9", 1.35, 64, 16, 16, 8, 8],
-                ["zipf-1.2", 4.18, 2048, 2048, 1024, 1024, 512],
-                ["zipf-x", 9.99, "-", 16, 16, 8, "-"],
-            ],
-        )
-        savings = cache_savings(result)
-        # The paper's headline numbers fall out directly.
-        assert savings["zipf-0.9"]["lru"] == pytest.approx(0.875)
-        assert savings["zipf-0.9"]["lru2"] == pytest.approx(0.0)
-        assert savings["zipf-1.2"]["lru"] == pytest.approx(0.75)
-        assert "zipf-x" not in savings  # unresolved rows skipped
-
-
-class TestConvergenceSummary:
-    def _record(self, index, decision, cache, tracker):
-        snap = EpochSnapshot(
-            index=index, cache_capacity=cache, tracker_capacity=tracker,
-            imbalance=1.0, alpha_c=0.0, alpha_k_c=0.0, accesses=100,
-        )
-        return EpochRecord(snap, decision, "steady", 0.0, cache, tracker)
-
-    def test_summary(self):
-        history = [
-            self._record(0, "warmup", 2, 4),
-            self._record(1, "expand", 4, 8),
-            self._record(2, "target_reached", 4, 8),
-            self._record(3, "decay", 4, 8),
-            self._record(4, "shrink", 2, 4),
-        ]
-        summary = convergence_summary(history)
-        assert summary["epochs"] == 5
-        assert summary["epochs_to_target"] == 2
-        assert summary["resize_decisions"] == 2
-        assert summary["decay_triggers"] == 1
-        assert summary["peak_cache"] == 4
-        assert summary["final_cache"] == 2
-
-    def test_empty_raises(self):
-        with pytest.raises(ExperimentError):
-            convergence_summary([])
 
 
 class TestExtensionExperiments:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 
-import pytest
 
 from repro.cluster.client import FrontEndClient
 from repro.cluster.cluster import CacheCluster

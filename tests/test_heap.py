@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -123,6 +124,19 @@ class TestBasics:
         assert heap.priority_of("a") == 2.0
         assert heap.priority_of("b") == 1.0
         assert heap.peek()[0] == "b"
+
+    def test_scale_priorities_reorders_a_rounding_tie(self):
+        """Found by ``test_stateful``'s CoT machine: distinct priorities
+        that round to one float after scaling tie on sequence number,
+        and the older entry may be the child."""
+        heap: IndexedMinHeap[str] = IndexedMinHeap()
+        heap.push("older", math.nextafter(7.0, 8.0))
+        heap.push("newer", 7.0)
+        assert heap.peek()[0] == "newer"
+        heap.scale_priorities(0.3)
+        assert heap.priority_of("older") == heap.priority_of("newer") == 2.1
+        heap.check_invariants()
+        assert heap.peek()[0] == "older"
 
     def test_scale_priorities_negative_raises(self):
         heap: IndexedMinHeap[str] = IndexedMinHeap()

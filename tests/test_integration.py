@@ -2,13 +2,10 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.cluster.client import FrontEndClient
 from repro.cluster.cluster import CacheCluster
 from repro.core.cache import CoTCache
 from repro.metrics.imbalance import load_imbalance
-from repro.policies.base import MISSING
 from repro.policies.registry import make_policy
 from repro.workloads.base import format_key
 from repro.workloads.mixer import OperationMixer

@@ -1,8 +1,6 @@
-"""Tests for metrics: imbalance summaries, latency, series, tables."""
+"""Tests for metrics: imbalance summaries, series, tables."""
 
 from __future__ import annotations
-
-import random
 
 import pytest
 
@@ -14,7 +12,6 @@ from repro.metrics.imbalance import (
     relative_load,
     summarize_loads,
 )
-from repro.metrics.latency import LatencyRecorder, percentile
 from repro.metrics.series import SeriesRecorder, sparkline
 from repro.metrics.table import format_cell, render_table
 
@@ -42,159 +39,6 @@ class TestImbalanceMetrics:
         row = summary.as_row()
         assert row["imbalance"] == 2.0
         assert row["total_lookups"] == 30
-
-
-class TestPercentiles:
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            percentile([], 50)
-
-    def test_bounds_validated(self):
-        with pytest.raises(ValueError):
-            percentile([1.0], 101)
-
-    def test_single_sample(self):
-        assert percentile([7.0], 99) == 7.0
-
-    def test_median_interpolates(self):
-        assert percentile([1.0, 2.0, 3.0, 4.0], 50) == 2.5
-
-    def test_extremes(self):
-        data = [float(i) for i in range(1, 101)]
-        assert percentile(data, 0) == 1.0
-        assert percentile(data, 100) == 100.0
-
-    def test_two_element_edge_ranks(self):
-        # q=0/q=100 must hit the exact order statistics, and the midpoint
-        # must interpolate — the smallest case where rank arithmetic can
-        # go wrong off-by-one.
-        assert percentile([3.0, 1.0], 0) == 1.0
-        assert percentile([3.0, 1.0], 100) == 3.0
-        assert percentile([3.0, 1.0], 50) == 2.0
-        assert percentile([3.0, 1.0], 25) == pytest.approx(1.5)
-
-
-class TestLatencyRecorder:
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            LatencyRecorder(reservoir_size=0)
-
-    def test_streaming_stats(self):
-        recorder = LatencyRecorder()
-        for value in (1.0, 2.0, 3.0):
-            recorder.record(value)
-        assert recorder.count == 3
-        assert recorder.mean == 2.0
-        assert recorder.min_value == 1.0
-        assert recorder.max_value == 3.0
-
-    def test_small_sample_percentiles_exact(self):
-        recorder = LatencyRecorder()
-        for value in range(1, 101):
-            recorder.record(float(value))
-        assert recorder.percentile(50) == pytest.approx(50.5)
-        assert recorder.percentile(99) == pytest.approx(99.01)
-
-    def test_reservoir_bounded_and_unbiased(self):
-        recorder = LatencyRecorder(reservoir_size=500, seed=1)
-        rng = random.Random(2)
-        for _ in range(50_000):
-            recorder.record(rng.uniform(0, 100))
-        assert len(recorder._samples) == 500
-        assert recorder.percentile(50) == pytest.approx(50, abs=8)
-
-    def test_summary(self):
-        recorder = LatencyRecorder()
-        assert recorder.summary()["count"] == 0
-        recorder.record(1.0)
-        summary = recorder.summary()
-        assert summary["count"] == 1
-        assert summary["mean"] == 1.0
-
-    def test_reservoir_slot_uniformity(self):
-        """Algorithm R: every stream position is equally likely to be kept.
-
-        With k=32 slots over n=1024 records, each record survives with
-        probability k/n = 1/32. Averaged over many seeds, the first half
-        of the stream and the second half must be retained at the same
-        rate — a biased replacement rule (e.g. favoring early or late
-        records) shows up immediately as a first/second-half skew.
-        """
-        k, n, runs = 32, 1024, 300
-        first_half_kept = 0
-        for seed in range(runs):
-            recorder = LatencyRecorder(reservoir_size=k, seed=seed)
-            for i in range(n):
-                recorder.record(float(i))
-            first_half_kept += sum(
-                1 for v in recorder.samples() if v < n / 2
-            )
-        total_kept = k * runs
-        first_fraction = first_half_kept / total_kept
-        # Binomial(9600, 0.5) → sigma ≈ 0.005; allow ~4 sigma.
-        assert first_fraction == pytest.approx(0.5, abs=0.02)
-
-
-class TestLatencyRecorderMerge:
-    def test_exact_merge_below_capacity(self):
-        a = LatencyRecorder(reservoir_size=100)
-        b = LatencyRecorder(reservoir_size=100)
-        for v in (1.0, 2.0):
-            a.record(v)
-        for v in (3.0, 4.0):
-            b.record(v)
-        merged = LatencyRecorder.merged([a, b])
-        assert merged.count == 4
-        assert sorted(merged.samples()) == [1.0, 2.0, 3.0, 4.0]
-        assert merged.percentile(50) == pytest.approx(2.5)
-
-    def test_merge_combines_streaming_stats_exactly(self):
-        a = LatencyRecorder(reservoir_size=10, seed=0)
-        b = LatencyRecorder(reservoir_size=10, seed=1)
-        for i in range(1000):
-            a.record(1.0 + i * 1e-3)
-        for i in range(50):
-            b.record(10.0 + i * 1e-3)
-        merged = LatencyRecorder.merged([a, b])
-        assert merged.count == 1050
-        assert merged.total == pytest.approx(a.total + b.total)
-        assert merged.min_value == a.min_value
-        assert merged.max_value == b.max_value
-
-    def test_merge_weights_by_stream_count_not_reservoir_length(self):
-        """The satellite bugfix: saturated reservoirs merge count-weighted.
-
-        Client A served 50k requests around 1.0 through a saturated
-        reservoir; client B served 500 around 10.0 — under 1% of the
-        combined traffic. Concatenating the reservoirs makes B a third of
-        the pooled samples, so the naive p75 jumps into B's mode (~10)
-        even though the true p75 is ~1.05. The count-weighted merge keeps
-        B's share near 1%: its p75 stays at A's mode and only the extreme
-        tail (p99.9) sees B.
-        """
-        rng = random.Random(7)
-        size = 1000
-        a = LatencyRecorder(reservoir_size=size, seed=1)
-        b = LatencyRecorder(reservoir_size=size, seed=2)
-        for _ in range(50_000):
-            a.record(rng.uniform(0.9, 1.1))
-        for _ in range(500):
-            b.record(rng.uniform(9.0, 11.0))
-        naive_p75 = percentile(a.samples() + b.samples(), 75)
-        merged = LatencyRecorder.merged([a, b], seed=3)
-        assert merged.count == 50_500
-        assert merged.percentile(50) == pytest.approx(1.0, abs=0.2)
-        assert merged.percentile(75) == pytest.approx(1.05, abs=0.2)
-        assert naive_p75 > 5.0, "concatenation should stay visibly biased"
-        # The extreme tail still sees client B: ~1% of traffic at ~10.0.
-        assert merged.percentile(99.9) > 5.0
-
-    def test_merge_empty_other_is_noop(self):
-        a = LatencyRecorder()
-        a.record(1.0)
-        a.merge(LatencyRecorder())
-        assert a.count == 1
-        assert LatencyRecorder.merged([]).count == 0
 
 
 class TestTableRender:

@@ -3,13 +3,15 @@
 Covers the four tentpole surfaces of :mod:`repro.obs`:
 
 * deterministic trace sampling and the span-tree renderer;
-* traced-vs-untraced decision equivalence on the cluster data plane
-  (tracing observes, it never steers);
+* traced-vs-untraced equivalence on the cluster data plane over every
+  default-off axis the miss body branches on (tracing observes, it
+  never steers), and stages that tile each sampled request;
 * exact histogram merging and bounded percentile error;
 * Prometheus text-format round-trips (render → parse) covering every
   canonical telemetry counter;
-* the golden-output guarantee: a rate-0 tracer plus an attached
-  snapshot collector leave experiment output byte-identical.
+* the golden-output guarantee: a tracer (rate 0 on the simulator,
+  *sampling* on the cluster) plus an attached snapshot collector leave
+  experiment output byte-identical.
 """
 
 from __future__ import annotations
@@ -23,10 +25,16 @@ import pytest
 import repro.experiments  # noqa: F401  (imports register every experiment)
 from repro.cluster.client import FrontEndClient
 from repro.cluster.cluster import CacheCluster
+from repro.cluster.backend import BackendCacheServer
 from repro.cluster.faults import FaultInjector
+from repro.cluster.replication import HotKeyRouter, ReplicationConfig
+from repro.cluster.retry import BreakerConfig, ClusterGuard, RetryPolicy
+from repro.cluster.storage import PersistentStore
+from repro.cluster.writepolicy import TTLWritePolicy, WriteBehindPolicy
 from repro.engine import Scale, get_experiment
 from repro.engine import runners as engine_runners
 from repro.engine import telemetry as T
+from repro.engine.parallel import parallel_workers
 from repro.engine.telemetry import TelemetryBus
 from repro.errors import ConfigurationError, ExperimentError
 from repro.obs.export import (
@@ -36,7 +44,7 @@ from repro.obs.export import (
     render_prometheus,
 )
 from repro.obs.hist import LatencyHistogram
-from repro.obs.profile import PeriodicSnapshotter, SectionTimer
+from repro.obs.profile import PeriodicSnapshotter
 from repro.obs.trace import Trace, Tracer, render_trace
 from repro.policies.registry import make_policy
 from repro.workloads.zipfian import ZipfianGenerator
@@ -131,30 +139,62 @@ class TestTracerSampling:
 # span trees
 
 
+def assert_stages_tile(trace: Trace) -> list[str]:
+    """Stages hang off the root and tile it; returns their names in order."""
+    root, stages = trace.spans[0], trace.spans[1:]
+    assert all(span.parent == 0 for span in stages)
+    assert stages[0].start == root.start
+    for before, after in zip(stages, stages[1:]):
+        assert before.end == after.start, "gap or overlap between stages"
+    assert stages[-1].end == root.end
+    assert sum(s.duration for s in stages) == pytest.approx(root.duration)
+    return [span.name for span in stages]
+
+
 class TestSpanTrees:
-    def test_nested_spans_and_parents(self):
+    def test_stages_tile_the_root(self):
         clock = FakeClock()
         trace = Trace("request.get", clock)
-        with trace.span("frontend.cache"):
-            clock.advance(1e-6)
-            with trace.span("ring.route"):
-                clock.advance(2e-6)
+        clock.advance(7e-6)  # before the first mark: still the first stage
+        trace.stage("frontend.cache")
+        clock.advance(1e-6)
+        trace.stage("ring.route")
+        clock.advance(2e-6)
+        trace.stage("shard.lookup", shard="cache-3")
+        clock.advance(4e-6)
         trace.finish()
-        names = [span.name for span in trace.spans]
-        assert names == ["request.get", "frontend.cache", "ring.route"]
-        assert trace.spans[1].parent == 0
-        assert trace.spans[2].parent == 1
-        assert trace.spans[2].duration == pytest.approx(2e-6)
-        assert trace.duration == pytest.approx(3e-6)
+        assert assert_stages_tile(trace) == [
+            "frontend.cache", "ring.route", "shard.lookup",
+        ]
+        durations = [span.duration for span in trace.spans[1:]]
+        assert durations == pytest.approx([8e-6, 2e-6, 4e-6])
+        assert trace.duration == pytest.approx(14e-6)
+        assert trace.spans[3].meta == {"shard": "cache-3"}
+
+    def test_nested_spans_and_parents(self):
+        """``add_span(parent=)`` is what nests: links, children, rendering."""
+        trace = Trace("request.get", FakeClock(), at=0.0)
+        outer = trace.add_span("net.request", 0.0, 3e-6)
+        inner = trace.add_span("shard.service", 1e-6, 3e-6, parent=outer)
+        trace.finish(at=3e-6)
+        assert [span.name for span in trace.spans] == [
+            "request.get", "net.request", "shard.service",
+        ]
+        assert trace.spans[outer].parent == 0
+        assert trace.spans[inner].parent == outer
+        assert list(trace.children(outer)) == [inner]
+        assert trace.spans[inner].duration == pytest.approx(2e-6)
+        assert "   └─ shard.service 2.0µs" in render_trace(trace)
 
     def test_finish_closes_abandoned_spans(self):
         clock = FakeClock()
         trace = Trace("request.get", clock)
-        trace.span("shard.lookup")  # never exited (exception path)
+        trace.stage("shard.lookup")  # never followed (exception path)
         clock.advance(5e-6)
         trace.finish()
         assert not math.isnan(trace.spans[1].end)
         assert trace.spans[1].duration == pytest.approx(5e-6)
+        assert trace.duration == pytest.approx(5e-6)
 
     def test_explicit_timestamps(self):
         trace = Trace("request.get", FakeClock(), at=10.0)
@@ -168,10 +208,10 @@ class TestSpanTrees:
         clock = FakeClock()
         trace = Trace("request.get", clock)
         trace.note("outcome", "miss")
-        with trace.span("ring.route"):
-            clock.advance(2e-6)
-        with trace.span("shard.lookup", shard="cache-3"):
-            clock.advance(1e-3)
+        trace.stage("ring.route")
+        clock.advance(2e-6)
+        trace.stage("shard.lookup", shard="cache-3")
+        clock.advance(1e-3)
         trace.finish()
         text = render_trace(trace)
         lines = text.splitlines()
@@ -258,6 +298,227 @@ class TestTracedClusterPath:
         assert drive(plain) == drive(gated)
         assert plain.policy.stats.hits == gated.policy.stats.hits
         assert gated.tracer.traces_started == 0
+
+
+# ---------------------------------------------------------------------------
+# one path: traced == untraced on every axis the miss body branches on
+
+
+def axis_client(axis: str, tracer) -> FrontEndClient:
+    """A front end with one default-off axis of the miss body switched on."""
+    cluster = CacheCluster(
+        num_servers=5, value_size=1, virtual_nodes=256,
+        faults=FaultInjector(seed=3),
+    )
+    guard = ClusterGuard(
+        cluster.server_ids,
+        retry=RetryPolicy(max_attempts=2, base_backoff=1e-4),
+        breaker=BreakerConfig(failure_threshold=3, cooldown=40.0),
+    )
+    client = FrontEndClient(
+        cluster, make_policy("lru", 4), guard=guard, tracer=tracer
+    )
+    if axis == "router":
+        router = HotKeyRouter(cluster, ReplicationConfig(degree=3))
+        for rank in range(6):
+            router.promote(f"usertable:{rank}")
+        client.attach_router(router, seed=5)
+    elif axis in ("ttl", "write-behind"):
+        write = (
+            TTLWritePolicy(ttl=16) if axis == "ttl"
+            else WriteBehindPolicy(dirty_limit=4)
+        )
+        write.bind_cluster(cluster)
+        client.attach_write_policy(write)
+    return client
+
+
+def drive_axis(client: FrontEndClient, axis: str, operations: int = 3_000):
+    """Zipf gets with every fifth operation a set; ``kill-revive`` takes a
+    shard down for the middle third of the stream and revives it cold."""
+    generator = ZipfianGenerator(300, theta=0.99, seed=11)
+    keys = [f"usertable:{k}" for k in generator.keys_array(operations)]
+    victim = client.cluster.server_ids[1]
+    values = []
+    for i, key in enumerate(keys):
+        if axis == "kill-revive" and i == operations // 3:
+            client.cluster.kill_server(victim)
+        if axis == "kill-revive" and i == 2 * operations // 3:
+            client.cluster.revive_server(victim)
+        if i % 5 == 4:
+            client.set(key, ("written", i))
+        else:
+            values.append(client.get(key))
+    return values
+
+
+def fingerprint(client: FrontEndClient) -> dict:
+    """Every counter a run leaves behind, client side and shard side."""
+    cluster = client.cluster
+    out = {
+        "policy": dataclasses.asdict(client.policy.stats),
+        "cached": sorted(client.policy.cached_items()),
+        "guard": dataclasses.asdict(client.guard.stats),
+        "breakers": client.guard.breaker_transitions(),
+        "monitor": (
+            client.monitor.total_loads(), client.monitor.degraded_by_server()
+        ),
+        "shards": {
+            sid: dataclasses.asdict(cluster.server(sid).stats)
+            for sid in cluster.server_ids
+        },
+        "storage": dataclasses.asdict(cluster.storage.stats),
+    }
+    if client.router is not None:
+        out["router"] = dataclasses.asdict(client.router.stats)
+    if client.write_policy is not None:
+        out["write"] = dataclasses.asdict(client.write_policy.stats)
+    return out
+
+
+class TestOnePathOnEveryAxis:
+    """Sampling a request must not change what the request does.
+
+    There is one miss body, so this holds by construction; the test is
+    what keeps a second body from growing back. Each axis is exercised
+    for real (the asserts on the plain run say so) at the three rates
+    that matter: gate never opens, opens every 100th, always open.
+    """
+
+    @pytest.mark.parametrize("rate", [0.0, 0.01, 1.0])
+    @pytest.mark.parametrize(
+        "axis", ["router", "ttl", "write-behind", "kill-revive"]
+    )
+    def test_traced_equals_untraced(self, axis, rate):
+        plain = axis_client(axis, None)
+        traced = axis_client(axis, Tracer(sample_rate=rate))
+        values_plain = drive_axis(plain, axis)
+        assert drive_axis(traced, axis) == values_plain
+        assert fingerprint(traced) == fingerprint(plain)
+        assert traced.tracer.traces_started == int(rate * len(values_plain))
+        assert traced.tracer.traces_finished == traced.tracer.traces_started
+        assert traced._trace is None
+        # The axis really ran in the stream being compared.
+        if axis == "router":
+            assert plain.router.stats.two_choice_reads > 100
+            assert plain.router.stats.replica_invalidations > 100
+        elif axis == "ttl":
+            assert plain.write_policy.stats.ttl_expirations > 50
+        elif axis == "write-behind":
+            assert plain.write_policy.stats.flushed_writes > 100
+        else:
+            assert plain.monitor.degraded_reads() > 50
+            victim = plain.cluster.server(plain.cluster.server_ids[1])
+            assert len(victim) > 0  # wiped by the cold revival, refilled since
+
+
+class TestStagesOfEachOutcome:
+    """What a sampled request records, per outcome, on a hand-stepped clock.
+
+    The clock only moves inside shard and storage calls (2, 3 and 5 µs
+    for a shard get, a shard set and a storage get), so each stage's
+    duration says which call it contains.
+    """
+
+    @pytest.fixture
+    def stepped(self, monkeypatch):
+        clock = FakeClock()
+
+        def stepping(cls, method, dt):
+            original = getattr(cls, method)
+
+            def wrapper(self, *args):
+                clock.advance(dt)
+                return original(self, *args)
+
+            monkeypatch.setattr(cls, method, wrapper)
+
+        stepping(BackendCacheServer, "get", 2e-6)
+        stepping(BackendCacheServer, "set", 3e-6)
+        stepping(PersistentStore, "get", 5e-6)
+        return clock
+
+    def client(self, clock, faults=None):
+        cluster = CacheCluster(
+            num_servers=4, value_size=1, virtual_nodes=256, faults=faults
+        )
+        tracer = Tracer(sample_rate=1.0, clock=clock, max_exemplars=64)
+        return FrontEndClient(cluster, make_policy("lru", 2), tracer=tracer)
+
+    def test_layer_miss_then_local_hit_then_layer_hit(self, stepped):
+        client = self.client(stepped)
+        client.get("usertable:1")
+        trace = client.tracer.exemplars()[0]
+        assert assert_stages_tile(trace) == [
+            "frontend.cache", "ring.route", "shard.lookup",
+            "storage.fallback", "shard.backfill", "frontend.admit",
+        ]
+        assert [round(s.duration * 1e6) for s in trace.spans[1:]] == [
+            0, 0, 2, 5, 3, 0,
+        ]
+        assert trace.meta == {"key": "usertable:1", "outcome": "miss"}
+        owner = client.cluster.ring.server_for("usertable:1")
+        assert trace.find("shard.lookup")[0].meta == {"shard": owner}
+        assert trace.find("shard.backfill")[0].meta == {"shard": owner}
+
+        client.get("usertable:1")  # local hit: the loader never runs
+        hit = next(
+            t for t in client.tracer.exemplars() if t.meta["outcome"] == "hit"
+        )
+        assert assert_stages_tile(hit) == ["frontend.cache"]
+        assert hit.duration == 0.0
+
+        client.policy.invalidate("usertable:1")  # shard still holds it
+        client.get("usertable:1")
+        layer_hit = next(
+            t for t in client.tracer.exemplars()
+            if t.meta["outcome"] == "miss" and t.duration < 3e-6
+        )
+        assert assert_stages_tile(layer_hit) == [
+            "frontend.cache", "ring.route", "shard.lookup", "frontend.admit",
+        ]
+        assert layer_hit.duration == pytest.approx(2e-6)
+
+    def test_degraded_read(self, stepped):
+        faults = FaultInjector(seed=1)
+        client = self.client(stepped, faults=faults)
+        for server_id in client.cluster.server_ids:
+            faults.kill(server_id)
+        client.get("usertable:9")
+        (trace,) = client.tracer.exemplars()
+        assert assert_stages_tile(trace) == [
+            "frontend.cache", "ring.route", "shard.lookup",
+            "storage.degraded_read", "frontend.admit",
+        ]
+        # Every attempt on the dead shard is time spent in shard.lookup,
+        # and the retry count stays in the trace.
+        attempts = client.guard.stats.attempts
+        assert trace.find("shard.lookup")[0].duration == (
+            pytest.approx(attempts * 2e-6)
+        )
+        assert trace.meta["retries"] == attempts - 1 >= 1
+        assert trace.find("storage.degraded_read")[0].duration == (
+            pytest.approx(5e-6)
+        )
+        assert trace.meta["outcome"] == "degraded"
+
+    def test_replicated_read_is_the_same_stages_on_a_chosen_shard(self, stepped):
+        client = self.client(stepped)
+        router = HotKeyRouter(client.cluster, ReplicationConfig(degree=3))
+        replicas = router.promote("usertable:0")
+        client.attach_router(router, seed=2)
+        client.get("usertable:0")
+        (trace,) = client.tracer.exemplars()
+        assert assert_stages_tile(trace) == [
+            "frontend.cache", "ring.route", "shard.lookup",
+            "storage.fallback", "shard.backfill", "frontend.admit",
+        ]
+        chosen = trace.find("shard.lookup")[0].meta["shard"]
+        assert chosen in replicas
+        assert trace.find("shard.backfill")[0].meta == {"shard": chosen}
+        assert client.monitor.total_loads()[chosen] == 1
+        assert router.stats.replicated_reads == 1
+        assert router.stats.two_choice_reads == 1
 
 
 # ---------------------------------------------------------------------------
@@ -375,22 +636,6 @@ class TestLatencyHistogram:
 
 
 class TestProfilingHooks:
-    def test_section_timer(self):
-        clock = FakeClock()
-        timer = SectionTimer(clock=clock)
-        with timer.section("route"):
-            clock.advance(0.5)
-        with timer.section("route"):
-            clock.advance(0.25)
-        with timer.section("serve"):
-            clock.advance(1.0)
-        assert timer.total("route") == pytest.approx(0.75)
-        assert timer.calls("route") == 2
-        report = timer.report()
-        assert "route" in report and "serve" in report
-        timer.reset()
-        assert timer.total("route") == 0.0
-
     def test_periodic_snapshotter(self):
         bus = TelemetryBus()
         snapshotter = PeriodicSnapshotter(bus, every=10)
@@ -724,26 +969,40 @@ def traced_rendered_output(experiment_id: str, tracer: Tracer, monkeypatch):
             return _original(self, dataclasses.replace(spec, tracer=tracer))
 
         monkeypatch.setattr(runner_cls, "run", wrapper)
-    outcome = get_experiment(experiment_id).run(scale=Scale.smoke())
+    # In-process only: the patched ``run`` does not exist in fabric
+    # workers, and an earlier CLI test may have left the fabric fanned out.
+    with parallel_workers(1):
+        outcome = get_experiment(experiment_id).run(scale=Scale.smoke())
     results = outcome if isinstance(outcome, list) else [outcome]
     return "\n\n".join(result.render() for result in results) + "\n"
 
 
 class TestObservationIsInert:
-    @pytest.mark.parametrize("experiment_id", ["fig6", "table2"])
+    @pytest.mark.parametrize(
+        "experiment_id, sample_rate",
+        [pytest.param("fig6", 0.0, id="fig6"), pytest.param("table2", 0.01, id="table2")],
+    )
     def test_golden_output_with_rate0_tracer_and_collector(
-        self, experiment_id, monkeypatch
+        self, experiment_id, sample_rate, monkeypatch
     ):
+        """Golden bytes under observation (the name predates the sampled case).
+
+        ``fig6`` (simulator) keeps a rate-0 tracer. ``table2`` drives the
+        live cluster path with one request in a hundred *sampled*: with
+        one miss body the traced requests run the very calls the
+        untraced ones do, so the rendered bytes cannot move.
+        """
         golden = (GOLDEN_DIR / f"{experiment_id}.smoke.txt").read_text(
             encoding="utf-8"
         )
-        tracer = Tracer(sample_rate=0.0)
+        tracer = Tracer(sample_rate=sample_rate)
         with SnapshotCollector() as collector:
             rendered = traced_rendered_output(
                 experiment_id, tracer, monkeypatch
             )
         assert rendered == golden
-        assert tracer.traces_started == 0
+        assert (tracer.traces_started > 0) == (sample_rate > 0)
+        assert tracer.traces_finished == tracer.traces_started
         assert collector.snapshots, "collector saw no snapshots"
         # The collected telemetry renders as parseable exposition text.
         series = parse_prometheus(collector.render())

@@ -56,6 +56,6 @@ class TestTailLatency:
     def test_per_client_recorders_populated(self):
         result = build(lambda i: NullCache(), clients=2, reqs=100)
         for client in result.sim_clients:
-            assert client.latency_recorder.count == 100
-            assert client.latency_recorder.mean > 0
+            assert client.latency_histogram.count == 100
+            assert client.latency_histogram.mean > 0
         assert result.telemetry.total_requests == 200

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.hotness import AccessType, HotnessModel
+from repro.core.hotness import AccessType
 from repro.core.tracker import CoTTracker
 from repro.errors import ConfigurationError, KeyNotTrackedError
 
