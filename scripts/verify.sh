@@ -24,6 +24,18 @@ else
     python -m compileall -q src tests benchmarks
     python scripts/lint_unused.py src tests benchmarks scripts
 fi
+# The wire stays closed and small (ROADMAP item 1): nothing in repro/net
+# names pickle, and the package stays under its line cap.
+if grep -rn --include='*.py' pickle src/repro/net; then
+    echo "pickle is named in src/repro/net (see above): values are opaque at the shard" >&2
+    exit 1
+fi
+net_lines="$(cat src/repro/net/*.py | wc -l)"
+if [ "$net_lines" -gt 2133 ]; then
+    echo "src/repro/net is $net_lines lines, over its 2,133-line cap" >&2
+    exit 1
+fi
+echo "(repro/net: no pickle, $net_lines lines <= 2,133)"
 
 echo "== tests =="
 python -m pytest -x -q

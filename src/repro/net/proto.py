@@ -1,7 +1,8 @@
 """Memcached-style text protocol codec (DESIGN.md §15).
 
 Grammar (ASCII lines terminated ``\\r\\n``; ``<data>`` is a raw byte
-block of the declared length followed by ``\\r\\n``)::
+block of the declared length followed by ``\\r\\n``; every numeric field
+is ``[0-9]+`` and nothing else — no sign, underscore or padding)::
 
     request  = "get" 1*(" " key) CRLF
              / "gets" 1*(" " key) CRLF
@@ -20,14 +21,24 @@ block of the declared length followed by ``\\r\\n``)::
 
 Both decoders are incremental push parsers: feed them arbitrary byte
 chunks (half a line, a line and a half, one huge blob) and they emit
-exactly the frames whose bytes have fully arrived, keeping the rest
-buffered. Malformed input never raises — it surfaces as
-:class:`BadCommand` / an ``ERROR``-kind :class:`Reply` frame, and the
-decoder distinguishes *recoverable* damage (an unknown command on an
-otherwise well-framed line: skip the line, keep parsing) from *fatal*
-damage (framing lost — an unparsable ``set`` header or an unterminated
-line past :data:`MAX_LINE_BYTES`: the connection must be closed because
-nothing after the damage can be trusted to be a frame boundary).
+exactly the frames whose bytes have fully arrived. A chunk is parsed
+**where it lies** — lines are found, split and compared as bytes, each
+field read once — and only the tail of a frame that has not ended is
+copied aside, the next chunk appended to it. Malformed input never
+raises — it surfaces as :class:`BadCommand` / an ``ERROR``-kind
+:class:`Reply` frame, and the decoder distinguishes *recoverable* damage
+(an unknown command on an otherwise well-framed line: skip the line,
+keep parsing; a ``set`` with a readable length but a refused key, flags
+or size: skip its block too) from *fatal* damage (framing lost — an
+unparsable ``set`` header, a line past :data:`MAX_LINE_BYTES`, a block
+without its CRLF: the connection must be closed because nothing after
+the damage can be trusted to be a frame boundary).
+
+Values are opaque here and at the shard server, which stores the
+``(flags, payload)`` pair a ``set`` carried and echoes it on ``get``.
+Only the client edge reads a payload, with the closed tag codec of
+:func:`dump_value` / :func:`load_value`: the flags name one of six plain
+types, and no payload a peer sends can make either end run code.
 
 Fault transport: injected shard failures
 (:class:`~repro.errors.ShardFailure` subclasses) cross the wire as
@@ -39,7 +50,9 @@ the same exception types on both planes.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+import struct
+from dataclasses import dataclass
+from typing import Any, Callable
 
 from repro.errors import (
     ProtocolError,
@@ -53,6 +66,7 @@ __all__ = [
     "BadCommand",
     "DeleteCommand",
     "GetCommand",
+    "MAX_FLAGS",
     "MAX_KEY_BYTES",
     "MAX_LINE_BYTES",
     "MAX_VALUE_BYTES",
@@ -67,6 +81,7 @@ __all__ = [
     "decode_failure",
     "dump_value",
     "encode_failure",
+    "encode_value",
     "load_value",
     "valid_key",
 ]
@@ -79,10 +94,8 @@ MAX_KEY_BYTES = 250
 MAX_LINE_BYTES = 16_384
 #: default cap on one value's payload (memcached's classic 1 MB).
 MAX_VALUE_BYTES = 1 << 20
-
-#: value-payload encodings carried in the ``flags`` field.
-FLAG_RAW = 0
-FLAG_PICKLE = 1
+#: client flags are an unsigned 32-bit field, as in memcached.
+MAX_FLAGS = (1 << 32) - 1
 
 #: wire codes for the injected-failure taxonomy (SERVER_ERROR frames).
 _FAILURE_TO_CODE: dict[type, str] = {
@@ -94,53 +107,108 @@ _CODE_TO_FAILURE: dict[str, type] = {v: k for k, v in _FAILURE_TO_CODE.items()}
 
 
 # --------------------------------------------------------------------------
-# value payloads
+# value payloads: the closed tag codec of the client edge
+
+FLAG_RAW = 0
+FLAG_TUPLE = 5
+
+_DOUBLE = struct.Struct(">d")
+_ITEM = struct.Struct(">BI")
+
+
+def _load_none(payload: bytes) -> None:
+    if payload:
+        raise ValueError("None carries no payload")
+
+
+_DUMP: dict[type, tuple[int, Callable[[Any], bytes]]] = {
+    bytes: (FLAG_RAW, bytes),
+    str: (1, lambda value: value.encode("utf-8", "surrogatepass")),
+    int: (2, lambda value: value.to_bytes(value.bit_length() // 8 + 1, "big", signed=True)),
+    float: (3, _DOUBLE.pack),
+    type(None): (4, lambda value: b""),
+}
+_LOAD: dict[int, Callable[[bytes], Any]] = {
+    FLAG_RAW: bytes,
+    1: lambda payload: str(payload, "utf-8", "surrogatepass"),
+    2: lambda payload: int.from_bytes(payload, "big", signed=True),
+    3: lambda payload: _DOUBLE.unpack(payload)[0],
+    4: _load_none,
+}
 
 
 def dump_value(value: object) -> tuple[int, bytes]:
-    """Serialize one cached value for the wire → ``(flags, payload)``.
+    """Serialize one cached value for the wire → ``(flags, payload)``::
 
-    ``bytes`` pass through untouched (``FLAG_RAW``); everything else is
-    pickled (``FLAG_PICKLE``) — the planes exchange arbitrary Python
-    values (tuples, ints) and equivalence needs exact round-trips.
+        0  bytes  the bytes themselves        3  float  IEEE-754 double, big endian
+        1  str    UTF-8 (surrogates pass)     4  None   empty
+        2  int    two's complement, big end.  5  tuple  per item: tag 0-4, u32 length, payload
+
+    These, by exact type, round-trip exactly; anything else (a list, a
+    ``bool``, a nested tuple, a subclass) raises ``ProtocolError`` before
+    a byte is sent.
     """
-    if isinstance(value, bytes):
-        return FLAG_RAW, value
-    import pickle
-
-    return FLAG_PICKLE, pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+    codec = _DUMP.get(type(value))
+    if codec is not None:
+        return codec[0], codec[1](value)
+    if type(value) is not tuple:
+        raise ProtocolError(f"value not wire-safe: {type(value).__name__}")
+    parts = []
+    for item in value:
+        codec = _DUMP.get(type(item))
+        if codec is None:
+            raise ProtocolError(f"tuple item not wire-safe: {type(item).__name__}")
+        payload = codec[1](item)
+        parts += _ITEM.pack(codec[0], len(payload)), payload
+    return FLAG_TUPLE, b"".join(parts)
 
 
 def load_value(flags: int, payload: bytes) -> object:
-    """Inverse of :func:`dump_value`."""
-    if flags == FLAG_RAW:
-        return payload
-    if flags == FLAG_PICKLE:
-        import pickle
+    """Inverse of :func:`dump_value`; junk raises ``ProtocolError``."""
+    try:
+        if flags != FLAG_TUPLE:
+            return _LOAD[flags](payload)
+        items, pos, size = [], 0, len(payload)
+        while pos < size:
+            tag, length = _ITEM.unpack_from(payload, pos)
+            pos += _ITEM.size + length
+            if pos > size:
+                raise ValueError("tuple item runs past the payload")
+            items.append(_LOAD[tag](payload[pos - length : pos]))
+        return tuple(items)
+    except (KeyError, ValueError, struct.error) as exc:
+        raise ProtocolError(f"undecodable value under flags {flags}: {exc!r}") from None
 
-        return pickle.loads(payload)
-    raise ProtocolError(f"unknown value flags: {flags}")
 
-
-_KEY_RE = re.compile("[!-~]{1,%d}" % MAX_KEY_BYTES)
+_KEY_RE = re.compile(rb"[!-~]{1,%d}" % MAX_KEY_BYTES)
 
 
 def valid_key(key: str) -> bool:
     """Whether ``key`` is legal on the wire (token, ≤250 bytes, printable)."""
-    return isinstance(key, str) and _KEY_RE.fullmatch(key) is not None
+    return isinstance(key, str) and key.isascii() and _KEY_RE.fullmatch(key.encode()) is not None
 
 
-def _require_key(key: str) -> bytes:
+def _wire_key(key: str) -> bytes:
     if not valid_key(key):
         raise ProtocolError(f"key not wire-safe: {key!r}")
-    return key.encode("ascii")
+    return key.encode()
+
+
+def _numbers(fields: list[bytes]) -> list[int] | None:
+    """Header fields as integers; ``None`` unless each is ``[0-9]+`` (``int()`` takes more)."""
+    if not b"".join(fields).isdigit():  # split() leaves no empty field to hide in the join
+        return None
+    try:
+        return list(map(int, fields))
+    except ValueError:  # more digits than int() converts
+        return None
 
 
 # --------------------------------------------------------------------------
 # frames
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class GetCommand:
     """``get``/``gets`` — one wire round-trip for any number of keys."""
 
@@ -148,11 +216,11 @@ class GetCommand:
     cas: bool = False
 
     def encode(self) -> bytes:
-        verb = b"gets " if self.cas else b"get "
-        return verb + b" ".join(_require_key(k) for k in self.keys) + CRLF
+        verb = b"gets %b\r\n" if self.cas else b"get %b\r\n"
+        return verb % b" ".join(map(_wire_key, self.keys))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SetCommand:
     key: str
     flags: int
@@ -161,53 +229,53 @@ class SetCommand:
     noreply: bool = False
 
     def encode(self) -> bytes:
-        head = b"set %s %d %d %d%s\r\n" % (
-            _require_key(self.key),
+        return b"set %b %d %d %d%b\r\n%b\r\n" % (
+            _wire_key(self.key),
             self.flags,
             self.exptime,
             len(self.data),
             b" noreply" if self.noreply else b"",
+            self.data,
         )
-        return head + self.data + CRLF
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DeleteCommand:
     key: str
     noreply: bool = False
 
     def encode(self) -> bytes:
         tail = b" noreply\r\n" if self.noreply else CRLF
-        return b"delete " + _require_key(self.key) + tail
+        return b"delete " + _wire_key(self.key) + tail
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TouchCommand:
     key: str
     exptime: int = 0
     noreply: bool = False
 
     def encode(self) -> bytes:
-        return b"touch %s %d%s\r\n" % (
-            _require_key(self.key),
+        return b"touch %b %d%b\r\n" % (
+            _wire_key(self.key),
             self.exptime,
             b" noreply" if self.noreply else b"",
         )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class VersionCommand:
     def encode(self) -> bytes:
         return b"version\r\n"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class QuitCommand:
     def encode(self) -> bytes:
         return b"quit\r\n"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BadCommand:
     """Decoder-synthesized frame for input that was not a command.
 
@@ -233,7 +301,14 @@ Command = (
 )
 
 
-@dataclass(frozen=True)
+def encode_value(key: str, flags: int, data: bytes, cas: int | None = None) -> bytes:
+    """One ``VALUE`` frame: header line, data block, CRLF."""
+    if cas is None:
+        return b"VALUE %b %d %d\r\n%b\r\n" % (key.encode("ascii"), flags, len(data), data)
+    return b"VALUE %b %d %d %d\r\n%b\r\n" % (key.encode("ascii"), flags, len(data), cas, data)
+
+
+@dataclass(slots=True)
 class Value:
     """One ``VALUE`` frame of a get response."""
 
@@ -243,23 +318,10 @@ class Value:
     cas: int | None = None
 
     def encode(self) -> bytes:
-        if self.cas is None:
-            head = b"VALUE %s %d %d\r\n" % (
-                self.key.encode("ascii"),
-                self.flags,
-                len(self.data),
-            )
-        else:
-            head = b"VALUE %s %d %d %d\r\n" % (
-                self.key.encode("ascii"),
-                self.flags,
-                len(self.data),
-                self.cas,
-            )
-        return head + self.data + CRLF
+        return encode_value(self.key, self.flags, self.data, self.cas)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Reply:
     """Any non-VALUE response frame.
 
@@ -271,17 +333,17 @@ class Reply:
 
     kind: str
     message: str = ""
-    values: tuple[Value, ...] = field(default=())
+    values: tuple[Value, ...] = ()
 
     @property
     def is_error(self) -> bool:
         return self.kind in ("ERROR", "CLIENT_ERROR", "SERVER_ERROR")
 
     def encode(self) -> bytes:
-        body = b"".join(v.encode() for v in self.values)
-        if self.message:
-            return body + self.kind.encode("ascii") + b" " + self.message.encode("ascii") + CRLF
-        return body + self.kind.encode("ascii") + CRLF
+        line = f"{self.kind} {self.message}" if self.message else self.kind
+        # Error text is whatever an exception said: never let it fail to encode.
+        tail = line.encode("ascii", "backslashreplace") + CRLF
+        return b"".join([v.encode() for v in self.values]) + tail
 
 
 def encode_failure(exc: ShardFailure) -> Reply:
@@ -302,194 +364,177 @@ def decode_failure(reply: Reply) -> ShardFailure:
 # incremental decoders
 
 
-class _LineBuffer:
-    """Shared incremental framing: CRLF lines + counted data blocks.
+class _FrameDecoder:
+    """The framing both decoders share: CRLF lines and counted data blocks.
 
-    ``readline`` returns ``None`` while incomplete, raises nothing, and
-    flags overlong lines through ``overflowed`` so the owner can go
-    fatal instead of buffering unboundedly. Reads advance an offset;
-    the owner calls ``compact`` once at the end of each ``feed`` to drop
-    the consumed prefix, so a batch of frames costs one buffer shift.
+    :meth:`feed` walks the received chunk in place. A subclass turns each
+    line into a frame (``_on_line``; ``None`` when the line only opened
+    something, setting ``_block`` when a data block follows), each data
+    block likewise (``_on_block``), and names the two frames that report
+    lost framing. What is left of an unfinished frame is copied into
+    ``_held`` once, later chunks are appended to it, and it is parsed —
+    once — when its end has arrived, so the bytes copied stay linear in
+    the bytes received however a peer slices them.
     """
 
-    def __init__(self) -> None:
-        self._buf = bytearray()
-        self._pos = 0  # bytes before this offset are consumed
-        self._scan = 0  # >= _pos; no line feed in [_pos, _scan)
-        self.overflowed = False
-
-    def feed(self, data: bytes) -> None:
-        self._buf += data
-
-    def compact(self) -> None:
-        pos = self._pos
-        if pos:
-            del self._buf[:pos]
-            self._scan -= pos
-            self._pos = 0
-
-    def readline(self) -> bytes | None:
-        buf = self._buf
-        idx = buf.find(b"\n", self._scan)
-        if idx < 0:
-            self._scan = len(buf)
-            if self._scan - self._pos > MAX_LINE_BYTES:
-                self.overflowed = True
-            return None
-        pos = self._pos
-        self._pos = self._scan = idx + 1
-        if idx > pos and buf[idx - 1] == 13:  # strip the CR of CRLF
-            idx -= 1
-        if idx - pos > MAX_LINE_BYTES:
-            self.overflowed = True
-        return bytes(buf[pos:idx])
-
-    def readblock(self, nbytes: int) -> bytes | None:
-        """A counted data block + its trailing CRLF (``None`` if short)."""
-        buf = self._buf
-        pos = self._pos
-        end = pos + nbytes
-        if len(buf) < end + 2:
-            return None
-        self._pos = self._scan = end + 2
-        if buf[end : end + 2] != CRLF:
-            raise ProtocolError("data block not CRLF-terminated")
-        return bytes(buf[pos:end])
-
-    def pending(self) -> int:
-        return len(self._buf) - self._pos
-
-
-class RequestDecoder:
-    """Server-side incremental parser: bytes in, :data:`Command`\\ s out."""
-
     def __init__(self, max_value_bytes: int = MAX_VALUE_BYTES) -> None:
-        self._lines = _LineBuffer()
         self.max_value_bytes = max_value_bytes
-        self._pending_set: SetCommand | None = None
-        self._pending_nbytes = 0
-        self._discard_reason: BadCommand | None = None
-        self._broken = False
+        self._held = bytearray()  # the bytes so far of a frame that has not ended
+        self._scan = 0  # no line feed in _held[:_scan]
+        self._block = -1  # length of the data block awaited; -1: a line is awaited
+        self._head = None  # what that block belongs to, as the subclass parsed its line
+        self.broken = False  # framing was lost: the owner must close, nothing more comes out
 
     @property
-    def broken(self) -> bool:
-        """Whether a fatal frame was emitted (owner must close)."""
-        return self._broken
+    def pending(self) -> int:
+        """Bytes received that belong to a frame not yet emitted."""
+        return len(self._held)
 
-    def feed(self, data: bytes) -> list[Command]:
-        if self._broken:
+    def _lost(self, frame):
+        """Framing is lost: ``frame`` says so, and is the last one emitted."""
+        self.broken = True
+        self._held.clear()
+        return frame
+
+    def feed(self, data: bytes) -> list:
+        if self.broken:
             return []
-        self._lines.feed(data)
-        out: list[Command] = []
+        held = self._held
+        if held:
+            held += data
+            if self._block >= 0:
+                if len(held) < self._block + 2:
+                    return []
+            elif held.find(b"\n", self._scan) < 0 and len(held) - 1 <= MAX_LINE_BYTES:
+                self._scan = len(held)
+                return []
+            data = bytes(held)
+            held.clear()
+        out: list = []
+        pos, size = 0, len(data)
         while True:
-            frame = self._next_frame()
-            if frame is None:
-                break
-            out.append(frame)
-            if isinstance(frame, BadCommand) and frame.fatal:
-                self._broken = True
-                break
-        self._lines.compact()
+            block = self._block
+            if block >= 0:
+                end = pos + block
+                if size < end + 2:
+                    break
+                if data[end : end + 2] != CRLF:
+                    out.append(self._lost(self._BAD_BLOCK))
+                    break
+                self._block = -1
+                frame = self._on_block(data[pos:end])
+                pos = end + 2
+            else:
+                end = data.find(b"\n", pos)
+                stop = end - 1 if end > pos and data[end - 1] == 13 else end  # CR of CRLF
+                # Unterminated, one byte of grace: the last may be the CR of a CRLF to come.
+                if (stop - pos if end >= 0 else size - pos - 1) > MAX_LINE_BYTES:
+                    out.append(self._lost(self._LINE_TOO_LONG))
+                    break
+                if end < 0:
+                    break
+                frame = self._on_line(data[pos:stop])
+                pos = end + 1
+            if frame is not None:
+                out.append(frame)
+                if self.broken:
+                    break
+        if pos < size and not self.broken:
+            held += memoryview(data)[pos:]
+            self._scan = len(held)
         return out
 
-    def _next_frame(self) -> Command | None:
-        if self._pending_set is not None or self._discard_reason is not None:
-            return self._finish_block()
-        line = self._lines.readline()
-        if line is None:
-            if self._lines.overflowed:
-                return BadCommand(
-                    "line exceeds maximum length", fatal=True
-                )
-            return None
+
+def _refusal(line: bytes, problem: str, kind: str = "CLIENT_ERROR") -> BadCommand:
+    """A recoverable error frame for ``line``; not being ASCII outranks any other problem."""
+    if line.isascii():
+        return BadCommand(problem, kind)
+    return BadCommand("command line is not ascii")
+
+
+class RequestDecoder(_FrameDecoder):
+    """Server-side incremental parser: bytes in, :data:`Command`\\ s out."""
+
+    _LINE_TOO_LONG = BadCommand("line exceeds maximum length", fatal=True)
+    _BAD_BLOCK = BadCommand("bad data chunk", fatal=True)
+
+    def _on_block(self, block: bytes) -> Command:
+        # ``(key, flags, exptime, noreply)`` of the ``set`` this block ends,
+        # or the refusal to emit now that the block has been skipped.
+        head = self._head
+        if type(head) is BadCommand:
+            return head
+        key, flags, exptime, noreply = head
+        return SetCommand(key, flags, exptime, block, noreply)
+
+    def _on_line(self, line: bytes) -> Command | None:
+        parts = line.split()
+        verb = parts[0] if parts else b""
+        if verb == b"get" or verb == b"gets":
+            keys = parts[1:]
+            if keys and all(map(_KEY_RE.fullmatch, keys)):
+                return GetCommand(tuple(map(bytes.decode, keys)), verb == b"gets")
+            return _refusal(line, "bad key" if keys else "get needs at least one key")
+        if verb == b"set":
+            return self._on_set(line, parts)
+        if verb == b"delete":
+            noreply = parts[-1] == b"noreply"
+            if len(parts) - noreply == 2 and _KEY_RE.fullmatch(parts[1]):
+                return DeleteCommand(parts[1].decode(), noreply)
+            return _refusal(line, "delete needs exactly one key")
+        if verb == b"touch":
+            noreply = parts[-1] == b"noreply"
+            if len(parts) - noreply != 3 or not _KEY_RE.fullmatch(parts[1]):
+                return _refusal(line, "touch needs a key and an exptime")
+            exptime = _numbers(parts[2:3])
+            if exptime is None:
+                return _refusal(line, "bad exptime")
+            return TouchCommand(parts[1].decode(), exptime[0], noreply)
+        if verb == b"version" and len(parts) == 1:
+            return VersionCommand()
+        if verb == b"quit" and len(parts) == 1:
+            return QuitCommand()
         if not line:
             return BadCommand("empty command line")
-        return self._parse_line(line)
+        return _refusal(line, f"unknown command: {verb.decode('ascii', 'replace')!r}", "ERROR")
 
-    def _finish_block(self) -> Command | None:
-        nbytes = self._pending_nbytes
-        try:
-            block = self._lines.readblock(nbytes)
-        except ProtocolError:
-            self._pending_set = None
-            self._discard_reason = None
-            return BadCommand("bad data chunk", fatal=True)
-        if block is None:
+    def _on_set(self, line: bytes, parts: list[bytes]) -> Command | None:
+        noreply = parts[-1] == b"noreply"
+        numbers = _numbers(parts[2:5]) if len(parts) - noreply == 5 else None
+        if numbers is None:
+            problem = "bad set header"
+        elif numbers[2] > self.max_value_bytes:
+            problem = "object too large for cache"
+        elif not _KEY_RE.fullmatch(parts[1]):
+            problem = "bad key"
+        elif numbers[0] > MAX_FLAGS:
+            problem = "flags exceed 32 bits"
+        else:
+            self._head = (parts[1].decode(), numbers[0], numbers[1], noreply)
+            self._block = numbers[2]
             return None
-        if self._discard_reason is not None:
-            frame, self._discard_reason = self._discard_reason, None
-            return frame
-        cmd = self._pending_set
-        assert cmd is not None
-        self._pending_set = None
-        return SetCommand(cmd.key, cmd.flags, cmd.exptime, block, cmd.noreply)
-
-    def _parse_line(self, line: bytes) -> Command:
-        try:
-            text = line.decode("ascii")
-        except UnicodeDecodeError:
-            return BadCommand("command line is not ascii")
-        parts = text.split()
-        verb = parts[0] if parts else ""
-        if verb in ("get", "gets"):
-            keys = parts[1:]
-            if not keys:
-                return BadCommand("get needs at least one key")
-            if not all(map(valid_key, keys)):
-                return BadCommand("bad key")
-            return GetCommand(tuple(keys), cas=(verb == "gets"))
-        if verb == "set":
-            return self._parse_set(parts)
-        if verb == "delete":
-            noreply = parts[-1] == "noreply"
-            keys = parts[1 : len(parts) - (1 if noreply else 0)]
-            if len(keys) != 1 or not valid_key(keys[0]):
-                return BadCommand("delete needs exactly one key")
-            return DeleteCommand(keys[0], noreply=noreply)
-        if verb == "touch":
-            noreply = parts[-1] == "noreply"
-            args = parts[1 : len(parts) - (1 if noreply else 0)]
-            if len(args) != 2 or not valid_key(args[0]):
-                return BadCommand("touch needs a key and an exptime")
-            try:
-                exptime = int(args[1])
-            except ValueError:
-                return BadCommand("bad exptime")
-            return TouchCommand(args[0], exptime, noreply=noreply)
-        if verb == "version" and len(parts) == 1:
-            return VersionCommand()
-        if verb == "quit" and len(parts) == 1:
-            return QuitCommand()
-        return BadCommand(f"unknown command: {verb!r}", kind="ERROR")
-
-    def _parse_set(self, parts: list[str]) -> Command:
-        noreply = parts[-1] == "noreply"
-        args = parts[1 : len(parts) - (1 if noreply else 0)]
-        if len(args) != 4:
+        if not line.isascii():
+            return _refusal(line, problem)  # as any such line: skipped, and nothing after it
+        if numbers is None:
             # The byte count is unreadable, so the data block that
             # follows cannot be skipped: framing is lost.
-            return BadCommand("bad set header", fatal=True)
-        key, flags_s, exptime_s, nbytes_s = args
-        try:
-            flags, exptime, nbytes = int(flags_s), int(exptime_s), int(nbytes_s)
-        except ValueError:
-            return BadCommand("bad set header", fatal=True)
-        if nbytes < 0:
-            return BadCommand("bad set header", fatal=True)
-        self._pending_nbytes = nbytes
-        if nbytes > self.max_value_bytes:
-            # Recoverable: the length is known, so the oversized block
-            # is consumed and discarded, then the error frame surfaces.
-            self._discard_reason = BadCommand("object too large for cache")
-            return self._finish_block()
-        if not valid_key(key):
-            self._discard_reason = BadCommand("bad key")
-            return self._finish_block()
-        self._pending_set = SetCommand(key, flags, exptime, b"", noreply)
-        return self._finish_block()
+            return self._lost(BadCommand(problem, fatal=True))
+        # Recoverable: the length is known, so the refused block is
+        # consumed and discarded, then the error frame surfaces.
+        self._head = BadCommand(problem)
+        self._block = numbers[2]
+        return None
 
 
-class ResponseDecoder:
+#: reply lines that are one bare token / a token and free text
+_BARE_REPLIES = {
+    kind.encode(): kind
+    for kind in ("STORED", "NOT_STORED", "DELETED", "NOT_FOUND", "TOUCHED", "ERROR", "OK")
+}
+_TEXT_REPLIES = {kind.encode(): kind for kind in ("CLIENT_ERROR", "SERVER_ERROR", "VERSION")}
+
+
+class ResponseDecoder(_FrameDecoder):
     """Client-side incremental parser: bytes in, :class:`Reply`\\ s out.
 
     VALUE frames accumulate until their ``END`` terminator and come out
@@ -499,87 +544,47 @@ class ResponseDecoder:
     server aborts a multi-get by replying with a single error frame).
     """
 
-    _SIMPLE = frozenset(
-        ["STORED", "NOT_STORED", "DELETED", "NOT_FOUND", "TOUCHED", "END", "ERROR", "OK"]
-    )
+    _LINE_TOO_LONG = Reply("CLIENT_ERROR", "response line exceeds maximum length")
+    _BAD_BLOCK = Reply("CLIENT_ERROR", "data block not CRLF-terminated")
 
     def __init__(self, max_value_bytes: int = MAX_VALUE_BYTES) -> None:
-        self._lines = _LineBuffer()
-        self.max_value_bytes = max_value_bytes
+        super().__init__(max_value_bytes)
         self._values: list[Value] = []
-        #: header of the VALUE whose data block is awaited: key, flags, cas, nbytes
-        self._pending_value: tuple[str, int, int | None, int] | None = None
-        self._broken = False
-
-    @property
-    def broken(self) -> bool:
-        return self._broken
 
     @property
     def idle(self) -> bool:
         """Whether every byte fed so far belonged to a reply already emitted."""
-        return not (self._lines.pending() or self._values or self._pending_value)
+        return not (self._held or self._values or self._block >= 0)
 
-    def feed(self, data: bytes) -> list[Reply]:
-        if self._broken:
-            return []
-        self._lines.feed(data)
-        out: list[Reply] = []
-        while True:
-            try:
-                reply = self._next_reply()
-            except ProtocolError as exc:
-                self._broken = True
-                out.append(Reply("CLIENT_ERROR", str(exc)))
-                break
-            if reply is None:
-                break
-            out.append(reply)
-        self._lines.compact()
-        return out
+    def _on_block(self, block: bytes) -> None:
+        key, flags, cas = self._head
+        self._values.append(Value(key, flags, block, cas))
 
-    def _next_reply(self) -> Reply | None:
-        lines = self._lines
-        while True:
-            if self._pending_value is not None:
-                key, flags, cas, nbytes = self._pending_value
-                block = lines.readblock(nbytes)
-                if block is None:
-                    return None
-                self._pending_value = None
-                self._values.append(Value(key, flags, block, cas))
-            line = lines.readline()
-            if line is None:
-                if lines.overflowed:
-                    raise ProtocolError("response line exceeds maximum length")
+    def _on_line(self, line: bytes) -> Reply | None:
+        parts = line.split()
+        kind = parts[0] if parts else b""
+        if kind == b"VALUE":
+            numbers = _numbers(parts[2:]) if len(parts) in (4, 5) else None
+            if numbers is None:
+                problem = "bad VALUE header"
+            elif numbers[1] > self.max_value_bytes:
+                problem = "VALUE payload exceeds maximum size"
+            else:
+                cas = numbers[2] if len(numbers) == 3 else None
+                self._head = (parts[1].decode("ascii", "replace"), numbers[0], cas)
+                self._block = numbers[1]
                 return None
-            text = line.decode("ascii", errors="replace")
-            parts = text.split()
-            kind = parts[0] if parts else ""
-            if kind == "VALUE":
-                self._start_value(parts)
-                continue
-            if kind == "END":
-                values, self._values = tuple(self._values), []
-                return Reply("END", values=values)
-            if kind in self._SIMPLE:
-                if self._values:
-                    raise ProtocolError(f"{kind} interleaved with VALUE frames")
-                return Reply(kind)
-            if kind in ("CLIENT_ERROR", "SERVER_ERROR", "VERSION"):
-                # An error aborts any multi-get in flight; partial values drop.
-                self._values = []
-                return Reply(kind, text[len(kind) + 1 :])
-            raise ProtocolError(f"unparsable response line: {text!r}")
-
-    def _start_value(self, parts: list[str]) -> None:
-        if len(parts) not in (4, 5):
-            raise ProtocolError("bad VALUE header")
-        try:
-            flags, nbytes = int(parts[2]), int(parts[3])
-            cas = int(parts[4]) if len(parts) == 5 else None
-        except ValueError:
-            raise ProtocolError("bad VALUE header") from None
-        if nbytes < 0 or nbytes > self.max_value_bytes:
-            raise ProtocolError("VALUE payload exceeds maximum size")
-        self._pending_value = (parts[1], flags, cas, nbytes)
+        elif kind == b"END":
+            values, self._values = tuple(self._values), []
+            return Reply("END", "", values)
+        elif kind in _BARE_REPLIES:
+            if not self._values:
+                return Reply(_BARE_REPLIES[kind])
+            problem = f"{_BARE_REPLIES[kind]} interleaved with VALUE frames"
+        elif kind in _TEXT_REPLIES:
+            # An error aborts any multi-get in flight; partial values drop.
+            self._values = []
+            return Reply(_TEXT_REPLIES[kind], line[len(kind) + 1 :].decode("ascii", "replace"))
+        else:
+            problem = f"unparsable response line: {line.decode('ascii', 'replace')!r}"
+        return self._lost(Reply("CLIENT_ERROR", problem))

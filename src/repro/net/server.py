@@ -5,12 +5,13 @@ One :class:`ShardServer` wraps one
 TCP socket, one :class:`asyncio.Protocol` per connection
 (DESIGN.md §15):
 
-* ``data_received`` parses the chunk incrementally
+* ``data_received`` parses the chunk where it lies
   (:class:`~repro.net.proto.RequestDecoder`), executes every decoded
   command against the backend — the calls are synchronous — and
   **answers the whole batch with one socket write**, the server-side
   half of pipelining (the batch-depth distribution is recorded per
-  write);
+  write). Values cross unread: the backend holds the ``(flags, payload)``
+  pair a ``set`` carried, so nothing a peer sends is interpreted here;
 * load leveling is the transport's own flow control: when a peer stops
   reading, its write buffer passes the high-water mark, the connection
   stops reading the socket and stops executing decoded commands, and
@@ -38,7 +39,6 @@ from repro.errors import ShardFailure
 from repro.policies.base import MISSING as _MISSING
 from repro.net import proto
 from repro.net.proto import (
-    BadCommand,
     DeleteCommand,
     GetCommand,
     QuitCommand,
@@ -46,8 +46,8 @@ from repro.net.proto import (
     RequestDecoder,
     SetCommand,
     TouchCommand,
-    Value,
     VersionCommand,
+    encode_value,
 )
 
 __all__ = ["ShardServer", "ShardServerStats", "SERVER_VERSION"]
@@ -163,56 +163,50 @@ class _Connection(asyncio.Protocol):
             transport.close()  # flushes the replies just written first
 
     def _execute(self, cmd) -> bytes | None:
+        """Run one command against the backend; its reply frame, formatted once."""
         backend = self.server.backend
-        stats = self.server.stats
+        kind = type(cmd)
         try:
-            if isinstance(cmd, GetCommand):
-                if len(cmd.keys) == 1:
+            if kind is GetCommand:
+                keys = cmd.keys
+                cas = 0 if cmd.cas else None
+                if len(keys) == 1:
                     # Mirror the in-process plane exactly: a single-key
                     # get is `server.get`, a batch is `server.get_many`.
-                    key = cmd.keys[0]
-                    value = backend.get(key)
-                    found = {} if value is _MISSING else {key: value}
-                else:
-                    found = backend.get_many(list(cmd.keys))
-                values = []
-                for key in cmd.keys:
-                    if key in found:
-                        flags, payload = proto.dump_value(found[key])
-                        cas = 0 if cmd.cas else None
-                        values.append(Value(key, flags, payload, cas))
-                return Reply("END", values=tuple(values)).encode()
-            if isinstance(cmd, SetCommand):
-                backend.set(cmd.key, proto.load_value(cmd.flags, cmd.data))
-                return None if cmd.noreply else Reply("STORED").encode()
-            if isinstance(cmd, DeleteCommand):
+                    entry = backend.get(keys[0])
+                    if entry is _MISSING:
+                        return b"END\r\n"
+                    return encode_value(keys[0], entry[0], entry[1], cas) + b"END\r\n"
+                found = backend.get_many(list(keys))
+                values = [encode_value(k, *found[k], cas) for k in keys if k in found]
+                return b"".join(values) + b"END\r\n"
+            if kind is SetCommand:
+                backend.set(cmd.key, (cmd.flags, cmd.data))
+                return None if cmd.noreply else b"STORED\r\n"
+            if kind is DeleteCommand:
                 existed = backend.delete(cmd.key)
                 if cmd.noreply:
                     return None
-                return Reply("DELETED" if existed else "NOT_FOUND").encode()
-            if isinstance(cmd, TouchCommand):
+                return b"DELETED\r\n" if existed else b"NOT_FOUND\r\n"
+            if kind is TouchCommand:
                 # The backend has no per-entry TTL; touch degrades to a
                 # counter-neutral membership probe so the verb exists on
                 # the wire without perturbing decision equivalence.
-                present = cmd.key in backend
                 if cmd.noreply:
                     return None
-                return Reply("TOUCHED" if present else "NOT_FOUND").encode()
-            if isinstance(cmd, VersionCommand):
-                return Reply("VERSION", SERVER_VERSION).encode()
-            if isinstance(cmd, QuitCommand):
-                self._hang_up()
-                return None
-            if isinstance(cmd, BadCommand):
-                stats.protocol_errors += 1
-                if cmd.fatal:
-                    self._hang_up()
-                return Reply(cmd.kind, cmd.message).encode()
+                return b"TOUCHED\r\n" if cmd.key in backend else b"NOT_FOUND\r\n"
         except ShardFailure as exc:
-            stats.fault_errors += 1
+            self.server.stats.fault_errors += 1
             return proto.encode_failure(exc).encode()
-        stats.protocol_errors += 1
-        return Reply("ERROR").encode()
+        if kind is VersionCommand:
+            return Reply("VERSION", SERVER_VERSION).encode()
+        if kind is QuitCommand:
+            self._hang_up()
+            return None
+        self.server.stats.protocol_errors += 1  # what is left is a BadCommand
+        if cmd.fatal:
+            self._hang_up()
+        return Reply(cmd.kind, cmd.message).encode()
 
 
 class ShardServer:

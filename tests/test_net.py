@@ -16,6 +16,7 @@ import socket
 import sys
 import threading
 import time
+import tracemalloc
 from contextlib import contextmanager
 
 import pytest
@@ -592,7 +593,7 @@ def test_requests_of_one_loop_turn_leave_in_one_write():
 async def big_value_server(keys: int = 4):
     backend = BackendCacheServer("s", capacity_bytes=1 << 30)
     for i in range(keys):
-        backend.set(f"k{i}", bytes([65 + i]) * BIG)
+        backend.set(f"k{i}", (0, bytes([65 + i]) * BIG))  # what a wire `set` stores
     return await ShardServer(backend).start()
 
 
@@ -709,3 +710,73 @@ def test_stop_right_after_the_client_closes_logs_nothing(caplog):
     with caplog.at_level(logging.DEBUG, logger="asyncio"):
         assert asyncio.run(main()) == []
     assert [r for r in caplog.records if r.levelno >= logging.WARNING] == []
+
+
+# ------------------------------------------- the shard never reads a value
+
+
+def test_whatever_a_peer_stores_the_server_echoes_and_survives(caplog):
+    """Fails at the parent: the first two ``set``\\ s (unknown flags, a junk
+    pickle) raised out of ``data_received`` — asyncio logged "Fatal error",
+    the connection died with no reply frame and ``protocol_errors`` stayed 0.
+    """
+    rng = random.Random(16)
+    stores = [(99, b"x"), (1, b"abc")] + [(flags, rng.randbytes(64)) for flags in range(8)]
+
+    async def main():
+        complaints = []
+        loop = asyncio.get_running_loop()
+        loop.set_exception_handler(lambda _loop, context: complaints.append(context))
+        server = await ShardServer(BackendCacheServer("s")).start()
+        sock = await raw_peer(server)
+        for flags, payload in stores:
+            await loop.sock_sendall(
+                sock, b"set k %d 0 %d\r\n%b\r\nget k\r\n" % (flags, len(payload), payload)
+            )
+            stored, got = await read_replies(sock, 2)
+            assert stored == Reply("STORED")
+            assert got == Reply("END", values=(Value("k", flags, payload),))  # verbatim
+        assert server.stats.active_connections == 1  # the same connection throughout
+        assert server.stats.protocol_errors == 0
+        sock.close()
+        await server.stop()
+        return complaints
+
+    with caplog.at_level(logging.DEBUG, logger="asyncio"):
+        assert asyncio.run(main()) == []
+    assert [r for r in caplog.records if r.levelno >= logging.WARNING] == []
+
+
+def test_malformed_line_storm_leaves_server_memory_flat():
+    """ROADMAP 1b's storm: 20k malformed lines on one connection, no growth
+    after the first thousand. Covers behaviour no test covered (passes at the
+    parent, whose decoder also held nothing per refused line).
+    """
+    # An unknown verb and a known verb used wrongly: both recoverable.
+    burst = b"frobnicate now\r\n" * 500 + b"get\r\n" * 500
+
+    async def main():
+        server = await ShardServer(BackendCacheServer("s")).start()
+        sock = await raw_peer(server)
+
+        async def storm(bursts: int) -> None:
+            for _ in range(bursts):
+                await asyncio.get_running_loop().sock_sendall(sock, burst)
+                assert all(reply.is_error for reply in await read_replies(sock, 1000))
+
+        tracemalloc.start()
+        try:
+            await storm(1)
+            before = tracemalloc.take_snapshot()
+            await storm(19)
+            after = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        top = after.compare_to(before, "lineno")[0]
+        assert top.size_diff < 32 * 1024, top
+        assert server.stats.protocol_errors == 20_000
+        assert server.stats.active_connections == 1  # never hung up on
+        sock.close()
+        await server.stop()
+
+    asyncio.run(main())

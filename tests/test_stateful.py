@@ -128,7 +128,9 @@ class CoTMachine(RuleBasedStateMachine):
 TestLRUModel = LRUModelMachine.TestCase
 TestCoTStateful = CoTMachine.TestCase
 
+# Derandomized (ROADMAP 4d): tier-1 runs the same examples every time, so a
+# fresh random find cannot fail, or poison .hypothesis/ for, an unrelated PR.
 TestLRUModel.settings = settings(max_examples=40, stateful_step_count=60,
-                                 deadline=None)
+                                 deadline=None, derandomize=True)
 TestCoTStateful.settings = settings(max_examples=40, stateful_step_count=60,
-                                    deadline=None)
+                                    deadline=None, derandomize=True)
