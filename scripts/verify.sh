@@ -36,6 +36,16 @@ if [ "$net_lines" -gt 2133 ]; then
     exit 1
 fi
 echo "(repro/net: no pickle, $net_lines lines <= 2,133)"
+# One client protocol (ROADMAP item 3): a storage read is the miss body's
+# signature call, and cluster/client.py is the only place that makes it.
+if grep -rn --include='*.py' -E 'storage\.get\(|storage_get\(' src/repro \
+        | grep -v '^src/repro/cluster/client\.py:'; then
+    echo "a storage read outside cluster/client.py (see above): the miss protocol exists once" >&2
+    exit 1
+fi
+protocol_lines="$(cat src/repro/cluster/*.py src/repro/sim/*.py src/repro/policies/*.py | wc -l)"
+echo "(storage is read in cluster/client.py only; cluster/ + sim/ + policies/ is" \
+     "$protocol_lines lines against item 3's <= 5,726)"
 
 echo "== tests =="
 python -m pytest -x -q

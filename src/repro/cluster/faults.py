@@ -3,15 +3,16 @@
 The paper deploys CoT precisely because "cloud instance migration is the
 norm": back-end shards disappear, reappear, slow down, and flake. This
 module is the single switchboard for injecting those behaviours into
-:class:`~repro.cluster.backend.BackendCacheServer` (live, untimed data
-plane) and :class:`~repro.sim.server.SimBackendServer` (discrete-event
-timing plane), so chaos experiments and the retry layer's tests share one
-fault model:
+:class:`~repro.cluster.backend.BackendCacheServer` — the data plane under
+every runner, the simulator's included — so chaos experiments and the
+retry layer's tests share one fault model;
+:class:`~repro.sim.server.SimBackendServer` (the discrete-event timing
+model) reads it for the slowdown factor only:
 
 * **kill / revive** — the shard answers nothing while down
   (:class:`~repro.errors.ShardDownError`);
 * **slowdown** — a service-time multiplier. The simulator inflates the
-  shard's service time by it; the live data plane has no clock, so a
+  shard's service time by it; the data plane has no clock, so a
   slowdown at or beyond ``timeout_factor`` is surfaced as the client's
   request timer firing (:class:`~repro.errors.ShardTimeoutError`);
 * **flaky** — each request independently fails with probability
@@ -164,9 +165,8 @@ class FaultInjector:
     def probe(self, server_id: str) -> ShardFailure | None:
         """The failure this request suffers, or ``None`` when it succeeds.
 
-        Non-raising form used by the simulator (exceptions do not belong
-        in an event loop); :meth:`check` is the raising form for the live
-        data plane. Stats are counted here, once per failed request.
+        Non-raising form of :meth:`check`, which the data plane calls.
+        Stats are counted here, once per failed request.
         """
         profile = self._profiles.get(server_id)
         if profile is None:

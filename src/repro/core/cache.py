@@ -35,6 +35,11 @@ __all__ = ["CoTCache"]
 DEFAULT_TRACKER_RATIO = 2
 
 
+def _key_as_value(key: Hashable) -> Hashable:
+    """The hit-rate harnesses' loader: the key is its own payload."""
+    return key
+
+
 class CoTCache(CachePolicy):
     """Cache-on-Track replacement policy (Algorithms 1 + 2).
 
@@ -205,51 +210,16 @@ class CoTCache(CachePolicy):
         return value
 
     def run_stream(self, keys: Iterable[Hashable]) -> None:
-        """Batched read-only stream: the fused access path, loop-inlined.
+        """Batched read-only stream: ``get_or_admit`` per key, key as value.
 
-        Equivalent to ``get_or_admit(key, identity)`` per key (the key
-        itself is the admitted value, as in the hit-rate harnesses), with
-        all attribute resolution hoisted out of the loop.
+        No hand-inlined twin: a loop-inlined copy of the fused access
+        read 1.02x min / 1.05x median against this loop
+        (``benchmarks/run_stream_twins.py``; 1.05-1.08x on the perf
+        gate's hotter 10k-key stream), under ROADMAP item 3b's 1.10x bar.
         """
-        tracker = self._tracker
-        stats_get = tracker._stats.get
-        admit = tracker._admit
-        cache_heap = tracker._cache_heap
-        rest_update = tracker._rest_heap.update_delta
-        cache_update = cache_heap.update_delta
-        read_delta = tracker._read_delta
-        promote = tracker.promote
-        values = self._values
-        values_pop = values.pop
-        cstat = self.stats
+        get_or_admit = self.get_or_admit
         for key in keys:
-            stats = stats_get(key)
-            if stats is not None:
-                stats.read_count += 1.0
-                if stats.cached:
-                    stats.hot = cache_update(key, read_delta)
-                    cstat.hits += 1
-                    cstat.epoch_hits += 1
-                    continue
-                self.epoch_tracker_hits += 1
-                stats.hot = hot = rest_update(key, read_delta)
-            else:
-                stats = admit(key)
-                stats.read_count += 1.0
-                stats.hot = hot = rest_update(key, read_delta)
-            cstat.misses += 1
-            cstat.epoch_misses += 1
-            capacity = tracker._cache_capacity
-            if capacity == 0:
-                continue
-            if len(cache_heap) < capacity or hot > cache_heap.min_priority():
-                demoted = promote(key)
-                if demoted is not None:
-                    values_pop(demoted, None)
-                    cstat.evictions += 1
-                    self._notify_evicted(demoted)
-                values[key] = key
-                cstat.insertions += 1
+            get_or_admit(key, _key_as_value)
 
     def record_update(self, key: Hashable) -> None:
         """Update access: penalize hotness (Equation 1) and invalidate."""

@@ -17,8 +17,6 @@ spec order, with outputs byte-identical at every worker count.
 """
 
 from repro.engine.parallel import (
-    ParallelClusterRunner,
-    cluster_spec_parallelizable,
     configure,
     configured_workers,
     default_workers,
@@ -69,7 +67,6 @@ __all__ = [
     "STREAM_CHUNK",
     "ArbitrationSpec",
     "ClusterRunner",
-    "ParallelClusterRunner",
     "Phase",
     "PhaseTelemetry",
     "PolicySpec",
@@ -88,7 +85,6 @@ __all__ = [
     "TopologySpec",
     "WorkloadSpec",
     "WriteSpec",
-    "cluster_spec_parallelizable",
     "configure",
     "configured_workers",
     "default_workers",

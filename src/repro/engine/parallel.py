@@ -1,27 +1,16 @@
 """The parallel scenario fabric: process-pool fan-out with deterministic merge.
 
-Two execution strategies live here (see DESIGN.md §10):
-
-* **Sweep fan-out** — :func:`map_specs` / :func:`map_calls` distribute
-  the *independent tasks* of an experiment (one spec per sweep point, or
-  one search per policy) across a spawned worker pool. Each task carries
-  its own explicit seeds, runs a complete scenario in its worker, and
-  returns a picklable :class:`~repro.engine.telemetry.TelemetrySnapshot`
-  (or a plain value). Results come back **in task order** regardless of
-  completion order, and every snapshot a worker froze is *replayed* to
-  the parent's snapshot listeners in that same order — so rendered
-  tables and ``--metrics-out`` pages are byte-identical to a sequential
-  run at any worker count.
-
-* **Process-per-front-end drive** — :class:`ParallelClusterRunner` runs
-  one cluster scenario's N front ends as true separate processes against
-  a shard-server process reached through a batched message channel. Only
-  scenarios whose published telemetry is provably order-independent are
-  eligible (:func:`cluster_spec_parallelizable`): sequential drive mode,
-  pure reads, no faults/phases/tracers. Front-end decisions (hit, miss,
-  admit, evict) depend only on each client's own seeded stream and local
-  policy state; per-shard load counts are commutative sums of routed
-  misses; so the merged snapshot equals the sequential runner's exactly.
+:func:`map_specs` / :func:`map_calls` distribute the *independent tasks*
+of an experiment (one spec per sweep point, or one search per policy)
+across a spawned worker pool (see DESIGN.md §10). Each task carries its
+own explicit seeds, runs a complete scenario in its worker, and returns a
+picklable :class:`~repro.engine.telemetry.TelemetrySnapshot` (or a plain
+value). Results come back **in task order** regardless of completion
+order, and every snapshot a worker froze is *replayed* to the parent's
+snapshot listeners in that same order — so rendered tables and
+``--metrics-out`` pages are byte-identical to a sequential run at any
+worker count. Nothing finer-grained lives here: one scenario always runs
+in one process, on the runner's own drive.
 
 Determinism rules, in one place:
 
@@ -30,10 +19,7 @@ Determinism rules, in one place:
    :func:`~repro.workloads.seeding.spawn_seed` ``(root, task_index)``;
    nothing is ever derived from worker identity or scheduling order;
 2. results merge in spec order (``pool.map`` with ``chunksize=1``
-   preserves input order);
-3. anything order-dependent (interleaved drives, phased fault schedules,
-   per-access hooks, elastic epochs) is *ineligible* and runs on the
-   unchanged sequential path.
+   preserves input order).
 
 Workers are spawned (never forked), so each has a fresh interpreter with
 per-process lazily-initialized caches (the zeta memo); specs must be
@@ -50,31 +36,18 @@ import sys
 from contextlib import contextmanager
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from repro.cluster.cluster import CacheCluster
-from repro.engine import telemetry as T
-from repro.engine.runners import (
-    STREAM_CHUNK,
-    ClusterRunner,
-    PolicyStreamRunner,
-    ScenarioResult,
-    SimRunner,
-)
+from repro.engine.runners import ClusterRunner, PolicyStreamRunner, SimRunner
 from repro.engine.spec import ScenarioSpec, spawn_safe
 from repro.engine.telemetry import (
-    TelemetryBus,
     TelemetrySnapshot,
     add_snapshot_listener,
     notify_snapshot_listeners,
     remove_snapshot_listener,
 )
 from repro.errors import ConfigurationError
-from repro.policies.base import MISSING
-from repro.workloads.base import format_key
 from repro.workloads.seeding import derive_seeds, spawn_seed
 
 __all__ = [
-    "ParallelClusterRunner",
-    "cluster_spec_parallelizable",
     "configure",
     "configured_workers",
     "default_workers",
@@ -99,8 +72,8 @@ _RUNNER_KINDS: dict[str, Callable[[], Any]] = {
 _DEFAULT_WORKER_CAP = 8
 
 _workers = 1
-#: Set in every fabric worker (pool initializer / process main) so work
-#: running inside a worker never tries to fan out again.
+#: Set in every fabric worker (pool initializer) so work running inside
+#: a worker never tries to fan out again.
 _in_worker = False
 
 _pool: Any = None
@@ -144,11 +117,6 @@ def parallel_workers(workers: int | None) -> Iterator[int]:
         yield configure(workers)
     finally:
         configure(previous)
-
-
-def in_worker() -> bool:
-    """Whether this process is a fabric worker (fan-out is disabled)."""
-    return _in_worker
 
 
 def _mark_worker() -> None:
@@ -319,243 +287,3 @@ def map_calls(
     outcomes = _get_pool(_workers).map(_run_call_task, calls, chunksize=1)
     _replay(outcomes)
     return [outcome.value for outcome in outcomes]
-
-
-# --------------------------------------------------------------------------
-# process-per-front-end cluster drive
-
-
-def cluster_spec_parallelizable(spec: ScenarioSpec) -> bool:
-    """Whether a cluster scenario may run on the process-per-client drive.
-
-    Eligibility is exactly the set of specs whose *published* telemetry
-    is order-independent across front ends:
-
-    * sequential drive mode only — ``interleave`` and ``phases`` make
-      client ordering observable (shared epoch windows, phase deltas);
-    * pure reads (``read_fraction`` unset or >= 1) — writes couple
-      clients through storage contents and invalidations;
-    * no faults, custom storage, verify oracle, tracer, per-client
-      factory or hooks — each either couples clients through shared
-      mutable state or holds live objects the parent would need back;
-    * no replicated hot-key tier — its router is shared agreement state
-      (promotion epochs, quarantines) that cannot span processes;
-    * no write-path strategy and no bespoke operation mixer — a shared
-      write policy (dirty buffers, logical clock) cannot span processes,
-      and a ``mixer_factory`` drive issues writes;
-    * no socket data plane — a network-enabled topology holds live
-      sockets and a loop thread (and is already measuring real I/O;
-      the in-process process-drive would measure something else);
-    * at least two front ends (one gains nothing from a process), and
-      the spec must survive pickling.
-
-    Everything else runs the unchanged sequential drive.
-    """
-    workload = spec.workload
-    return (
-        not spec.interleave
-        and spec.phases is None
-        and spec.hooks is None
-        and spec.client_factory is None
-        and spec.verify_value is None
-        and spec.tracer is None
-        and spec.topology.storage is None
-        and spec.topology.faults is None
-        and not spec.topology.replication.enabled
-        and not spec.topology.write.enabled
-        and not spec.topology.network.enabled
-        and workload.mixer_factory is None
-        and (workload.read_fraction is None or workload.read_fraction >= 1.0)
-        and spec.num_clients >= 2
-        and spawn_safe(spec)
-    )
-
-
-def should_use_process_drive(spec: ScenarioSpec) -> bool:
-    """Fabric-config gate for :class:`ClusterRunner`'s delegation hook."""
-    return (
-        not _in_worker
-        and _workers > 1
-        and _main_spawn_safe()
-        and cluster_spec_parallelizable(spec)
-    )
-
-
-class _BatchLoader:
-    """Miss loader for a worker front end: queue the key, synthesize the value.
-
-    The authoritative shard lookup happens in the shard-server process;
-    the worker only needs *a* value for the policy to store. Reads never
-    write, so storage would synthesize its deterministic default anyway —
-    returning it locally keeps the channel one-way (fire-and-forget
-    batches) without changing a single policy decision (values never
-    influence decisions; the equivalence test pins the whole snapshot).
-    """
-
-    __slots__ = ("batch",)
-
-    def __init__(self) -> None:
-        self.batch: list = []
-
-    def __call__(self, key: Any) -> Any:
-        self.batch.append(key)
-        return ("value-of", key, 0)
-
-    def take(self) -> list:
-        batch = self.batch
-        self.batch = []
-        return batch
-
-
-def _front_end_main(
-    spec: ScenarioSpec,
-    client_index: int,
-    per_client: int,
-    ops_queue: Any,
-    results_queue: Any,
-) -> None:
-    """One front end: own policy + seeded stream, batched misses to the server.
-
-    Seeding matches :meth:`ClusterRunner._drive_sequential` exactly —
-    client ``i`` draws from ``base_seed + i`` — so the local hit/miss/
-    admission sequence is identical to the sequential drive's.
-    """
-    _mark_worker()
-    policy = spec.policy.build(client_index)
-    generator = spec.workload.build_generator(
-        spec.scale.key_space, spec.base_seed, client_index
-    )
-    loader = _BatchLoader()
-    get_or_admit = policy.get_or_admit
-    keys_array = generator.keys_array
-    remaining = per_client
-    while remaining > 0:
-        n = STREAM_CHUNK if remaining > STREAM_CHUNK else remaining
-        for key in keys_array(n):
-            get_or_admit(format_key(key), loader)
-        batch = loader.take()
-        if batch:
-            ops_queue.put(("ops", batch))
-        remaining -= n
-    ops_queue.put(("done", client_index))
-    stats = policy.stats
-    results_queue.put(
-        (client_index, stats.hits, stats.misses, stats.accesses)
-    )
-
-
-def _shard_server_main(
-    spec: ScenarioSpec, num_clients: int, ops_queue: Any, loads_queue: Any
-) -> None:
-    """The shard-server process: the authoritative cluster, fed by batches.
-
-    Applies every routed miss exactly as the sequential data plane does —
-    ring route, shard lookup, storage backfill on a layer miss — so
-    per-shard ``gets`` counters (the published load families) are the
-    real thing, not a reconstruction. Batch *arrival order* across
-    clients is nondeterministic, but the counts are commutative sums and
-    shard contents are never published, so the reported loads are exact.
-    """
-    _mark_worker()
-    topology = spec.topology
-    cluster = CacheCluster(
-        num_servers=spec.num_servers,
-        capacity_bytes=topology.capacity_bytes,
-        value_size=topology.value_size,
-    )
-    server_for = cluster.server_for
-    storage_get = cluster.storage.get
-    pending = num_clients
-    while pending:
-        message = ops_queue.get()
-        if message[0] == "done":
-            pending -= 1
-            continue
-        for key in message[1]:
-            server = server_for(key)
-            if server.get(key) is MISSING:
-                server.set(key, storage_get(key))
-    loads_queue.put((cluster.loads(), cluster.epoch_loads()))
-
-
-class ParallelClusterRunner:
-    """Run an eligible cluster scenario with real per-client processes.
-
-    Same contract as :class:`~repro.engine.runners.ClusterRunner` for
-    eligible specs (:func:`cluster_spec_parallelizable`): the returned
-    snapshot is equal field-for-field to the sequential runner's. The
-    result's live-object fields (``policies``/``front_ends``/``cluster``)
-    are empty — the objects lived and died in the worker processes;
-    consumers of the parallel path read telemetry only.
-
-    ``workers`` bounds how many front-end processes run concurrently
-    (default: the fabric's configured count); the shard server always
-    runs alongside them.
-    """
-
-    def __init__(self, workers: int | None = None) -> None:
-        self._workers = workers
-
-    def run(self, spec: ScenarioSpec) -> ScenarioResult:
-        if not cluster_spec_parallelizable(spec):
-            raise ConfigurationError(
-                "scenario is not eligible for the process-per-client drive "
-                "(see cluster_spec_parallelizable); use ClusterRunner"
-            )
-        workers = self._workers if self._workers is not None else _workers
-        workers = max(1, workers)
-        num_clients = spec.num_clients
-        per_client = spec.total_accesses // num_clients
-
-        context = multiprocessing.get_context("spawn")
-        ops_queue = context.Queue()
-        results_queue = context.Queue()
-        loads_queue = context.Queue()
-        server = context.Process(
-            target=_shard_server_main,
-            args=(spec, num_clients, ops_queue, loads_queue),
-            daemon=True,
-        )
-        server.start()
-        front_ends = [
-            context.Process(
-                target=_front_end_main,
-                args=(spec, index, per_client, ops_queue, results_queue),
-                daemon=True,
-            )
-            for index in range(num_clients)
-        ]
-        # Waves bound concurrent front-end processes to the worker budget;
-        # the shard server drains the channel throughout.
-        for start in range(0, num_clients, workers):
-            wave = front_ends[start : start + workers]
-            for process in wave:
-                process.start()
-            for process in wave:
-                process.join()
-        payloads = [results_queue.get() for _ in range(num_clients)]
-        loads, epoch_loads = loads_queue.get()
-        server.join()
-
-        payloads.sort()  # client order (payloads lead with client_index)
-        hits = sum(p[1] for p in payloads)
-        misses = sum(p[2] for p in payloads)
-        accesses = sum(p[3] for p in payloads)
-
-        # Mirror ClusterRunner._publish exactly (same counters in the
-        # same insertion order, zeros included) so snapshots — and the
-        # metrics pages rendered from them — compare equal byte-for-byte.
-        bus = TelemetryBus()
-        bus.inc(T.HITS, hits)
-        bus.inc(T.MISSES, misses)
-        bus.inc(T.ACCESSES, accesses)
-        bus.inc(T.TOTAL_REQUESTS, per_client * num_clients)
-        bus.inc(T.DEGRADED_READS, 0)
-        bus.inc(T.RETRIES, 0)
-        bus.inc(T.OPEN_REJECTIONS, 0)
-        bus.inc(T.BREAKER_OPENS, 0)
-        bus.inc(T.BREAKER_CLOSES, 0)
-        bus.inc(T.FAILED_INVALIDATIONS, 0)
-        bus.record_shard_loads(loads, epoch_loads)
-        bus.fallback_latency = 0.0
-        return ScenarioResult(spec, bus.snapshot())

@@ -10,7 +10,13 @@ per execution substrate:
   ends and phased fault/workload schedules (Figures 3, 7, 8, Table 2 and
   the chaos extension);
 * :class:`SimRunner` — the discrete-event testbed with closed-loop
-  clients, FCFS shard queues and network latency (Figures 5-6).
+  clients, FCFS shard queues and network latency (Figures 5-6); its
+  clients run the same :class:`~repro.cluster.client.FrontEndClient`
+  :class:`ClusterRunner`'s do, over a :class:`~repro.sim.plane.SimPlane`.
+
+A runner runs its one scenario in the calling process and returns the
+live objects it drove; fan-out across scenarios is
+:mod:`repro.engine.parallel`'s job, above this module.
 
 All three publish into one typed :class:`~repro.engine.telemetry.TelemetryBus`
 and return a :class:`ScenarioResult`. The chunking constants and seeding
@@ -255,21 +261,9 @@ class ClusterRunner:
 
     Elastic front ends plug in through ``spec.client_factory``; their
     epoch records are published to the bus as typed epoch events.
-
-    When the parallel fabric is configured with more than one worker,
-    eligible sequential-mode scenarios (pure reads, no faults/phases/
-    hooks — see :func:`repro.engine.parallel.cluster_spec_parallelizable`)
-    delegate to :class:`~repro.engine.parallel.ParallelClusterRunner`,
-    which runs the front ends as real processes and returns an equal
-    snapshot. Everything else runs here unchanged.
     """
 
     def run(self, spec: ScenarioSpec) -> ScenarioResult:
-        # Local import: parallel imports this module at its top level.
-        from repro.engine import parallel
-
-        if parallel.should_use_process_drive(spec):
-            return parallel.ParallelClusterRunner().run(spec)
         topology = spec.topology
         cluster = CacheCluster(
             num_servers=spec.num_servers,
@@ -662,11 +656,11 @@ class SimRunner:
     client finishes its quota) plus load, latency-percentile and
     resilience telemetry.
 
-    ``spec.topology.faults`` attaches to the per-shard *timing* models:
-    killed shards fail requests into the degraded-read path, slowed
-    shards serve with inflated service times. The shared content cluster
-    stays fault-free — content correctness is storage's job, timing
-    faults are modeled here.
+    ``spec.topology.faults`` attaches to the shared content cluster, as
+    in :class:`ClusterRunner`: a killed or flaky shard raises into each
+    client's own guard (bounded retries, breaker fail-fast, degraded
+    reads from storage) and the simulator charges what that cost. The
+    per-shard *timing* models read the injector for ``slowdown()`` only.
     """
 
     def run(self, spec: ScenarioSpec) -> ScenarioResult:
@@ -678,13 +672,14 @@ class SimRunner:
             raise ConfigurationError("need >= 1 client and >= 1 request")
         sim = Simulator()
         topology = spec.topology
+        faults = topology.faults
         cluster = CacheCluster(
             num_servers=spec.num_servers,
             capacity_bytes=topology.capacity_bytes,
             value_size=topology.value_size,
             storage=topology.storage,
+            faults=faults,
         )
-        faults = topology.faults
         model = spec.service_model or ServiceModel()
         latency = spec.latency or FixedLatency()
         fair = 1.0 / len(cluster.server_ids)
@@ -743,17 +738,17 @@ class SimRunner:
         runtime: float,
     ) -> TelemetryBus:
         bus = TelemetryBus()
-        hits = sum(c.policy.stats.hits for c in clients)
-        misses = sum(c.policy.stats.misses for c in clients)
-        accesses = sum(c.policy.stats.accesses for c in clients)
+        front_ends = [c.front_end for c in clients]
+        counts = _resilience_counts(front_ends)
         total_requests = sum(c.completed for c in clients)
-        bus.inc(T.HITS, hits)
-        bus.inc(T.MISSES, misses)
-        bus.inc(T.ACCESSES, accesses)
+        bus.inc(T.HITS, counts["hits"])
+        bus.inc(T.MISSES, counts["misses"])
+        bus.inc(T.ACCESSES, sum(c.policy.stats.accesses for c in clients))
         bus.inc(T.TOTAL_REQUESTS, total_requests)
-        bus.inc(T.DEGRADED_READS, sum(c.degraded_reads for c in clients))
+        bus.inc(T.DEGRADED_READS, counts["degraded"])
         bus.inc(
-            T.FAILED_INVALIDATIONS, sum(c.failed_invalidations for c in clients)
+            T.FAILED_INVALIDATIONS,
+            sum(f.guard.stats.lost_invalidations for f in front_ends),
         )
         bus.record_shard_loads(
             {sid: server.arrivals for sid, server in servers.items()}
@@ -762,7 +757,7 @@ class SimRunner:
         bus.per_client_runtime = tuple(
             c.finish_time if c.finish_time is not None else runtime for c in clients
         )
-        latency_total = sum(c.latencies_sum for c in clients)
+        latency_total = sum(c.latency_histogram.total for c in clients)
         bus.mean_latency = latency_total / total_requests if total_requests else 0.0
         # One estimator for the percentiles and the published distribution:
         # the fixed-bucket merge is exact, and ``merge_snapshots`` derives

@@ -77,22 +77,25 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("an experiment id (or 'all' or --list) is required")
 
     scale = Scale.named(args.scale)
-    parallel.configure(args.parallel)
     ids = list(experiment_ids()) if args.experiment == "all" else [args.experiment]
     collector = SnapshotCollector().install() if args.metrics_out else None
     try:
-        for experiment_id in ids:
-            started = time.perf_counter()
-            outcome = get_experiment(experiment_id).run(scale=scale)
-            elapsed = time.perf_counter() - started
-            results = outcome if isinstance(outcome, list) else [outcome]
-            for result in results:
-                print(result.render())
+        # Scoped: the fabric's worker count is process-global, and whatever
+        # runs next in this process must find it as it was.
+        with parallel.parallel_workers(args.parallel):
+            for experiment_id in ids:
+                started = time.perf_counter()
+                outcome = get_experiment(experiment_id).run(scale=scale)
+                elapsed = time.perf_counter() - started
+                results = outcome if isinstance(outcome, list) else [outcome]
+                for result in results:
+                    print(result.render())
+                    print()
+                print(
+                    f"[{experiment_id} completed in {elapsed:.1f}s "
+                    f"at scale={scale.name}]"
+                )
                 print()
-            print(
-                f"[{experiment_id} completed in {elapsed:.1f}s at scale={scale.name}]"
-            )
-            print()
     finally:
         if collector is not None:
             collector.uninstall()

@@ -132,6 +132,10 @@ class ARCCache(CachePolicy):
         Case I (hits) is inlined; misses fall through to ``_admit``
         (Cases II-IV), which records its own insertion/eviction stats.
         Per-key semantics are exactly the base implementation's.
+
+        Twin kept on a number: 1.23-1.25x min / 1.26x median against the
+        better plain loop (``benchmarks/run_stream_twins.py``; ROADMAP
+        item 3b's bar is 1.10x).
         """
         t1 = self._t1
         t2 = self._t2

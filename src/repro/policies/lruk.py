@@ -156,6 +156,10 @@ class LRUKCache(CachePolicy):
         The hit path fuses ``_touch`` (clock tick, reference append, heap
         reposition); misses replay ``_admit`` with the priority rule
         inlined. Per-key semantics are exactly the base implementation's.
+
+        Twin kept on a number: 1.15x min / 1.15-1.17x median against the
+        better plain loop (``benchmarks/run_stream_twins.py``; ROADMAP
+        item 3b's bar is 1.10x).
         """
         values = self._values
         refs_map = self._refs

@@ -3,20 +3,27 @@
 "Client threads submit access requests back-to-back. Each client thread
 can have only one outgoing request. Clients submit a new request as soon
 as they receive an acknowledgement for their outgoing request"
-(Section 5.1). :class:`SimClient` reproduces exactly that loop on the
-simulation clock, running the same client-driven protocol as the live
-:class:`~repro.cluster.client.FrontEndClient` — local cache first, then
-the owning shard, with writes invalidating both tiers.
+(Section 5.1). :class:`SimClient` is that loop on the simulation clock
+and nothing else: the protocol is the shipping
+:class:`~repro.cluster.client.FrontEndClient`, which each client owns
+over a :class:`~repro.sim.plane.SimPlane`. A drawn request is executed at
+once — local cache, guard and breaker, shard, storage, backfill,
+invalidation — and the shard hops the plane logged are then replayed on
+the event heap, which is where the request spends its simulated time.
 """
 
 from __future__ import annotations
 
+from typing import Any
+
+from repro.cluster.client import FrontEndClient
 from repro.cluster.cluster import CacheCluster
 from repro.obs.hist import LatencyHistogram
-from repro.obs.trace import Tracer
-from repro.policies.base import MISSING, CachePolicy
+from repro.obs.trace import Trace, Tracer
+from repro.policies.base import CachePolicy
 from repro.sim.events import Simulator
 from repro.sim.network import LatencyModel
+from repro.sim.plane import SimPlane
 from repro.sim.server import SimBackendServer
 from repro.workloads.mixer import OperationMixer
 from repro.workloads.request import OpType
@@ -56,8 +63,8 @@ class SimClient:
     policy:
         this client's local cache policy instance.
     cluster:
-        shared *content* cluster (what is stored where); timing is handled
-        by the ``servers`` map.
+        shared *content* cluster (what is stored where, and which shard
+        is down); timing is handled by the ``servers`` map.
     servers:
         shard id → :class:`SimBackendServer` timing models.
     latency:
@@ -68,7 +75,8 @@ class SimClient:
         optional sampling :class:`~repro.obs.trace.Tracer`; sampled
         requests record span trees on *simulated* timestamps (explicit
         ``at=`` times, not wall clock), so a span's duration is the
-        modeled network/queueing/service time it covers.
+        modeled network/queueing/service time it covers. It is not
+        handed to the front end, whose stages would be wall-clock.
     """
 
     def __init__(
@@ -91,35 +99,35 @@ class SimClient:
         self.servers = servers
         self.latency = latency
         self.total_requests = total_requests
+        plane = SimPlane(cluster)
+        #: the production client: degraded reads, lost invalidations,
+        #: retries and breaker trips are counted where it counts them
+        self.front_end = FrontEndClient(plane, policy, client_id=f"sim-{client_id}")
         self.completed = 0
         self.finish_time: float | None = None
-        self.latencies_sum = 0.0
-        #: reads served from storage because the owning shard was down
-        self.degraded_reads = 0
-        #: total extra latency those fallbacks cost (seconds)
+        #: total simulated latency degraded reads cost (seconds)
         self.fallback_latency_sum = 0.0
-        #: shard-side invalidations lost to a down shard on the write path
-        self.failed_invalidations = 0
-        #: full latency distribution — load-imbalance hurts the tail first,
-        #: so the harness reports p50/p99 too. Fixed buckets merge *exactly*
-        #: across clients, which is what the engine publishes to the bus.
+        #: full latency distribution (and its exact running sum, ``total``)
+        #: — load-imbalance hurts the tail first, so the harness reports
+        #: p50/p99 too. Fixed buckets merge *exactly* across clients, which
+        #: is what the engine publishes to the bus.
         self.latency_histogram = LatencyHistogram()
         self.tracer = tracer
-        self._active_trace = None
         self._started_at = 0.0
         self._pending: list = []
         self._pending_idx = 0
+        # The request in flight: its hops, those not yet replayed, its
+        # degraded reads, its trace if sampled.
+        self._hops = plane.hops
+        self._todo = iter(self._hops)
+        self._degraded = 0
+        self._trace: Trace | None = None
 
     # ------------------------------------------------------------------ api
 
     def start(self) -> None:
         """Arm the closed loop (call before ``sim.run``)."""
         self.sim.schedule(0.0, self._issue_next)
-
-    @property
-    def mean_latency(self) -> float:
-        """Average per-request latency in seconds."""
-        return self.latencies_sum / self.completed if self.completed else 0.0
 
     # ------------------------------------------------------------ internals
 
@@ -136,143 +144,99 @@ class SimClient:
             idx = 0
         self._pending_idx = idx + 1
         request = self._pending[idx]
-        if request.op is OpType.GET:
-            self._do_get(request.key)
+        self._hops.clear()
+        # O(1), and lifetime here: nothing closes this front end's epochs.
+        monitor = self.front_end.monitor
+        degraded_before = monitor.epoch_degraded()
+        self.front_end.execute(request)
+        self._degraded = monitor.epoch_degraded() - degraded_before
+        self._todo = iter(self._hops)
+        if self.tracer is not None:
+            self._trace = self._start_trace(request)
+        self._next_hop()
+
+    def _start_trace(self, request: Any) -> Trace | None:
+        """Begin a sampled trace on the simulation clock (or ``None``)."""
+        read = getattr(request, "op", OpType.GET) is OpType.GET
+        trace = self.tracer.start(
+            "request.get" if read else "request.set", at=self.sim.now
+        )
+        if trace is not None:
+            landed = {verb for _shard, verb, ok in self._hops if ok}
+            if self._degraded:
+                outcome = "degraded"
+            elif not read:
+                outcome = "invalidated" if "delete" in landed else "lost_invalidation"
+            elif "set" in landed:
+                outcome = "layer_miss"
+            else:
+                outcome = "miss" if landed else "hit"
+            trace.note("key", getattr(request, "key", None))
+            trace.note("outcome", outcome)
+        return trace
+
+    def _next_hop(self) -> None:
+        """Spend the simulated time of the next logged hop, or finish.
+
+        A landed ``get`` / ``get_many`` / ``delete`` costs one way out,
+        the shard's FCFS line and one way back; a hop that raised, the way
+        out plus the request timer; a ``set`` is a read's backfill and
+        rides the lookup's reply for free. A degraded read pays storage
+        last; what comes first pays the local operation. Sampled, each
+        cost is a span, so the spans tile the request.
+        """
+        sim, trace = self.sim, self._trace
+        now = sim.now
+        local = LOCAL_OP_TIME if now == self._started_at else 0.0
+        if trace is not None and local:
+            read = trace.name == "request.get"
+            trace.add_span("frontend.lookup" if read else "storage.write", now, now + local)
+        for shard, verb, landed in self._todo:
+            if verb != "set":
+                break
         else:
-            self._do_set(request.key, request.value)
+            delay = local
+            if self._degraded:
+                extra = STORAGE_FALLBACK_TIME + self.latency.one_way()
+                self.fallback_latency_sum += extra
+                delay += extra
+                if trace is not None:
+                    trace.add_span("storage.degraded_read", now + local, now + delay)
+            if delay:
+                sim.schedule(delay, self._complete)
+            else:
+                self._complete()
+            return
+        timed = self.servers[shard]
+        delay = local + self.latency.one_way()
+        arrived = now + delay
+        stage = "shard.invalidate" if verb == "delete" else "shard.service"
+        if trace is not None:
+            trace.add_span("net.request", now + local, arrived, shard=shard)
+
+        def _arrive() -> None:
+            if landed:
+                timed.submit(sim, _served)
+                return
+            detect = timed.model.failure_detect_time
+            if trace is not None:
+                trace.add_span(stage, arrived, arrived + detect, shard=shard, failed=True)
+            sim.schedule(detect, self._next_hop)
+
+        def _served() -> None:
+            reply = self.latency.one_way()
+            if trace is not None:
+                trace.add_span(stage, arrived, sim.now, shard=shard)
+                trace.add_span("net.reply", sim.now, sim.now + reply)
+            sim.schedule(reply, self._next_hop)
+
+        sim.schedule(delay, _arrive)
 
     def _complete(self) -> None:
         self.completed += 1
-        elapsed = self.sim.now - self._started_at
-        self.latencies_sum += elapsed
-        self.latency_histogram.record(elapsed)
-        trace = self._active_trace
+        self.latency_histogram.record(self.sim.now - self._started_at)
+        trace = self._trace
         if trace is not None:
-            self._active_trace = None
+            self._trace = None
             self.tracer.finish(trace, at=self.sim.now)
         self._issue_next()
-
-    def _start_trace(self, name: str, key: str):
-        """Begin a sampled trace on the simulation clock (or ``None``)."""
-        tracer = self.tracer
-        if tracer is None:
-            return None
-        trace = tracer.start(name, at=self.sim.now)
-        if trace is not None:
-            trace.note("key", key)
-            self._active_trace = trace
-        return trace
-
-    def _do_get(self, key: str) -> None:
-        trace = self._start_trace("request.get", key)
-        issued = self.sim.now
-        value = self.policy.lookup(key)
-        if value is not MISSING:
-            # Local hit: served after the local bookkeeping cost only.
-            if trace is not None:
-                trace.note("outcome", "hit")
-                trace.add_span("frontend.lookup", issued, issued + LOCAL_OP_TIME)
-            self.sim.schedule(LOCAL_OP_TIME, self._complete)
-            return
-        backend = self.cluster.server_for(key)
-        shard = backend.server_id
-        timed = self.servers[shard]
-        one_way = self.latency.one_way()
-        if trace is not None:
-            trace.note("outcome", "miss")
-            trace.add_span("frontend.lookup", issued, issued + LOCAL_OP_TIME)
-            trace.add_span(
-                "net.request",
-                issued + LOCAL_OP_TIME,
-                issued + LOCAL_OP_TIME + one_way,
-                shard=shard,
-            )
-
-        def _arrive() -> None:
-            arrived = self.sim.now
-
-            def _served() -> None:
-                served = self.sim.now
-                value = backend.get(key)
-                if value is MISSING:
-                    # Caching-layer miss: fetch from storage and populate.
-                    value = self.cluster.storage.get(key)
-                    backend.set(key, value)
-                    if trace is not None:
-                        trace.note("outcome", "layer_miss")
-                reply = self.latency.one_way()
-                if trace is not None:
-                    trace.add_span("shard.service", arrived, served, shard=shard)
-                    trace.add_span("net.reply", served, served + reply)
-                self.sim.schedule(reply, lambda: self._receive(key, value))
-
-            def _failed() -> None:
-                # Degraded read: the shard is down, so the value comes
-                # straight from authoritative storage (correct, slower).
-                value = self.cluster.storage.get(key)
-                self.degraded_reads += 1
-                extra = STORAGE_FALLBACK_TIME + self.latency.one_way()
-                self.fallback_latency_sum += extra
-                if trace is not None:
-                    trace.note("outcome", "degraded")
-                    trace.add_span(
-                        "storage.degraded_read",
-                        self.sim.now,
-                        self.sim.now + extra,
-                        shard=shard,
-                    )
-                self.sim.schedule(extra, lambda: self._receive(key, value))
-
-            timed.submit(self.sim, _served, on_error=_failed)
-
-        self.sim.schedule(LOCAL_OP_TIME + one_way, _arrive)
-
-    def _receive(self, key: str, value: object) -> None:
-        self.policy.admit(key, value)
-        self._complete()
-
-    def _do_set(self, key: str, value: object) -> None:
-        # Client-driven write path: storage write, local invalidation, and
-        # a delete at the owning shard; the ack costs one RTT plus the
-        # shard's service line (deletes queue like gets do).
-        trace = self._start_trace("request.set", key)
-        issued = self.sim.now
-        self.cluster.storage.set(key, value)
-        self.policy.record_update(key)
-        backend = self.cluster.server_for(key)
-        shard = backend.server_id
-        timed = self.servers[shard]
-        one_way = self.latency.one_way()
-        if trace is not None:
-            trace.add_span("storage.write", issued, issued + LOCAL_OP_TIME)
-            trace.add_span(
-                "net.request",
-                issued + LOCAL_OP_TIME,
-                issued + LOCAL_OP_TIME + one_way,
-                shard=shard,
-            )
-
-        def _arrive() -> None:
-            arrived = self.sim.now
-
-            def _served() -> None:
-                backend.delete(key)
-                reply = self.latency.one_way()
-                if trace is not None:
-                    trace.add_span(
-                        "shard.invalidate", arrived, self.sim.now, shard=shard
-                    )
-                    trace.add_span("net.reply", self.sim.now, self.sim.now + reply)
-                self.sim.schedule(reply, self._complete)
-
-            def _failed() -> None:
-                # The storage write already landed; only the shard-side
-                # invalidation is lost (repaired by cold revival).
-                self.failed_invalidations += 1
-                if trace is not None:
-                    trace.note("outcome", "lost_invalidation")
-                self.sim.schedule(self.latency.one_way(), self._complete)
-
-            timed.submit(self.sim, _served, on_error=_failed)
-
-        self.sim.schedule(LOCAL_OP_TIME + one_way, _arrive)

@@ -1,5 +1,9 @@
 """Timed back-end shard: FCFS queue + load-dependent service degradation.
 
+A timing model only: what a shard *holds*, and whether it answers at all,
+is the content cluster's business (:mod:`repro.sim.plane`); requests that
+failed there never reach :meth:`SimBackendServer.submit`.
+
 Two mechanisms the paper identifies drive its runtime results, and both
 live here:
 
@@ -55,8 +59,8 @@ class ServiceModel:
         ``base * (1 + load_penalty * max(0, s/f - 1))``.
     failure_detect_time:
         how long a client-side request on a failed shard takes to be
-        recognized as failed (roughly one request timeout; only used when
-        a fault injector is attached).
+        recognized as failed (roughly one request timeout); what
+        :class:`~repro.sim.client.SimClient` charges a hop that raised.
     """
 
     base_service_time: float = 50e-6
@@ -95,8 +99,6 @@ class SimBackendServer:
         self._in_flight = 0
         self.arrivals = 0
         self.busy_time = 0.0
-        #: requests that failed because of an injected fault
-        self.faulted = 0
         self.fault_injector = fault_injector
         self._total_arrivals_ref: list[int] | None = None
 
@@ -134,22 +136,8 @@ class SimBackendServer:
             service *= self.fault_injector.slowdown(self.server_id)
         return service
 
-    def submit(self, sim: Simulator, on_complete, on_error=None) -> None:
-        """Accept one request; ``on_complete()`` fires when it is served.
-
-        With a fault injector attached and an ``on_error`` callback
-        provided, an injected failure (shard down / flaky error) fires
-        ``on_error()`` after ``failure_detect_time`` instead — the
-        client's request timer noticing the failure. Without
-        ``on_error`` faults are ignored (legacy callers).
-        """
-        if self.fault_injector is not None and on_error is not None:
-            if self.fault_injector.probe(self.server_id) is not None:
-                self.faulted += 1
-                sim.schedule_at(
-                    sim.now + self.model.failure_detect_time, on_error
-                )
-                return
+    def submit(self, sim: Simulator, on_complete) -> None:
+        """Accept one request; ``on_complete()`` fires when it is served."""
         self.arrivals += 1
         if self._total_arrivals_ref is not None:
             self._total_arrivals_ref[0] += 1

@@ -178,6 +178,15 @@ class TestCLI:
         assert "ScrambledZipfian" in out
         assert "completed" in out
 
+    def test_main_restores_the_fabric_worker_count(self, capsys):
+        """``--parallel N`` lasts for the invocation, not the process."""
+        from repro.engine.parallel import configured_workers, parallel_workers
+        from repro.experiments.__main__ import main
+
+        with parallel_workers(1):
+            assert main(["ycsb-bug", "--scale", "smoke", "--parallel", "2"]) == 0
+            assert configured_workers() == 1
+
     def test_main_rejects_unknown(self):
         from repro.experiments.__main__ import main
 

@@ -1,10 +1,11 @@
 """Golden-file regression tests for the scenario engine.
 
-These pin the rendered smoke-scale output of three representative
+These pin the rendered smoke-scale output of four representative
 experiments byte-for-byte: fig4 (policy-stream path), fig6 (simulator
-path), and table2 (cluster path).  Together they cover all three
-runners behind the engine, so any drift in seeding, drive order, or
-rendering shows up as a diff against ``tests/golden/``.
+path, one client), ext-edge-rtt (simulator path, several clients: the
+cross-client FCFS event order) and table2 (cluster path).  Together
+they cover all three runners behind the engine, so any drift in seeding,
+drive order, or rendering shows up as a diff against ``tests/golden/``.
 
 To regenerate after an intentional change::
 
@@ -21,18 +22,25 @@ from pathlib import Path
 import pytest
 
 import repro.experiments  # noqa: F401  (imports register every experiment)
-from repro.engine import Scale, get_experiment
+from repro.engine import Scale, get_experiment, parallel_workers
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def rendered_output(experiment_id: str) -> str:
-    outcome = get_experiment(experiment_id).run(scale=Scale.smoke())
+    # Rendered the way the CLI renders it, fanned out over the cpu-aware
+    # default worker count. (The suite used to get this by accident, from
+    # the worker count an earlier CLI test leaked; sequentially these
+    # four cost about a minute more on two cores.)
+    with parallel_workers(None):
+        outcome = get_experiment(experiment_id).run(scale=Scale.smoke())
     results = outcome if isinstance(outcome, list) else [outcome]
     return "\n\n".join(result.render() for result in results) + "\n"
 
 
-@pytest.mark.parametrize("experiment_id", ["fig4", "fig6", "table2"])
+@pytest.mark.parametrize(
+    "experiment_id", ["fig4", "fig6", "table2", "ext-edge-rtt"]
+)
 def test_smoke_output_matches_golden(experiment_id):
     golden = (GOLDEN_DIR / f"{experiment_id}.smoke.txt").read_text(
         encoding="utf-8"

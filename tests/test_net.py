@@ -267,29 +267,6 @@ def test_runner_network_axis_is_decision_identical():
     assert on.telemetry.histogram(T.NET_BATCH_DEPTH).count > 0
 
 
-def test_network_specs_are_not_process_parallelizable():
-    from repro.engine.parallel import cluster_spec_parallelizable
-    from repro.engine.spec import (
-        NetworkSpec,
-        PolicySpec,
-        Scale,
-        ScenarioSpec,
-        TopologySpec,
-        WorkloadSpec,
-    )
-
-    def spec(enabled: bool) -> ScenarioSpec:
-        return ScenarioSpec(
-            scale=Scale("tiny", key_space=100, accesses=100),
-            workload=WorkloadSpec(dist="uniform"),
-            policy=PolicySpec(name="cot", cache_lines=16),
-            topology=TopologySpec(network=NetworkSpec(enabled=enabled)),
-        )
-
-    assert cluster_spec_parallelizable(spec(False))
-    assert not cluster_spec_parallelizable(spec(True))
-
-
 # ------------------------------------------------------- transport contract
 #
 # Raw peers on both sides of the wire: a listener that says only what the

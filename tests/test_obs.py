@@ -34,7 +34,6 @@ from repro.cluster.writepolicy import TTLWritePolicy, WriteBehindPolicy
 from repro.engine import Scale, get_experiment
 from repro.engine import runners as engine_runners
 from repro.engine import telemetry as T
-from repro.engine.parallel import parallel_workers
 from repro.engine.telemetry import TelemetryBus
 from repro.errors import ConfigurationError, ExperimentError
 from repro.obs.export import (
@@ -969,10 +968,9 @@ def traced_rendered_output(experiment_id: str, tracer: Tracer, monkeypatch):
             return _original(self, dataclasses.replace(spec, tracer=tracer))
 
         monkeypatch.setattr(runner_cls, "run", wrapper)
-    # In-process only: the patched ``run`` does not exist in fabric
-    # workers, and an earlier CLI test may have left the fabric fanned out.
-    with parallel_workers(1):
-        outcome = get_experiment(experiment_id).run(scale=Scale.smoke())
+    # The patched ``run`` exists in this process only; the fabric fans out
+    # to workers only inside a ``parallel_workers`` scope, and none is open.
+    outcome = get_experiment(experiment_id).run(scale=Scale.smoke())
     results = outcome if isinstance(outcome, list) else [outcome]
     return "\n\n".join(result.render() for result in results) + "\n"
 

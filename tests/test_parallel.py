@@ -2,11 +2,10 @@
 
 The fabric's contract is that parallelism is *unobservable* in outputs:
 ``--parallel 1``, ``--parallel 2`` and ``--parallel 4`` must render the
-same bytes and publish the same telemetry, and the process-per-client
-cluster drive must return a snapshot equal to the sequential runner's.
-These tests pin that contract, plus the SplitMix64 seed-derivation
-primitive and the per-process zeta memo behavior the spawn path relies
-on.
+same bytes and publish the same telemetry, and a runner called directly
+runs one scenario in this process whatever the fabric is set to. These
+tests pin that contract, plus the SplitMix64 seed-derivation primitive
+and the per-process zeta memo behavior the spawn path relies on.
 """
 
 from __future__ import annotations
@@ -21,13 +20,10 @@ from repro.engine import (
     Scale,
     ScenarioSpec,
     StreamHooks,
-    TopologySpec,
     WorkloadSpec,
     merge_snapshots,
 )
 from repro.engine.parallel import (
-    ParallelClusterRunner,
-    cluster_spec_parallelizable,
     map_calls,
     map_specs,
     parallel_workers,
@@ -189,49 +185,28 @@ def _square(x: int) -> int:
 
 
 # --------------------------------------------------------------------------
-# process-per-front-end cluster drive
+# a runner called directly ignores the fabric
 
 
-def _cluster_spec(**overrides) -> ScenarioSpec:
-    base = dict(
+def _cluster_spec() -> ScenarioSpec:
+    return ScenarioSpec(
         scale=Scale.tiny(),
         workload=WorkloadSpec(dist="zipf-0.99"),
         policy=PolicySpec(name="cot", cache_lines=64, tracker_lines=256),
     )
-    base.update(overrides)
-    return ScenarioSpec(**base)
 
 
-class TestParallelClusterRunner:
-    def test_snapshot_equals_sequential(self):
+class TestRunnersIgnoreTheFabric:
+    def test_cluster_runner_returns_live_objects_when_fanned_out(self):
+        """``run()`` hands back the objects it drove at any worker count."""
         spec = _cluster_spec()
         sequential = ClusterRunner().run(spec).telemetry
         with parallel_workers(2):
-            parallel = ParallelClusterRunner().run(spec).telemetry
-        assert parallel == sequential
-
-    def test_cluster_runner_delegates_when_configured(self):
-        """With workers > 1, ClusterRunner itself routes eligible specs."""
-        spec = _cluster_spec()
-        sequential = ClusterRunner().run(spec).telemetry
-        with parallel_workers(2):
-            delegated = ClusterRunner().run(spec)
-        assert delegated.telemetry == sequential
-        # The process drive has no live objects to hand back.
-        assert delegated.front_ends == [] and delegated.cluster is None
-
-    def test_ineligible_specs_stay_sequential(self):
-        interleaved = _cluster_spec(interleave=True)
-        assert not cluster_spec_parallelizable(interleaved)
-        mixed = _cluster_spec(workload=WorkloadSpec(dist="zipf-0.99",
-                                                    read_fraction=0.9))
-        assert not cluster_spec_parallelizable(mixed)
-        single = _cluster_spec(topology=TopologySpec(num_clients=1))
-        assert not cluster_spec_parallelizable(single)
-
-    def test_rejects_ineligible_spec(self):
-        with pytest.raises(ConfigurationError):
-            ParallelClusterRunner().run(_cluster_spec(interleave=True))
+            result = ClusterRunner().run(spec)
+        assert result.telemetry == sequential
+        assert len(result.front_ends) == spec.num_clients >= 2
+        assert result.cluster is not None
+        assert sum(result.cluster.loads().values()) == result.telemetry.misses
 
 
 # --------------------------------------------------------------------------

@@ -38,7 +38,6 @@ from repro.engine import (
     ScenarioSpec,
     TopologySpec,
     WorkloadSpec,
-    cluster_spec_parallelizable,
 )
 from repro.errors import ConfigurationError
 from repro.policies.base import MISSING
@@ -557,21 +556,6 @@ class TestEngineAxis:
         counters = result.telemetry.counters
         assert counters["replication.refreshes"] > 0
         assert "replication.active_keys" in result.telemetry.gauges
-
-    def test_replication_enabled_spec_not_parallelizable(self):
-        base = ScenarioSpec(
-            scale=Scale.tiny(),
-            workload=WorkloadSpec(dist="zipf-0.99"),
-            policy=PolicySpec(name="lru", cache_lines=16),
-        )
-        assert cluster_spec_parallelizable(base)
-        replicated = ScenarioSpec(
-            scale=Scale.tiny(),
-            workload=WorkloadSpec(dist="zipf-0.99"),
-            policy=PolicySpec(name="lru", cache_lines=16),
-            topology=TopologySpec(replication=ReplicationSpec(enabled=True)),
-        )
-        assert not cluster_spec_parallelizable(replicated)
 
 
 class ReplicationMachine(RuleBasedStateMachine):

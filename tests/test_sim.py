@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cluster.faults import FaultInjector
+from repro.cluster.storage import PersistentStore
 from repro.engine import (
+    ClusterRunner,
     PolicySpec,
     Scale,
     ScenarioSpec,
@@ -13,6 +16,7 @@ from repro.engine import (
     WorkloadSpec,
 )
 from repro.errors import ConfigurationError, SimulationError
+from repro.obs.trace import Tracer
 from repro.policies.lru import LRUCache
 from repro.policies.nullcache import NullCache
 from repro.sim.events import Simulator
@@ -223,3 +227,98 @@ class TestEndToEnd:
         result = SimRunner().run(spec)
         assert result.telemetry.total_requests == 400
         assert result.cluster.storage.stats.writes > 0
+
+
+class TestOneProtocol:
+    """The simulator runs ``FrontEndClient``; these fail if it stops."""
+
+    @staticmethod
+    def spec(read_fraction, policy=None, tracer=None, **topology):
+        def mixer(cid):
+            return OperationMixer(
+                ZipfianGenerator(2_000, theta=0.99, seed=7 + cid),
+                read_fraction=read_fraction,
+                seed=70 + cid,
+            )
+
+        # One shared mixer_factory: the two runners' default mixers differ
+        # in seed offset, and the simulator's defaults to the TAO mix.
+        return ScenarioSpec(
+            scale=Scale.tiny(),
+            workload=WorkloadSpec(mixer_factory=mixer),
+            policy=policy
+            or PolicySpec(name="cot", cache_lines=32, tracker_lines=128),
+            topology=TopologySpec(num_servers=4, num_clients=1, **topology),
+            accesses=3_000,
+            tracer=tracer,
+        )
+
+    @pytest.mark.parametrize("read_fraction", [1.0, 0.5])
+    def test_sim_and_cluster_runners_leave_identical_state(self, read_fraction):
+        sim = SimRunner().run(self.spec(read_fraction))
+        live = ClusterRunner().run(self.spec(read_fraction))
+        assert sim.telemetry.total_requests == live.telemetry.total_requests == 3_000
+        assert sim.policy.stats == live.policy.stats
+        assert sim.cluster.storage.stats == live.cluster.storage.stats
+        for server_id in live.cluster.server_ids:
+            ours = sim.cluster.server(server_id).stats
+            theirs = live.cluster.server(server_id).stats
+            assert ours == theirs, server_id
+            assert ours.gets == sim.servers[server_id].arrivals - ours.deletes
+        if read_fraction < 1.0:
+            assert live.cluster.storage.stats.writes > 1_000
+
+    def test_killed_shard_degrades_through_the_guard(self):
+        storage = PersistentStore()
+        reads = []
+
+        class Recording(LRUCache):
+            def get_or_admit(self, key, loader):
+                value = super().get_or_admit(key, loader)
+                reads.append((value, storage.get(key)))
+                return value
+
+        faults = FaultInjector(seed=1)
+        faults.kill("cache-0")
+        policy = PolicySpec(factory=lambda cid: Recording(32))
+        result = SimRunner().run(
+            self.spec(0.8, policy=policy, faults=faults, storage=storage)
+        )
+        telemetry = result.telemetry
+        assert len(reads) > 2_000
+        assert all(value == stored for value, stored in reads)
+        (client,) = result.sim_clients
+        guard = client.front_end.guard.stats
+        # Bounded retries, then the breaker: later reads of the dead
+        # shard's keys fail fast and charge no hop to its timing model.
+        assert guard.retries > 0 and guard.open_rejections > 0
+        assert result.servers["cache-0"].arrivals == 0
+        assert telemetry.degraded_reads == client.front_end.monitor.degraded_reads() > 0
+        assert telemetry.failed_invalidations == guard.lost_invalidations > 0
+        assert telemetry.fallback_latency == client.fallback_latency_sum > 0.0
+
+    @pytest.mark.parametrize("kill", [False, True])
+    def test_sampled_spans_tile_the_request_on_simulated_time(self, kill):
+        faults = FaultInjector(seed=1)
+        if kill:
+            faults.kill("cache-0")
+        tracer = Tracer(sample_rate=1.0, max_exemplars=3_000)
+        result = SimRunner().run(self.spec(0.8, tracer=tracer, faults=faults))
+        traces = tracer.exemplars()
+        assert len(traces) == 3_000 == tracer.traces_finished
+        outcomes = {trace.meta.get("outcome") for trace in traces}
+        assert {"hit", "miss", "layer_miss"} <= outcomes
+        assert ("degraded" in outcomes) == ("lost_invalidation" in outcomes) == kill
+        runtime = result.telemetry.runtime
+        total = 0.0
+        for trace in traces:
+            root = trace.root
+            assert 0.0 <= root.start < root.end <= runtime  # simulated, not wall
+            stages = trace.spans[1:]
+            assert stages[0].name in ("frontend.lookup", "storage.write")
+            assert stages[0].start == root.start and stages[-1].end == root.end
+            for before, after in zip(stages, stages[1:]):
+                assert after.start == before.end, (before, after)
+            total += root.duration
+        # A closed loop: the one client's requests tile its whole run.
+        assert total == pytest.approx(runtime)
