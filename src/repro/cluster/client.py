@@ -42,6 +42,7 @@ from repro.errors import ClusterError, ShardUnavailableError
 from repro.obs.trace import Trace, Tracer
 from repro.policies.base import MISSING, CachePolicy
 from repro.workloads.request import OpType
+from repro.workloads.ycsb import ScanRequest
 
 if TYPE_CHECKING:  # cycle-free: writepolicy only names this class in hints
     from repro.cluster.writepolicy import (
@@ -549,8 +550,6 @@ class FrontEndClient:
         and the YCSB :class:`~repro.workloads.ycsb.ScanRequest` (mapped
         onto :meth:`get_many` over the scan's key range).
         """
-        from repro.workloads.ycsb import ScanRequest  # cycle-free local import
-
         if isinstance(request, ScanRequest):
             return self.get_many(request.keys())
         if request.op is OpType.GET:

@@ -164,9 +164,11 @@ class CoTCache(CachePolicy):
         Behaviourally identical to ``lookup`` followed by ``admit`` on a
         miss (same hit/miss/eviction/promotion decisions, same statistics),
         but the key is resolved exactly once against the tracker's stats
-        dict and once against the owning heap's position map, instead of
-        the 4-6 redundant probes the split path pays. ``loader`` runs only
-        on a miss and must not re-enter this policy.
+        dict and once against the owning heap's entry index, instead of
+        the 4-6 redundant probes the split path pays. A tracked key's read
+        moves a number and no heap; an untracked key enters the rest heap
+        already at ``inherited + r_w`` (one C ``heapreplace``). ``loader``
+        runs only on a miss and must not re-enter this policy.
         """
         tracker = self._tracker
         stats = tracker._stats.get(key)
@@ -185,11 +187,9 @@ class CoTCache(CachePolicy):
                 key, tracker._read_delta
             )
         else:
-            stats = tracker._admit(key)
+            stats = tracker._admit(key, tracker._read_delta)
             stats.read_count += 1.0
-            stats.hot = hot = tracker._rest_heap.update_delta(
-                key, tracker._read_delta
-            )
+            hot = stats.hot
         cstat.misses += 1
         cstat.epoch_misses += 1
         value = loader(key)

@@ -201,7 +201,11 @@ class CMSTopK(Generic[K]):
         return estimate
 
     def top(self, n: int | None = None) -> list[tuple[K, float]]:
-        """The tracked keys with estimates, hottest first."""
+        """The tracked keys with estimates, hottest first.
+
+        Equal estimates keep the order the keys entered the candidate
+        heap (a stable sort over its insertion-order iteration).
+        """
         ordered = sorted(self._heap.items(), key=lambda kv: -kv[1])
         return ordered[: (n if n is not None else self._k)]
 

@@ -80,7 +80,7 @@ class KeyStats:
     ``cached`` mirrors membership in the tracker's cached set ``S_c``; the
     tracker maintains it on promote/demote/admit/evict so the fused access
     path can classify a key with the single ``_stats`` dict probe it
-    already paid, instead of a second probe into a heap's position map.
+    already paid, instead of a second probe into a heap's entry index.
     """
 
     __slots__ = ("read_count", "update_count", "hot", "cached")

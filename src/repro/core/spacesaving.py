@@ -120,7 +120,12 @@ class SpaceSaving(Generic[K]):
             yield TrackedCount(key, count, self._errors[key])
 
     def top(self, k: int) -> list[TrackedCount[K]]:
-        """The ``k`` highest-count monitored keys, descending by count."""
+        """The ``k`` highest-count monitored keys, descending by count.
+
+        Equal counts order by the smaller error; a full tie goes to the
+        key monitored longest (the sort is stable over the heap's
+        insertion-order iteration).
+        """
         ordered = sorted(self.entries(), key=lambda e: (-e.count, e.error))
         return ordered[:k]
 

@@ -5,8 +5,12 @@ hotness ``h_min`` splits it into the cached set ``S_c`` (size ``C``) and the
 tracked-but-not-cached set ``S_{k-c}`` (size ``K - C``). We materialize the
 two sets as two :class:`~repro.core.heap.IndexedMinHeap` instances:
 
-* the **cache heap** holds ``S_c``; its root is ``h_min``;
-* the **rest heap** holds ``S_{k-c}``; its root is the space-saving victim.
+* the **cache heap** holds ``S_c``; its minimum is ``h_min``;
+* the **rest heap** holds ``S_{k-c}``; its minimum is the space-saving victim.
+
+Both settle lazily (:mod:`repro.core.heap`): a read writes the key's
+hotness and moves nothing, and a heap is only put in order at its root,
+when ``h_min`` or a victim is asked for.
 
 This layout realizes two paper invariants *by construction*:
 
@@ -162,23 +166,25 @@ class CoTTracker(Generic[K]):
         *non-cached* key is evicted and ``key`` inherits its hotness (the
         "benefit of the doubt", line 4). The hotness then moves by the
         access's constant delta (``+r_w`` / ``-u_w``) — no Equation 1
-        recompute — and the owning heap re-orders via its delta path.
+        recompute. A tracked key's owning heap takes the delta (a read
+        writes a number and moves nothing); an untracked key enters its
+        heap already at ``inherited + delta``, so Algorithm 1 re-heaps
+        once per access.
         """
         stats = self._stats.get(key)
+        is_read = access is AccessType.READ
+        delta = self._read_delta if is_read else self._update_delta
         if stats is None:
-            stats = self._admit(key)
-        if access is AccessType.READ:
+            stats = self._admit(key, delta)
+        elif stats.cached:
+            stats.hot = self._cache_heap.update_delta(key, delta)
+        else:
+            stats.hot = self._rest_heap.update_delta(key, delta)
+        if is_read:
             stats.read_count += 1.0
-            delta = self._read_delta
         else:
             stats.update_count += 1.0
-            delta = self._update_delta
-        if stats.cached:
-            hotness = self._cache_heap.update_delta(key, delta)
-        else:
-            hotness = self._rest_heap.update_delta(key, delta)
-        stats.hot = hotness
-        return hotness
+        return stats.hot
 
     def track_many(self, keys: Iterable[K], access: AccessType = AccessType.READ) -> None:
         """Record one ``access`` for each key in ``keys`` (batch Algorithm 1).
@@ -195,29 +201,36 @@ class CoTTracker(Generic[K]):
         for key in keys:
             stats = stats_get(key)
             if stats is None:
-                stats = admit(key)
+                stats = admit(key, delta)
+            elif stats.cached:
+                stats.hot = cache_update(key, delta)
+            else:
+                stats.hot = rest_update(key, delta)
             if is_read:
                 stats.read_count += 1.0
             else:
                 stats.update_count += 1.0
-            if stats.cached:
-                stats.hot = cache_update(key, delta)
-            else:
-                stats.hot = rest_update(key, delta)
 
-    def _admit(self, key: K) -> KeyStats:
-        """Insert an untracked key, evicting the space-saving victim."""
+    def _admit(self, key: K, delta: float) -> KeyStats:
+        """Insert an untracked key at ``inherited + delta``, in one heap op.
+
+        Evicts the space-saving victim when the tracker is full. The
+        caller still owes the access's counter bump; ``hot`` and the heap
+        priority already include ``delta``. Entering at the inherited
+        hotness and applying the delta afterwards would cost a second
+        heap operation — and, for an update, leave a stale root-level
+        entry behind on every written untracked key.
+        """
         stats = KeyStats()
         if len(self._stats) >= self._tracker_capacity:
             if self._rest_heap:
-                # Fused evict+insert: the newcomer inherits the victim's
-                # (near-minimal) hotness, so replacing the rest-heap root
-                # in place almost never sinks — one shallow sift instead
-                # of a full-depth pop plus a long sift-up push.
+                # Fused evict+insert: one settle of the rest-heap root,
+                # one C heapreplace.
                 if self._inherit_hotness:
                     stats.seed_from_hotness(
                         self._rest_heap.min_priority(), self._model
                     )
+                stats.hot += delta
                 victim, _ = self._rest_heap.replace(key, stats.hot)
                 del self._stats[victim]
                 self._stats[key] = stats
@@ -229,6 +242,7 @@ class CoTTracker(Generic[K]):
             del self._stats[victim]
             if self._inherit_hotness:
                 stats.seed_from_hotness(victim_hotness, self._model)
+        stats.hot += delta
         self._rest_heap.push(key, stats.hot)
         self._stats[key] = stats
         return stats
@@ -363,7 +377,7 @@ class CoTTracker(Generic[K]):
         A uniform scale preserves heap order only when all hotness values
         share a sign; with the dual-cost model values may be negative, and
         scaling by ``0 < factor <= 1`` still preserves order because it is
-        a monotonic map. Heaps are scaled in place.
+        a monotonic map. Each heap rescales its priorities and re-heapifies.
         """
         if not 0 < factor <= 1:
             raise ConfigurationError("decay factor must be in (0, 1]")

@@ -76,8 +76,10 @@ class LFUCache(CachePolicy):
         method/attribute resolution and stats calls are hoisted so the
         shadow simulations of the adaptive arbiter stay cheap.
 
-        Twin kept on a number: 1.15-1.17x min / 1.15x median against the
-        better plain loop (``benchmarks/run_stream_twins.py``; ROADMAP
+        Twin kept on a number: 1.30-1.41x min / 1.35-1.46x median against
+        the better plain loop (``benchmarks/run_stream_twins.py``, three
+        runs on the lazily-settling heap, which took more off the shared
+        heap work than off the loop overhead the twin removes; ROADMAP
         item 3b's bar is 1.10x).
         """
         values = self._values

@@ -157,9 +157,9 @@ class LRUKCache(CachePolicy):
         reposition); misses replay ``_admit`` with the priority rule
         inlined. Per-key semantics are exactly the base implementation's.
 
-        Twin kept on a number: 1.15x min / 1.15-1.17x median against the
-        better plain loop (``benchmarks/run_stream_twins.py``; ROADMAP
-        item 3b's bar is 1.10x).
+        Twin kept on a number: 1.24-1.32x min / 1.10-1.29x median against
+        the better plain loop (``benchmarks/run_stream_twins.py``, three
+        runs on the lazily-settling heap; ROADMAP item 3b's bar is 1.10x).
         """
         values = self._values
         refs_map = self._refs

@@ -24,6 +24,8 @@ end the exact cached set, tracked set, and per-key hotness.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -148,6 +150,29 @@ class ReferenceCoT:
             self._rest_push(key)
         return ("update", invalidated)
 
+    def decay(self, factor: float) -> None:
+        """Half-life decay: scale the raw counters (exact for 0.5)."""
+        for key in self.reads:
+            self.reads[key] *= factor
+            self.updates[key] *= factor
+
+    def set_sizes(self, capacity: int, tracker_capacity: int) -> tuple:
+        """The controller's resize: demote coldest-first down to ``C``,
+        then drop the coldest non-cached keys down to ``K``."""
+        self.capacity = capacity
+        self.tracker_capacity = tracker_capacity
+        dropped = []
+        while len(self.cached) > capacity:
+            key = self._cache_victim()
+            del self.cached[key]
+            self._rest_push(key)
+            self.values.discard(key)
+            dropped.append(key)
+        while len(self.reads) > tracker_capacity:
+            victim = self._rest_victim()
+            del self.reads[victim], self.updates[victim], self.rest[victim]
+        return ("resize", dropped)
+
 
 # --------------------------------------------------------------- optimized
 
@@ -170,6 +195,27 @@ def drive_update(cache: CoTCache, key) -> tuple:
     cache.record_update(key)
     assert key not in cache
     return ("update", invalidated)
+
+
+def drive_resize(
+    cache: CoTCache, capacity: int, tracker_capacity: int, evicted: list
+) -> tuple:
+    cache.set_sizes(capacity, tracker_capacity)
+    dropped, evicted[:] = list(evicted), []
+    return ("resize", dropped)
+
+
+def replay(cache: CoTCache, ref: ReferenceCoT, requests, evicted: list) -> None:
+    """Drive both sides through a get/set request list, decision by decision."""
+    for i, request in enumerate(requests):
+        if request.op is OpType.GET:
+            expected = ref.access(request.key)
+            actual = drive_read(cache, request.key, evicted)
+        else:
+            expected = ref.update(request.key)
+            actual = drive_update(cache, request.key)
+        assert actual == expected, f"divergence at request {i}"
+    assert not evicted
 
 
 def assert_same_end_state(cache: CoTCache, ref: ReferenceCoT) -> None:
@@ -225,6 +271,71 @@ def test_ycsb_b_trace_equivalence() -> None:
         assert actual == expected, f"divergence at request {i}"
     assert not evicted
     assert_same_end_state(cache, ref)
+
+
+def test_uniform_trace_equivalence() -> None:
+    """Uniform reads over 1M keys: nearly every access is an untracked
+    key entering at ``min + 1`` (the rest heap's maximum, not its root)
+    and one in four promotes — admission churn the Zipf traces lack."""
+    rng = random.Random(17)
+    cache = CoTCache(CAPACITY, tracker_capacity=TRACKER)
+    ref = ReferenceCoT(CAPACITY, TRACKER)
+    evicted: list = []
+    cache.eviction_listeners.append(evicted.append)
+    accesses = 30_000
+    for i in range(accesses):
+        key = rng.randrange(1_000_000)
+        expected = ref.access(key)
+        actual = drive_read(cache, key, evicted)
+        assert actual == expected, f"divergence at access {i} (key {key})"
+    assert not evicted
+    assert cache.stats.hits < accesses // 100
+    assert cache.stats.insertions > accesses // 5
+    assert_same_end_state(cache, ref)
+
+
+def test_ycsb_a_trace_equivalence() -> None:
+    """YCSB-A mix (50% update): every other request lowers a hotness —
+    the heap's decrease path — and written untracked keys enter below
+    the rest-heap root."""
+    mixer = OperationMixer(
+        ZipfianGenerator(KEY_SPACE, theta=0.99, seed=23),
+        read_fraction=0.5,
+        seed=29,
+    )
+    cache = CoTCache(CAPACITY, tracker_capacity=TRACKER)
+    ref = ReferenceCoT(CAPACITY, TRACKER)
+    evicted: list = []
+    cache.eviction_listeners.append(evicted.append)
+    replay(cache, ref, mixer.next_requests(60_000), evicted)
+    assert_same_end_state(cache, ref)
+
+
+def test_decay_and_resize_interleaved_trace_equivalence() -> None:
+    """YCSB-B with a half-life decay every 5k requests and the sizes
+    shrunk, shrunk again and regrown in between: both heaps are rebuilt
+    and drained from the root in mid-stream."""
+    mixer = OperationMixer(
+        ZipfianGenerator(KEY_SPACE, theta=0.99, seed=31),
+        read_fraction=0.95,
+        seed=37,
+    )
+    sizes = [(64, 256), (24, 96), (CAPACITY, TRACKER), (96, 640)]
+    cache = CoTCache(CAPACITY, tracker_capacity=TRACKER)
+    ref = ReferenceCoT(CAPACITY, TRACKER)
+    evicted: list = []
+    cache.eviction_listeners.append(evicted.append)
+    requests = mixer.next_requests(60_000)
+    for chunk in range(12):
+        replay(cache, ref, requests[chunk * 5_000 : (chunk + 1) * 5_000], evicted)
+        cache.decay(0.5)
+        ref.decay(0.5)
+        if chunk % 3 == 2:
+            capacity, tracker_capacity = sizes[chunk // 3]
+            expected = ref.set_sizes(capacity, tracker_capacity)
+            actual = drive_resize(cache, capacity, tracker_capacity, evicted)
+            assert actual == expected, f"divergence at the resize after chunk {chunk}"
+        assert_same_end_state(cache, ref)
 
 
 def test_run_stream_matches_get_or_admit() -> None:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.hotness import AccessType
+from repro.core.hotness import AccessType, HotnessModel
 from repro.core.tracker import CoTTracker
 from repro.errors import ConfigurationError, KeyNotTrackedError
 
@@ -77,6 +77,29 @@ class TestTracking:
         tracker.track("b")
         tracker.track("c")
         assert tracker.hotness_of("c") == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("full", [False, True])
+    def test_first_access_update_enters_at_inherited_minus_u_w(self, full):
+        """An untracked key first seen by an UPDATE enters its heap already
+        at ``inherited - u_w``: one heap operation, below the old root."""
+        tracker = CoTTracker(3, 1, HotnessModel(read_weight=2, update_weight=3))
+        inherited = 0.0
+        if full:
+            for key, reads in (("a", 3), ("b", 2), ("c", 1)):
+                for _ in range(reads):
+                    tracker.track(key)
+            inherited = 2.0  # "c", one read at r_w = 2, is the victim
+        assert tracker.track("w", AccessType.UPDATE) == inherited - 3
+        assert tracker.hotness_of("w") == inherited - 3
+        assert "c" not in tracker
+        tracker.check_invariants()
+        # ... and is the next space-saving victim: nothing is colder.
+        assert tracker.tracked_only_count == (3 if full else 1)
+        while len(tracker) < 3:
+            tracker.track(f"filler-{len(tracker)}")
+        tracker.track("next")
+        assert "w" not in tracker
+        tracker.check_invariants()
 
     def test_hotness_of_untracked_raises(self):
         with pytest.raises(KeyNotTrackedError):
