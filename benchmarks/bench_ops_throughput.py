@@ -115,6 +115,7 @@ def bench_zipfian_generation(benchmark):
             generator.next_key()
 
     benchmark(run)
+    benchmark.extra_info["ops_per_round"] = OPS_PER_ROUND
 
 
 def bench_request_mix_generation(benchmark):
@@ -143,6 +144,7 @@ def bench_scrambled_zipfian_generation(benchmark):
             generator.next_key()
 
     benchmark(run)
+    benchmark.extra_info["ops_per_round"] = OPS_PER_ROUND
 
 
 def bench_engine_policy_stream(benchmark):

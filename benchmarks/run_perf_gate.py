@@ -21,7 +21,18 @@ Check::
 re-runs the suite and fails (exit 1) when any benchmark's throughput drops
 more than ``--threshold`` (default 25%) below the most recent committed
 entry — the invocation CI wires in front of merges. ``--against LABEL``
-compares to a specific recorded entry instead of the latest.
+compares to a specific recorded entry instead of the latest. The suite
+comparison and the four sections below all run, whatever the earlier
+ones returned; a closing summary names each with its verdict and wall
+seconds, and the exit status is 1 if any of them failed.
+
+Every check has one owner, and this file owns the wall-clock A/B timings
+only. Verdicts that are ratios of counts — the hot-key tier's targets,
+the arbiter's convergence, the write-behind loss bound — are raised by
+the experiment that computes them (``ext-hotkey`` / ``ext-adaptive`` /
+``ext-write``, run by ``verify.sh``'s engine-smoke stage), and the socket
+plane is priced by the ladder's ``net-sync`` / ``net-pipelined``
+workloads (``benchmarks/ladder``).
 
 Throughput is reported as operations per second: pytest-benchmark's
 ``1 / min-round-time`` scaled by the bench's ``ops_per_round`` extra-info
@@ -41,19 +52,6 @@ additionally gates ``speedup@4 >= 2.0`` — but only on hosts with at least
 without cores to fan to (the measurement is still printed and the
 fabric's determinism cross-check is always enforced).
 ``--parallel-scaling`` runs only this measurement.
-
-Hot-key replication gate
-------------------------
-Both modes also run the ``ext-hotkey`` single-hot-key pair (classic vs
-replicated tier, identical seeds, smoke scale) and measure the host's raw
-shard service rate. Cluster throughput on a skewed workload is paced by
-the hottest shard, so modeled cluster ops/s = shard service rate x
-(total backend gets / hottest-shard gets) — a model rather than a
-wall-clock measurement because the in-process testbed serializes shards
-on one CPU; the parallelism factor itself is deterministic telemetry.
-Check mode gates the replicated run at >= 2x modeled throughput and
-<= 0.5x max-shard spread (max/mean) vs the unreplicated baseline.
-``--hot-key`` runs only this measurement.
 
 Write-path gate
 ---------------
@@ -88,38 +86,12 @@ sampling. ``--tracing-overhead`` runs only this measurement.
 Adaptive-arbitration gate
 -------------------------
 Both modes also price the :class:`~repro.policies.adaptive.AdaptiveArbiter`
-(DESIGN.md §14). Two probes:
-
-* **shadow overhead**: the same ``FrontEndClient.get`` loop (cot 512/2048)
-  runs pinned and wrapped in an arbiter whose switch margin is unreachably
-  high — the live policy stays cot, so the pair differs only by the
-  SHARDS-sampled ghost shadows and epoch scoring. Min-of-block-medians
-  overhead must stay <= 15% (``ADAPTIVE_OVERHEAD_TARGET``).
-* **tracking quality**: every ``ext-adaptive`` scenario (diurnal,
-  scan-flood, migration) replays at smoke scale; in each settled phase
-  window the arbiter's hit value must land within ``CONVERGENCE_SLACK``
-  (5%) of the best fixed policy for that window.
-
+(DESIGN.md §14): the same ``FrontEndClient.get`` loop (cot 512/2048)
+runs pinned and wrapped in an arbiter whose switch margin is unreachably
+high — the live policy stays cot, so the pair differs only by the
+SHARDS-sampled ghost shadows and epoch scoring. Min-of-block-medians
+overhead must stay <= 15% (``ADAPTIVE_OVERHEAD_TARGET``).
 ``--adaptive`` runs only this measurement.
-
-Network-plane gate
-------------------
-Both modes also exercise the socket data plane (:mod:`repro.net`):
-
-* **throughput**: the multi-process closed-loop harness (spawned asyncio
-  shard servers + pipelined front-end clients over real TCP sockets)
-  reports wall-clock requests/sec and requests/sec/core, plus the
-  latency distribution from ``perf_counter_ns`` timings.
-* **pipelining**: the same request stream is driven through one
-  connection at concurrency 1 (strict request/response lockstep) and at
-  depth 32 (pipelined). Check mode gates ``pipelined >= 3x unpipelined``
-  — the whole point of the wire format is amortizing round trips.
-* **equivalence**: a 10k-request mixed stream replays through the
-  in-process plane and the socket plane with identical seeds; every
-  front-end cache decision, shard counter, and storage counter must
-  match exactly (the two-plane contract of DESIGN.md §15).
-
-``--network`` runs only this measurement.
 """
 
 from __future__ import annotations
@@ -133,10 +105,17 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from typing import Callable
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCH_FILE = REPO_ROOT / "BENCH_ops.json"
 SUITE = "benchmarks/bench_ops_throughput.py"
+
+# The one place the in-process probes' imports are made to resolve: they
+# import ``repro`` lazily, inside the function that needs it, and
+# ``bench_parallel_scaling`` from this script's own directory, which is
+# already ``sys.path[0]``.
+sys.path.insert(0, str(REPO_ROOT / "src"))
 
 #: ops per timed round / timing rounds / warmup ops for the tracing gate
 TRACE_OPS = 40_000
@@ -229,118 +208,7 @@ def _suite_failures(
     return fails
 
 
-def _build_traced_client(tracer):
-    """A warmed ``FrontEndClient`` (cot policy) plus its key stream."""
-    from repro.cluster.client import FrontEndClient
-    from repro.cluster.cluster import CacheCluster
-    from repro.policies.registry import make_policy
-    from repro.workloads.zipfian import ZipfianGenerator
-
-    generator = ZipfianGenerator(10_000, theta=0.99, seed=42)
-    keys = [f"usertable:{k}" for k in generator.keys_array(TRACE_OPS)]
-    cluster = CacheCluster(num_servers=8, value_size=1, virtual_nodes=1024)
-    client = FrontEndClient(
-        cluster, make_policy("cot", 512, tracker_capacity=2048), tracer=tracer
-    )
-    warmup = keys * (TRACE_WARMUP // len(keys) + 1)
-    for key in warmup[:TRACE_WARMUP]:
-        client.get(key)
-    return client, keys
-
-
-def _sweep(client, keys) -> float:
-    """Wall time of one sweep of the key stream."""
-    get = client.get
-    started = time.perf_counter()
-    for key in keys:
-        get(key)
-    return time.perf_counter() - started
-
-
-def measure_tracing_overhead() -> dict[str, float]:
-    """Time the cot lookup+admit hot path untraced vs. traced.
-
-    Runs in-process (no pytest-benchmark) because the comparison is
-    relative. The measurement is *paired*: one client object runs every
-    sweep, with the tracer attached or detached between sweeps — two
-    separately-built clients differ by several percent from memory layout
-    alone, which would swamp the effect being gated. Sweep order
-    alternates per round so within-round drift cancels too; a traced
-    request takes the same cache/guard/monitor decisions as an untraced
-    one, so flipping the tracer does not perturb the policy state the
-    paired sweeps share.
-
-    The reported overhead is the minimum of ``TRACE_BLOCKS`` independent
-    median-of-``TRACE_ROUNDS`` estimates. A single median still swings
-    by several points when the host is contended (observed ±8 pts on a
-    shared 1-CPU box, both signs — the effect being gated is well under
-    the noise floor); contention only *inflates* an estimate spuriously,
-    never all of them in the same direction for long, while a genuine
-    traced-path regression lifts every block.
-    """
-    import gc
-
-    sys.path.insert(0, str(REPO_ROOT / "src"))
-    from repro.obs.trace import Tracer
-
-    client, keys = _build_traced_client(None)
-    tracer = Tracer(sample_rate=TRACE_SAMPLE_RATE)
-    # Warm both branch shapes (adaptive-interpreter specialization) before
-    # any timed sweep, and keep the collector out of the timing windows.
-    for config in (tracer, None):
-        client.tracer = config
-        _sweep(client, keys)
-    untraced = traced = float("inf")
-    block_medians: list[float] = []
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for _block in range(TRACE_BLOCKS):
-            ratios: list[float] = []
-            for round_index in range(TRACE_ROUNDS):
-                # Each round yields one traced/untraced ratio from two
-                # temporally adjacent sweeps; the median of the per-round
-                # ratios shrugs off the heavy-tailed scheduler noise that
-                # makes a global best-of comparison flap.
-                if round_index % 2 == 0:
-                    client.tracer = None
-                    gc.collect()
-                    plain = _sweep(client, keys)
-                    client.tracer = tracer
-                    sampled = _sweep(client, keys)
-                else:
-                    client.tracer = tracer
-                    gc.collect()
-                    sampled = _sweep(client, keys)
-                    client.tracer = None
-                    plain = _sweep(client, keys)
-                untraced = min(untraced, plain)
-                traced = min(traced, sampled)
-                ratios.append(sampled / plain)
-            ratios.sort()
-            block_medians.append(ratios[len(ratios) // 2])
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    return {
-        "untraced_ops_per_sec": len(keys) / untraced,
-        "traced_ops_per_sec": len(keys) / traced,
-        "overhead_fraction": min(block_medians) - 1.0,
-        "block_medians": [m - 1.0 for m in block_medians],
-        "sample_rate": TRACE_SAMPLE_RATE,
-    }
-
-
-#: Allowed hot-path slowdown from the adaptive arbiter's shadow machinery
-#: (SHARDS-sampled ghost shadows + epoch scoring), live policy pinned.
-ADAPTIVE_OVERHEAD_TARGET = 0.15
-#: More blocks than the tracing gate: the unpaired two-client comparison
-#: has a higher noise floor, and the minimum over blocks only sheds a
-#: contention burst if some block escaped it.
-ADAPTIVE_BLOCKS = 5
-
-
-def _build_adaptive_client(arbitrated: bool):
+def _build_client(arbitrated: bool = False):
     """A warmed ``FrontEndClient`` (cot 512/2048) plus its key stream.
 
     With ``arbitrated`` the cot policy rides inside an
@@ -368,49 +236,135 @@ def _build_adaptive_client(arbitrated: bool):
     return client, keys
 
 
-def measure_adaptive_overhead() -> dict[str, float]:
-    """Time the serving hot path pinned vs. wrapped in the arbiter.
+def _sweep(client, keys) -> float:
+    """Wall time of one sweep of the key stream."""
+    get = client.get
+    started = time.perf_counter()
+    for key in keys:
+        get(key)
+    return time.perf_counter() - started
 
-    Same estimator family as :func:`measure_tracing_overhead` — per-round
-    ratios of temporally adjacent whole-stream sweeps, median per block,
-    minimum over ``ADAPTIVE_BLOCKS`` blocks — but the comparison cannot
-    be paired on one object: pinned-vs-arbitrated *is* two different
-    policy stacks. Whole sweeps (not finer time-slicing) are deliberate:
-    alternating the clients at sub-sweep granularity makes each evict
-    the other's working set, which taxes the larger-footprint arbiter
-    for refaults a resident production arbiter never pays.
-    ``ADAPTIVE_OVERHEAD_TARGET`` also sits well above the few-point
-    floor that two independently-built clients differ by from memory
-    layout alone.
+
+def _paired_overhead(
+    base_sweep: Callable[[], float], changed_sweep: Callable[[], float], blocks: int
+) -> tuple[float, float, list[float]]:
+    """``changed_sweep``'s cost relative to ``base_sweep``'s, noise-robustly.
+
+    Each callable runs one whole sweep of the stream and returns its wall
+    seconds. Returns ``(best base seconds, best changed seconds, per-block
+    median changed/base ratios)``; the gated overhead is the minimum
+    block median minus one.
+
+    Runs in-process (no pytest-benchmark) because the comparison is
+    relative. Sweep order alternates per round so within-round drift
+    cancels, and the collector is kept out of the timing windows. Whole
+    sweeps (not finer time-slicing) are deliberate: alternating two
+    clients at sub-sweep granularity makes each evict the other's working
+    set, which taxes the larger-footprint side for refaults a resident
+    production object never pays.
+
+    The estimate is the minimum of ``blocks`` independent
+    median-of-``TRACE_ROUNDS`` estimates. A single median still swings
+    by several points when the host is contended (observed ±8 pts on a
+    shared 1-CPU box, both signs — the effects being gated are at or
+    under the noise floor); contention only *inflates* an estimate
+    spuriously, never all of them in the same direction for long, while
+    a genuine hot-path regression lifts every block.
     """
     import gc
 
-    sys.path.insert(0, str(REPO_ROOT / "src"))
-    pinned, keys = _build_adaptive_client(False)
-    arbitrated, _ = _build_adaptive_client(True)
-    plain_best = wrapped_best = float("inf")
+    base_best = changed_best = float("inf")
     block_medians: list[float] = []
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        for _block in range(ADAPTIVE_BLOCKS):
+        for _block in range(blocks):
             ratios: list[float] = []
             for round_index in range(TRACE_ROUNDS):
+                # Each round yields one changed/base ratio from two
+                # temporally adjacent sweeps; the median of the per-round
+                # ratios shrugs off the heavy-tailed scheduler noise that
+                # makes a global best-of comparison flap.
                 gc.collect()
                 if round_index % 2 == 0:
-                    plain = _sweep(pinned, keys)
-                    wrapped = _sweep(arbitrated, keys)
+                    base = base_sweep()
+                    changed = changed_sweep()
                 else:
-                    wrapped = _sweep(arbitrated, keys)
-                    plain = _sweep(pinned, keys)
-                plain_best = min(plain_best, plain)
-                wrapped_best = min(wrapped_best, wrapped)
-                ratios.append(wrapped / plain)
+                    changed = changed_sweep()
+                    base = base_sweep()
+                base_best = min(base_best, base)
+                changed_best = min(changed_best, changed)
+                ratios.append(changed / base)
             ratios.sort()
             block_medians.append(ratios[len(ratios) // 2])
     finally:
         if gc_was_enabled:
             gc.enable()
+    return base_best, changed_best, block_medians
+
+
+def measure_tracing_overhead() -> dict[str, float]:
+    """Time the cot lookup+admit hot path untraced vs. traced.
+
+    The measurement is *paired* (:func:`_paired_overhead`) on one client
+    object: it runs every sweep, with the tracer attached or detached
+    between sweeps — two separately-built clients differ by several
+    percent from memory layout alone, which would swamp the effect being
+    gated. A traced request takes the same cache/guard/monitor decisions
+    as an untraced one, so flipping the tracer does not perturb the
+    policy state the paired sweeps share.
+    """
+    from repro.obs.trace import Tracer
+
+    client, keys = _build_client()
+    tracer = Tracer(sample_rate=TRACE_SAMPLE_RATE)
+
+    def sweep_with(config) -> float:
+        client.tracer = config
+        return _sweep(client, keys)
+
+    # Warm both branch shapes (adaptive-interpreter specialization) before
+    # any timed sweep.
+    for config in (tracer, None):
+        sweep_with(config)
+    untraced, traced, block_medians = _paired_overhead(
+        lambda: sweep_with(None), lambda: sweep_with(tracer), TRACE_BLOCKS
+    )
+    return {
+        "untraced_ops_per_sec": len(keys) / untraced,
+        "traced_ops_per_sec": len(keys) / traced,
+        "overhead_fraction": min(block_medians) - 1.0,
+        "block_medians": [m - 1.0 for m in block_medians],
+        "sample_rate": TRACE_SAMPLE_RATE,
+    }
+
+
+#: Allowed hot-path slowdown from the adaptive arbiter's shadow machinery
+#: (SHARDS-sampled ghost shadows + epoch scoring), live policy pinned.
+ADAPTIVE_OVERHEAD_TARGET = 0.15
+#: More blocks than the tracing gate: the unpaired two-client comparison
+#: has a higher noise floor, and the minimum over blocks only sheds a
+#: contention burst if some block escaped it.
+ADAPTIVE_BLOCKS = 5
+
+
+def measure_adaptive_overhead() -> dict[str, float]:
+    """Time the serving hot path pinned vs. wrapped in the arbiter.
+
+    The same estimator as :func:`measure_tracing_overhead`
+    (:func:`_paired_overhead`), but the comparison cannot be paired on
+    one object: pinned-vs-arbitrated *is* two different policy stacks,
+    each swept whole. ``ADAPTIVE_OVERHEAD_TARGET`` sits well above the
+    few-point floor that two independently-built clients differ by from
+    memory layout alone.
+    """
+    pinned, keys = _build_client()
+    arbitrated, _ = _build_client(arbitrated=True)
+    plain_best, wrapped_best, block_medians = _paired_overhead(
+        lambda: _sweep(pinned, keys),
+        lambda: _sweep(arbitrated, keys),
+        ADAPTIVE_BLOCKS,
+    )
     return {
         "pinned_ops_per_sec": len(keys) / plain_best,
         "arbitrated_ops_per_sec": len(keys) / wrapped_best,
@@ -419,49 +373,9 @@ def measure_adaptive_overhead() -> dict[str, float]:
     }
 
 
-def measure_adaptive() -> dict:
-    """Shadow-overhead probe plus smoke-scale convergence per scenario."""
-    src = str(REPO_ROOT / "src")
-    if src not in sys.path:
-        sys.path.insert(0, src)
-    from repro.engine.spec import Scale
-    from repro.experiments.extension_adaptive import (
-        CONVERGENCE_SLACK,
-        SCENARIOS,
-        run_scenario,
-    )
-    from repro.policies.registry import POLICY_NAMES
-
+def check_adaptive() -> int:
+    """Gate: the arbiter's shadows cost <= 15% on the serving hot path."""
     overhead = measure_adaptive_overhead()
-    scale = Scale.smoke()
-    scenarios: dict[str, dict] = {}
-    for name in SCENARIOS:
-        result = run_scenario(name, scale)
-        ratios: list[float] = []
-        for _start, window, end in result["windows"]:
-            best_fixed = max(
-                sum(result["per_epoch"][p][window:end]) for p in POLICY_NAMES
-            )
-            arbiter_value = sum(result["per_epoch"]["adaptive"][window:end])
-            ratios.append(arbiter_value / best_fixed if best_fixed else 1.0)
-        scenarios[name] = {
-            "window_ratios": ratios,
-            "converged": result["converged"],
-            "switches": result["switches"],
-            "regret": result["regret"],
-            "final_live": result["final_live"],
-        }
-    return {
-        "overhead": overhead,
-        "convergence_slack": CONVERGENCE_SLACK,
-        "scenarios": scenarios,
-    }
-
-
-def check_adaptive(record: dict | None = None) -> int:
-    """Gate: shadows <= 15% on the hot path; convergence on every scenario."""
-    record = record if record is not None else measure_adaptive()
-    overhead = record["overhead"]
     fraction = overhead["overhead_fraction"]
     for _retry in range(2):
         if fraction <= ADAPTIVE_OVERHEAD_TARGET:
@@ -471,15 +385,13 @@ def check_adaptive(record: dict | None = None) -> int:
         # every block median at once. Re-measure in a fresh window and
         # keep the best estimate: a real hot-path regression is slow in
         # every window (the overhead twin of the suite gate's
-        # retry-and-merge; convergence is deterministic, not re-run).
+        # retry-and-merge).
         print(f"  (overhead {fraction:+.2%} over threshold; re-measuring "
               f"in a fresh window)")
         retry = measure_adaptive_overhead()
         if retry["overhead_fraction"] < fraction:
             overhead = retry
             fraction = retry["overhead_fraction"]
-            record["overhead"] = retry
-    slack = record["convergence_slack"]
     blocks = ", ".join(f"{m:+.2%}" for m in overhead["block_medians"])
     print("adaptive arbitration — shadow overhead on the serving hot path "
           "(cot 512/2048, live policy pinned):")
@@ -487,121 +399,11 @@ def check_adaptive(record: dict | None = None) -> int:
     print(f"  arbitrated {overhead['arbitrated_ops_per_sec']:>14,.0f} ops/s")
     print(f"  overhead   {fraction:>+14.2%}  (threshold "
           f"+{ADAPTIVE_OVERHEAD_TARGET:.0%}; block medians {blocks})")
-    failed: list[str] = []
     if fraction > ADAPTIVE_OVERHEAD_TARGET:
-        failed.append(
-            f"shadow-cache overhead {fraction:+.2%} exceeds "
-            f"+{ADAPTIVE_OVERHEAD_TARGET:.0%} over the pinned policy"
-        )
-    print(f"  convergence (smoke scale; arbiter within {slack:.0%} of the "
-          f"best fixed policy in each settled phase window):")
-    for name, summary in record["scenarios"].items():
-        ratios = ", ".join(f"{r:.3f}" for r in summary["window_ratios"])
-        verdict = "ok" if all(summary["converged"]) else "FAILED"
-        print(f"    {name:10s} ratios [{ratios}]  "
-              f"switches {summary['switches']}  "
-              f"final {summary['final_live']:8s} {verdict}")
-        if not all(summary["converged"]):
-            failed.append(
-                f"{name}: arbiter fell more than {slack:.0%} short of the "
-                f"best fixed policy in a settled window (ratios [{ratios}])"
-            )
-    if failed:
-        print("\nadaptive gate FAILED:")
-        for reason in failed:
-            print(f"  - {reason}")
+        print(f"\nadaptive gate FAILED: shadow-cache overhead {fraction:+.2%} "
+              f"exceeds +{ADAPTIVE_OVERHEAD_TARGET:.0%} over the pinned policy")
         return 1
     print("adaptive gate passed")
-    return 0
-
-
-#: Required pipelined-vs-lockstep speedup at NETWORK_PIPELINE_DEPTH.
-NETWORK_PIPELINE_TARGET = 3.0
-NETWORK_PIPELINE_DEPTH = 32
-#: closed-loop harness sizing (kept small: the gate runs on 1-CPU CI)
-NETWORK_LOAD_SERVERS = 2
-NETWORK_LOAD_CLIENTS = 2
-NETWORK_LOAD_REQUESTS = 5_000
-#: equivalence-stream length (the ISSUE's 10k-request contract)
-NETWORK_EQUIVALENCE_ACCESSES = 10_000
-
-
-def measure_network() -> dict:
-    """Socket-plane probes: harness throughput, pipelining, equivalence."""
-    src = str(REPO_ROOT / "src")
-    if src not in sys.path:
-        sys.path.insert(0, src)
-    from repro.net.harness import (
-        decision_equivalence,
-        measure_pipelining,
-        run_network_load,
-    )
-
-    report = run_network_load(
-        num_servers=NETWORK_LOAD_SERVERS,
-        num_clients=NETWORK_LOAD_CLIENTS,
-        requests_per_client=NETWORK_LOAD_REQUESTS,
-    )
-    pipelining = measure_pipelining(depth=NETWORK_PIPELINE_DEPTH)
-    equal, _in_process, _networked = decision_equivalence(
-        accesses=NETWORK_EQUIVALENCE_ACCESSES
-    )
-    histogram = report.histogram
-    return {
-        "servers": report.num_servers,
-        "clients": report.num_clients,
-        "concurrency": report.concurrency,
-        "requests": report.requests,
-        "elapsed_s": report.elapsed,
-        "requests_per_sec": report.throughput,
-        "requests_per_sec_per_core": report.throughput_per_core,
-        "cpu_count": os.cpu_count() or 1,
-        "latency_p50_us": histogram.percentile(50) * 1e6,
-        "latency_p99_us": histogram.percentile(99) * 1e6,
-        "pipelining": pipelining,
-        "decision_equivalent": equal,
-        "equivalence_accesses": NETWORK_EQUIVALENCE_ACCESSES,
-    }
-
-
-def check_network(record: dict | None = None) -> int:
-    """Gate: pipelining must pay >= 3x and both planes must agree."""
-    record = record if record is not None else measure_network()
-    pipelining = record["pipelining"]
-    speedup = pipelining["speedup"]
-    print(f"network plane — {record['servers']} shard server(s), "
-          f"{record['clients']} client process(es) x concurrency "
-          f"{record['concurrency']}, {record['cpu_count']} cpu(s):")
-    print(f"  throughput {record['requests_per_sec']:>12,.0f} req/s  "
-          f"({record['requests_per_sec_per_core']:,.0f} req/s/core; "
-          f"p50 {record['latency_p50_us']:,.0f}us, "
-          f"p99 {record['latency_p99_us']:,.0f}us)")
-    print(f"  pipelining lockstep {pipelining['unpipelined']:>10,.0f} req/s  "
-          f"depth-{pipelining['depth']:.0f} {pipelining['pipelined']:>10,.0f} "
-          f"req/s  (speedup {speedup:.2f}x, target >= "
-          f"{NETWORK_PIPELINE_TARGET:g}x)")
-    print(f"  lockstep round trip p50: awaited on the loop "
-          f"{pipelining['awaited_p50_us']:,.0f}us, through ShardProxy "
-          f"{pipelining['proxy_p50_us']:,.0f}us")
-    print(f"  decision equivalence on {record['equivalence_accesses']:,} "
-          f"requests: {'identical' if record['decision_equivalent'] else 'DIVERGED'}")
-    failed = []
-    if speedup < NETWORK_PIPELINE_TARGET:
-        failed.append(
-            f"pipelining speedup {speedup:.2f}x below "
-            f"{NETWORK_PIPELINE_TARGET:g}x at depth {pipelining['depth']:.0f}"
-        )
-    if not record["decision_equivalent"]:
-        failed.append(
-            "socket plane diverged from the in-process plane on the "
-            "equivalence stream"
-        )
-    if failed:
-        print("\nnetwork gate FAILED:")
-        for reason in failed:
-            print(f"  - {reason}")
-        return 1
-    print("network gate passed")
     return 0
 
 
@@ -612,25 +414,19 @@ SCALING_WORKERS = 4
 
 def measure_parallel_scaling() -> dict:
     """Run the fabric scaling bench in-process; returns its record."""
-    src = str(REPO_ROOT / "src")
-    if src not in sys.path:
-        sys.path.insert(0, src)
-    bench_dir = str(REPO_ROOT / "benchmarks")
-    if bench_dir not in sys.path:
-        sys.path.insert(0, bench_dir)
     from bench_parallel_scaling import measure
 
     return measure()
 
 
-def check_parallel_scaling(record: dict | None = None) -> int:
+def check_parallel_scaling() -> int:
     """Gate: the fig4 grid must scale >= 2x at 4 workers (4+ CPU hosts).
 
     The determinism cross-check is enforced unconditionally — identical
     hit rates at every worker count — because a fabric that returns
     different numbers is broken at any speed.
     """
-    record = record if record is not None else measure_parallel_scaling()
+    record = measure_parallel_scaling()
     cpu_count = record["cpu_count"]
     speedup = record["speedup"][str(SCALING_WORKERS)]
     print(f"parallel scaling — {record['grid']} ({record['tasks']} tasks), "
@@ -657,113 +453,6 @@ def check_parallel_scaling(record: dict | None = None) -> int:
     return 0
 
 
-#: Required replicated-vs-classic modeled throughput and spread ratios.
-HOT_KEY_THROUGHPUT_TARGET = 2.0
-HOT_KEY_SPREAD_TARGET = 0.5
-#: shard-rate probe sizing (keys cycled / timing rounds)
-RATE_PROBE_KEYS = 2_048
-RATE_PROBE_SWEEPS = 8
-RATE_PROBE_ROUNDS = 5
-
-
-def _measure_shard_service_rate() -> float:
-    """Best-of-N raw ``BackendCacheServer.get`` throughput on this host."""
-    src = str(REPO_ROOT / "src")
-    if src not in sys.path:
-        sys.path.insert(0, src)
-    from repro.cluster.backend import BackendCacheServer
-
-    server = BackendCacheServer(
-        "rate-probe", capacity_bytes=1 << 30, default_value_size=1
-    )
-    keys = [f"usertable:{i}" for i in range(RATE_PROBE_KEYS)]
-    for key in keys:
-        server.set(key, key)
-    get = server.get
-    ops = RATE_PROBE_KEYS * RATE_PROBE_SWEEPS
-    best = float("inf")
-    for _ in range(RATE_PROBE_ROUNDS):
-        started = time.perf_counter()
-        for _sweep in range(RATE_PROBE_SWEEPS):
-            for key in keys:
-                get(key)
-        best = min(best, time.perf_counter() - started)
-    return ops / best
-
-
-def measure_hot_key() -> dict:
-    """Run the single-hot-key pair and model both modes' cluster ops/s."""
-    src = str(REPO_ROOT / "src")
-    if src not in sys.path:
-        sys.path.insert(0, src)
-    from repro.experiments.common import Scale
-    from repro.experiments.extension_hotkey import DEGREE, run_pair
-
-    baseline, replicated = run_pair(Scale.smoke(), "single-hot-key")
-    rate = _measure_shard_service_rate()
-
-    def mode_record(metrics) -> dict:
-        return {
-            "total_gets": metrics.total_gets,
-            "max_shard": metrics.max_shard,
-            "spread": metrics.spread,
-            "parallelism": metrics.parallelism,
-            "modeled_ops_per_sec": rate * metrics.parallelism,
-        }
-
-    return {
-        "scenario": "single-hot-key",
-        "scale": "smoke",
-        "degree": DEGREE,
-        "shard_ops_per_sec": rate,
-        "baseline": mode_record(baseline),
-        "replicated": mode_record(replicated),
-        "throughput_speedup": replicated.parallelism / baseline.parallelism,
-        "spread_ratio": replicated.spread / baseline.spread,
-        "replicated_reads": replicated.replicated_reads,
-        "promotions": replicated.promotions,
-    }
-
-
-def check_hot_key(record: dict | None = None) -> int:
-    """Gate: the replicated tier must actually break the shard ceiling."""
-    record = record if record is not None else measure_hot_key()
-    speedup = record["throughput_speedup"]
-    spread_ratio = record["spread_ratio"]
-    print(f"hot-key replication — {record['scenario']} "
-          f"(R={record['degree']}, shard rate "
-          f"{record['shard_ops_per_sec']:,.0f} ops/s):")
-    for mode in ("baseline", "replicated"):
-        m = record[mode]
-        print(f"  {mode:10s} max shard {m['max_shard']:>8,}  "
-              f"spread {m['spread']:5.2f}  "
-              f"modeled {m['modeled_ops_per_sec']:>12,.0f} ops/s")
-    print(f"  speedup  {speedup:5.2f}x  (target >= "
-          f"{HOT_KEY_THROUGHPUT_TARGET:g}x)")
-    print(f"  spread ratio {spread_ratio:5.2f}  (target <= "
-          f"{HOT_KEY_SPREAD_TARGET:g})")
-    failed = []
-    if record["replicated_reads"] <= 0 or record["promotions"] <= 0:
-        failed.append("the tier never promoted/served a replicated read")
-    if speedup < HOT_KEY_THROUGHPUT_TARGET:
-        failed.append(
-            f"modeled throughput speedup {speedup:.2f}x below "
-            f"{HOT_KEY_THROUGHPUT_TARGET:g}x"
-        )
-    if spread_ratio > HOT_KEY_SPREAD_TARGET:
-        failed.append(
-            f"max-shard spread ratio {spread_ratio:.2f} above "
-            f"{HOT_KEY_SPREAD_TARGET:g}"
-        )
-    if failed:
-        print("\nhot-key gate FAILED:")
-        for reason in failed:
-            print(f"  - {reason}")
-        return 1
-    print("hot-key gate passed")
-    return 0
-
-
 #: write-path gate targets: write-through may cost at most 1.5x
 #: cache-aside wall-clock; write-behind must model >= 1.3x write-through
 WRITE_THROUGH_OVERHEAD_TARGET = 1.5
@@ -784,9 +473,6 @@ def _write_probe(mode: str) -> dict[str, float]:
     import dataclasses
     import random as _random
 
-    src = str(REPO_ROOT / "src")
-    if src not in sys.path:
-        sys.path.insert(0, src)
     from repro.cluster.client import FrontEndClient
     from repro.cluster.cluster import CacheCluster
     from repro.cluster.writepolicy import make_write_policy
@@ -876,9 +562,9 @@ def measure_write_path() -> dict:
     }
 
 
-def check_write_path(record: dict | None = None) -> int:
+def check_write_path() -> int:
     """Gate: the strategy layer must stay cheap and write-behind must pay."""
-    record = record if record is not None else measure_write_path()
+    record = measure_write_path()
     overhead = record["write_through_overhead"]
     speedup = record["write_behind_speedup"]
     print(f"write path — 50/50 mixed stream, "
@@ -957,10 +643,8 @@ def save_entries(entries: list[dict]) -> None:
 def record(label: str) -> None:
     results = run_suite_best()
     scaling = measure_parallel_scaling()
-    hot_key = measure_hot_key()
     write_path = measure_write_path()
-    adaptive = measure_adaptive()
-    network = measure_network()
+    adaptive = measure_adaptive_overhead()
     entries = load_entries()
     entries.append(
         {
@@ -970,10 +654,8 @@ def record(label: str) -> None:
             ),
             "results": results,
             "parallel_scaling": scaling,
-            "hot_key": hot_key,
             "write_path": write_path,
-            "adaptive": adaptive,
-            "network": network,
+            "adaptive": {"overhead": adaptive},
         }
     )
     save_entries(entries)
@@ -983,25 +665,14 @@ def record(label: str) -> None:
     for workers, seconds in scaling["seconds"].items():
         print(f"  parallel_scaling[{workers}w]{'':26s} {seconds:>10.3f}s "
               f"({scaling['speedup'][workers]:.2f}x)")
-    print(f"  hot_key speedup {hot_key['throughput_speedup']:.2f}x, "
-          f"spread ratio {hot_key['spread_ratio']:.2f}")
     print(f"  write_path through overhead "
           f"{write_path['write_through_overhead']:.2f}x, behind modeled "
           f"speedup {write_path['write_behind_speedup']:.2f}x")
-    print(f"  adaptive shadow overhead "
-          f"{adaptive['overhead']['overhead_fraction']:+.2%}, converged "
-          + ", ".join(
-              f"{name}={'yes' if all(s['converged']) else 'NO'}"
-              for name, s in adaptive["scenarios"].items()
-          ))
-    print(f"  network {network['requests_per_sec']:,.0f} req/s "
-          f"({network['requests_per_sec_per_core']:,.0f} req/s/core), "
-          f"pipelining {network['pipelining']['speedup']:.2f}x, "
-          f"equivalence "
-          f"{'ok' if network['decision_equivalent'] else 'DIVERGED'}")
+    print(f"  adaptive shadow overhead {adaptive['overhead_fraction']:+.2%}")
 
 
-def check(threshold: float, against: str | None, overhead_threshold: float) -> int:
+def check_suite(threshold: float, against: str | None) -> int:
+    """Gate: no bench more than ``threshold`` under the recorded entry."""
     entries = load_entries()
     if not entries:
         raise SystemExit(
@@ -1049,28 +720,52 @@ def check(threshold: float, against: str | None, overhead_threshold: float) -> i
         for failure in failures:
             print(f"  - {failure}")
         return 1
-    print("\nperf gate passed\n")
-    status = check_parallel_scaling()
-    if status:
-        return status
-    print()
-    status = check_hot_key()
-    if status:
-        return status
-    print()
-    status = check_write_path()
-    if status:
-        return status
-    print()
-    status = check_tracing_overhead(overhead_threshold)
-    if status:
-        return status
-    print()
-    status = check_adaptive()
-    if status:
-        return status
-    print()
-    return check_network()
+    print("\nperf gate passed")
+    return 0
+
+
+#: The sections ``--check`` runs after the suite comparison, in order:
+#: name (also the ``--<name>`` flag that runs that section alone), help
+#: text, and the check itself (parsed arguments -> exit status).
+SECTIONS = (
+    (
+        "parallel-scaling",
+        "run only the parallel-fabric scaling gate",
+        lambda args: check_parallel_scaling(),
+    ),
+    (
+        "write-path",
+        "run only the write-path gate (cache-aside vs write-through "
+        "wall clock; write-through vs write-behind modeled throughput)",
+        lambda args: check_write_path(),
+    ),
+    (
+        "tracing-overhead",
+        "run only the traced-vs-untraced overhead gate",
+        lambda args: check_tracing_overhead(args.overhead_threshold),
+    ),
+    (
+        "adaptive",
+        "run only the adaptive-arbitration gate (shadow-cache overhead "
+        "on the serving hot path with the live policy pinned)",
+        lambda args: check_adaptive(),
+    ),
+)
+SUITE_SECTION = ("suite", "", lambda args: check_suite(args.threshold, args.against))
+
+
+def run_sections(sections, args: argparse.Namespace) -> int:
+    """Run every section — a failure never hides the ones after it."""
+    outcomes: list[tuple[str, int, float]] = []
+    for name, _help, section_check in sections:
+        started = time.perf_counter()
+        status = section_check(args)
+        outcomes.append((name, status, time.perf_counter() - started))
+        print()
+    print("perf gate sections:")
+    for name, status, seconds in outcomes:
+        print(f"  {name:18s} {'FAILED' if status else 'passed'}  {seconds:7.1f}s")
+    return int(any(status for _name, status, _seconds in outcomes))
 
 
 def main() -> int:
@@ -1097,42 +792,8 @@ def main() -> int:
         default=0.25,
         help="allowed fractional throughput drop before failing (default 0.25)",
     )
-    parser.add_argument(
-        "--tracing-overhead",
-        action="store_true",
-        help="run only the traced-vs-untraced overhead gate",
-    )
-    parser.add_argument(
-        "--parallel-scaling",
-        action="store_true",
-        help="run only the parallel-fabric scaling gate",
-    )
-    parser.add_argument(
-        "--hot-key",
-        action="store_true",
-        help="run only the hot-key replication gate (replicated vs classic "
-        "single-hot-key pair)",
-    )
-    parser.add_argument(
-        "--write-path",
-        action="store_true",
-        help="run only the write-path gate (cache-aside vs write-through "
-        "wall clock; write-through vs write-behind modeled throughput)",
-    )
-    parser.add_argument(
-        "--adaptive",
-        action="store_true",
-        help="run only the adaptive-arbitration gate (shadow-cache overhead "
-        "on the serving hot path with the live policy pinned; convergence "
-        "to the best fixed policy on every ext-adaptive scenario)",
-    )
-    parser.add_argument(
-        "--network",
-        action="store_true",
-        help="run only the network-plane gate (closed-loop socket harness "
-        "throughput, pipelining speedup at depth 32, two-plane decision "
-        "equivalence)",
-    )
+    for name, help_text, _check in SECTIONS:
+        parser.add_argument(f"--{name}", action="store_true", help=help_text)
     parser.add_argument(
         "--overhead-threshold",
         type=float,
@@ -1141,20 +802,13 @@ def main() -> int:
         "on the cot lookup+admit hot path (default 0.05)",
     )
     args = parser.parse_args()
-    if args.parallel_scaling:
-        return check_parallel_scaling()
-    if args.hot_key:
-        return check_hot_key()
-    if args.write_path:
-        return check_write_path()
-    if args.tracing_overhead:
-        return check_tracing_overhead(args.overhead_threshold)
-    if args.adaptive:
-        return check_adaptive()
-    if args.network:
-        return check_network()
+    selected = [
+        section for section in SECTIONS if getattr(args, section[0].replace("-", "_"))
+    ]
+    if selected:
+        return run_sections(selected, args)
     if args.check:
-        return check(args.threshold, args.against, args.overhead_threshold)
+        return run_sections((SUITE_SECTION, *SECTIONS), args)
     record(args.label)
     return 0
 

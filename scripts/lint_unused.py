@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """What ``compileall`` cannot see after a deletion: unused imports and
-``__all__`` entries that name nothing. verify.sh runs this when ruff is
-absent. Usage: ``python scripts/lint_unused.py DIR...``; ``# noqa`` exempts a line."""
+``__all__`` entries that name nothing. verify.sh's lint stage runs this
+after ``compileall``. Usage: ``python scripts/lint_unused.py DIR...``; ``# noqa`` exempts a line."""
 import ast
 import sys
 from pathlib import Path

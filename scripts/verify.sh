@@ -1,13 +1,27 @@
 #!/usr/bin/env bash
-# One-shot verification: lint, the full test suite, an engine smoke run
-# and the perf-regression gate, exactly what CI runs. Extra arguments are
-# forwarded to the perf gate (e.g. --threshold 0.10 or --against fastpath).
+# One-shot verification, exactly what CI runs, each gate once: hygiene,
+# lint, the full test suite, the bounded fuzz, an engine smoke run (whose
+# experiments raise on their own deterministic verdicts), the ladder's
+# tests and the perf-regression gate. Extra arguments are forwarded to
+# the perf gate (e.g. --threshold 0.10 or --against fastpath).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
-echo "== hygiene =="
+# stage NAME: report the wall seconds of the stage that just ended, then
+# open the next one; the last call closes the run with the total.
+stage_name=""
+stage() {
+    if [ -n "$stage_name" ]; then
+        echo "-- $stage_name: $((SECONDS - stage_started))s"
+    fi
+    stage_name="$1"
+    stage_started=$SECONDS
+    echo "== $1 =="
+}
+
+stage hygiene
 # Committed bytecode / tool caches are repo rot: fail fast if any sneak in.
 if git ls-files | grep -E '(^|/)__pycache__/|\.py[cod]$|(^|/)\.pytest_cache/|(^|/)\.benchmarks/|\.egg-info(/|$)|^benchmarks/output/' ; then
     echo "tracked build/bytecode/benchmark-output artifacts found (see above); git rm them" >&2
@@ -15,15 +29,11 @@ if git ls-files | grep -E '(^|/)__pycache__/|\.py[cod]$|(^|/)\.pytest_cache/|(^|
 fi
 echo "(no tracked bytecode, tool-cache, or benchmark-output artifacts)"
 
-echo "== lint =="
-if python -m ruff --version >/dev/null 2>&1; then
-    python -m ruff check src tests benchmarks
-else
-    echo "(ruff not installed; falling back to a compile check plus an ast pass"
-    echo " for what a deletion leaves behind: unused imports, dangling __all__)"
-    python -m compileall -q src tests benchmarks
-    python scripts/lint_unused.py src tests benchmarks scripts
-fi
+stage lint
+# The linter is stdlib: a compile check plus an ast pass for what a
+# deletion leaves behind (unused imports, dangling __all__).
+python -m compileall -q src tests benchmarks
+python scripts/lint_unused.py src tests benchmarks scripts
 # The wire stays closed and small (ROADMAP item 1): nothing in repro/net
 # names pickle, and the package stays under its line cap.
 if grep -rn --include='*.py' pickle src/repro/net; then
@@ -36,6 +46,12 @@ if [ "$net_lines" -gt 2133 ]; then
     exit 1
 fi
 echo "(repro/net: no pickle, $net_lines lines <= 2,133)"
+# The package serves and connects; load generation is the ladder's. (The
+# names are bracketed so a repo-wide grep for them does not find this line.)
+if grep -rn --include='*.py' -E 'run_network_[l]oad|measure_[p]ipelining|^\s*(import|from)\s+multiprocessing' src/repro/net; then
+    echo "a load generator is back under src/repro/net (see above): socket-plane timing belongs to benchmarks/ladder" >&2
+    exit 1
+fi
 # One client protocol (ROADMAP item 3): a storage read is the miss body's
 # signature call, and cluster/client.py is the only place that makes it.
 if grep -rn --include='*.py' -E 'storage\.get\(|storage_get\(' src/repro \
@@ -47,10 +63,10 @@ protocol_lines="$(cat src/repro/cluster/*.py src/repro/sim/*.py src/repro/polici
 echo "(storage is read in cluster/client.py only; cluster/ + sim/ + policies/ is" \
      "$protocol_lines lines against item 3's <= 5,726)"
 
-echo "== tests =="
+stage tests
 python -m pytest -x -q
 
-echo "== fuzz =="
+stage fuzz
 # Bounded model-based fuzz: the stateful hypothesis machine drives random
 # get/set/delete/get_many/kill/revive/add/remove/epoch/refresh
 # interleavings against the dict oracle (tests/test_cluster_stateful.py).
@@ -60,7 +76,11 @@ echo "== fuzz =="
 CLUSTER_FUZZ_EXAMPLES=200 CLUSTER_FUZZ_STEPS=60 CLUSTER_FUZZ_DERANDOMIZE=1 \
     python -m pytest tests/test_cluster_stateful.py -q
 
-echo "== engine smoke =="
+stage "engine smoke"
+# Every registered experiment at smoke scale. ext-hotkey, ext-write and
+# ext-adaptive raise ExperimentError on their own verdicts (replication
+# targets, write-behind loss bound, arbiter convergence), so this stage is
+# where those are enforced.
 python -m repro.experiments --list
 metrics_out="$(mktemp)"
 python -m repro.experiments all --scale smoke --metrics-out "$metrics_out"
@@ -74,35 +94,7 @@ print(f"(metrics page OK: {len(series)} series)")
 PY
 rm -f "$metrics_out"
 
-echo "== parallel smoke =="
-# One fabric-routed sweep at --parallel 2 must render the sequential
-# golden bytes: parallelism is allowed to change wall-clock, never output.
-# (A real script, not a heredoc: spawned workers re-import __main__.)
-python scripts/parallel_smoke.py
-
-echo "== hot-key smoke =="
-# The adversarial ext-hotkey pair (classic vs replicated tier) must keep
-# its headline win at smoke scale: >= 2x modeled cluster throughput and
-# <= 0.5x hottest-shard spread. Runs the same measurement the full perf
-# gate chains, but as a named stage so a tier regression is immediately
-# attributable in CI output.
-python benchmarks/run_perf_gate.py --hot-key
-
-echo "== write smoke =="
-# The write-path strategy layer's default must be free: an explicitly
-# attached cache-aside strategy is observation-identical to the inline
-# write body, and write-behind's chaos loss stays within dirty_limit.
-python scripts/write_smoke.py
-
-echo "== net smoke =="
-# The socket data plane must carry real traffic: 2 asyncio shard servers
-# + pipelined clients on ephemeral localhost ports, pipelining beating
-# lockstep, and a 10k-request stream making byte-identical cache
-# decisions on both planes. Hard 60s ceiling: a hung socket is a bug,
-# not a slow test.
-timeout 60 python scripts/net_smoke.py
-
-echo "== ladder tests =="
+stage "ladder tests"
 # The ladder benchmark drives repro.net through its public surface
 # (ShardServer/ShardEndpoint/LoopThread/ShardProxy, the proto frames) and
 # checks every value read against an oracle: a transport change that
@@ -110,15 +102,12 @@ echo "== ladder tests =="
 # benchmark run. ~45 s.
 python -m pytest benchmarks/ladder/tests -q
 
-echo "== adaptive smoke =="
-# The adaptive arbiter must keep its price and its tracking: the shadow
-# machinery costs <= 15% on the serving hot path with the live policy
-# pinned, and the arbiter converges to the best fixed policy on every
-# ext-adaptive scenario at smoke scale. Same measurement the full perf
-# gate chains, surfaced as a named stage for attributable CI failures.
-python benchmarks/run_perf_gate.py --adaptive
-
-echo "== perf gate =="
+stage "perf gate"
+# The one perf stage: the micro-bench suite against BENCH_ops.json plus
+# the parallel-scaling, write-path, tracing-overhead and adaptive-overhead
+# sections; every section runs and the gate prints each one's verdict and
+# wall seconds. The socket plane's timing is the ladder's (BENCHMARK.json).
 python benchmarks/run_perf_gate.py --check "$@"
 
-echo "== OK =="
+stage OK
+echo "total: ${SECONDS}s"

@@ -9,7 +9,8 @@ mode declaratively (``WriteSpec`` on ``TopologySpec``):
 * :class:`CacheAsideWritePolicy` — the paper's protocol, verbatim. A
   :class:`~repro.cluster.client.FrontEndClient` with **no** policy
   attached runs the same code inline, byte-for-byte; attaching this
-  class is observationally identical (the write-smoke stage diffs it).
+  class is observationally identical
+  (``tests/test_writepolicy.py::TestCacheAsideEquivalence`` diffs it).
 * :class:`WriteThroughPolicy` — the authoritative storage write plus a
   *SET* (not a delete) on the owning shard, so the caching layer holds
   the fresh value the moment the write is acknowledged. Replicated keys

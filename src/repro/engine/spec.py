@@ -341,9 +341,9 @@ class NetworkSpec:
     localhost TCP socket by an asyncio memcached-protocol server and
     front ends reach it over one blocking socket per shard
     (DESIGN.md §15). Decisions are identical by construction — the
-    equivalence gate (:func:`repro.net.harness.decision_equivalence`)
-    enforces it — but the run pays (and ``net.*`` telemetry measures)
-    real serialization and syscall cost.
+    equivalence replay (:func:`repro.net.harness.decision_equivalence`,
+    run by ``tests/test_net.py``) enforces it — but the run pays (and
+    ``net.*`` telemetry measures) real serialization and syscall cost.
     """
 
     enabled: bool = False

@@ -119,10 +119,10 @@ ADAPTIVE_SHADOW_SAMPLES = "adaptive.shadow_samples"
 ADAPTIVE_REGRET = "adaptive.regret"
 
 # Network data plane counters (published only on runs whose topology
-# enables the NetworkSpec axis, and by the net load harness; absent
-# counters read as 0). bytes_in/bytes_out aggregate both directions of
-# both sides; "net.pipelined_batches" counts write-coalescing flushes
-# and the NET_BATCH_DEPTH histogram records the depth of each (the
+# enables the NetworkSpec axis; absent counters read as 0).
+# bytes_in/bytes_out aggregate both directions of both sides;
+# "net.pipelined_batches" counts write-coalescing flushes and the
+# NET_BATCH_DEPTH histogram records the depth of each (the
 # pipelining-effectiveness distribution, DESIGN.md §15).
 NET_CONNECTIONS = "net.connections"
 NET_RECONNECTS = "net.reconnects"

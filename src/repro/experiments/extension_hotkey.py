@@ -24,11 +24,11 @@ Reported per run: the per-shard get distribution's max and spread
 (max/mean), the bottleneck parallelism factor (total backend gets /
 hottest-shard gets — with shards serving at a fixed rate, cluster
 throughput is proportional to it), and the tier's promotion/routing
-counters. The perf gate (``benchmarks/run_perf_gate.py --hot-key``)
-re-runs the single-hot-key pair at smoke scale, converts the factor to
-ops/s with a measured shard service rate, and fails the build unless the
-replicated run keeps >= 2x modeled throughput and <= 0.5x max-shard
-spread vs unreplicated.
+counters. The verdict is a ratio of counts, so it is deterministic and
+:func:`run` owns it: it raises :class:`~repro.errors.ExperimentError`
+unless the replicated single-hot-key run promoted, served replicated
+reads, and keeps >= 2x modeled throughput and <= 0.5x max-shard spread
+vs unreplicated — which fails ``verify.sh``'s engine-smoke stage.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from repro.engine import (
 from repro.engine import telemetry as T
 from repro.engine.registry import register_experiment
 from repro.engine.runners import ScenarioResult
+from repro.errors import ExperimentError
 from repro.experiments.common import ExperimentResult, Scale
 from repro.workloads.base import KeyGenerator
 from repro.workloads.hotspot import HotspotGenerator
@@ -69,7 +70,7 @@ HOT_OPN_FRACTION = 0.8
 READ_FRACTION = 0.5
 #: replica set size for promoted keys
 DEGREE = 3
-#: the tier's gate targets (also enforced by run_perf_gate.py --hot-key)
+#: the tier's targets on the single-hot-key pair, enforced by :func:`run`
 THROUGHPUT_TARGET = 2.0
 SPREAD_TARGET = 0.5
 
@@ -188,10 +189,7 @@ def _build_spec(
 def run_pair(
     scale: Scale, scenario: str = "single-hot-key", num_servers: int = 8
 ) -> tuple[HotKeyMetrics, HotKeyMetrics]:
-    """One scenario, both modes, identical seeds: (unreplicated, replicated).
-
-    This is the perf gate's entry point as well as the experiment's.
-    """
+    """One scenario, both modes, identical seeds: (unreplicated, replicated)."""
     per_client = scale.accesses // scale.num_clients
     if scenario == "single-hot-key":
         factory = SingleHotKeyWorkload(scale.key_space, scale.seed)
@@ -241,6 +239,27 @@ def run(scale: Scale | None = None, num_servers: int = 8) -> ExperimentResult:
             "spread_ratio": spread_ratio,
         }
     single = extras["single-hot-key"]
+    failures: list[str] = []
+    if (
+        single["replicated"]["replicated_reads"] <= 0
+        or single["replicated"]["promotions"] <= 0
+    ):
+        failures.append("the tier never promoted or served a replicated read")
+    if single["throughput_speedup"] < THROUGHPUT_TARGET:
+        failures.append(
+            f"modeled throughput speedup {single['throughput_speedup']:.2f}x "
+            f"below {THROUGHPUT_TARGET:g}x"
+        )
+    if single["spread_ratio"] > SPREAD_TARGET:
+        failures.append(
+            f"max-shard spread ratio {single['spread_ratio']:.2f} above "
+            f"{SPREAD_TARGET:g}"
+        )
+    if failures:
+        raise ExperimentError(
+            "hot-key replication tier missed its single-hot-key targets — "
+            + "; ".join(failures)
+        )
     return ExperimentResult(
         experiment_id=EXPERIMENT_ID,
         title=(

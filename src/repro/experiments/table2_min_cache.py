@@ -29,7 +29,7 @@ from repro.engine import ClusterRunner, PolicySpec, ScenarioSpec, WorkloadSpec
 from repro.engine.parallel import map_calls
 from repro.engine.registry import register_experiment
 from repro.experiments.common import ExperimentResult, Scale, TRACKER_RATIOS
-from repro.metrics.imbalance import load_imbalance
+from repro.metrics import load_imbalance
 from repro.policies.registry import POLICY_NAMES
 from repro.workloads.base import format_key
 

@@ -22,7 +22,7 @@ makes byte-identical cache decisions: policy admissions, ring routing,
 retries, breaker trips and storage fallbacks all execute the same code;
 only the shard hop is real I/O. That is the two-plane equivalence
 argument (DESIGN.md §15), and :func:`repro.net.harness.decision_equivalence`
-checks it end to end.
+checks it end to end on every tier-1 run (``tests/test_net.py``).
 
 Topology churn maps onto real sockets: shards added after start are
 served lazily on first route; removed shards tear their server and

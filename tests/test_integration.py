@@ -5,7 +5,7 @@ from __future__ import annotations
 from repro.cluster.client import FrontEndClient
 from repro.cluster.cluster import CacheCluster
 from repro.core.cache import CoTCache
-from repro.metrics.imbalance import load_imbalance
+from repro.metrics import load_imbalance
 from repro.policies.registry import make_policy
 from repro.workloads.base import format_key
 from repro.workloads.mixer import OperationMixer

@@ -1,44 +1,12 @@
-"""Tests for metrics: imbalance summaries, series, tables."""
+"""Tests for metrics: series, tables."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.metrics.imbalance import (
-    ImbalanceSummary,
-    coefficient_of_variation,
-    peak_to_mean,
-    relative_load,
-    summarize_loads,
-)
 from repro.metrics.series import SeriesRecorder, sparkline
 from repro.metrics.table import format_cell, render_table
-
-
-class TestImbalanceMetrics:
-    def test_peak_to_mean(self):
-        assert peak_to_mean({"a": 10, "b": 20, "c": 30}) == pytest.approx(1.5)
-        assert peak_to_mean([]) == 1.0
-        assert peak_to_mean([0, 0]) == 1.0
-
-    def test_cv(self):
-        assert coefficient_of_variation([5, 5, 5]) == 0.0
-        assert coefficient_of_variation([1]) == 0.0
-        assert coefficient_of_variation([0, 10]) == pytest.approx(1.0)
-
-    def test_relative_load(self):
-        assert relative_load(50, 100) == 0.5
-        assert relative_load(50, 0) == 1.0
-
-    def test_summary(self):
-        summary = summarize_loads({"a": 10, "b": 20})
-        assert isinstance(summary, ImbalanceSummary)
-        assert summary.max_min == 2.0
-        assert summary.total == 30
-        row = summary.as_row()
-        assert row["imbalance"] == 2.0
-        assert row["total_lookups"] == 30
 
 
 class TestTableRender:

@@ -1,10 +1,10 @@
 """Integration tests of the socket data plane (:mod:`repro.net`).
 
 Everything here runs real asyncio servers on ephemeral localhost ports
-(via :class:`~repro.net.plane.NetworkPlane`'s loop thread), but at tiny
-scales so the whole file stays in tier-1 time. The heavyweight
-multi-process harness is exercised by the perf gate and the verify.sh
-net-smoke stage, not here.
+(via :class:`~repro.net.plane.NetworkPlane`'s loop thread), at scales
+that keep the whole file in tier-1 time. Nothing here takes a timing:
+the socket plane is priced by the ladder's ``net-sync`` and
+``net-pipelined`` workloads (``benchmarks/ladder``).
 """
 
 from __future__ import annotations
@@ -152,9 +152,8 @@ def test_oversized_value_is_a_protocol_error(plane):
 
 
 def test_decision_equivalence_small_stream():
-    equal, in_process, networked = decision_equivalence(
-        accesses=1_500, key_space=400, cache_lines=64
-    )
+    # The default stream: 10,000 mixed requests over 2,000 keys.
+    equal, in_process, networked = decision_equivalence()
     assert equal, {"in_process": in_process, "networked": networked}
 
 
@@ -563,6 +562,43 @@ def test_requests_of_one_loop_turn_leave_in_one_write():
         conn.data_received(b"END\r\n" * 7)
         assert [f.result().kind for f in futures] == ["END"] * 7
         conn.connection_lost(None)
+
+    asyncio.run(main())
+
+
+def test_two_pipelined_sockets_each_read_their_own_replies():
+    workers, rounds = 16, 25  # per socket: 16 requests in flight, 400 keys
+
+    async def main():
+        backend = BackendCacheServer("s", capacity_bytes=1 << 20, default_value_size=1)
+        server = await ShardServer(backend).start()
+        endpoints = {name: ShardEndpoint("s", *server.address) for name in "ab"}
+        answered = dict.fromkeys(endpoints, 0)
+
+        async def worker(name: str, index: int) -> None:
+            endpoint = endpoints[name]
+            for step in range(rounds):
+                key = f"{name}:{index}:{step}"
+                assert await endpoint.get(key) is MISSING
+                await endpoint.set(key, key.encode())
+                # The value names its key and its socket: a reply delivered
+                # to the other connection, or out of order, cannot match.
+                assert await endpoint.get(key) == key.encode()
+                answered[name] += 1
+
+        try:
+            await asyncio.gather(
+                *(worker(name, i) for name in endpoints for i in range(workers))
+            )
+        finally:
+            for endpoint in endpoints.values():
+                await endpoint.close()
+            await server.stop()
+        assert answered == dict.fromkeys(endpoints, workers * rounds)
+        assert server.stats.connections == 2
+        assert server.stats.requests == 2 * workers * rounds * 3
+        assert server.stats.protocol_errors == 0
+        assert max(server.stats.batch_depths) > 1  # it really pipelined
 
     asyncio.run(main())
 

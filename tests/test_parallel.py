@@ -27,6 +27,7 @@ from repro.engine.parallel import (
     map_calls,
     map_specs,
     parallel_workers,
+    warm_pool,
 )
 from repro.engine.spec import spawn_safe
 from repro.errors import ConfigurationError
@@ -122,6 +123,9 @@ class TestWorkerCountInvariance:
             collector = SnapshotCollector().install()
             try:
                 with parallel_workers(workers):
+                    # The pool really starts: a fabric that quietly fell
+                    # back in-process would pass every comparison below.
+                    assert workers == 1 or warm_pool() == workers
                     outcome = fig4_run(
                         theta=0.99, scale=Scale.tiny(), sizes=[2, 8]
                     )

@@ -4,8 +4,9 @@ Covers the promotion/demotion protocol (epoch transitions, tracker-driven
 refresh, hysteresis), power-of-two-choices routing (load spreading,
 OPEN-breaker exclusion, primary fallback), write-fanout coherence
 (quarantine on failed invalidation, cold-revival clearing), the engine's
-replication axis, and a hypothesis state machine asserting zero stale
-reads under random promote/demote/write/kill/revive interleavings.
+replication axis, the ``ext-hotkey`` experiment's own verdict, and a
+hypothesis state machine asserting zero stale reads under random
+promote/demote/write/kill/revive interleavings.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ from repro.engine import (
     TopologySpec,
     WorkloadSpec,
 )
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ExperimentError
+from repro.experiments import extension_hotkey
 from repro.policies.base import MISSING
 from repro.policies.lru import LRUCache
 
@@ -556,6 +558,25 @@ class TestEngineAxis:
         counters = result.telemetry.counters
         assert counters["replication.refreshes"] > 0
         assert "replication.active_keys" in result.telemetry.gauges
+
+
+class TestHotKeyExperimentVerdict:
+    def test_single_hot_key_pair_meets_its_targets(self):
+        baseline, replicated = extension_hotkey.run_pair(
+            Scale.tiny(), "single-hot-key"
+        )
+        assert replicated.promotions > 0 and replicated.replicated_reads > 0
+        speedup = replicated.parallelism / baseline.parallelism
+        assert speedup >= extension_hotkey.THROUGHPUT_TARGET
+        spread_ratio = replicated.spread / baseline.spread
+        assert spread_ratio <= extension_hotkey.SPREAD_TARGET
+
+    def test_run_raises_when_a_target_is_out_of_reach(self, monkeypatch):
+        monkeypatch.setattr(extension_hotkey, "THROUGHPUT_TARGET", 100.0)
+        with pytest.raises(ExperimentError, match="throughput speedup"):
+            # Any run misses a 100x target; a short stream on small rings
+            # keeps the four cluster builds cheap.
+            extension_hotkey.run(Scale.tiny().scaled(accesses=4_000), num_servers=4)
 
 
 class ReplicationMachine(RuleBasedStateMachine):

@@ -4,7 +4,8 @@ Pins the contracts the stateful fuzzer and ``ext-write`` build on:
 
 * attaching :class:`CacheAsideWritePolicy` is observationally identical
   to the client's inline write path (same values, same shard loads,
-  same policy stats) — the byte-identical-default guarantee in small;
+  same storage traffic, same policy stats) — the byte-identical-default
+  guarantee in small;
 * write-through SETs the owning shard (and fans out to every write
   target of a replicated key, quarantining failed replicas exactly like
   the delete fan-out);
@@ -128,7 +129,8 @@ class TestFactory:
 class TestCacheAsideEquivalence:
     def test_attached_policy_matches_inline_path(self):
         """Same op stream, with and without the explicit strategy:
-        identical reads, shard loads and local policy stats."""
+        identical reads, shard loads, backend lookups, storage traffic
+        and local policy stats."""
         results = []
         for explicit in (False, True):
             cluster, _ = build_cluster(seed=3)
@@ -148,6 +150,9 @@ class TestCacheAsideEquivalence:
                 (
                     values,
                     dict(client.monitor.total_loads()),
+                    client.monitor.total_lookups(),
+                    cluster.storage.stats.reads,
+                    cluster.storage.stats.writes,
                     client.policy.stats.hits,
                     client.policy.stats.misses,
                 )
