@@ -34,8 +34,8 @@ stage lint
 # deletion leaves behind (unused imports, dangling __all__).
 python -m compileall -q src tests benchmarks
 python scripts/lint_unused.py src tests benchmarks scripts
-# The wire stays closed and small (ROADMAP item 1): nothing in repro/net
-# names pickle, and the package stays under its line cap.
+# The wire stays closed and small: nothing in repro/net names pickle, and
+# the package stays under its line cap.
 if grep -rn --include='*.py' pickle src/repro/net; then
     echo "pickle is named in src/repro/net (see above): values are opaque at the shard" >&2
     exit 1
@@ -52,8 +52,8 @@ if grep -rn --include='*.py' -E 'run_network_[l]oad|measure_[p]ipelining|^\s*(im
     echo "a load generator is back under src/repro/net (see above): socket-plane timing belongs to benchmarks/ladder" >&2
     exit 1
 fi
-# One client protocol (ROADMAP item 3): a storage read is the miss body's
-# signature call, and cluster/client.py is the only place that makes it.
+# One client protocol: a storage read is the miss body's signature call,
+# and cluster/client.py is the only place that makes it.
 if grep -rn --include='*.py' -E 'storage\.get\(|storage_get\(' src/repro \
         | grep -v '^src/repro/cluster/client\.py:'; then
     echo "a storage read outside cluster/client.py (see above): the miss protocol exists once" >&2
@@ -61,7 +61,18 @@ if grep -rn --include='*.py' -E 'storage\.get\(|storage_get\(' src/repro \
 fi
 protocol_lines="$(cat src/repro/cluster/*.py src/repro/sim/*.py src/repro/policies/*.py | wc -l)"
 echo "(storage is read in cluster/client.py only; cluster/ + sim/ + policies/ is" \
-     "$protocol_lines lines against item 3's <= 5,726)"
+     "$protocol_lines lines)"
+# One drive loop: the cadence tick and the cluster are each built in one
+# place in the engine's runners.
+runners=src/repro/engine/runners.py
+ticks="$(grep -c '% refresh_every' "$runners" || true)"
+clusters="$(grep -c 'CacheCluster(' "$runners" || true)"
+if [ "$ticks" -ne 1 ] || [ "$clusters" -ne 1 ]; then
+    echo "$runners has $ticks '% refresh_every' ticks and $clusters 'CacheCluster(' calls;" \
+         "each must be 1: the drive loop exists once" >&2
+    exit 1
+fi
+echo "($runners: one cadence tick, one cluster construction, $(wc -l < "$runners") lines)"
 
 stage tests
 python -m pytest -x -q

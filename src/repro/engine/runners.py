@@ -5,38 +5,39 @@ per execution substrate:
 
 * :class:`PolicyStreamRunner` — a bare policy against a key stream (the
   hit-rate setting of Figure 4 and the appendix);
-* :class:`ClusterRunner` — N front ends over one shared cluster, with
-  sequential or interleaved scheduling, warm-up windows, elastic front
-  ends and phased fault/workload schedules (Figures 3, 7, 8, Table 2 and
-  the chaos extension);
+* :class:`ClusterRunner` — N front ends over one shared cluster
+  (Figures 3, 7, 8, Table 2 and the chaos extension);
 * :class:`SimRunner` — the discrete-event testbed with closed-loop
-  clients, FCFS shard queues and network latency (Figures 5-6); its
-  clients run the same :class:`~repro.cluster.client.FrontEndClient`
-  :class:`ClusterRunner`'s do, over a :class:`~repro.sim.plane.SimPlane`.
+  clients, FCFS shard queues and network latency (Figures 5-6), running
+  the same :class:`~repro.cluster.client.FrontEndClient` over a
+  :class:`~repro.sim.plane.SimPlane`.
 
-A runner runs its one scenario in the calling process and returns the
-live objects it drove; fan-out across scenarios is
-:mod:`repro.engine.parallel`'s job, above this module.
-
-All three publish into one typed :class:`~repro.engine.telemetry.TelemetryBus`
-and return a :class:`ScenarioResult`. The chunking constants and seeding
-offsets are part of the engine's contract: they reproduce the original
-hand-wired harnesses access-for-access, which is what keeps experiment
-outputs byte-identical across the refactor
-(``tests/test_golden_outputs.py`` pins this).
+The last two are *source · cadence · order*: one request source per
+client, one cadence tick per run, and an order over them — sequential or
+round-robin in :class:`ClusterRunner`, the event heap in
+:class:`SimRunner`; a set spec field the order cannot honour raises
+:class:`~repro.errors.ConfigurationError`. A runner runs in the calling
+process, publishes into a typed :class:`~repro.engine.telemetry.TelemetryBus`
+and returns the live objects it drove (fan-out is
+:mod:`repro.engine.parallel`'s job). The chunk size and seed offsets are
+contract: they keep every experiment byte-identical
+(``tests/test_golden_outputs.py``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Protocol, runtime_checkable
+from contextlib import nullcontext
+from dataclasses import dataclass, field, replace
+from itertools import chain
+from operator import attrgetter
+from typing import Any, Callable, Iterable, Iterator, Protocol, runtime_checkable
 
 from repro.cluster.client import FrontEndClient
 from repro.cluster.cluster import CacheCluster
 from repro.cluster.replication import HotKeyRouter
 from repro.core.elastic import ElasticCoTClient
 from repro.engine import telemetry as T
-from repro.engine.spec import RunContext, ScenarioSpec, make_generator
+from repro.engine.spec import Phase, RunContext, ScenarioSpec, WorkloadSpec
 from repro.engine.telemetry import PhaseTelemetry, TelemetryBus, TelemetrySnapshot
 from repro.errors import ConfigurationError
 from repro.obs.hist import LatencyHistogram
@@ -47,7 +48,7 @@ from repro.sim.events import Simulator
 from repro.sim.network import FixedLatency
 from repro.sim.server import ServiceModel, SimBackendServer
 from repro.workloads.base import format_key
-from repro.workloads.mixer import OperationMixer
+from repro.workloads.mixer import TAO_READ_FRACTION, OperationMixer
 
 __all__ = [
     "STREAM_CHUNK",
@@ -72,6 +73,56 @@ SIM_MIXER_SEED_OFFSET = 500
 #: Seed offset separating a front end's replica-choice RNG from its key
 #: and mixer streams (replication-enabled runs only).
 REPLICA_ROUTE_SEED_OFFSET = 2_000
+
+
+def _batches(
+    draw: Callable[[int], Iterable[Any]], total: int
+) -> Iterator[Iterable[Any]]:
+    """``total`` operations from ``draw``, :data:`STREAM_CHUNK` at a time.
+
+    ``keys_array`` / ``next_requests`` are stream-identical to
+    one-at-a-time draws at any chunk size (their documented contract), so
+    chained batches — taken one operation per round-robin round or per
+    simulated request — are the very stream the batch form iterates.
+    """
+    while total > 0:
+        n = STREAM_CHUNK if total > STREAM_CHUNK else total
+        yield draw(n)
+        total -= n
+
+
+def _build_cluster(spec: ScenarioSpec) -> CacheCluster:
+    """The shared back-end cluster a spec's topology describes."""
+    topology = spec.topology
+    return CacheCluster(
+        num_servers=spec.num_servers,
+        capacity_bytes=topology.capacity_bytes,
+        value_size=topology.value_size,
+        storage=topology.storage,
+        faults=topology.faults,
+    )
+
+
+def _build_mixer(spec: ScenarioSpec, client_index: int, seed_offset: int) -> Any:
+    """One client's operation stream: ``mixer_factory``'s, else a mixer
+    seeded ``seed_offset`` from its key stream (no ``read_fraction``: Tao's)."""
+    workload = spec.workload
+    if workload.mixer_factory is not None:
+        return workload.mixer_factory(client_index)
+    read_fraction = workload.read_fraction
+    return OperationMixer(
+        workload.build_generator(spec.scale.key_space, spec.base_seed, client_index),
+        read_fraction=TAO_READ_FRACTION if read_fraction is None else read_fraction,
+        seed=spec.base_seed + seed_offset + client_index,
+    )
+
+
+def _reject(spec: ScenarioSpec, why: str, *fields: str) -> None:
+    """Raise for the first of ``fields`` that is set: the run could only
+    ignore it (each one's default is falsy)."""
+    for name in fields:
+        if attrgetter(name)(spec):
+            raise ConfigurationError(f"`{name}` is set, but {why}")
 
 
 @dataclass
@@ -134,13 +185,9 @@ class PolicyStreamRunner:
         accesses = spec.total_accesses
         hooks = spec.hooks
         if hooks is None:
-            keys_array = generator.keys_array
             run_stream = policy.run_stream
-            remaining = accesses
-            while remaining > 0:
-                n = STREAM_CHUNK if remaining > STREAM_CHUNK else remaining
-                run_stream(keys_array(n))
-                remaining -= n
+            for keys in _batches(generator.keys_array, accesses):
+                run_stream(keys)
         else:
             before, after = hooks.before, hooks.after
             next_key = generator.next_key
@@ -240,64 +287,98 @@ def _resilience_counts(front_ends: list[FrontEndClient]) -> dict[str, int]:
     return counts
 
 
+def _publish_head(
+    bus: TelemetryBus, front_ends: list[FrontEndClient], requests: int
+) -> dict[str, int]:
+    """Publish the counters every front-end run has; return the sums."""
+    counts = _resilience_counts(front_ends)
+    bus.inc(T.HITS, counts["hits"])
+    bus.inc(T.MISSES, counts["misses"])
+    bus.inc(T.ACCESSES, sum(c.policy.stats.accesses for c in front_ends))
+    bus.inc(T.TOTAL_REQUESTS, requests)
+    bus.inc(T.DEGRADED_READS, counts["degraded"])
+    bus.inc(
+        T.FAILED_INVALIDATIONS,
+        sum(c.guard.stats.lost_invalidations for c in front_ends),
+    )
+    return counts
+
+
+def _mixed(spec: ScenarioSpec) -> bool:
+    """Whether the run may write: a ``read_fraction`` below 1, or a
+    ``mixer_factory`` — the hatch bespoke streams (YCSB A-F) come in by."""
+    workload = spec.workload
+    return workload.mixer_factory is not None or (
+        workload.read_fraction is not None and workload.read_fraction < 1.0
+    )
+
+
+def _request_source(
+    spec: ScenarioSpec, client: FrontEndClient, index: int
+) -> tuple[Callable[[Any], Any], Callable[[int], Iterable[Any]]]:
+    """One client's request source ``(step, draw)``: ``draw(n)`` lists its
+    next ``n`` operations, ``step`` runs one — wire keys into
+    ``client.get`` for a pure-read workload (no ``Request`` objects on the
+    engine's fast path), requests into ``client.execute`` for a mixed one.
+    """
+    if _mixed(spec):
+        mixer = _build_mixer(spec, index, CLUSTER_MIXER_SEED_OFFSET)
+        return client.execute, mixer.next_requests
+    keys_array = spec.workload.build_generator(
+        spec.scale.key_space, spec.base_seed, index
+    ).keys_array
+    return client.get, lambda n: map(format_key, keys_array(n))
+
+
 class ClusterRunner:
     """Drive N front ends over one shared back-end cluster.
 
-    Scheduling modes (all decision-equivalent to the hand-wired loops
-    they replace):
+    Each client has one request source, the run one cadence tick, and the
+    spec picks the order over them:
 
-    * **sequential** (default) — each client drains its whole quota
-      before the next starts, keys drawn through the chunked batch API;
-      ``read_fraction`` below 1 routes through an
-      :class:`~repro.workloads.mixer.OperationMixer` per client.
-    * **interleaved** (``spec.interleave``) — clients advance round-robin
-      one access at a time (Table 2's measurement and the only mode that
-      exercises concurrent front ends against shared shard state); a
-      ``warmup_fraction`` resets the cluster's epoch window mid-run.
-    * **phased** (``spec.phases``) — interleaved drive segmented by a
-      fault/workload schedule: each phase may fire an action against the
-      live cluster, swap the key distribution, and is telemetered as its
-      own :class:`~repro.engine.telemetry.PhaseTelemetry` delta.
+    * **sequential** (default) — each client drains its quota before the
+      next starts, in the chunked batch form; with no per-access body,
+      ``verify_value`` and ``warmup_fraction`` are rejected.
+    * **round-robin** (``spec.interleave`` or ``spec.phases``) — one
+      access per client per round (Table 2's measurement, and the only
+      order that exercises concurrent front ends against shared shard
+      state), with warm-up, the value oracle and the tick in one body.
+      ``spec.phases`` segments the rounds: each phase may fire an action
+      against the live cluster, swap the key distribution, and is
+      telemetered as its own
+      :class:`~repro.engine.telemetry.PhaseTelemetry` delta.
 
     Elastic front ends plug in through ``spec.client_factory``; their
     epoch records are published to the bus as typed epoch events.
     """
 
     def run(self, spec: ScenarioSpec) -> ScenarioResult:
-        topology = spec.topology
-        cluster = CacheCluster(
-            num_servers=spec.num_servers,
-            capacity_bytes=topology.capacity_bytes,
-            value_size=topology.value_size,
-            storage=topology.storage,
-            faults=topology.faults,
-        )
         num_clients = spec.num_clients
         if num_clients < 1:
             raise ConfigurationError("cluster scenario needs >= 1 front end")
+        if spec.phases is None and not spec.interleave:
+            why = "the sequential order has no per-access body: set `interleave=True`"
+            _reject(spec, why, "verify_value", "warmup_fraction")
+        if _mixed(spec):
+            why = "a static oracle or key-stream swap means nothing once the run writes"
+            _reject(spec, why, "verify_value")
+            if any(phase.dist is not None for phase in spec.phases or ()):
+                raise ConfigurationError(f"`Phase.dist` is set, but {why}")
+        net = spec.topology.network
+        cluster = _build_cluster(spec)
         # The socket-plane axis (default off → `target is cluster`, the
         # classic byte-identical path): front ends, router and write
         # policy all talk to the plane facade, so every shard hop —
         # reads, writes, replica invalidations — crosses the wire.
-        plane = None
-        if topology.network.enabled:
-            plane = topology.network.build_plane(cluster)
-        target = cluster if plane is None else plane
-        try:
-            return self._run_on(spec, cluster, target, plane, num_clients)
-        finally:
-            if plane is not None:
-                plane.close()
+        with net.build_plane(cluster) if net.enabled else nullcontext() as plane:
+            return self._run_on(spec, cluster, plane)
 
     def _run_on(
-        self,
-        spec: ScenarioSpec,
-        cluster: CacheCluster,
-        target: Any,
-        plane: Any,
-        num_clients: int,
+        self, spec: ScenarioSpec, cluster: CacheCluster, plane: Any
     ) -> "ScenarioResult":
         topology = spec.topology
+        num_clients = spec.num_clients
+        target = cluster if plane is None else plane
         if spec.client_factory is not None:
             front_ends = [
                 spec.client_factory(target, i) for i in range(num_clients)
@@ -330,20 +411,33 @@ class ClusterRunner:
             for client in front_ends:
                 client.attach_write_policy(write_policy)
 
+        # The run's one cadence, counted in accesses across the whole run
+        # whatever the order (which keeps epoch boundaries deterministic):
+        # a router's promoted key set is refreshed every `refresh_every`, a
+        # buffered write strategy (write-behind) flushed every `flush_every`.
+        refresh_every = topology.replication.refresh_every if router is not None else 0
+        buffered = write_policy is not None and write_policy.buffered
+        flush_every = topology.write.flush_every if buffered else 0
+        ticks = 0
+
+        def tick() -> None:
+            nonlocal ticks
+            ticks += 1
+            if refresh_every and ticks % refresh_every == 0:
+                router.refresh(front_ends)
+            if flush_every and ticks % flush_every == 0:
+                write_policy.flush()
+
         bus = TelemetryBus()
         per_client = spec.total_accesses // num_clients
-        if spec.phases is not None:
-            driven = self._drive_phased(
-                spec, cluster, front_ends, per_client, bus, router, write_policy
-            )
-        elif spec.interleave:
-            driven = self._drive_interleaved(
-                spec, cluster, front_ends, per_client, router, write_policy
+        # With neither cadence there is no tick: the bare loop stays bare.
+        cadence = tick if refresh_every or flush_every else None
+        if spec.interleave or spec.phases is not None:
+            driven = self._drive_round_robin(
+                spec, cluster, front_ends, per_client, bus, cadence
             )
         else:
-            driven = self._drive_sequential(
-                spec, front_ends, per_client, router, write_policy
-            )
+            driven = self._drive_sequential(spec, front_ends, per_client, cadence)
 
         self._publish(spec, cluster, front_ends, driven, bus, router, write_policy)
         if plane is not None:
@@ -356,181 +450,75 @@ class ClusterRunner:
             front_ends=front_ends,
         )
 
-    # ------------------------------------------------------------- drive modes
+    # ------------------------------------------------------------------ orders
 
     def _drive_sequential(
         self,
         spec: ScenarioSpec,
         front_ends: list[FrontEndClient],
         per_client: int,
-        router: HotKeyRouter | None = None,
-        write_policy: "Any | None" = None,
+        tick: Callable[[], None] | None,
     ) -> int:
-        workload = spec.workload
-        read_fraction = workload.read_fraction
-        # Promotion-epoch cadence: with a router attached, the promoted
-        # key set is refreshed every `refresh_every` accesses (counted
-        # across the whole run), keeping epoch boundaries deterministic.
-        refresh_every = (
-            spec.topology.replication.refresh_every if router is not None else 0
-        )
-        # Write-behind flush cadence, same cross-run counting; only a
-        # buffered strategy needs one.
-        flush_every = (
-            spec.topology.write.flush_every
-            if write_policy is not None and write_policy.buffered
-            else 0
-        )
-        # A mixer_factory routes the whole drive through `execute` —
-        # the hatch bespoke operation streams (YCSB A-F) come in through.
-        mixed = workload.mixer_factory is not None or (
-            read_fraction is not None and read_fraction < 1.0
-        )
-        driven = 0
         for i, client in enumerate(front_ends):
-            if not mixed:
-                generator = workload.build_generator(
-                    spec.scale.key_space, spec.base_seed, i
-                )
-                get = client.get
-                remaining = per_client
-                while remaining > 0:
-                    n = STREAM_CHUNK if remaining > STREAM_CHUNK else remaining
-                    if refresh_every or flush_every:
-                        for key in generator.keys_array(n):
-                            get(format_key(key))
-                            driven += 1
-                            if refresh_every and driven % refresh_every == 0:
-                                router.refresh(front_ends)
-                            if flush_every and driven % flush_every == 0:
-                                write_policy.flush()
-                    else:
-                        for key in generator.keys_array(n):
-                            get(format_key(key))
-                    remaining -= n
-            else:
-                if workload.mixer_factory is not None:
-                    mixer = workload.mixer_factory(i)
+            step, draw = _request_source(spec, client, i)
+            for batch in _batches(draw, per_client):
+                if tick is None:
+                    for item in batch:
+                        step(item)
                 else:
-                    generator = workload.build_generator(
-                        spec.scale.key_space, spec.base_seed, i
-                    )
-                    mixer = OperationMixer(
-                        generator,
-                        read_fraction=read_fraction,
-                        seed=spec.base_seed + CLUSTER_MIXER_SEED_OFFSET + i,
-                    )
-                execute = client.execute
-                remaining = per_client
-                while remaining > 0:
-                    n = STREAM_CHUNK if remaining > STREAM_CHUNK else remaining
-                    if refresh_every or flush_every:
-                        for request in mixer.next_requests(n):
-                            execute(request)
-                            driven += 1
-                            if refresh_every and driven % refresh_every == 0:
-                                router.refresh(front_ends)
-                            if flush_every and driven % flush_every == 0:
-                                write_policy.flush()
-                    else:
-                        for request in mixer.next_requests(n):
-                            execute(request)
-                    remaining -= n
+                    for item in batch:
+                        step(item)
+                        tick()
         return per_client * len(front_ends)
 
-    def _drive_interleaved(
-        self,
-        spec: ScenarioSpec,
-        cluster: CacheCluster,
-        front_ends: list[FrontEndClient],
-        per_client: int,
-        router: HotKeyRouter | None = None,
-        write_policy: "Any | None" = None,
-    ) -> int:
-        generators = [
-            spec.workload.build_generator(spec.scale.key_space, spec.base_seed, i)
-            for i in range(len(front_ends))
-        ]
-        warmup = int(per_client * spec.warmup_fraction)
-        refresh_every = (
-            spec.topology.replication.refresh_every if router is not None else 0
-        )
-        flush_every = (
-            spec.topology.write.flush_every
-            if write_policy is not None and write_policy.buffered
-            else 0
-        )
-        driven = 0
-        for j in range(per_client):
-            if warmup and j == warmup:
-                cluster.reset_epoch()
-            for client, generator in zip(front_ends, generators):
-                client.get(format_key(generator.next_key()))
-                if refresh_every or flush_every:
-                    driven += 1
-                    if refresh_every and driven % refresh_every == 0:
-                        router.refresh(front_ends)
-                    if flush_every and driven % flush_every == 0:
-                        write_policy.flush()
-        return per_client * len(front_ends)
-
-    def _drive_phased(
+    def _drive_round_robin(
         self,
         spec: ScenarioSpec,
         cluster: CacheCluster,
         front_ends: list[FrontEndClient],
         per_client: int,
         bus: TelemetryBus,
-        router: HotKeyRouter | None = None,
-        write_policy: "Any | None" = None,
+        tick: Callable[[], None] | None,
     ) -> int:
         faults = spec.topology.faults
         verify = spec.verify_value
-        refresh_every = (
-            spec.topology.replication.refresh_every if router is not None else 0
-        )
-        flush_every = (
-            spec.topology.write.flush_every
-            if write_policy is not None and write_policy.buffered
-            else 0
-        )
+        warmup = int(per_client * spec.warmup_fraction)
         context = RunContext(
             spec=spec, cluster=cluster, faults=faults, front_ends=front_ends
         )
-        generators = [
-            spec.workload.build_generator(spec.scale.key_space, spec.base_seed, i)
-            for i in range(len(front_ends))
-        ]
+        clients = list(enumerate(front_ends))
+        steps, draws = zip(*(_request_source(spec, c, i) for i, c in clients))
         elastic = [c for c in front_ends if isinstance(c, ElasticCoTClient)]
         published = 0
-        driven = 0
-        for index, phase in enumerate(spec.phases or ()):
+        rounds = 0
+        # `interleave=True` alone is one unlabelled phase that pushes no delta.
+        phases = (Phase(""),) if spec.phases is None else spec.phases
+        for index, phase in enumerate(phases):
             if phase.action is not None:
                 phase.action(context)
             if phase.dist is not None:
-                generators = [
-                    make_generator(phase.dist, spec.scale.key_space, spec.base_seed + i)
-                    for i in range(len(front_ends))
-                ]
+                swapped = replace(spec, workload=WorkloadSpec(dist=phase.dist))
+                draws = [_request_source(swapped, c, i)[1] for i, c in clients]
             down = tuple(sorted(faults.down_servers())) if faults else ()
             before = _resilience_counts(front_ends)
             start_epoch = len(elastic[0].history) if elastic else 0
             incorrect_before = bus.counter(T.INCORRECT_READS)
             phase_accesses = per_client if phase.accesses is None else phase.accesses
-            for _j in range(phase_accesses):
-                for client, generator in zip(front_ends, generators):
-                    key = format_key(generator.next_key())
-                    value = client.get(key)
-                    if verify is not None and value != verify(key):
+            streams = [
+                chain.from_iterable(_batches(draw, phase_accesses)) for draw in draws
+            ]
+            for items in zip(*streams):
+                if warmup and rounds == warmup:
+                    cluster.reset_epoch()
+                rounds += 1
+                for step, item in zip(steps, items):
+                    value = step(item)
+                    if verify is not None and value != verify(item):
                         bus.inc(T.INCORRECT_READS)
-                    if refresh_every or flush_every:
-                        driven += 1
-                        if refresh_every and driven % refresh_every == 0:
-                            router.refresh(front_ends)
-                        if flush_every and driven % flush_every == 0:
-                            write_policy.flush()
-            if not (refresh_every or flush_every):
-                driven += phase_accesses * len(front_ends)
+                    if tick is not None:
+                        tick()
+            if spec.phases is None:
+                break
             after = _resilience_counts(front_ends)
             # Publish the epochs that closed during this phase.
             for client in elastic:
@@ -550,11 +538,9 @@ class ClusterRunner:
                 breaker_closes=after["closes"] - before["closes"],
                 incorrect_reads=bus.counter(T.INCORRECT_READS) - incorrect_before,
                 start_epoch=start_epoch,
-                epoch_events=bus.epoch_events_since(
-                    start_epoch if elastic else 0
-                ) if elastic else (),
+                epoch_events=bus.epoch_events_since(start_epoch) if elastic else (),
             ))
-        return driven
+        return rounds * len(front_ends)
 
     # ---------------------------------------------------------------- publish
 
@@ -568,19 +554,11 @@ class ClusterRunner:
         router: HotKeyRouter | None = None,
         write_policy: "Any | None" = None,
     ) -> None:
-        counts = _resilience_counts(front_ends)
-        accesses = sum(c.policy.stats.accesses for c in front_ends)
-        failed = sum(c.guard.stats.lost_invalidations for c in front_ends)
-        bus.inc(T.HITS, counts["hits"])
-        bus.inc(T.MISSES, counts["misses"])
-        bus.inc(T.ACCESSES, accesses)
-        bus.inc(T.TOTAL_REQUESTS, driven)
-        bus.inc(T.DEGRADED_READS, counts["degraded"])
+        counts = _publish_head(bus, front_ends, driven)
         bus.inc(T.RETRIES, counts["retries"])
         bus.inc(T.OPEN_REJECTIONS, counts["rejections"])
         bus.inc(T.BREAKER_OPENS, counts["opens"])
         bus.inc(T.BREAKER_CLOSES, counts["closes"])
-        bus.inc(T.FAILED_INVALIDATIONS, failed)
         bus.record_shard_loads(cluster.loads(), cluster.epoch_loads())
         bus.fallback_latency = sum(
             c.monitor.fallback_latency_total for c in front_ends
@@ -670,16 +648,16 @@ class SimRunner:
             per_client = max(1, spec.total_accesses // max(num_clients, 1))
         if num_clients < 1 or per_client < 1:
             raise ConfigurationError("need >= 1 client and >= 1 request")
-        sim = Simulator()
         topology = spec.topology
-        faults = topology.faults
-        cluster = CacheCluster(
-            num_servers=spec.num_servers,
-            capacity_bytes=topology.capacity_bytes,
-            value_size=topology.value_size,
-            storage=topology.storage,
-            faults=faults,
+        _reject(
+            spec, "the simulator's closed loop over a bare cluster would ignore it",
+            "topology.replication.enabled", "topology.write.enabled",
+            "topology.network.enabled", "phases", "client_factory", "interleave",
+            "verify_value", "warmup_fraction",
         )
+        sim = Simulator()
+        faults = topology.faults
+        cluster = _build_cluster(spec)
         model = spec.service_model or ServiceModel()
         latency = spec.latency or FixedLatency()
         fair = 1.0 / len(cluster.server_ids)
@@ -691,10 +669,11 @@ class SimRunner:
             servers[server_id] = server
         clients: list[SimClient] = []
         for client_id in range(num_clients):
+            mixer = _build_mixer(spec, client_id, SIM_MIXER_SEED_OFFSET)
             client = SimClient(
                 client_id=client_id,
                 sim=sim,
-                mixer=self._build_mixer(spec, client_id),
+                requests=chain.from_iterable(_batches(mixer.next_requests, per_client)),
                 policy=spec.policy.build(client_id),
                 cluster=cluster,
                 servers=servers,
@@ -717,20 +696,6 @@ class SimRunner:
             servers=servers,
         )
 
-    def _build_mixer(self, spec: ScenarioSpec, client_id: int) -> OperationMixer:
-        workload = spec.workload
-        if workload.mixer_factory is not None:
-            return workload.mixer_factory(client_id)
-        generator = workload.build_generator(
-            spec.scale.key_space, spec.base_seed, client_id
-        )
-        mixer_seed = spec.base_seed + SIM_MIXER_SEED_OFFSET + client_id
-        if workload.read_fraction is None:
-            return OperationMixer(generator, seed=mixer_seed)
-        return OperationMixer(
-            generator, read_fraction=workload.read_fraction, seed=mixer_seed
-        )
-
     def _publish(
         self,
         clients: list[SimClient],
@@ -739,17 +704,8 @@ class SimRunner:
     ) -> TelemetryBus:
         bus = TelemetryBus()
         front_ends = [c.front_end for c in clients]
-        counts = _resilience_counts(front_ends)
         total_requests = sum(c.completed for c in clients)
-        bus.inc(T.HITS, counts["hits"])
-        bus.inc(T.MISSES, counts["misses"])
-        bus.inc(T.ACCESSES, sum(c.policy.stats.accesses for c in clients))
-        bus.inc(T.TOTAL_REQUESTS, total_requests)
-        bus.inc(T.DEGRADED_READS, counts["degraded"])
-        bus.inc(
-            T.FAILED_INVALIDATIONS,
-            sum(f.guard.stats.lost_invalidations for f in front_ends),
-        )
+        _publish_head(bus, front_ends, total_requests)
         bus.record_shard_loads(
             {sid: server.arrivals for sid, server in servers.items()}
         )

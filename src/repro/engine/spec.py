@@ -146,11 +146,10 @@ class WorkloadSpec:
     called with the client index — make it a module-level callable (not a
     closure) to keep the spec eligible for the parallel fabric (see
     :func:`spawn_safe`). ``read_fraction`` of ``None`` keeps the
-    consumer's default (pure reads on the cluster path, the
-    :class:`~repro.workloads.mixer.OperationMixer` default on the sim
-    path); ``mixer_factory`` overrides operation mixing entirely — on
-    the sim path and the sequential cluster drive, which routes every
-    operation through ``FrontEndClient.execute`` (the YCSB A-F hatch).
+    runner's default (pure reads on the cluster, Tao's mix in the
+    simulator); ``mixer_factory`` replaces operation mixing entirely (the
+    YCSB A-F hatch). A mixed workload runs through
+    ``FrontEndClient.execute`` in every order.
     """
 
     dist: str | None = None
@@ -424,10 +423,10 @@ class RunContext:
 class ScenarioSpec:
     """One fully-described run: the engine's declarative unit.
 
-    Runner-specific knobs are optional fields with inert defaults; each
-    runner documents which it consumes. ``seed`` of ``None`` inherits
-    ``scale.seed`` — sweeps that re-seed per repetition (Figure 5's
-    ``base_seed + 10_000 × rep``) override it explicitly.
+    Runner-specific knobs are optional fields with inert defaults; a
+    runner rejects a set field it could only ignore. ``seed`` of ``None``
+    inherits ``scale.seed`` — sweeps that re-seed per repetition (Figure
+    5's ``base_seed + 10_000 × rep``) override it explicitly.
     """
 
     scale: Scale
@@ -439,11 +438,12 @@ class ScenarioSpec:
     accesses: int | None = None
     #: per-client request quota (sim path); None -> derived by the caller
     requests_per_client: int | None = None
-    #: drive clients round-robin per access instead of sequentially
-    #: (Table 2's interleaved measurement; required for elastic runs)
+    #: drive clients round-robin, one access each per round, instead of
+    #: sequentially (Table 2's measurement); implied by ``phases``
     interleave: bool = False
-    #: fraction of the run before the cluster's epoch counters reset
-    #: (Table 2 excludes cold-start misses from its measurement window)
+    #: fraction of the per-client quota, counted in rounds from the start
+    #: of the run (phases or not), before the cluster's epoch counters
+    #: reset — Table 2 excludes cold-start misses; round-robin only
     warmup_fraction: float = 0.0
     #: front-end factory for non-standard clients (elastic front ends);
     #: called with (cluster, client_index)
@@ -452,8 +452,8 @@ class ScenarioSpec:
     phases: tuple[Phase, ...] | None = None
     #: per-access instrumentation (policy-stream path)
     hooks: StreamHooks | None = None
-    #: authoritative-value oracle; when set, every cluster read is checked
-    #: and mismatches are counted as ``INCORRECT_READS``
+    #: authoritative-value oracle; when set, every read of a round-robin
+    #: pure-read run is checked, mismatches counted as ``INCORRECT_READS``
     verify_value: Callable[[Hashable], Any] | None = None
     #: sim-path timing models
     service_model: "ServiceModel | None" = None

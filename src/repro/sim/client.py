@@ -14,7 +14,7 @@ the event heap, which is where the request spends its simulated time.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Iterator
 
 from repro.cluster.client import FrontEndClient
 from repro.cluster.cluster import CacheCluster
@@ -25,7 +25,6 @@ from repro.sim.events import Simulator
 from repro.sim.network import LatencyModel
 from repro.sim.plane import SimPlane
 from repro.sim.server import SimBackendServer
-from repro.workloads.mixer import OperationMixer
 from repro.workloads.request import OpType
 
 __all__ = ["SimClient"]
@@ -35,13 +34,6 @@ __all__ = ["SimClient"]
 #: experiment confirms the overhead is statistically invisible, and so is
 #: this value relative to a 244 µs RTT.
 LOCAL_OP_TIME = 2e-6
-
-#: Requests prefetched from the mixer per refill. Drawing in batches uses
-#: the generators' loop-hoisted ``keys_array`` path; because the key stream
-#: and the read/update coin come from independent RNGs, the batched stream
-#: is identical to one-at-a-time draws. Capped by the client's remaining
-#: quota so exactly ``total_requests`` operations are ever drawn.
-REQUEST_BATCH = 512
 
 #: Extra service time of a degraded read: the persistent store is slower
 #: than a cache shard (disk/SSD + request handling), so falling back when
@@ -58,8 +50,11 @@ class SimClient:
         index used for reporting.
     sim:
         shared simulation kernel.
-    mixer:
-        request source (keys + read/update mix).
+    requests:
+        this client's request source: an iterator over exactly its
+        ``total_requests`` operations. The runner draws it in chunks from
+        the one mixer helper every order shares, so the simulator's event
+        heap is a third consumer of the same stream.
     policy:
         this client's local cache policy instance.
     cluster:
@@ -83,7 +78,7 @@ class SimClient:
         self,
         client_id: int,
         sim: Simulator,
-        mixer: OperationMixer,
+        requests: Iterator[Any],
         policy: CachePolicy,
         cluster: CacheCluster,
         servers: dict[str, SimBackendServer],
@@ -93,7 +88,7 @@ class SimClient:
     ) -> None:
         self.client_id = client_id
         self.sim = sim
-        self.mixer = mixer
+        self.requests = requests
         self.policy = policy
         self.cluster = cluster
         self.servers = servers
@@ -114,8 +109,6 @@ class SimClient:
         self.latency_histogram = LatencyHistogram()
         self.tracer = tracer
         self._started_at = 0.0
-        self._pending: list = []
-        self._pending_idx = 0
         # The request in flight: its hops, those not yet replayed, its
         # degraded reads, its trace if sampled.
         self._hops = plane.hops
@@ -136,14 +129,7 @@ class SimClient:
             self.finish_time = self.sim.now
             return
         self._started_at = self.sim.now
-        idx = self._pending_idx
-        if idx >= len(self._pending):
-            remaining = self.total_requests - self.completed
-            batch = REQUEST_BATCH if remaining > REQUEST_BATCH else remaining
-            self._pending = self.mixer.next_requests(batch)
-            idx = 0
-        self._pending_idx = idx + 1
-        request = self._pending[idx]
+        request = next(self.requests)
         self._hops.clear()
         # O(1), and lifetime here: nothing closes this front end's epochs.
         monitor = self.front_end.monitor

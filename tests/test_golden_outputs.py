@@ -1,10 +1,13 @@
 """Golden-file regression tests for the scenario engine.
 
-These pin the rendered smoke-scale output of four representative
-experiments byte-for-byte: fig4 (policy-stream path), fig6 (simulator
-path, one client), ext-edge-rtt (simulator path, several clients: the
-cross-client FCFS event order) and table2 (cluster path).  Together
-they cover all three runners behind the engine, so any drift in seeding,
+These pin the rendered smoke-scale output of nine experiments
+byte-for-byte: fig4 (policy-stream path), fig6 (simulator path, one
+client), ext-edge-rtt (simulator path, several clients: the cross-client
+FCFS event order), and the cluster path in each order — fig3
+(sequential), ext-hotkey (sequential with the router tick), table2
+(round-robin with warm-up), fig7 / fig8 (phased, elastic front ends) and
+ext-chaos (phased under faults, with the value oracle).  Together they
+cover all three runners behind the engine, so any drift in seeding,
 drive order, or rendering shows up as a diff against ``tests/golden/``.
 
 To regenerate after an intentional change::
@@ -30,8 +33,8 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 def rendered_output(experiment_id: str) -> str:
     # Rendered the way the CLI renders it, fanned out over the cpu-aware
     # default worker count. (The suite used to get this by accident, from
-    # the worker count an earlier CLI test leaked; sequentially these
-    # four cost about a minute more on two cores.)
+    # the worker count an earlier CLI test leaked; sequentially fig4,
+    # fig6, table2 and ext-edge-rtt cost about a minute more on two cores.)
     with parallel_workers(None):
         outcome = get_experiment(experiment_id).run(scale=Scale.smoke())
     results = outcome if isinstance(outcome, list) else [outcome]
@@ -39,7 +42,11 @@ def rendered_output(experiment_id: str) -> str:
 
 
 @pytest.mark.parametrize(
-    "experiment_id", ["fig4", "fig6", "table2", "ext-edge-rtt"]
+    "experiment_id",
+    [
+        "fig4", "fig6", "table2", "ext-edge-rtt",
+        "fig3", "ext-hotkey", "fig7", "fig8", "ext-chaos",
+    ],
 )
 def test_smoke_output_matches_golden(experiment_id):
     golden = (GOLDEN_DIR / f"{experiment_id}.smoke.txt").read_text(

@@ -11,16 +11,24 @@ and the per-process zeta memo behavior the spawn path relies on.
 from __future__ import annotations
 
 import random
+import re
+from dataclasses import replace
 
 import pytest
 
+from repro.cluster.cluster import CacheCluster
 from repro.engine import (
     ClusterRunner,
+    Phase,
     PolicySpec,
+    ReplicationSpec,
     Scale,
     ScenarioSpec,
+    SimRunner,
     StreamHooks,
+    TopologySpec,
     WorkloadSpec,
+    WriteSpec,
     merge_snapshots,
 )
 from repro.engine.parallel import (
@@ -29,7 +37,7 @@ from repro.engine.parallel import (
     parallel_workers,
     warm_pool,
 )
-from repro.engine.spec import spawn_safe
+from repro.engine.spec import NetworkSpec, spawn_safe
 from repro.errors import ConfigurationError
 from repro.obs.export import SnapshotCollector
 from repro.workloads.seeding import derive_seeds, spawn_seed
@@ -192,6 +200,13 @@ def _square(x: int) -> int:
 # a runner called directly ignores the fabric
 
 
+_MIXED = WorkloadSpec(dist="zipf-0.99", read_fraction=0.5)
+
+
+def _no_client(cluster, index):  # never called: the run is rejected first
+    raise AssertionError
+
+
 def _cluster_spec() -> ScenarioSpec:
     return ScenarioSpec(
         scale=Scale.tiny(),
@@ -211,6 +226,91 @@ class TestRunnersIgnoreTheFabric:
         assert len(result.front_ends) == spec.num_clients >= 2
         assert result.cluster is not None
         assert sum(result.cluster.loads().values()) == result.telemetry.misses
+
+
+
+
+# --------------------------------------------------------------------------
+# a spec means the same thing whichever order runs it
+
+
+class TestOneSpecOneMeaning:
+    def test_round_robin_honours_a_mixed_workload(self):
+        """``read_fraction`` means the same in either order."""
+        mixed = replace(_cluster_spec(), workload=_MIXED)
+        result = ClusterRunner().run(replace(mixed, interleave=True))
+        assert result.cluster.storage.stats.writes > 0
+        # One front end: round-robin is the sequential run, counter for counter.
+        alone = replace(mixed, topology=TopologySpec(num_clients=1))
+        sequential = ClusterRunner().run(alone)
+        round_robin = ClusterRunner().run(replace(alone, interleave=True))
+        assert round_robin.telemetry == sequential.telemetry
+        assert round_robin.cluster.storage.stats == sequential.cluster.storage.stats
+
+    def test_warmup_resets_the_epoch_window_once_across_phases(self, monkeypatch):
+        resets = []
+        reset_epoch = CacheCluster.reset_epoch
+
+        def counting_reset(cluster):
+            resets.append(cluster.total_lookups())
+            reset_epoch(cluster)
+
+        monkeypatch.setattr(CacheCluster, "reset_epoch", counting_reset)
+        spec = replace(
+            _cluster_spec(),
+            phases=(Phase("a", accesses=3_000), Phase("b", accesses=3_000)),
+            warmup_fraction=0.4,  # of 10,000 rounds per client: inside phase b
+        )
+        snapshot = ClusterRunner().run(spec).telemetry
+        assert len(resets) == 1
+        assert 0 < sum(snapshot.epoch_shard_loads.values()) < sum(
+            snapshot.shard_loads.values()
+        )
+
+    @pytest.mark.parametrize(
+        "runner, field, overrides",
+        [
+            pytest.param(ClusterRunner, "verify_value", {"verify_value": str},
+                         id="sequential-verify_value"),
+            pytest.param(ClusterRunner, "warmup_fraction", {"warmup_fraction": 0.5},
+                         id="sequential-warmup_fraction"),
+            pytest.param(ClusterRunner, "verify_value",
+                         {"verify_value": str, "interleave": True, "workload": _MIXED},
+                         id="mixed-verify_value"),
+            pytest.param(ClusterRunner, "Phase.dist",
+                         {"phases": (Phase("x", dist="uniform"),), "workload": _MIXED},
+                         id="mixed-Phase.dist"),
+            pytest.param(
+                SimRunner, "topology.replication.enabled",
+                {"topology": TopologySpec(replication=ReplicationSpec(enabled=True))},
+                id="sim-replication",
+            ),
+            pytest.param(
+                SimRunner, "topology.write.enabled",
+                {"topology": TopologySpec(write=WriteSpec(mode="write-behind"))},
+                id="sim-write",
+            ),
+            pytest.param(SimRunner, "topology.network.enabled",
+                         {"topology": TopologySpec(network=NetworkSpec(enabled=True))},
+                         id="sim-network"),
+            pytest.param(SimRunner, "phases", {"phases": (Phase("a"),)},
+                         id="sim-phases"),
+            pytest.param(SimRunner, "client_factory", {"client_factory": _no_client},
+                         id="sim-client_factory"),
+            pytest.param(SimRunner, "interleave", {"interleave": True},
+                         id="sim-interleave"),
+            pytest.param(SimRunner, "verify_value", {"verify_value": str},
+                         id="sim-verify_value"),
+            pytest.param(SimRunner, "warmup_fraction", {"warmup_fraction": 0.5},
+                         id="sim-warmup_fraction"),
+        ],
+    )
+    def test_a_field_the_order_cannot_honour_is_rejected(
+        self, runner, field, overrides
+    ):
+        spec = replace(_cluster_spec(), requests_per_client=10, **overrides)
+        with pytest.raises(ConfigurationError, match=re.escape(f"`{field}`")):
+            runner().run(spec)
 
 
 # --------------------------------------------------------------------------
