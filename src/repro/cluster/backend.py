@@ -113,7 +113,8 @@ class BackendCacheServer:
     # ------------------------------------------------------------- protocol
 
     def _check_fault(self) -> None:
-        """Apply the injected fault, if any, to this request."""
+        """Apply the injected fault, if any (the slow path: ``get`` /
+        ``set`` / ``delete`` call here only with an injector attached)."""
         if self.fault_injector is not None:
             try:
                 self.fault_injector.check(self.server_id)
@@ -123,7 +124,8 @@ class BackendCacheServer:
 
     def get(self, key: Hashable) -> Any:
         """Serve a lookup; returns the value or ``MISSING``."""
-        self._check_fault()
+        if self.fault_injector is not None:
+            self._check_fault()
         self.stats.gets += 1
         self.stats.epoch_gets += 1
         entry = self._entries.get(key)
@@ -159,7 +161,8 @@ class BackendCacheServer:
 
     def set(self, key: Hashable, value: Any, size: int | None = None) -> None:
         """Store a value, evicting LRU entries to fit the byte budget."""
-        self._check_fault()
+        if self.fault_injector is not None:
+            self._check_fault()
         self.stats.sets += 1
         size = self._default_value_size if size is None else size
         old = self._entries.pop(key, None)
@@ -175,7 +178,8 @@ class BackendCacheServer:
 
     def delete(self, key: Hashable) -> bool:
         """Invalidate a key; returns whether it was present."""
-        self._check_fault()
+        if self.fault_injector is not None:
+            self._check_fault()
         self.stats.deletes += 1
         entry = self._entries.pop(key, None)
         if entry is None:

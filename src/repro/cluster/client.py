@@ -259,7 +259,9 @@ class FrontEndClient:
         ``storage.fallback`` → ``shard.backfill``, then ``frontend.admit``
         for what the policy does with the value); unsampled, that costs
         one attribute read and a few ``is not None`` tests per miss. One
-        function on purpose: a frame more per miss shows on the ladder.
+        function on purpose: a frame more per miss shows on the ladder —
+        so without a write-behind policy (the fast path) storage is read
+        here; :meth:`_resolve_miss` stays for the dirty-buffer check.
         """
         trace = self._trace
         if trace is not None:
@@ -289,7 +291,10 @@ class FrontEndClient:
             if value is MISSING:
                 if trace is not None:
                     trace.stage("storage.fallback")
-                value = self._resolve_miss(key)
+                if self._write_behind is None:
+                    value = self.cluster.storage.get(key)
+                else:
+                    value = self._resolve_miss(key)
                 if trace is not None:
                     trace.stage("shard.backfill", shard=server_id)
                 self._backfill(server, key, value)

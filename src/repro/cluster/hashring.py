@@ -19,7 +19,7 @@ walks.
 from __future__ import annotations
 
 import bisect
-import hashlib
+from hashlib import md5
 from typing import Hashable, Iterable, Sequence
 
 from repro.errors import ClusterError, ConfigurationError
@@ -29,7 +29,7 @@ __all__ = ["ConsistentHashRing"]
 
 def _hash32(data: str) -> int:
     """First 4 bytes of MD5 as an unsigned 32-bit ring position."""
-    digest = hashlib.md5(data.encode("utf-8")).digest()
+    digest = md5(data.encode("utf-8")).digest()
     return int.from_bytes(digest[:4], "big")
 
 
@@ -133,11 +133,13 @@ class ConsistentHashRing:
         key's hash": a point equal to the key's hash owns the key, and
         among colliding points the ``(point, owner)`` order makes the
         lexicographically smallest owner win — deterministically,
-        independent of add/remove history.
+        independent of add/remove history. The key is hashed inline (a
+        frame per lookup shows on the ladder); :func:`_hash32` is the
+        same expression, kept for ``add_server``'s off-path points.
         """
         if not self._points:
             raise ClusterError("hash ring is empty")
-        point = _hash32(str(key))
+        point = int.from_bytes(md5(str(key).encode("utf-8")).digest()[:4], "big")
         idx = bisect.bisect_left(self._points, point)
         if idx == len(self._points):
             idx = 0
@@ -195,7 +197,7 @@ class ConsistentHashRing:
         table = self._successors.get(r)
         if table is None:
             table = self._successor_table(r)
-        point = _hash32(str(key))
+        point = int.from_bytes(md5(str(key).encode("utf-8")).digest()[:4], "big")
         idx = bisect.bisect_left(self._points, point)
         if idx == len(self._points):
             idx = 0

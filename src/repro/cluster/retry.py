@@ -111,6 +111,9 @@ class BreakerState(enum.Enum):
     HALF_OPEN = "half_open"
 
 
+_CLOSED, _OPEN = BreakerState.CLOSED, BreakerState.OPEN
+
+
 class CircuitBreaker:
     """One shard's breaker: consecutive-failure trip, cooldown re-probe."""
 
@@ -279,8 +282,13 @@ class ClusterGuard:
         return breaker
 
     def state(self, server_id: str) -> BreakerState:
-        """The shard's breaker state at the current logical time."""
-        return self.breaker(server_id).peek(self._clock)
+        """The shard's breaker state at the current logical time.
+
+        A read: an id with no breaker on record is ``CLOSED`` and stays
+        unregistered (:meth:`breaker` / :meth:`reset` create).
+        """
+        breaker = self._breakers.get(server_id)
+        return _CLOSED if breaker is None else breaker.peek(self._clock)
 
     def tracked_servers(self) -> frozenset[str]:
         """Ids with a breaker on record (invariant-check hook).
@@ -332,24 +340,27 @@ class ClusterGuard:
         open or retries are exhausted. Only
         :class:`~repro.errors.ShardFailure` is treated as retryable —
         anything else is a programming error and propagates untouched.
+        Fast path: a CLOSED breaker whose first attempt succeeds runs in
+        this frame; ``allow`` / ``record_success`` own the transitions and
+        are called only off it (OPEN, HALF_OPEN).
         """
-        self._clock += 1.0
-        now = self._clock
-        self.stats.operations += 1
+        self._clock = now = self._clock + 1.0
+        stats = self.stats
+        stats.operations += 1
         breaker = self._breakers.get(server_id)
         if breaker is None:
             breaker = self._breakers[server_id] = CircuitBreaker(
                 self.breaker_config
             )
-        if not breaker.allow(now):
-            self.stats.open_rejections += 1
-            self.stats.failures += 1
+        if breaker._state is _OPEN and not breaker.allow(now):
+            stats.open_rejections += 1
+            stats.failures += 1
             raise ShardUnavailableError(
                 f"shard {server_id}: circuit open"
             )
         attempt = 0
         while True:
-            self.stats.attempts += 1
+            stats.attempts += 1
             try:
                 result = fn()
             except ShardFailure as exc:
@@ -357,18 +368,21 @@ class ClusterGuard:
                 attempt += 1
                 if (
                     attempt >= self.retry.max_attempts
-                    or breaker.peek(now) is BreakerState.OPEN
+                    or breaker.peek(now) is _OPEN
                 ):
-                    self.stats.failures += 1
+                    stats.failures += 1
                     raise ShardUnavailableError(
                         f"shard {server_id}: gave up after {attempt} "
                         f"attempt(s): {exc}"
                     ) from exc
                 delay = self.retry.backoff(attempt - 1, self._rng)
-                self.stats.retries += 1
-                self.stats.backoff_total += delay
+                stats.retries += 1
+                stats.backoff_total += delay
                 if self._sleep is not None:
                     self._sleep(delay)
                 continue
-            breaker.record_success(now)
+            if breaker._state is _CLOSED:
+                breaker._consecutive_failures = 0
+            else:
+                breaker.record_success(now)
             return result

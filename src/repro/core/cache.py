@@ -195,11 +195,13 @@ class CoTCache(CachePolicy):
         value = loader(key)
         # Admission filter (Algorithm 2 line 6): a non-full cache admits
         # anything tracked (h_min == -inf); a full one requires h > h_min.
+        # Size and settled root are read off the heap's fields: ``len()``
+        # and ``min_priority()`` are a frame each, on every miss.
         cache_heap = tracker._cache_heap
         capacity = tracker._cache_capacity
         if capacity == 0:
             return value
-        if len(cache_heap) < capacity or hot > cache_heap.min_priority():
+        if len(cache_heap._entries) < capacity or hot > cache_heap._settle()[3]:
             demoted = tracker.promote(key)
             if demoted is not None:
                 self._values.pop(demoted, None)

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from heapq import heapreplace
 from typing import Generic, Hashable, Iterable, Iterator, TypeVar
 
 from repro.core.heap import IndexedMinHeap
@@ -219,20 +220,29 @@ class CoTTracker(Generic[K]):
         priority already include ``delta``. Entering at the inherited
         hotness and applying the delta afterwards would cost a second
         heap operation — and, for an update, leave a stale root-level
-        entry behind on every written untracked key.
+        entry behind on every written untracked key. Fast path: a full
+        tracker with a rest-heap victim (every long-tail miss) settles
+        the root once with ``IndexedMinHeap.replace`` and
+        ``KeyStats.seed_from_hotness`` inlined around it; the helpers stay
+        as each step's tested form and for the all-cached corner.
         """
         stats = KeyStats()
         if len(self._stats) >= self._tracker_capacity:
-            if self._rest_heap:
-                # Fused evict+insert: one settle of the rest-heap root,
-                # one C heapreplace.
+            rest = self._rest_heap
+            entries = rest._entries
+            if entries:
+                root = rest._settle()
                 if self._inherit_hotness:
-                    stats.seed_from_hotness(
-                        self._rest_heap.min_priority(), self._model
-                    )
-                stats.hot += delta
-                victim, _ = self._rest_heap.replace(key, stats.hot)
+                    read_weight = self._read_delta
+                    stats.read_count = max(root[3], 0.0) / read_weight
+                    stats.hot = stats.read_count * read_weight
+                stats.hot = hot = stats.hot + delta
+                victim = root[2]
+                del entries[victim]
                 del self._stats[victim]
+                entries[key] = entry = [hot, rest._next_seq, key, hot]
+                rest._next_seq += 1
+                heapreplace(rest._heap, entry)
                 self._stats[key] = stats
                 return stats
             # Degenerate corner (all tracked keys are cached, possible

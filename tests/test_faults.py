@@ -397,6 +397,18 @@ class TestRecovery:
         assert victim not in client.monitor.total_loads()
         assert victim not in client.monitor.epoch_loads()
 
+    def test_state_is_a_read_and_registers_no_breaker(self):
+        """Regression: ``state()`` went through ``breaker()`` and so
+        re-created the breaker ``forget`` had just dropped — replica
+        routing asks ``state(sid)`` of every eligible replica per read."""
+        guard = ClusterGuard(["a", "b"])
+        guard.forget("a")
+        assert guard.state("a") is BreakerState.CLOSED
+        assert guard.state("ghost") is BreakerState.CLOSED
+        assert guard.tracked_servers() == {"b"}
+        guard.reset("a")  # an explicit rejoin still registers
+        assert guard.tracked_servers() == {"a", "b"}
+
     def test_outage_is_transparent_to_callers(self):
         """Kill → serve → revive, not one exception escapes the client."""
         cluster, faults = faulty_cluster()

@@ -1,14 +1,16 @@
 """Golden-file regression tests for the scenario engine.
 
-These pin the rendered smoke-scale output of nine experiments
-byte-for-byte: fig4 (policy-stream path), fig6 (simulator path, one
-client), ext-edge-rtt (simulator path, several clients: the cross-client
-FCFS event order), and the cluster path in each order — fig3
-(sequential), ext-hotkey (sequential with the router tick), table2
-(round-robin with warm-up), fig7 / fig8 (phased, elastic front ends) and
-ext-chaos (phased under faults, with the value oracle).  Together they
-cover all three runners behind the engine, so any drift in seeding,
-drive order, or rendering shows up as a diff against ``tests/golden/``.
+These pin the rendered smoke-scale output of ten experiments
+byte-for-byte: fig4 (policy-stream path), ext-adaptive (``run_stream``
+driven directly: the arbiter and its five shadow policies, all on the
+shared heap and tracker), fig6 (simulator path, one client),
+ext-edge-rtt (simulator path, several clients: the cross-client FCFS
+event order), and the cluster path in each order — fig3 (sequential),
+ext-hotkey (sequential with the router tick), table2 (round-robin with
+warm-up), fig7 / fig8 (phased, elastic front ends) and ext-chaos (phased
+under faults, with the value oracle).  Together they cover all three
+runners behind the engine, so any drift in seeding, drive order, or
+rendering shows up as a diff against ``tests/golden/``.
 
 To regenerate after an intentional change::
 
@@ -45,7 +47,7 @@ def rendered_output(experiment_id: str) -> str:
     "experiment_id",
     [
         "fig4", "fig6", "table2", "ext-edge-rtt",
-        "fig3", "ext-hotkey", "fig7", "fig8", "ext-chaos",
+        "fig3", "ext-hotkey", "fig7", "fig8", "ext-chaos", "ext-adaptive",
     ],
 )
 def test_smoke_output_matches_golden(experiment_id):
