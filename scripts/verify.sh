@@ -31,7 +31,9 @@ echo "(no tracked bytecode, tool-cache, or benchmark-output artifacts)"
 
 stage lint
 # The linter is stdlib: a compile check plus an ast pass for what a
-# deletion leaves behind (unused imports, dangling __all__).
+# deletion leaves behind (unused imports, dangling __all__) and for
+# src/repro modules no experiment, __main__, example, benchmark or script
+# reaches: what only tests call lives under tests/.
 python -m compileall -q src tests benchmarks
 python scripts/lint_unused.py src tests benchmarks scripts
 # The wire stays closed and small: nothing in repro/net names pickle, and
@@ -60,8 +62,9 @@ if grep -rn --include='*.py' -E 'storage\.get\(|storage_get\(' src/repro \
     exit 1
 fi
 protocol_lines="$(cat src/repro/cluster/*.py src/repro/sim/*.py src/repro/policies/*.py | wc -l)"
+src_lines="$(find src/repro -name '*.py' -print0 | xargs -0 cat | wc -l)"
 echo "(storage is read in cluster/client.py only; cluster/ + sim/ + policies/ is" \
-     "$protocol_lines lines)"
+     "$protocol_lines lines, src/repro $src_lines)"
 # One drive loop: the cadence tick and the cluster are each built in one
 # place in the engine's runners.
 runners=src/repro/engine/runners.py
@@ -80,7 +83,8 @@ python -m pytest -x -q
 stage fuzz
 # Bounded model-based fuzz: the stateful hypothesis machine drives random
 # get/set/delete/get_many/kill/revive/add/remove/epoch/refresh
-# interleavings against the dict oracle (tests/test_cluster_stateful.py).
+# interleavings against the dict oracle in tests/_cluster_oracle.py
+# (tests/test_cluster_stateful.py).
 # Derandomized here so CI is reproducible; for a deeper randomized soak,
 # drop CLUSTER_FUZZ_DERANDOMIZE and raise the budgets. Replay a specific
 # run with:  python -m pytest tests/test_cluster_stateful.py --hypothesis-seed=<N>

@@ -6,12 +6,6 @@ from repro.cluster.client import FrontEndClient
 from repro.cluster.cluster import CacheCluster
 from repro.cluster.faults import FaultInjector, FaultStats, ShardFaultProfile
 from repro.cluster.hashring import ConsistentHashRing
-from repro.cluster.invalidation import (
-    CoherenceMixin,
-    CoherentFrontEndClient,
-    InvalidationBus,
-    InvalidationStats,
-)
 from repro.cluster.loadmonitor import LoadMonitor, load_imbalance
 from repro.cluster.replication import (
     HotKeyRouter,
@@ -38,14 +32,10 @@ __all__ = [
     "ClusterGuard",
     "FrontEndClient",
     "CacheCluster",
-    "CoherenceMixin",
-    "CoherentFrontEndClient",
     "ConsistentHashRing",
     "FaultInjector",
     "FaultStats",
     "HotKeyRouter",
-    "InvalidationBus",
-    "InvalidationStats",
     "LoadMonitor",
     "ReplicaEntry",
     "ReplicationConfig",

@@ -9,7 +9,7 @@ imbalance) used by the harnesses.
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterable, Mapping
+from typing import Callable, Hashable
 
 from repro.cluster.backend import BackendCacheServer
 from repro.cluster.faults import FaultInjector
@@ -165,11 +165,7 @@ class CacheCluster:
           cleared here (a later shard must not inherit an injected
           fault), and ``removal_listeners`` fire so front ends and
           routers purge breakers, epoch load windows and replica
-          placements keyed on the id. The
-          :class:`~repro.cluster.invalidation.InvalidationBus` directory
-          needs no hook: it tracks *front-end* copies by client id and is
-          shard-agnostic — re-homing a key does not move or stale the
-          front-end copies the directory describes.
+          placements keyed on the id.
         """
         if server_id not in self._servers:
             raise ClusterError(f"unknown server: {server_id}")
@@ -247,9 +243,3 @@ class CacheCluster:
         """Flush every shard's contents."""
         for server in self._servers.values():
             server.flush()
-
-    def expected_assignment(self, keys: Iterable[Hashable]) -> Mapping[str, int]:
-        """Key-count ownership per shard (analysis helper)."""
-        return {
-            sid: len(bucket) for sid, bucket in self.ring.assignment(keys).items()
-        }

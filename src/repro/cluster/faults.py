@@ -64,11 +64,6 @@ class FaultStats:
     injected_timeouts: int = 0
     injected_flaky: int = 0
 
-    @property
-    def injected_total(self) -> int:
-        """All injected request failures, regardless of kind."""
-        return self.injected_down + self.injected_timeouts + self.injected_flaky
-
 
 class FaultInjector:
     """Per-shard fault switchboard shared by live servers and the simulator.

@@ -207,8 +207,7 @@ def tracker_report(policy: object, n: int) -> list[tuple[Hashable, float]]:
 class HotKeyRouter:
     """Shared agreement state of the replicated hot-key tier.
 
-    One router is shared by every front end of a run (mirroring
-    :class:`~repro.cluster.invalidation.InvalidationBus`): it owns the
+    One router is shared by every front end of a run: it owns the
     *agreed* replicated key set, the promotion/demotion epochs, and the
     pending-demotion quarantine bookkeeping. Front ends keep their own
     routing state (load monitor, breakers, choice RNG) — the data plane
@@ -295,10 +294,6 @@ class HotKeyRouter:
         """Current replica set of ``key`` (empty when unreplicated)."""
         entry = self.routes.get(key)
         return entry.replicas if entry is not None else ()
-
-    def replicated_keys(self) -> tuple[Hashable, ...]:
-        """The promoted key set (stable iteration order)."""
-        return tuple(self.routes)
 
     def pending_demotions(self, key: Hashable) -> frozenset[str]:
         """Shards still quarantined for ``key`` (test/analysis hook)."""

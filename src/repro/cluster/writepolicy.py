@@ -28,8 +28,8 @@ mode declaratively (``WriteSpec`` on ``TopologySpec``):
   cluster-wide logical clock; cached copies (shard and local) expire
   lazily ``ttl`` clock ticks after they were filled. No invalidation
   traffic at all; staleness is bounded by the clock instead. Local
-  copies hook the per-policy ``eviction_listeners`` anticipated at
-  ``repro/policies/base.py`` so stamps die with the copies they cover.
+  copies hook the per-policy ``eviction_listeners``
+  (``repro/policies/base.py``) so stamps die with the copies they cover.
 
 One policy instance is shared by every front end of a run (like the
 hot-key router): the dirty buffers and the logical clock are cluster

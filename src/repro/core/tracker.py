@@ -30,7 +30,7 @@ from __future__ import annotations
 import heapq
 import math
 from heapq import heapreplace
-from typing import Generic, Hashable, Iterable, Iterator, TypeVar
+from typing import Generic, Hashable, Iterator, TypeVar
 
 from repro.core.heap import IndexedMinHeap
 from repro.core.hotness import AccessType, HotnessModel, KeyStats
@@ -186,31 +186,6 @@ class CoTTracker(Generic[K]):
         else:
             stats.update_count += 1.0
         return stats.hot
-
-    def track_many(self, keys: Iterable[K], access: AccessType = AccessType.READ) -> None:
-        """Record one ``access`` for each key in ``keys`` (batch Algorithm 1).
-
-        Equivalent to ``for k in keys: track(k, access)`` but with the
-        per-call attribute lookups hoisted out of the loop.
-        """
-        stats_get = self._stats.get
-        admit = self._admit
-        cache_update = self._cache_heap.update_delta
-        rest_update = self._rest_heap.update_delta
-        is_read = access is AccessType.READ
-        delta = self._read_delta if is_read else self._update_delta
-        for key in keys:
-            stats = stats_get(key)
-            if stats is None:
-                stats = admit(key, delta)
-            elif stats.cached:
-                stats.hot = cache_update(key, delta)
-            else:
-                stats.hot = rest_update(key, delta)
-            if is_read:
-                stats.read_count += 1.0
-            else:
-                stats.update_count += 1.0
 
     def _admit(self, key: K, delta: float) -> KeyStats:
         """Insert an untracked key at ``inherited + delta``, in one heap op.

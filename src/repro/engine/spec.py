@@ -340,8 +340,8 @@ class NetworkSpec:
     localhost TCP socket by an asyncio memcached-protocol server and
     front ends reach it over one blocking socket per shard
     (DESIGN.md §15). Decisions are identical by construction — the
-    equivalence replay (:func:`repro.net.harness.decision_equivalence`,
-    run by ``tests/test_net.py``) enforces it — but the run pays (and
+    equivalence replay (``tests/_plane_equivalence.py``, run by
+    ``tests/test_net.py``) enforces it — but the run pays (and
     ``net.*`` telemetry measures) real serialization and syscall cost.
     """
 

@@ -452,10 +452,6 @@ class TelemetryBus:
         """Publish one completed fault-schedule phase."""
         self._phases.append(phase)
 
-    def epoch_event_count(self) -> int:
-        """Epoch events emitted so far (phase-delta bookkeeping)."""
-        return len(self._epoch_events)
-
     def epoch_events_since(self, start: int) -> tuple[EpochRecord, ...]:
         """Epoch events emitted at or after index ``start``."""
         return tuple(self._epoch_events[start:])

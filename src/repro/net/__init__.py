@@ -7,9 +7,8 @@ Two planes serve the same decision logic (DESIGN.md §15):
 * the **network plane** (this package) — real asyncio socket servers
   speaking a memcached-style text protocol (:mod:`repro.net.server`), a
   pipelined front-end transport for coroutine callers
-  (:mod:`repro.net.client`), a blocking one for synchronous callers
-  (:class:`repro.net.plane.ShardProxy`), and the two-plane equivalence
-  replay (:mod:`repro.net.harness`). The package serves and connects;
+  (:mod:`repro.net.client`) and a blocking one for synchronous callers
+  (:class:`repro.net.plane.ShardProxy`). The package serves and connects;
   load generation and timing are the ladder's (``benchmarks/ladder``).
 
 The :class:`~repro.net.plane.NetworkPlane` facade makes a
@@ -17,8 +16,8 @@ The :class:`~repro.net.plane.NetworkPlane` facade makes a
 sockets while preserving the client-facing surface, so the unchanged
 :class:`~repro.cluster.client.FrontEndClient` makes byte-identical cache
 decisions on either plane — the equivalence replay
-(:func:`repro.net.harness.decision_equivalence`, run by
-``tests/test_net.py``) asserts exactly that.
+(``tests/_plane_equivalence.py``, run by ``tests/test_net.py``) asserts
+exactly that.
 """
 
 from repro.net.proto import (

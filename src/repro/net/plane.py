@@ -17,11 +17,11 @@ both transports share the verbs and counters of :mod:`repro.net.client`.)
 
 Because the facade duck-types ``CacheCluster`` exactly where front ends
 touch it, an **unchanged** :class:`~repro.cluster.client.FrontEndClient`
-(elastic, coherent, replicated — all of them) runs against the plane and
+(elastic, replicated — all of them) runs against the plane and
 makes byte-identical cache decisions: policy admissions, ring routing,
 retries, breaker trips and storage fallbacks all execute the same code;
 only the shard hop is real I/O. That is the two-plane equivalence
-argument (DESIGN.md §15), and :func:`repro.net.harness.decision_equivalence`
+argument (DESIGN.md §15), and the replay in ``tests/_plane_equivalence.py``
 checks it end to end on every tier-1 run (``tests/test_net.py``).
 
 Topology churn maps onto real sockets: shards added after start are

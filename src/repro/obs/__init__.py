@@ -1,11 +1,10 @@
-"""Observability layer: tracing, histograms, export, profiling.
+"""Observability layer: tracing, histograms, export.
 
 The production-shaped lens over the engine's telemetry (DESIGN.md §9)::
 
     Tracer ──▶ stage-tiled traces ──▶ slow-request exemplars (render_trace)
     LatencyHistogram ──▶ exact cross-client merge ──▶ TelemetrySnapshot
     TelemetrySnapshot ──▶ PrometheusExporter ──▶ metrics page (--metrics-out)
-    PeriodicSnapshotter ──▶ counter growth per run segment
 
 Everything here is strictly additive: attaching a tracer at sample rate
 0 or a :class:`SnapshotCollector` to a run leaves experiment output
@@ -20,13 +19,10 @@ from repro.obs.export import (
     SnapshotCollector,
     parse_prometheus,
     render_prometheus,
-    write_metrics,
 )
-from repro.obs.profile import PeriodicSnapshotter
 
 __all__ = [
     "LatencyHistogram",
-    "PeriodicSnapshotter",
     "PrometheusExporter",
     "SnapshotCollector",
     "Span",
@@ -35,5 +31,4 @@ __all__ = [
     "parse_prometheus",
     "render_prometheus",
     "render_trace",
-    "write_metrics",
 ]

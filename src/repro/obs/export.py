@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import re
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from repro.errors import ExperimentError
 
@@ -358,16 +358,3 @@ class SnapshotCollector:
         for snapshot in self.snapshots:
             exporter.add(snapshot)
         return exporter.render()
-
-
-def write_metrics(
-    snapshots: Iterable["TelemetrySnapshot"], path: str, namespace: str = "cot"
-) -> str:
-    """Render ``snapshots`` and write them to ``path``; returns the text."""
-    exporter = PrometheusExporter(namespace=namespace)
-    for snapshot in snapshots:
-        exporter.add(snapshot)
-    text = exporter.render()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    return text

@@ -22,7 +22,7 @@ from repro.policies.lru import LRUCache
 from repro.policies.lruk import LRUKCache
 from repro.policies.nullcache import NullCache
 from repro.policies.perfect import PerfectCache
-from repro.policies.registry import POLICY_NAMES, make_policy, register_policy
+from repro.policies.registry import POLICY_NAMES, make_policy
 from repro.policies.stats import CacheStats
 from repro.policies.tracked_lru import TrackedLRUCache
 
@@ -41,5 +41,4 @@ __all__ = [
     "TrackedLRUCache",
     "POLICY_NAMES",
     "make_policy",
-    "register_policy",
 ]

@@ -33,7 +33,7 @@ front ends, the engine's ``PolicySpec`` axis):
   from the outgoing policy's cached set via
   :meth:`~repro.policies.base.CachePolicy.warm_seed`, and any key the
   incoming policy declines is reported through the arbiter's eviction
-  listeners so coherence directories stay exact.
+  listeners, so state keyed on cached copies (TTL stamps) stays exact.
 
 Spatial sampling uses deterministic hashes (multiplicative hashing for
 int keys, CRC-32 for strings) — never Python's per-process-randomized
@@ -216,8 +216,8 @@ class AdaptiveArbiter(CachePolicy):
             )
         self._live = self._build_full(self._live_name)
         # The live policy shares the arbiter's listener list by identity,
-        # so listeners registered on the arbiter (coherence directories)
-        # hear live-policy evictions even across switches.
+        # so eviction listeners registered on the arbiter hear
+        # live-policy evictions even across switches.
         self._live.eviction_listeners = self.eviction_listeners
         self._shadows = [
             _Shadow(name, self._build_shadow(name)) for name in self._candidates
@@ -557,7 +557,7 @@ class AdaptiveArbiter(CachePolicy):
         incoming.warm_seed(outgoing.cached_items())
         # Keys the incoming policy declined (or evicted again during the
         # seed) have silently left the front-end cache: report them so
-        # coherence directories stay exact. Listeners are attached only
+        # eviction listeners see every drop. Listeners are attached only
         # after seeding, so seed-time churn is not double-reported.
         for key in outgoing.cached_keys():
             if key not in incoming:

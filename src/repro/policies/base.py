@@ -60,8 +60,8 @@ class CachePolicy(abc.ABC):
             raise ConfigurationError("cache capacity must be >= 0")
         self._capacity = capacity
         self.stats = CacheStats()
-        #: callbacks invoked with each evicted key (coherence directories,
-        #: TTL integrations, experiment probes). Invalidations initiated by
+        #: callbacks invoked with each evicted key (the TTL write
+        #: policy's stamp table, experiment probes). Invalidations initiated by
         #: the caller are NOT reported — the caller already knows.
         self.eviction_listeners: list[Callable[[Hashable], None]] = []
 

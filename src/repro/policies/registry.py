@@ -9,7 +9,7 @@ size.
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterable
+from typing import Hashable, Iterable
 
 from repro.core.cache import CoTCache
 from repro.core.hotness import HotnessModel
@@ -22,18 +22,7 @@ from repro.policies.lruk import LRUKCache
 from repro.policies.nullcache import NullCache
 from repro.policies.perfect import PerfectCache
 
-__all__ = ["POLICY_NAMES", "make_policy", "register_policy"]
-
-PolicyFactory = Callable[..., CachePolicy]
-
-_FACTORIES: dict[str, PolicyFactory] = {}
-
-
-def register_policy(name: str, factory: PolicyFactory) -> None:
-    """Register a custom policy factory under ``name`` (extension hook)."""
-    if name in _FACTORIES:
-        raise ConfigurationError(f"policy name already registered: {name}")
-    _FACTORIES[name] = factory
+__all__ = ["POLICY_NAMES", "make_policy"]
 
 
 def make_policy(
@@ -60,14 +49,6 @@ def make_policy(
         the K of LRU-K (default 2, as evaluated in the paper).
     """
     lowered = name.lower()
-    if lowered in _FACTORIES:
-        return _FACTORIES[lowered](
-            capacity,
-            tracker_capacity=tracker_capacity,
-            model=model,
-            hot_keys=hot_keys,
-            k=k,
-        )
     if lowered == "lru":
         return LRUCache(capacity)
     if lowered == "lfu":
@@ -79,12 +60,6 @@ def make_policy(
         return LRUKCache(capacity, k=k, history_capacity=history)
     if lowered == "cot":
         return CoTCache(capacity, tracker_capacity=tracker_capacity, model=model)
-    if lowered in ("tracked_lru", "tracked-lru"):
-        from repro.policies.tracked_lru import TrackedLRUCache
-
-        return TrackedLRUCache(
-            capacity, tracker_capacity=tracker_capacity, model=model
-        )
     if lowered == "adaptive":
         from repro.policies.adaptive import AdaptiveArbiter
 

@@ -64,12 +64,6 @@ class CacheStats:
         """Lookups observed since the last epoch reset."""
         return self.epoch_hits + self.epoch_misses
 
-    @property
-    def epoch_hit_rate(self) -> float:
-        """Hit rate since the last epoch reset."""
-        total = self.epoch_accesses
-        return self.epoch_hits / total if total else 0.0
-
     def reset_epoch(self) -> None:
         """Zero the per-epoch counters (lifetime counters are kept)."""
         self.epoch_hits = 0

@@ -108,11 +108,6 @@ class SimBackendServer:
 
     # ------------------------------------------------------------------ api
 
-    @property
-    def in_flight(self) -> int:
-        """Requests currently queued or in service."""
-        return self._in_flight
-
     def utilization(self, now: float) -> float:
         """Fraction of elapsed time this shard spent serving."""
         return self.busy_time / now if now > 0 else 0.0

@@ -5,8 +5,8 @@ paper switched to, the buggy
 :class:`~repro.workloads.scrambled.ScrambledZipfianGenerator` it switched
 *away from* (bug preserved for reproduction), uniform/hotspot/latest/
 Gaussian generators, read-update mixing at Tao's 99.8/0.2 ratio, workload
-phase schedules for the elasticity experiments, trace record/replay, and
-analytical tooling (TPC hit rates, Zipf exponent estimation).
+phase schedules for the elasticity experiments, and analytical tooling
+(TPC hit rates, Zipf exponent estimation).
 """
 
 from repro.workloads.analytical import (
@@ -24,7 +24,6 @@ from repro.workloads.mixer import TAO_READ_FRACTION, OperationMixer
 from repro.workloads.request import OpType, Request
 from repro.workloads.scrambled import ScrambledZipfianGenerator
 from repro.workloads.shift import Phase, PhasedWorkload, RotatingHotSetGenerator
-from repro.workloads.trace import TraceGenerator, record_trace, replay_trace
 from repro.workloads.uniform import UniformGenerator
 from repro.workloads.zipfian import (
     ZIPFIAN_CONSTANT,
@@ -58,9 +57,6 @@ __all__ = [
     "Phase",
     "PhasedWorkload",
     "RotatingHotSetGenerator",
-    "TraceGenerator",
-    "record_trace",
-    "replay_trace",
     "estimate_zipf_exponent",
     "frequency_ranking",
     "head_mass",

@@ -1,17 +1,14 @@
 """Dict-backed oracle and topology harness for cluster-wide fuzzing.
 
 The elastic cluster's riskiest behaviour lives in the *interleavings*:
-kill/revive/add/remove churn racing reads, writes, invalidation fan-out,
-replica promotion and epoch accounting. Hand-picked scenarios cover the
+kill/revive/add/remove churn racing reads, writes, replica promotion
+and epoch accounting. Hand-picked scenarios cover the
 interleavings someone thought of; the hypothesis state machine in
 ``tests/test_cluster_stateful.py`` drives random ones against the
 trivially correct model in this module and asserts, after every step,
 the invariants the whole system is supposed to keep:
 
 * **freshness** — no stale read ever escapes (:class:`ClusterModel`);
-* **directory honesty** — the :class:`~repro.cluster.invalidation.InvalidationBus`
-  incremental ``directory_size`` equals a full recount, and the directory
-  matches exactly what every registered front end actually caches;
 * **per-shard state liveness** — breakers, LoadMonitor windows, fault
   profiles and router replica/quarantine sets reference only shards that
   are currently members (:func:`check_cluster_invariants`);
@@ -19,21 +16,18 @@ the invariants the whole system is supposed to keep:
   sees are always a subset of live, non-fresh, breaker-closed shards, so
   topology churn cannot fabricate an ``I_c`` spike.
 
-The freshness oracle is mode-aware. In **coherent** mode (fan-out bus
-attached) every read must return the last committed write, full stop. In
-**paper** mode the protocol deliberately lets *other* front ends keep
-their local copies on a write (Section 1's consistency-cost argument),
-so a read is correct iff it returns the committed value **or**, on a
-local cache hit, the value this front end itself last observed for the
-key — i.e. staleness may only come from the reader's own untouched local
-copy, never from the shard layer or storage.
+The freshness oracle is the paper's model: the protocol deliberately lets
+*other* front ends keep their local copies on a write (Section 1's
+consistency-cost argument), so a read is correct iff it returns the
+committed value **or**, on a local cache hit, the value this front end
+itself last observed for the key — i.e. staleness may only come from the
+reader's own untouched local copy, never from the shard layer or storage.
 
 The **write-path axis** (:mod:`repro.cluster.writepolicy`) refines the
 budget further:
 
 * *write-through* adds nothing — an acknowledged write is durable and
-  shard-fresh, so the cache-aside budget applies verbatim (and in
-  coherent mode the zero-staleness guarantee is preserved exactly);
+  shard-fresh, so the cache-aside budget applies verbatim;
 * *write-behind* makes the committed value the **pending** (queued)
   value while a dirty entry exists; the pre-flush durable value is
   additionally legal for any reader only while the owning shard (and
@@ -60,7 +54,6 @@ from typing import Any, Hashable
 
 from repro.cluster.cluster import CacheCluster
 from repro.cluster.faults import FaultInjector
-from repro.cluster.invalidation import CoherenceMixin, InvalidationBus
 from repro.cluster.replication import HotKeyRouter, ReplicationConfig
 from repro.cluster.retry import BreakerConfig, ClusterGuard, RetryPolicy
 from repro.cluster.storage import PersistentStore
@@ -70,7 +63,6 @@ from repro.core.elastic import ElasticCoTClient
 __all__ = [
     "ClusterHarness",
     "ClusterModel",
-    "CoherentElasticCoTClient",
     "TopologyCase",
     "check_cluster_invariants",
     "synthesized_value",
@@ -87,19 +79,6 @@ def synthesized_value(key: Hashable) -> Any:
     return ("value-of", key, 0)
 
 
-class CoherentElasticCoTClient(CoherenceMixin, ElasticCoTClient):
-    """An elastic CoT front end participating in invalidation fan-out.
-
-    The combination the experiments do not ship yet but the fuzzer needs:
-    coherent mode *and* epoch-close/resize/decay churn in one client, so
-    the directory stays honest across capacity changes too.
-    """
-
-    def __init__(self, cluster: CacheCluster, bus: InvalidationBus, **kwargs) -> None:
-        super().__init__(cluster, **kwargs)
-        self._attach_bus(bus)
-
-
 _UNSEEN = object()
 
 
@@ -109,7 +88,7 @@ class ClusterModel:
     ``_written`` is the dict the whole cluster is pretending to be.
     ``_last_seen`` records, per ``(client_id, key)``, the value that
     front end most recently observed — the only value its local cache
-    could legally still hold in paper mode.
+    could legally still hold.
 
     The write-mode refinements (module docstring) add:
 
@@ -130,12 +109,10 @@ class ClusterModel:
 
     def __init__(
         self,
-        coherent: bool,
         write_mode: str = "cache-aside",
         dirty_limit: int = 3,
         ttl: int = 8,
     ) -> None:
-        self.coherent = coherent
         self.write_mode = write_mode
         self.dirty_limit = dirty_limit
         self.ttl = ttl
@@ -207,11 +184,6 @@ class ClusterModel:
                 f"{returned!r} for {key!r} at clock {self.clock}; committed "
                 f"is {committed!r} and the value is not within "
                 f"{2 * self.ttl} ticks of obsolescence"
-            )
-        if self.coherent:
-            raise AssertionError(
-                f"stale read escaped in coherent mode: {client_id} read "
-                f"{returned!r} for {key!r}, committed is {committed!r}"
             )
         if not was_local:
             raise AssertionError(
@@ -314,17 +286,9 @@ class ClusterModel:
             self._written[key] = value
 
     def _forget_local(self, writer_id: str, key: Hashable) -> None:
-        """Drop the local-copy allowances a write invalidates.
-
-        The writer always invalidates its own copy (``record_update``);
-        in coherent mode the fan-out clears every other front end's copy
-        too, so no one retains a staleness allowance.
-        """
-        if self.coherent:
-            for pair in [p for p in self._last_seen if p[1] == key]:
-                del self._last_seen[pair]
-        else:
-            self._last_seen.pop((writer_id, key), None)
+        """Drop the local-copy allowance a write invalidates: the writer
+        always invalidates its own copy (``record_update``)."""
+        self._last_seen.pop((writer_id, key), None)
 
 
 @dataclass(frozen=True)
@@ -332,8 +296,8 @@ class TopologyCase:
     """One point in the topology-axis grid the state machine samples.
 
     Axes mirror the system's real configuration surface: front-end
-    count, coherence mode, the replicated hot-key tier, the write-path
-    coherence mode, and how aggressive the retry/breaker layer is
+    count, the replicated hot-key tier, the write-path coherence mode,
+    and how aggressive the retry/breaker layer is
     (``tight_guard`` trips breakers on the first failure with a short
     cooldown, maximizing OPEN/HALF_OPEN traffic in short runs).
     ``dirty_limit`` and ``ttl`` are deliberately tiny so bound-flushes
@@ -343,7 +307,6 @@ class TopologyCase:
     name: str
     num_servers: int = 3
     num_front_ends: int = 1
-    coherent: bool = False
     replicated: bool = False
     tight_guard: bool = False
     write_mode: str = "cache-aside"
@@ -360,10 +323,9 @@ class TopologyCase:
 class ClusterHarness:
     """A fully wired elastic cluster for one fuzzing run.
 
-    Builds the cluster, fault injector, optional invalidation bus and
-    optional hot-key router described by ``case``, plus one elastic CoT
-    front end per ``num_front_ends`` — coherent front ends when the case
-    says so, all attached to the router when replication is on.
+    Builds the cluster, fault injector and optional hot-key router
+    described by ``case``, plus one elastic CoT front end per
+    ``num_front_ends``, all attached to the router when replication is on.
     """
 
     def __init__(self, case: TopologyCase, seed: int = 0) -> None:
@@ -386,7 +348,6 @@ class ClusterHarness:
         #: what front ends bind to — the socket plane when the case asks
         #: for one, the in-process cluster otherwise (same duck type)
         self.target = self.plane if self.plane is not None else self.cluster
-        self.bus = InvalidationBus() if case.coherent else None
         self.router: HotKeyRouter | None = None
         if case.replicated:
             # Low promotion bar + small cap: with a dozen-key universe
@@ -420,19 +381,13 @@ class ClusterHarness:
                 client_id=f"fe-{i}",
                 guard=self._build_guard(i),
             )
-            if case.coherent:
-                client: ElasticCoTClient = CoherentElasticCoTClient(
-                    self.target, self.bus, **kwargs
-                )
-            else:
-                client = ElasticCoTClient(self.target, **kwargs)
+            client = ElasticCoTClient(self.target, **kwargs)
             if self.router is not None:
                 client.attach_router(self.router, seed=seed * 17 + i)
             if self.write_policy is not None:
                 client.attach_write_policy(self.write_policy)
             self.front_ends.append(client)
         self.model = ClusterModel(
-            coherent=case.coherent,
             write_mode=case.write_mode,
             dirty_limit=case.dirty_limit,
             ttl=case.ttl,
@@ -539,29 +494,6 @@ def check_cluster_invariants(harness: ClusterHarness) -> None:
                 f"pending demotions of {key!r} reference departed shards: "
                 f"{sorted(pending - live)}"
             )
-
-    bus = harness.bus
-    if bus is not None:
-        recounted = bus.recomputed_directory_size()
-        assert bus.stats.directory_size == recounted, (
-            f"directory_size drifted: incremental "
-            f"{bus.stats.directory_size} != recount {recounted}"
-        )
-        directory = {
-            (cid, key)
-            for key, holders in bus.directory().items()
-            for cid in holders
-        }
-        actual = {
-            (client.client_id, key)
-            for client in harness.front_ends
-            for key in client.policy.cached_keys()
-        }
-        assert directory == actual, (
-            f"directory out of sync with front-end caches: "
-            f"untracked copies {sorted(map(repr, actual - directory))}, "
-            f"phantom entries {sorted(map(repr, directory - actual))}"
-        )
 
     policy = harness.write_policy
     if policy is not None and policy.buffered:

@@ -9,9 +9,9 @@ storage reads/writes. The planes share all decision code
 (DESIGN.md §15), so the traces must be *identical* — the contract
 ``tests/test_net.py`` holds on every tier-1 run.
 
-Nothing here generates load or takes a timing: this package serves and
-connects, and the socket plane is priced by the ladder's ``net-sync``
-and ``net-pipelined`` workloads (``benchmarks/ladder``).
+Nothing here generates load or takes a timing: the socket plane is
+priced by the ladder's ``net-sync`` and ``net-pipelined`` workloads
+(``benchmarks/ladder``).
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ from repro.cluster.cluster import CacheCluster
 from repro.core.cache import CoTCache
 from repro.policies.lru import LRUCache
 from repro.policies.nullcache import NullCache
+from repro.workloads.base import format_key
 from repro.workloads.request import OpType, Request
 
 
@@ -93,6 +94,17 @@ class TestWritePath:
         client.delete("k1")
         assert "k1" not in client.policy
         assert "k1" not in cluster.server_for("k1")
+
+    def test_base_protocol_alone_can_serve_stale(self, cluster):
+        """The paper's model (§2): a write invalidates only the writer's
+        local copy, so another front end keeps serving its own."""
+        a = FrontEndClient(cluster, LRUCache(8), client_id="a")
+        b = FrontEndClient(cluster, LRUCache(8), client_id="b")
+        key = format_key(1)
+        old = a.get(key)
+        b.get(key)
+        a.set(key, "new")
+        assert b.get(key) == old  # stale local hit
 
 
 class TestExecuteAndMetrics:

@@ -4,14 +4,14 @@ One hypothesis :class:`RuleBasedStateMachine` drives random interleavings
 of the full operation surface — ``get`` / ``set`` / ``delete`` /
 ``get_many`` / ``kill_server`` / ``revive_server`` / ``add_server`` /
 ``remove_server`` / epoch closes / router refreshes / write-behind
-flushes — against the dict-backed oracle in :mod:`repro.cluster.oracle`,
-across the topology grid in ``TOPOLOGIES`` (front-end count × coherence
-mode × replication × write mode × breaker aggressiveness). After every
+flushes — against the dict-backed oracle in ``tests/_cluster_oracle.py``,
+across the topology grid in ``TOPOLOGIES`` (front-end count ×
+replication × write mode × breaker aggressiveness). After every
 step the machine asserts:
 
-* no stale read escapes (mode-aware: coherent reads must always return
-  the committed value; paper-mode reads may only serve a front end's own
-  untouched local copy; acknowledged write-through writes are never
+* no stale read escapes (write-mode-aware: cache-aside reads may only
+  serve a front end's own untouched local copy; acknowledged
+  write-through writes are never
   served stale from the caching layer; write-behind reads see the queued
   value — the pre-flush durable value only while the owning shard is
   down; ttl reads stay inside the ``2*ttl``-tick obsolescence window);
@@ -19,8 +19,6 @@ step the machine asserts:
   and at their historic peak), mirror the model's queues entry-for-entry
   across kill/revive/add/remove interleavings, and ``lost_writes``
   equals exactly the queue entries dropped by cold revivals;
-* the invalidation directory's incremental size counter matches a full
-  recount, and the directory matches what front ends actually cache;
 * per-shard state (fault profiles, breakers, load windows, router
   replica/quarantine/pending sets) references only live shard ids;
 * the elastic controller's churn-safe load view never includes departed,
@@ -33,8 +31,8 @@ step the machine asserts:
 
 Every counterexample this machine has shaken out is preserved as a named
 deterministic regression test (see ``test_cluster.py``, ``test_faults.py``,
-``test_invalidation.py``, ``test_replication.py``) so the fixes cannot
-regress even at ``max_examples=0``.
+``test_replication.py``) so the fixes cannot regress even at
+``max_examples=0``.
 
 Budget knobs (all via environment, used by ``scripts/verify.sh``):
 
@@ -61,41 +59,28 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.cluster.oracle import (
+from tests._cluster_oracle import (
     ClusterHarness,
     TopologyCase,
     check_cluster_invariants,
 )
 
-#: The topology grid. Axes: front ends × coherence × replication × guard.
+#: The topology grid. Axes: front ends × replication × guard.
 TOPOLOGIES = (
     TopologyCase("paper-1fe"),
     TopologyCase("paper-3fe", num_front_ends=3),
     TopologyCase("paper-2fe-replicated", num_front_ends=2, replicated=True),
     TopologyCase("paper-2fe-tight", num_front_ends=2, tight_guard=True),
-    TopologyCase("coherent-2fe", num_front_ends=2, coherent=True),
+    TopologyCase("paper-3fe-replicated", num_front_ends=3, replicated=True),
     TopologyCase(
-        "coherent-3fe-replicated",
-        num_front_ends=3,
-        coherent=True,
-        replicated=True,
-    ),
-    TopologyCase(
-        "coherent-2fe-replicated-tight",
+        "paper-2fe-replicated-tight",
         num_front_ends=2,
-        coherent=True,
         replicated=True,
         tight_guard=True,
     ),
     # Write-path axis (replicated fan-out per mode is pinned by unit
     # tests; here the modes face topology churn instead).
     TopologyCase("writethrough-2fe", num_front_ends=2, write_mode="write-through"),
-    TopologyCase(
-        "writethrough-coherent-2fe",
-        num_front_ends=2,
-        coherent=True,
-        write_mode="write-through",
-    ),
     TopologyCase("writebehind-1fe", write_mode="write-behind", dirty_limit=3),
     TopologyCase(
         "writebehind-2fe-tight",

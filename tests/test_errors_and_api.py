@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import repro
@@ -66,3 +70,32 @@ class TestPublicAPI:
         assert repro.core.ElasticCoTClient is not None
         with pytest.raises(AttributeError):
             repro.core.DoesNotExist
+
+
+def test_lint_names_a_module_only_tests_reach(tmp_path):
+    """``scripts/lint_unused.py``'s reachability pass, on a scratch tree."""
+    files = {
+        "src/repro/__init__.py": "",
+        "src/repro/pkg/__init__.py": (
+            "from repro.pkg.inner import Helper\n"
+            "from repro.pkg.spare import Spare\n"
+        ),
+        "src/repro/pkg/inner.py": "class Helper: pass\n",
+        "src/repro/pkg/spare.py": "class Spare: pass\n",
+        "src/repro/used.py": "from repro.pkg import Helper\n",
+        "src/repro/testonly.py": "X = 1\n",
+        "examples/run.py": "import repro.used\n",
+        "tests/test_it.py": "from repro.testonly import X\nfrom repro.pkg import Spare\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+    lint = Path(__file__).resolve().parents[1] / "scripts" / "lint_unused.py"
+    result = subprocess.run(
+        [sys.executable, str(lint)], cwd=tmp_path, capture_output=True, text=True
+    )
+    reported = {line.split(":")[0] for line in result.stdout.splitlines()}
+    # inner.py is reached through the package re-export into used.py; the
+    # same __init__ importing spare.py does not make spare.py reached.
+    assert result.returncode == 1
+    assert reported == {"src/repro/testonly.py", "src/repro/pkg/spare.py"}

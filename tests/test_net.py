@@ -29,12 +29,12 @@ from repro.cluster.retry import BreakerState
 from repro.cluster.storage import PersistentStore
 from repro.errors import ProtocolError, ShardDownError, ShardTimeoutError
 from repro.net.client import Connection, NetClientStats, ShardEndpoint
-from repro.net.harness import decision_equivalence
 from repro.net.plane import NetworkPlane, ShardProxy
 from repro.net.proto import Reply, ResponseDecoder, Value
 from repro.net.server import ShardServer
 from repro.policies.base import MISSING
 from repro.policies.registry import make_policy
+from tests._plane_equivalence import decision_equivalence
 
 
 def make_cluster(num_servers: int = 2, faults: bool = False) -> CacheCluster:

@@ -43,7 +43,6 @@ from repro.obs.export import (
     render_prometheus,
 )
 from repro.obs.hist import LatencyHistogram
-from repro.obs.profile import PeriodicSnapshotter
 from repro.obs.trace import Trace, Tracer, render_trace
 from repro.policies.registry import make_policy
 from repro.workloads.zipfian import ZipfianGenerator
@@ -628,29 +627,6 @@ class TestLatencyHistogram:
         summary = histogram.summary()
         assert set(summary) == {"count", "mean", "p50", "p99", "max"}
         assert summary["count"] == 10
-
-
-# ---------------------------------------------------------------------------
-# profiling hooks
-
-
-class TestProfilingHooks:
-    def test_periodic_snapshotter(self):
-        bus = TelemetryBus()
-        snapshotter = PeriodicSnapshotter(bus, every=10)
-        for i in range(1, 31):
-            bus.inc(T.HITS)
-            snapshotter.maybe_sample(i)
-        assert [index for index, _snap in snapshotter.samples] == [10, 20, 30]
-        assert snapshotter.counter_deltas(T.HITS) == [
-            (10, 10), (20, 10), (30, 10),
-        ]
-        # Re-sampling the same index is idempotent.
-        count = len(snapshotter.samples)
-        assert snapshotter.maybe_sample(30) is False
-        assert len(snapshotter.samples) == count
-        with pytest.raises(ConfigurationError):
-            PeriodicSnapshotter(bus, every=0)
 
 
 # ---------------------------------------------------------------------------

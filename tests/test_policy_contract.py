@@ -20,7 +20,7 @@ from repro.policies.base import MISSING
 from repro.policies.lfu import LFUCache
 from repro.policies.lru import LRUCache
 from repro.policies.lruk import LRUKCache
-from repro.policies.registry import POLICY_NAMES, make_policy, register_policy
+from repro.policies.registry import POLICY_NAMES, make_policy
 
 CAPACITY = 8
 
@@ -158,12 +158,3 @@ class TestRegistry:
     def test_unknown_name(self):
         with pytest.raises(ConfigurationError):
             make_policy("mystery", 2)
-
-    def test_register_custom(self):
-        class Dummy(LRUCache):
-            name = "dummy"
-
-        register_policy("dummy-test", lambda capacity, **kw: Dummy(capacity))
-        assert isinstance(make_policy("dummy-test", 2), Dummy)
-        with pytest.raises(ConfigurationError):
-            register_policy("dummy-test", lambda capacity, **kw: Dummy(capacity))

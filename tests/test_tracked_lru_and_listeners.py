@@ -13,7 +13,6 @@ from repro.policies.base import MISSING
 from repro.policies.lfu import LFUCache
 from repro.policies.lru import LRUCache
 from repro.policies.lruk import LRUKCache
-from repro.policies.registry import make_policy
 from repro.policies.tracked_lru import TrackedLRUCache
 
 
@@ -26,11 +25,6 @@ class TestTrackedLRU:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             TrackedLRUCache(8, tracker_capacity=8)
-
-    def test_registry(self):
-        policy = make_policy("tracked_lru", 4, tracker_capacity=16)
-        assert isinstance(policy, TrackedLRUCache)
-        assert policy.tracker_capacity == 16
 
     def test_admission_filter_matches_cot(self):
         """The filter is identical: a once-seen cold key cannot enter a

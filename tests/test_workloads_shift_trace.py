@@ -1,15 +1,11 @@
-"""Tests for workload phases, hot-set rotation, and trace record/replay."""
+"""Tests for workload phases and hot-set rotation."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import ConfigurationError, WorkloadExhausted
-from repro.workloads.base import format_key
-from repro.workloads.mixer import OperationMixer
-from repro.workloads.request import OpType, Request
 from repro.workloads.shift import Phase, PhasedWorkload, RotatingHotSetGenerator
-from repro.workloads.trace import TraceGenerator, record_trace, replay_trace
 from repro.workloads.uniform import UniformGenerator
 from repro.workloads.zipfian import ZipfianGenerator
 
@@ -142,46 +138,3 @@ class TestRotatingHotSet:
     def test_range(self):
         gen = RotatingHotSetGenerator(ZipfianGenerator(50, seed=9), offset=49)
         assert all(0 <= k < 50 for k in gen.keys(1000))
-
-
-class TestTrace:
-    def test_roundtrip(self, tmp_path):
-        path = tmp_path / "trace.txt"
-        requests = [
-            Request(OpType.GET, format_key(1)),
-            Request(OpType.SET, format_key(2), value=(2, 1)),
-            Request(OpType.GET, format_key(3)),
-            Request(OpType.DELETE, format_key(4)),
-        ]
-        assert record_trace(path, requests) == 4
-        replayed = list(replay_trace(path))
-        assert [r.op for r in replayed] == [r.op for r in requests]
-        assert [r.key for r in replayed] == [r.key for r in requests]
-
-    def test_mixer_to_trace(self, tmp_path):
-        path = tmp_path / "trace.txt"
-        mixer = OperationMixer(UniformGenerator(100, seed=10), seed=11)
-        record_trace(path, mixer.requests(200))
-        assert len(list(replay_trace(path))) == 200
-
-    def test_comments_and_blanks_skipped(self, tmp_path):
-        path = tmp_path / "trace.txt"
-        path.write_text("# header\n\nr 5\nu 6\n")
-        replayed = list(replay_trace(path))
-        assert len(replayed) == 2
-        assert replayed[0].key == format_key(5)
-        assert replayed[1].op is OpType.SET
-
-    def test_malformed_line_raises(self, tmp_path):
-        path = tmp_path / "trace.txt"
-        path.write_text("x nope\n")
-        with pytest.raises(ConfigurationError):
-            list(replay_trace(path))
-
-    def test_trace_generator(self, tmp_path):
-        path = tmp_path / "trace.txt"
-        record_trace(path, [Request(OpType.GET, format_key(i)) for i in range(5)])
-        gen = TraceGenerator(path, key_space=10)
-        assert [gen.next_key() for _ in range(5)] == [0, 1, 2, 3, 4]
-        with pytest.raises(StopIteration):
-            gen.next_key()
