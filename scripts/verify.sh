@@ -75,7 +75,23 @@ if [ "$ticks" -ne 1 ] || [ "$clusters" -ne 1 ]; then
          "each must be 1: the drive loop exists once" >&2
     exit 1
 fi
-echo "($runners: one cadence tick, one cluster construction, $(wc -l < "$runners") lines)"
+# Every metric is named once: a catalogued name is a string literal only in
+# engine/telemetry.py (reporters read its kept constants), and the runners
+# share one publish tail.
+telemetry=src/repro/engine/telemetry.py
+names="$(python -c 'from repro.engine.telemetry import CATALOGUE
+print("|".join(sorted({m.name.replace(".", "[.]") for m in CATALOGUE})))')"
+if grep -rn --include='*.py' -E "[\"']($names)[\"']" src/repro | grep -v "^$telemetry:"; then
+    echo "a catalogued metric name is spelled outside $telemetry (see above): use its constant" >&2
+    exit 1
+fi
+tails="$(grep -c 'def _publish' "$runners" || true)"
+if [ "$tails" -ne 1 ]; then
+    echo "$runners defines $tails _publish functions; the publish tail exists once" >&2
+    exit 1
+fi
+echo "($runners: one cadence tick, one cluster construction, one _publish," \
+     "$(wc -l < "$runners") lines; metric names only in $telemetry, $(wc -l < "$telemetry") lines)"
 
 stage tests
 python -m pytest -x -q

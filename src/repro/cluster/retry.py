@@ -311,14 +311,9 @@ class ClusterGuard:
             if breaker.peek(self._clock) is not BreakerState.CLOSED
         )
 
-    def breaker_transitions(self) -> dict[str, int]:
-        """Summed ``opens`` / ``half_opens`` / ``closes`` across shards."""
-        totals = {"opens": 0, "half_opens": 0, "closes": 0}
-        for breaker in self._breakers.values():
-            totals["opens"] += breaker.opens
-            totals["half_opens"] += breaker.half_opens
-            totals["closes"] += breaker.closes
-        return totals
+    def breakers(self) -> list[CircuitBreaker]:
+        """Every registered shard's breaker (telemetry sums ``opens`` / ``closes``)."""
+        return list(self._breakers.values())
 
     # ------------------------------------------------------------- topology
 

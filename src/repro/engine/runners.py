@@ -40,7 +40,6 @@ from repro.engine import telemetry as T
 from repro.engine.spec import Phase, RunContext, ScenarioSpec, WorkloadSpec
 from repro.engine.telemetry import PhaseTelemetry, TelemetryBus, TelemetrySnapshot
 from repro.errors import ConfigurationError
-from repro.obs.hist import LatencyHistogram
 from repro.policies.adaptive import AdaptiveArbiter
 from repro.policies.base import MISSING, CachePolicy
 from repro.sim.client import SimClient
@@ -202,106 +201,61 @@ class PolicyStreamRunner:
                 if after is not None:
                     after(i, key, hit)
 
-        bus = TelemetryBus()
-        stats = policy.stats
-        bus.inc(T.HITS, stats.hits)
-        bus.inc(T.MISSES, stats.misses)
-        bus.inc(T.ACCESSES, stats.accesses)
-        bus.inc(T.TOTAL_REQUESTS, accesses)
-        _publish_adaptive(bus, [policy])
+        bus = _publish(TelemetryBus(), accesses, _sources([], [policy]))
         return ScenarioResult(spec, bus.snapshot(), policies=[policy])
 
 
-def _publish_adaptive(bus: TelemetryBus, policies: list[CachePolicy]) -> None:
-    """Publish ``adaptive.*`` telemetry for any arbiters among ``policies``.
+def _sources(
+    front_ends: list[FrontEndClient], policies: list[CachePolicy] | None = None
+) -> dict[str, list[Any]]:
+    """The live stats objects a run's front ends (or bare ``policies``)
+    keep, filed under the ``source`` names
+    :data:`~repro.engine.telemetry.CATALOGUE` rows read. Which sources a
+    run has is the only per-runner part of publishing: an empty one keeps
+    its rows off the page."""
+    if policies is None:
+        policies = [c.policy for c in front_ends]
+    elastic = [c for c in front_ends if isinstance(c, ElasticCoTClient)]
+    decays = [c.decay_policy for c in elastic]
+    return {
+        "policy": [policy.stats for policy in policies],
+        "arbiter": [p for p in policies if isinstance(p, AdaptiveArbiter)],
+        "monitor": [c.monitor for c in front_ends],
+        "guard": [c.guard.stats for c in front_ends],
+        "breaker": [b for c in front_ends for b in c.guard.breakers()],
+        # The converged sizes are one client's answer, not a sum.
+        "elastic": elastic if len(elastic) == 1 else [],
+        # A run whose decay policy never fired publishes no `decay.*` names.
+        "decay": decays if any(d.triggers or d.epoch_decays for d in decays) else [],
+    }
 
-    No-op on pinned-policy runs (no counters appear, keeping those runs
-    byte-identical). Counters sum across arbiters; the per-candidate
-    shadow hit rates and the regret estimate are access-weighted.
-    """
-    arbiters = [p for p in policies if isinstance(p, AdaptiveArbiter)]
-    if not arbiters:
-        return
-    bus.inc(T.ADAPTIVE_SWITCHES, sum(a.switches for a in arbiters))
-    bus.inc(T.ADAPTIVE_EPOCHS, sum(a.epochs for a in arbiters))
-    bus.inc(T.ADAPTIVE_SHADOW_SAMPLES, sum(a.samples for a in arbiters))
-    bus.set_gauge(T.ADAPTIVE_REGRET, sum(a.regret for a in arbiters))
-    rates: dict[str, float] = {}
-    weights: dict[str, int] = {}
-    for arbiter in arbiters:
-        for name, rate in arbiter.shadow_hit_rates().items():
-            weight = arbiter.samples or 1
-            rates[name] = rates.get(name, 0.0) + rate * weight
-            weights[name] = weights.get(name, 0) + weight
-    for name, total in rates.items():
-        bus.set_gauge(f"adaptive.shadow_hit_rate.{name}", total / weights[name])
 
-
-def _publish_net(bus: TelemetryBus, net: dict[str, Any]) -> None:
-    """Publish ``net.*`` telemetry from a network plane's wire counters.
-
-    Only network-enabled runs call this (default runs publish no ``net.*``
-    names at all, keeping them byte-identical). The batch-depth
-    distribution is published as a histogram whose observations are the
-    coalesced-flush depths (requests per socket write).
-    """
-    bus.inc(T.NET_CONNECTIONS, net["connections"])
-    bus.inc(T.NET_RECONNECTS, net["reconnects"])
-    bus.inc(T.NET_REQUESTS, net["requests"])
-    bus.inc(T.NET_BATCHES, net["batches"])
-    bus.inc(T.NET_TIMEOUTS, net["timeouts"])
-    bus.inc(T.NET_PROTOCOL_ERRORS, net["protocol_errors"])
-    bus.inc(T.NET_FAULT_ERRORS, net["fault_errors"])
-    bus.inc(T.NET_BYTES_IN, net["bytes_in"])
-    bus.inc(T.NET_BYTES_OUT, net["bytes_out"])
-    depths = net.get("batch_depths") or {}
-    if depths:
-        histogram = LatencyHistogram()
-        for depth, count in sorted(depths.items()):
-            for _ in range(count):
-                histogram.record(float(depth))
-        bus.record_histogram(T.NET_BATCH_DEPTH, histogram)
+def _publish(
+    bus: TelemetryBus,
+    requests: int,
+    sources: dict[str, list[Any]],
+    drain: Callable[[], Any] | None = None,
+) -> TelemetryBus:
+    """The one publish tail: ``requests``, then every catalogued value
+    ``sources`` can answer, read off the stats objects as they stand."""
+    bus.inc(T.TOTAL_REQUESTS, requests)
+    counters, gauges, histograms = T.collect(sources)
+    if drain is not None:
+        # Gauges say what the run left (the dirty depth still volatile);
+        # counters are read after the final drain so its flushes count.
+        drain()
+        counters = T.collect(sources).counters
+    for name, value in counters.items():
+        bus.inc(name, value)
+    for name, value in gauges.items():
+        bus.set_gauge(name, value)
+    for name, histogram in histograms.items():
+        bus.record_histogram(name, histogram)
+    return bus
 
 
 # --------------------------------------------------------------------------
 # cluster runs
-
-
-def _resilience_counts(front_ends: list[FrontEndClient]) -> dict[str, int]:
-    """Monotone resilience/hit counters summed across front ends."""
-    counts = {
-        "hits": 0, "misses": 0, "degraded": 0, "retries": 0,
-        "rejections": 0, "opens": 0, "closes": 0,
-    }
-    for client in front_ends:
-        stats = client.policy.stats
-        guard = client.guard.stats
-        transitions = client.guard.breaker_transitions()
-        counts["hits"] += stats.hits
-        counts["misses"] += stats.misses
-        counts["degraded"] += client.monitor.degraded_reads()
-        counts["retries"] += guard.retries
-        counts["rejections"] += guard.open_rejections
-        counts["opens"] += transitions["opens"]
-        counts["closes"] += transitions["closes"]
-    return counts
-
-
-def _publish_head(
-    bus: TelemetryBus, front_ends: list[FrontEndClient], requests: int
-) -> dict[str, int]:
-    """Publish the counters every front-end run has; return the sums."""
-    counts = _resilience_counts(front_ends)
-    bus.inc(T.HITS, counts["hits"])
-    bus.inc(T.MISSES, counts["misses"])
-    bus.inc(T.ACCESSES, sum(c.policy.stats.accesses for c in front_ends))
-    bus.inc(T.TOTAL_REQUESTS, requests)
-    bus.inc(T.DEGRADED_READS, counts["degraded"])
-    bus.inc(
-        T.FAILED_INVALIDATIONS,
-        sum(c.guard.stats.lost_invalidations for c in front_ends),
-    )
-    return counts
 
 
 def _mixed(spec: ScenarioSpec) -> bool:
@@ -439,9 +393,28 @@ class ClusterRunner:
         else:
             driven = self._drive_sequential(spec, front_ends, per_client, cadence)
 
-        self._publish(spec, cluster, front_ends, driven, bus, router, write_policy)
+        sources = _sources(front_ends)
+        if router is not None:
+            sources["router"] = [router]
         if plane is not None:
-            _publish_net(bus, plane.telemetry())
+            sources["net_client"] = [plane.client_stats]
+            sources["net_server"] = list(plane.server_stats().values())
+            sources["net_ends"] = sources["net_client"] + sources["net_server"]
+        drain = None
+        if write_policy is not None:
+            sources["write"] = [write_policy]
+            drain = write_policy.flush
+        _publish(bus, driven, sources, drain)
+        bus.record_shard_loads(cluster.loads(), cluster.epoch_loads())
+        bus.fallback_latency = sum(
+            c.monitor.fallback_latency_total for c in front_ends
+        )
+        if spec.phases is None:
+            # Phased runs publish epochs as each phase ends.
+            for client in front_ends:
+                if isinstance(client, ElasticCoTClient):
+                    for record in client.history:
+                        bus.emit_epoch(record)
         return ScenarioResult(
             spec,
             bus.snapshot(),
@@ -489,7 +462,8 @@ class ClusterRunner:
         clients = list(enumerate(front_ends))
         steps, draws = zip(*(_request_source(spec, c, i) for i, c in clients))
         elastic = [c for c in front_ends if isinstance(c, ElasticCoTClient)]
-        published = 0
+        # Per elastic client, how many of its epoch records are on the bus.
+        published = [0] * len(elastic)
         rounds = 0
         # `interleave=True` alone is one unlabelled phase that pushes no delta.
         phases = (Phase(""),) if spec.phases is None else spec.phases
@@ -500,8 +474,9 @@ class ClusterRunner:
                 swapped = replace(spec, workload=WorkloadSpec(dist=phase.dist))
                 draws = [_request_source(swapped, c, i)[1] for i, c in clients]
             down = tuple(sorted(faults.down_servers())) if faults else ()
-            before = _resilience_counts(front_ends)
+            before = T.collect(_sources(front_ends)).counters
             start_epoch = len(elastic[0].history) if elastic else 0
+            bus_epochs = sum(published)
             incorrect_before = bus.counter(T.INCORRECT_READS)
             phase_accesses = per_client if phase.accesses is None else phase.accesses
             streams = [
@@ -519,105 +494,23 @@ class ClusterRunner:
                         tick()
             if spec.phases is None:
                 break
-            after = _resilience_counts(front_ends)
             # Publish the epochs that closed during this phase.
-            for client in elastic:
-                for record in client.history[published:]:
+            for k, client in enumerate(elastic):
+                for record in client.history[published[k]:]:
                     bus.emit_epoch(record)
-                published = len(client.history)
-            bus.push_phase(PhaseTelemetry(
+                published[k] = len(client.history)
+            bus.push_phase(PhaseTelemetry.between(
+                before,
+                T.collect(_sources(front_ends)).counters,
                 index=index,
                 label=phase.label,
                 down=down,
                 reads=phase_accesses * len(front_ends),
-                hits=after["hits"] - before["hits"],
-                degraded_reads=after["degraded"] - before["degraded"],
-                retries=after["retries"] - before["retries"],
-                open_rejections=after["rejections"] - before["rejections"],
-                breaker_opens=after["opens"] - before["opens"],
-                breaker_closes=after["closes"] - before["closes"],
                 incorrect_reads=bus.counter(T.INCORRECT_READS) - incorrect_before,
                 start_epoch=start_epoch,
-                epoch_events=bus.epoch_events_since(start_epoch) if elastic else (),
+                epoch_events=bus.epoch_events_since(bus_epochs),
             ))
         return rounds * len(front_ends)
-
-    # ---------------------------------------------------------------- publish
-
-    def _publish(
-        self,
-        spec: ScenarioSpec,
-        cluster: CacheCluster,
-        front_ends: list[FrontEndClient],
-        driven: int,
-        bus: TelemetryBus,
-        router: HotKeyRouter | None = None,
-        write_policy: "Any | None" = None,
-    ) -> None:
-        counts = _publish_head(bus, front_ends, driven)
-        bus.inc(T.RETRIES, counts["retries"])
-        bus.inc(T.OPEN_REJECTIONS, counts["rejections"])
-        bus.inc(T.BREAKER_OPENS, counts["opens"])
-        bus.inc(T.BREAKER_CLOSES, counts["closes"])
-        bus.record_shard_loads(cluster.loads(), cluster.epoch_loads())
-        bus.fallback_latency = sum(
-            c.monitor.fallback_latency_total for c in front_ends
-        )
-        if router is not None:
-            rstats = router.stats
-            bus.inc(T.REPLICA_REFRESHES, rstats.refreshes)
-            bus.inc(T.REPLICA_PROMOTIONS, rstats.promotions)
-            bus.inc(T.REPLICA_DEMOTIONS, rstats.demotions)
-            bus.inc(T.REPLICATED_READS, rstats.replicated_reads)
-            bus.inc(T.TWO_CHOICE_READS, rstats.two_choice_reads)
-            bus.inc(T.REPLICA_PRIMARY_FALLBACKS, rstats.primary_fallbacks)
-            bus.inc(T.REPLICA_INVALIDATIONS, rstats.replica_invalidations)
-            bus.inc(
-                T.FAILED_REPLICA_INVALIDATIONS,
-                rstats.failed_replica_invalidations,
-            )
-            bus.set_gauge("replication.active_keys", float(len(router)))
-        if write_policy is not None:
-            # Residual depth before the final drain is the interesting
-            # gauge (how much acknowledged data was volatile at the end);
-            # the counters are read after it so the drain's flushes count.
-            bus.set_gauge(
-                "write.dirty_buffer_depth", float(write_policy.dirty_depth())
-            )
-            write_policy.flush()
-            ws = write_policy.stats
-            bus.inc(T.WRITE_STORAGE_WRITES, ws.storage_writes)
-            bus.inc(T.WRITE_THROUGH_WRITES, ws.through_writes)
-            bus.inc(T.WRITE_BUFFERED, ws.buffered_writes)
-            bus.inc(T.WRITE_COALESCED, ws.coalesced_writes)
-            bus.inc(T.WRITE_FLUSHED, ws.flushed_writes)
-            bus.inc(T.WRITE_FLUSHES, ws.flushes)
-            bus.inc(T.WRITE_BOUND_FLUSHES, ws.bound_flushes)
-            bus.inc(T.WRITE_LOST, ws.lost_writes)
-            bus.inc(T.WRITE_SYNC_FALLBACKS, ws.sync_fallbacks)
-            bus.inc(T.WRITE_TTL_EXPIRATIONS, ws.ttl_expirations)
-            bus.set_gauge("write.peak_dirty_depth", float(ws.peak_dirty))
-        elastic = [c for c in front_ends if isinstance(c, ElasticCoTClient)]
-        if elastic and spec.phases is None:
-            # Phased runs publish epochs incrementally; publish here
-            # otherwise so plain elastic runs still expose their series.
-            for client in elastic:
-                for record in client.history:
-                    bus.emit_epoch(record)
-        if len(elastic) == 1:
-            cache, tracker = elastic[0].converged_sizes()
-            bus.set_gauge("elastic.final_cache", cache)
-            bus.set_gauge("elastic.final_tracker", tracker)
-            bus.set_gauge(
-                "elastic.alpha_target", elastic[0].controller.alpha_target
-            )
-        if elastic:
-            triggers = sum(c.decay_policy.triggers for c in elastic)
-            epoch_decays = sum(c.decay_policy.epoch_decays for c in elastic)
-            if triggers or epoch_decays:
-                bus.inc(T.DECAY_TRIGGERS, triggers)
-                bus.inc(T.DECAY_EPOCH_DECAYS, epoch_decays)
-        _publish_adaptive(bus, [c.policy for c in front_ends])
 
 
 # --------------------------------------------------------------------------
@@ -686,7 +579,28 @@ class SimRunner:
         for client in clients:
             client.start()
         runtime = sim.run()
-        bus = self._publish(clients, servers, runtime)
+        front_ends = [c.front_end for c in clients]
+        sources = _sources(front_ends)
+        sources["sim"] = clients
+        total_requests = sum(c.completed for c in clients)
+        bus = _publish(TelemetryBus(), total_requests, sources)
+        bus.record_shard_loads(
+            {sid: server.arrivals for sid, server in servers.items()}
+        )
+        bus.runtime = runtime
+        bus.per_client_runtime = tuple(
+            c.finish_time if c.finish_time is not None else runtime for c in clients
+        )
+        # One estimator for the mean, the percentiles and the published
+        # distribution: the fixed-bucket merge is exact, and
+        # ``merge_snapshots`` derives p50/p99 from the same histogram, so
+        # merged and unmerged snapshots of one run agree.
+        histogram = bus.histogram(T.REQUEST_LATENCY)
+        if histogram is not None:
+            bus.mean_latency = histogram.total / total_requests
+            bus.p50_latency = histogram.percentile(50)
+            bus.p99_latency = histogram.percentile(99)
+        bus.fallback_latency = sum(c.fallback_latency_sum for c in clients)
         return ScenarioResult(
             spec,
             bus.snapshot(),
@@ -695,34 +609,3 @@ class SimRunner:
             sim_clients=clients,
             servers=servers,
         )
-
-    def _publish(
-        self,
-        clients: list[SimClient],
-        servers: dict[str, SimBackendServer],
-        runtime: float,
-    ) -> TelemetryBus:
-        bus = TelemetryBus()
-        front_ends = [c.front_end for c in clients]
-        total_requests = sum(c.completed for c in clients)
-        _publish_head(bus, front_ends, total_requests)
-        bus.record_shard_loads(
-            {sid: server.arrivals for sid, server in servers.items()}
-        )
-        bus.runtime = runtime
-        bus.per_client_runtime = tuple(
-            c.finish_time if c.finish_time is not None else runtime for c in clients
-        )
-        latency_total = sum(c.latency_histogram.total for c in clients)
-        bus.mean_latency = latency_total / total_requests if total_requests else 0.0
-        # One estimator for the percentiles and the published distribution:
-        # the fixed-bucket merge is exact, and ``merge_snapshots`` derives
-        # p50/p99 from the same histogram, so merged and unmerged snapshots
-        # of one run agree.
-        histogram = LatencyHistogram.merged(c.latency_histogram for c in clients)
-        if histogram.count:
-            bus.p50_latency = histogram.percentile(50)
-            bus.p99_latency = histogram.percentile(99)
-            bus.record_histogram(T.REQUEST_LATENCY, histogram)
-        bus.fallback_latency = sum(c.fallback_latency_sum for c in clients)
-        return bus

@@ -43,7 +43,6 @@ from repro.engine import (
 )
 from repro.engine.registry import register_experiment
 from repro.experiments.common import ExperimentResult, Scale
-from repro.metrics.resilience import summarize_resilience
 
 __all__ = ["run", "EXPERIMENT_ID", "expected_value"]
 
@@ -159,7 +158,6 @@ def run(scale: Scale | None = None, num_servers: int = 4) -> ExperimentResult:
     )
     result = ClusterRunner().run(spec)
     client = result.front_end
-    guard = client.guard
 
     rows: list[list[object]] = []
     incorrect_total = 0
@@ -206,7 +204,12 @@ def run(scale: Scale | None = None, num_servers: int = 4) -> ExperimentResult:
             ]
         )
 
-    resilience = summarize_resilience(guard, client.monitor)
+    # The run's `resilience.*` counters, read off the snapshot like any reporter.
+    resilience = {
+        name.partition(".")[2]: count
+        for name, count in result.telemetry.counters.items()
+        if name.startswith("resilience.")
+    }
     cache, tracker = client.converged_sizes()
     return ExperimentResult(
         experiment_id=EXPERIMENT_ID,
@@ -235,7 +238,7 @@ def run(scale: Scale | None = None, num_servers: int = 4) -> ExperimentResult:
         ],
         extras={
             "incorrect_reads": incorrect_total,
-            "degraded_reads": resilience.degraded_reads,
+            "degraded_reads": result.telemetry.degraded_reads,
             "spurious_expands": spurious_expands,
             "phantom_epochs": phantom_epochs,
             "churn_max_imbalance": churn_max_imbalance,
@@ -243,7 +246,7 @@ def run(scale: Scale | None = None, num_servers: int = 4) -> ExperimentResult:
             "replacement_shard": replacement[0] if replacement else None,
             "final_cache": cache,
             "final_tracker": tracker,
-            "resilience": resilience.as_row(),
+            "resilience": resilience,
         },
     )
 

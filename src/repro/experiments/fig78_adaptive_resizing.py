@@ -30,6 +30,7 @@ from repro.engine import (
     TopologySpec,
     WorkloadSpec,
 )
+from repro.engine import telemetry as T
 from repro.engine.registry import register_experiment
 from repro.engine.runners import ScenarioResult
 from repro.experiments.common import ExperimentResult, Scale
@@ -100,8 +101,8 @@ def _history_result(
             ]
         )
     telemetry = result.telemetry
-    cache = int(telemetry.gauges["elastic.final_cache"])
-    tracker = int(telemetry.gauges["elastic.final_tracker"])
+    cache = int(telemetry.gauges[T.ELASTIC_FINAL_CACHE])
+    tracker = int(telemetry.gauges[T.ELASTIC_FINAL_TRACKER])
     notes = [*notes, f"final sizes: C={cache}, K={tracker}"]
     return ExperimentResult(
         experiment_id=experiment_id,
@@ -116,7 +117,7 @@ def _history_result(
             "series": recorder,
             "final_cache": cache,
             "final_tracker": tracker,
-            "alpha_target": telemetry.gauges["elastic.alpha_target"],
+            "alpha_target": telemetry.gauges[T.ELASTIC_ALPHA_TARGET],
         },
     )
 

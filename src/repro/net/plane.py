@@ -338,29 +338,3 @@ class NetworkPlane:
 
     def server_stats(self) -> dict[str, ShardServerStats]:
         return {sid: srv.stats for sid, srv in self._servers.items()}
-
-    def telemetry(self) -> dict[str, Any]:
-        """Aggregated wire counters, shaped for ``net.*`` publishing."""
-        servers = list(self._servers.values())
-        depth_counts: dict[int, int] = {}
-        for source in [self.client_stats.batch_depths] + [
-            s.stats.batch_depths for s in servers
-        ]:
-            for depth, count in source.items():
-                depth_counts[depth] = depth_counts.get(depth, 0) + count
-        return {
-            "connections": self.client_stats.connections,
-            "reconnects": self.client_stats.reconnects,
-            "requests": self.client_stats.requests,
-            "batches": self.client_stats.batches,
-            "timeouts": self.client_stats.timeouts,
-            "errors": self.client_stats.errors,
-            "bytes_in": self.client_stats.bytes_in
-            + sum(s.stats.bytes_in for s in servers),
-            "bytes_out": self.client_stats.bytes_out
-            + sum(s.stats.bytes_out for s in servers),
-            "server_requests": sum(s.stats.requests for s in servers),
-            "protocol_errors": sum(s.stats.protocol_errors for s in servers),
-            "fault_errors": sum(s.stats.fault_errors for s in servers),
-            "batch_depths": depth_counts,
-        }

@@ -141,18 +141,23 @@ class PrometheusExporter:
 
     def add(self, snapshot: "TelemetrySnapshot", **labels: str) -> None:
         """Ingest one snapshot's counters/gauges/loads/histograms."""
+        from repro.engine.telemetry import BY_NAME  # here: telemetry imports obs
+
         base = dict(labels)
         base.setdefault("run", str(self._runs))
         self._runs += 1
         namespace = self.namespace
 
+        def family(raw: str, kind: str, suffix: str = "") -> _Family:
+            # HELP is the catalogue row's; an extension's own name says its kind.
+            text = BY_NAME[raw].help if raw in BY_NAME else f"{kind} {raw!r}"
+            return self._family(_metric_name(raw, namespace) + suffix, kind, text)
+
         for raw, value in sorted(snapshot.counters.items()):
-            name = _metric_name(raw, namespace) + "_total"
-            self._family(name, "counter", f"counter {raw!r}").add("", base, value)
+            family(raw, "counter", "_total").add("", base, value)
 
         for raw, value in sorted(snapshot.gauges.items()):
-            name = _metric_name(raw, namespace)
-            self._family(name, "gauge", f"gauge {raw!r}").add("", base, value)
+            family(raw, "gauge").add("", base, value)
 
         loads = self._family(
             _metric_name("shard.lookups", namespace) + "_total",
@@ -196,16 +201,17 @@ class PrometheusExporter:
             self._family(name, "gauge", help_text).add("", base, value)
 
         for raw, histogram in sorted(snapshot.histograms.items()):
-            name = _metric_name(raw, namespace) + "_seconds"
-            family = self._family(name, "histogram", f"histogram {raw!r}")
+            # The unit is the row's: only a distribution of seconds says so.
+            timed = raw not in BY_NAME or BY_NAME[raw].unit == "seconds"
+            buckets = family(raw, "histogram", "_seconds" if timed else "")
             for bound, cumulative in histogram.cumulative_buckets():
-                family.add(
+                buckets.add(
                     "_bucket",
                     {**base, "le": _format_value(bound)},
                     cumulative,
                 )
-            family.add("_sum", base, histogram.total)
-            family.add("_count", base, histogram.count)
+            buckets.add("_sum", base, histogram.total)
+            buckets.add("_count", base, histogram.count)
 
     # ---------------------------------------------------------------- output
 

@@ -596,6 +596,11 @@ class TestSimFaults:
         assert telemetry.degraded_reads > 0
         assert telemetry.fallback_latency > 0.0
         assert telemetry.failed_invalidations > 0
+        # Each SimClient runs its own guard; its counters reach the page.
+        counters = telemetry.counters
+        assert counters["resilience.breaker_opens"] > 0
+        retried = counters["resilience.retries"]
+        assert retried + counters["resilience.open_rejections"] > 0
 
     def test_fallbacks_cost_latency(self):
         healthy = self.run_sim(faults=None)

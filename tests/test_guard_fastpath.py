@@ -94,6 +94,9 @@ def test_fast_path_matches_reference_after_every_call(config):
             want = outcome(reference, shard, failures, step)
             assert got == want, (seed, step)
             assert snapshot(live) == snapshot(reference), (seed, step)
-        seen.update(reference.breaker_transitions())
+        for breaker in reference.breakers():
+            seen.update(
+                opens=breaker.opens, half_opens=breaker.half_opens, closes=breaker.closes
+            )
     # the schedules must have left the fast path, or they proved nothing
     assert seen["opens"] and seen["half_opens"] and seen["closes"], seen

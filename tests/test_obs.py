@@ -357,7 +357,9 @@ def fingerprint(client: FrontEndClient) -> dict:
         "policy": dataclasses.asdict(client.policy.stats),
         "cached": sorted(client.policy.cached_items()),
         "guard": dataclasses.asdict(client.guard.stats),
-        "breakers": client.guard.breaker_transitions(),
+        "breakers": [
+            (b.opens, b.half_opens, b.closes) for b in client.guard.breakers()
+        ],
         "monitor": (
             client.monitor.total_loads(), client.monitor.degraded_by_server()
         ),
@@ -630,22 +632,123 @@ class TestLatencyHistogram:
 
 
 # ---------------------------------------------------------------------------
+# one real scenario per default-off axis (the catalogue's sources)
+
+
+def axis_spec(axis):
+    """A small real scenario that switches ``axis`` on (``base``: none)."""
+    from repro.core.decay import ExponentialDecay
+    from repro.core.elastic import ElasticCoTClient
+    from repro.engine import (
+        ArbitrationSpec,
+        PolicySpec,
+        ReplicationSpec,
+        ScenarioSpec,
+        TopologySpec,
+        WorkloadSpec,
+        WriteSpec,
+    )
+    from repro.engine.spec import NetworkSpec
+
+    def elastic(cluster, _i):
+        return ElasticCoTClient(
+            cluster, target_imbalance=1.1, initial_cache=8, initial_tracker=16,
+            base_epoch=500, decay=ExponentialDecay(rate=0.9),
+        )
+
+    def spec(accesses=3_000, clients=2, dist="zipf-0.9", read_fraction=None,
+             topology=None, **fields):
+        return ScenarioSpec(
+            scale=Scale(f"obs-{axis}", key_space=500, accesses=accesses,
+                        num_clients=clients, num_servers=3),
+            workload=WorkloadSpec(dist=dist, read_fraction=read_fraction),
+            topology=TopologySpec(num_clients=clients, **(topology or {})),
+            seed=17,
+            **fields,
+        )
+
+    if axis == "write":
+        write = WriteSpec(mode="write-behind", dirty_limit=4, flush_every=256)
+        return spec(read_fraction=0.7, topology={"write": write})
+    if axis == "replication":
+        router = ReplicationSpec(enabled=True, refresh_every=512, min_share=0.02)
+        return spec(accesses=6_000, dist="zipf-1.2", read_fraction=0.9,
+                    topology={"replication": router},
+                    policy=PolicySpec(name="cot", cache_lines=16, tracker_lines=64))
+    if axis == "net":
+        return spec(accesses=800, topology={"network": NetworkSpec(enabled=True)})
+    if axis == "adaptive":
+        arbitration = ArbitrationSpec(epoch_length=512, sample_shift=1)
+        return spec(accesses=8_000, clients=1, dist="zipf-1.2", policy=PolicySpec(
+            name="lru", cache_lines=64, tracker_lines=256, arbitration=arbitration,
+        ))
+    if axis == "elastic":
+        # One elastic front end with a live decay policy, every read
+        # checked against an oracle that is always wrong.
+        return spec(accesses=6_000, clients=1, dist="zipf-1.2", client_factory=elastic,
+                    interleave=True, verify_value=lambda key: None)
+    if axis == "sim":
+        faults = FaultInjector(seed=1)
+        faults.kill("cache-0")
+        return spec(read_fraction=0.9, topology={"faults": faults},
+                    requests_per_client=600)
+    return spec(policy=PolicySpec(name="lru", cache_lines=32))
+
+
+#: axis → (runner, the sources whose rows it proves, page series that must be > 0)
+AXES = {
+    "write": ("ClusterRunner", {"write"},
+              ["cot_write_buffered_writes_total", "cot_write_flushed_writes_total"]),
+    "replication": ("ClusterRunner", {"router"},
+                    ["cot_replication_promotions_total",
+                     "cot_replication_replicated_reads_total"]),
+    "net": ("ClusterRunner", {"net_client", "net_server", "net_ends"},
+            ["cot_net_requests_total", "cot_net_bytes_in_total"]),
+    "adaptive": ("PolicyStreamRunner", {"arbiter"}, ["cot_adaptive_epochs_total"]),
+    "elastic": ("ClusterRunner", {"elastic", "decay"},
+                ["cot_decay_epoch_decays_total", "cot_verify_incorrect_reads_total"]),
+    "sim": ("SimRunner", {"policy", "monitor", "guard", "breaker", "sim"},
+            ["cot_resilience_degraded_reads_total",
+             "cot_resilience_breaker_opens_total"]),
+}
+
+
+@pytest.fixture(scope="module")
+def axis_runs():
+    """``{axis: (result, the sources its runner filed)}``, each run once."""
+    runs = {}
+    collect = T.collect
+    with pytest.MonkeyPatch.context() as patch:
+        for axis, (runner, _sources, _live) in AXES.items():
+            filed = {}
+            patch.setattr(T, "collect", lambda s, f=filed: f.update(s) or collect(s))
+            runs[axis] = getattr(engine_runners, runner)().run(axis_spec(axis)), filed
+    return runs
+
+
+def exported(raw):
+    return "cot_" + raw.replace(".", "_")
+
+
+def catalogue_table():
+    """The catalogue as README's Observability section holds it."""
+    lines = ["| metric | kind | unit | source | field | help |", "|---|---|---|---|---|---|"]
+    lines += [
+        f"| `{m.name}` | {m.kind} | {m.unit} | {m.source} | "
+        f"{f'`{m.field}`' if m.field else '—'} | {m.help} |"
+        for m in T.CATALOGUE
+    ]
+    return "\n".join(lines)
+
+
+# ---------------------------------------------------------------------------
 # prometheus export
 
 
 def full_bus_snapshot():
     """A snapshot exercising every canonical counter plus extras."""
     bus = TelemetryBus()
-    canonical = [
-        T.HITS, T.MISSES, T.ACCESSES, T.TOTAL_REQUESTS, T.DEGRADED_READS,
-        T.RETRIES, T.OPEN_REJECTIONS, T.BREAKER_OPENS, T.BREAKER_CLOSES,
-        T.FAILED_INVALIDATIONS, T.INCORRECT_READS,
-        T.DECAY_TRIGGERS, T.DECAY_EPOCH_DECAYS,
-        T.ADAPTIVE_SWITCHES, T.ADAPTIVE_EPOCHS, T.ADAPTIVE_SHADOW_SAMPLES,
-        T.NET_CONNECTIONS, T.NET_RECONNECTS, T.NET_REQUESTS, T.NET_BATCHES,
-        T.NET_TIMEOUTS, T.NET_PROTOCOL_ERRORS, T.NET_FAULT_ERRORS,
-        T.NET_BYTES_IN, T.NET_BYTES_OUT,
-    ]
+    canonical = [m.name for m in T.CATALOGUE if m.kind == "counter"]
     for i, name in enumerate(canonical):
         bus.inc(name, i + 1)
     bus.set_gauge("elastic.cache_lines", 512)
@@ -707,12 +810,18 @@ class TestPrometheusExport:
 
     def test_net_batch_depth_histogram_round_trip(self):
         snapshot, _ = full_bus_snapshot()
-        series = parse_prometheus(render_prometheus(snapshot))
-        buckets = series["cot_net_batch_depth_seconds_bucket"]
+        text = render_prometheus(snapshot)
+        series = parse_prometheus(text)
+        # A depth is not a duration: the suffix and HELP are the row's.
+        assert "_seconds" not in "".join(n for n in series if "batch_depth" in n)
+        row = T.BY_NAME[T.NET_BATCH_DEPTH]
+        assert f"# HELP cot_net_batch_depth {row.help}\n" in text
+        assert "# HELP cot_elastic_cache_lines gauge 'elastic.cache_lines'\n" in text
+        buckets = series["cot_net_batch_depth_bucket"]
         counts = [value for _labels, value in buckets]
         assert counts == sorted(counts)
-        (_, count) = series["cot_net_batch_depth_seconds_count"][0]
-        (_, total) = series["cot_net_batch_depth_seconds_sum"][0]
+        (_, count) = series["cot_net_batch_depth_count"][0]
+        (_, total) = series["cot_net_batch_depth_sum"][0]
         assert count == 75  # 40 + 25 + 10 flushes
         histogram = snapshot.histogram(T.NET_BATCH_DEPTH)
         assert total == pytest.approx(histogram.total)
@@ -749,146 +858,93 @@ class TestPrometheusExport:
     def test_empty_exporter_renders_placeholder(self):
         assert "no snapshots" in PrometheusExporter().render()
 
-    def test_write_mode_counters_round_trip_end_to_end(self):
-        """A write-mode run's ``write.*`` telemetry survives render → parse.
-
-        Runs a real write-behind scenario through :class:`ClusterRunner`
-        (not a hand-built bus) so the whole plumbing chain is on the
-        hook: policy stats → ``_publish`` → snapshot → exporter with
-        ``*_total`` naming → strict parser.
-        """
-        from repro.engine import (
-            ClusterRunner,
-            ScenarioSpec,
-            TopologySpec,
-            WorkloadSpec,
-            WriteSpec,
-        )
-
-        spec = ScenarioSpec(
-            scale=Scale("obs-write", key_space=200, accesses=3_000,
-                        num_clients=2, num_servers=3),
-            workload=WorkloadSpec(dist="zipf-0.9", read_fraction=0.7),
-            topology=TopologySpec(
-                write=WriteSpec(mode="write-behind", dirty_limit=4,
-                                flush_every=256)
-            ),
-            seed=17,
-        )
-        snapshot = ClusterRunner().run(spec).telemetry
-        counters = [
-            T.WRITE_STORAGE_WRITES, T.WRITE_THROUGH_WRITES, T.WRITE_BUFFERED,
-            T.WRITE_COALESCED, T.WRITE_FLUSHED, T.WRITE_FLUSHES,
-            T.WRITE_BOUND_FLUSHES, T.WRITE_LOST, T.WRITE_SYNC_FALLBACKS,
-            T.WRITE_TTL_EXPIRATIONS,
-        ]
-        series = parse_prometheus(render_prometheus(snapshot))
-        for raw in counters:
-            name = "cot_" + raw.replace(".", "_") + "_total"
-            assert name in series, f"{name} missing from export"
-            (labels, value) = series[name][0]
-            assert labels["run"] == "0"
-            assert value == float(snapshot.counters[raw])
-        for gauge in ("write.dirty_buffer_depth", "write.peak_dirty_depth"):
-            name = "cot_" + gauge.replace(".", "_")
-            assert series[name][0][1] == snapshot.gauges[gauge]
-        # The run really buffered and drained: the exported numbers are
-        # live, not zero-valued placeholders.
-        assert series["cot_write_buffered_writes_total"][0][1] > 0
-        assert series["cot_write_flushed_writes_total"][0][1] > 0
-        assert series["cot_write_peak_dirty_depth"][0][1] <= 4.0
-
-    def test_decay_counters_round_trip_end_to_end(self):
-        """An elastic run's ``decay.*`` telemetry survives render → parse.
-
-        Same shape as the write-mode test above: a real
-        :class:`ClusterRunner` scenario with an elastic front end running
-        :class:`ExponentialDecay`, so the chain decay policy →
-        ``_publish`` → snapshot → exporter → strict parser is exercised
-        end to end (the counters used to live only on the policy object
-        and never reached the bus).
-        """
-        from repro.core.decay import ExponentialDecay
-        from repro.core.elastic import ElasticCoTClient
-        from repro.engine import (
-            ClusterRunner,
-            PolicySpec,
-            ScenarioSpec,
-            TopologySpec,
-            WorkloadSpec,
-        )
-
-        def factory(cluster, _i):
-            return ElasticCoTClient(
-                cluster,
-                target_imbalance=1.1,
-                initial_cache=8,
-                initial_tracker=16,
-                base_epoch=500,
-                decay=ExponentialDecay(rate=0.9),
-            )
-
-        spec = ScenarioSpec(
-            scale=Scale("obs-decay", key_space=500, accesses=6_000,
-                        num_clients=1, num_servers=3),
-            workload=WorkloadSpec(dist="zipf-1.2"),
-            policy=PolicySpec(),
-            topology=TopologySpec(num_clients=1),
-            client_factory=factory,
-            seed=23,
-        )
-        snapshot = ClusterRunner().run(spec).telemetry
-        assert snapshot.counters[T.DECAY_EPOCH_DECAYS] >= 1
-        series = parse_prometheus(render_prometheus(snapshot))
-        for raw in (T.DECAY_TRIGGERS, T.DECAY_EPOCH_DECAYS):
-            name = "cot_" + raw.replace(".", "_") + "_total"
-            assert name in series, f"{name} missing from export"
-            (labels, value) = series[name][0]
-            assert labels["run"] == "0"
-            assert value == float(snapshot.counters[raw])
-        assert series["cot_decay_epoch_decays_total"][0][1] >= 1.0
-
-    def test_adaptive_counters_round_trip_end_to_end(self):
-        """An arbitrated run's ``adaptive.*`` telemetry survives the
-        render → parse round trip, including the per-candidate shadow
-        hit-rate gauges."""
-        from repro.engine import (
-            ArbitrationSpec,
-            PolicySpec,
-            PolicyStreamRunner,
-            ScenarioSpec,
-            WorkloadSpec,
-        )
-
-        spec = ScenarioSpec(
-            scale=Scale("obs-adaptive", key_space=2_000, accesses=8_000,
-                        num_clients=1, num_servers=3),
-            workload=WorkloadSpec(dist="zipf-1.2"),
-            policy=PolicySpec(
-                name="lru",
-                cache_lines=64,
-                tracker_lines=256,
-                arbitration=ArbitrationSpec(epoch_length=512, sample_shift=1),
-            ),
-            seed=29,
-        )
-        result = PolicyStreamRunner().run(spec)
+    @pytest.mark.parametrize("axis", sorted(AXES))
+    def test_axis_rows_round_trip_end_to_end(self, axis, axis_runs):
+        """Every catalogued row of the axis's sources survives the whole
+        chain — stats object → ``collect`` → bus → snapshot → exporter →
+        strict parser — with the value the stats object holds after a
+        real scenario ran (not a hand-built bus)."""
+        sources, live = AXES[axis][1:]
+        result, filed = axis_runs[axis]
         snapshot = result.telemetry
-        assert snapshot.counters[T.ADAPTIVE_EPOCHS] >= 1
         series = parse_prometheus(render_prometheus(snapshot))
-        for raw in (
-            T.ADAPTIVE_SWITCHES, T.ADAPTIVE_EPOCHS, T.ADAPTIVE_SHADOW_SAMPLES
-        ):
-            name = "cot_" + raw.replace(".", "_") + "_total"
-            assert name in series, f"{name} missing from export"
-            assert series[name][0][1] == float(snapshot.counters[raw])
-        assert (
-            series["cot_adaptive_regret"][0][1]
-            == snapshot.gauges[T.ADAPTIVE_REGRET]
+        now = T.collect({source: filed[source] for source in sources})
+        for raw, value in now.counters.items():
+            assert series[exported(raw) + "_total"] == [({"run": "0"}, float(value))]
+        for raw, value in now.gauges.items():
+            assert series[exported(raw)][0][1] == snapshot.gauges[raw]
+            # ...and is the object's own reading, the drained buffer aside.
+            assert raw == "write.dirty_buffer_depth" or snapshot.gauges[raw] == value
+        for raw, histogram in now.histograms.items():
+            name = exported(raw) + ("_seconds" if raw == T.REQUEST_LATENCY else "")
+            assert series[name + "_count"][0][1] == histogram.count > 0
+            assert series[name + "_sum"][0][1] == pytest.approx(histogram.total)
+        read = set(now.counters) | set(now.gauges) | set(now.histograms)
+        for row in T.CATALOGUE:
+            if row.source in sources:
+                assert any(n == row.name or n.startswith(row.name + ".") for n in read)
+        # The run really exercised the axis: live numbers, not placeholders.
+        for name in live:
+            assert series[name][0][1] > 0, name
+        if axis == "write":
+            assert series["cot_write_peak_dirty_depth"][0][1] <= 4.0
+        if axis == "adaptive":
+            for candidate in result.policy.candidates:
+                assert f"cot_adaptive_shadow_hit_rate_{candidate}" in series
+
+
+class TestCatalogue:
+    def test_every_row_is_filed_by_some_runner(self, axis_runs):
+        filed = {source for _result, sources in axis_runs.values() for source in sources}
+        published = {
+            name
+            for result, _sources in axis_runs.values()
+            for name in result.telemetry.counters
+        }
+        for row in T.CATALOGUE:
+            if row.source == "run":  # the runner's own bus.inc, not a stats field
+                assert row.name in published, row
+            else:
+                assert row.source in filed, f"no runner files {row.source!r}: {row}"
+
+    def test_kept_constants_name_rows_and_names_agree_on_kind(self):
+        names = {row.name for row in T.CATALOGUE}
+        for constant in T.__all__:
+            value = getattr(T, constant)
+            if constant.isupper() and isinstance(value, str):
+                assert value in names, f"T.{constant} names no catalogue row"
+        kinds = {}
+        for row in T.CATALOGUE:
+            assert kinds.setdefault(row.name, row.kind) == row.kind, row
+            assert row.kind in ("counter", "gauge", "histogram") and row.help
+
+    def test_mid_run_collect_equals_the_end_of_run_snapshot(self):
+        """The phase-delta path reads what the publish tail reads: with
+        nothing run in between, the two agree counter for counter."""
+        from repro.engine import ClusterRunner, Phase
+
+        seen = {}
+
+        def read(context):
+            sources = engine_runners._sources(context.front_ends)
+            seen.update(T.collect(sources).counters)
+
+        spec = dataclasses.replace(
+            axis_spec("base"),
+            phases=(Phase("drive", accesses=1_500), Phase("stop", accesses=0, action=read)),
         )
-        for candidate in result.policy.candidates:
-            gauge = f"cot_adaptive_shadow_hit_rate_{candidate}"
-            assert gauge in series, f"{gauge} missing from export"
+        counters = dict(ClusterRunner().run(spec).telemetry.counters)
+        assert counters.pop(T.TOTAL_REQUESTS) == 3_000
+        assert counters == seen and seen[T.HITS] > 0
+
+    def test_readme_metric_table_is_the_rendered_catalogue(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text("utf-8")
+        begin, end = "<!-- metric-table:begin -->\n", "<!-- metric-table:end -->"
+        committed = readme[readme.index(begin) + len(begin):readme.index(end)]
+        assert committed == catalogue_table() + "\n", (
+            "README's metric table is stale; between the markers it should read:\n"
+            + catalogue_table()
+        )
 
 
 # ---------------------------------------------------------------------------

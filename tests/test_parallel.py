@@ -247,6 +247,39 @@ class TestOneSpecOneMeaning:
         assert round_robin.telemetry == sequential.telemetry
         assert round_robin.cluster.storage.stats == sequential.cluster.storage.stats
 
+    def test_phases_carry_every_elastic_front_ends_epochs(self):
+        """Two elastic front ends, two phases: no client's records are
+        skipped by another's cursor, and each phase holds its own."""
+        from repro.core.elastic import ElasticCoTClient
+
+        def elastic(cluster, _i):
+            return ElasticCoTClient(
+                cluster, target_imbalance=1.1, initial_cache=8,
+                initial_tracker=16, base_epoch=500,
+            )
+
+        spec = replace(
+            _cluster_spec(), client_factory=elastic, interleave=True,
+            topology=TopologySpec(num_clients=2),
+        )
+        half = spec.total_accesses // 4  # per client, per phase
+        unphased = ClusterRunner().run(spec)
+        phased = ClusterRunner().run(
+            replace(spec, phases=(Phase("a", accesses=half), Phase("b", accesses=half)))
+        )
+        histories = [client.history for client in phased.front_ends]
+        assert all(histories) and len(histories) == 2
+        total = sum(map(len, histories))
+        snapshot = phased.telemetry
+        assert len(unphased.telemetry.epoch_events) == total
+        assert len(snapshot.epoch_events) == total
+        first, second = snapshot.phases
+        assert first.epoch_events + second.epoch_events == snapshot.epoch_events
+        # `start_epoch` keeps its meaning: client 0's epoch index at the switch.
+        in_first = {id(record) for record in first.epoch_events}
+        assert first.start_epoch == 0
+        assert second.start_epoch == sum(id(r) in in_first for r in histories[0]) > 0
+
     def test_warmup_resets_the_epoch_window_once_across_phases(self, monkeypatch):
         resets = []
         reset_epoch = CacheCluster.reset_epoch
