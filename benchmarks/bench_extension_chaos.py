@@ -38,8 +38,7 @@ def bench_extension_chaos(benchmark, record_result):
     assert result.extras["spurious_expands"] == 0
     assert result.extras["phantom_epochs"] == 0
     assert result.extras["churn_max_imbalance"] < 5.0
-    # The breaker actually cycled: opened during the outage, re-closed
-    # after the cold revival's successful probe.
-    resilience = result.extras["resilience"]
-    assert resilience["breaker_opens"] > 0
-    assert resilience["breaker_closes"] > 0
+    # The breaker opened during the outage. No breaker closes in this
+    # schedule: the cold revival drops the open breaker rather than
+    # probing it closed, and the flaky phase never opens one.
+    assert result.extras["resilience"]["breaker_opens"] > 0

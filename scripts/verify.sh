@@ -63,8 +63,18 @@ if grep -rn --include='*.py' -E 'storage\.get\(|storage_get\(' src/repro \
 fi
 protocol_lines="$(cat src/repro/cluster/*.py src/repro/sim/*.py src/repro/policies/*.py | wc -l)"
 src_lines="$(find src/repro -name '*.py' -print0 | xargs -0 cat | wc -l)"
+# One arbiter access path: an access only taps its key, and the sampling
+# memo is written in one place, the function the drain samples through.
+adaptive=src/repro/policies/adaptive.py
+memo_writes="$(grep -cE 'memo\[[^]]*\] *=' "$adaptive" || true)"
+if [ "$memo_writes" -ne 1 ]; then
+    echo "$adaptive writes the sampling memo in $memo_writes places; it must be 1:" \
+         "the arbiter samples in one function" >&2
+    exit 1
+fi
 echo "(storage is read in cluster/client.py only; cluster/ + sim/ + policies/ is" \
-     "$protocol_lines lines, src/repro $src_lines)"
+     "$protocol_lines lines, $adaptive $(wc -l < "$adaptive") with one memo write," \
+     "src/repro $src_lines)"
 # One drive loop: the cadence tick and the cluster are each built in one
 # place in the engine's runners.
 runners=src/repro/engine/runners.py
@@ -108,10 +118,11 @@ CLUSTER_FUZZ_EXAMPLES=200 CLUSTER_FUZZ_STEPS=60 CLUSTER_FUZZ_DERANDOMIZE=1 \
     python -m pytest tests/test_cluster_stateful.py -q
 
 stage "engine smoke"
-# Every registered experiment at smoke scale. ext-hotkey, ext-write and
-# ext-adaptive raise ExperimentError on their own verdicts (replication
-# targets, write-behind loss bound, arbiter convergence), so this stage is
-# where those are enforced.
+# Every registered experiment at smoke scale. ext-hotkey, ext-write,
+# ext-adaptive and ext-chaos raise ExperimentError on their own verdicts
+# (replication targets, write-behind loss bound, arbiter convergence,
+# correct and degraded reads under churn), so this stage is where those
+# are enforced.
 python -m repro.experiments --list
 metrics_out="$(mktemp)"
 python -m repro.experiments all --scale smoke --metrics-out "$metrics_out"

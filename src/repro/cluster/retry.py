@@ -260,6 +260,8 @@ class ClusterGuard:
         self._breakers: dict[str, CircuitBreaker] = {
             sid: CircuitBreaker(self.breaker_config) for sid in servers
         }
+        #: breakers :meth:`forget` dropped, kept for their transition totals
+        self._forgotten: list[CircuitBreaker] = []
         self._rng = random.Random(seed)
         self._sleep = sleep
         self._clock = 0.0
@@ -312,8 +314,9 @@ class ClusterGuard:
         )
 
     def breakers(self) -> list[CircuitBreaker]:
-        """Every registered shard's breaker (telemetry sums ``opens`` / ``closes``)."""
-        return list(self._breakers.values())
+        """Every breaker the guard has held, forgotten ones included, so the
+        ``opens`` / ``closes`` totals telemetry sums never fall."""
+        return [*self._breakers.values(), *self._forgotten]
 
     # ------------------------------------------------------------- topology
 
@@ -322,8 +325,11 @@ class ClusterGuard:
         self.breaker(server_id).reset()
 
     def forget(self, server_id: str) -> None:
-        """Drop the breaker of a shard that left the ring for good."""
-        self._breakers.pop(server_id, None)
+        """Drop the breaker of a shard that left the ring for good (or
+        revived cold); its transition totals stay in :meth:`breakers`."""
+        breaker = self._breakers.pop(server_id, None)
+        if breaker is not None:
+            self._forgotten.append(breaker)
 
     # ------------------------------------------------------------------ call
 

@@ -22,7 +22,11 @@ flaky shard → all clear), each a :class:`~repro.engine.spec.Phase` whose
 action fires against the live cluster. Each phase's
 :class:`~repro.engine.telemetry.PhaseTelemetry` reports hit rate,
 degraded reads, retry/breaker activity, resize decisions and the worst
-per-epoch ``I_c`` observed.
+per-epoch ``I_c`` observed. The verdicts are counts, so :func:`run` owns
+them: it raises :class:`~repro.errors.ExperimentError` on any incorrect
+read, on no degraded read, on a spurious expand or phantom epoch, on a
+churn-phase ``I_c`` of ``CHURN_IMBALANCE_LIMIT`` or more, and on no
+breaker opening — which fails ``verify.sh``'s engine-smoke stage.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from repro.engine import (
     WorkloadSpec,
 )
 from repro.engine.registry import register_experiment
+from repro.errors import ExperimentError
 from repro.experiments.common import ExperimentResult, Scale
 
 __all__ = ["run", "EXPERIMENT_ID", "expected_value"]
@@ -60,6 +65,9 @@ BREAKER_COOLDOWN = 512.0
 #: accounting bug produced ratios of ~epoch_length/1 (hundreds), while a
 #: genuine skew reading at these scales stays in low single digits
 PHANTOM_IMBALANCE = 10.0
+#: the worst epoch I_c a churn phase may read (genuine skew readings at
+#: these scales stay in low single digits)
+CHURN_IMBALANCE_LIMIT = 5.0
 
 
 def expected_value(key: Hashable) -> object:
@@ -210,6 +218,26 @@ def run(scale: Scale | None = None, num_servers: int = 4) -> ExperimentResult:
         for name, count in result.telemetry.counters.items()
         if name.startswith("resilience.")
     }
+    failures = [
+        message
+        for failed, message in (
+            (incorrect_total > 0, f"{incorrect_total} incorrect read(s)"),
+            (result.telemetry.degraded_reads == 0, "no degraded read"),
+            (spurious_expands > 0, f"{spurious_expands} spurious expand(s)"),
+            (phantom_epochs > 0, f"{phantom_epochs} phantom epoch(s)"),
+            (
+                churn_max_imbalance >= CHURN_IMBALANCE_LIMIT,
+                f"churn-phase I_c {churn_max_imbalance:.3f} >= "
+                f"{CHURN_IMBALANCE_LIMIT:g}",
+            ),
+            (not resilience.get("breaker_opens"), "no breaker opened"),
+        )
+        if failed
+    ]
+    if failures:
+        raise ExperimentError(
+            "chaos run missed its fault-tolerance criteria — " + "; ".join(failures)
+        )
     cache, tracker = client.converged_sizes()
     return ExperimentResult(
         experiment_id=EXPERIMENT_ID,

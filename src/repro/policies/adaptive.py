@@ -58,17 +58,12 @@ __all__ = ["AdaptiveArbiter", "ArbiterEpoch", "sample_hash"]
 _KNUTH = 2654435761
 _MASK32 = 0xFFFFFFFF
 
-#: Scalar-path sampled keys are buffered and replayed into the shadows in
-#: batches of this size (through the policies' ``run_stream`` fast paths),
-#: cutting the per-access shadow cost; any read of shadow state drains the
-#: buffer first, so batching never changes a decision.
-_SHADOW_FLUSH_BATCH = 256
-
-#: Sampled-key memo bound: the sampling decision per key is immutable, so
-#: the arbiter caches it in a plain dict (one dict probe beats recomputing
-#: the hash on every access). The memo is dropped wholesale when it would
-#: outgrow this many keys — scan-style workloads touch unbounded key
-#: ranges exactly once and must not leak memory through the memo.
+#: Sampled-key memo bound: the sampling verdict per key is immutable, so
+#: the arbiter caches it in a plain dict — on a Zipf-0.99 stream a probe
+#: costs ~50 ns a key where the hash costs ~160–370 ns (int or str keys,
+#: 2-vCPU x86 guest). The memo is dropped wholesale when it would outgrow
+#: this many keys: scan-style workloads touch unbounded key ranges exactly
+#: once and must not leak memory through it.
 _SAMPLE_MEMO_LIMIT = 1 << 20
 
 
@@ -100,16 +95,6 @@ class ArbiterEpoch:
     live_score: float = 0.0
 
 
-class _Shadow:
-    """One candidate's scaled-down ghost simulation."""
-
-    __slots__ = ("name", "policy")
-
-    def __init__(self, name: str, policy: CachePolicy) -> None:
-        self.name = name
-        self.policy = policy
-
-
 class AdaptiveArbiter(CachePolicy):
     """Serve through one live policy; score every candidate in shadow.
 
@@ -131,11 +116,14 @@ class AdaptiveArbiter(CachePolicy):
         :func:`sample_hash` has ``sample_shift`` trailing zero bits feed
         the shadows (rate ``1/2^sample_shift``); shadow capacity is
         ``capacity >> sample_shift``. ``0`` disables sampling (full-size
-        shadows — accurate and expensive). The default (1/64) keeps all
-        five shadows together under the perf gate's 15% hot-path budget
-        (``run_perf_gate.py --adaptive``) with comfortable noise margin;
-        skew amplifies sampled *volume* well past the key-space rate, so
-        halving the rate roughly halves the dominant cost term.
+        shadows — accurate and expensive). An access only appends its key
+        to a tap; sampling and the shadow replays happen when the tap is
+        drained (at each epoch close, or when shadow state is read), so
+        the rate prices the drain, not the access. The default (1/64)
+        keeps all five shadows together under the perf gate's 15%
+        hot-path budget (``run_perf_gate.py --adaptive``); skew amplifies
+        sampled *volume* well past the key-space rate, so halving the
+        rate roughly halves the replay cost.
     hit_value / line_cost:
         the cost ledger (same units and meaning as
         :class:`~repro.core.costaware.CostAwareController`). Shadow
@@ -219,24 +207,22 @@ class AdaptiveArbiter(CachePolicy):
         # so eviction listeners registered on the arbiter hear
         # live-policy evictions even across switches.
         self._live.eviction_listeners = self.eviction_listeners
-        self._shadows = [
-            _Shadow(name, self._build_shadow(name)) for name in self._candidates
-        ]
-        self._clock = 0
+        self._shadows = {name: self._build_shadow(name) for name in self._candidates}
+        #: keys served since the last drain, neither sampled nor replayed
+        #: yet; :meth:`_drain` runs before anything reads or mutates
+        #: shadow state, so the deferral is unobservable
+        self._tap: list[Hashable] = []
+        #: accesses left in the epoch before the tap is taken off: the
+        #: epoch is full when the tap holds ``_room`` keys
+        self._room = epoch_length
         self._epoch_samples = 0
-        self.samples = 0
+        self._samples = 0
         self.epochs = 0
         self.switches = 0
         self.regret = 0.0
         self._pending_name: str | None = None
         self._pending_epochs = 0
         self._sample_memo: dict[Hashable, bool] = {}
-        #: sampled keys not yet replayed into the shadows. Scalar accesses
-        #: buffer here and flush through the shadows' batched ``run_stream``
-        #: fast paths; the buffer is drained before anything reads or
-        #: mutates shadow state (epoch close, invalidate, resize), so the
-        #: deferral is unobservable.
-        self._shadow_pending: list[Hashable] = []
         self._live_hits_mark = 0
         self._live_misses_mark = 0
         self.history: list[ArbiterEpoch] = []
@@ -290,10 +276,16 @@ class AdaptiveArbiter(CachePolicy):
         """Fraction of accesses fed to the shadows."""
         return 1.0 / (1 << self._sample_shift)
 
+    @property
+    def samples(self) -> int:
+        """Accesses sampled into the shadows so far."""
+        self._drain()
+        return self._samples
+
     def shadow_hit_rates(self) -> dict[str, float]:
         """Lifetime shadow hit rate per candidate (telemetry surface)."""
-        self._flush_shadows()
-        return {s.name: s.policy.stats.hit_rate for s in self._shadows}
+        self._drain()
+        return {name: shadow.stats.hit_rate for name, shadow in self._shadows.items()}
 
     # ------------------------------------------------- stats across switches
 
@@ -320,153 +312,100 @@ class AdaptiveArbiter(CachePolicy):
 
     # -------------------------------------------------------- the fast paths
 
-    def _sampled(self, key: Hashable) -> bool:
+    def _sampled(self, keys: Sequence[Hashable]) -> list[Hashable]:
+        """The keys of ``keys`` inside the spatial sample, in order."""
         memo = self._sample_memo
-        flag = memo.get(key)
-        if flag is None:
+        try:
+            # Happy path: every verdict is memoized — one C-level dict
+            # probe per key.
+            return [key for key in keys if memo[key]]
+        except KeyError:
             if len(memo) >= _SAMPLE_MEMO_LIMIT:
                 memo.clear()
-            memo[key] = flag = (sample_hash(key) & self._sample_mask) == 0
-        return flag
+            mask = self._sample_mask
+            for key in keys:
+                if key not in memo:
+                    memo[key] = (sample_hash(key) & mask) == 0
+            return [key for key in keys if memo[key]]
 
-    def _flush_shadows(self) -> None:
-        """Replay buffered sampled keys into every shadow (ghost entries)."""
-        pending = self._shadow_pending
-        if not pending:
+    def _drain(self) -> None:
+        """Sample the tapped accesses and replay the sampled keys into
+        every shadow (ghost entries); the tap leaves the epoch's room."""
+        tap = self._tap
+        if not tap:
             return
-        for shadow in self._shadows:
-            shadow.policy.run_stream(pending)
-        pending.clear()
+        sampled = self._sampled(tap)
+        self._room -= len(tap)
+        tap.clear()
+        if sampled:
+            self._epoch_samples += len(sampled)
+            self._samples += len(sampled)
+            for shadow in self._shadows.values():
+                shadow.run_stream(sampled)
 
-    def _tick(self, key: Hashable) -> None:
-        """One serving access: advance the epoch clock, sample, buffer.
-
-        Body duplicated inline in :meth:`lookup` and :meth:`get_or_admit`
-        (the per-access method call is measurable on the serving path);
-        keep the three in sync.
-        """
-        if self._clock >= self._epoch_length:
-            self._close_epoch()
-        self._clock += 1
-        memo = self._sample_memo
-        flag = memo.get(key)
-        if flag is None:
-            if len(memo) >= _SAMPLE_MEMO_LIMIT:
-                memo.clear()
-            memo[key] = flag = (sample_hash(key) & self._sample_mask) == 0
-        if flag:
-            self._epoch_samples += 1
-            self.samples += 1
-            pending = self._shadow_pending
-            pending.append(key)
-            if len(pending) >= _SHADOW_FLUSH_BATCH:
-                self._flush_shadows()
+    # An access is: check the epoch's room, tap the key, delegate. The
+    # check and the append are written out in each entry point, not
+    # shared through a helper: a frame per access is the cost to avoid.
 
     def lookup(self, key: Hashable) -> Any:
-        # inlined _tick
-        if self._clock >= self._epoch_length:
+        if len(self._tap) >= self._room:
             self._close_epoch()
-        self._clock += 1
-        memo = self._sample_memo
-        flag = memo.get(key)
-        if flag is None:
-            if len(memo) >= _SAMPLE_MEMO_LIMIT:
-                memo.clear()
-            memo[key] = flag = (sample_hash(key) & self._sample_mask) == 0
-        if flag:
-            self._epoch_samples += 1
-            self.samples += 1
-            pending = self._shadow_pending
-            pending.append(key)
-            if len(pending) >= _SHADOW_FLUSH_BATCH:
-                self._flush_shadows()
+        self._tap.append(key)
         return self._live.lookup(key)
 
     def admit(self, key: Hashable, value: Any) -> None:
         self._live.admit(key, value)
 
     def get_or_admit(self, key: Hashable, loader: Callable[[Hashable], Any]) -> Any:
-        # inlined _tick
-        if self._clock >= self._epoch_length:
+        if len(self._tap) >= self._room:
             self._close_epoch()
-        self._clock += 1
-        memo = self._sample_memo
-        flag = memo.get(key)
-        if flag is None:
-            if len(memo) >= _SAMPLE_MEMO_LIMIT:
-                memo.clear()
-            memo[key] = flag = (sample_hash(key) & self._sample_mask) == 0
-        if flag:
-            self._epoch_samples += 1
-            self.samples += 1
-            pending = self._shadow_pending
-            pending.append(key)
-            if len(pending) >= _SHADOW_FLUSH_BATCH:
-                self._flush_shadows()
+        self._tap.append(key)
         return self._live.get_or_admit(key, loader)
 
     def run_stream(self, keys: Iterable[Hashable]) -> None:
         keys = keys if isinstance(keys, (list, tuple)) else list(keys)
-        self._flush_shadows()  # keep scalar-buffered accesses ordered first
-        mask = self._sample_mask
-        memo = self._sample_memo
+        tap = self._tap  # drained in place, never rebound
         n = len(keys)
         i = 0
         while i < n:
-            if self._clock >= self._epoch_length:
+            if len(tap) >= self._room:
                 self._close_epoch()
-            take = min(n - i, self._epoch_length - self._clock)
+            take = min(n - i, self._room - len(tap))
             segment = keys[i : i + take]
-            self._clock += take
-            try:
-                # Happy path: every key's sampling decision is memoized —
-                # one C-level dict probe per access.
-                sampled = [key for key in segment if memo[key]]
-            except KeyError:
-                if len(memo) >= _SAMPLE_MEMO_LIMIT:
-                    memo.clear()
-                for key in segment:
-                    if key not in memo:
-                        memo[key] = (sample_hash(key) & mask) == 0
-                sampled = [key for key in segment if memo[key]]
-            if sampled:
-                self._epoch_samples += len(sampled)
-                self.samples += len(sampled)
-                for shadow in self._shadows:
-                    shadow.policy.run_stream(sampled)
+            tap.extend(segment)
             self._live.run_stream(segment)
             i += take
 
     def invalidate(self, key: Hashable) -> None:
         self._live.invalidate(key)
-        if self._sampled(key):
-            self._flush_shadows()
-            for shadow in self._shadows:
-                shadow.policy.invalidate(key)
+        if self._sampled((key,)):
+            self._drain()
+            for shadow in self._shadows.values():
+                shadow.invalidate(key)
 
     def record_update(self, key: Hashable) -> None:
         self._live.record_update(key)
-        if self._sampled(key):
-            self._flush_shadows()
-            for shadow in self._shadows:
-                shadow.policy.record_update(key)
+        if self._sampled((key,)):
+            self._drain()
+            for shadow in self._shadows.values():
+                shadow.record_update(key)
 
     def resize(self, capacity: int) -> None:
         super().resize(capacity)
-        self._flush_shadows()
+        self._drain()
         cache, _tracker = self._shadow_sizes(capacity)
-        for shadow in self._shadows:
-            shadow.policy.resize(cache)
+        for shadow in self._shadows.values():
+            shadow.resize(cache)
 
     # ------------------------------------------------------------ arbitration
 
-    def _score(self, shadow: _Shadow) -> float:
-        stats = shadow.policy.stats
+    def _score(self, shadow: CachePolicy) -> float:
+        stats = shadow.stats
         accesses = stats.epoch_accesses
         if accesses == 0:
             return 0.0
         rate = stats.epoch_hits / accesses
-        rent = self.line_cost * shadow.policy.capacity / accesses
+        rent = self.line_cost * shadow.capacity / accesses
         return self.hit_value * rate - rent
 
     def _live_score(self) -> float:
@@ -496,13 +435,15 @@ class AdaptiveArbiter(CachePolicy):
         Returns the epoch record, or ``None`` when no accesses arrived
         since the previous boundary.
         """
-        if self._clock == 0:
+        self._drain()
+        if self._room == self._epoch_length:
             return None
         return self._close_epoch()
 
     def _close_epoch(self) -> ArbiterEpoch:
-        self._flush_shadows()
-        scores = {s.name: self._score(s) for s in self._shadows}
+        self._drain()
+        accesses = self._epoch_length - self._room
+        scores = {name: self._score(s) for name, s in self._shadows.items()}
         live_score = self._live_score()
         samples = self._epoch_samples
         switched_to: str | None = None
@@ -517,7 +458,7 @@ class AdaptiveArbiter(CachePolicy):
             # because the scaled-down shadows share a common sampling
             # bias that cancels between candidates but not against the
             # live policy's full-size reality.
-            self.regret += max(0.0, best_score - live_score) * self._clock
+            self.regret += max(0.0, best_score - live_score) * accesses
             if (
                 best_name != self._live_name
                 and best_score - scores[self._live_name]
@@ -544,11 +485,11 @@ class AdaptiveArbiter(CachePolicy):
         )
         self.history.append(record)
         self.epochs += 1
-        self._clock = 0
+        self._room = self._epoch_length
         self._epoch_samples = 0
         self._mark_live()
-        for shadow in self._shadows:
-            shadow.policy.stats.reset_epoch()
+        for shadow in self._shadows.values():
+            shadow.stats.reset_epoch()
         return record
 
     def _switch(self, name: str) -> None:
@@ -563,14 +504,7 @@ class AdaptiveArbiter(CachePolicy):
             if key not in incoming:
                 self._notify_evicted(key)
         incoming.eviction_listeners = self.eviction_listeners
-        retired = outgoing.stats
-        self._retired.hits += retired.hits
-        self._retired.misses += retired.misses
-        self._retired.insertions += retired.insertions
-        self._retired.evictions += retired.evictions
-        self._retired.invalidations += retired.invalidations
-        self._retired.epoch_hits += retired.epoch_hits
-        self._retired.epoch_misses += retired.epoch_misses
+        self._retired = self.stats  # the outgoing policy's counters retire
         self._live = incoming
         self._live_name = name
         self.switches += 1

@@ -4,13 +4,15 @@ Covers the arbiter as a :class:`CachePolicy` (delegation, stats
 continuity across switches, warm handoff, eviction-listener exactness),
 the arbitration decision loop (scoring, hysteresis, patience,
 min-samples guard), the batch/scalar decision equivalence the fused
-run_stream path must preserve, and the engine wiring (ArbitrationSpec
+run_stream path must preserve, a differential against an unbuffered
+reference that keeps the access tap unobservable, and the engine wiring (ArbitrationSpec
 axis, runner telemetry, spawn safety, default-off byte identity).
 """
 
 from __future__ import annotations
 
 import pickle
+import random
 
 import pytest
 
@@ -27,7 +29,7 @@ from repro.engine import (
 )
 from repro.errors import ConfigurationError
 from repro.policies.adaptive import AdaptiveArbiter, ArbiterEpoch, sample_hash
-from repro.policies.base import MISSING
+from repro.policies.base import MISSING, CachePolicy
 from repro.policies.lru import LRUCache
 from repro.policies.registry import make_policy
 from repro.workloads.zipfian import ZipfianGenerator
@@ -86,7 +88,7 @@ class TestConstruction:
 
     def test_shadows_are_scaled_by_sample_rate(self):
         arbiter = AdaptiveArbiter(64, sample_shift=3, candidates=("lru",))
-        shadow = arbiter._shadows[0].policy
+        shadow = arbiter._shadows["lru"]
         assert shadow.capacity == 64 >> 3
 
     def test_registry_builds_adaptive(self):
@@ -122,10 +124,10 @@ class TestServingAndStats:
         arbiter = AdaptiveArbiter(4, candidates=("lru",), sample_shift=0)
         arbiter.lookup("k")  # tick: the shadow admits the ghost entry
         arbiter.admit("k", "v1")
-        shadow = arbiter._shadows[0].policy
-        # scalar sampled accesses buffer until shadow state is read; peeking
-        # at the shadow directly requires draining the buffer first
-        arbiter._flush_shadows()
+        shadow = arbiter._shadows["lru"]
+        # accesses wait in the tap until shadow state is read; peeking at
+        # the shadow directly requires draining the tap first
+        arbiter._drain()
         assert "k" in shadow
         arbiter.invalidate("k")
         # the sampled shadow heard the invalidation too (before any
@@ -145,7 +147,7 @@ class TestServingAndStats:
         arbiter.resize(32)
         assert arbiter.capacity == 32
         assert arbiter.live_policy.capacity == 32
-        assert arbiter._shadows[0].policy.capacity == 32 >> 2
+        assert arbiter._shadows["lru"].capacity == 32 >> 2
 
 
 class TestArbitration:
@@ -361,6 +363,133 @@ class TestBatchScalarEquivalence:
         batch_path = [r.live for r in batch.history]
         scalar_path = [r.live for r in scalar.history]
         assert batch_path == scalar_path
+
+
+class UnbufferedArbiter(AdaptiveArbiter):
+    """The arbiter's access path written out per access: every access
+    counts down the epoch's room and every sampled one goes straight into
+    each shadow through the base class's scalar ``run_stream`` — sampled
+    by :func:`sample_hash`, no memo, no tap. Arbitration (epoch close,
+    scoring, switching) is inherited, so a divergence is the tap's."""
+
+    def _access(self, key):
+        if self._room == 0:
+            self._close_epoch()
+        self._room -= 1
+        if self._sampled_key(key):
+            self._epoch_samples += 1
+            self._samples += 1
+            for shadow in self._shadows.values():
+                CachePolicy.run_stream(shadow, [key])
+
+    def _sampled_key(self, key):
+        return sample_hash(key) & self._sample_mask == 0
+
+    def lookup(self, key):
+        self._access(key)
+        return self._live.lookup(key)
+
+    def get_or_admit(self, key, loader):
+        self._access(key)
+        return self._live.get_or_admit(key, loader)
+
+    def run_stream(self, keys):
+        for key in keys:
+            self.get_or_admit(key, lambda k: k)
+
+    def invalidate(self, key):
+        self._live.invalidate(key)
+        if self._sampled_key(key):
+            for shadow in self._shadows.values():
+                shadow.invalidate(key)
+
+    def record_update(self, key):
+        self._live.record_update(key)
+        if self._sampled_key(key):
+            for shadow in self._shadows.values():
+                shadow.record_update(key)
+
+
+def arbiter_state(arbiter):
+    return {
+        "live": arbiter.live_name,
+        "history": arbiter.history,
+        "switches": arbiter.switches,
+        "regret": arbiter.regret,
+        "samples": arbiter.samples,
+        "stats": arbiter.stats,
+        "cached": list(arbiter.cached_keys()),
+        "shadows": {
+            name: (list(shadow.cached_keys()), shadow.stats)
+            for name, shadow in arbiter._shadows.items()
+        },
+    }
+
+
+class TestTapDifferential:
+    """Seeded interleavings of every entry point against the unbuffered
+    reference: the tap and its drain must be unobservable."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["int", "str"])
+    def test_matches_unbuffered_reference(self, seed, kind):
+        rng = random.Random(seed)
+        universe = zipf_keys(6_000, key_space=1_500, theta=1.0, seed=seed)
+        if kind == "str":
+            universe = [f"usertable:{k}" for k in universe]
+
+        def build(cls):
+            return cls(
+                48, tracker_capacity=192, epoch_length=97, sample_shift=2,
+                switch_margin=0.0, min_samples=4,
+            )
+
+        tapped, reference = build(AdaptiveArbiter), build(UnbufferedArbiter)
+        both = (tapped, reference)
+        position = 0
+
+        def draw():
+            nonlocal position
+            position = (position + 1) % len(universe)
+            return universe[position]
+
+        for _step in range(1_500):
+            op = rng.random()
+            if op < 0.35:
+                key = draw()
+                got = [a.get_or_admit(key, lambda k: ("v", k)) for a in both]
+                assert got[0] == got[1]
+            elif op < 0.65:
+                key = draw()
+                for arbiter in both:
+                    if arbiter.lookup(key) is MISSING:
+                        arbiter.admit(key, ("v", key))
+            elif op < 0.80:
+                chunk = [draw() for _ in range(rng.randrange(1, 300))]
+                for arbiter in both:
+                    arbiter.run_stream(chunk)
+            elif op < 0.86:
+                key = universe[rng.randrange(len(universe))]
+                for arbiter in both:
+                    arbiter.invalidate(key)
+            elif op < 0.92:
+                key = universe[rng.randrange(len(universe))]
+                for arbiter in both:
+                    arbiter.record_update(key)
+            elif op < 0.94:
+                capacity = rng.randrange(16, 96)
+                for arbiter in both:
+                    arbiter.resize(capacity)
+            elif op < 0.96:
+                records = [arbiter.close_epoch() for arbiter in both]
+                assert records[0] == records[1]
+            elif op < 0.98:
+                assert tapped.samples == reference.samples
+            else:
+                assert tapped.shadow_hit_rates() == reference.shadow_hit_rates()
+        assert arbiter_state(tapped) == arbiter_state(reference)
+        # the interleaving must have reached the decisions it checks
+        assert reference.epochs > 50 and reference.switches > 0
 
 
 class TestEngineAxis:

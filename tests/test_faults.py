@@ -30,6 +30,7 @@ from repro.engine import (
     TopologySpec,
     WorkloadSpec,
 )
+from repro.engine import telemetry as T
 from repro.errors import (
     ClusterError,
     ShardDownError,
@@ -374,6 +375,31 @@ class TestRecovery:
         # dropped here to model any ordinary eviction.
         reader.policy.invalidate(key)
         assert reader.get(key) == storage.get(key)
+
+    def test_breaker_totals_survive_cold_revival(self):
+        """Regression: ``forget`` dropped a breaker with its ``opens`` /
+        ``closes``, so the run total of ``resilience.breaker_opens`` fell
+        back to 0 when a tripped shard revived cold, although the phase
+        deltas taken from the same counters had counted the trip."""
+        cluster, faults = faulty_cluster()
+        client = FrontEndClient(
+            cluster, LRUCache(16), guard=tight_guard(cluster, threshold=2)
+        )
+        victim = "cache-1"
+
+        def opens():
+            counters = T.collect({"breaker": client.guard.breakers()}).counters
+            return counters["resilience.breaker_opens"]
+
+        cluster.kill_server(victim)
+        for i in range(200):
+            client.get(format_key(i))
+        assert client.guard.state(victim) is not BreakerState.CLOSED
+        tripped = opens()
+        assert tripped > 0
+        cluster.revive_server(victim, cold=True)
+        assert victim not in client.guard.tracked_servers()
+        assert opens() == tripped
 
     def test_removed_shard_leaves_no_orphaned_client_state(self):
         """Regression: scale-in left the departed shard's fault profile,
