@@ -72,9 +72,20 @@ if [ "$memo_writes" -ne 1 ]; then
          "the arbiter samples in one function" >&2
     exit 1
 fi
+# One record of a hot key's possibly-stale shards: the router derives a
+# route's read set from it in one place, so nothing else assigns it.
+replication=src/repro/cluster/replication.py
+eligible_writes="$(grep -rn --include='*.py' -E '\.eligible *=[^=]' src/repro || true)"
+if [ "$(printf '%s' "$eligible_writes" | grep -c .)" -ne 1 ] \
+        || ! printf '%s' "$eligible_writes" | grep -q "^$replication:"; then
+    echo "${eligible_writes:-no .eligible assignment found}" >&2
+    echo "a route's read set (.eligible) must be assigned once, in $replication:" \
+         "the router derives it from its pending record" >&2
+    exit 1
+fi
 echo "(storage is read in cluster/client.py only; cluster/ + sim/ + policies/ is" \
-     "$protocol_lines lines, $adaptive $(wc -l < "$adaptive") with one memo write," \
-     "src/repro $src_lines)"
+     "$protocol_lines lines, $replication $(wc -l < "$replication") with one read-set write," \
+     "$adaptive $(wc -l < "$adaptive") with one memo write, src/repro $src_lines)"
 # One drive loop: the cadence tick and the cluster are each built in one
 # place in the engine's runners.
 runners=src/repro/engine/runners.py

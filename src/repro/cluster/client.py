@@ -164,27 +164,10 @@ class FrontEndClient:
         """
         self.router = router
         self._routes = router.routes
-        self._route_rng = router.make_choice_rng(seed)
+        self._route_rng = random.Random(seed)
         listeners = self.cluster.cold_revival_listeners
         if self.monitor.reset_server_window not in listeners:
             listeners.append(self.monitor.reset_server_window)
-
-    def detach_router(self) -> None:
-        """Leave the tier: classic protocol resumes, revival hook removed.
-
-        Clients outliving a run must not keep mutating a shared cluster's
-        listener list. Idempotent — detaching with no router attached is
-        a no-op.
-        """
-        self.router = None
-        self._routes = None
-        self._route_rng = None
-        try:
-            self.cluster.cold_revival_listeners.remove(
-                self.monitor.reset_server_window
-            )
-        except ValueError:
-            pass
 
     def attach_write_policy(self, policy: "WritePolicy") -> None:
         """Adopt a write-path coherence strategy for this front end.

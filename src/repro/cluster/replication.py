@@ -50,8 +50,7 @@ pin it under random promote/demote/write/kill interleavings.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Hashable, Sequence
 
 from repro.cluster.retry import ClusterGuard
@@ -91,12 +90,14 @@ class ReplicationConfig:
         a key is promoted when its aggregated tracker weight reaches
         this fraction of the total reported weight. The default (0.05)
         approximates "hot enough to matter against a shard's 1/N fair
-        share" for the 8-shard testbed.
-    demote_share:
-        hysteresis floor: an already-replicated key is demoted only when
-        its share falls below this (default ``min_share / 2``), so keys
-        hovering at the threshold do not flap promote/demote every
-        epoch.
+        share" for the 8-shard testbed. An already-replicated key is
+        demoted only when its share falls below the hysteresis floor
+        ``min_share / 2``, so keys hovering at the threshold do not flap
+        promote/demote every epoch.
+    refresh_every:
+        total accesses (across front ends) between promotion epochs — a
+        deterministic cadence, so two runs of one spec agree on every
+        epoch boundary.
     seed:
         seeds the router's control-plane guard jitter.
     """
@@ -106,7 +107,7 @@ class ReplicationConfig:
     top_n: int = 64
     max_keys: int = 64
     min_share: float = 0.05
-    demote_share: float | None = None
+    refresh_every: int = 2_048
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -120,21 +121,8 @@ class ReplicationConfig:
             raise ConfigurationError("max_keys must be >= 1")
         if not 0.0 < self.min_share <= 1.0:
             raise ConfigurationError("min_share must be in (0, 1]")
-        if self.demote_share is not None and not (
-            0.0 <= self.demote_share <= self.min_share
-        ):
-            raise ConfigurationError(
-                "demote_share must be in [0, min_share] (hysteresis floor)"
-            )
-
-    @property
-    def effective_demote_share(self) -> float:
-        """The hysteresis floor in effect (default ``min_share / 2``)."""
-        return (
-            self.min_share / 2.0
-            if self.demote_share is None
-            else self.demote_share
-        )
+        if self.refresh_every < 1:
+            raise ConfigurationError("refresh_every must be >= 1")
 
 
 @dataclass
@@ -157,46 +145,37 @@ class ReplicationStats:
     failed_replica_invalidations: int = 0
     #: demotion-invalidations deferred because the shard was unreachable
     deferred_demotions: int = 0
-    #: quarantined (key, shard) pairs cleared by cold revival
-    revival_clears: int = 0
 
 
 @dataclass
 class ReplicaEntry:
-    """One replicated key's placement, as agreed at promotion time.
+    """One replicated key's placement and read choice set.
 
-    ``eligible`` is the read choice set: the replica set minus shards
-    quarantined by a failed demotion-invalidation of an *earlier*
-    incarnation (those may hold a stale copy and must not serve reads
-    until their delete lands or they revive cold).
+    ``eligible`` is the replica set minus the shards the router records
+    as possibly holding a stale copy (a failed invalidation); those must
+    not serve reads until their delete lands or they revive cold. Only
+    :meth:`HotKeyRouter._set_pending` writes it.
     """
 
     replicas: tuple[str, ...]
-    promoted_epoch: int
-    quarantine: frozenset[str] = field(default_factory=frozenset)
-    eligible: tuple[str, ...] = ()
+    eligible: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        self.rebuild_eligible()
-
-    def rebuild_eligible(self) -> None:
-        """Recompute the read choice set after a quarantine change."""
-        if self.quarantine:
-            self.eligible = tuple(
-                sid for sid in self.replicas if sid not in self.quarantine
-            )
-        else:
-            self.eligible = self.replicas
+    @property
+    def quarantine(self) -> frozenset[str]:
+        """The replicas kept out of the read choice set."""
+        return frozenset(self.replicas).difference(self.eligible)
 
 
 def tracker_report(policy: object, n: int) -> list[tuple[Hashable, float]]:
     """One front end's heavy-hitter report: ``[(key, weight), ...]``.
 
     Reuses the space-saving tracker output every CoT policy already
-    maintains (``policy.tracker.top(n)``); policies without a tracker
-    (plain LRU/LFU/ARC front ends) report nothing — the tier then simply
-    never promotes, which is the correct degenerate behaviour.
+    maintains (``policy.tracker.top(n)``); an adaptive arbiter reports its
+    live policy's tracker. Policies without a tracker (plain LRU/LFU/ARC
+    front ends) report nothing — the tier then simply never promotes,
+    which is the correct degenerate behaviour.
     """
+    policy = getattr(policy, "live_policy", policy)
     tracker = getattr(policy, "tracker", None)
     top = getattr(tracker, "top", None)
     if top is None:
@@ -245,37 +224,19 @@ class HotKeyRouter:
         #: ends bind this dict once and probe it per read; it only ever
         #: mutates through promote/demote on this router.
         self.routes: dict[Hashable, ReplicaEntry] = {}
-        #: ``key -> {shard}`` with an unresolved demotion-invalidation:
-        #: the shard may still hold a stale copy, so it stays in write
-        #: fan-out and out of read choice sets until cleared.
+        #: ``key -> {shard}`` with an unresolved invalidation: the shard
+        #: may still hold a stale copy, so it stays in write fan-out and
+        #: out of read choice sets until cleared. The one record of that
+        #: fact; :meth:`_set_pending` is its only writer.
         self._pending: dict[Hashable, set[str]] = {}
         self._ring_epoch = cluster.ring.epoch
-        listeners = cluster.cold_revival_listeners
-        if self._on_cold_revival not in listeners:
-            listeners.append(self._on_cold_revival)
+        cluster.cold_revival_listeners.append(self._on_cold_revival)
         # Re-place replica sets the moment a shard is scaled in. Waiting
         # for the lazy ring-epoch check at the next refresh left a window
         # in which ``routes`` still named the departed shard: a read
         # sampling it crashed on the cluster lookup, and its quarantine /
         # pending entries referenced a shard that no longer existed.
-        removal = cluster.removal_listeners
-        if self._on_server_removed not in removal:
-            removal.append(self._on_server_removed)
-
-    def detach(self) -> None:
-        """Deregister from the cluster's listener lists.
-
-        A router outliving its run (tests, reused clusters) must not
-        keep mutating the shared cluster's listener lists. Idempotent.
-        """
-        for listeners, hook in (
-            (self.cluster.cold_revival_listeners, self._on_cold_revival),
-            (self.cluster.removal_listeners, self._on_server_removed),
-        ):
-            try:
-                listeners.remove(hook)
-            except ValueError:
-                pass
+        cluster.removal_listeners.append(self._on_server_removed)
 
     def _on_server_removed(self, _server_id: str) -> None:
         """A shard left the cluster: re-place every affected replica set."""
@@ -343,13 +304,8 @@ class HotKeyRouter:
             return entry.replicas
         self.epoch += 1
         replicas = self.cluster.replicas_for(key, self.config.degree)
-        still = self._retry_pending(key)
-        entry = ReplicaEntry(
-            replicas=replicas,
-            promoted_epoch=self.epoch,
-            quarantine=frozenset(still & set(replicas)),
-        )
-        self.routes[key] = entry
+        self.routes[key] = ReplicaEntry(replicas, replicas)
+        self._retry_pending(key)
         self.stats.promotions += 1
         return replicas
 
@@ -366,8 +322,7 @@ class HotKeyRouter:
         self.epoch += 1
         self.stats.demotions += 1
         primary = self.cluster.ring.server_for(key)
-        pending = self._pending.get(key, set())
-        pending |= set(entry.quarantine)
+        pending = set(self._pending.get(key, ()))
         for sid in entry.replicas:
             if sid == primary:
                 continue
@@ -376,10 +331,7 @@ class HotKeyRouter:
             else:
                 pending.add(sid)
                 self.stats.deferred_demotions += 1
-        if pending:
-            self._pending[key] = pending
-        else:
-            self._pending.pop(key, None)
+        self._set_pending(key, pending)
 
     def quarantine(self, key: Hashable, server_id: str) -> None:
         """Record that ``server_id`` may hold a stale copy of ``key``.
@@ -389,27 +341,15 @@ class HotKeyRouter:
         stays in write fan-out until a later delete lands (any writer's,
         or the router's refresh-time retry) or it revives cold.
         """
-        self._pending.setdefault(key, set()).add(server_id)
-        entry = self.routes.get(key)
-        if (
-            entry is not None
-            and server_id in entry.replicas
-            and server_id not in entry.quarantine
-        ):
-            entry.quarantine = entry.quarantine | {server_id}
-            entry.rebuild_eligible()
+        pending = self._pending.get(key, set())
+        if server_id not in pending:
+            self._set_pending(key, pending | {server_id})
 
     def clear_pending(self, key: Hashable, server_id: str) -> None:
         """A delete of ``key`` landed on ``server_id``: lift its quarantine."""
         pending = self._pending.get(key)
-        if pending is not None:
-            pending.discard(server_id)
-            if not pending:
-                del self._pending[key]
-        entry = self.routes.get(key)
-        if entry is not None and server_id in entry.quarantine:
-            entry.quarantine = entry.quarantine - {server_id}
-            entry.rebuild_eligible()
+        if pending is not None and server_id in pending:
+            self._set_pending(key, pending - {server_id})
 
     def refresh(
         self, front_ends: Sequence[object]
@@ -419,7 +359,7 @@ class HotKeyRouter:
         Aggregates every front end's tracker report, promotes keys whose
         aggregate weight share reaches ``min_share`` (capped at
         ``max_keys``, hottest first), demotes replicated keys that fell
-        below the ``demote_share`` hysteresis floor, and retries pending
+        below the ``min_share / 2`` hysteresis floor, and retries pending
         demotion-invalidations. Returns ``(promoted, demoted)`` keys.
         """
         self.stats.refreshes += 1
@@ -437,7 +377,7 @@ class HotKeyRouter:
         demoted: list[Hashable] = []
         if total > 0.0:
             ranked = sorted(weights.items(), key=lambda kv: (-kv[1], str(kv[0])))
-            floor = config.effective_demote_share * total
+            floor = config.min_share / 2.0 * total
             threshold = config.min_share * total
             keep: set[Hashable] = set()
             # Hysteresis first: an incumbent above the floor keeps its
@@ -474,6 +414,21 @@ class HotKeyRouter:
 
     # ------------------------------------------------------------- plumbing
 
+    def _set_pending(self, key: Hashable, shards: set[str]) -> None:
+        """Record ``key``'s possibly-stale shards and derive its read set.
+
+        The only writer of both: an empty ``shards`` drops the record, and
+        a promoted key's ``eligible`` becomes its replicas minus
+        ``shards``, in replica order.
+        """
+        if shards:
+            self._pending[key] = shards
+        else:
+            self._pending.pop(key, None)
+        entry = self.routes.get(key)
+        if entry is not None:
+            entry.eligible = tuple(sid for sid in entry.replicas if sid not in shards)
+
     def _invalidate_on(self, server_id: str, key: Hashable) -> bool:
         """Guarded best-effort delete of ``key`` on one shard."""
         try:
@@ -489,31 +444,21 @@ class HotKeyRouter:
             return False
         return True
 
-    def _retry_pending(self, key: Hashable) -> set[str]:
-        """Retry ``key``'s quarantined deletes; returns shards still stuck."""
+    def _retry_pending(self, key: Hashable) -> None:
+        """Retry ``key``'s quarantined deletes; the stuck shards stay."""
         pending = self._pending.get(key)
-        if not pending:
-            return set()
-        members = set(self.cluster.server_ids)
-        still = {
-            sid
-            for sid in sorted(pending)
-            if sid in members and not self._invalidate_on(sid, key)
-        }
-        if still:
-            self._pending[key] = still
-        else:
-            self._pending.pop(key, None)
-        return still
+        if pending:
+            members = set(self.cluster.server_ids)
+            self._set_pending(key, {
+                sid
+                for sid in sorted(pending)
+                if sid in members and not self._invalidate_on(sid, key)
+            })
 
     def _retry_all_pending(self) -> None:
         """Retry every quarantined delete (refresh-time housekeeping)."""
         for key in list(self._pending):
-            still = self._retry_pending(key)
-            entry = self.routes.get(key)
-            if entry is not None and set(entry.quarantine) != still:
-                entry.quarantine = frozenset(still & set(entry.replicas))
-                entry.rebuild_eligible()
+            self._retry_pending(key)
 
     def _revalidate_ring(self) -> None:
         """Re-place replica sets after ring membership changed.
@@ -532,31 +477,18 @@ class HotKeyRouter:
             if replicas == entry.replicas:
                 continue
             dropped = [sid for sid in entry.replicas if sid not in replicas]
-            pending = self._pending.get(key, set())
+            pending = set(self._pending.get(key, ()))
             for sid in dropped:
                 if sid in members and not self._invalidate_on(sid, key):
                     pending.add(sid)
                     self.stats.deferred_demotions += 1
                 else:
                     pending.discard(sid)
-            if pending:
-                self._pending[key] = pending
-            elif key in self._pending:
-                del self._pending[key]
             entry.replicas = replicas
-            entry.quarantine = frozenset(pending & set(replicas))
-            entry.rebuild_eligible()
+            self._set_pending(key, pending)
         # Pending entries for shards that left the cluster are moot.
-        for key in list(self._pending):
-            kept = {sid for sid in self._pending[key] if sid in members}
-            if kept:
-                self._pending[key] = kept
-            else:
-                del self._pending[key]
-                entry = self.routes.get(key)
-                if entry is not None and entry.quarantine:
-                    entry.quarantine = frozenset()
-                    entry.rebuild_eligible()
+        for key, pending in list(self._pending.items()):
+            self._set_pending(key, pending & members)
 
     def _on_cold_revival(self, server_id: str) -> None:
         """A shard revived cold: its copies are gone, quarantines lift.
@@ -567,24 +499,9 @@ class HotKeyRouter:
         cooldown (safe, thanks to the quarantine, but needlessly slow).
         """
         self.guard.forget(server_id)
-        for key in list(self._pending):
-            pending = self._pending[key]
-            if server_id not in pending:
-                continue
-            pending.discard(server_id)
-            self.stats.revival_clears += 1
-            if not pending:
-                del self._pending[key]
-            entry = self.routes.get(key)
-            if entry is not None and server_id in entry.quarantine:
-                entry.quarantine = entry.quarantine - {server_id}
-                entry.rebuild_eligible()
-
-    # -------------------------------------------------------------- choice
-
-    def make_choice_rng(self, seed: int) -> random.Random:
-        """A per-front-end RNG for replica sampling (seeded, independent)."""
-        return random.Random(seed)
+        for key, pending in list(self._pending.items()):
+            if server_id in pending:
+                self._set_pending(key, pending - {server_id})
 
     def __repr__(self) -> str:
         return (

@@ -45,7 +45,6 @@ from repro.engine.spec import (
     ArbitrationSpec,
     Phase,
     PolicySpec,
-    ReplicationSpec,
     RunContext,
     Scale,
     ScenarioSpec,
@@ -72,7 +71,6 @@ __all__ = [
     "PolicySpec",
     "PolicyStreamRunner",
     "RegisteredExperiment",
-    "ReplicationSpec",
     "RunContext",
     "Runner",
     "Scale",

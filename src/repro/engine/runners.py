@@ -348,10 +348,10 @@ class ClusterRunner:
             for client in front_ends:
                 client.tracer = spec.tracer
         router: HotKeyRouter | None = None
-        if topology.replication.enabled:
+        if topology.replication is not None:
             # One shared router per run (the agreement layer); each front
             # end keeps its own independently-seeded choice RNG.
-            router = HotKeyRouter(target, topology.replication.build_config())
+            router = HotKeyRouter(target, topology.replication)
             for i, client in enumerate(front_ends):
                 client.attach_router(
                     router, seed=spec.base_seed + REPLICA_ROUTE_SEED_OFFSET + i
@@ -544,7 +544,7 @@ class SimRunner:
         topology = spec.topology
         _reject(
             spec, "the simulator's closed loop over a bare cluster would ignore it",
-            "topology.replication.enabled", "topology.write.enabled",
+            "topology.replication", "topology.write.enabled",
             "topology.network.enabled", "phases", "client_factory", "interleave",
             "verify_value", "warmup_fraction",
         )

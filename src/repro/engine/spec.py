@@ -32,6 +32,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.cluster.cluster import CacheCluster
     from repro.cluster.faults import FaultInjector
     from repro.cluster.client import FrontEndClient
+    from repro.cluster.replication import ReplicationConfig
     from repro.cluster.storage import PersistentStore
     from repro.obs.trace import Tracer
     from repro.sim.network import LatencyModel
@@ -42,7 +43,6 @@ __all__ = [
     "NetworkSpec",
     "Phase",
     "PolicySpec",
-    "ReplicationSpec",
     "Scale",
     "ScenarioSpec",
     "StreamHooks",
@@ -196,7 +196,7 @@ class PolicySpec:
             return self.factory(client_index)
         if self.name == "none" or self.cache_lines == 0:
             return make_policy("none", 0)
-        if self.arbitration is not None and self.arbitration.enabled:
+        if self.arbitration is not None:
             return self.arbitration.build(
                 self.name, self.cache_lines, self.tracker_lines
             )
@@ -212,13 +212,12 @@ class ArbitrationSpec:
     With ``PolicySpec.arbitration = None`` (the default everywhere) the
     engine builds exactly the pinned policy it always has — every
     registered experiment stays byte-identical, pinned by the golden
-    tests. When attached and ``enabled``, each client's policy becomes an
+    tests. When attached, each client's policy becomes an
     :class:`~repro.policies.adaptive.AdaptiveArbiter` wrapping the spec's
     sizing; the fields mirror the arbiter's constructor (see
     ``repro/policies/adaptive.py`` for semantics).
     """
 
-    enabled: bool = True
     candidates: tuple[str, ...] = ("lru", "lfu", "arc", "lru2", "cot")
     epoch_length: int = 2_048
     sample_shift: int = 6
@@ -252,45 +251,6 @@ class ArbitrationSpec:
             patience=self.patience,
             min_samples=self.min_samples,
             initial=initial,
-        )
-
-
-@dataclass(frozen=True)
-class ReplicationSpec:
-    """The replicated hot-key tier's declarative axis (default: off).
-
-    With ``enabled=False`` (the default everywhere) the runner builds no
-    router and every run is byte-identical to the pre-tier engine. When
-    enabled, the runner shares one
-    :class:`~repro.cluster.replication.HotKeyRouter` across the run's
-    front ends and refreshes the promoted key set every
-    ``refresh_every`` total accesses — a deterministic promotion-epoch
-    cadence, so two runs of the same spec agree on every epoch boundary.
-    The remaining fields mirror
-    :class:`~repro.cluster.replication.ReplicationConfig`.
-    """
-
-    enabled: bool = False
-    degree: int = 3
-    choices: int = 2
-    top_n: int = 64
-    max_keys: int = 64
-    min_share: float = 0.05
-    demote_share: float | None = None
-    #: total accesses (across front ends) between promotion epochs
-    refresh_every: int = 2_048
-
-    def build_config(self) -> "Any":
-        """The cluster-layer config this spec describes."""
-        from repro.cluster.replication import ReplicationConfig
-
-        return ReplicationConfig(
-            degree=self.degree,
-            choices=self.choices,
-            top_n=self.top_n,
-            max_keys=self.max_keys,
-            min_share=self.min_share,
-            demote_share=self.demote_share,
         )
 
 
@@ -370,8 +330,11 @@ class TopologySpec:
     value_size: int = 1
     storage: "PersistentStore | None" = None
     faults: "FaultInjector | None" = None
-    #: replicated hot-key tier axis; the default is off (classic protocol)
-    replication: ReplicationSpec = field(default_factory=ReplicationSpec)
+    #: replicated hot-key tier axis: ``None`` (the default) is off, the
+    #: classic protocol; a config shares one
+    #: :class:`~repro.cluster.replication.HotKeyRouter` across the run's
+    #: front ends, refreshed every ``refresh_every`` total accesses
+    replication: "ReplicationConfig | None" = None
     #: write-path coherence axis; the default is inline cache-aside
     write: WriteSpec = field(default_factory=WriteSpec)
     #: socket data plane axis; the default is the in-process simulator

@@ -35,10 +35,10 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.cluster.replication import ReplicationConfig
 from repro.engine import (
     ClusterRunner,
     PolicySpec,
-    ReplicationSpec,
     ScenarioSpec,
     TopologySpec,
     WorkloadSpec,
@@ -168,12 +168,11 @@ def _build_spec(
     replicated: bool,
     num_servers: int,
 ) -> ScenarioSpec:
-    replication = ReplicationSpec(
-        enabled=replicated,
+    replication = ReplicationConfig(
         degree=DEGREE,
         min_share=0.05,
         refresh_every=max(512, scale.accesses // 64),
-    )
+    ) if replicated else None
     return ScenarioSpec(
         scale=scale,
         workload=WorkloadSpec(

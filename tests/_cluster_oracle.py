@@ -481,14 +481,10 @@ def check_cluster_invariants(harness: ClusterHarness) -> None:
                 f"replica set of {key!r} references departed shards: "
                 f"{sorted(replicas - live)}"
             )
-            quarantine = set(entry.quarantine)
-            assert quarantine <= replicas, (
-                f"quarantine of {key!r} outside its replica set: "
-                f"{sorted(quarantine - replicas)}"
-            )
-            assert tuple(entry.eligible) == tuple(
-                sid for sid in entry.replicas if sid not in entry.quarantine
-            ), f"eligible set of {key!r} inconsistent with its quarantine"
+            pending = router.pending_demotions(key)
+            assert entry.eligible == tuple(
+                sid for sid in entry.replicas if sid not in pending
+            ), f"eligible set of {key!r} inconsistent with its pending shards"
         for key, pending in router.pending_snapshot().items():
             assert pending <= live, (
                 f"pending demotions of {key!r} reference departed shards: "

@@ -515,15 +515,6 @@ class TestEngineAxis:
         assert spec.arbitration is None
         assert not isinstance(spec.build(0), AdaptiveArbiter)
 
-    def test_disabled_arbitration_builds_plain_policy(self):
-        spec = PolicySpec(
-            name="cot",
-            cache_lines=32,
-            tracker_lines=128,
-            arbitration=ArbitrationSpec(enabled=False),
-        )
-        assert not isinstance(spec.build(0), AdaptiveArbiter)
-
     def test_enabled_arbitration_starts_from_spec_policy(self):
         spec = PolicySpec(
             name="cot",

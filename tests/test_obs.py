@@ -642,7 +642,6 @@ def axis_spec(axis):
     from repro.engine import (
         ArbitrationSpec,
         PolicySpec,
-        ReplicationSpec,
         ScenarioSpec,
         TopologySpec,
         WorkloadSpec,
@@ -671,7 +670,7 @@ def axis_spec(axis):
         write = WriteSpec(mode="write-behind", dirty_limit=4, flush_every=256)
         return spec(read_fraction=0.7, topology={"write": write})
     if axis == "replication":
-        router = ReplicationSpec(enabled=True, refresh_every=512, min_share=0.02)
+        router = ReplicationConfig(refresh_every=512, min_share=0.02)
         return spec(accesses=6_000, dist="zipf-1.2", read_fraction=0.9,
                     topology={"replication": router},
                     policy=PolicySpec(name="cot", cache_lines=16, tracker_lines=64))

@@ -17,11 +17,11 @@ from dataclasses import replace
 import pytest
 
 from repro.cluster.cluster import CacheCluster
+from repro.cluster.replication import ReplicationConfig
 from repro.engine import (
     ClusterRunner,
     Phase,
     PolicySpec,
-    ReplicationSpec,
     Scale,
     ScenarioSpec,
     SimRunner,
@@ -314,8 +314,8 @@ class TestOneSpecOneMeaning:
                          {"phases": (Phase("x", dist="uniform"),), "workload": _MIXED},
                          id="mixed-Phase.dist"),
             pytest.param(
-                SimRunner, "topology.replication.enabled",
-                {"topology": TopologySpec(replication=ReplicationSpec(enabled=True))},
+                SimRunner, "topology.replication",
+                {"topology": TopologySpec(replication=ReplicationConfig())},
                 id="sim-replication",
             ),
             pytest.param(

@@ -32,9 +32,9 @@ from repro.cluster.retry import (
 )
 from repro.core.cache import CoTCache
 from repro.engine import (
+    ArbitrationSpec,
     ClusterRunner,
     PolicySpec,
-    ReplicationSpec,
     Scale,
     ScenarioSpec,
     TopologySpec,
@@ -42,6 +42,7 @@ from repro.engine import (
 )
 from repro.errors import ConfigurationError, ExperimentError
 from repro.experiments import extension_hotkey
+from repro.policies.adaptive import AdaptiveArbiter
 from repro.policies.base import MISSING
 from repro.policies.lru import LRUCache
 
@@ -89,15 +90,7 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             ReplicationConfig(min_share=0.0)
         with pytest.raises(ConfigurationError):
-            ReplicationConfig(min_share=0.1, demote_share=0.2)
-
-    def test_demote_share_defaults_to_half(self):
-        assert ReplicationConfig(min_share=0.1).effective_demote_share == 0.05
-        assert (
-            ReplicationConfig(min_share=0.1, demote_share=0.02)
-            .effective_demote_share
-            == 0.02
-        )
+            ReplicationConfig(refresh_every=0)
 
 
 class TestPromotionProtocol:
@@ -221,6 +214,18 @@ class TestRefresh:
 
     def test_tracker_report_empty_for_untracked_policies(self):
         assert tracker_report(LRUCache(4), 8) == []
+
+    def test_refresh_promotes_through_an_arbitrated_front_end(self):
+        """An arbiter has no tracker of its own: it reports its live
+        policy's, so a front end under arbitration still gets its hot
+        keys replicated."""
+        cluster, _ = make_cluster()
+        router = HotKeyRouter(cluster)
+        policy = AdaptiveArbiter(64, candidates=("cot",), tracker_capacity=256)
+        client = make_client(cluster, router, policy=policy)
+        for i in range(5_000):
+            client.get("hot" if i % 3 == 0 else f"usertable:{i}")
+        assert router.refresh([client]) == (("hot",), ())
 
     def test_refresh_respects_max_keys(self):
         cluster, _ = make_cluster()
@@ -389,6 +394,20 @@ class TestWriteFanout:
         assert victim in entry.eligible
         assert cluster.server(victim).get(key) is MISSING
 
+    def test_landed_write_lifts_quarantine(self):
+        """A later write whose delete lands on a quarantined shard clears
+        the record, and the shard rejoins the read choice set."""
+        cluster, _ = make_cluster()
+        router = HotKeyRouter(cluster, ReplicationConfig(degree=3))
+        client = make_client(cluster, router)
+        key = "usertable:0"
+        replicas = router.promote(key)
+        router.quarantine(key, replicas[1])
+        assert router.routes[key].eligible == (replicas[0], replicas[2])
+        client.set(key, "v2")
+        assert router.pending_demotions(key) == frozenset()
+        assert router.routes[key].eligible == replicas
+
     def test_write_after_failed_demote_invalidates_primary(self):
         # Regression: a demoted key with an unresolved demotion-
         # invalidation reads through the classic path to the primary, so
@@ -441,38 +460,6 @@ class TestListenerHygiene:
         client.attach_router(router, seed=2)  # re-attach: no duplicate
         hook = client.monitor.reset_server_window
         assert cluster.cold_revival_listeners.count(hook) == 1
-
-    def test_detach_router_removes_hook_and_restores_classic_path(self):
-        cluster, _ = make_cluster()
-        router = HotKeyRouter(cluster)
-        client = make_client(cluster, router)
-        client.detach_router()
-        assert client.router is None
-        hook = client.monitor.reset_server_window
-        assert hook not in cluster.cold_revival_listeners
-        client.detach_router()  # idempotent
-        cluster.storage.set("usertable:0", "v")
-        assert client.get("usertable:0") == "v"  # classic path works
-
-    def test_router_detach_removes_cold_revival_listener(self):
-        cluster, _ = make_cluster()
-        before = len(cluster.cold_revival_listeners)
-        router = HotKeyRouter(cluster)
-        assert len(cluster.cold_revival_listeners) == before + 1
-        router.detach()
-        assert len(cluster.cold_revival_listeners) == before
-        router.detach()  # idempotent
-
-    def test_router_detach_removes_removal_listener(self):
-        """The router registers a scale-in hook too; detach must remove
-        both, or a dead router keeps revalidating against the cluster."""
-        cluster, _ = make_cluster()
-        before = len(cluster.removal_listeners)
-        router = HotKeyRouter(cluster)
-        assert len(cluster.removal_listeners) == before + 1
-        router.detach()
-        assert len(cluster.removal_listeners) == before
-        router.detach()  # idempotent
 
 
 class TestScaleInSafety:
@@ -546,8 +533,8 @@ class TestEngineAxis:
             workload=WorkloadSpec(dist="zipf-1.2", read_fraction=0.8),
             policy=PolicySpec(name="cot", cache_lines=32, tracker_lines=64),
             topology=TopologySpec(
-                replication=ReplicationSpec(
-                    enabled=True, degree=2, min_share=0.02, refresh_every=256
+                replication=ReplicationConfig(
+                    degree=2, min_share=0.02, refresh_every=256
                 )
             ),
             accesses=4_000,
@@ -558,6 +545,24 @@ class TestEngineAxis:
         counters = result.telemetry.counters
         assert counters["replication.refreshes"] > 0
         assert "replication.active_keys" in result.telemetry.gauges
+
+    def test_replication_promotes_under_arbitration(self):
+        spec = ScenarioSpec(
+            scale=Scale.tiny(),
+            workload=WorkloadSpec(dist="zipf-1.2", read_fraction=0.8),
+            policy=PolicySpec(
+                name="cot", cache_lines=32, tracker_lines=64,
+                arbitration=ArbitrationSpec(epoch_length=512),
+            ),
+            topology=TopologySpec(
+                replication=ReplicationConfig(
+                    degree=2, min_share=0.02, refresh_every=256
+                )
+            ),
+            accesses=4_000,
+        )
+        result = ClusterRunner().run(spec)
+        assert result.telemetry.counters["replication.promotions"] > 0
 
 
 class TestHotKeyExperimentVerdict:
