@@ -86,6 +86,16 @@ fi
 echo "(storage is read in cluster/client.py only; cluster/ + sim/ + policies/ is" \
      "$protocol_lines lines, $replication $(wc -l < "$replication") with one read-set write," \
      "$adaptive $(wc -l < "$adaptive") with one memo write, src/repro $src_lines)"
+# One ring build: every (server, replica) point is placed by one sort,
+# in the memoised helper that construction and add_server share.
+hashring=src/repro/cluster/hashring.py
+ring_sorts="$(grep -cE '\.sort\(|sorted\(' "$hashring" || true)"
+if [ "$ring_sorts" -ne 1 ]; then
+    echo "$hashring sorts in $ring_sorts places; it must be 1:" \
+         "the ring is built by one sort, once per member set" >&2
+    exit 1
+fi
+echo "($hashring: one ring sort)"
 # One drive loop: the cadence tick and the cluster are each built in one
 # place in the engine's runners.
 runners=src/repro/engine/runners.py

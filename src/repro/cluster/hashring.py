@@ -33,6 +33,47 @@ def _hash32(data: str) -> int:
     return int.from_bytes(digest[:4], "big")
 
 
+#: Member sets whose built rings are kept. An 8 x 8,192-vnode ring holds
+#: ~3 MB of lists; an experiment grid rebuilds a handful of member sets
+#: (one per churn phase) for every cell.
+_RING_MEMO_SIZE = 8
+
+#: ``(_hash32, members, vnodes) -> (points, owners)``. Rings share these
+#: lists and never mutate them in place: membership changes rebind.
+_RING_MEMO: dict[tuple, tuple[list[int], list[str]]] = {}
+
+
+def _placed(
+    members: frozenset[str], vnodes: int, ring: "ConsistentHashRing | None" = None
+) -> tuple[list[int], list[str]]:
+    """``(points, owners)`` of ``members``' virtual nodes, sorted by
+    ``(point, owner)``: memoised, or one sort of every point — ``ring``'s
+    placed points plus the hashed points of the members it lacks.
+
+    ``_hash32`` is part of the memo key, so a ring built under a
+    substituted hash never shares lists with one built under MD5.
+    """
+    memo_key = (_hash32, members, vnodes)
+    placed = _RING_MEMO.get(memo_key)
+    if placed is not None:
+        return placed
+    pairs: list[tuple[int, str]] = []
+    new = members
+    if ring is not None:  # a join: keep the placed points, hash the joiner's
+        pairs, new = list(zip(ring._points, ring._owners)), members - ring._servers
+    pairs.extend(
+        (_hash32(f"{server}#{replica}"), server)
+        for server in new
+        for replica in range(vnodes)
+    )
+    pairs.sort()
+    placed = [p for p, _ in pairs], [o for _, o in pairs]
+    if len(_RING_MEMO) >= _RING_MEMO_SIZE:
+        del _RING_MEMO[next(iter(_RING_MEMO))]
+    _RING_MEMO[memo_key] = placed
+    return placed
+
+
 class ConsistentHashRing:
     """MD5-based consistent hash ring with virtual nodes.
 
@@ -53,17 +94,21 @@ class ConsistentHashRing:
         if virtual_nodes < 1:
             raise ConfigurationError("virtual_nodes must be >= 1")
         self._virtual_nodes = virtual_nodes
-        self._points: list[int] = []
-        self._owners: list[str] = []
         self._servers: set[str] = set()
-        #: monotone membership-change counter; every add/remove bumps it,
-        #: invalidating the cached successor tables below
-        self._epoch = 0
+        for server in servers:
+            if server in self._servers:
+                raise ClusterError(f"server already on ring: {server}")
+            self._servers.add(server)
+        self._points, self._owners = _placed(
+            frozenset(self._servers), virtual_nodes
+        )
+        #: monotone membership-change counter; every add/remove bumps it
+        #: (construction counts one add per server), invalidating the
+        #: cached successor tables below
+        self._epoch = len(self._servers)
         #: ``r -> tuple-per-ring-point of the next r distinct owners``,
         #: built lazily per (epoch, r) so replica lookups are one bisect
         self._successors: dict[int, list[tuple[str, ...]]] = {}
-        for server in servers:
-            self.add_server(server)
 
     # ------------------------------------------------------------------ api
 
@@ -99,15 +144,10 @@ class ConsistentHashRing:
         """
         if server in self._servers:
             raise ClusterError(f"server already on ring: {server}")
-        self._servers.add(server)
-        pairs = list(zip(self._points, self._owners))
-        pairs.extend(
-            (_hash32(f"{server}#{replica}"), server)
-            for replica in range(self._virtual_nodes)
+        self._points, self._owners = _placed(
+            frozenset(self._servers | {server}), self._virtual_nodes, self
         )
-        pairs.sort()
-        self._points = [p for p, _ in pairs]
-        self._owners = [o for _, o in pairs]
+        self._servers.add(server)
         self._epoch += 1
         self._successors.clear()
 
@@ -135,7 +175,7 @@ class ConsistentHashRing:
         lexicographically smallest owner win — deterministically,
         independent of add/remove history. The key is hashed inline (a
         frame per lookup shows on the ladder); :func:`_hash32` is the
-        same expression, kept for ``add_server``'s off-path points.
+        same expression, kept for the virtual nodes' off-path points.
         """
         if not self._points:
             raise ClusterError("hash ring is empty")

@@ -175,17 +175,18 @@ class CoTCache(CachePolicy):
         cstat = self.stats
         if stats is not None:
             stats.read_count += 1.0
+            # ``update_delta`` inlined, as the heap's raise: ``+r_w`` is
+            # validated positive and an entry's snapshot is a lower bound
+            # of its priority, so a read never takes its ``_lower`` branch.
             if stats.cached:
-                stats.hot = tracker._cache_heap.update_delta(
-                    key, tracker._read_delta
-                )
+                entry = tracker._cache_heap._entries[key]
+                stats.hot = entry[3] = entry[3] + tracker._read_delta
                 cstat.hits += 1
                 cstat.epoch_hits += 1
                 return self._values[key]
             self.epoch_tracker_hits += 1
-            stats.hot = hot = tracker._rest_heap.update_delta(
-                key, tracker._read_delta
-            )
+            entry = tracker._rest_heap._entries[key]
+            stats.hot = hot = entry[3] = entry[3] + tracker._read_delta
         else:
             stats = tracker._admit(key, tracker._read_delta)
             stats.read_count += 1.0

@@ -7,7 +7,8 @@ adds on top of the replacement policy:
 * it counts accesses and closes an *epoch* every ``E`` accesses, where
   ``E = max(base_epoch, K)`` is re-derived after each resize (Algorithm 3
   line 4 requires ``E >= K`` so resizes never trigger before the tracker
-  refills);
+  refills). ``K`` changes only inside :meth:`close_epoch`, so the epoch is
+  a countdown armed there: an access decrements one integer;
 * at each epoch end it assembles the :class:`EpochSnapshot` (``I_c`` from
   its private load monitor, ``alpha_c``/``alpha_k_c`` from the CoT cache),
   asks the :class:`~repro.core.resizing.ResizingController` for a decision,
@@ -106,7 +107,8 @@ class ElasticCoTClient(FrontEndClient):
         )
         self.decay_policy = decay or HalfLifeDecay()
         self._base_epoch = base_epoch
-        self._epoch_accesses = 0
+        #: accesses left in this epoch, armed to ``epoch_length`` when it opens
+        self._room = self.epoch_length
         self._epoch_index = 0
         # Sliding window of recent per-epoch load snapshots. Summing loads
         # over a few epochs before taking max/min removes the binomial
@@ -120,7 +122,7 @@ class ElasticCoTClient(FrontEndClient):
 
     @property
     def epoch_length(self) -> int:
-        """Effective ``E = max(base_epoch, K)``."""
+        """Effective ``E = max(base_epoch, K)``; read when an epoch opens."""
         return max(self._base_epoch, self.cot.tracker_capacity)
 
     @property
@@ -132,7 +134,10 @@ class ElasticCoTClient(FrontEndClient):
 
     def get(self, key: Hashable) -> Any:
         value = super().get(key)
-        self._bump()
+        # ``_bump`` inlined: a hit is three frames, and the call a fourth.
+        self._room -= 1
+        if not self._room:
+            self.close_epoch()
         return value
 
     def set(self, key: Hashable, value: Any) -> None:
@@ -144,8 +149,8 @@ class ElasticCoTClient(FrontEndClient):
         self._bump()
 
     def _bump(self) -> None:
-        self._epoch_accesses += 1
-        if self._epoch_accesses >= self.epoch_length:
+        self._room -= 1
+        if not self._room:
             self.close_epoch()
 
     # ------------------------------------------------------------ epoch loop
@@ -223,7 +228,7 @@ class ElasticCoTClient(FrontEndClient):
             imbalance=imbalance,
             alpha_c=self.cot.alpha_c(),
             alpha_k_c=self.cot.alpha_k_c(),
-            accesses=self._epoch_accesses,
+            accesses=self.epoch_length - self._room,
             imbalance_sample=sample,
             noise_allowance=noise_allowance,
         )
@@ -249,7 +254,7 @@ class ElasticCoTClient(FrontEndClient):
         )
         self.history.append(record)
         self._epoch_index += 1
-        self._epoch_accesses = 0
+        self._room = self.epoch_length
         self.cot.reset_epoch()
         self.monitor.reset_epoch()
         return record

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.cluster.cluster import CacheCluster
 from repro.core.decay import HalfLifeDecay
 from repro.core.elastic import ElasticCoTClient
-from repro.core.resizing import Phase
+from repro.core.resizing import DecisionKind, Phase, ResizeDecision
 from repro.errors import ConfigurationError
 from repro.workloads.base import format_key
 from repro.workloads.uniform import UniformGenerator
@@ -80,6 +82,77 @@ class TestEpochLoop:
         assert client.epoch_index == 1
 
 
+class ScriptedController:
+    """Resizes to the next ``(C, K)`` of a fixed schedule every epoch."""
+
+    phase = Phase.STEADY
+    alpha_target = 1.0
+
+    def __init__(self, schedule):
+        self.schedule = schedule
+        self.observed = 0
+
+    def observe(self, snapshot):
+        cache, tracker = self.schedule[self.observed % len(self.schedule)]
+        self.observed += 1
+        return ResizeDecision(DecisionKind.EXPAND, cache, tracker)
+
+
+class TestEpochBoundaries:
+    """An epoch closes after exactly ``max(base_epoch, K)`` gets, sets and
+    deletes, with the ``K`` in force when it opened, while the controller
+    resizes ``K`` under it; a hand-called ``close_epoch`` records the
+    partial count and restarts it. Checked op by op against a counting
+    loop."""
+
+    BASE_EPOCH = 30
+    SCHEDULE = [(4, 64), (8, 200), (2, 5), (16, 40), (3, 31), (2, 4)]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_epochs_close_where_a_counting_loop_says(self, seed):
+        rng = random.Random(seed)
+        client = ElasticCoTClient(
+            small_cluster(), initial_cache=2, initial_tracker=4,
+            base_epoch=self.BASE_EPOCH,
+            controller=ScriptedController(self.SCHEDULE),  # type: ignore[arg-type]
+        )
+        # The reference: a count of accesses and the K each epoch opened with.
+        tracker, count, closed = 4, 0, 0
+        expected: list[tuple[int, int, int]] = []
+
+        def close() -> None:
+            nonlocal tracker, count, closed
+            expected.append((closed, count, tracker))
+            tracker = self.SCHEDULE[closed % len(self.SCHEDULE)][1]
+            closed, count = closed + 1, 0
+
+        for step in range(4_000):
+            if rng.random() < 0.004:
+                record = client.close_epoch()
+                assert record.snapshot.accesses == count
+                close()
+                continue
+            key = format_key(rng.randrange(50))
+            op = rng.random()
+            if op < 0.6:
+                client.get(key)
+            elif op < 0.85:
+                client.set(key, step)
+            else:
+                client.delete(key)
+            count += 1
+            if count == max(self.BASE_EPOCH, tracker):
+                close()
+            assert client.epoch_index == closed, f"step {step}"
+        observed = [
+            (r.snapshot.index, r.snapshot.accesses, r.snapshot.tracker_capacity)
+            for r in client.history
+        ]
+        assert observed == expected
+        assert {count for _i, count, _k in expected} > {30, 31, 40, 64, 200}
+        assert client.epoch_length == max(self.BASE_EPOCH, tracker)
+
+
 class TestElasticBehaviour:
     def test_expands_under_skew(self):
         """A skewed workload with a violated target must grow the cache."""
@@ -113,8 +186,6 @@ class TestElasticBehaviour:
         """A DECAY decision from the controller must run the decay policy
         and halve tracked hotness (client wiring; the controller's Case-2
         logic is covered in test_resizing_controller)."""
-        from repro.core.resizing import DecisionKind, ResizeDecision
-
         class AlwaysDecay:
             phase = Phase.STEADY
             alpha_target = 1.0

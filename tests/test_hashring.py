@@ -265,3 +265,98 @@ class TestReplicaLookup:
         assert len(set(replicas)) == len(replicas)
         assert set(replicas) <= subset
         assert replicas == naive_replicas(ring, format_key(key_id), r)
+
+
+def _few_points(data: str) -> int:
+    """A hash with 61 values: virtual nodes collide across and within servers."""
+    import zlib
+
+    return zlib.crc32(data.encode("utf-8")) % 61
+
+
+POOL = [f"s{i}" for i in range(12)]
+
+
+class TestOneSortMemoisedBuild:
+    """A ring is one sort of every point, memoised per member set: the
+    one-pass build, an ``add_server`` history and a memo hit must agree
+    point for point, and a memo hit shares lists no churn may mutate."""
+
+    @staticmethod
+    def _ring(members, vnodes, fresh=True):
+        from repro.cluster import hashring as hashring_module
+
+        if fresh:
+            hashring_module._RING_MEMO.clear()
+        return ConsistentHashRing(members, virtual_nodes=vnodes)
+
+    @pytest.mark.parametrize("hash32", ["md5", "few-points"])
+    @settings(max_examples=30, deadline=None)
+    @given(
+        members=st.lists(st.sampled_from(POOL), min_size=1, unique=True),
+        history=st.lists(st.tuples(st.booleans(), st.sampled_from(POOL)), max_size=8),
+        vnodes=st.integers(1, 24),
+    )
+    def test_every_build_agrees(self, hash32, members, history, vnodes):
+        from unittest import mock
+
+        from repro.cluster import hashring as hashring_module
+
+        patched = _few_points if hash32 == "few-points" else hashring_module._hash32
+        self._ring(members, vnodes)  # an MD5 entry a substituted hash must miss
+        with mock.patch.object(hashring_module, "_hash32", patched):
+            churned = self._ring(members, vnodes, fresh=False)
+            for add, server in history:
+                if add and server not in churned:
+                    hashring_module._RING_MEMO.clear()  # price add_server's merge
+                    churned.add_server(server)
+                elif not add and server in churned and len(churned) > 1:
+                    churned.remove_server(server)
+            final = sorted(churned.servers)
+            added = self._ring((), vnodes)
+            for server in final:
+                hashring_module._RING_MEMO.clear()
+                added.add_server(server)
+            one_pass = self._ring(final[::-1], vnodes)
+            memo_hit = self._ring(final, vnodes, fresh=False)
+            assert memo_hit._points is one_pass._points
+            for ring in (churned, added, memo_hit):
+                assert ring._points == one_pass._points
+                assert ring._owners == one_pass._owners
+            assert one_pass.epoch == len(final)
+
+    @pytest.mark.parametrize("hash32", ["md5", "few-points"])
+    @settings(max_examples=30, deadline=None)
+    @given(
+        members=st.lists(st.sampled_from(POOL), min_size=2, unique=True),
+        history=st.lists(
+            st.tuples(st.booleans(), st.sampled_from(POOL)), min_size=1, max_size=8
+        ),
+    )
+    def test_churn_leaves_memo_siblings_alone(self, hash32, members, history):
+        from unittest import mock
+
+        from repro.cluster import hashring as hashring_module
+
+        patched = _few_points if hash32 == "few-points" else hashring_module._hash32
+        with mock.patch.object(hashring_module, "_hash32", patched):
+            churned = self._ring(members, 8)
+            sibling = self._ring(members, 8, fresh=False)
+            assert sibling._points is churned._points
+            points, owners = list(sibling._points), list(sibling._owners)
+            for add, server in history:
+                if add and server not in churned:
+                    churned.add_server(server)
+                elif not add and server in churned and len(churned) > 1:
+                    churned.remove_server(server)
+            assert sibling._points == points and sibling._owners == owners
+            assert self._ring(members, 8, fresh=False)._points == points
+
+    def test_duplicate_member_rejected_and_memo_bounded(self):
+        from repro.cluster import hashring as hashring_module
+
+        with pytest.raises(ClusterError):
+            ConsistentHashRing(["a", "b", "a"])
+        for size in range(1, 3 * hashring_module._RING_MEMO_SIZE):
+            ConsistentHashRing(POOL[: size % len(POOL) + 1], virtual_nodes=size)
+        assert len(hashring_module._RING_MEMO) <= hashring_module._RING_MEMO_SIZE
