@@ -87,7 +87,8 @@ echo "(storage is read in cluster/client.py only; cluster/ + sim/ + policies/ is
      "$protocol_lines lines, $replication $(wc -l < "$replication") with one read-set write," \
      "$adaptive $(wc -l < "$adaptive") with one memo write, src/repro $src_lines)"
 # One ring build: every (server, replica) point is placed by one sort,
-# in the memoised helper that construction and add_server share.
+# in the memoised helper that construction and add_server share. A lookup
+# bisects only its bucket of the index, never the whole ring.
 hashring=src/repro/cluster/hashring.py
 ring_sorts="$(grep -cE '\.sort\(|sorted\(' "$hashring" || true)"
 if [ "$ring_sorts" -ne 1 ]; then
@@ -95,7 +96,15 @@ if [ "$ring_sorts" -ne 1 ]; then
          "the ring is built by one sort, once per member set" >&2
     exit 1
 fi
-echo "($hashring: one ring sort)"
+unbounded="$(grep -nE 'bisect_left\(' "$hashring" \
+    | grep -vE 'bisect_left\(points, point, starts\[b\], starts\[b \+ 1\]\)' || true)"
+if [ -n "$unbounded" ]; then
+    echo "$unbounded" >&2
+    echo "$hashring must call bisect_left on the ring's points within the" \
+         "key's bucket: bisect_left(points, point, starts[b], starts[b + 1])" >&2
+    exit 1
+fi
+echo "($hashring: one ring sort, bucket-bounded lookups)"
 # One drive loop: the cadence tick and the cluster are each built in one
 # place in the engine's runners.
 runners=src/repro/engine/runners.py

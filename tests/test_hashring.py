@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.hashring import ConsistentHashRing
@@ -109,13 +109,9 @@ class TestCollisionDeterminism:
 
     @staticmethod
     def _colliding_hash(data: str) -> int:
-        # Every virtual node ("name#replica") collides on one point;
-        # keys hash elsewhere (or exactly onto the shared point).
-        if "#" in data:
-            return 100
-        if data == "key-on-point":
-            return 100
-        return 50
+        # Every virtual node ("name#replica") collides on one point; keys
+        # never reach this hash, the lookups hash them by MD5 inline.
+        return 100
 
     def test_equal_points_resolve_by_owner_id(self, monkeypatch):
         from repro.cluster import hashring as hashring_module
@@ -130,11 +126,21 @@ class TestCollisionDeterminism:
     def test_key_hash_equal_to_point_owns_at_or_after(self, monkeypatch):
         from repro.cluster import hashring as hashring_module
 
-        monkeypatch.setattr(hashring_module, "_hash32", self._colliding_hash)
-        ring = ConsistentHashRing(["beta", "alpha"], virtual_nodes=2)
+        # Keys hash by MD5 inline, so the shared point is the key's real
+        # MD5 point; "gamma" sits one past it, where an "after" lookup
+        # (bisect_right) would land.
+        on_point = hashring_module._hash32("key-on-point")
+
+        def placed(data: str) -> int:
+            return on_point + 1 if data.startswith("gamma#") else on_point
+
+        monkeypatch.setattr(hashring_module, "_hash32", placed)
+        ring = ConsistentHashRing(["gamma", "beta", "alpha"], virtual_nodes=2)
+        assert on_point in ring._points
         # The key lands exactly on the shared point: "at or after" means
         # the point itself serves it, smallest owner first.
         assert ring.server_for("key-on-point") == "alpha"
+        assert ring.lookup_replicas("key-on-point", 2) == ("alpha", "beta")
 
     def test_churned_ring_matches_fresh_ring(self):
         """A ring that saw arbitrary add/remove history must agree with a
@@ -279,8 +285,9 @@ POOL = [f"s{i}" for i in range(12)]
 
 class TestOneSortMemoisedBuild:
     """A ring is one sort of every point, memoised per member set: the
-    one-pass build, an ``add_server`` history and a memo hit must agree
-    point for point, and a memo hit shares lists no churn may mutate."""
+    one-pass build, an ``add_server`` history, a memo hit and a
+    ``remove_server`` rebuild must agree point for point and bucket for
+    bucket, and a memo hit shares lists no churn may mutate."""
 
     @staticmethod
     def _ring(members, vnodes, fresh=True):
@@ -317,12 +324,16 @@ class TestOneSortMemoisedBuild:
             for server in final:
                 hashring_module._RING_MEMO.clear()
                 added.add_server(server)
+            removed = self._ring(final + ["extra"], vnodes)
+            removed.remove_server("extra")
             one_pass = self._ring(final[::-1], vnodes)
             memo_hit = self._ring(final, vnodes, fresh=False)
             assert memo_hit._points is one_pass._points
-            for ring in (churned, added, memo_hit):
+            for ring in (churned, added, memo_hit, removed):
                 assert ring._points == one_pass._points
                 assert ring._owners == one_pass._owners
+                assert ring._shift == one_pass._shift
+                assert ring._starts == one_pass._starts
             assert one_pass.epoch == len(final)
 
     @pytest.mark.parametrize("hash32", ["md5", "few-points"])
@@ -360,3 +371,87 @@ class TestOneSortMemoisedBuild:
         for size in range(1, 3 * hashring_module._RING_MEMO_SIZE):
             ConsistentHashRing(POOL[: size % len(POOL) + 1], virtual_nodes=size)
         assert len(hashring_module._RING_MEMO) <= hashring_module._RING_MEMO_SIZE
+
+
+class _Digest:
+    """An MD5 stand-in's result: a chosen 4-byte point, zero-padded."""
+
+    def __init__(self, point: int) -> None:
+        self._digest = point.to_bytes(4, "big") + bytes(12)
+
+    def digest(self) -> bytes:
+        return self._digest
+
+
+def _churned_ring() -> ConsistentHashRing:
+    ring = ConsistentHashRing(["s0", "s1", "s2"], virtual_nodes=64)
+    ring.add_server("s3")
+    ring.remove_server("s1")
+    ring.add_server("s5")
+    ring.remove_server("s0")  # the last index comes from remove_server's rebuild
+    return ring
+
+
+BOUNDARY_RINGS = {
+    "one-point": lambda: ConsistentHashRing(["s0"], virtual_nodes=1),
+    "2x128": lambda: ConsistentHashRing(SERVERS[:2], virtual_nodes=128),
+    "8x8192": lambda: ConsistentHashRing(SERVERS, virtual_nodes=8192),
+    "churned": _churned_ring,
+}
+
+
+class TestBucketIndex:
+    """A lookup bisects only the key's bucket of the index; at every bucket
+    edge and every virtual point it must agree with a bisect of the whole
+    ring."""
+
+    @staticmethod
+    def _probes(ring: ConsistentHashRing) -> list[int]:
+        top = (1 << 32) - 1
+        probes = {0, top}
+        for b in range(len(ring._starts) - 1):
+            probes.update((b << ring._shift) + d for d in (-1, 0, 1))
+        for point in ring._points:
+            probes.update((point - 1, point, point + 1))
+        return sorted(p for p in probes if 0 <= p <= top)
+
+    @pytest.mark.parametrize("name", sorted(BOUNDARY_RINGS))
+    def test_bucket_bisect_matches_whole_ring(self, name, monkeypatch):
+        import bisect
+
+        from repro.cluster import hashring as hashring_module
+
+        ring = BOUNDARY_RINGS[name]()
+        points, owners = ring._points, ring._owners
+        n = len(points)
+        assert ring._starts[0] == 0 and ring._starts[-1] == n
+        probes = self._probes(ring)
+        # Only the probe keys are hashed from here on: each one's MD5 is
+        # its chosen point.
+        digests = {f"pt:{p}".encode(): _Digest(p) for p in probes}
+        monkeypatch.setattr(hashring_module, "md5", digests.__getitem__)
+        walks: dict[int, tuple[str, ...]] = {}
+        for point in probes:
+            key = f"pt:{point}"
+            idx = bisect.bisect_left(points, point) % n
+            assert ring.server_for(key) == owners[idx], point
+            walk = walks.get(idx)
+            if walk is None:
+                walk = walks[idx] = naive_replicas(ring, key, 3)
+            for r in (1, 2, 3):
+                assert ring.lookup_replicas(key, r) == walk[:r], (point, r)
+
+
+class TestFastMD5:
+    @settings(max_examples=200, deadline=None)
+    @example("")
+    @example("ключ-ü-🔑")
+    @example(0)
+    @given(st.one_of(st.text(), st.integers()))
+    def test_digest_matches_hashlib(self, key):
+        import hashlib
+
+        from repro.cluster import hashring as hashring_module
+
+        data = str(key).encode("utf-8")
+        assert hashring_module.md5(data).digest() == hashlib.md5(data).digest()
