@@ -132,6 +132,17 @@ if [ "$tails" -ne 1 ]; then
 fi
 echo "($runners: one cadence tick, one cluster construction, one _publish," \
      "$(wc -l < "$runners") lines; metric names only in $telemetry, $(wc -l < "$telemetry") lines)"
+# One cluster builder: the fuzz steps what engine/runners.py's build_cluster
+# assembles, so it constructs and wires none of the parts itself.
+fuzz_files="tests/_cluster_oracle.py tests/test_cluster_stateful.py"
+# shellcheck disable=SC2086
+if grep -nE '(CacheCluster|HotKeyRouter|NetworkPlane|make_write_policy|attach_router|attach_write_policy)\(' $fuzz_files; then
+    echo "the cluster fuzz builds a part itself (see above): it builds only through" \
+         "repro.engine.runners.build_cluster" >&2
+    exit 1
+fi
+echo "($fuzz_files: built only through build_cluster," \
+     "$(cat $fuzz_files | wc -l) lines)"
 
 stage tests
 python -m pytest -x -q
@@ -140,12 +151,17 @@ stage fuzz
 # Bounded model-based fuzz: the stateful hypothesis machine drives random
 # get/set/delete/get_many/kill/revive/add/remove/epoch/refresh
 # interleavings against the dict oracle in tests/_cluster_oracle.py
-# (tests/test_cluster_stateful.py).
+# (tests/test_cluster_stateful.py), once per row of its generated
+# pairwise grid. The 200 examples are split evenly over the rows, rounded
+# up, at 60 steps each: at least 12,000 steps. `-s` shows each
+# arbitrated row's live-policy switch count.
 # Derandomized here so CI is reproducible; for a deeper randomized soak,
 # drop CLUSTER_FUZZ_DERANDOMIZE and raise the budgets. Replay a specific
 # run with:  python -m pytest tests/test_cluster_stateful.py --hypothesis-seed=<N>
+rows="$(python -c 'from tests.test_cluster_stateful import FLOOR; print(len(FLOOR))')"
+echo "(fuzz grid: $rows rows)"
 CLUSTER_FUZZ_EXAMPLES=200 CLUSTER_FUZZ_STEPS=60 CLUSTER_FUZZ_DERANDOMIZE=1 \
-    python -m pytest tests/test_cluster_stateful.py -q
+    python -m pytest tests/test_cluster_stateful.py -q -s
 
 stage "engine smoke"
 # Every registered experiment at smoke scale. ext-hotkey, ext-write,

@@ -240,9 +240,10 @@ class WriteBehindPolicy(WriteThroughPolicy):
 
     Failure semantics compose with the fault layer:
 
-    * owning shard unavailable → the queue is unreachable; the write
-      falls back to a *synchronous* storage write (``sync_fallbacks``),
-      superseding any dirty entry it had.
+    * owning shard (a replicated key's first write target) unavailable
+      → the queue is unreachable; the write falls back to a
+      *synchronous* storage write (``sync_fallbacks``), superseding any
+      dirty entry it had.
     * shard killed while dirty → its queue freezes with it; flushes
       skip down shards. Cold revival drops the queue and counts the
       entries as ``lost_writes`` — at most ``dirty_limit`` per kill.
@@ -275,32 +276,35 @@ class WriteBehindPolicy(WriteThroughPolicy):
     def on_set(self, client: "FrontEndClient", key: Hashable, value: Any) -> None:
         client.policy.record_update(key)
         router = client.router
-        if router is not None:
-            targets = router.write_targets(key)
-            if targets:
-                # Replicas must receive the *value* (a delete would let a
-                # two-choices read miss and backfill the stale durable
-                # value from storage before the queue flushes).
-                self.stats.through_writes += client._fan_out(
-                    key, targets, lambda shard: shard.set(key, value)
-                )
+        targets = router.write_targets(key) if router is not None else ()
+        if targets:
+            # Replicas must receive the *value* (a delete would let a
+            # two-choices read miss and backfill the stale durable
+            # value from storage before the queue flushes).
+            self.stats.through_writes += client._fan_out(
+                key, targets, lambda shard: shard.set(key, value)
+            )
+            # A SET that missed the queue's shard (the first) quarantined it.
+            if targets[0] not in router.pending_demotions(key):
                 self._enqueue(targets[0], key, value)
                 return
-        server = client.cluster.server_for(key)
-        server_id = server.server_id
-        try:
-            client.guard.call(server_id, lambda: server.set(key, value))
-        except ShardUnavailableError:
-            # The shard and its queue are unreachable: acknowledge the
-            # write synchronously against storage instead of queueing
-            # into a buffer nobody could flush or read through.
-            self.stats.sync_fallbacks += 1
-            self.stats.storage_writes += 1
-            client.cluster.storage.set(key, value)
-            self._discard(key)
-            return
-        self.stats.through_writes += 1
-        self._enqueue(server_id, key, value)
+        else:
+            server = client.cluster.server_for(key)
+            try:
+                client.guard.call(server.server_id, lambda: server.set(key, value))
+            except ShardUnavailableError:
+                pass
+            else:
+                self.stats.through_writes += 1
+                self._enqueue(server.server_id, key, value)
+                return
+        # The shard and its queue are unreachable: acknowledge the
+        # write synchronously against storage instead of queueing
+        # into a buffer nobody could flush or read through.
+        self.stats.sync_fallbacks += 1
+        self.stats.storage_writes += 1
+        client.cluster.storage.set(key, value)
+        self._discard(key)
 
     def on_delete(self, client: "FrontEndClient", key: Hashable) -> None:
         self._discard(key)  # a later flush must not resurrect the value

@@ -26,7 +26,7 @@ contract: they keep every experiment byte-identical
 
 from __future__ import annotations
 
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 from itertools import chain
 from operator import attrgetter
@@ -56,6 +56,7 @@ __all__ = [
     "Runner",
     "ScenarioResult",
     "SimRunner",
+    "build_cluster",
 ]
 
 #: Keys drawn/driven per batch by the streaming drive paths: large enough
@@ -284,6 +285,48 @@ def _request_source(
     return client.get, lambda n: map(format_key, keys_array(n))
 
 
+@contextmanager
+def build_cluster(spec: ScenarioSpec) -> Iterator[RunContext]:
+    """The one cluster builder: the cluster, socket plane (closed on exit),
+    front ends, router and write policy a spec describes, as the run's
+    context. :class:`ClusterRunner` drives it; the cluster fuzz steps it."""
+    topology = spec.topology
+    cluster = _build_cluster(spec)
+    net = topology.network
+    # With a socket plane, front ends, router and write policy all talk to
+    # its facade, so every shard hop crosses the wire; without, to the cluster.
+    with nullcontext() if net is None else net.build_plane(cluster) as plane:
+        target = cluster if plane is None else plane
+        factory = spec.client_factory
+        front_ends = [
+            factory(target, i) if factory is not None
+            else FrontEndClient(target, spec.policy.build(i), client_id=f"front-{i}")
+            for i in range(spec.num_clients)
+        ]
+        if spec.tracer is not None:
+            # One tracer shared by the run's front ends, factory-built too.
+            for client in front_ends:
+                client.tracer = spec.tracer
+        router: HotKeyRouter | None = None
+        if topology.replication is not None:
+            # One shared router per run (the agreement layer); each front
+            # end keeps its own independently-seeded choice RNG.
+            router = HotKeyRouter(target, topology.replication)
+            for i, client in enumerate(front_ends):
+                client.attach_router(
+                    router, seed=spec.base_seed + REPLICA_ROUTE_SEED_OFFSET + i
+                )
+        write_policy = None
+        if topology.write is not None:
+            # One shared strategy per run (dirty buffers / logical clock
+            # are cluster state); cache-aside (`None`) builds nothing.
+            write_policy = topology.write.build_policy()
+            write_policy.bind_cluster(target)
+            for client in front_ends:
+                client.attach_write_policy(write_policy)
+        yield RunContext(spec, cluster, front_ends, plane, router, write_policy)
+
+
 class ClusterRunner:
     """Drive N front ends over one shared back-end cluster.
 
@@ -307,9 +350,11 @@ class ClusterRunner:
     """
 
     def run(self, spec: ScenarioSpec) -> ScenarioResult:
-        num_clients = spec.num_clients
-        if num_clients < 1:
+        if spec.num_clients < 1:
             raise ConfigurationError("cluster scenario needs >= 1 front end")
+        if not 0.0 <= spec.warmup_fraction < 1.0:
+            # Outside [0, 1) the round-robin epoch reset would never fire.
+            raise ConfigurationError("`warmup_fraction` must be in [0, 1)")
         if spec.phases is None and not spec.interleave:
             why = "the sequential order has no per-access body: set `interleave=True`"
             _reject(spec, why, "verify_value", "warmup_fraction")
@@ -318,53 +363,13 @@ class ClusterRunner:
             _reject(spec, why, "verify_value")
             if any(phase.dist is not None for phase in spec.phases or ()):
                 raise ConfigurationError(f"`Phase.dist` is set, but {why}")
-        net = spec.topology.network
-        cluster = _build_cluster(spec)
-        # The socket-plane axis (default off → `target is cluster`, the
-        # classic byte-identical path): front ends, router and write
-        # policy all talk to the plane facade, so every shard hop —
-        # reads, writes, replica invalidations — crosses the wire.
-        with net.build_plane(cluster) if net.enabled else nullcontext() as plane:
-            return self._run_on(spec, cluster, plane)
+        with build_cluster(spec) as context:
+            return self._run_on(spec, context)
 
-    def _run_on(
-        self, spec: ScenarioSpec, cluster: CacheCluster, plane: Any
-    ) -> "ScenarioResult":
+    def _run_on(self, spec: ScenarioSpec, context: RunContext) -> ScenarioResult:
         topology = spec.topology
-        num_clients = spec.num_clients
-        target = cluster if plane is None else plane
-        if spec.client_factory is not None:
-            front_ends = [
-                spec.client_factory(target, i) for i in range(num_clients)
-            ]
-        else:
-            front_ends = [
-                FrontEndClient(target, spec.policy.build(i), client_id=f"front-{i}")
-                for i in range(num_clients)
-            ]
-        if spec.tracer is not None:
-            # One shared tracer across the run's front ends (covers
-            # factory-built clients, e.g. elastic ones, as well).
-            for client in front_ends:
-                client.tracer = spec.tracer
-        router: HotKeyRouter | None = None
-        if topology.replication is not None:
-            # One shared router per run (the agreement layer); each front
-            # end keeps its own independently-seeded choice RNG.
-            router = HotKeyRouter(target, topology.replication)
-            for i, client in enumerate(front_ends):
-                client.attach_router(
-                    router, seed=spec.base_seed + REPLICA_ROUTE_SEED_OFFSET + i
-                )
-        write_policy = None
-        if topology.write.enabled:
-            # One shared strategy per run (dirty buffers / logical clock
-            # are cluster state); the default mode builds nothing at all.
-            write_policy = topology.write.build_policy()
-            write_policy.bind_cluster(target)
-            for client in front_ends:
-                client.attach_write_policy(write_policy)
-
+        cluster, plane, front_ends = context.cluster, context.plane, context.front_ends
+        router, write_policy = context.router, context.write_policy
         # The run's one cadence, counted in accesses across the whole run
         # whatever the order (which keeps epoch boundaries deterministic):
         # a router's promoted key set is refreshed every `refresh_every`, a
@@ -383,13 +388,11 @@ class ClusterRunner:
                 write_policy.flush()
 
         bus = TelemetryBus()
-        per_client = spec.total_accesses // num_clients
+        per_client = spec.total_accesses // len(front_ends)
         # With neither cadence there is no tick: the bare loop stays bare.
         cadence = tick if refresh_every or flush_every else None
         if spec.interleave or spec.phases is not None:
-            driven = self._drive_round_robin(
-                spec, cluster, front_ends, per_client, bus, cadence
-            )
+            driven = self._drive_round_robin(context, per_client, bus, cadence)
         else:
             driven = self._drive_sequential(spec, front_ends, per_client, cadence)
 
@@ -406,9 +409,7 @@ class ClusterRunner:
             drain = write_policy.flush
         _publish(bus, driven, sources, drain)
         bus.record_shard_loads(cluster.loads(), cluster.epoch_loads())
-        bus.fallback_latency = sum(
-            c.monitor.fallback_latency_total for c in front_ends
-        )
+        bus.fallback_latency = sum(c.monitor.fallback_latency_total for c in front_ends)
         if spec.phases is None:
             # Phased runs publish epochs as each phase ends.
             for client in front_ends:
@@ -446,19 +447,15 @@ class ClusterRunner:
 
     def _drive_round_robin(
         self,
-        spec: ScenarioSpec,
-        cluster: CacheCluster,
-        front_ends: list[FrontEndClient],
+        context: RunContext,
         per_client: int,
         bus: TelemetryBus,
         tick: Callable[[], None] | None,
     ) -> int:
-        faults = spec.topology.faults
+        spec, cluster, front_ends = context.spec, context.cluster, context.front_ends
+        faults = cluster.faults
         verify = spec.verify_value
         warmup = int(per_client * spec.warmup_fraction)
-        context = RunContext(
-            spec=spec, cluster=cluster, faults=faults, front_ends=front_ends
-        )
         clients = list(enumerate(front_ends))
         steps, draws = zip(*(_request_source(spec, c, i) for i, c in clients))
         elastic = [c for c in front_ends if isinstance(c, ElasticCoTClient)]
@@ -541,15 +538,14 @@ class SimRunner:
             per_client = max(1, spec.total_accesses // max(num_clients, 1))
         if num_clients < 1 or per_client < 1:
             raise ConfigurationError("need >= 1 client and >= 1 request")
-        topology = spec.topology
         _reject(
             spec, "the simulator's closed loop over a bare cluster would ignore it",
-            "topology.replication", "topology.write.enabled",
-            "topology.network.enabled", "phases", "client_factory", "interleave",
+            "topology.replication", "topology.write",
+            "topology.network", "phases", "client_factory", "interleave",
             "verify_value", "warmup_fraction",
         )
         sim = Simulator()
-        faults = topology.faults
+        faults = spec.topology.faults
         cluster = _build_cluster(spec)
         model = spec.service_model or ServiceModel()
         latency = spec.latency or FixedLatency()

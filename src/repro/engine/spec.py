@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import dataclasses
 import pickle
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Hashable, TYPE_CHECKING
 
-from repro.errors import ExperimentError
+from repro.errors import ConfigurationError, ExperimentError
 from repro.policies.base import CachePolicy
 from repro.policies.registry import make_policy
 from repro.workloads.base import KeyGenerator
@@ -32,8 +32,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.cluster.cluster import CacheCluster
     from repro.cluster.faults import FaultInjector
     from repro.cluster.client import FrontEndClient
-    from repro.cluster.replication import ReplicationConfig
+    from repro.cluster.replication import HotKeyRouter, ReplicationConfig
     from repro.cluster.storage import PersistentStore
+    from repro.cluster.writepolicy import WritePolicy
+    from repro.net.plane import NetworkPlane
     from repro.obs.trace import Tracer
     from repro.sim.network import LatencyModel
     from repro.sim.server import ServiceModel
@@ -256,17 +258,15 @@ class ArbitrationSpec:
 
 @dataclass(frozen=True)
 class WriteSpec:
-    """The write-path coherence axis (default: cache-aside, inline).
+    """The write-path coherence axis on :class:`TopologySpec`.
 
-    ``mode`` names one of ``repro.cluster.writepolicy.WRITE_MODES``.
-    The default, ``"cache-aside"``, builds no strategy object at all —
-    the client runs its inline write body and every existing experiment
-    stays byte-identical. Any other mode makes the runner share one
-    :class:`~repro.cluster.writepolicy.WritePolicy` across the run's
-    front ends and publish ``write.*`` telemetry.
+    ``TopologySpec.write = None`` (the default) is cache-aside: the client
+    runs its inline write body. A spec names another of the
+    ``repro.cluster.writepolicy.WRITE_MODES``; the run's front ends then
+    share one :class:`~repro.cluster.writepolicy.WritePolicy`.
     """
 
-    mode: str = "cache-aside"
+    mode: str
     #: write-behind: max acknowledged-but-unflushed writes per shard
     dirty_limit: int = 64
     #: write-behind: total accesses (across front ends) between flushes
@@ -274,12 +274,14 @@ class WriteSpec:
     #: ttl: logical-clock ticks (write operations) a cached copy lives
     ttl: int = 1_024
 
-    @property
-    def enabled(self) -> bool:
-        """Whether a strategy object must be built (non-default mode)."""
-        return self.mode != "cache-aside"
+    def __post_init__(self) -> None:
+        if self.mode == "cache-aside":
+            raise ConfigurationError("cache-aside is `write=None`, not a WriteSpec")
+        if self.flush_every < 1:
+            # The runner's cadence would skip every flush with no error.
+            raise ConfigurationError("flush_every must be >= 1")
 
-    def build_policy(self) -> "Any":
+    def build_policy(self) -> "WritePolicy":
         """The shared write strategy this spec describes."""
         from repro.cluster.writepolicy import make_write_policy
 
@@ -290,12 +292,10 @@ class WriteSpec:
 
 @dataclass(frozen=True)
 class NetworkSpec:
-    """The socket data plane axis (default: off, byte-identical).
+    """The socket data plane axis on :class:`TopologySpec`.
 
-    With ``enabled=False`` (the default everywhere) the runner builds
-    the classic in-process plane — every registered experiment stays
-    byte-identical, pinned by the golden tests. When enabled, the
-    runner wraps the run's cluster in a
+    ``TopologySpec.network = None`` (the default) is the in-process
+    plane. With a spec the runner wraps the run's cluster in a
     :class:`~repro.net.plane.NetworkPlane`: each shard is served over a
     localhost TCP socket by an asyncio memcached-protocol server and
     front ends reach it over one blocking socket per shard
@@ -305,12 +305,11 @@ class NetworkSpec:
     ``net.*`` telemetry measures) real serialization and syscall cost.
     """
 
-    enabled: bool = False
     host: str = "127.0.0.1"
     #: per-request client timeout (seconds) → ``ShardTimeoutError``
     timeout: float = 5.0
 
-    def build_plane(self, cluster: "CacheCluster") -> "Any":
+    def build_plane(self, cluster: "CacheCluster") -> "NetworkPlane":
         """The started socket plane this spec describes."""
         from repro.net.plane import NetworkPlane
 
@@ -335,10 +334,10 @@ class TopologySpec:
     #: :class:`~repro.cluster.replication.HotKeyRouter` across the run's
     #: front ends, refreshed every ``refresh_every`` total accesses
     replication: "ReplicationConfig | None" = None
-    #: write-path coherence axis; the default is inline cache-aside
-    write: WriteSpec = field(default_factory=WriteSpec)
-    #: socket data plane axis; the default is the in-process simulator
-    network: NetworkSpec = field(default_factory=NetworkSpec)
+    #: write-path coherence axis; ``None`` (the default) is inline cache-aside
+    write: WriteSpec | None = None
+    #: socket data plane axis; ``None`` (the default) is the in-process cluster
+    network: NetworkSpec | None = None
 
 
 @dataclass(frozen=True)
@@ -374,12 +373,16 @@ class StreamHooks:
 
 @dataclass
 class RunContext:
-    """Live objects a phase action may manipulate (set up by the runner)."""
+    """The live objects of one cluster run (phase actions get them), as
+    :func:`~repro.engine.runners.build_cluster` assembles them."""
 
     spec: "ScenarioSpec"
-    cluster: "CacheCluster | None" = None
-    faults: "FaultInjector | None" = None
-    front_ends: list["FrontEndClient"] = field(default_factory=list)
+    cluster: "CacheCluster"
+    front_ends: list["FrontEndClient"]
+    #: the socket plane when ``topology.network`` is set, else ``None``
+    plane: "NetworkPlane | None"
+    router: "HotKeyRouter | None"
+    write_policy: "WritePolicy | None"
 
 
 @dataclass(frozen=True)

@@ -137,7 +137,7 @@ def run(scale: Scale | None = None, num_servers: int = 4) -> ExperimentResult:
             Phase(
                 f"flaky {flaky} @{FLAKY_RATE:.0%}",
                 accesses=chaos_each,
-                action=lambda ctx: ctx.faults.set_flaky(flaky, FLAKY_RATE),
+                action=lambda ctx: ctx.cluster.faults.set_flaky(flaky, FLAKY_RATE),
             ),
             False,
         ),
@@ -145,7 +145,7 @@ def run(scale: Scale | None = None, num_servers: int = 4) -> ExperimentResult:
             Phase(
                 "all faults cleared",
                 accesses=chaos_each,
-                action=lambda ctx: ctx.faults.clear(flaky),
+                action=lambda ctx: ctx.cluster.faults.clear(flaky),
             ),
             False,
         ),

@@ -48,7 +48,6 @@ from repro.core.costaware import CostAwareController
 from repro.core.elastic import ElasticCoTClient
 from repro.engine import (
     ClusterRunner,
-    PolicySpec,
     ScenarioSpec,
     TopologySpec,
     WorkloadSpec,
@@ -144,11 +143,10 @@ def _cell_spec(
         workload=WorkloadSpec(
             mixer_factory=_YcsbMixerFactory(letter, scale.key_space, scale.seed)
         ),
-        policy=PolicySpec(),  # unused: the factory builds CoT caches
         topology=TopologySpec(
             num_servers=scale.num_servers,
             num_clients=scale.num_clients,
-            write=WriteSpec(
+            write=None if mode == "cache-aside" else WriteSpec(
                 mode=mode,
                 dirty_limit=DIRTY_LIMIT,
                 flush_every=FLUSH_EVERY,
@@ -202,8 +200,6 @@ def run_cell(
     scale: Scale, letter: str, mode: str, controller: str
 ) -> CellMetrics:
     """One grid cell: a YCSB letter at a write mode under one controller."""
-    if mode not in WRITE_MODES:
-        raise ExperimentError(f"unknown write mode: {mode!r}")
     result = ClusterRunner().run(_cell_spec(scale, letter, mode, controller))
     return CellMetrics(result)
 

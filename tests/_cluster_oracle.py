@@ -1,4 +1,4 @@
-"""Dict-backed oracle and topology harness for cluster-wide fuzzing.
+"""Dict-backed oracle and invariants for cluster-wide fuzzing.
 
 The elastic cluster's riskiest behaviour lives in the *interleavings*:
 kill/revive/add/remove churn racing reads, writes, replica promotion
@@ -41,29 +41,20 @@ budget further:
   refilled from an aging shard copy lives < ``ttl`` more), and nothing
   older, from any layer.
 
-New topology axes (adaptive arbitration, network planes) plug in by
-adding a field to :class:`TopologyCase`, wiring it in
-:class:`ClusterHarness.__init__`, and adding one entry to the machine's
-topology list — the rules and invariants are reused as-is.
+The system under test is what :func:`repro.engine.runners.build_cluster`
+assembles, the very objects the experiments run; nothing here builds a
+cluster.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Hashable
 
-from repro.cluster.cluster import CacheCluster
-from repro.cluster.faults import FaultInjector
-from repro.cluster.replication import HotKeyRouter, ReplicationConfig
-from repro.cluster.retry import BreakerConfig, ClusterGuard, RetryPolicy
-from repro.cluster.storage import PersistentStore
-from repro.cluster.writepolicy import WritePolicy, make_write_policy
 from repro.core.elastic import ElasticCoTClient
+from repro.engine.spec import RunContext, WriteSpec
 
 __all__ = [
-    "ClusterHarness",
     "ClusterModel",
-    "TopologyCase",
     "check_cluster_invariants",
     "synthesized_value",
 ]
@@ -72,7 +63,7 @@ __all__ = [
 def synthesized_value(key: Hashable) -> Any:
     """The value storage synthesizes for a never-written (or deleted) key.
 
-    The harness passes this same function to its
+    The fuzz passes this same function to its spec's
     :class:`~repro.cluster.storage.PersistentStore`, so the oracle and
     the system agree on unwritten keys by construction.
     """
@@ -107,15 +98,11 @@ class ClusterModel:
         ``lost_writes`` counter after every step.
     """
 
-    def __init__(
-        self,
-        write_mode: str = "cache-aside",
-        dirty_limit: int = 3,
-        ttl: int = 8,
-    ) -> None:
-        self.write_mode = write_mode
-        self.dirty_limit = dirty_limit
-        self.ttl = ttl
+    def __init__(self, write: WriteSpec | None = None) -> None:
+        self.write_mode = "cache-aside" if write is None else write.mode
+        # The write-behind queue bound and the ttl window (unused otherwise).
+        self.dirty_limit = 0 if write is None else write.dirty_limit
+        self.ttl = 0 if write is None else write.ttl
         self.clock = 0
         self.expected_lost = 0
         self._written: dict[Hashable, Any] = {}
@@ -291,159 +278,20 @@ class ClusterModel:
         self._last_seen.pop((writer_id, key), None)
 
 
-@dataclass(frozen=True)
-class TopologyCase:
-    """One point in the topology-axis grid the state machine samples.
-
-    Axes mirror the system's real configuration surface: front-end
-    count, the replicated hot-key tier, the write-path coherence mode,
-    and how aggressive the retry/breaker layer is
-    (``tight_guard`` trips breakers on the first failure with a short
-    cooldown, maximizing OPEN/HALF_OPEN traffic in short runs).
-    ``dirty_limit`` and ``ttl`` are deliberately tiny so bound-flushes
-    and expirations fire constantly within a 30-step run.
-    """
-
-    name: str
-    num_servers: int = 3
-    num_front_ends: int = 1
-    replicated: bool = False
-    tight_guard: bool = False
-    write_mode: str = "cache-aside"
-    dirty_limit: int = 3
-    ttl: int = 8
-    #: serve the shards over localhost sockets (the repro.net plane) so
-    #: kill/revive churn exercises real connection teardown + reconnect
-    network: bool = False
-
-    def __str__(self) -> str:  # readable hypothesis failure output
-        return self.name
-
-
-class ClusterHarness:
-    """A fully wired elastic cluster for one fuzzing run.
-
-    Builds the cluster, fault injector and optional hot-key router
-    described by ``case``, plus one elastic CoT front end per
-    ``num_front_ends``, all attached to the router when replication is on.
-    """
-
-    def __init__(self, case: TopologyCase, seed: int = 0) -> None:
-        self.case = case
-        self.faults = FaultInjector(seed=seed)
-        self.storage = PersistentStore(value_factory=synthesized_value)
-        self.cluster = CacheCluster(
-            num_servers=case.num_servers,
-            capacity_bytes=1 << 16,
-            virtual_nodes=32,
-            value_size=1,
-            storage=self.storage,
-            faults=self.faults,
-        )
-        self.plane = None
-        if case.network:
-            from repro.net.plane import NetworkPlane  # deferred: tier-1 import cost
-
-            self.plane = NetworkPlane(self.cluster).start()
-        #: what front ends bind to — the socket plane when the case asks
-        #: for one, the in-process cluster otherwise (same duck type)
-        self.target = self.plane if self.plane is not None else self.cluster
-        self.router: HotKeyRouter | None = None
-        if case.replicated:
-            # Low promotion bar + small cap: with a dozen-key universe
-            # the tier promotes and demotes constantly, which is the
-            # point — the replicated read/write/quarantine paths must
-            # hold invariants under maximal churn.
-            self.router = HotKeyRouter(
-                self.target,
-                ReplicationConfig(
-                    degree=2,
-                    choices=2,
-                    top_n=8,
-                    max_keys=4,
-                    min_share=0.02,
-                    seed=seed,
-                ),
-            )
-        self.write_policy: WritePolicy | None = None
-        if case.write_mode != "cache-aside":
-            self.write_policy = make_write_policy(
-                case.write_mode, dirty_limit=case.dirty_limit, ttl=case.ttl
-            )
-            self.write_policy.bind_cluster(self.target)
-        self.front_ends: list[ElasticCoTClient] = []
-        for i in range(case.num_front_ends):
-            kwargs = dict(
-                target_imbalance=1.5,
-                initial_cache=4,
-                initial_tracker=8,
-                base_epoch=24,
-                client_id=f"fe-{i}",
-                guard=self._build_guard(i),
-            )
-            client = ElasticCoTClient(self.target, **kwargs)
-            if self.router is not None:
-                client.attach_router(self.router, seed=seed * 17 + i)
-            if self.write_policy is not None:
-                client.attach_write_policy(self.write_policy)
-            self.front_ends.append(client)
-        self.model = ClusterModel(
-            write_mode=case.write_mode,
-            dirty_limit=case.dirty_limit,
-            ttl=case.ttl,
-        )
-
-    def _build_guard(self, index: int) -> ClusterGuard:
-        if self.case.tight_guard:
-            return ClusterGuard(
-                self.cluster.server_ids,
-                retry=RetryPolicy(max_attempts=2, base_backoff=0.0, jitter=0.0),
-                breaker=BreakerConfig(failure_threshold=1, cooldown=6.0),
-                seed=index,
-            )
-        return ClusterGuard(self.cluster.server_ids, seed=index)
-
-    # ----------------------------------------------------------- lifecycle
-
-    def kill_server(self, server_id: str) -> None:
-        """Take a shard down — and, on the socket plane, drop its sockets.
-
-        A real instance failure severs live TCP connections; routing the
-        kill through here makes the fuzzer exercise the client's
-        reconnect path, not just the injected-fault path.
-        """
-        self.cluster.kill_server(server_id)
-        if self.plane is not None:
-            self.plane.drop_connections(server_id)
-
-    def close(self) -> None:
-        """Tear down the socket plane (no-op for in-process cases)."""
-        if self.plane is not None:
-            self.plane.close()
-            self.plane = None
-
-    # ---------------------------------------------------------- inspection
-
-    @property
-    def live_ids(self) -> tuple[str, ...]:
-        """Current cluster membership."""
-        return self.cluster.server_ids
-
-
-def check_cluster_invariants(harness: ClusterHarness) -> None:
+def check_cluster_invariants(context: RunContext, model: ClusterModel) -> None:
     """Assert every cross-component structural invariant at once.
 
     Called by the state machine after every step; each check names the
     component so a violation reads as a diagnosis, not a riddle.
     """
-    live = set(harness.cluster.server_ids)
+    live = set(context.cluster.server_ids)
 
-    tracked = harness.faults.tracked_servers()
+    tracked = context.cluster.faults.tracked_servers()
     assert tracked <= live, (
         f"fault profiles reference departed shards: {sorted(tracked - live)}"
     )
 
-    for client in harness.front_ends:
+    for client in context.front_ends:
         cid = client.client_id
         breakers = client.guard.tracked_servers()
         assert breakers <= live, (
@@ -460,6 +308,8 @@ def check_cluster_invariants(harness: ClusterHarness) -> None:
             f"{cid}: mid-epoch joiner set references departed shards: "
             f"{sorted(fresh - live)}"
         )
+        if not isinstance(client, ElasticCoTClient):
+            continue  # the churn-safe load view is the elastic controller's
         churn_safe = set(client._churn_safe_epoch_loads())
         assert churn_safe <= live, (
             f"{cid}: controller would see departed shards: "
@@ -473,7 +323,7 @@ def check_cluster_invariants(harness: ClusterHarness) -> None:
             f"{cid}: controller would see breaker-open shards"
         )
 
-    router = harness.router
+    router = context.router
     if router is not None:
         for key, entry in router.routes.items():
             replicas = set(entry.replicas)
@@ -491,7 +341,7 @@ def check_cluster_invariants(harness: ClusterHarness) -> None:
                 f"{sorted(pending - live)}"
             )
 
-    policy = harness.write_policy
+    policy = context.write_policy
     if policy is not None and policy.buffered:
         snapshot = policy.dirty_snapshot()
         assert set(snapshot) <= live, (
@@ -507,18 +357,18 @@ def check_cluster_invariants(harness: ClusterHarness) -> None:
             f"peak dirty depth {policy.stats.peak_dirty} exceeded the "
             f"bound {policy.dirty_limit}"
         )
-        expected = harness.model.pending_by_shard()
+        expected = model.pending_by_shard()
         assert snapshot == expected, (
             f"dirty buffers diverged from the model's queues: "
             f"system {snapshot!r} != model {expected!r}"
         )
-        assert policy.stats.lost_writes == harness.model.expected_lost, (
+        assert policy.stats.lost_writes == model.expected_lost, (
             f"loss accounting drifted: policy counted "
             f"{policy.stats.lost_writes} lost writes, the model expected "
-            f"{harness.model.expected_lost}"
+            f"{model.expected_lost}"
         )
     if policy is not None and policy.ttl_hooks:
-        assert policy.clock == harness.model.clock, (
+        assert policy.clock == model.clock, (
             f"ttl logical clock drifted: policy at {policy.clock}, "
-            f"model at {harness.model.clock}"
+            f"model at {model.clock}"
         )

@@ -251,7 +251,7 @@ def test_runner_network_axis_is_decision_identical():
             policy=PolicySpec(name="cot", cache_lines=32),
             topology=TopologySpec(
                 num_servers=2, num_clients=1,
-                network=NetworkSpec(enabled=enabled),
+                network=NetworkSpec() if enabled else None,
             ),
         )
 

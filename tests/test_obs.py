@@ -675,7 +675,7 @@ def axis_spec(axis):
                     topology={"replication": router},
                     policy=PolicySpec(name="cot", cache_lines=16, tracker_lines=64))
     if axis == "net":
-        return spec(accesses=800, topology={"network": NetworkSpec(enabled=True)})
+        return spec(accesses=800, topology={"network": NetworkSpec()})
     if axis == "adaptive":
         arbitration = ArbitrationSpec(epoch_length=512, sample_shift=1)
         return spec(accesses=8_000, clients=1, dist="zipf-1.2", policy=PolicySpec(

@@ -280,6 +280,14 @@ class TestOneSpecOneMeaning:
         assert first.start_epoch == 0
         assert second.start_epoch == sum(id(r) in in_first for r in histories[0]) > 0
 
+    @pytest.mark.parametrize("fraction", [-0.1, 1.0, 1.5])
+    def test_a_warmup_fraction_outside_the_unit_interval_is_rejected(self, fraction):
+        # Round-robin resets the epoch window when its round count reaches
+        # the warm-up, which such a fraction never lets it reach.
+        spec = replace(_cluster_spec(), interleave=True, warmup_fraction=fraction)
+        with pytest.raises(ConfigurationError, match="`warmup_fraction`"):
+            ClusterRunner().run(spec)
+
     def test_warmup_resets_the_epoch_window_once_across_phases(self, monkeypatch):
         resets = []
         reset_epoch = CacheCluster.reset_epoch
@@ -319,12 +327,12 @@ class TestOneSpecOneMeaning:
                 id="sim-replication",
             ),
             pytest.param(
-                SimRunner, "topology.write.enabled",
+                SimRunner, "topology.write",
                 {"topology": TopologySpec(write=WriteSpec(mode="write-behind"))},
                 id="sim-write",
             ),
-            pytest.param(SimRunner, "topology.network.enabled",
-                         {"topology": TopologySpec(network=NetworkSpec(enabled=True))},
+            pytest.param(SimRunner, "topology.network",
+                         {"topology": TopologySpec(network=NetworkSpec())},
                          id="sim-network"),
             pytest.param(SimRunner, "phases", {"phases": (Phase("a"),)},
                          id="sim-phases"),

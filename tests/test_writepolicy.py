@@ -112,14 +112,22 @@ class TestFactory:
         with pytest.raises(ConfigurationError):
             TTLWritePolicy(ttl=0)
 
-    def test_write_spec_enabled_and_build(self):
-        assert not WriteSpec().enabled
-        spec = WriteSpec(mode="write-behind", dirty_limit=7)
-        assert spec.enabled
-        policy = spec.build_policy()
+    def test_write_spec_builds_its_policy(self):
+        policy = WriteSpec(mode="write-behind", dirty_limit=7).build_policy()
         assert isinstance(policy, WriteBehindPolicy)
         assert policy.dirty_limit == 7
         assert isinstance(WriteSpec(mode="ttl", ttl=99).build_policy(), TTLWritePolicy)
+
+    def test_write_spec_rejects_a_flush_cadence_below_one(self):
+        # A zero cadence would build a buffered policy whose runner never
+        # flushes it.
+        with pytest.raises(ConfigurationError, match="flush_every"):
+            WriteSpec(mode="write-behind", flush_every=0)
+
+    def test_write_spec_rejects_cache_aside(self):
+        # `TopologySpec(write=None)` is cache-aside; a spec is another mode.
+        with pytest.raises(ConfigurationError, match="write=None"):
+            WriteSpec(mode="cache-aside")
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +374,30 @@ class TestWriteBehind:
             assert cluster.server(server_id).get("hot") == ("w", 3)
         assert wp.dirty_snapshot() == {replicas[0]: {"hot": ("w", 3)}}
 
+    def test_replicated_write_with_its_queue_shard_down_is_synchronous(self):
+        """A replicated key's queue lives on its first write target; with
+        that shard down the write must not queue into the dead buffer
+        (a cold revival would then lose a write acknowledged after the
+        crash) but fall back to storage, like an unreplicated key's."""
+        cluster, faults = build_cluster(num_servers=4)
+        router = HotKeyRouter(
+            cluster,
+            ReplicationConfig(degree=2, choices=2, top_n=4, max_keys=4, seed=5),
+        )
+        client = build_client(cluster)
+        client.attach_router(router, seed=9)
+        wp = attach(cluster, "write-behind", dirty_limit=4)
+        client.attach_write_policy(wp)
+        replicas = router.promote("hot")
+        cluster.kill_server(replicas[0])
+        client.set("hot", ("w", 1))
+        assert wp.dirty_snapshot() == {}
+        assert wp.stats.sync_fallbacks == 1
+        assert cluster.storage.get("hot") == ("w", 1)
+        assert cluster.server(replicas[1]).get("hot") == ("w", 1)
+        cluster.revive_server(replicas[0], cold=True)
+        assert wp.stats.lost_writes == 0
+
 
 # ---------------------------------------------------------------------------
 # ttl
@@ -432,17 +464,18 @@ class TestTTL:
 
 class TestRunnerIntegration:
     def _run(self, mode, **write_kwargs):
+        write = None if mode is None else WriteSpec(mode=mode, **write_kwargs)
         spec = ScenarioSpec(
             scale=Scale("wp", key_space=300, accesses=4_000,
                         num_clients=2, num_servers=3),
             workload=WorkloadSpec(dist="zipf-0.9", read_fraction=0.8),
-            topology=TopologySpec(write=WriteSpec(mode=mode, **write_kwargs)),
+            topology=TopologySpec(write=write),
             seed=23,
         )
         return ClusterRunner().run(spec).telemetry
 
     def test_default_mode_publishes_no_write_counters(self):
-        snapshot = self._run("cache-aside")
+        snapshot = self._run(None)
         assert not [k for k in snapshot.counters if k.startswith("write.")]
         assert not [k for k in snapshot.gauges if k.startswith("write.")]
 
