@@ -148,7 +148,7 @@ def bench_scrambled_zipfian_generation(benchmark):
 
 
 def bench_engine_policy_stream(benchmark):
-    """Per-access cost of a whole engine-path run (spec → runner → bus).
+    """Per-access cost of a whole engine-path run (spec → runner → snapshot).
 
     Each timed round executes a complete ``PolicyStreamRunner`` scenario —
     policy construction, generator seeding, the fused chunked drive and

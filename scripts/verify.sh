@@ -130,8 +130,48 @@ if [ "$tails" -ne 1 ]; then
     echo "$runners defines $tails _publish functions; the publish tail exists once" >&2
     exit 1
 fi
-echo "($runners: one cadence tick, one cluster construction, one _publish," \
-     "$(wc -l < "$runners") lines; metric names only in $telemetry, $(wc -l < "$telemetry") lines)"
+# A run's telemetry is frozen once: only that tail builds a TelemetrySnapshot
+# and notifies the listeners, which the parallel fabric's _replay also does
+# for snapshots frozen in a worker.
+python - <<'PY'
+import ast
+import pathlib
+import sys
+
+allowed = {
+    "TelemetrySnapshot": {("src/repro/engine/runners.py", "_publish")},
+    "notify_snapshot_listeners": {
+        ("src/repro/engine/runners.py", "_publish"),
+        ("src/repro/engine/parallel.py", "_replay"),
+    },
+}
+found = []
+
+
+def visit(node, path, scope):
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = child.name
+        elif isinstance(child, ast.Call):
+            func = child.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            if name in allowed and (path, scope) not in allowed[name]:
+                found.append(f"{path}:{child.lineno}: {name}( in {scope or 'module scope'}")
+        visit(child, path, inner)
+
+
+for file in sorted(pathlib.Path("src/repro").rglob("*.py")):
+    visit(ast.parse(file.read_text(encoding="utf-8")), file.as_posix(), None)
+if found:
+    print("\n".join(found), file=sys.stderr)
+    print("a snapshot is frozen or announced outside engine/runners.py's _publish"
+          " (see above): a run's telemetry is frozen once", file=sys.stderr)
+    sys.exit(1)
+PY
+echo "($runners: one cadence tick, one cluster construction, one _publish that alone" \
+     "freezes and announces a snapshot, $(wc -l < "$runners") lines; metric names only" \
+     "in $telemetry, $(wc -l < "$telemetry") lines)"
 # One cluster builder: the fuzz steps what engine/runners.py's build_cluster
 # assembles, so it constructs and wires none of the parts itself.
 fuzz_files="tests/_cluster_oracle.py tests/test_cluster_stateful.py"

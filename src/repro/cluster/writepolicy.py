@@ -243,7 +243,8 @@ class WriteBehindPolicy(WriteThroughPolicy):
     * owning shard (a replicated key's first write target) unavailable
       → the queue is unreachable; the write falls back to a
       *synchronous* storage write (``sync_fallbacks``), superseding any
-      dirty entry it had.
+      dirty entry it had; the missed SET counts with the lost
+      invalidations, as in write-through.
     * shard killed while dirty → its queue freezes with it; flushes
       skip down shards. Cold revival drops the queue and counts the
       entries as ``lost_writes`` — at most ``dirty_limit`` per kill.
@@ -293,7 +294,7 @@ class WriteBehindPolicy(WriteThroughPolicy):
             try:
                 client.guard.call(server.server_id, lambda: server.set(key, value))
             except ShardUnavailableError:
-                pass
+                client.guard.stats.lost_invalidations += 1
             else:
                 self.stats.through_writes += 1
                 self._enqueue(server.server_id, key, value)

@@ -26,7 +26,7 @@ class DecayPolicy(abc.ABC):
     #: short name for experiment tables
     name: str = "base"
 
-    #: explicit Case-2 triggers applied (``decay.triggers`` on the bus)
+    #: explicit Case-2 triggers applied (``decay.triggers`` in the snapshot)
     triggers: int = 0
 
     #: continuous per-epoch decays applied (``decay.epoch_decays``)

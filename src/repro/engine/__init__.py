@@ -2,9 +2,9 @@
 
 Layering (see DESIGN.md §8)::
 
-    ScenarioSpec  ──▶  Runner  ──▶  TelemetryBus  ──▶  reporters
-    (declarative       (PolicyStream / (typed counters,  (experiment
-     what-to-run)       Cluster / Sim)  gauges, epochs)   render())
+    ScenarioSpec  ──▶  Runner  ──▶  TelemetrySnapshot  ──▶  reporters
+    (declarative       (PolicyStream / (frozen counters,     (experiment
+     what-to-run)       Cluster / Sim)  gauges, epochs)      render())
 
 Experiment modules build :class:`ScenarioSpec`s and register themselves
 in the spec registry; the CLI, benches and CI smoke stage enumerate the
@@ -55,12 +55,7 @@ from repro.engine.spec import (
     make_generator,
     spawn_safe,
 )
-from repro.engine.telemetry import (
-    PhaseTelemetry,
-    TelemetryBus,
-    TelemetrySnapshot,
-    merge_snapshots,
-)
+from repro.engine.telemetry import PhaseTelemetry, TelemetrySnapshot
 
 __all__ = [
     "STREAM_CHUNK",
@@ -78,7 +73,6 @@ __all__ = [
     "ScenarioSpec",
     "SimRunner",
     "StreamHooks",
-    "TelemetryBus",
     "TelemetrySnapshot",
     "TopologySpec",
     "WorkloadSpec",
@@ -92,7 +86,6 @@ __all__ = [
     "make_generator",
     "map_calls",
     "map_specs",
-    "merge_snapshots",
     "parallel_workers",
     "register_experiment",
     "run_experiment",

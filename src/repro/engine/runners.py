@@ -17,8 +17,8 @@ client, one cadence tick per run, and an order over them — sequential or
 round-robin in :class:`ClusterRunner`, the event heap in
 :class:`SimRunner`; a set spec field the order cannot honour raises
 :class:`~repro.errors.ConfigurationError`. A runner runs in the calling
-process, publishes into a typed :class:`~repro.engine.telemetry.TelemetryBus`
-and returns the live objects it drove (fan-out is
+process, freezes one :class:`~repro.engine.telemetry.TelemetrySnapshot`
+in its publish tail and returns it with the live objects it drove (fan-out is
 :mod:`repro.engine.parallel`'s job). The chunk size and seed offsets are
 contract: they keep every experiment byte-identical
 (``tests/test_golden_outputs.py``).
@@ -38,7 +38,7 @@ from repro.cluster.replication import HotKeyRouter
 from repro.core.elastic import ElasticCoTClient
 from repro.engine import telemetry as T
 from repro.engine.spec import Phase, RunContext, ScenarioSpec, WorkloadSpec
-from repro.engine.telemetry import PhaseTelemetry, TelemetryBus, TelemetrySnapshot
+from repro.engine.telemetry import PhaseTelemetry, TelemetrySnapshot
 from repro.errors import ConfigurationError
 from repro.policies.adaptive import AdaptiveArbiter
 from repro.policies.base import MISSING, CachePolicy
@@ -202,8 +202,8 @@ class PolicyStreamRunner:
                 if after is not None:
                     after(i, key, hit)
 
-        bus = _publish(TelemetryBus(), accesses, _sources([], [policy]))
-        return ScenarioResult(spec, bus.snapshot(), policies=[policy])
+        telemetry = _publish(accesses, _sources([], [policy]))
+        return ScenarioResult(spec, telemetry, policies=[policy])
 
 
 def _sources(
@@ -232,27 +232,32 @@ def _sources(
 
 
 def _publish(
-    bus: TelemetryBus,
     requests: int,
     sources: dict[str, list[Any]],
     drain: Callable[[], Any] | None = None,
-) -> TelemetryBus:
-    """The one publish tail: ``requests``, then every catalogued value
-    ``sources`` can answer, read off the stats objects as they stand."""
-    bus.inc(T.TOTAL_REQUESTS, requests)
+    incorrect_reads: int = 0,
+    **run_level: Any,
+) -> TelemetrySnapshot:
+    """The one publish tail: freeze ``requests``, the incorrect reads and
+    every catalogued value ``sources`` can answer, read off the stats
+    objects as they stand, with the ``run_level`` fields only the runner
+    knows (shard loads, epoch events, phases, runtime, fallback latency),
+    and hand the snapshot to the listeners."""
     counters, gauges, histograms = T.collect(sources)
     if drain is not None:
         # Gauges say what the run left (the dirty depth still volatile);
         # counters are read after the final drain so its flushes count.
         drain()
         counters = T.collect(sources).counters
-    for name, value in counters.items():
-        bus.inc(name, value)
-    for name, value in gauges.items():
-        bus.set_gauge(name, value)
-    for name, histogram in histograms.items():
-        bus.record_histogram(name, histogram)
-    return bus
+    # The catalogue's "run" rows are the runner's own counts; the incorrect
+    # reads are on the page only when some read disagreed.
+    own = {T.INCORRECT_READS: incorrect_reads} if incorrect_reads else {}
+    own[T.TOTAL_REQUESTS] = requests
+    snapshot = TelemetrySnapshot(
+        {**own, **counters}, gauges, histograms=histograms, **run_level
+    )
+    T.notify_snapshot_listeners(snapshot)
+    return snapshot
 
 
 # --------------------------------------------------------------------------
@@ -346,7 +351,7 @@ class ClusterRunner:
       :class:`~repro.engine.telemetry.PhaseTelemetry` delta.
 
     Elastic front ends plug in through ``spec.client_factory``; their
-    epoch records are published to the bus as typed epoch events.
+    epoch records are published as the snapshot's typed epoch events.
     """
 
     def run(self, spec: ScenarioSpec) -> ScenarioResult:
@@ -387,12 +392,14 @@ class ClusterRunner:
             if flush_every and ticks % flush_every == 0:
                 write_policy.flush()
 
-        bus = TelemetryBus()
         per_client = spec.total_accesses // len(front_ends)
         # With neither cadence there is no tick: the bare loop stays bare.
         cadence = tick if refresh_every or flush_every else None
+        incorrect_reads, phases = 0, ()
         if spec.interleave or spec.phases is not None:
-            driven = self._drive_round_robin(context, per_client, bus, cadence)
+            driven, incorrect_reads, phases = self._drive_round_robin(
+                context, per_client, cadence
+            )
         else:
             driven = self._drive_sequential(spec, front_ends, per_client, cadence)
 
@@ -407,18 +414,22 @@ class ClusterRunner:
         if write_policy is not None:
             sources["write"] = [write_policy]
             drain = write_policy.flush
-        _publish(bus, driven, sources, drain)
-        bus.record_shard_loads(cluster.loads(), cluster.epoch_loads())
-        bus.fallback_latency = sum(c.monitor.fallback_latency_total for c in front_ends)
-        if spec.phases is None:
-            # Phased runs publish epochs as each phase ends.
-            for client in front_ends:
-                if isinstance(client, ElasticCoTClient):
-                    for record in client.history:
-                        bus.emit_epoch(record)
+        # A phased run's epochs are those its phases closed, phase by phase.
+        histories = (c.history for c in front_ends if isinstance(c, ElasticCoTClient))
+        epoch_events = chain.from_iterable(
+            histories if spec.phases is None else (p.epoch_events for p in phases)
+        )
+        telemetry = _publish(
+            driven, sources, drain, incorrect_reads,
+            shard_loads=cluster.loads(),
+            epoch_shard_loads=cluster.epoch_loads(),
+            epoch_events=tuple(epoch_events),
+            phases=phases,
+            fallback_latency=sum(c.monitor.fallback_latency_total for c in front_ends),
+        )
         return ScenarioResult(
             spec,
-            bus.snapshot(),
+            telemetry,
             policies=[client.policy for client in front_ends],
             cluster=cluster,
             front_ends=front_ends,
@@ -449,9 +460,10 @@ class ClusterRunner:
         self,
         context: RunContext,
         per_client: int,
-        bus: TelemetryBus,
         tick: Callable[[], None] | None,
-    ) -> int:
+    ) -> tuple[int, int, tuple[PhaseTelemetry, ...]]:
+        """Drive the rounds; return the requests driven, the reads that
+        failed ``verify_value`` and the phases' telemetry."""
         spec, cluster, front_ends = context.spec, context.cluster, context.front_ends
         faults = cluster.faults
         verify = spec.verify_value
@@ -459,9 +471,10 @@ class ClusterRunner:
         clients = list(enumerate(front_ends))
         steps, draws = zip(*(_request_source(spec, c, i) for i, c in clients))
         elastic = [c for c in front_ends if isinstance(c, ElasticCoTClient)]
-        # Per elastic client, how many of its epoch records are on the bus.
+        # Per elastic client, how many of its epoch records a phase has taken.
         published = [0] * len(elastic)
-        rounds = 0
+        rounds = incorrect = 0
+        records: list[PhaseTelemetry] = []
         # `interleave=True` alone is one unlabelled phase that pushes no delta.
         phases = (Phase(""),) if spec.phases is None else spec.phases
         for index, phase in enumerate(phases):
@@ -473,8 +486,7 @@ class ClusterRunner:
             down = tuple(sorted(faults.down_servers())) if faults else ()
             before = T.collect(_sources(front_ends)).counters
             start_epoch = len(elastic[0].history) if elastic else 0
-            bus_epochs = sum(published)
-            incorrect_before = bus.counter(T.INCORRECT_READS)
+            incorrect_before = incorrect
             phase_accesses = per_client if phase.accesses is None else phase.accesses
             streams = [
                 chain.from_iterable(_batches(draw, phase_accesses)) for draw in draws
@@ -486,28 +498,28 @@ class ClusterRunner:
                 for step, item in zip(steps, items):
                     value = step(item)
                     if verify is not None and value != verify(item):
-                        bus.inc(T.INCORRECT_READS)
+                        incorrect += 1
                     if tick is not None:
                         tick()
             if spec.phases is None:
                 break
-            # Publish the epochs that closed during this phase.
-            for k, client in enumerate(elastic):
-                for record in client.history[published[k]:]:
-                    bus.emit_epoch(record)
-                published[k] = len(client.history)
-            bus.push_phase(PhaseTelemetry.between(
+            # The epochs that closed during this phase.
+            epoch_events = tuple(chain.from_iterable(
+                client.history[n:] for client, n in zip(elastic, published)
+            ))
+            published = [len(client.history) for client in elastic]
+            records.append(PhaseTelemetry.between(
                 before,
                 T.collect(_sources(front_ends)).counters,
                 index=index,
                 label=phase.label,
                 down=down,
                 reads=phase_accesses * len(front_ends),
-                incorrect_reads=bus.counter(T.INCORRECT_READS) - incorrect_before,
+                incorrect_reads=incorrect - incorrect_before,
                 start_epoch=start_epoch,
-                epoch_events=bus.epoch_events_since(bus_epochs),
+                epoch_events=epoch_events,
             ))
-        return rounds * len(front_ends)
+        return rounds * len(front_ends), incorrect, tuple(records)
 
 
 # --------------------------------------------------------------------------
@@ -578,28 +590,15 @@ class SimRunner:
         front_ends = [c.front_end for c in clients]
         sources = _sources(front_ends)
         sources["sim"] = clients
-        total_requests = sum(c.completed for c in clients)
-        bus = _publish(TelemetryBus(), total_requests, sources)
-        bus.record_shard_loads(
-            {sid: server.arrivals for sid, server in servers.items()}
+        telemetry = _publish(
+            sum(c.completed for c in clients), sources,
+            shard_loads={sid: server.arrivals for sid, server in servers.items()},
+            runtime=runtime,
+            fallback_latency=sum(c.fallback_latency_sum for c in clients),
         )
-        bus.runtime = runtime
-        bus.per_client_runtime = tuple(
-            c.finish_time if c.finish_time is not None else runtime for c in clients
-        )
-        # One estimator for the mean, the percentiles and the published
-        # distribution: the fixed-bucket merge is exact, and
-        # ``merge_snapshots`` derives p50/p99 from the same histogram, so
-        # merged and unmerged snapshots of one run agree.
-        histogram = bus.histogram(T.REQUEST_LATENCY)
-        if histogram is not None:
-            bus.mean_latency = histogram.total / total_requests
-            bus.p50_latency = histogram.percentile(50)
-            bus.p99_latency = histogram.percentile(99)
-        bus.fallback_latency = sum(c.fallback_latency_sum for c in clients)
         return ScenarioResult(
             spec,
-            bus.snapshot(),
+            telemetry,
             policies=[client.policy for client in clients],
             cluster=cluster,
             sim_clients=clients,

@@ -2,13 +2,12 @@
 
 Every layer keeps its own stats object; :data:`CATALOGUE` names each
 metric once and says which field of which object it is, and
-:func:`collect` reads them all at any moment. A runner files the values
-on one :class:`TelemetryBus` — counters, gauges, histograms — beside
-what only it knows: per-shard load families, epoch events (the elastic
-controller's :class:`~repro.core.epoch.EpochRecord` stream) and phase
-marks (fault-schedule segments). At the end of a run the bus freezes
-into a :class:`TelemetrySnapshot`, the one typed surface reporters and
-the Prometheus exporter read.
+:func:`collect` reads them all at any moment. At the end of a run the
+runner freezes that reading, beside what only it knows — per-shard load
+families, epoch events (the elastic controller's
+:class:`~repro.core.epoch.EpochRecord` stream) and phase marks
+(fault-schedule segments) — into one :class:`TelemetrySnapshot`, the
+typed surface reporters and the Prometheus exporter read.
 """
 
 from __future__ import annotations
@@ -45,11 +44,9 @@ __all__ = [
     "Collected",
     "Metric",
     "PhaseTelemetry",
-    "TelemetryBus",
     "TelemetrySnapshot",
     "add_snapshot_listener",
     "collect",
-    "merge_snapshots",
     "notify_snapshot_listeners",
     "remove_snapshot_listener",
 ]
@@ -284,7 +281,7 @@ def remove_snapshot_listener(listener: Callable[["TelemetrySnapshot"], None]) ->
 def notify_snapshot_listeners(snapshot: "TelemetrySnapshot") -> None:
     """Deliver one already-frozen snapshot to the registered listeners.
 
-    :meth:`TelemetryBus.snapshot` calls this for every snapshot it
+    The runners' one publish tail calls this for every snapshot it
     freezes; the parallel fabric calls it directly to *replay* snapshots
     captured inside worker processes (whose listener registrations are
     process-local) into the parent's listeners, in task order — so a
@@ -358,7 +355,8 @@ class PhaseTelemetry:
 
 @dataclass(frozen=True)
 class TelemetrySnapshot:
-    """Immutable end-of-run view of a scenario's telemetry.
+    """Immutable end-of-run view of a scenario's telemetry, frozen once
+    per run by the runners' publish tail.
 
     The generic channels (``counters``/``gauges``) stay available for
     extensions, but the standard measurements all have typed accessors so
@@ -368,23 +366,17 @@ class TelemetrySnapshot:
     counters: Mapping[str, int]
     gauges: Mapping[str, float]
     #: lifetime lookups per back-end shard (the load-balance measurement)
-    shard_loads: Mapping[str, int]
+    shard_loads: Mapping[str, int] = field(default_factory=dict)
     #: lookups per shard since the last epoch reset (Table 2's window)
-    epoch_shard_loads: Mapping[str, int]
-    epoch_events: tuple[EpochRecord, ...]
-    phases: tuple[PhaseTelemetry, ...]
+    epoch_shard_loads: Mapping[str, int] = field(default_factory=dict)
+    epoch_events: tuple[EpochRecord, ...] = ()
+    phases: tuple[PhaseTelemetry, ...] = ()
     #: simulated wall-clock of the run (0 for untimed drive paths)
     runtime: float = 0.0
-    per_client_runtime: tuple[float, ...] = ()
-    mean_latency: float = 0.0
-    #: percentile scalars are *derived* from the latency pipeline (exact
-    #: histogram merge / count-weighted reservoir merge) — never from
-    #: concatenated per-client reservoirs
-    p50_latency: float = 0.0
-    p99_latency: float = 0.0
     fallback_latency: float = 0.0
     #: full latency distributions by name (fixed-bucket, exactly merged
-    #: across clients); :data:`REQUEST_LATENCY` is the canonical family
+    #: across clients); :data:`REQUEST_LATENCY` is the canonical family,
+    #: and the ``*_latency`` scalars are read off it
     histograms: Mapping[str, LatencyHistogram] = field(default_factory=dict)
 
     # ------------------------------------------------------ typed accessors
@@ -446,174 +438,24 @@ class TelemetrySnapshot:
         """The canonical per-request latency distribution (timed runs)."""
         return self.histograms.get(REQUEST_LATENCY)
 
+    @property
+    def mean_latency(self) -> float:
+        """Mean request latency (0.0 on untimed runs)."""
+        histogram = self.request_latency
+        if histogram is None or not self.total_requests:
+            return 0.0
+        return histogram.total / self.total_requests
 
-def merge_snapshots(snapshots: "list[TelemetrySnapshot]") -> "TelemetrySnapshot":
-    """Merge per-task snapshots into one aggregate view.
+    @property
+    def p50_latency(self) -> float:
+        """Median request latency (0.0 on untimed runs)."""
+        return self._request_percentile(50)
 
-    The merge uses the PR 4 primitives and is *order-insensitive* for
-    every additive family — counters, shard-load families and fallback
-    latency sum; histograms go through the exact fixed-bucket merge —
-    so a sweep merged from parallel workers equals the same sweep merged
-    sequentially. Order-dependent families keep the input (task) order:
-    epoch events and phases concatenate, gauges are last-writer-wins.
-    ``runtime`` takes the max (tasks are concurrent, not serial);
-    ``mean_latency``/percentile scalars are recomputed from the merged
-    :data:`REQUEST_LATENCY` histogram when one exists, else count-weighted
-    (mean) or left at 0 (percentiles — raw reservoirs are per-run state
-    the snapshot does not carry).
-    """
-    counters: dict[str, int] = {}
-    gauges: dict[str, float] = {}
-    shard_loads: dict[str, int] = {}
-    epoch_shard_loads: dict[str, int] = {}
-    epoch_events: list[EpochRecord] = []
-    phases: list[PhaseTelemetry] = []
-    histograms: dict[str, LatencyHistogram] = {}
-    runtime = 0.0
-    fallback_latency = 0.0
-    per_client_runtime: list[float] = []
-    latency_weighted = 0.0
-    for snap in snapshots:
-        for name, value in snap.counters.items():
-            counters[name] = counters.get(name, 0) + value
-        gauges.update(snap.gauges)
-        for sid, count in snap.shard_loads.items():
-            shard_loads[sid] = shard_loads.get(sid, 0) + count
-        for sid, count in snap.epoch_shard_loads.items():
-            epoch_shard_loads[sid] = epoch_shard_loads.get(sid, 0) + count
-        epoch_events.extend(snap.epoch_events)
-        phases.extend(snap.phases)
-        for name, histogram in snap.histograms.items():
-            existing = histograms.get(name)
-            if existing is None:
-                histograms[name] = histogram.copy()
-            else:
-                existing.merge(histogram)
-        runtime = max(runtime, snap.runtime)
-        fallback_latency += snap.fallback_latency
-        per_client_runtime.extend(snap.per_client_runtime)
-        latency_weighted += snap.mean_latency * snap.counter(TOTAL_REQUESTS)
-    total_requests = counters.get(TOTAL_REQUESTS, 0)
-    merged_latency = histograms.get(REQUEST_LATENCY)
-    if merged_latency is not None and merged_latency.count:
-        p50 = merged_latency.percentile(50)
-        p99 = merged_latency.percentile(99)
-    else:
-        p50 = p99 = 0.0
-    return TelemetrySnapshot(
-        counters=counters,
-        gauges=gauges,
-        shard_loads=shard_loads,
-        epoch_shard_loads=epoch_shard_loads,
-        epoch_events=tuple(epoch_events),
-        phases=tuple(phases),
-        runtime=runtime,
-        per_client_runtime=tuple(per_client_runtime),
-        mean_latency=latency_weighted / total_requests if total_requests else 0.0,
-        p50_latency=p50,
-        p99_latency=p99,
-        fallback_latency=fallback_latency,
-        histograms=histograms,
-    )
+    @property
+    def p99_latency(self) -> float:
+        """p99 request latency (0.0 on untimed runs)."""
+        return self._request_percentile(99)
 
-
-class TelemetryBus:
-    """Mutable collection side of the telemetry pipeline.
-
-    Runners ``inc``/``set_gauge``/``emit_epoch``/``push_phase`` while
-    driving; :meth:`snapshot` freezes the state for the reporters.
-    """
-
-    def __init__(self) -> None:
-        self._counters: dict[str, int] = {}
-        self._gauges: dict[str, float] = {}
-        self._shard_loads: dict[str, int] = {}
-        self._epoch_shard_loads: dict[str, int] = {}
-        self._epoch_events: list[EpochRecord] = []
-        self._phases: list[PhaseTelemetry] = []
-        self._histograms: dict[str, LatencyHistogram] = {}
-        self.runtime: float = 0.0
-        self.per_client_runtime: tuple[float, ...] = ()
-        self.mean_latency: float = 0.0
-        self.p50_latency: float = 0.0
-        self.p99_latency: float = 0.0
-        self.fallback_latency: float = 0.0
-
-    def inc(self, name: str, amount: int = 1) -> None:
-        """Add ``amount`` to counter ``name``."""
-        self._counters[name] = self._counters.get(name, 0) + amount
-
-    def counter(self, name: str) -> int:
-        """Current value of counter ``name``."""
-        return self._counters.get(name, 0)
-
-    def set_gauge(self, name: str, value: float) -> None:
-        """Record the latest value of gauge ``name``."""
-        self._gauges[name] = value
-
-    def observe(self, name: str, value: float) -> None:
-        """Add one observation to histogram ``name`` (created lazily)."""
-        histogram = self._histograms.get(name)
-        if histogram is None:
-            histogram = self._histograms[name] = LatencyHistogram()
-        histogram.record(value)
-
-    def record_histogram(self, name: str, histogram: LatencyHistogram) -> None:
-        """Publish a pre-built histogram (merged into any existing one)."""
-        existing = self._histograms.get(name)
-        if existing is None:
-            self._histograms[name] = histogram.copy()
-        else:
-            existing.merge(histogram)
-
-    def histogram(self, name: str) -> LatencyHistogram | None:
-        """The live histogram named ``name`` (``None`` if never touched)."""
-        return self._histograms.get(name)
-
-    def record_shard_loads(
-        self, total: Mapping[str, int], epoch: Mapping[str, int] | None = None
-    ) -> None:
-        """Publish the per-shard load families (lifetime + epoch window)."""
-        self._shard_loads = dict(total)
-        if epoch is not None:
-            self._epoch_shard_loads = dict(epoch)
-
-    def emit_epoch(self, record: EpochRecord) -> None:
-        """Publish one closed elastic epoch."""
-        self._epoch_events.append(record)
-
-    def push_phase(self, phase: PhaseTelemetry) -> None:
-        """Publish one completed fault-schedule phase."""
-        self._phases.append(phase)
-
-    def epoch_events_since(self, start: int) -> tuple[EpochRecord, ...]:
-        """Epoch events emitted at or after index ``start``."""
-        return tuple(self._epoch_events[start:])
-
-    def snapshot(self) -> TelemetrySnapshot:
-        """Freeze the bus into an immutable result surface.
-
-        Registered snapshot listeners (:func:`add_snapshot_listener`) are
-        notified with the frozen snapshot — the hook the Prometheus
-        export surface collects through.
-        """
-        snap = TelemetrySnapshot(
-            counters=dict(self._counters),
-            gauges=dict(self._gauges),
-            shard_loads=dict(self._shard_loads),
-            epoch_shard_loads=dict(self._epoch_shard_loads),
-            epoch_events=tuple(self._epoch_events),
-            phases=tuple(self._phases),
-            runtime=self.runtime,
-            per_client_runtime=self.per_client_runtime,
-            mean_latency=self.mean_latency,
-            p50_latency=self.p50_latency,
-            p99_latency=self.p99_latency,
-            fallback_latency=self.fallback_latency,
-            histograms={
-                name: histogram.copy()
-                for name, histogram in self._histograms.items()
-            },
-        )
-        notify_snapshot_listeners(snap)
-        return snap
+    def _request_percentile(self, q: float) -> float:
+        histogram = self.request_latency
+        return histogram.percentile(q) if histogram is not None and histogram.count else 0.0

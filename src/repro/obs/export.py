@@ -3,7 +3,7 @@
 Renders :class:`~repro.engine.telemetry.TelemetrySnapshot`\\ s in the
 Prometheus exposition format (text/plain version 0.0.4): counters as
 ``*_total`` counter families, gauges as gauges, per-shard load families
-with a ``shard`` label, and every bus histogram as a full
+with a ``shard`` label, and every snapshot histogram as a full
 ``_bucket``/``_sum``/``_count`` histogram family. Multiple snapshots
 (one per run of a sweep) export as one page with a ``run`` label.
 

@@ -105,7 +105,7 @@ class SimClient:
         #: full latency distribution (and its exact running sum, ``total``)
         #: — load-imbalance hurts the tail first, so the harness reports
         #: p50/p99 too. Fixed buckets merge *exactly* across clients, which
-        #: is what the engine publishes to the bus.
+        #: is what the engine freezes into the snapshot.
         self.latency_histogram = LatencyHistogram()
         self.tracer = tracer
         self._started_at = 0.0

@@ -19,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -34,7 +35,7 @@ from repro.cluster.writepolicy import TTLWritePolicy, WriteBehindPolicy
 from repro.engine import Scale, get_experiment
 from repro.engine import runners as engine_runners
 from repro.engine import telemetry as T
-from repro.engine.telemetry import TelemetryBus
+from repro.engine.telemetry import TelemetrySnapshot
 from repro.errors import ConfigurationError, ExperimentError
 from repro.obs.export import (
     PrometheusExporter,
@@ -744,26 +745,25 @@ def catalogue_table():
 # prometheus export
 
 
-def full_bus_snapshot():
+def full_snapshot():
     """A snapshot exercising every canonical counter plus extras."""
-    bus = TelemetryBus()
     canonical = [m.name for m in T.CATALOGUE if m.kind == "counter"]
-    for i, name in enumerate(canonical):
-        bus.inc(name, i + 1)
-    bus.set_gauge("elastic.cache_lines", 512)
-    bus.set_gauge("run.mean_latency", 2.44e-4)
-    bus.record_shard_loads({"cache-0": 100, "cache-1": 140})
-    for i in range(500):
-        bus.observe(T.REQUEST_LATENCY, 1e-4 + i * 1e-6)
+    latency, depths = LatencyHistogram(), LatencyHistogram()
+    latency.record_many(1e-4 + i * 1e-6 for i in range(500))
     for depth, count in {1: 40, 4: 25, 32: 10}.items():
-        for _ in range(count):
-            bus.observe(T.NET_BATCH_DEPTH, float(depth))
-    return bus.snapshot(), canonical
+        depths.record_many([float(depth)] * count)
+    snapshot = TelemetrySnapshot(
+        counters={name: i + 1 for i, name in enumerate(canonical)},
+        gauges={"elastic.cache_lines": 512, "run.mean_latency": 2.44e-4},
+        shard_loads={"cache-0": 100, "cache-1": 140},
+        histograms={T.REQUEST_LATENCY: latency, T.NET_BATCH_DEPTH: depths},
+    )
+    return snapshot, canonical
 
 
 class TestPrometheusExport:
     def test_round_trip_covers_all_canonical_counters(self):
-        snapshot, canonical = full_bus_snapshot()
+        snapshot, canonical = full_snapshot()
         text = render_prometheus(snapshot)
         series = parse_prometheus(text)
         for raw in canonical:
@@ -774,7 +774,7 @@ class TestPrometheusExport:
             assert value == float(canonical.index(raw) + 1)
 
     def test_round_trip_histogram_is_consistent(self):
-        snapshot, _ = full_bus_snapshot()
+        snapshot, _ = full_snapshot()
         series = parse_prometheus(render_prometheus(snapshot))
         buckets = series["cot_request_latency_seconds_bucket"]
         counts = [value for _labels, value in buckets]
@@ -788,7 +788,7 @@ class TestPrometheusExport:
         assert total == pytest.approx(histogram.total)
 
     def test_gauges_and_shard_loads_round_trip(self):
-        snapshot, _ = full_bus_snapshot()
+        snapshot, _ = full_snapshot()
         series = parse_prometheus(render_prometheus(snapshot))
         assert series["cot_elastic_cache_lines"][0][1] == 512.0
         shards = {
@@ -798,7 +798,7 @@ class TestPrometheusExport:
         assert shards == {"cache-0": 100.0, "cache-1": 140.0}
 
     def test_net_counters_round_trip(self):
-        snapshot, canonical = full_bus_snapshot()
+        snapshot, canonical = full_snapshot()
         series = parse_prometheus(render_prometheus(snapshot))
         net_names = [raw for raw in canonical if raw.startswith("net.")]
         assert len(net_names) == 9  # every wire counter is canonical
@@ -808,7 +808,7 @@ class TestPrometheusExport:
             assert series[name][0][1] == float(canonical.index(raw) + 1)
 
     def test_net_batch_depth_histogram_round_trip(self):
-        snapshot, _ = full_bus_snapshot()
+        snapshot, _ = full_snapshot()
         text = render_prometheus(snapshot)
         series = parse_prometheus(text)
         # A depth is not a duration: the suffix and HELP are the row's.
@@ -828,7 +828,7 @@ class TestPrometheusExport:
 
     def test_multiple_snapshots_get_run_labels(self):
         exporter = PrometheusExporter()
-        snapshot, _ = full_bus_snapshot()
+        snapshot, _ = full_snapshot()
         exporter.add(snapshot)
         exporter.add(snapshot)
         series = parse_prometheus(exporter.render())
@@ -837,7 +837,7 @@ class TestPrometheusExport:
 
     def test_help_and_type_emitted_once_per_family(self):
         exporter = PrometheusExporter()
-        snapshot, _ = full_bus_snapshot()
+        snapshot, _ = full_snapshot()
         exporter.add(snapshot)
         exporter.add(snapshot)
         text = exporter.render()
@@ -860,9 +860,9 @@ class TestPrometheusExport:
     @pytest.mark.parametrize("axis", sorted(AXES))
     def test_axis_rows_round_trip_end_to_end(self, axis, axis_runs):
         """Every catalogued row of the axis's sources survives the whole
-        chain — stats object → ``collect`` → bus → snapshot → exporter →
+        chain — stats object → ``collect`` → snapshot → exporter →
         strict parser — with the value the stats object holds after a
-        real scenario ran (not a hand-built bus)."""
+        real scenario ran (not a hand-built snapshot)."""
         sources, live = AXES[axis][1:]
         result, filed = axis_runs[axis]
         snapshot = result.telemetry
@@ -901,7 +901,7 @@ class TestCatalogue:
             for name in result.telemetry.counters
         }
         for row in T.CATALOGUE:
-            if row.source == "run":  # the runner's own bus.inc, not a stats field
+            if row.source == "run":  # the runner's own count, not a stats field
                 assert row.name in published, row
             else:
                 assert row.source in filed, f"no runner files {row.source!r}: {row}"
@@ -962,24 +962,73 @@ class TestTelemetryFixes:
         )
         assert phase.max_imbalance == 1.0
 
-    def test_bus_histograms_freeze_into_snapshots(self):
-        bus = TelemetryBus()
-        bus.observe(T.REQUEST_LATENCY, 1e-3)
-        snapshot = bus.snapshot()
-        bus.observe(T.REQUEST_LATENCY, 2e-3)
-        assert snapshot.histogram(T.REQUEST_LATENCY).count == 1
-        assert bus.histogram(T.REQUEST_LATENCY).count == 2
-        assert snapshot.request_latency is not None
+    def test_run_histograms_freeze_into_snapshots(self):
+        result = engine_runners.SimRunner().run(axis_spec("sim"))
+        snapshot = result.telemetry
+        frozen = snapshot.request_latency.count
+        result.sim_clients[0].latency_histogram.record(2e-3)
+        assert snapshot.request_latency.count == frozen == snapshot.total_requests
 
-    def test_record_histogram_merges_prebuilt(self):
-        bus = TelemetryBus()
+    def test_collect_merges_histograms_without_aliasing(self):
         part = LatencyHistogram()
         part.record(1e-3)
-        bus.record_histogram(T.REQUEST_LATENCY, part)
-        bus.record_histogram(T.REQUEST_LATENCY, part)
-        assert bus.histogram(T.REQUEST_LATENCY).count == 2
-        part.record(9.0)  # the bus copied, not aliased
-        assert bus.histogram(T.REQUEST_LATENCY).count == 2
+        client = SimpleNamespace(latency_histogram=part)
+        merged = T.collect({"sim": [client, client]}).histograms[T.REQUEST_LATENCY]
+        assert merged.count == 2
+        part.record(9.0)  # collect built its own histogram, not an alias
+        assert merged.count == 2
+
+
+def published_runs(runner, spec):
+    """``(result, every snapshot the listeners saw)`` for one run."""
+    seen = []
+    T.add_snapshot_listener(seen.append)
+    try:
+        return runner().run(spec), seen
+    finally:
+        T.remove_snapshot_listener(seen.append)
+
+
+class TestOnePublishTail:
+    @pytest.mark.parametrize("runner, axis, phased", [
+        ("PolicyStreamRunner", "base", False),
+        ("ClusterRunner", "base", False),
+        ("ClusterRunner", "base", True),
+        ("ClusterRunner", "elastic", False),
+        ("ClusterRunner", "elastic", True),
+        ("SimRunner", "sim", False),
+    ])
+    def test_a_run_publishes_its_one_snapshot(self, runner, axis, phased):
+        """The parallel replay and ``--metrics-out`` count on this."""
+        from repro.engine import Phase
+
+        spec = axis_spec(axis)
+        if phased:
+            half = Phase("a", accesses=500), Phase("b", accesses=500)
+            spec = dataclasses.replace(spec, phases=half)
+        result, seen = published_runs(getattr(engine_runners, runner), spec)
+        assert len(seen) == 1 and seen[0] is result.telemetry
+        if phased:
+            telemetry = result.telemetry
+            assert [phase.label for phase in telemetry.phases] == ["a", "b"]
+            events = [e for phase in telemetry.phases for e in phase.epoch_events]
+            assert list(telemetry.epoch_events) == events
+            incorrect = sum(phase.incorrect_reads for phase in telemetry.phases)
+            assert telemetry.incorrect_reads == incorrect
+
+    def test_latency_scalars_are_read_off_the_request_histogram(self):
+        telemetry = engine_runners.SimRunner().run(axis_spec("sim")).telemetry
+        histogram = telemetry.request_latency
+        assert telemetry.total_requests > 0
+        assert telemetry.mean_latency == histogram.total / telemetry.total_requests
+        assert telemetry.p50_latency == histogram.percentile(50)
+        assert telemetry.p99_latency == histogram.percentile(99)
+
+    def test_untimed_runs_read_zero_latency(self):
+        telemetry = engine_runners.ClusterRunner().run(axis_spec("base")).telemetry
+        assert telemetry.request_latency is None
+        assert telemetry.mean_latency == telemetry.p50_latency == 0.0
+        assert telemetry.p99_latency == 0.0
 
 
 # ---------------------------------------------------------------------------

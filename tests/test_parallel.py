@@ -29,7 +29,6 @@ from repro.engine import (
     TopologySpec,
     WorkloadSpec,
     WriteSpec,
-    merge_snapshots,
 )
 from repro.engine.parallel import (
     map_calls,
@@ -145,12 +144,7 @@ class TestWorkerCountInvariance:
         for workers in WORKER_COUNTS[1:]:
             assert rendered[workers] == rendered[base]
             assert snapshots[workers] == snapshots[base]
-        # The merged view is invariant too (counters are sums).
-        merged = {
-            w: merge_snapshots(snapshots[w]).counters for w in WORKER_COUNTS
-        }
-        assert merged[2] == merged[base] and merged[4] == merged[base]
-        assert merged[base]  # non-empty: the sweep really published
+        assert snapshots[base]  # non-empty: the sweep really published
 
     def test_map_calls_preserves_input_order(self):
         with parallel_workers(4):
@@ -352,29 +346,3 @@ class TestOneSpecOneMeaning:
         spec = replace(_cluster_spec(), requests_per_client=10, **overrides)
         with pytest.raises(ConfigurationError, match=re.escape(f"`{field}`")):
             runner().run(spec)
-
-
-# --------------------------------------------------------------------------
-# snapshot merging
-
-
-class TestMergeSnapshots:
-    def test_counters_sum_and_loads_sum(self):
-        spec = _cluster_spec()
-        snap = ClusterRunner().run(spec).telemetry
-        merged = merge_snapshots([snap, snap])
-        assert merged.counters["policy.hits"] == 2 * snap.counters["policy.hits"]
-        assert merged.counters["run.requests"] == 2 * snap.counters["run.requests"]
-        for sid, count in snap.shard_loads.items():
-            assert merged.shard_loads[sid] == 2 * count
-
-    def test_merge_empty_is_empty(self):
-        merged = merge_snapshots([])
-        assert merged.counters == {} and merged.shard_loads == {}
-
-    def test_merge_single_is_identity_on_counters(self):
-        spec = _cluster_spec()
-        snap = ClusterRunner().run(spec).telemetry
-        merged = merge_snapshots([snap])
-        assert merged.counters == snap.counters
-        assert merged.shard_loads == snap.shard_loads

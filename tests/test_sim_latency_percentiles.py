@@ -1,9 +1,9 @@
 """Tests for tail-latency reporting in the end-to-end simulation.
 
 The paper motivates CoT with tail-latency damage from load-imbalance;
-the simulator therefore reports p50/p99 through the telemetry bus, and
-these tests pin that the tail contracts when a front-end cache removes
-the hot-shard bottleneck.
+the simulator therefore reports p50/p99, read off its request-latency
+histogram, and these tests pin that the tail contracts when a front-end
+cache removes the hot-shard bottleneck.
 """
 
 from __future__ import annotations

@@ -311,6 +311,8 @@ class TestWriteBehind:
         cluster.kill_server(victim)
         client.set("k", ("w", 1))
         assert wp.stats.sync_fallbacks == 1
+        # The owner's missed SET is a lost invalidation, as in write-through.
+        assert client.guard.stats.lost_invalidations == 1
         assert wp.dirty_depth() == 0
         assert cluster.storage.get("k") == ("w", 1)  # durable immediately
 
