@@ -48,6 +48,14 @@ if [ "$net_lines" -gt 2133 ]; then
     exit 1
 fi
 echo "(repro/net: no pickle, $net_lines lines <= 2,133)"
+# Each frame layout exists once: a request verb's bytes are spelled only in
+# net/proto.py, whose formatters the client verbs and the frames both call.
+proto=src/repro/net/proto.py
+if grep -rnE --include='*.py' 'b"(get|gets|set|delete|touch) ' src/repro | grep -v "^$proto:"; then
+    echo "a request-verb bytes literal outside $proto (see above): format frames with its *_frame functions" >&2
+    exit 1
+fi
+echo "($proto: the only request-verb layouts, $(wc -l < "$proto") lines; repro/net $net_lines)"
 # The package serves and connects; load generation is the ladder's. (The
 # names are bracketed so a repo-wide grep for them does not find this line.)
 if grep -rn --include='*.py' -E 'run_network_[l]oad|measure_[p]ipelining|^\s*(import|from)\s+multiprocessing' src/repro/net; then

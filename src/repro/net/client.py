@@ -27,8 +27,11 @@ blocking socket in its own thread. Four parts (DESIGN.md §15):
 * :class:`NetClientStats` — wire counters (bytes, timeouts, reconnects,
   pipelined batch depths) that surface as ``net.*`` telemetry.
 
-A ``get_many`` (the proxy's) is **one wire round-trip per shard**: the
-caller groups keys by ring owner and sends one multi-key ``get`` per group.
+A ``get_many`` (the proxy's) is **one wire round-trip per line-sized
+group**: the caller groups keys by ring owner, and each owner's keys go as
+few multi-key ``get`` lines as keep every line within
+:data:`~repro.net.proto.MAX_LINE_BYTES` — one line for up to 16 KiB of
+keys.
 """
 
 from __future__ import annotations
@@ -44,13 +47,7 @@ from repro.errors import (
     ShardTimeoutError,
 )
 from repro.net import proto
-from repro.net.proto import (
-    DeleteCommand,
-    GetCommand,
-    Reply,
-    ResponseDecoder,
-    SetCommand,
-)
+from repro.net.proto import Reply, ResponseDecoder
 from repro.policies.base import MISSING
 
 __all__ = ["Connection", "NetClientStats", "ShardEndpoint"]
@@ -100,20 +97,21 @@ class NetClientStats:
 
 
 def encode_get(key: Hashable) -> bytes:
-    return GetCommand((str(key),)).encode()
+    return proto.get_frame((str(key),))
 
 
-def encode_get_many(keys: list[Hashable]) -> bytes:
-    return GetCommand(tuple(map(str, keys))).encode()
+def encode_get_many(keys: list[Hashable]) -> list[bytes]:
+    """The ``get`` frames of a batch: one per line-sized group of ``keys``."""
+    return proto.get_frames(list(map(str, keys)))
 
 
 def encode_set(key: Hashable, value: Any) -> bytes:
     flags, payload = proto.dump_value(value)
-    return SetCommand(str(key), flags, 0, payload).encode()
+    return proto.set_frame(str(key), flags, 0, payload)
 
 
 def encode_delete(key: Hashable) -> bytes:
-    return DeleteCommand(str(key)).encode()
+    return proto.delete_frame(str(key))
 
 
 def decode_get(reply: Reply) -> Any:
@@ -123,8 +121,9 @@ def decode_get(reply: Reply) -> Any:
     return proto.load_value(value.flags, value.data)
 
 
-def decode_get_many(keys: list[Hashable], reply: Reply) -> dict[Hashable, Any]:
-    by_wire_key = {v.key: proto.load_value(v.flags, v.data) for v in reply.values}
+def decode_get_many(keys: list[Hashable], replies: list[Reply]) -> dict[Hashable, Any]:
+    """What the replies to a batch's ``get`` frames found, keyed as asked."""
+    by_wire_key = {v.key: proto.load_value(v.flags, v.data) for r in replies for v in r.values}
     return {k: by_wire_key[str(k)] for k in keys if str(k) in by_wire_key}
 
 

@@ -81,7 +81,8 @@ class ShardProxy:
     Exposes exactly the surface front ends use on a
     :class:`~repro.cluster.backend.BackendCacheServer` — ``server_id``,
     ``get``, ``get_many``, ``set``, ``delete`` — each call one round trip
-    made in the calling thread, raising the same
+    (a ``get_many`` one per ``get`` line) made in the calling thread,
+    raising the same
     :class:`~repro.errors.ShardFailure` types the in-process plane
     raises. Address, timeout and counters are those of ``endpoint``
     (whose own connections go unused); ``loop`` is accepted and ignored.
@@ -169,7 +170,8 @@ class ShardProxy:
         keys = list(keys)
         if not keys:
             return {}
-        return client.decode_get_many(keys, self._round_trip(client.encode_get_many(keys)))
+        replies = [self._round_trip(frame) for frame in client.encode_get_many(keys)]
+        return client.decode_get_many(keys, replies)
 
     def set(self, key: Hashable, value: Any, size: int | None = None) -> None:
         self._round_trip(client.encode_set(key, value))

@@ -24,8 +24,11 @@ chunks (half a line, a line and a half, one huge blob) and they emit
 exactly the frames whose bytes have fully arrived. A chunk is parsed
 **where it lies** — lines are found, split and compared as bytes, each
 field read once — and only the tail of a frame that has not ended is
-copied aside, the next chunk appended to it. Malformed input never
-raises — it surfaces as :class:`BadCommand` / an ``ERROR``-kind
+copied aside, the next chunk appended to it. A chunk that is exactly one
+lockstep frame (one ``get``/``set``/``delete``; one bare reply line or
+single-``VALUE`` reply) arriving with nothing held is parsed by one
+anchored match instead; anything else takes the general loop.
+Malformed input never raises — it surfaces as :class:`BadCommand` / an ``ERROR``-kind
 :class:`Reply` frame, and the decoder distinguishes *recoverable* damage
 (an unknown command on an otherwise well-framed line: skip the line,
 keep parsing; a ``set`` with a readable length but a refused key, flags
@@ -52,7 +55,7 @@ from __future__ import annotations
 import re
 import struct
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from repro.errors import (
     ProtocolError,
@@ -79,10 +82,14 @@ __all__ = [
     "Value",
     "VersionCommand",
     "decode_failure",
+    "delete_frame",
     "dump_value",
     "encode_failure",
     "encode_value",
+    "get_frame",
+    "get_frames",
     "load_value",
+    "set_frame",
     "valid_key",
 ]
 
@@ -180,18 +187,30 @@ def load_value(flags: int, payload: bytes) -> object:
         raise ProtocolError(f"undecodable value under flags {flags}: {exc!r}") from None
 
 
-_KEY_RE = re.compile(rb"[!-~]{1,%d}" % MAX_KEY_BYTES)
+_KEY = rb"([!-~]{1,%d})" % MAX_KEY_BYTES
+_KEY_RE = re.compile(_KEY)
 
 
 def valid_key(key: str) -> bool:
-    """Whether ``key`` is legal on the wire (token, ≤250 bytes, printable)."""
-    return isinstance(key, str) and key.isascii() and _KEY_RE.fullmatch(key.encode()) is not None
+    """Whether ``key`` is legal on the wire (token, ≤250 bytes, printable).
+
+    The rule of :data:`_KEY_RE` (``[!-~]{1,250}``) read off the ``str``: an
+    ASCII character is printable from space to ``~``, and space is out.
+    """
+    return (
+        isinstance(key, str)
+        and 0 < len(key) <= MAX_KEY_BYTES
+        and key.isascii()
+        and key.isprintable()
+        and " " not in key
+    )
 
 
 def _wire_key(key: str) -> bytes:
-    if not valid_key(key):
-        raise ProtocolError(f"key not wire-safe: {key!r}")
-    return key.encode()
+    """``key`` as it goes on the wire: checked, then encoded once."""
+    if valid_key(key):
+        return key.encode()
+    raise ProtocolError(f"key not wire-safe: {key!r}")
 
 
 def _numbers(fields: list[bytes]) -> list[int] | None:
@@ -202,6 +221,45 @@ def _numbers(fields: list[bytes]) -> list[int] | None:
         return list(map(int, fields))
     except ValueError:  # more digits than int() converts
         return None
+
+
+# --------------------------------------------------------------------------
+# request layouts: each verb's frame is formatted here and nowhere else
+
+
+def get_frame(keys: Iterable[str], cas: bool = False) -> bytes:
+    """The ``get`` frame (``gets`` with ``cas``) asking for ``keys``."""
+    return (b"gets " if cas else b"get ") + b" ".join(map(_wire_key, keys)) + CRLF
+
+
+def get_frames(keys: list[str]) -> list[bytes]:
+    """``get`` frames asking for ``keys`` in order, as few as keep each line
+    within :data:`MAX_LINE_BYTES` (a key's characters are its wire bytes)."""
+    frames, start, size = [], 0, len(b"get")
+    for at, key in enumerate(keys):
+        size += 1 + len(key)
+        if size > MAX_LINE_BYTES and at > start:
+            frames.append(get_frame(keys[start:at]))
+            start, size = at, len(b"get ") + len(key)
+    frames.append(get_frame(keys[start:]))
+    return frames
+
+
+def set_frame(key: str, flags: int, exptime: int, data: bytes, noreply: bool = False) -> bytes:
+    """The ``set`` frame storing ``data`` under ``key``: header line, block, CRLF."""
+    return b"set %b %d %d %d%b\r\n%b\r\n" % (
+        _wire_key(key),
+        flags,
+        exptime,
+        len(data),
+        b" noreply" if noreply else b"",
+        data,
+    )
+
+
+def delete_frame(key: str, noreply: bool = False) -> bytes:
+    """The ``delete`` frame for ``key``."""
+    return b"delete " + _wire_key(key) + (b" noreply\r\n" if noreply else CRLF)
 
 
 # --------------------------------------------------------------------------
@@ -216,8 +274,7 @@ class GetCommand:
     cas: bool = False
 
     def encode(self) -> bytes:
-        verb = b"gets %b\r\n" if self.cas else b"get %b\r\n"
-        return verb % b" ".join(map(_wire_key, self.keys))
+        return get_frame(self.keys, self.cas)
 
 
 @dataclass(slots=True)
@@ -229,14 +286,7 @@ class SetCommand:
     noreply: bool = False
 
     def encode(self) -> bytes:
-        return b"set %b %d %d %d%b\r\n%b\r\n" % (
-            _wire_key(self.key),
-            self.flags,
-            self.exptime,
-            len(self.data),
-            b" noreply" if self.noreply else b"",
-            self.data,
-        )
+        return set_frame(self.key, self.flags, self.exptime, self.data, self.noreply)
 
 
 @dataclass(slots=True)
@@ -245,8 +295,7 @@ class DeleteCommand:
     noreply: bool = False
 
     def encode(self) -> bytes:
-        tail = b" noreply\r\n" if self.noreply else CRLF
-        return b"delete " + _wire_key(self.key) + tail
+        return delete_frame(self.key, self.noreply)
 
 
 @dataclass(slots=True)
@@ -452,11 +501,42 @@ def _refusal(line: bytes, problem: str, kind: str = "CLIENT_ERROR") -> BadComman
     return BadCommand("command line is not ascii")
 
 
+# Whole-frame shapes: a chunk that is exactly one frame of the lockstep verbs.
+# Each pattern parses and checks at once (the key rule, digits-only fields);
+# a field bounded to 20 digits keeps int() and the line limit out of reach,
+# and a longer one is left to the general loop, like any other near miss.
+_WHOLE_GET = re.compile(rb"get %b\r\n" % _KEY)
+_WHOLE_SET = re.compile(
+    rb"set %b ([0-9]{1,20}) ([0-9]{1,20}) ([0-9]{1,20})( noreply)?\r\n(.*)\r\n" % _KEY, re.DOTALL
+)
+_WHOLE_DELETE = re.compile(rb"delete (?!noreply\r\n)%b( noreply)?\r\n" % _KEY)
+_WHOLE_VALUE = re.compile(rb"VALUE %b ([0-9]{1,20}) ([0-9]{1,20})\r\n(.*)\r\nEND\r\n" % _KEY, re.DOTALL)
+
+
 class RequestDecoder(_FrameDecoder):
     """Server-side incremental parser: bytes in, :data:`Command`\\ s out."""
 
     _LINE_TOO_LONG = BadCommand("line exceeds maximum length", fatal=True)
     _BAD_BLOCK = BadCommand("bad data chunk", fatal=True)
+
+    def feed(self, data: bytes) -> list:
+        # A lockstep peer sends one frame per chunk: with nothing held,
+        # a chunk that is exactly one get, set or delete is parsed in one
+        # match. Anything else takes the general loop.
+        if not (self._held or self._block >= 0 or self.broken):
+            whole = _WHOLE_GET.fullmatch(data)
+            if whole is not None:
+                return [GetCommand((whole[1].decode(),))]
+            whole = _WHOLE_SET.fullmatch(data)
+            if whole is not None:
+                key, flags, exptime, nbytes, noreply, block = whole.groups()
+                flags = int(flags)
+                if len(block) == int(nbytes) <= self.max_value_bytes and flags <= MAX_FLAGS:
+                    return [SetCommand(key.decode(), flags, int(exptime), block, noreply is not None)]
+            whole = _WHOLE_DELETE.fullmatch(data)
+            if whole is not None:
+                return [DeleteCommand(whole[1].decode(), whole[2] is not None)]
+        return _FrameDecoder.feed(self, data)
 
     def _on_block(self, block: bytes) -> Command:
         # ``(key, flags, exptime, noreply)`` of the ``set`` this block ends,
@@ -532,6 +612,8 @@ _BARE_REPLIES = {
     for kind in ("STORED", "NOT_STORED", "DELETED", "NOT_FOUND", "TOUCHED", "ERROR", "OK")
 }
 _TEXT_REPLIES = {kind.encode(): kind for kind in ("CLIENT_ERROR", "SERVER_ERROR", "VERSION")}
+#: a chunk that is exactly one bare reply line (``END`` too, with no values)
+_WHOLE_LINES = {line + CRLF: kind for line, kind in [*_BARE_REPLIES.items(), (b"END", "END")]}
 
 
 class ResponseDecoder(_FrameDecoder):
@@ -550,6 +632,21 @@ class ResponseDecoder(_FrameDecoder):
     def __init__(self, max_value_bytes: int = MAX_VALUE_BYTES) -> None:
         super().__init__(max_value_bytes)
         self._values: list[Value] = []
+
+    def feed(self, data: bytes) -> list:
+        # A lockstep reply is one frame per chunk: with nothing held or
+        # pending, a bare reply line is looked up and a single-VALUE get
+        # reply parsed in one match. Anything else takes the general loop.
+        if not (self._held or self._values or self._block >= 0 or self.broken):
+            kind = _WHOLE_LINES.get(data)
+            if kind is not None:
+                return [Reply(kind)]
+            whole = _WHOLE_VALUE.fullmatch(data)
+            if whole is not None:
+                key, flags, nbytes, block = whole.groups()
+                if len(block) == int(nbytes) <= self.max_value_bytes:
+                    return [Reply("END", "", (Value(key.decode(), int(flags), block),))]
+        return _FrameDecoder.feed(self, data)
 
     @property
     def idle(self) -> bool:

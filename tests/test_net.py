@@ -79,6 +79,30 @@ def test_get_many_is_one_wire_round_trip(plane):
     assert got == {f"k{i}": i for i in range(8)}
 
 
+def test_page_sized_get_many_reads_what_the_in_process_plane_reads():
+    """Fails at the parent: each shard's ~1,000 keys went as one ``get`` line
+    longer than MAX_LINE_BYTES, and the server refused it (``ProtocolError:
+    CLIENT_ERROR line exceeds maximum length``)."""
+    keys = [f"usertable:{i:07d}" for i in range(2_000)]
+
+    def read(network: bool) -> tuple[dict, dict, int]:
+        cluster = make_cluster()
+        plane = NetworkPlane(cluster).start() if network else None
+        try:
+            got = FrontEndClient(plane or cluster, make_policy("cot", 64)).get_many(keys)
+            gets = {sid: cluster.server(sid).stats.gets for sid in cluster.server_ids}
+            return got, gets, plane.client_stats.requests if plane else 0
+        finally:
+            if plane is not None:
+                plane.close()
+
+    got, gets, _ = read(network=False)
+    wire_got, wire_gets, requests = read(network=True)
+    assert len(got) == len(keys) and wire_got == got
+    assert wire_gets == gets and sum(gets.values()) == len(keys)
+    assert requests > len(gets)  # some shard's keys took more than one line
+
+
 def test_routing_matches_the_ring(plane):
     # server_for on the plane must route exactly like the wrapped cluster.
     for key in (f"usertable:{i}" for i in range(64)):

@@ -9,8 +9,11 @@ errors (oversized value with a readable length, unknown verb) keep the
 decoder parsing; fatal errors (unparsable ``set`` header, endless
 unterminated line) mark it broken — by hand-written cases, and by a
 differential against the decoders the one-pass rewrite replaced
-(``tests/_reference_proto.py``) on streams nobody hand-wrote. Every
-property is derandomized: tier-1 runs the same examples every time.
+(``tests/_reference_proto.py``) on streams nobody hand-wrote, cut
+anywhere and also one generated piece per chunk — the shape a lockstep
+peer sends, which the decoders' whole-frame branches take (the branch
+scope itself is pinned by ``WHOLE`` / ``GENERAL``). Every property is
+derandomized: tier-1 runs the same examples every time.
 """
 
 from __future__ import annotations
@@ -18,12 +21,14 @@ from __future__ import annotations
 import sys
 import time
 import tracemalloc
+from functools import partial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ProtocolError, ShardDownError, ShardFlakyError, ShardTimeoutError
+from repro.net import proto
 from repro.net.proto import (
     MAX_FLAGS,
     MAX_LINE_BYTES,
@@ -42,6 +47,7 @@ from repro.net.proto import (
     decode_failure,
     dump_value,
     encode_failure,
+    get_frames,
     load_value,
     valid_key,
 )
@@ -295,6 +301,17 @@ def test_valid_key_rejects_whitespace_control_and_long():
     assert valid_key("k" * 250)
 
 
+def test_get_frames_fill_each_line_up_to_the_limit_and_no_further():
+    """Fails at the parent, which had one ``get`` line per batch however long."""
+    keys = [f"{i:03d}".ljust(250, "k") for i in range(65)] + ["k" * 65]
+    (frame,) = get_frames(keys)
+    assert len(frame) == MAX_LINE_BYTES + len(b"\r\n")
+    frames = get_frames([*keys, "x"])
+    assert frames == [frame, b"get x\r\n"]
+    decoded = [command for frame in frames for command in RequestDecoder().feed(frame)]
+    assert decoded == [GetCommand(tuple(keys)), GetCommand(("x",))]
+
+
 def _valid_key_reference(key: object) -> bool:
     """The definition the compiled pattern replaced, one character at a time."""
     if not isinstance(key, str) or not 0 < len(key) <= 250:
@@ -500,9 +517,12 @@ _NO_SEPARATOR_CONTROLS = bytes.maketrans(b"\x1c\x1d\x1e\x1f", b"\x1b\x1b\x1b\x1b
 NOISE = b"gets\r\n 0123456789_+-VALUEND\x00\xff"
 #: noise that knows the grammar: headers with one field off, a 3-byte block after them
 numberish = st.sampled_from(
-    [b"0", b"1", b"3", b"03", b"+3", b"-3", b"0_3", b"4294967296", b"x", b""]
+    [
+        b"0", b"1", b"3", b"03", b"+3", b"-3", b"0_3",
+        b"4294967295", b"4294967296", b"12345678901", b"x", b"",
+    ]
 )
-keyish = st.sampled_from([b"k", b"kk", b"k\xff", b"k\x00", b"k" * 251, b""])
+keyish = st.sampled_from([b"k", b"kk", b"k\xff", b"k\x00", b"k" * 251, b"", b"noreply"])
 tailish = st.sampled_from([b"", b" noreply", b" extra"])
 
 
@@ -521,7 +541,7 @@ near_misses = st.one_of(
 
 
 @st.composite
-def damaged_streams(draw, frames):
+def damaged_pieces(draw, frames):
     """Valid frames, truncated frames, frames with one byte changed, noise."""
     pieces = []
     for _ in range(draw(st.integers(min_value=1, max_value=5))):
@@ -542,11 +562,16 @@ def damaged_streams(draw, frames):
             byte = draw(st.one_of(st.sampled_from(NOISE), st.integers(0, 255)))
             raw = raw[:at] + bytes([byte]) + raw[at + 1 :]
         pieces.append(raw)
-    return b"".join(pieces).translate(_NO_SEPARATOR_CONTROLS)
+    return [piece.translate(_NO_SEPARATOR_CONTROLS) for piece in pieces]
 
 
-def assert_decodes_like_the_reference(live, old, stream, cuts):
-    for piece in chunked(stream, cuts):
+def damaged_streams(frames):
+    """The pieces of :func:`damaged_pieces` joined into one stream."""
+    return damaged_pieces(frames).map(b"".join)
+
+
+def assert_decodes_like_the_reference(live, old, pieces):
+    for piece in pieces:
         assert live.feed(piece) == [_refuse_wide_flags(f) for f in old.feed(piece)]
         assert live.broken == old.broken
         if not live.broken:  # a broken decoder holds nothing; the old one kept the wreck
@@ -560,7 +585,8 @@ def assert_decodes_like_the_reference(live, old, stream, cuts):
 )
 def test_damaged_request_streams_decode_like_the_reference(stream, cuts):
     """Covers behaviour no test covered: the damage taxonomy on generated streams."""
-    assert_decodes_like_the_reference(RequestDecoder(), reference.RequestDecoder(), stream, cuts)
+    old = reference.RequestDecoder()
+    assert_decodes_like_the_reference(RequestDecoder(), old, chunked(stream, cuts))
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
@@ -570,8 +596,108 @@ def test_damaged_request_streams_decode_like_the_reference(stream, cuts):
 )
 def test_damaged_response_streams_decode_like_the_reference(stream, cuts):
     live, old = ResponseDecoder(), reference.ResponseDecoder()
-    assert_decodes_like_the_reference(live, old, stream, cuts)
+    assert_decodes_like_the_reference(live, old, chunked(stream, cuts))
     assert live.broken or live.idle == old.idle
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    requests=damaged_pieces(commands),
+    responses=damaged_pieces(replies),
+    limit=st.sampled_from([MAX_VALUE_BYTES, 2]),  # 2: a near miss's block is 3 bytes
+)
+# One draw in ~300 is this near miss on its own: pinned, as a refusal must stay one.
+@example(
+    requests=[b"delete noreply\r\n", b"delete noreply noreply\r\n"],
+    responses=[b"END\r\n"],
+    limit=MAX_VALUE_BYTES,
+)
+def test_each_piece_fed_as_its_own_chunk_decodes_like_the_reference(requests, responses, limit):
+    """A lockstep peer's shape: every frame, whole or damaged, is one chunk.
+    Covers the whole-frame branches, which a stream cut anywhere seldom hands
+    a chunk that is exactly one frame."""
+    old = reference.RequestDecoder(limit)
+    assert_decodes_like_the_reference(RequestDecoder(limit), old, requests)
+    live, old = ResponseDecoder(limit), reference.ResponseDecoder(limit)
+    assert_decodes_like_the_reference(live, old, responses)
+    assert live.broken or live.idle == old.idle
+
+
+class _GeneralLoop(Exception):
+    """Raised by a stand-in for the general decoding loop."""
+
+
+def _no_general_loop(self, data):
+    raise _GeneralLoop
+
+
+#: the lockstep shapes ``net-sync`` sends, each one chunk: decoded without the loop
+WHOLE = {
+    "get": (RequestDecoder, b"get k\r\n", [GetCommand(("k",))]),
+    "set": (RequestDecoder, b"set k 7 0 3\r\nabc\r\n", [SetCommand("k", 7, 0, b"abc")]),
+    "set-noreply": (
+        RequestDecoder, b"set k 0 0 2 noreply\r\n\r\n\r\n", [SetCommand("k", 0, 0, b"\r\n", True)]
+    ),
+    "delete": (RequestDecoder, b"delete k\r\n", [DeleteCommand("k")]),
+    "delete-noreply": (RequestDecoder, b"delete k noreply\r\n", [DeleteCommand("k", True)]),
+    "value": (
+        ResponseDecoder,
+        b"VALUE k 3 5\r\nEND\r\n\r\nEND\r\n",
+        [Reply("END", values=(Value("k", 3, b"END\r\n"),))],
+    ),
+    **{
+        kind: (ResponseDecoder, b"%s\r\n" % kind.encode(), [Reply(kind)])
+        for kind in ("STORED", "DELETED", "NOT_FOUND", "END")
+    },
+}
+#: everything else, near misses of those shapes included: the loop's to decode
+GENERAL = {
+    "two-frames": (RequestDecoder, b"get k\r\nget k\r\n"),
+    "partial-get": (RequestDecoder, b"get k"),
+    "partial-set": (RequestDecoder, b"set k 0 0 3\r\nab"),
+    "gets": (RequestDecoder, b"gets k\r\n"),
+    "multi-key-get": (RequestDecoder, b"get a b\r\n"),
+    "delete-noreply-as-key": (RequestDecoder, b"delete noreply\r\n"),
+    "set-flags-2^32": (RequestDecoder, b"set k 4294967296 0 1\r\nx\r\n"),
+    "set-block-short": (RequestDecoder, b"set k 0 0 4\r\nabc\r\n"),
+    "set-21-digits": (RequestDecoder, b"set k 0 0 %b\r\nabc\r\n" % b"3".zfill(21)),
+    "set-over-limit": (partial(RequestDecoder, 2), b"set k 0 0 3\r\nabc\r\n"),
+    "two-replies": (ResponseDecoder, b"STORED\r\nSTORED\r\n"),
+    "two-values": (ResponseDecoder, b"VALUE a 0 1\r\nx\r\nVALUE b 0 1\r\ny\r\nEND\r\n"),
+    "value-with-cas": (ResponseDecoder, b"VALUE k 0 1 9\r\nx\r\nEND\r\n"),
+    "partial-value": (ResponseDecoder, b"VALUE k 0 1\r\nx\r\nEN"),
+    "value-over-limit": (partial(ResponseDecoder, 2), b"VALUE k 0 3\r\nabc\r\nEND\r\n"),
+}
+
+
+@pytest.mark.parametrize("decoder, chunk, frames", WHOLE.values(), ids=WHOLE)
+def test_a_lockstep_frame_decodes_without_the_general_loop(monkeypatch, decoder, chunk, frames):
+    decoder = decoder()
+    monkeypatch.setattr(proto._FrameDecoder, "feed", _no_general_loop)
+    assert decoder.feed(chunk) == frames
+    assert decoder.pending == 0 and not decoder.broken
+
+
+@pytest.mark.parametrize("decoder, chunk", GENERAL.values(), ids=GENERAL)
+def test_anything_but_one_lockstep_frame_takes_the_general_loop(monkeypatch, decoder, chunk):
+    decoder = decoder()
+    monkeypatch.setattr(proto._FrameDecoder, "feed", _no_general_loop)
+    with pytest.raises(_GeneralLoop):
+        decoder.feed(chunk)
+
+
+def test_the_whole_frame_branch_waits_for_what_is_held_or_awaited(monkeypatch):
+    """A frame completed by this chunk, or following a held one, is the loop's."""
+    for decoder, first in [
+        (RequestDecoder(), b"get "),  # a line is held
+        (RequestDecoder(), b"set k 0 0 5\r\n"),  # a block is awaited
+        (ResponseDecoder(), b"VALUE k 0 1\r\nx\r\n"),  # a value is pending
+    ]:
+        decoder.feed(first)
+        with monkeypatch.context() as patch:
+            patch.setattr(proto._FrameDecoder, "feed", _no_general_loop)
+            with pytest.raises(_GeneralLoop):
+                decoder.feed(b"get k\r\n" if type(decoder) is RequestDecoder else b"END\r\n")
 
 
 # --------------------------------------------------- held bytes stay linear
