@@ -485,9 +485,8 @@ def _write_probe(mode: str) -> dict[str, float]:
     policy = None
     if mode != "cache-aside":
         policy = make_write_policy(
-            mode, dirty_limit=WRITE_PROBE_DIRTY_LIMIT
+            mode, cluster, dirty_limit=WRITE_PROBE_DIRTY_LIMIT
         )
-        policy.bind_cluster(cluster)
         client.attach_write_policy(policy)
     rng = _random.Random(42)
     ops = [

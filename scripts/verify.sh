@@ -69,6 +69,20 @@ if grep -rn --include='*.py' -E 'storage\.get\(|storage_get\(' src/repro \
     echo "a storage read outside cluster/client.py (see above): the miss protocol exists once" >&2
     exit 1
 fi
+# One write path: a delete has one body, and a shard write's loss is
+# counted where the shard write is made, both in cluster/client.py.
+if grep -rn --include='*.py' -E 'storage\.delete\(|lost_invalidations \+=' src/repro \
+        | grep -v '^src/repro/cluster/client\.py:'; then
+    echo "a storage delete or a lost-invalidation count outside cluster/client.py" \
+         "(see above): the write path exists once" >&2
+    exit 1
+fi
+storage_deletes="$(grep -c 'storage\.delete(' src/repro/cluster/client.py || true)"
+if [ "$storage_deletes" -ne 1 ]; then
+    echo "cluster/client.py deletes storage in $storage_deletes places; it must be 1:" \
+         "a delete has one body" >&2
+    exit 1
+fi
 protocol_lines="$(cat src/repro/cluster/*.py src/repro/sim/*.py src/repro/policies/*.py | wc -l)"
 src_lines="$(find src/repro -name '*.py' -print0 | xargs -0 cat | wc -l)"
 # One arbiter access path: an access only taps its key, and the sampling
@@ -91,7 +105,8 @@ if [ "$(printf '%s' "$eligible_writes" | grep -c .)" -ne 1 ] \
          "the router derives it from its pending record" >&2
     exit 1
 fi
-echo "(storage is read in cluster/client.py only; cluster/ + sim/ + policies/ is" \
+echo "(storage is read, deleted and a lost invalidation counted in cluster/client.py" \
+     "only; cluster/ + sim/ + policies/ is" \
      "$protocol_lines lines, $replication $(wc -l < "$replication") with one read-set write," \
      "$adaptive $(wc -l < "$adaptive") with one memo write, src/repro $src_lines)"
 # One ring build: every (server, replica) point is placed by one sort,

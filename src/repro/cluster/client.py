@@ -10,9 +10,10 @@ end to end:
   the local cache.
 * **set** — write to persistent storage, invalidate the local copy
   (penalizing hotness under CoT's dual-cost model via
-  ``policy.record_update``), and send a delete to the caching layer.
+  ``policy.record_update``), and send a delete to the caching layer —
+  or, with a write-path strategy attached, whatever its ``on_set`` does.
 * **delete** — delete from storage, invalidate locally, delete in the
-  caching layer.
+  caching layer, in every mode (a strategy only keeps its books first).
 
 The client is policy-agnostic: any :class:`~repro.policies.base.CachePolicy`
 (including :class:`~repro.core.cache.CoTCache`) plugs in unchanged, which
@@ -26,7 +27,8 @@ changes which shard it asks — power-of-two-choices over this front end's
 per-shard load window, dead replicas excluded via the circuit breakers.
 Writes to such keys go through the one :meth:`FrontEndClient._fan_out`, to
 every shard that may hold a copy. With no router attached — the default —
-every path is byte-for-byte the classic single-owner protocol.
+every path is byte-for-byte the classic single-owner protocol. A lost
+shard write is counted where the write is made, in this module.
 """
 
 from __future__ import annotations
@@ -173,12 +175,14 @@ class FrontEndClient:
         """Adopt a write-path coherence strategy for this front end.
 
         One shared :class:`~repro.cluster.writepolicy.WritePolicy`
-        instance serves every front end of a run (its dirty buffers and
-        logical clock are cluster state). ``set``/``delete`` dispatch to
-        it; the read path additionally gains the policy's TTL-expiry or
-        dirty-buffer hooks when the strategy declares it needs them.
-        With no policy attached — the default — every path is the
-        inline cache-aside protocol, byte-for-byte.
+        instance, built bound to the cluster, serves every front end of a
+        run (its dirty buffers and logical clock are cluster state).
+        ``set`` dispatches to its ``on_set``; ``delete`` runs its
+        ``on_delete`` bookkeeping, then the one delete body. The read
+        path additionally gains the policy's TTL-expiry or dirty-buffer
+        hooks when the strategy declares it needs them. With no policy
+        attached — the default — every path is the inline cache-aside
+        protocol, byte-for-byte.
         """
         self.write_policy = policy
         self._write_behind = policy if policy.buffered else None
@@ -463,11 +467,11 @@ class FrontEndClient:
         self._invalidate_shard(key)
 
     def delete(self, key: Hashable) -> None:
-        """Delete path: authoritative delete + invalidations."""
+        """Delete path: authoritative delete + invalidations, in every
+        mode, after an attached strategy's ``on_delete`` bookkeeping."""
         wp = self.write_policy
         if wp is not None:
             wp.on_delete(self, key)
-            return
         self.cluster.storage.delete(key)
         self.policy.invalidate(key)
         self._invalidate_shard(key)
@@ -492,6 +496,32 @@ class FrontEndClient:
         except ShardUnavailableError:
             self.guard.stats.lost_invalidations += 1
 
+    def _set_shards(self, key: Hashable, value: Any) -> tuple[int, str | None]:
+        """A write strategy's shard SET: :meth:`_invalidate_shard` with a SET.
+
+        Returns how many shards the SET landed on and the owner (a
+        replicated key's first write target) whose queue the value
+        belongs to, or ``None`` when this SET failed on it. Kept apart
+        so the default mode's shard delete stays one frame.
+        """
+        router = self.router
+        if router is not None:
+            targets = router.write_targets(key)
+            if targets:
+                landed = self._fan_out(
+                    key, targets, lambda shard: shard.set(key, value)
+                )
+                # A SET that missed the owner quarantined it.
+                owner = targets[0]
+                return landed, None if owner in router.pending_demotions(key) else owner
+        server = self.cluster.server_for(key)
+        try:
+            self.guard.call(server.server_id, lambda: server.set(key, value))
+        except ShardUnavailableError:
+            self.guard.stats.lost_invalidations += 1
+            return 0, None
+        return 1, server.server_id
+
     def _fan_out(
         self, key: Hashable, targets: tuple[str, ...], op: Callable[[Any], Any]
     ) -> int:
@@ -499,13 +529,13 @@ class FrontEndClient:
 
         ``targets`` is the router's write-target set: the replica set
         plus any shards quarantined by earlier failed writes. ``op`` is a
-        delete (cache-aside) or a SET of the new value (write-through,
-        write-behind) — a SET that lands invalidates at least as strongly
-        as a delete, so the bookkeeping is one. An ``op`` that cannot land
-        quarantines its shard (its copy may now be stale) out of the read
-        choice set until a later ``op`` lands or it revives cold; that is
-        what keeps reads zero-stale under kill/revive during replicated
-        writes. Returns how many shards ``op`` landed on.
+        delete (:meth:`_invalidate_shard`) or a SET of the new value
+        (:meth:`_set_shards`) — a SET that lands invalidates at least as
+        strongly as a delete, so the bookkeeping is one. An ``op`` that
+        cannot land quarantines its shard (its copy may now be stale) out
+        of the read choice set until a later ``op`` lands or it revives
+        cold; that is what keeps reads zero-stale under kill/revive during
+        replicated writes. Returns how many shards ``op`` landed on.
         """
         router = self.router
         rstats = router.stats

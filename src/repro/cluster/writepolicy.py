@@ -2,19 +2,16 @@
 
 The classic client-driven protocol (Section 2 of the paper) hard-codes
 one write discipline: *cache-aside* — write storage, invalidate the
-local copy, delete the shard copy. This module lifts that discipline
-into a strategy object so a topology can pick its write-path coherence
-mode declaratively (``WriteSpec`` on ``TopologySpec``):
+local copy, delete the shard copy. :class:`~repro.cluster.client.FrontEndClient`
+runs it inline, and with no policy attached (``TopologySpec.write =
+None``, the default) that is the whole write path. This module holds
+the other disciplines a topology can pick declaratively (``WriteSpec``
+on ``TopologySpec``):
 
-* :class:`CacheAsideWritePolicy` — the paper's protocol, verbatim. A
-  :class:`~repro.cluster.client.FrontEndClient` with **no** policy
-  attached runs the same code inline, byte-for-byte; attaching this
-  class is observationally identical
-  (``tests/test_writepolicy.py::TestCacheAsideEquivalence`` diffs it).
 * :class:`WriteThroughPolicy` — the authoritative storage write plus a
   *SET* (not a delete) on the owning shard, so the caching layer holds
   the fresh value the moment the write is acknowledged. Replicated keys
-  fan the SET out to every write target (``FrontEndClient._fan_out``).
+  fan the SET out to every write target (``FrontEndClient._set_shards``).
 * :class:`WriteBehindPolicy` — acknowledged writes land in the shard's
   copy immediately and in a bounded per-shard dirty buffer (the
   stand-in for the shard's write-behind queue); storage sees them when
@@ -31,9 +28,14 @@ mode declaratively (``WriteSpec`` on ``TopologySpec``):
   copies hook the per-policy ``eviction_listeners``
   (``repro/policies/base.py``) so stamps die with the copies they cover.
 
-One policy instance is shared by every front end of a run (like the
-hot-key router): the dirty buffers and the logical clock are cluster
-agreement state, not per-client state.
+Each step exists once, in the client: a policy's ``on_set`` writes
+storage itself but makes its shard SET through the client's one owner
+SET (``FrontEndClient._set_shards``), and a delete is always the
+client's inline body, after the policy's ``on_delete`` bookkeeping.
+
+One policy instance, built bound to its cluster, is shared by every
+front end of a run (like the hot-key router): the dirty buffers and the
+logical clock are cluster agreement state, not per-client state.
 """
 
 from __future__ import annotations
@@ -49,18 +51,20 @@ if TYPE_CHECKING:  # import cycle: client imports this module
     from repro.cluster.cluster import CacheCluster
 
 __all__ = [
+    "POLICY_MODES",
     "WRITE_MODES",
     "WriteStats",
     "WritePolicy",
-    "CacheAsideWritePolicy",
     "WriteThroughPolicy",
     "WriteBehindPolicy",
     "TTLWritePolicy",
     "make_write_policy",
 ]
 
-#: the write-path coherence modes a ``WriteSpec`` may name
-WRITE_MODES = ("cache-aside", "write-through", "write-behind", "ttl")
+#: the modes :func:`make_write_policy` builds, which a ``WriteSpec`` may name
+POLICY_MODES = ("write-through", "write-behind", "ttl")
+#: every write-path coherence mode; cache-aside is no policy (``write=None``)
+WRITE_MODES = ("cache-aside", *POLICY_MODES)
 
 
 @dataclass(slots=True)
@@ -102,25 +106,22 @@ class WriteStats:
 class WritePolicy:
     """Base strategy: how a front-end write reaches storage and shards.
 
-    Subclasses override :meth:`on_set` / :meth:`on_delete`, which run
-    *instead of* the client's inline cache-aside body. The client hands
+    Subclasses override :meth:`on_set`, which runs *instead of* the
+    client's inline cache-aside body, and may extend :meth:`on_delete`,
+    which runs *before* the client's one delete body. The client hands
     itself in, so one shared policy instance serves every front end
     while using each caller's own guard, monitor and router state.
     """
 
-    #: mode name (matches ``WRITE_MODES``)
-    mode = "cache-aside"
+    #: mode name (one of ``POLICY_MODES``)
+    mode: str
     #: True when the policy keeps a dirty buffer the runner must flush
     buffered = False
     #: True when the policy needs the client's read-path TTL hooks
     ttl_hooks = False
 
-    def __init__(self) -> None:
+    def __init__(self, cluster: "CacheCluster") -> None:
         self.stats = WriteStats()
-        self._cluster: "CacheCluster | None" = None
-
-    def bind_cluster(self, cluster: "CacheCluster") -> None:
-        """Bind the shared cluster (topology listeners register here)."""
         self._cluster = cluster
 
     # ------------------------------------------------------------ write path
@@ -130,17 +131,15 @@ class WritePolicy:
         raise NotImplementedError
 
     def on_delete(self, client: "FrontEndClient", key: Hashable) -> None:
-        """Handle one acknowledged delete issued through ``client``.
+        """Account one delete issued through ``client``, before it runs.
 
-        Deletes are synchronous in every mode (storage delete + local
-        and shard invalidation): a delete is a correctness operation —
-        "this value must stop being served" — so no mode is allowed to
-        keep serving it from a buffer or an unexpired copy.
+        The delete itself is the client's inline body in every mode
+        (storage delete + local and shard invalidation): a delete is a
+        correctness operation — "this value must stop being served" — so
+        no mode is allowed to keep serving it from a buffer or an
+        unexpired copy. A policy only keeps its books here.
         """
         self.stats.storage_writes += 1
-        client.cluster.storage.delete(key)
-        client.policy.invalidate(key)
-        client._invalidate_shard(key)
 
     # ----------------------------------------------------------- maintenance
 
@@ -170,25 +169,6 @@ class WritePolicy:
         return f"{type(self).__name__}(mode={self.mode!r})"
 
 
-class CacheAsideWritePolicy(WritePolicy):
-    """The paper's protocol as an explicit strategy (the default).
-
-    ``on_set`` is the exact body :meth:`FrontEndClient.set` inlines when
-    no policy is attached — storage write, local invalidation with the
-    CoT update penalty, best-effort shard delete (replica fan-out when
-    routed). Attaching it changes no decision and no counter other than
-    ``write.*`` accounting.
-    """
-
-    mode = "cache-aside"
-
-    def on_set(self, client: "FrontEndClient", key: Hashable, value: Any) -> None:
-        self.stats.storage_writes += 1
-        client.cluster.storage.set(key, value)
-        client.policy.record_update(key)
-        client._invalidate_shard(key)
-
-
 class WriteThroughPolicy(WritePolicy):
     """Storage write plus a shard SET: the layer stays fresh.
 
@@ -200,8 +180,9 @@ class WriteThroughPolicy(WritePolicy):
     lost invalidations); its stale copy is unreachable while it is down
     and wiped by cold revival, the same argument cache-aside relies on.
 
-    Replicated keys fan the SET out through the client's ``_fan_out``:
-    the delete fan-out with a SET for ``op``, same quarantine bookkeeping.
+    The SET is the client's one owner SET (``_set_shards``): replicated
+    keys fan it out to every write target, with the delete fan-out's
+    quarantine bookkeeping.
     """
 
     mode = "write-through"
@@ -210,29 +191,15 @@ class WriteThroughPolicy(WritePolicy):
         self.stats.storage_writes += 1
         client.cluster.storage.set(key, value)
         client.policy.record_update(key)
-        router = client.router
-        if router is not None:
-            targets = router.write_targets(key)
-            if targets:
-                self.stats.through_writes += client._fan_out(
-                    key, targets, lambda shard: shard.set(key, value)
-                )
-                return
-        server = client.cluster.server_for(key)
-        try:
-            client.guard.call(server.server_id, lambda: server.set(key, value))
-        except ShardUnavailableError:
-            client.guard.stats.lost_invalidations += 1
-        else:
-            self.stats.through_writes += 1
+        self.stats.through_writes += client._set_shards(key, value)[0]
 
 
-class WriteBehindPolicy(WriteThroughPolicy):
+class WriteBehindPolicy(WritePolicy):
     """Acknowledge into the shard + its write queue; storage lags.
 
     The per-shard dirty buffer stands in for the shard's write-behind
     queue. An acknowledged write SETs the shard copy (readers see it
-    immediately, same fan-out rules as write-through) and enqueues the
+    immediately, the same owner SET as write-through) and enqueues the
     durable write; storage catches up when the buffer flushes — on the
     runner's ``flush_every`` cadence, at the final drain, or eagerly
     when a buffer would exceed ``dirty_limit`` (so no queue ever holds
@@ -255,10 +222,10 @@ class WriteBehindPolicy(WriteThroughPolicy):
     mode = "write-behind"
     buffered = True
 
-    def __init__(self, dirty_limit: int = 64) -> None:
+    def __init__(self, cluster: "CacheCluster", dirty_limit: int = 64) -> None:
         if dirty_limit < 1:
             raise ConfigurationError("dirty_limit must be >= 1")
-        super().__init__()
+        super().__init__(cluster)
         self.dirty_limit = dirty_limit
         #: per-shard queue: shard id -> {key: pending value}
         self._buffers: dict[str, dict[Hashable, Any]] = {}
@@ -266,9 +233,6 @@ class WriteBehindPolicy(WriteThroughPolicy):
         #: can re-home a key between writes; the superseded entry must be
         #: dropped or an old value could out-flush a newer one)
         self._owner: dict[Hashable, str] = {}
-
-    def bind_cluster(self, cluster: "CacheCluster") -> None:
-        super().bind_cluster(cluster)
         cluster.cold_revival_listeners.append(self._on_cold_revival)
         cluster.removal_listeners.append(self._on_server_removed)
 
@@ -276,29 +240,14 @@ class WriteBehindPolicy(WriteThroughPolicy):
 
     def on_set(self, client: "FrontEndClient", key: Hashable, value: Any) -> None:
         client.policy.record_update(key)
-        router = client.router
-        targets = router.write_targets(key) if router is not None else ()
-        if targets:
-            # Replicas must receive the *value* (a delete would let a
-            # two-choices read miss and backfill the stale durable
-            # value from storage before the queue flushes).
-            self.stats.through_writes += client._fan_out(
-                key, targets, lambda shard: shard.set(key, value)
-            )
-            # A SET that missed the queue's shard (the first) quarantined it.
-            if targets[0] not in router.pending_demotions(key):
-                self._enqueue(targets[0], key, value)
-                return
-        else:
-            server = client.cluster.server_for(key)
-            try:
-                client.guard.call(server.server_id, lambda: server.set(key, value))
-            except ShardUnavailableError:
-                client.guard.stats.lost_invalidations += 1
-            else:
-                self.stats.through_writes += 1
-                self._enqueue(server.server_id, key, value)
-                return
+        # Replicas receive the *value* too (a delete would let a
+        # two-choices read miss and backfill the stale durable value
+        # from storage before the queue flushes).
+        landed, queue = client._set_shards(key, value)
+        self.stats.through_writes += landed
+        if queue is not None:
+            self._enqueue(queue, key, value)
+            return
         # The shard and its queue are unreachable: acknowledge the
         # write synchronously against storage instead of queueing
         # into a buffer nobody could flush or read through.
@@ -358,7 +307,7 @@ class WriteBehindPolicy(WriteThroughPolicy):
         shard — so down shards are skipped until they revive (cold
         revival empties the queue as lost) or are removed (drained).
         """
-        faults = self._cluster.faults if self._cluster is not None else None
+        faults = self._cluster.faults
         flushed = 0
         for server_id in list(self._buffers):
             if faults is not None and faults.is_down(server_id):
@@ -417,10 +366,10 @@ class TTLWritePolicy(WritePolicy):
     mode = "ttl"
     ttl_hooks = True
 
-    def __init__(self, ttl: int = 1024) -> None:
+    def __init__(self, cluster: "CacheCluster", ttl: int = 1024) -> None:
         if ttl < 1:
             raise ConfigurationError("ttl must be >= 1")
-        super().__init__()
+        super().__init__(cluster)
         self.ttl = ttl
         #: logical clock: one tick per acknowledged write operation
         self.clock = 0
@@ -428,9 +377,6 @@ class TTLWritePolicy(WritePolicy):
         self._shard_stamps: dict[str, dict[Hashable, int]] = {}
         #: client id -> {key: fill-time clock}
         self._local_stamps: dict[str, dict[Hashable, int]] = {}
-
-    def bind_cluster(self, cluster: "CacheCluster") -> None:
-        super().bind_cluster(cluster)
         cluster.cold_revival_listeners.append(self._drop_shard_stamps)
         cluster.removal_listeners.append(self._drop_shard_stamps)
 
@@ -509,19 +455,19 @@ class TTLWritePolicy(WritePolicy):
 
 def make_write_policy(
     mode: str,
+    cluster: "CacheCluster",
     *,
     dirty_limit: int = 64,
     ttl: int = 1024,
 ) -> WritePolicy:
-    """Build the strategy named by ``mode`` (see ``WRITE_MODES``)."""
-    if mode == "cache-aside":
-        return CacheAsideWritePolicy()
+    """Build the strategy named by ``mode`` (see ``POLICY_MODES``), bound
+    to the ``cluster`` whose topology events it follows."""
     if mode == "write-through":
-        return WriteThroughPolicy()
+        return WriteThroughPolicy(cluster)
     if mode == "write-behind":
-        return WriteBehindPolicy(dirty_limit=dirty_limit)
+        return WriteBehindPolicy(cluster, dirty_limit=dirty_limit)
     if mode == "ttl":
-        return TTLWritePolicy(ttl=ttl)
+        return TTLWritePolicy(cluster, ttl=ttl)
     raise ConfigurationError(
-        f"unknown write mode {mode!r}; expected one of {', '.join(WRITE_MODES)}"
+        f"unknown write mode {mode!r}; expected one of {', '.join(POLICY_MODES)}"
     )

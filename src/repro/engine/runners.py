@@ -325,8 +325,7 @@ def build_cluster(spec: ScenarioSpec) -> Iterator[RunContext]:
         if topology.write is not None:
             # One shared strategy per run (dirty buffers / logical clock
             # are cluster state); cache-aside (`None`) builds nothing.
-            write_policy = topology.write.build_policy()
-            write_policy.bind_cluster(target)
+            write_policy = topology.write.build_policy(target)
             for client in front_ends:
                 client.attach_write_policy(write_policy)
         yield RunContext(spec, cluster, front_ends, plane, router, write_policy)

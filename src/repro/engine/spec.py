@@ -20,6 +20,11 @@ import pickle
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable, TYPE_CHECKING
 
+from repro.cluster.writepolicy import (
+    POLICY_MODES,
+    WritePolicy,
+    make_write_policy,
+)
 from repro.errors import ConfigurationError, ExperimentError
 from repro.policies.base import CachePolicy
 from repro.policies.registry import make_policy
@@ -34,7 +39,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.cluster.client import FrontEndClient
     from repro.cluster.replication import HotKeyRouter, ReplicationConfig
     from repro.cluster.storage import PersistentStore
-    from repro.cluster.writepolicy import WritePolicy
     from repro.net.plane import NetworkPlane
     from repro.obs.trace import Tracer
     from repro.sim.network import LatencyModel
@@ -261,8 +265,8 @@ class WriteSpec:
     """The write-path coherence axis on :class:`TopologySpec`.
 
     ``TopologySpec.write = None`` (the default) is cache-aside: the client
-    runs its inline write body. A spec names another of the
-    ``repro.cluster.writepolicy.WRITE_MODES``; the run's front ends then
+    runs its inline write body. A spec names one of the
+    ``repro.cluster.writepolicy.POLICY_MODES``; the run's front ends then
     share one :class:`~repro.cluster.writepolicy.WritePolicy`.
     """
 
@@ -275,18 +279,27 @@ class WriteSpec:
     ttl: int = 1_024
 
     def __post_init__(self) -> None:
+        # Checked here, not when a run builds the policy (after a socket
+        # plane may already be up).
         if self.mode == "cache-aside":
             raise ConfigurationError("cache-aside is `write=None`, not a WriteSpec")
+        if self.mode not in POLICY_MODES:
+            raise ConfigurationError(
+                f"unknown write mode {self.mode!r};"
+                f" expected one of {', '.join(POLICY_MODES)}"
+            )
+        if self.dirty_limit < 1:
+            raise ConfigurationError("dirty_limit must be >= 1")
+        if self.ttl < 1:
+            raise ConfigurationError("ttl must be >= 1")
         if self.flush_every < 1:
             # The runner's cadence would skip every flush with no error.
             raise ConfigurationError("flush_every must be >= 1")
 
-    def build_policy(self) -> "WritePolicy":
-        """The shared write strategy this spec describes."""
-        from repro.cluster.writepolicy import make_write_policy
-
+    def build_policy(self, cluster: "CacheCluster") -> WritePolicy:
+        """The shared write strategy this spec describes, bound to ``cluster``."""
         return make_write_policy(
-            self.mode, dirty_limit=self.dirty_limit, ttl=self.ttl
+            self.mode, cluster, dirty_limit=self.dirty_limit, ttl=self.ttl
         )
 
 

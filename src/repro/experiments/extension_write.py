@@ -217,8 +217,7 @@ def write_behind_chaos_check(
     """
     faults = FaultInjector()
     cluster = CacheCluster(num_servers=4, faults=faults)
-    wb = WriteBehindPolicy(dirty_limit=dirty_limit)
-    wb.bind_cluster(cluster)
+    wb = WriteBehindPolicy(cluster, dirty_limit=dirty_limit)
     client = FrontEndClient(
         cluster,
         make_policy("cot", 64, tracker_capacity=128),

@@ -324,10 +324,9 @@ def axis_client(axis: str, tracer) -> FrontEndClient:
         client.attach_router(router, seed=5)
     elif axis in ("ttl", "write-behind"):
         write = (
-            TTLWritePolicy(ttl=16) if axis == "ttl"
-            else WriteBehindPolicy(dirty_limit=4)
+            TTLWritePolicy(cluster, ttl=16) if axis == "ttl"
+            else WriteBehindPolicy(cluster, dirty_limit=4)
         )
-        write.bind_cluster(cluster)
         client.attach_write_policy(write)
     return client
 

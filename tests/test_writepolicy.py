@@ -2,10 +2,10 @@
 
 Pins the contracts the stateful fuzzer and ``ext-write`` build on:
 
-* attaching :class:`CacheAsideWritePolicy` is observationally identical
-  to the client's inline write path (same values, same shard loads,
-  same storage traffic, same policy stats) — the byte-identical-default
-  guarantee in small;
+* a ``WriteSpec`` names only a mode a policy is built for, with valid
+  parameters, and a policy is built bound to its cluster;
+* a delete leaves no copy in storage, the shards or the local cache in
+  every mode, replicated key or not, after the policy's bookkeeping;
 * write-through SETs the owning shard (and fans out to every write
   target of a replicated key, quarantining failed replicas exactly like
   the delete fan-out);
@@ -32,8 +32,8 @@ from repro.cluster.faults import FaultInjector
 from repro.cluster.replication import HotKeyRouter, ReplicationConfig
 from repro.cluster.storage import PersistentStore
 from repro.cluster.writepolicy import (
+    POLICY_MODES,
     WRITE_MODES,
-    CacheAsideWritePolicy,
     TTLWritePolicy,
     WriteBehindPolicy,
     WriteThroughPolicy,
@@ -79,9 +79,7 @@ def build_client(cluster, client_id="fe-0", policy_lines=8):
 
 
 def attach(cluster, mode, **kwargs):
-    wp = make_write_policy(mode, **kwargs)
-    wp.bind_cluster(cluster)
-    return wp
+    return make_write_policy(mode, cluster, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -91,32 +89,44 @@ def attach(cluster, mode, **kwargs):
 class TestFactory:
     def test_each_mode_builds_its_policy(self):
         classes = {
-            "cache-aside": CacheAsideWritePolicy,
             "write-through": WriteThroughPolicy,
             "write-behind": WriteBehindPolicy,
             "ttl": TTLWritePolicy,
         }
-        assert set(classes) == set(WRITE_MODES)
+        assert set(classes) == set(POLICY_MODES)
+        assert WRITE_MODES == ("cache-aside", *POLICY_MODES)
+        cluster, _ = build_cluster()
         for mode, cls in classes.items():
-            policy = make_write_policy(mode)
+            policy = make_write_policy(mode, cluster)
             assert type(policy) is cls
             assert policy.mode == mode
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ConfigurationError):
-            make_write_policy("write-around")
+        cluster, _ = build_cluster()
+        for mode in ("write-around", "cache-aside"):
+            with pytest.raises(
+                ConfigurationError,
+                match=r"expected one of write-through, write-behind, ttl$",
+            ):
+                make_write_policy(mode, cluster)
 
     def test_parameter_validation(self):
+        cluster, _ = build_cluster()
         with pytest.raises(ConfigurationError):
-            WriteBehindPolicy(dirty_limit=0)
+            WriteBehindPolicy(cluster, dirty_limit=0)
         with pytest.raises(ConfigurationError):
-            TTLWritePolicy(ttl=0)
+            TTLWritePolicy(cluster, ttl=0)
 
     def test_write_spec_builds_its_policy(self):
-        policy = WriteSpec(mode="write-behind", dirty_limit=7).build_policy()
+        cluster, _ = build_cluster()
+        policy = WriteSpec(mode="write-behind", dirty_limit=7).build_policy(cluster)
         assert isinstance(policy, WriteBehindPolicy)
         assert policy.dirty_limit == 7
-        assert isinstance(WriteSpec(mode="ttl", ttl=99).build_policy(), TTLWritePolicy)
+        # Built bound: it follows the cluster's topology events.
+        assert policy._on_cold_revival in cluster.cold_revival_listeners
+        assert isinstance(
+            WriteSpec(mode="ttl", ttl=99).build_policy(cluster), TTLWritePolicy
+        )
 
     def test_write_spec_rejects_a_flush_cadence_below_one(self):
         # A zero cadence would build a buffered policy whose runner never
@@ -129,53 +139,71 @@ class TestFactory:
         with pytest.raises(ConfigurationError, match="write=None"):
             WriteSpec(mode="cache-aside")
 
+    @pytest.mark.parametrize(
+        "fields, match",
+        [
+            ({"mode": "write-around"}, "write-through, write-behind, ttl$"),
+            ({"mode": "write-behind", "dirty_limit": 0}, "dirty_limit"),
+            ({"mode": "ttl", "ttl": 0}, "ttl must be"),
+        ],
+        ids=["unknown-mode", "dirty-limit", "ttl"],
+    )
+    def test_write_spec_rejects_what_no_policy_builds(self, fields, match):
+        # At construction, not when a run builds its cluster.
+        with pytest.raises(ConfigurationError, match=match):
+            WriteSpec(**fields)
+
 
 # ---------------------------------------------------------------------------
-# cache-aside: the explicit strategy is the inline path
+# delete: one body in every mode
 
 
-class TestCacheAsideEquivalence:
-    def test_attached_policy_matches_inline_path(self):
-        """Same op stream, with and without the explicit strategy:
-        identical reads, shard loads, backend lookups, storage traffic
-        and local policy stats."""
-        results = []
-        for explicit in (False, True):
-            cluster, _ = build_cluster(seed=3)
-            client = build_client(cluster)
-            if explicit:
-                client.attach_write_policy(attach(cluster, "cache-aside"))
-            values = []
-            for i in range(300):
-                key = f"k{i % 17}"
-                if i % 4 == 0:
-                    client.set(key, ("w", i))
-                elif i % 11 == 0:
-                    client.delete(key)
-                else:
-                    values.append(client.get(key))
-            results.append(
-                (
-                    values,
-                    dict(client.monitor.total_loads()),
-                    client.monitor.total_lookups(),
-                    cluster.storage.stats.reads,
-                    cluster.storage.stats.writes,
-                    client.policy.stats.hits,
-                    client.policy.stats.misses,
-                )
-            )
-        assert results[0] == results[1]
-
-    def test_stats_account_storage_writes(self):
-        cluster, _ = build_cluster()
-        client = build_client(cluster)
-        wp = attach(cluster, "cache-aside")
+@pytest.mark.parametrize("promoted", [False, True], ids=["owned", "replicated"])
+@pytest.mark.parametrize(
+    "mode", [None, *POLICY_MODES], ids=lambda mode: mode or "no-policy"
+)
+def test_delete_leaves_no_copy_and_keeps_the_policys_books(mode, promoted):
+    cluster, _ = build_cluster(num_servers=4)
+    client = build_client(cluster)
+    wp = None if mode is None else attach(cluster, mode)
+    if wp is not None:
         client.attach_write_policy(wp)
-        client.set("a", 1)
-        client.delete("a")
-        assert wp.stats.storage_writes == 2
-        assert wp.stats.through_writes == 0
+    holders = (cluster.server_for("k").server_id,)
+    if promoted:
+        router = HotKeyRouter(
+            cluster,
+            ReplicationConfig(degree=3, choices=2, top_n=4, max_keys=4, seed=5),
+        )
+        client.attach_router(router, seed=9)
+        router.promote("k")
+        holders = router.write_targets("k")
+        assert len(holders) == 3
+    client.set("k", ("w", 1))
+    for server_id in holders:  # a copy on every shard that may hold one
+        cluster.server(server_id).set("k", ("w", 1))
+    client.get("k")
+    assert "k" in client.policy
+    if mode == "write-behind":
+        assert wp.buffered_value("k") == ("w", 1)
+    if mode == "ttl":
+        assert "k" in wp._local_stamps[client.client_id]
+    writes = None if wp is None else wp.stats.storage_writes
+    clock = wp.clock if mode == "ttl" else None
+
+    client.delete("k")
+
+    assert not cluster.storage.was_written("k")
+    for server_id in holders:
+        assert cluster.server(server_id).get("k") is MISSING
+    assert "k" not in client.policy
+    if wp is not None:
+        assert wp.stats.storage_writes == writes + 1
+    if mode == "write-behind":
+        assert wp.buffered_value("k") is MISSING
+        assert wp.dirty_depth() == 0
+    if mode == "ttl":
+        assert wp.clock == clock + 1
+        assert "k" not in wp._local_stamps[client.client_id]
 
 
 # ---------------------------------------------------------------------------
