@@ -128,6 +128,46 @@ if [ -n "$unbounded" ]; then
     exit 1
 fi
 echo "($hashring: one ring sort, bucket-bounded lookups)"
+# I_t is the only input: the elastic controller takes the target imbalance,
+# the cost-aware one its hit value and line cost, and all other tuning is a
+# module constant (DESIGN.md section 5, item 4).
+python - <<'PY'
+import ast
+import sys
+
+expected = {
+    ("src/repro/core/resizing.py", "ResizingController"): ["target_imbalance"],
+    ("src/repro/core/costaware.py", "CostAwareController"): ["hit_value", "line_cost"],
+}
+wrong = []
+for (path, name), want in expected.items():
+    tree = ast.parse(open(path, encoding="utf-8").read())
+    init = next(
+        (
+            node
+            for cls in tree.body
+            if isinstance(cls, ast.ClassDef) and cls.name == name
+            for node in cls.body
+            if isinstance(node, ast.FunctionDef) and node.name == "__init__"
+        ),
+        None,
+    )
+    if init is None:
+        wrong.append(f"{path}: no {name}.__init__")
+        continue
+    args = init.args
+    params = [a.arg for a in (args.posonlyargs + args.args)[1:] + args.kwonlyargs]
+    params += [f"*{a.arg}" for a in (args.vararg, args.kwarg) if a is not None]
+    print(f"({name}.__init__(self, {', '.join(params)}))")
+    if params != want:
+        wrong.append(f"{path}: {name}.__init__ takes {params}, not {want}")
+if wrong:
+    print("\n".join(wrong), file=sys.stderr)
+    print("an elastic controller takes a tuning option (see above): the paper's"
+          " inputs are its only parameters, the rest are module constants",
+          file=sys.stderr)
+    sys.exit(1)
+PY
 # One drive loop: the cadence tick and the cluster are each built in one
 # place in the engine's runners.
 runners=src/repro/engine/runners.py

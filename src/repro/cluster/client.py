@@ -78,10 +78,6 @@ class FrontEndClient:
     guard:
         retry/breaker layer; a default-configured one is built when
         omitted.
-    fallback_penalty:
-        accounted extra latency (seconds) of one storage-fallback read,
-        fed to :meth:`LoadMonitor.record_degraded` (the untimed data
-        plane measures time, it does not spend it).
     tracer:
         optional sampling :class:`~repro.obs.trace.Tracer`; a sampled
         read records the stages it went through (front-end cache → ring
@@ -95,7 +91,6 @@ class FrontEndClient:
         policy: CachePolicy,
         client_id: str = "front-0",
         guard: ClusterGuard | None = None,
-        fallback_penalty: float = 0.0,
         tracer: Tracer | None = None,
     ) -> None:
         self.cluster = cluster
@@ -103,7 +98,6 @@ class FrontEndClient:
         self.client_id = client_id
         self.monitor = LoadMonitor(cluster.server_ids)
         self.guard = guard or ClusterGuard(cluster.server_ids)
-        self.fallback_penalty = fallback_penalty
         self.tracer = tracer
         #: replicated hot-key tier; ``None`` keeps the classic protocol
         self.router: HotKeyRouter | None = None
@@ -351,7 +345,7 @@ class FrontEndClient:
     def _degraded_read(self, server_id: str, key: Hashable) -> Any:
         """Serve ``key`` from storage because its shard is unavailable."""
         value = self.cluster.storage.get(key)
-        self.monitor.record_degraded(server_id, penalty=self.fallback_penalty)
+        self.monitor.record_degraded(server_id)
         return value
 
     def _backfill(self, server: Any, key: Hashable, value: Any) -> None:

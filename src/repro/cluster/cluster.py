@@ -96,11 +96,6 @@ class CacheCluster:
         """Shard identifiers, in creation order."""
         return tuple(self._servers)
 
-    @property
-    def value_size(self) -> int:
-        """Default accounting size for stored values."""
-        return self._value_size
-
     def server(self, server_id: str) -> BackendCacheServer:
         """Resolve a shard object by id."""
         try:

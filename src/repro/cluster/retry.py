@@ -22,10 +22,9 @@ literature (Ditto, DistCache) treats as table stakes:
 
 The live cluster is untimed, so the guard keeps a **logical clock**: one
 tick per guarded operation. ``cooldown`` is therefore expressed in
-operations, which keeps chaos tests fully deterministic; a wall-clock
-deployment would pass ``time.monotonic``-based delays via ``sleep``.
-Backoff delays are *accounted* (``stats.backoff_total``) rather than
-slept by default, matching the repo's measure-don't-wait style.
+operations, which keeps chaos tests fully deterministic. Backoff delays
+are *accounted* (``stats.backoff_total``), never slept, matching the
+repo's measure-don't-wait style.
 """
 
 from __future__ import annotations
@@ -223,7 +222,7 @@ class RetryStats:
     failures: int = 0
     #: operations rejected instantly by an open breaker
     open_rejections: int = 0
-    #: total backoff delay accounted (seconds; not slept by default)
+    #: total backoff delay accounted (seconds; never slept)
     backoff_total: float = 0.0
     #: write-path invalidations that could not reach their shard
     lost_invalidations: int = 0
@@ -241,10 +240,6 @@ class ClusterGuard:
         policy knobs; defaults are deliberately conservative.
     seed:
         seeds the backoff jitter.
-    sleep:
-        optional callable invoked with each backoff delay. ``None`` (the
-        default) accounts the delay without waiting — the in-process
-        reproduction measures time, it does not spend it.
     """
 
     def __init__(
@@ -253,7 +248,6 @@ class ClusterGuard:
         retry: RetryPolicy | None = None,
         breaker: BreakerConfig | None = None,
         seed: int = 0,
-        sleep: Callable[[float], None] | None = None,
     ) -> None:
         self.retry = retry or RetryPolicy()
         self.breaker_config = breaker or BreakerConfig()
@@ -263,7 +257,6 @@ class ClusterGuard:
         #: breakers :meth:`forget` dropped, kept for their transition totals
         self._forgotten: list[CircuitBreaker] = []
         self._rng = random.Random(seed)
-        self._sleep = sleep
         self._clock = 0.0
         self.stats = RetryStats()
 
@@ -379,8 +372,6 @@ class ClusterGuard:
                 delay = self.retry.backoff(attempt - 1, self._rng)
                 stats.retries += 1
                 stats.backoff_total += delay
-                if self._sleep is not None:
-                    self._sleep(delay)
                 continue
             if breaker._state is _CLOSED:
                 breaker._consecutive_failures = 0

@@ -43,10 +43,33 @@ from __future__ import annotations
 import enum
 
 from repro.core.epoch import EpochSnapshot
-from repro.core.resizing import DecisionKind, ResizeDecision
+from repro.core.resizing import (
+    MAX_CACHE,
+    MIN_CACHE,
+    MIN_TRACKER,
+    DecisionKind,
+    ResizeDecision,
+)
 from repro.errors import ConfigurationError
 
 __all__ = ["CostAwareController", "CostPhase"]
+
+#: ``K/C`` kept across resizes (CoT needs ``K > C`` for the marginal
+#: estimate to exist).
+TRACKER_RATIO = 4
+#: observation-only epochs after construction and after every resize.
+WARMUP_EPOCHS = 2
+#: multiplicative dead band around break-even: expand only above
+#: ``target * HYSTERESIS``, shrink only below ``target / HYSTERESIS`` — an
+#: expand can never immediately justify a shrink.
+HYSTERESIS = 1.25
+#: relative dead band on the Case-2 decay trigger (mirroring the imbalance
+#: controller's ``EPSILON``): decay only when
+#: ``alpha_k_c > alpha_c * (1 + DECAY_EPSILON)``. Without it, measurement
+#: noise that leaves ``alpha_k_c`` a hair above ``alpha_c`` at steady state
+#: would halve all hotness every epoch, erasing the frequency history the
+#: controller reads.
+DECAY_EPSILON = 0.05
 
 
 class CostPhase(enum.Enum):
@@ -72,61 +95,20 @@ class CostAwareController:
         ``alpha_target`` — the quantity this controller drives the
         marginal hit rate toward, mirroring how the imbalance
         controller exposes its hit-rate target.
-    tracker_ratio:
-        ``K/C`` kept constant across resizes (CoT needs ``K > C`` for
-        the marginal estimate to exist).
-    warmup_epochs:
-        observation-only epochs after every resize.
-    hysteresis:
-        multiplicative dead band around break-even: expand only above
-        ``target * hysteresis``, shrink only below ``target /
-        hysteresis`` — an expand can never immediately justify a shrink.
-    decay_epsilon:
-        relative dead band on the Case-2 decay trigger (mirroring the
-        ``epsilon`` band in :class:`~repro.core.resizing.ResizingController`):
-        decay only when ``alpha_k_c > alpha_c * (1 + decay_epsilon)``.
-        Without it, measurement noise that leaves ``alpha_k_c`` a hair
-        above ``alpha_c`` at steady state would halve all hotness every
-        single epoch, erasing the frequency history the controller reads.
-    min_cache / min_tracker / max_cache:
-        safety rails, as in the imbalance controller.
+
+    The rest of the tuning is constant; the size rails are the imbalance
+    controller's.
     """
 
-    def __init__(
-        self,
-        hit_value: float = 1.0,
-        line_cost: float = 0.05,
-        tracker_ratio: int = 4,
-        warmup_epochs: int = 2,
-        hysteresis: float = 1.25,
-        decay_epsilon: float = 0.05,
-        min_cache: int = 1,
-        min_tracker: int = 2,
-        max_cache: int = 1 << 20,
-    ) -> None:
+    def __init__(self, hit_value: float = 1.0, line_cost: float = 0.05) -> None:
         if hit_value <= 0:
             raise ConfigurationError("hit_value must be > 0")
         if line_cost <= 0:
             raise ConfigurationError("line_cost must be > 0")
-        if tracker_ratio < 2:
-            raise ConfigurationError("tracker_ratio must be >= 2")
-        if warmup_epochs < 0:
-            raise ConfigurationError("warmup_epochs must be >= 0")
-        if hysteresis < 1.0:
-            raise ConfigurationError("hysteresis must be >= 1")
-        if decay_epsilon < 0.0:
-            raise ConfigurationError("decay_epsilon must be >= 0")
         self.hit_value = hit_value
         self.line_cost = line_cost
-        self.tracker_ratio = tracker_ratio
-        self.warmup_epochs = warmup_epochs
-        self.hysteresis = hysteresis
-        self.decay_epsilon = decay_epsilon
-        self.min_cache = min_cache
-        self.min_tracker = min_tracker
-        self.max_cache = max_cache
         self.phase = CostPhase.WARMUP
-        self._warmup_remaining = warmup_epochs
+        self._warmup_remaining = WARMUP_EPOCHS
 
     @property
     def alpha_target(self) -> float:
@@ -134,8 +116,8 @@ class CostAwareController:
         return self.line_cost / self.hit_value
 
     def _sizes(self, cache: int) -> tuple[int, int]:
-        cache = max(self.min_cache, min(cache, self.max_cache))
-        tracker = max(cache * self.tracker_ratio, self.min_tracker)
+        cache = max(MIN_CACHE, min(cache, MAX_CACHE))
+        tracker = max(cache * TRACKER_RATIO, MIN_TRACKER)
         return cache, tracker
 
     def observe(self, snapshot: EpochSnapshot) -> ResizeDecision:
@@ -149,10 +131,10 @@ class CostAwareController:
                 DecisionKind.WARMUP, cache, tracker, note="cost warmup"
             )
         target = self.alpha_target
-        if snapshot.alpha_k_c > target * self.hysteresis and cache < self.max_cache:
+        if snapshot.alpha_k_c > target * HYSTERESIS and cache < MAX_CACHE:
             new_cache, new_tracker = self._sizes(cache * 2)
             self.phase = CostPhase.EXPANDING
-            self._warmup_remaining = self.warmup_epochs
+            self._warmup_remaining = WARMUP_EPOCHS
             return ResizeDecision(
                 DecisionKind.EXPAND,
                 new_cache,
@@ -162,10 +144,10 @@ class CostAwareController:
                     f"> break-even {target:.4f}"
                 ),
             )
-        if snapshot.alpha_c < target / self.hysteresis and cache > self.min_cache:
+        if snapshot.alpha_c < target / HYSTERESIS and cache > MIN_CACHE:
             new_cache, new_tracker = self._sizes(cache // 2)
             self.phase = CostPhase.SHRINKING
-            self._warmup_remaining = self.warmup_epochs
+            self._warmup_remaining = WARMUP_EPOCHS
             return ResizeDecision(
                 DecisionKind.SHRINK,
                 new_cache,
@@ -176,7 +158,7 @@ class CostAwareController:
                 ),
             )
         self.phase = CostPhase.STEADY
-        if snapshot.alpha_k_c > snapshot.alpha_c * (1.0 + self.decay_epsilon):
+        if snapshot.alpha_k_c > snapshot.alpha_c * (1.0 + DECAY_EPSILON):
             return ResizeDecision(
                 DecisionKind.DECAY,
                 cache,

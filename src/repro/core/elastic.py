@@ -23,12 +23,11 @@ this code.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from typing import Any, Hashable
 
 from repro.cluster.client import FrontEndClient
-from repro.cluster.loadmonitor import load_imbalance
+from repro.cluster.loadmonitor import load_imbalance, noise_allowance
 from repro.cluster.cluster import CacheCluster
 from repro.cluster.retry import ClusterGuard
 from repro.core.cache import CoTCache
@@ -40,6 +39,12 @@ from repro.errors import ConfigurationError
 from repro.obs.trace import Tracer
 
 __all__ = ["ElasticCoTClient"]
+
+#: Epochs whose per-shard loads are summed before ``I_c`` is taken.
+#: Summing a few epochs before max/min removes the binomial sampling bias
+#: that otherwise inflates ``I_c`` at small epoch sizes (a window of 1 is
+#: the paper's single-epoch measurement).
+IMBALANCE_WINDOW = 32
 
 
 class ElasticCoTClient(FrontEndClient):
@@ -89,14 +94,11 @@ class ElasticCoTClient(FrontEndClient):
         decay: DecayPolicy | None = None,
         model: HotnessModel | None = None,
         client_id: str = "elastic-0",
-        imbalance_window: int = 32,
         guard: "ClusterGuard | None" = None,
         tracer: "Tracer | None" = None,
     ) -> None:
         if base_epoch < 1:
             raise ConfigurationError("base_epoch must be >= 1")
-        if imbalance_window < 1:
-            raise ConfigurationError("imbalance_window must be >= 1")
         policy = CoTCache(initial_cache, initial_tracker, model=model)
         super().__init__(
             cluster, policy, client_id=client_id, guard=guard, tracer=tracer
@@ -110,12 +112,8 @@ class ElasticCoTClient(FrontEndClient):
         #: accesses left in this epoch, armed to ``epoch_length`` when it opens
         self._room = self.epoch_length
         self._epoch_index = 0
-        # Sliding window of recent per-epoch load snapshots. Summing loads
-        # over a few epochs before taking max/min removes the binomial
-        # sampling bias that otherwise inflates I_c at small epoch sizes
-        # (window=1 reproduces the paper's single-epoch measurement).
-        self._imbalance_window = imbalance_window
-        self._recent_loads: deque[dict[str, int]] = deque(maxlen=imbalance_window)
+        #: per-epoch load snapshots of the last IMBALANCE_WINDOW epochs
+        self._recent_loads: deque[dict[str, int]] = deque(maxlen=IMBALANCE_WINDOW)
         self.history: list[EpochRecord] = []
 
     # ----------------------------------------------------------- properties
@@ -160,8 +158,7 @@ class ElasticCoTClient(FrontEndClient):
 
         Summing a few epochs before taking max/min shrinks the binomial
         sampling bias that inflates single-epoch ratios; the sample size
-        lets the controller discount violations measured on too few
-        lookups.
+        prices the noise that remains (:func:`noise_allowance`).
         """
         summed: dict[str, int] = {}
         for loads in self._recent_loads:
@@ -215,12 +212,6 @@ class ElasticCoTClient(FrontEndClient):
         self._recent_loads.append(epoch_loads)
         imbalance, sample = self._windowed_imbalance()
         num_servers = len(epoch_loads) or len(self.monitor.servers)
-        if sample > 0 and num_servers > 1:
-            # Max/min ratio a perfectly balanced system would show on this
-            # finite sample (~3 sigma of the per-shard binomial spread).
-            noise_allowance = 1.0 + 3.2 * math.sqrt((num_servers - 1) / sample)
-        else:
-            noise_allowance = 1.0
         snapshot = EpochSnapshot(
             index=self._epoch_index,
             cache_capacity=self.cot.capacity,
@@ -229,8 +220,7 @@ class ElasticCoTClient(FrontEndClient):
             alpha_c=self.cot.alpha_c(),
             alpha_k_c=self.cot.alpha_k_c(),
             accesses=self.epoch_length - self._room,
-            imbalance_sample=sample,
-            noise_allowance=noise_allowance,
+            noise_allowance=noise_allowance(sample, num_servers),
         )
         decision = self.controller.observe(snapshot)
         if decision.decay:

@@ -35,17 +35,13 @@ class EpochSnapshot:
     accesses:
         number of accesses the epoch actually contained (== E except for
         a final partial epoch).
-    imbalance_sample:
-        total back-end lookups underlying the ``imbalance`` measurement
-        (the windowed sum). The controller uses it to ignore statistically
-        meaningless violations: a max/min ratio over a few hundred lookups
-        is dominated by binomial noise.
     noise_allowance:
         multiplicative slack on the imbalance target reflecting the
         sampling noise of this measurement (``1.0`` = trust it exactly;
         a front end measuring over ``n`` lookups across ``k`` shards
-        reports ``1 + 3.2*sqrt((k-1)/n)``). Lets the controller ignore
-        violations a perfectly balanced system would also show.
+        reports :func:`~repro.cluster.loadmonitor.noise_allowance`). Lets
+        the controller ignore violations a perfectly balanced system would
+        also show.
     """
 
     index: int
@@ -55,7 +51,6 @@ class EpochSnapshot:
     alpha_c: float
     alpha_k_c: float
     accesses: int
-    imbalance_sample: int = 0
     noise_allowance: float = 1.0
 
 

@@ -28,14 +28,16 @@ adaptive-resizing evaluation (Figures 7-8):
     ``SIZE_SEARCH`` (doubling), resetting ``alpha_t``.
 ``SHRINKING``
     Figure 8's path: halve cache and tracker each epoch while the quality
-    stays below target and ``I_t`` holds, down to the configured minimum
+    stays below target and ``I_t`` holds, down to the minimum
     sizes; recovery of quality or an ``I_t`` violation exits to ``STEADY``
     / ``SIZE_SEARCH`` respectively.
 
-Every resize is followed by ``warmup_epochs`` observation-only epochs (the
-paper uses 5) so decisions are made on settled statistics, and no resize
-triggers while ``I_c`` is within ``imbalance_tolerance`` of ``I_t`` (the
-paper uses 2%).
+Every resize is followed by :data:`WARMUP_EPOCHS` observation-only epochs
+(the paper's 5) so decisions are made on settled statistics, and no resize
+triggers while ``I_c`` is within :data:`IMBALANCE_TOLERANCE` of ``I_t`` (the
+paper's 2%). ``I_t`` is the controller's only input; the tuning below is
+constant, and DESIGN.md §5 tabulates which values are the paper's and which
+are this reproduction's.
 """
 
 from __future__ import annotations
@@ -47,6 +49,34 @@ from repro.core.epoch import EpochSnapshot
 from repro.errors import ConfigurationError
 
 __all__ = ["Phase", "DecisionKind", "ResizeDecision", "ResizingController"]
+
+#: Algorithm 3's hysteresis ``ε``: quality is "below target" only under
+#: ``(1 - EPSILON) * alpha_t``.
+EPSILON = 0.05
+#: no resize triggers while ``I_c <= I_t * (1 + IMBALANCE_TOLERANCE)``
+#: (the paper's "within 2% of I_t").
+IMBALANCE_TOLERANCE = 0.02
+#: observation-only epochs after construction and after every resize.
+WARMUP_EPOCHS = 5
+#: phase-1 significance: doubling the tracker must improve ``alpha_c`` by
+#: this relative fraction to keep doubling ...
+RATIO_GAIN_THRESHOLD = 0.10
+#: ... and by at least this much absolutely, so near-zero hit rates
+#: (uniform workloads) do not chase noise.
+MIN_ALPHA_GAIN = 0.05
+#: smallest sizes the shrink path may reach (a minimal cache is kept alive
+#: to detect future workload changes, per the paper), and the largest cache
+#: a doubling may reach; the cost-aware controller shares these rails.
+MIN_CACHE = 1
+MIN_TRACKER = 2
+MAX_CACHE = 1 << 20
+#: largest ``K/C`` the tracker-ratio probe may reach.
+MAX_RATIO = 32
+#: futility guard: an expansion that improves ``I_c`` by less than this
+#: relative fraction is futile, and this many futile expansions in a row
+#: settle the size search.
+FUTILITY_THRESHOLD = 0.02
+FUTILITY_ROUNDS = 2
 
 
 class Phase(enum.Enum):
@@ -106,70 +136,15 @@ class ResizingController:
     ----------
     target_imbalance:
         ``I_t`` — the administrator's only input (paper Section 4.1).
-    epsilon:
-        the hysteresis constant of Algorithm 3 (``ε <<< 1``): quality is
-        "below target" only under ``(1 - epsilon) * alpha_t``.
-    imbalance_tolerance:
-        no resizing triggers while ``I_c <= I_t * (1 + tolerance)``
-        (the paper's "within 2% of I_t").
-    warmup_epochs:
-        observation-only epochs after every resize (paper: 5).
-    ratio_gain_threshold:
-        phase-1 significance: doubling the tracker must improve
-        ``alpha_c`` by this relative fraction to keep doubling.
-    min_alpha_gain:
-        absolute floor on "significant" improvement, so near-zero hit
-        rates (uniform workloads) don't chase noise.
-    min_cache / min_tracker:
-        smallest sizes the shrink path may reach (a minimal cache is kept
-        alive to detect future workload changes, per the paper).
-    max_cache / max_ratio:
-        safety rails for the doubling paths.
     """
 
-    def __init__(
-        self,
-        target_imbalance: float = 1.1,
-        epsilon: float = 0.05,
-        imbalance_tolerance: float = 0.02,
-        warmup_epochs: int = 5,
-        ratio_gain_threshold: float = 0.10,
-        min_alpha_gain: float = 0.05,
-        min_cache: int = 1,
-        min_tracker: int = 2,
-        max_cache: int = 1 << 20,
-        max_ratio: int = 32,
-        futility_threshold: float = 0.02,
-        futility_rounds: int = 2,
-        min_imbalance_sample: int = 0,
-    ) -> None:
+    def __init__(self, target_imbalance: float = 1.1) -> None:
         if target_imbalance < 1.0:
             raise ConfigurationError("target imbalance must be >= 1.0")
-        if not 0 <= epsilon < 1:
-            raise ConfigurationError("epsilon must be in [0, 1)")
-        if warmup_epochs < 0:
-            raise ConfigurationError("warmup_epochs must be >= 0")
-        if min_cache < 1 or min_tracker <= min_cache:
-            raise ConfigurationError("need min_tracker > min_cache >= 1")
-        if max_ratio < 2:
-            raise ConfigurationError("max_ratio must be >= 2")
         self.target_imbalance = target_imbalance
-        self.epsilon = epsilon
-        self.imbalance_tolerance = imbalance_tolerance
-        self.warmup_epochs = warmup_epochs
-        self.ratio_gain_threshold = ratio_gain_threshold
-        self.min_alpha_gain = min_alpha_gain
-        self.min_cache = min_cache
-        self.min_tracker = min_tracker
-        self.max_cache = max_cache
-        self.max_ratio = max_ratio
-        self.futility_threshold = futility_threshold
-        self.futility_rounds = futility_rounds
-        self.min_imbalance_sample = min_imbalance_sample
-
         self.phase = Phase.RATIO_SEARCH
         self.alpha_target = 0.0
-        self._warmup_remaining = warmup_epochs
+        self._warmup_remaining = WARMUP_EPOCHS
         self._ratio_baseline: float | None = None
         self._ratio_prev_tracker: int | None = None
         self._imbalance_before_expand: float | None = None
@@ -180,7 +155,7 @@ class ResizingController:
     @property
     def effective_target(self) -> float:
         """``I_t`` with the no-churn tolerance applied."""
-        return self.target_imbalance * (1.0 + self.imbalance_tolerance)
+        return self.target_imbalance * (1.0 + IMBALANCE_TOLERANCE)
 
     def observe(self, snapshot: EpochSnapshot) -> ResizeDecision:
         """Consume one epoch summary and decide (the Algorithm 3 step)."""
@@ -212,33 +187,24 @@ class ResizingController:
         note: str,
         decay: bool = False,
     ) -> ResizeDecision:
-        cache = max(self.min_cache, min(cache, self.max_cache))
-        tracker = max(self.min_tracker, max(tracker, cache * 2))
-        self._warmup_remaining = self.warmup_epochs
+        cache = max(MIN_CACHE, min(cache, MAX_CACHE))
+        tracker = max(MIN_TRACKER, max(tracker, cache * 2))
+        self._warmup_remaining = WARMUP_EPOCHS
         return ResizeDecision(kind, cache, tracker, decay=decay, note=note)
 
     def _quality_below_target(self, alpha: float) -> bool:
-        return alpha < (1.0 - self.epsilon) * self.alpha_target
+        return alpha < (1.0 - EPSILON) * self.alpha_target
 
     def _violation(self, snapshot: EpochSnapshot) -> bool:
         """``I_c > I_t`` beyond what sampling noise alone would produce.
 
-        Two guards (both default-off, both vanish at paper scale):
-
-        * the snapshot's ``noise_allowance`` scales the target up by the
-          max/min ratio a *perfectly balanced* system would show on the
-          same finite lookup sample;
-        * ``min_imbalance_sample`` (opt-in) hard-ignores violations
-          measured over fewer lookups than that.
+        The snapshot's ``noise_allowance`` scales the target up by the
+        max/min ratio a *perfectly balanced* system would show on the same
+        finite lookup sample. The elastic client always reports one; it
+        vanishes at paper scale, and ``1.0`` trusts the measurement exactly.
         """
         threshold = self.effective_target * max(snapshot.noise_allowance, 1.0)
-        if snapshot.imbalance <= threshold:
-            return False
-        if self.min_imbalance_sample and 0 < snapshot.imbalance_sample < (
-            self.min_imbalance_sample
-        ):
-            return False
-        return True
+        return snapshot.imbalance > threshold
 
     # Phase 1: discover the tracker:cache ratio for this workload.
 
@@ -256,9 +222,9 @@ class ResizingController:
             )
         gain = snapshot.alpha_c - self._ratio_baseline
         significant = gain > max(
-            self.ratio_gain_threshold * self._ratio_baseline, self.min_alpha_gain
+            RATIO_GAIN_THRESHOLD * self._ratio_baseline, MIN_ALPHA_GAIN
         )
-        at_cap = tracker * 2 > self.max_ratio * max(cache, 1)
+        at_cap = tracker * 2 > MAX_RATIO * max(cache, 1)
         if significant and not at_cap:
             self._ratio_baseline = snapshot.alpha_c
             self._ratio_prev_tracker = tracker
@@ -301,17 +267,17 @@ class ResizingController:
         # Futility guard (deviation from the paper, documented in DESIGN.md):
         # with low-skew workloads the measured I_c is dominated by sampling
         # noise that no cache size can remove; if doubling stopped improving
-        # I_c for ``futility_rounds`` consecutive expansions, settle instead
+        # I_c for FUTILITY_ROUNDS consecutive expansions, settle instead
         # of doubling forever.
         if self._imbalance_before_expand is not None:
             improvement = self._imbalance_before_expand - snapshot.imbalance
-            if improvement < self.futility_threshold * self._imbalance_before_expand:
+            if improvement < FUTILITY_THRESHOLD * self._imbalance_before_expand:
                 self._futile_expands += 1
             else:
                 self._futile_expands = 0
         if (
-            self._futile_expands >= self.futility_rounds
-            or snapshot.cache_capacity >= self.max_cache
+            self._futile_expands >= FUTILITY_ROUNDS
+            or snapshot.cache_capacity >= MAX_CACHE
         ):
             self.phase = Phase.STEADY
             self.alpha_target = snapshot.alpha_c
@@ -346,7 +312,7 @@ class ResizingController:
         cache_low = self._quality_below_target(snapshot.alpha_c)
         tracker_low = self._quality_below_target(snapshot.alpha_k_c)
         if cache_low and tracker_low:
-            if snapshot.cache_capacity <= self.min_cache:
+            if snapshot.cache_capacity <= MIN_CACHE:
                 # Already at the negligible floor kept to detect future
                 # workload changes; nothing left to shrink.
                 return self._keep(
@@ -359,7 +325,7 @@ class ResizingController:
             return self._resize(
                 DecisionKind.RESET_RATIO,
                 cache,
-                max(cache * 2, self.min_tracker),
+                max(cache * 2, MIN_TRACKER),
                 "quality collapsed; ratio reset to 2:1 before shrinking",
             )
         if cache_low and not tracker_low:
@@ -387,14 +353,14 @@ class ResizingController:
             return self._keep(
                 snapshot, DecisionKind.NONE, "alpha recovered; shrink complete"
             )
-        if snapshot.cache_capacity <= self.min_cache:
+        if snapshot.cache_capacity <= MIN_CACHE:
             # Negligible cache retained to detect future workload changes.
             self.phase = Phase.STEADY
             return self._keep(
                 snapshot, DecisionKind.NONE, "at minimum sizes; shrink complete"
             )
-        new_cache = max(self.min_cache, snapshot.cache_capacity // 2)
-        new_tracker = max(self.min_tracker, snapshot.tracker_capacity // 2)
+        new_cache = max(MIN_CACHE, snapshot.cache_capacity // 2)
+        new_tracker = max(MIN_TRACKER, snapshot.tracker_capacity // 2)
         return self._resize(
             DecisionKind.SHRINK,
             new_cache,

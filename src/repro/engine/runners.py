@@ -424,7 +424,6 @@ class ClusterRunner:
             epoch_shard_loads=cluster.epoch_loads(),
             epoch_events=tuple(epoch_events),
             phases=phases,
-            fallback_latency=sum(c.monitor.fallback_latency_total for c in front_ends),
         )
         return ScenarioResult(
             spec,

@@ -22,9 +22,8 @@ measured over the whole run's per-shard lookups.
 
 from __future__ import annotations
 
-import math
-
 from repro.cluster.cluster import CacheCluster
+from repro.cluster.loadmonitor import noise_allowance
 from repro.engine import ClusterRunner, PolicySpec, ScenarioSpec, WorkloadSpec
 from repro.engine.parallel import map_calls
 from repro.engine.registry import register_experiment
@@ -99,21 +98,6 @@ def _ring_shares(scale: Scale) -> dict[str, float]:
     return {sid: count / scale.key_space for sid, count in counts.items()}
 
 
-def _noise_allowance(sample: int, num_servers: int) -> float:
-    """Multiplicative slack on the target for a finite lookup sample.
-
-    For ``n`` balanced lookups over ``k`` shards the per-shard relative
-    standard deviation is ``sqrt((k-1)/n)``; the expected max-min spread
-    across k≈8 shards is ≈2.9 of those, so the measured max/min ratio of
-    a *perfectly balanced* system concentrates near ``1 + 3σ``. At paper
-    scale the allowance vanishes (<1% at 1M lookups).
-    """
-    if sample <= 0:
-        return 1.0
-    sigma = math.sqrt((num_servers - 1) / sample)
-    return 1.0 + 3.2 * sigma
-
-
 def _candidate_sizes(key_space: int) -> list[int]:
     """Powers of two up to ~2% of the key space."""
     sizes = []
@@ -144,7 +128,7 @@ def _table2_task(
         return round(no_cache, 2)
     for size in _candidate_sizes(scale.key_space):
         imbalance, sample = _measure(dist, scale, policy_name, size, shares)
-        if imbalance <= target * _noise_allowance(sample, scale.num_servers):
+        if imbalance <= target * noise_allowance(sample, scale.num_servers):
             return size
     return "-"
 
@@ -159,7 +143,7 @@ def run(scale: Scale | None = None, target: float = TARGET_IMBALANCE) -> Experim
     vanish at paper scale): per-shard loads are normalized by the ring's
     deterministic key shares, and the target gets a noise allowance
     derived from each trial's measured sample size (see
-    :func:`_noise_allowance`).
+    :func:`~repro.cluster.loadmonitor.noise_allowance`).
     """
     scale = scale or Scale.default()
     shares = _ring_shares(scale)

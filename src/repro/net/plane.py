@@ -288,10 +288,6 @@ class NetworkPlane:
         return self.cluster.faults
 
     @property
-    def value_size(self) -> int:
-        return self.cluster.value_size
-
-    @property
     def server_ids(self) -> tuple[str, ...]:
         return self.cluster.server_ids
 
@@ -320,21 +316,6 @@ class NetworkPlane:
 
     def replicas_for(self, key: Hashable, r: int) -> tuple[str, ...]:
         return self.cluster.replicas_for(key, r)
-
-    def loads(self) -> dict[str, int]:
-        return self.cluster.loads()
-
-    def epoch_loads(self) -> dict[str, int]:
-        return self.cluster.epoch_loads()
-
-    def imbalance(self) -> float:
-        return self.cluster.imbalance()
-
-    def total_lookups(self) -> int:
-        return self.cluster.total_lookups()
-
-    def reset_epoch(self) -> None:
-        self.cluster.reset_epoch()
 
     # ------------------------------------------------------------ telemetry
 

@@ -5,7 +5,9 @@ drives next to the live guard; nothing ships from here. ``call`` is
 copied verbatim from the parent commit's ``src/repro/cluster/retry.py``:
 every breaker transition goes through ``CircuitBreaker.allow`` /
 ``record_success`` / ``record_failure``, which the live guard only calls
-off its fast path. Everything else is the live class.
+off its fast path. Everything else is the live class. The guard's
+``sleep`` hook, which no caller ever set, has since been deleted, so its
+two lines are gone from this copy too.
 """
 
 from __future__ import annotations
@@ -56,8 +58,6 @@ class ReferenceGuard(ClusterGuard):
                 delay = self.retry.backoff(attempt - 1, self._rng)
                 self.stats.retries += 1
                 self.stats.backoff_total += delay
-                if self._sleep is not None:
-                    self._sleep(delay)
                 continue
             breaker.record_success(now)
             return result

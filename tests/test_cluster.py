@@ -6,7 +6,7 @@ import pytest
 
 from repro.cluster.backend import BackendCacheServer
 from repro.cluster.cluster import CacheCluster
-from repro.cluster.loadmonitor import LoadMonitor, load_imbalance
+from repro.cluster.loadmonitor import LoadMonitor, load_imbalance, noise_allowance
 from repro.cluster.storage import PersistentStore
 from repro.errors import ClusterError, ConfigurationError
 from repro.policies.base import MISSING
@@ -178,6 +178,18 @@ class TestLoadImbalanceMetric:
     def test_mapping_and_iterable(self):
         assert load_imbalance({"a": 4, "b": 2}) == 2.0
         assert load_imbalance([4, 2]) == 2.0
+
+
+class TestNoiseAllowance:
+    def test_trusts_empty_sample_and_single_shard(self):
+        assert noise_allowance(0, 8) == 1.0
+        assert noise_allowance(-5, 8) == 1.0
+        assert noise_allowance(1_000, 1) == 1.0
+
+    def test_three_sigma_of_balanced_spread(self):
+        assert noise_allowance(800, 9) == pytest.approx(1.32)
+        # It vanishes at paper scale.
+        assert noise_allowance(1_000_000, 8) < 1.01
 
 
 class TestCacheCluster:

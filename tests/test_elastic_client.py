@@ -29,8 +29,6 @@ class TestConstruction:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             ElasticCoTClient(small_cluster(), base_epoch=0)
-        with pytest.raises(ConfigurationError):
-            ElasticCoTClient(small_cluster(), imbalance_window=0)
 
     def test_initial_sizes(self):
         client = ElasticCoTClient(

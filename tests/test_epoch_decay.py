@@ -19,7 +19,6 @@ def snapshot(**kw) -> EpochSnapshot:
         alpha_c=4.5,
         alpha_k_c=0.5,
         accesses=5000,
-        imbalance_sample=20_000,
     )
     defaults.update(kw)
     return EpochSnapshot(**defaults)

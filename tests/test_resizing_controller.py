@@ -3,15 +3,23 @@
 The controller is pure decision logic, so every paper behaviour can be
 pinned down with synthetic epoch snapshots: ratio discovery with the
 step-back dip, binary-search expansion, alpha_t capture, the three steady
-cases, the shrink path, and the statistical guards.
+cases, the shrink path, and the statistical guards. ``I_t`` is the
+controller's only input, so these tests run the tuning every experiment
+runs and pin its values: warm-up is drained through ``observe``.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.cluster.loadmonitor import noise_allowance
 from repro.core.epoch import EpochSnapshot
 from repro.core.resizing import (
+    EPSILON,
+    IMBALANCE_TOLERANCE,
+    MAX_CACHE,
+    MAX_RATIO,
+    WARMUP_EPOCHS,
     DecisionKind,
     Phase,
     ResizeDecision,
@@ -28,7 +36,6 @@ def snap(
     alpha_c=0.0,
     alpha_k_c=0.0,
     accesses=5000,
-    sample=100_000,
 ) -> EpochSnapshot:
     return EpochSnapshot(
         index=index,
@@ -38,14 +45,29 @@ def snap(
         alpha_c=alpha_c,
         alpha_k_c=alpha_k_c,
         accesses=accesses,
-        imbalance_sample=sample,
     )
 
 
-def make_controller(**kw) -> ResizingController:
-    defaults = dict(target_imbalance=1.1, warmup_epochs=0)
-    defaults.update(kw)
-    return ResizingController(**defaults)
+def drain_warmup(controller: ResizingController) -> None:
+    """Observe the WARMUP_EPOCHS observation-only epochs that follow
+    construction or a resize; each must be a WARMUP decision."""
+    for _ in range(WARMUP_EPOCHS):
+        assert controller.observe(snap()).kind is DecisionKind.WARMUP
+
+
+def make_controller() -> ResizingController:
+    """A controller at I_t = 1.1 whose initial warm-up has run out."""
+    controller = ResizingController(target_imbalance=1.1)
+    drain_warmup(controller)
+    return controller
+
+
+def step(controller: ResizingController, **kw) -> ResizeDecision:
+    """One settled epoch's decision; a resize's warm-up is drained after it."""
+    decision = controller.observe(snap(**kw))
+    if decision.resized:
+        drain_warmup(controller)
+    return decision
 
 
 class TestValidation:
@@ -53,38 +75,21 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             ResizingController(target_imbalance=0.9)
 
-    def test_bad_epsilon(self):
-        with pytest.raises(ConfigurationError):
-            ResizingController(epsilon=1.0)
-
-    def test_bad_warmup(self):
-        with pytest.raises(ConfigurationError):
-            ResizingController(warmup_epochs=-1)
-
-    def test_bad_min_sizes(self):
-        with pytest.raises(ConfigurationError):
-            ResizingController(min_cache=2, min_tracker=2)
-
-    def test_bad_ratio(self):
-        with pytest.raises(ConfigurationError):
-            ResizingController(max_ratio=1)
-
 
 class TestWarmup:
     def test_warmup_consumes_epochs(self):
-        controller = make_controller(warmup_epochs=3)
-        for _ in range(3):
-            decision = controller.observe(snap())
-            assert decision.kind is DecisionKind.WARMUP
+        """The paper's 5 observation-only epochs after construction."""
+        assert WARMUP_EPOCHS == 5
+        controller = ResizingController()
+        drain_warmup(controller)
         assert controller.observe(snap()).kind is not DecisionKind.WARMUP
 
     def test_resize_rearms_warmup(self):
-        controller = make_controller(warmup_epochs=2)
-        controller.observe(snap())
-        controller.observe(snap())
+        controller = make_controller()
         decision = controller.observe(snap(alpha_c=1.0))  # ratio probe resize
         assert decision.resized
-        assert controller.observe(snap()).kind is DecisionKind.WARMUP
+        drain_warmup(controller)
+        assert controller.observe(snap(tracker=8)).kind is not DecisionKind.WARMUP
 
 
 class TestRatioSearch:
@@ -97,7 +102,7 @@ class TestRatioSearch:
 
     def test_significant_gain_keeps_doubling(self):
         controller = make_controller()
-        controller.observe(snap(tracker=4, alpha_c=5.0))
+        step(controller, tracker=4, alpha_c=5.0)
         decision = controller.observe(snap(tracker=8, alpha_c=10.0))
         assert decision.kind is DecisionKind.DOUBLE_TRACKER
         assert decision.tracker_capacity == 16
@@ -105,8 +110,8 @@ class TestRatioSearch:
     def test_insignificant_gain_steps_back(self):
         """The paper's Figure 7 dip: expand to 16, no benefit, settle at 8."""
         controller = make_controller()
-        controller.observe(snap(tracker=4, alpha_c=5.0))
-        controller.observe(snap(tracker=8, alpha_c=10.0))
+        step(controller, tracker=4, alpha_c=5.0)
+        step(controller, tracker=8, alpha_c=10.0)
         decision = controller.observe(snap(tracker=16, alpha_c=10.1))
         assert decision.kind is DecisionKind.SETTLE_RATIO
         assert decision.tracker_capacity == 8
@@ -115,22 +120,29 @@ class TestRatioSearch:
     def test_near_zero_alpha_settles_immediately(self):
         """Uniform workloads: noise gains must not chase tracker growth."""
         controller = make_controller()
-        controller.observe(snap(tracker=4, alpha_c=0.01))
+        step(controller, tracker=4, alpha_c=0.01)
         decision = controller.observe(snap(tracker=8, alpha_c=0.02))
         assert decision.kind is DecisionKind.SETTLE_RATIO
         assert controller.phase is Phase.SIZE_SEARCH
 
     def test_ratio_cap(self):
-        controller = make_controller(max_ratio=4)
-        controller.observe(snap(cache=2, tracker=4, alpha_c=5.0))
-        decision = controller.observe(snap(cache=2, tracker=8, alpha_c=50.0))
-        # 16 would exceed max_ratio * cache = 8: settle instead.
+        """The tracker probe doubles up to K = 32 * C and no further."""
+        assert MAX_RATIO == 32
+        controller = make_controller()
+        tracker, alpha = 4, 1.0
+        while tracker < MAX_RATIO * 2:
+            decision = step(controller, cache=2, tracker=tracker, alpha_c=alpha)
+            assert decision.kind is DecisionKind.DOUBLE_TRACKER
+            tracker, alpha = decision.tracker_capacity, alpha * 2
+        assert tracker == MAX_RATIO * 2
+        decision = controller.observe(snap(cache=2, tracker=tracker, alpha_c=alpha))
+        # 128 would exceed MAX_RATIO * cache = 64: settle instead.
         assert decision.kind is DecisionKind.SETTLE_RATIO
 
 
 class TestSizeSearch:
-    def make_in_size_search(self, **kw) -> ResizingController:
-        controller = make_controller(**kw)
+    def make_in_size_search(self) -> ResizingController:
+        controller = make_controller()
         controller.phase = Phase.SIZE_SEARCH
         return controller
 
@@ -155,24 +167,20 @@ class TestSizeSearch:
 
     def test_tolerance_band(self):
         """Within 2% of I_t counts as achieved (the paper's no-churn band)."""
-        controller = self.make_in_size_search(imbalance_tolerance=0.02)
+        assert IMBALANCE_TOLERANCE == 0.02
+        controller = self.make_in_size_search()
         decision = controller.observe(snap(imbalance=1.115, alpha_c=1.0))
         assert decision.kind is DecisionKind.TARGET_REACHED
-
-    def test_small_sample_violation_ignored(self):
-        """With the opt-in hard floor, a tiny-sample violation does not
-        expand — the controller settles on the (unproven) target."""
-        controller = self.make_in_size_search(min_imbalance_sample=10_000)
-        decision = controller.observe(snap(imbalance=3.0, sample=500))
-        assert decision.kind is DecisionKind.TARGET_REACHED
-        assert controller.phase is Phase.STEADY
+        controller = self.make_in_size_search()
+        decision = controller.observe(snap(imbalance=1.125, alpha_c=1.0))
+        assert decision.kind is DecisionKind.EXPAND
 
     def test_noise_allowance_scales_target(self):
         controller = self.make_in_size_search()
         noisy = EpochSnapshot(
             index=0, cache_capacity=2, tracker_capacity=4,
             imbalance=1.3, alpha_c=1.0, alpha_k_c=0.0,
-            accesses=1000, imbalance_sample=500, noise_allowance=1.25,
+            accesses=1000, noise_allowance=1.25,
         )
         decision = controller.observe(noisy)
         # 1.3 <= 1.122 * 1.25: not a significant violation.
@@ -180,40 +188,51 @@ class TestSizeSearch:
 
     def test_zero_sample_means_trust_measurement(self):
         controller = self.make_in_size_search()
-        decision = controller.observe(snap(imbalance=3.0, sample=0))
+        trusted = EpochSnapshot(
+            index=0, cache_capacity=2, tracker_capacity=4,
+            imbalance=3.0, alpha_c=1.0, alpha_k_c=0.0,
+            accesses=1000, noise_allowance=noise_allowance(0, 4),
+        )
+        decision = controller.observe(trusted)
         assert decision.kind is DecisionKind.EXPAND
 
     def test_futility_settles(self):
-        controller = self.make_in_size_search(
-            futility_rounds=2, warmup_epochs=0
-        )
-        # Three expands with no improvement in I_c.
-        d1 = controller.observe(snap(cache=2, tracker=4, imbalance=1.30))
+        controller = self.make_in_size_search()
+        # I_c never improves: the second futile expansion in a row settles.
+        d1 = step(controller, cache=2, tracker=4, imbalance=1.30)
         assert d1.kind is DecisionKind.EXPAND
-        d2 = controller.observe(snap(cache=4, tracker=8, imbalance=1.30))
+        d2 = step(controller, cache=4, tracker=8, imbalance=1.30)
         assert d2.kind is DecisionKind.EXPAND
         d3 = controller.observe(snap(cache=8, tracker=16, imbalance=1.30))
         assert d3.kind is DecisionKind.NONE
         assert controller.phase is Phase.STEADY
 
     def test_improving_expansion_not_futile(self):
-        controller = self.make_in_size_search(futility_rounds=2)
-        controller.observe(snap(cache=2, tracker=4, imbalance=2.0))
-        controller.observe(snap(cache=4, tracker=8, imbalance=1.6))
-        controller.observe(snap(cache=8, tracker=16, imbalance=1.3))
+        controller = self.make_in_size_search()
+        step(controller, cache=2, tracker=4, imbalance=2.0)
+        step(controller, cache=4, tracker=8, imbalance=1.6)
+        step(controller, cache=8, tracker=16, imbalance=1.3)
         decision = controller.observe(snap(cache=16, tracker=32, imbalance=1.18))
         assert decision.kind is DecisionKind.EXPAND
 
     def test_max_cache_stops_expansion(self):
-        controller = self.make_in_size_search(max_cache=8)
-        decision = controller.observe(snap(cache=8, tracker=32, imbalance=5.0))
+        assert MAX_CACHE == 1 << 20
+        controller = self.make_in_size_search()
+        decision = step(
+            controller, cache=MAX_CACHE // 2, tracker=MAX_CACHE, imbalance=5.0
+        )
+        assert decision.kind is DecisionKind.EXPAND
+        assert decision.cache_capacity == MAX_CACHE
+        decision = controller.observe(
+            snap(cache=MAX_CACHE, tracker=MAX_CACHE * 2, imbalance=5.0)
+        )
         assert decision.kind is DecisionKind.NONE
         assert controller.phase is Phase.STEADY
 
 
 class TestSteady:
-    def make_steady(self, alpha_t=10.0, **kw) -> ResizingController:
-        controller = make_controller(**kw)
+    def make_steady(self, alpha_t=10.0) -> ResizingController:
+        controller = make_controller()
         controller.phase = Phase.STEADY
         controller.alpha_target = alpha_t
         return controller
@@ -259,15 +278,21 @@ class TestSteady:
         assert controller.phase is Phase.SIZE_SEARCH
 
     def test_epsilon_hysteresis(self):
-        """alpha_c just below alpha_t must NOT trigger anything."""
-        controller = self.make_steady(alpha_t=10.0, epsilon=0.05)
+        """alpha_c just below alpha_t must NOT trigger anything; below
+        (1 - ε) * alpha_t it does."""
+        assert EPSILON == 0.05
+        controller = self.make_steady(alpha_t=10.0)
         decision = controller.observe(
             snap(imbalance=1.0, alpha_c=9.6, alpha_k_c=0.0)
         )
         assert decision.kind is DecisionKind.NONE
+        decision = controller.observe(
+            snap(cache=8, tracker=16, imbalance=1.0, alpha_c=9.4, alpha_k_c=0.0)
+        )
+        assert decision.kind is DecisionKind.RESET_RATIO
 
     def test_at_min_sizes_no_shrink_churn(self):
-        controller = self.make_steady(min_cache=1)
+        controller = self.make_steady()
         decision = controller.observe(
             snap(cache=1, tracker=2, imbalance=1.0, alpha_c=0.0, alpha_k_c=0.0)
         )
@@ -275,8 +300,8 @@ class TestSteady:
 
 
 class TestShrinking:
-    def make_shrinking(self, alpha_t=10.0, **kw) -> ResizingController:
-        controller = make_controller(**kw)
+    def make_shrinking(self, alpha_t=10.0) -> ResizingController:
+        controller = make_controller()
         controller.phase = Phase.SHRINKING
         controller.alpha_target = alpha_t
         return controller
@@ -291,7 +316,7 @@ class TestShrinking:
         assert decision.tracker_capacity == 16
 
     def test_stops_at_min(self):
-        controller = self.make_shrinking(min_cache=1, min_tracker=2)
+        controller = self.make_shrinking()
         decision = controller.observe(
             snap(cache=1, tracker=2, imbalance=1.0, alpha_c=0.0)
         )
@@ -322,7 +347,5 @@ class TestDecision:
         assert not ResizeDecision(DecisionKind.DECAY, 4, 8, decay=True).resized
 
     def test_effective_target(self):
-        controller = ResizingController(
-            target_imbalance=1.1, imbalance_tolerance=0.02
-        )
+        controller = ResizingController(target_imbalance=1.1)
         assert controller.effective_target == pytest.approx(1.122)

@@ -39,9 +39,16 @@ from repro.cluster.writepolicy import (
     WriteThroughPolicy,
     make_write_policy,
 )
-from repro.core.costaware import CostAwareController, CostPhase
+from repro.core.costaware import (
+    DECAY_EPSILON,
+    HYSTERESIS,
+    TRACKER_RATIO,
+    WARMUP_EPOCHS,
+    CostAwareController,
+    CostPhase,
+)
 from repro.core.epoch import EpochSnapshot
-from repro.core.resizing import DecisionKind
+from repro.core.resizing import MAX_CACHE, MIN_CACHE, DecisionKind
 from repro.engine import (
     ClusterRunner,
     Scale,
@@ -546,66 +553,79 @@ def cost_snapshot(index=0, cache=8, tracker=32, alpha_c=0.5, alpha_k_c=0.5):
     )
 
 
-class TestCostAwareController:
-    def test_validation(self):
-        for bad in (
-            dict(hit_value=0),
-            dict(line_cost=0),
-            dict(tracker_ratio=1),
-            dict(warmup_epochs=-1),
-            dict(hysteresis=0.5),
-        ):
-            with pytest.raises(ConfigurationError):
-                CostAwareController(**bad)
-
-    def test_warmup_observes_only(self):
-        ctrl = CostAwareController(warmup_epochs=2, line_cost=0.05)
+def drain_cost_warmup(ctrl: CostAwareController) -> None:
+    """Observe the WARMUP_EPOCHS observation-only epochs that follow
+    construction or a resize; each must be a WARMUP decision."""
+    for _ in range(WARMUP_EPOCHS):
         decision = ctrl.observe(cost_snapshot(alpha_k_c=10.0))
         assert decision.kind is DecisionKind.WARMUP
         assert not decision.resized
         assert ctrl.phase is CostPhase.WARMUP
 
+
+def warmed_cost_controller() -> CostAwareController:
+    """Break-even 0.05 hits per line per epoch, initial warm-up run out."""
+    ctrl = CostAwareController(hit_value=1.0, line_cost=0.05)
+    drain_cost_warmup(ctrl)
+    return ctrl
+
+
+class TestCostAwareController:
+    def test_validation(self):
+        for bad in (dict(hit_value=0), dict(line_cost=0)):
+            with pytest.raises(ConfigurationError):
+                CostAwareController(**bad)
+
+    def test_warmup_observes_only(self):
+        assert WARMUP_EPOCHS == 2
+        ctrl = CostAwareController(line_cost=0.05)
+        drain_cost_warmup(ctrl)
+        assert ctrl.observe(cost_snapshot(alpha_k_c=10.0)).kind is DecisionKind.EXPAND
+
     def test_expands_while_marginal_lines_pay_rent(self):
-        ctrl = CostAwareController(
-            warmup_epochs=1, hit_value=1.0, line_cost=0.05, tracker_ratio=4
-        )
-        # Burn the initial observation-only epoch.
-        assert ctrl.observe(cost_snapshot(alpha_k_c=0.2)).kind is DecisionKind.WARMUP
+        assert TRACKER_RATIO == 4
+        ctrl = warmed_cost_controller()
         decision = ctrl.observe(cost_snapshot(alpha_c=0.4, alpha_k_c=0.2))
         assert decision.kind is DecisionKind.EXPAND
         assert decision.cache_capacity == 16
         assert decision.tracker_capacity == 64
         assert ctrl.phase is CostPhase.EXPANDING
         # Warm-up re-arms after the resize.
+        drain_cost_warmup(ctrl)
         follow = ctrl.observe(cost_snapshot(cache=16, tracker=64, alpha_k_c=0.2))
-        assert follow.kind is DecisionKind.WARMUP
+        assert follow.kind is DecisionKind.EXPAND
 
     def test_shrinks_when_average_line_below_break_even(self):
-        ctrl = CostAwareController(warmup_epochs=0, hit_value=1.0, line_cost=0.05)
+        ctrl = warmed_cost_controller()
         decision = ctrl.observe(cost_snapshot(alpha_c=0.01, alpha_k_c=0.005))
         assert decision.kind is DecisionKind.SHRINK
         assert decision.cache_capacity == 4
         assert ctrl.phase is CostPhase.SHRINKING
 
     def test_hysteresis_dead_band_holds_steady(self):
-        ctrl = CostAwareController(
-            warmup_epochs=0, hit_value=1.0, line_cost=0.05, hysteresis=1.25
-        )
+        assert HYSTERESIS == 1.25
+        ctrl = warmed_cost_controller()
         # Just inside the band on both sides: no resize.
         decision = ctrl.observe(cost_snapshot(alpha_c=0.05, alpha_k_c=0.05))
         assert decision.kind in (DecisionKind.NONE, DecisionKind.DECAY)
         assert not decision.resized
         assert ctrl.phase is CostPhase.STEADY
+        # The band's edges: 0.05 * 1.25 to expand, 0.05 / 1.25 to shrink.
+        for alpha_c, alpha_k_c in ((0.041, 0.062), (0.05, 0.0624)):
+            decision = ctrl.observe(
+                cost_snapshot(alpha_c=alpha_c, alpha_k_c=alpha_k_c)
+            )
+            assert not decision.resized
+        assert ctrl.observe(cost_snapshot(alpha_k_c=0.063)).kind is DecisionKind.EXPAND
+        drain_cost_warmup(ctrl)
+        shrink = ctrl.observe(cost_snapshot(alpha_c=0.039, alpha_k_c=0.0))
+        assert shrink.kind is DecisionKind.SHRINK
 
     def test_decay_when_tracked_outscore_cached(self):
-        ctrl = CostAwareController(warmup_epochs=0, line_cost=0.05)
+        ctrl = warmed_cost_controller()
         decision = ctrl.observe(cost_snapshot(alpha_c=0.05, alpha_k_c=0.055))
         assert decision.kind is DecisionKind.DECAY
         assert decision.decay
-
-    def test_decay_epsilon_validation(self):
-        with pytest.raises(ConfigurationError):
-            CostAwareController(decay_epsilon=-0.1)
 
     def test_no_decay_thrash_on_stationary_stream(self):
         # Regression: at steady state a stationary workload keeps
@@ -613,9 +633,8 @@ class TestCostAwareController:
         # Without a dead band the controller issued DECAY every epoch,
         # halving all hotness continuously. Inside the epsilon band the
         # decision must be NONE, epoch after epoch.
-        ctrl = CostAwareController(
-            warmup_epochs=0, hit_value=1.0, line_cost=0.05, decay_epsilon=0.05
-        )
+        assert DECAY_EPSILON == 0.05
+        ctrl = warmed_cost_controller()
         decays = 0
         for _ in range(50):
             decision = ctrl.observe(
@@ -629,17 +648,16 @@ class TestCostAwareController:
         breach = ctrl.observe(cost_snapshot(alpha_c=0.05, alpha_k_c=0.06))
         assert breach.kind is DecisionKind.DECAY
 
-    def test_decay_epsilon_zero_restores_legacy_trigger(self):
-        ctrl = CostAwareController(warmup_epochs=0, decay_epsilon=0.0)
-        decision = ctrl.observe(cost_snapshot(alpha_c=0.050, alpha_k_c=0.0505))
-        assert decision.kind is DecisionKind.DECAY
-
     def test_respects_rails(self):
-        ctrl = CostAwareController(warmup_epochs=0, line_cost=0.05, max_cache=8)
-        held = ctrl.observe(cost_snapshot(cache=8, alpha_k_c=10.0))
+        assert (MIN_CACHE, MAX_CACHE) == (1, 1 << 20)
+        ctrl = warmed_cost_controller()
+        held = ctrl.observe(
+            cost_snapshot(cache=MAX_CACHE, tracker=MAX_CACHE * 4, alpha_k_c=10.0)
+        )
         assert not held.resized
-        ctrl2 = CostAwareController(warmup_epochs=0, line_cost=0.05, min_cache=8)
-        held2 = ctrl2.observe(cost_snapshot(cache=8, alpha_c=0.0, alpha_k_c=0.0))
+        held2 = ctrl.observe(
+            cost_snapshot(cache=MIN_CACHE, tracker=4, alpha_c=0.0, alpha_k_c=0.0)
+        )
         assert not held2.resized
 
     def test_drives_elastic_client_end_to_end(self):
@@ -648,7 +666,7 @@ class TestCostAwareController:
         from repro.core.elastic import ElasticCoTClient
 
         cluster, _ = build_cluster(num_servers=4)
-        ctrl = CostAwareController(hit_value=1.0, line_cost=0.05, warmup_epochs=1)
+        ctrl = CostAwareController(hit_value=1.0, line_cost=0.05)
         client = ElasticCoTClient(
             cluster, controller=ctrl, initial_cache=4, initial_tracker=8,
             base_epoch=64,
