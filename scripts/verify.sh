@@ -62,6 +62,15 @@ if grep -rn --include='*.py' -E 'run_network_[l]oad|measure_[p]ipelining|^\s*(im
     echo "a load generator is back under src/repro/net (see above): socket-plane timing belongs to benchmarks/ladder" >&2
     exit 1
 fi
+# The shard server exists once, and it is blocking: one thread per
+# connection, no event loop under it, and the plane starts no loop thread.
+if grep -nE 'asyncio\.Protocol|create_server|transport' src/repro/net/server.py \
+        || grep -n 'LoopThread(' src/repro/net/plane.py; then
+    echo "an asyncio server or loop thread is back in src/repro/net (see above):" \
+         "ShardServer serves on blocking threads and NetworkPlane runs no loop" >&2
+    exit 1
+fi
+echo "(src/repro/net/server.py: blocking threads only; plane.py starts no LoopThread)"
 # One client protocol: a storage read is the miss body's signature call,
 # and cluster/client.py is the only place that makes it.
 if grep -rn --include='*.py' -E 'storage\.get\(|storage_get\(' src/repro \

@@ -373,7 +373,9 @@ class TelemetrySnapshot:
     phases: tuple[PhaseTelemetry, ...] = ()
     #: simulated wall-clock of the run (0 for untimed drive paths)
     runtime: float = 0.0
-    fallback_latency: float = 0.0
+    #: accounted extra latency of storage-fallback reads; only a timed
+    #: (simulated) run accounts it, so ``None`` elsewhere — not a 0
+    fallback_latency: float | None = None
     #: full latency distributions by name (fixed-bucket, exactly merged
     #: across clients); :data:`REQUEST_LATENCY` is the canonical family,
     #: and the ``*_latency`` scalars are read off it

@@ -4,20 +4,18 @@ Two planes serve the same decision logic (DESIGN.md §15):
 
 * the **in-process plane** — the deterministic simulator the experiments
   run on (:mod:`repro.cluster`), where shard calls are object calls;
-* the **network plane** (this package) — real asyncio socket servers
+* the **network plane** (this package) — threaded socket servers
   speaking a memcached-style text protocol (:mod:`repro.net.server`), a
-  pipelined front-end transport for coroutine callers
+  pipelined asyncio transport for coroutine callers
   (:mod:`repro.net.client`) and a blocking one for synchronous callers
   (:class:`repro.net.plane.ShardProxy`). The package serves and connects;
   load generation and timing are the ladder's (``benchmarks/ladder``).
 
-The :class:`~repro.net.plane.NetworkPlane` facade makes a
-:class:`~repro.cluster.cluster.CacheCluster` reachable over localhost
-sockets while preserving the client-facing surface, so the unchanged
-:class:`~repro.cluster.client.FrontEndClient` makes byte-identical cache
-decisions on either plane — the equivalence replay
-(``tests/_plane_equivalence.py``, run by ``tests/test_net.py``) asserts
-exactly that.
+The :class:`~repro.net.plane.NetworkPlane` facade serves a
+:class:`~repro.cluster.cluster.CacheCluster` over localhost sockets, and
+the unchanged :class:`~repro.cluster.client.FrontEndClient` makes
+byte-identical cache decisions on either plane
+(``tests/_plane_equivalence.py`` asserts exactly that).
 """
 
 from repro.net.proto import (

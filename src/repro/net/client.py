@@ -1,37 +1,30 @@
 """Pipelined asyncio front-end transport for the shard servers.
 
 For coroutine callers, which keep many requests in flight; a caller that
-blocks for one reply goes through :class:`repro.net.plane.ShardProxy`, a
-blocking socket in its own thread. Four parts (DESIGN.md §15):
+blocks for one reply goes through :class:`repro.net.plane.ShardProxy`.
+Four parts (DESIGN.md §15):
 
 * :class:`Connection` — one persistent socket with **request
-  pipelining**, written as an :class:`asyncio.Protocol`: requests
-  issued in one event-loop turn collect in an outbox that a single
-  ``call_soon`` flush writes with one ``transport.write`` (one ``send``
-  per turn), and a FIFO of futures matches responses back to requests
-  in order. Head-of-line semantics match memcached: responses come back
-  in request order. One sweep timer per connection expires overdue
-  requests.
+  pipelining**, an :class:`asyncio.Protocol`: the requests of one loop
+  turn leave in one ``transport.write``, and a FIFO of futures matches
+  the replies, which come back in request order as memcached's do. One
+  sweep timer per connection expires overdue requests.
 * :class:`ShardEndpoint` — a **connection pool** per shard; each
   request picks the pooled connection with the fewest inflight
   requests, reconnecting lazily (and counting reconnects) after a drop.
-  Timeouts and socket errors map onto the *existing* failure taxonomy —
-  :class:`~repro.errors.ShardTimeoutError` /
-  :class:`~repro.errors.ShardDownError` — so the unchanged
-  ``RetryPolicy``/``CircuitBreaker`` layer retries and trips exactly as
-  it does on the in-process plane; ``SERVER_ERROR`` frames reconstruct
-  the injected exception type via :func:`repro.net.proto.decode_failure`.
+  Timeouts and socket errors raise :class:`~repro.errors.ShardTimeoutError`
+  / :class:`~repro.errors.ShardDownError`, so the unchanged retry and
+  breaker layer acts as on the in-process plane; a ``SERVER_ERROR``
+  frame raises the injected type (:func:`repro.net.proto.decode_failure`).
 * the **shard verbs** — ``encode_*``/``decode_*``: a verb's frame and
   what its reply means. Both transports call these (and count into
   :class:`NetClientStats`), so they cannot answer a request differently.
 * :class:`NetClientStats` — wire counters (bytes, timeouts, reconnects,
   pipelined batch depths) that surface as ``net.*`` telemetry.
 
-A ``get_many`` (the proxy's) is **one wire round-trip per line-sized
-group**: the caller groups keys by ring owner, and each owner's keys go as
-few multi-key ``get`` lines as keep every line within
-:data:`~repro.net.proto.MAX_LINE_BYTES` — one line for up to 16 KiB of
-keys.
+A ``get_many`` (the proxy's) is **one round trip per line-sized group**
+of one owner's keys: as few multi-key ``get`` lines as keep each within
+:data:`~repro.net.proto.MAX_LINE_BYTES` (16 KiB of keys a line).
 """
 
 from __future__ import annotations

@@ -2,18 +2,17 @@
 
 :class:`NetworkPlane` wraps an existing
 :class:`~repro.cluster.cluster.CacheCluster` and serves every backend
-shard over a localhost TCP socket (one
-:class:`~repro.net.server.ShardServer` each, on an asyncio event loop
-running in a dedicated thread). It then re-exposes the cluster's entire
-*client-facing* surface — ``ring``, ``storage``, ``server_ids``,
-``server()``/``server_for()``, the revival/removal listener lists — but
-``server()`` resolves to a :class:`ShardProxy` whose
-``get``/``get_many``/``set``/``delete`` cross the wire on a blocking
-socket **in the caller's thread**: a caller that blocks for one reply
-has nothing to pipeline, so the loop thread only serves, and
-:meth:`LoopThread.call` is left with lifecycle work. (Coroutine
-callers, which do pipeline, use :class:`~repro.net.client.ShardEndpoint`;
-both transports share the verbs and counters of :mod:`repro.net.client`.)
+shard over a localhost TCP socket (one threaded
+:class:`~repro.net.server.ShardServer` each). It re-exposes the
+cluster's *client-facing* surface — ``ring``, ``storage``,
+``server_ids``, ``server()``/``server_for()``, the revival/removal
+listener lists — but ``server()`` resolves to a :class:`ShardProxy`
+whose verbs cross the wire on a blocking socket **in the caller's
+thread**: a round trip is one ``send`` and one ``recv`` at each end, and
+no event loop runs in the plane. (Coroutine callers, which pipeline, use
+:class:`~repro.net.client.ShardEndpoint`, on a :class:`LoopThread` from
+sync code; both transports share :mod:`repro.net.client`'s verbs and
+counters.)
 
 Because the facade duck-types ``CacheCluster`` exactly where front ends
 touch it, an **unchanged** :class:`~repro.cluster.client.FrontEndClient`
@@ -35,7 +34,9 @@ from __future__ import annotations
 
 import asyncio
 import socket
+import struct
 import threading
+from contextlib import suppress
 from time import monotonic
 from typing import Any, Callable, Hashable, Iterable
 
@@ -54,9 +55,7 @@ class LoopThread:
 
     def __init__(self, name: str = "repro-net-loop") -> None:
         self.loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._run, name=name, daemon=True
-        )
+        self._thread = threading.Thread(target=self._run, name=name, daemon=True)
         self._thread.start()
 
     def _run(self) -> None:
@@ -73,6 +72,12 @@ class LoopThread:
             self.loop.call_soon_threadsafe(self.loop.stop)
             self._thread.join(timeout=5.0)
             self.loop.close()
+
+
+def _timeval(seconds: float) -> bytes:
+    """``seconds`` as a ``SO_RCVTIMEO`` value, ≥ 1 µs (a zero one never expires)."""
+    micros = max(1, round(seconds * 1e6))
+    return struct.pack("ll", micros // 1_000_000, micros % 1_000_000)
 
 
 class ShardProxy:
@@ -92,6 +97,8 @@ class ShardProxy:
     passed, the peer hung up, the stream did not parse, a second reply
     arrived — the socket is closed: a late reply has nowhere to arrive,
     and the next request connects afresh.
+    The kernel keeps the deadline (``SO_RCVTIMEO``/``SO_SNDTIMEO`` on a
+    blocking socket), so a round trip is one ``send`` and one ``recv``.
     """
 
     def __init__(self, endpoint: ShardEndpoint, loop: LoopThread | None = None) -> None:
@@ -101,6 +108,7 @@ class ShardProxy:
         self._sock: socket.socket | None = None
         self._decoder = ResponseDecoder()
         self._lost = False  # a socket was closed: the next connect is a reconnect
+        self._deadline = _timeval(endpoint.timeout)
 
     def _connect(self) -> socket.socket:
         endpoint = self._endpoint
@@ -109,6 +117,9 @@ class ShardProxy:
             sock = socket.create_connection(address, endpoint.timeout)
         except OSError as exc:
             raise ShardDownError(f"connect to {address} failed: {exc}") from exc
+        sock.settimeout(None)  # blocking: the kernel keeps the deadline
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, self._deadline)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, self._deadline)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)  # as asyncio does
         endpoint.stats.connections += 1
         endpoint.stats.reconnects += self._lost
@@ -137,20 +148,23 @@ class ShardProxy:
             deadline = monotonic() + timeout
             try:
                 sock.sendall(frame)
-                stats.sent(1, len(frame))
+                stats.requests += 1  # NetClientStats.sent(1, len(frame)), inlined
+                stats.batches += 1
+                stats.bytes_out += len(frame)
+                stats.batch_depths[1] = stats.batch_depths.get(1, 0) + 1
                 replies = self._receive(sock)
                 while not replies:
-                    # The reply is arriving in pieces. The socket's timeout bounds
-                    # one recv; the rest share what is left of the request's deadline.
+                    # The reply is arriving in pieces: the kernel deadline bounds
+                    # one recv, the rest share what is left of the request's.
                     left = deadline - monotonic()
                     if left <= 0:
                         raise TimeoutError
-                    sock.settimeout(left)
+                    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, _timeval(left))
                     replies = self._receive(sock)
-                    sock.settimeout(timeout)
+                    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, self._deadline)
                 if len(replies) > 1 or self._decoder.broken or not self._decoder.idle:
                     raise ProtocolError(f"{self.server_id}: unparsable or unsolicited response")
-            except TimeoutError:
+            except (TimeoutError, BlockingIOError):  # EAGAIN: the kernel deadline passed
                 self.close()
                 raise stats.timed_out(self.server_id, timeout) from None
             except OSError as exc:
@@ -201,7 +215,6 @@ class NetworkPlane:
         self.host = host
         self.timeout = timeout
         self.client_stats = NetClientStats()
-        self._loop: LoopThread | None = None
         self._servers: dict[str, ShardServer] = {}
         self._proxies: dict[str, ShardProxy] = {}
         self._started = False
@@ -211,7 +224,6 @@ class NetworkPlane:
     def start(self) -> "NetworkPlane":
         if self._started:
             return self
-        self._loop = LoopThread()
         for server_id in self.cluster.server_ids:
             self._serve_shard(server_id)
         self.cluster.removal_listeners.append(self._on_server_removed)
@@ -222,14 +234,10 @@ class NetworkPlane:
         if not self._started:
             return
         self._started = False
-        try:
+        with suppress(ValueError):
             self.cluster.removal_listeners.remove(self._on_server_removed)
-        except ValueError:
-            pass
         for server_id in list(self._servers):
             self._on_server_removed(server_id)
-        self._loop.stop()
-        self._loop = None
 
     def __enter__(self) -> "NetworkPlane":
         return self.start()
@@ -238,16 +246,9 @@ class NetworkPlane:
         self.close()
 
     def _serve_shard(self, server_id: str) -> None:
-        assert self._loop is not None
-        backend = self.cluster.server(server_id)
-        server = ShardServer(backend, host=self.host)
-        self._loop.call(server.start())
+        server = ShardServer(self.cluster.server(server_id), host=self.host).serve()
         endpoint = ShardEndpoint(
-            server_id,
-            server.host,
-            server.port,
-            timeout=self.timeout,
-            stats=self.client_stats,
+            server_id, server.host, server.port, timeout=self.timeout, stats=self.client_stats
         )
         self._servers[server_id] = server
         self._proxies[server_id] = ShardProxy(endpoint)
@@ -257,21 +258,17 @@ class NetworkPlane:
         proxy = self._proxies.pop(server_id, None)
         if proxy is not None:
             proxy.close()
-        if server is not None and self._loop is not None:
-            try:
-                self._loop.call(server.stop(), timeout=5.0)
-            except Exception:
-                pass
+        if server is not None:
+            server.close()
 
     # ------------------------------------------------------- fault surface
 
     def drop_connections(self, server_id: str) -> None:
         """Hard-drop a shard's live sockets, both ends (network face of a kill)."""
         server = self._servers.get(server_id)
-        if server is None or self._loop is None:
-            return
-        self._loop.loop.call_soon_threadsafe(server.abort_connections)
-        self._proxies[server_id].close()
+        if server is not None:
+            server.abort_connections()
+            self._proxies[server_id].close()
 
     # -------------------------------------------------- cluster duck-typing
 

@@ -1,38 +1,36 @@
-"""Asyncio shard server speaking the memcached-style text protocol.
+"""Threaded shard server speaking the memcached-style text protocol.
 
-One :class:`ShardServer` wraps one
-:class:`~repro.cluster.backend.BackendCacheServer` and serves it over a
-TCP socket, one :class:`asyncio.Protocol` per connection
-(DESIGN.md §15):
+One :class:`ShardServer` serves one
+:class:`~repro.cluster.backend.BackendCacheServer` over a TCP socket
+(DESIGN.md §15). An accept thread hands each connection to a blocking
+thread of its own, which loops: ``recv`` up to 64 KiB, parse the chunk
+where it lies (:class:`~repro.net.proto.RequestDecoder`), execute the
+decoded commands and answer each batch with one ``sendall`` — the
+server-side half of pipelining. A batch ends once its replies pass
+:data:`BATCH_BYTES`, so a peer that stops reading blocks only its own
+thread, which then holds one batch plus one reply for it and reads
+nothing more: TCP backpressure reaches the peer. Values cross unread (the
+backend holds the ``(flags, payload)`` a ``set`` carried); an injected
+:class:`~repro.errors.ShardFailure` becomes a ``SERVER_ERROR <code> …``
+frame, which the client raises as the same exception type.
 
-* ``data_received`` parses the chunk where it lies
-  (:class:`~repro.net.proto.RequestDecoder`), executes every decoded
-  command against the backend — the calls are synchronous — and
-  **answers the whole batch with one socket write**, the server-side
-  half of pipelining (the batch-depth distribution is recorded per
-  write). Values cross unread: the backend holds the ``(flags, payload)``
-  pair a ``set`` carried, so nothing a peer sends is interpreted here;
-* load leveling is the transport's own flow control: when a peer stops
-  reading, its write buffer passes the high-water mark, the connection
-  stops reading the socket and stops executing decoded commands, and
-  TCP backpressure reaches the client instead of unbounded buffering;
-  the held commands run, in order, once the buffer drains;
-* injected shard failures (:class:`~repro.errors.ShardFailure`) become
-  ``SERVER_ERROR <code> …`` frames, so fault schedules exercise the
-  wire path end to end and the client reconstructs the exact exception
-  type for its retry/breaker layer.
-
-Shutdown is a **graceful drain**: :meth:`ShardServer.stop` first closes
-the listener (no new connections), then closes every connection the
-flushing way — replies to requests already received are delivered
-before the socket goes — and only aborts what outlives the timeout.
+One lock per server wraps the backend calls and every
+:class:`ShardServerStats` update, so counts stay exact however many
+connections share the shard. Past :data:`MAX_CONNECTIONS` a connection is
+answered ``SERVER_ERROR down …`` and closed. :meth:`ShardServer.close`
+drains: close the listener, shut every connection for reading (each
+answers what it had received, then closes), join their threads and abort
+what outlives the timeout. No thread outlives it.
 """
 
 from __future__ import annotations
 
 import asyncio
-from collections import deque
+import socket
+import threading
+from contextlib import suppress
 from dataclasses import dataclass, field
+from time import monotonic
 
 from repro.cluster.backend import BackendCacheServer
 from repro.errors import ShardFailure
@@ -54,12 +52,22 @@ __all__ = ["ShardServer", "ShardServerStats", "SERVER_VERSION"]
 
 SERVER_VERSION = "repro-net/1"
 
+#: a batch ends once its replies pass this many bytes (and one ``recv`` reads as many)
+BATCH_BYTES = 1 << 16
+#: connections served at once, per server; one more is refused
+MAX_CONNECTIONS = 64
+
+_REFUSED = Reply("SERVER_ERROR", "down too many connections").encode()
+
+
 @dataclass
 class ShardServerStats:
     """Wire-level counters for one shard server (feeds ``net.*`` telemetry)."""
 
     connections: int = 0
     active_connections: int = 0
+    #: connections turned away at :data:`MAX_CONNECTIONS`
+    refused: int = 0
     requests: int = 0
     batches: int = 0
     bytes_in: int = 0
@@ -70,97 +78,61 @@ class ShardServerStats:
     batch_depths: dict[int, int] = field(default_factory=dict)
 
 
-class _Connection(asyncio.Protocol):
-    """One client connection: decode, execute, answer — all in ``data_received``."""
+def _shut(sock: socket.socket, how: int) -> None:
+    with suppress(OSError):  # already closed, or the peer is gone
+        sock.shutdown(how)
 
-    def __init__(self, server: "ShardServer") -> None:
+
+class _Connection:
+    """One client connection on a thread of its own: read, decode, execute, answer."""
+
+    def __init__(self, server: "ShardServer", sock: socket.socket) -> None:
         self.server = server
+        self.sock = sock
         self.decoder = RequestDecoder(max_value_bytes=server.max_value_bytes)
-        self.transport: asyncio.Transport | None = None
-        #: decoded commands not yet executed (non-empty only while paused)
-        self._backlog: deque = deque()
-        self._paused = False  # the transport's write buffer is over high water
-        self._closing = False  # close once the backlog is answered
-        self._high_water = 0
+        self._open = True  # False after ``quit`` or lost framing
+        self.thread = threading.Thread(
+            target=self._run, name=f"repro-net-{server.server_id}", daemon=True
+        )
 
-    def connection_made(self, transport: asyncio.BaseTransport) -> None:
-        self.transport = transport
-        self._high_water = transport.get_write_buffer_limits()[1]
-        server = self.server
-        server.stats.connections += 1
-        server.stats.active_connections += 1
-        server._connections.add(self)
-        server._idle.clear()
-        if server._server is None:  # accepted while stop() was closing the listener
-            transport.abort()
+    def _run(self) -> None:
+        server, sock, feed = self.server, self.sock, self.decoder.feed
+        try:
+            # To EOF; a draining server answers the chunk in hand, then reads no more.
+            while self._open and not server._draining and (data := sock.recv(BATCH_BYTES)):
+                self._answer(len(data), feed(data))
+        except OSError:  # the peer is gone, or abort_connections() shut the socket
+            pass
+        finally:
+            with server._lock:  # abort_connections() never shuts a closed socket
+                server.stats.active_connections -= 1
+                sock.close()
 
-    def connection_lost(self, exc: Exception | None) -> None:
-        server = self.server
-        server.stats.active_connections -= 1
-        server._connections.discard(self)
-        if not server._connections:
-            server._idle.set()
-
-    def data_received(self, data: bytes) -> None:
-        self.server.stats.bytes_in += len(data)
-        self._backlog.extend(self.decoder.feed(data))
-        self._serve()
-
-    def eof_received(self) -> bool:
-        self.shutdown()
-        return True  # shutdown() closes, now or when the backlog is answered
-
-    def pause_writing(self) -> None:
-        # The peer is not reading its replies: stop taking its requests.
-        self._paused = True
-        self.transport.pause_reading()
-
-    def resume_writing(self) -> None:
-        self._paused = False
-        self._serve()
-        if not self._paused:
-            self.transport.resume_reading()
-
-    def shutdown(self) -> None:
-        """Answer what was already received, flush, then close."""
-        self._closing = True
-        if not self._backlog:
-            self.transport.close()
-
-    def _hang_up(self) -> None:
-        """``quit`` or lost framing: nothing after this command is served."""
-        self._backlog.clear()
-        self._closing = True
-
-    def _serve(self) -> None:
-        """Execute backlogged commands in order, one write per batch.
-
-        A batch ends when the backlog does, or early once its replies
-        fill the room left under the write buffer's high-water mark — so
-        a peer that does not read is owed at most that mark plus one
-        reply. The write may pause the transport, which ends the loop.
-        """
-        stats = self.server.stats
-        transport = self.transport
-        backlog = self._backlog
-        while backlog and not self._paused:
-            room = self._high_water - transport.get_write_buffer_size()
+    def _answer(self, received: int, commands: list) -> None:
+        """Execute ``commands`` in order, one ``sendall`` per batch of at
+        most :data:`BATCH_BYTES` plus one reply."""
+        server, sock = self.server, self.sock
+        stats, lock = server.stats, server._lock
+        with lock:
+            stats.bytes_in += received
+        i, n = 0, len(commands)
+        while i < n and self._open:
             out: list[bytes] = []
-            size = depth = 0
-            while backlog and size <= room:
-                depth += 1
-                reply = self._execute(backlog.popleft())
-                if reply is not None:
-                    out.append(reply)
-                    size += len(reply)
-            stats.requests += depth
-            stats.batches += 1
-            stats.batch_depths[depth] = stats.batch_depths.get(depth, 0) + 1
-            if out:
+            size, start = 0, i
+            with lock:
+                while i < n and size <= BATCH_BYTES and self._open:
+                    reply = self._execute(commands[i])
+                    i += 1
+                    if reply is not None:
+                        out.append(reply)
+                        size += len(reply)
+                depth = i - start
+                stats.requests += depth
+                stats.batches += 1
+                stats.batch_depths[depth] = stats.batch_depths.get(depth, 0) + 1
                 stats.bytes_out += size
-                transport.write(b"".join(out))
-        if self._closing and not backlog:
-            transport.close()  # flushes the replies just written first
+            if out:
+                sock.sendall(b"".join(out))  # one reply: joined without a copy
 
     def _execute(self, cmd) -> bytes | None:
         """Run one command against the backend; its reply frame, formatted once."""
@@ -201,11 +173,11 @@ class _Connection(asyncio.Protocol):
         if kind is VersionCommand:
             return Reply("VERSION", SERVER_VERSION).encode()
         if kind is QuitCommand:
-            self._hang_up()
+            self._open = False  # nothing after this command is served
             return None
         self.server.stats.protocol_errors += 1  # what is left is a BadCommand
         if cmd.fatal:
-            self._hang_up()
+            self._open = False
         return Reply(cmd.kind, cmd.message).encode()
 
 
@@ -213,10 +185,7 @@ class ShardServer:
     """Serve one backend shard on a TCP port (ephemeral by default)."""
 
     def __init__(
-        self,
-        backend: BackendCacheServer,
-        host: str = "127.0.0.1",
-        port: int = 0,
+        self, backend: BackendCacheServer, host: str = "127.0.0.1", port: int = 0,
         max_value_bytes: int = proto.MAX_VALUE_BYTES,
     ) -> None:
         self.backend = backend
@@ -224,10 +193,12 @@ class ShardServer:
         self.port = port
         self.max_value_bytes = max_value_bytes
         self.stats = ShardServerStats()
-        self._server: asyncio.AbstractServer | None = None
-        self._connections: set[_Connection] = set()
-        self._idle = asyncio.Event()  # set while there are no connections
-        self._idle.set()
+        self._lock = threading.Lock()  # the backend, the stats and the sockets' shutdowns
+        self._listener: socket.socket | None = None
+        self._acceptor: threading.Thread | None = None
+        #: every connection whose thread may still run (pruned on accept)
+        self._connections: list[_Connection] = []
+        self._draining = False
 
     @property
     def server_id(self) -> str:
@@ -237,38 +208,78 @@ class ShardServer:
     def address(self) -> tuple[str, int]:
         return (self.host, self.port)
 
-    async def start(self) -> "ShardServer":
-        self._server = await asyncio.get_running_loop().create_server(
-            lambda: _Connection(self), self.host, self.port
+    def serve(self) -> "ShardServer":
+        """Listen, and accept on a thread of its own until :meth:`close`."""
+        listener = socket.socket()
+        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        listener.bind((self.host, self.port))
+        listener.listen()
+        self.port = listener.getsockname()[1]
+        self._listener = listener
+        self._acceptor = threading.Thread(
+            target=self._accept, args=(listener,),
+            name=f"repro-net-accept-{self.server_id}", daemon=True,
         )
-        self.port = self._server.sockets[0].getsockname()[1]
+        self._acceptor.start()
         return self
 
-    def abort_connections(self) -> None:
-        """Hard-drop every live connection (simulates an instance crash).
+    def _accept(self, listener: socket.socket) -> None:
+        stats = self.stats
+        while True:
+            try:
+                sock, _ = listener.accept()
+            except OSError:  # close() shut the listener
+                return
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            with self._lock:
+                self._connections = [c for c in self._connections if c.thread.is_alive()]
+                refused = stats.active_connections >= MAX_CONNECTIONS
+                if refused:
+                    stats.refused += 1
+                else:
+                    conn = _Connection(self, sock)
+                    self._connections.append(conn)
+                    stats.connections += 1
+                    stats.active_connections += 1
+            if refused:
+                with suppress(OSError):
+                    sock.sendall(_REFUSED)
+                sock.close()
+            else:
+                conn.thread.start()
 
-        Clients observe a ``ConnectionError`` mid-flight — the network
-        analogue of a killed shard — and reconnect lazily on next use.
-        """
-        for conn in list(self._connections):
-            conn.transport.abort()
+    def abort_connections(self) -> None:
+        """Hard-drop every live connection (the network face of a killed
+        shard): clients see the socket die mid-flight and reconnect lazily."""
+        with self._lock:
+            for conn in self._connections:
+                _shut(conn.sock, socket.SHUT_RDWR)
+
+    def close(self, drain: bool = True, timeout: float = 5.0) -> None:
+        """Stop serving; with ``drain`` (default) each connection first
+        answers what it had received, for up to ``timeout`` seconds in all."""
+        listener, self._listener = self._listener, None
+        if listener is not None:
+            _shut(listener, socket.SHUT_RDWR)  # wakes the blocked accept()
+            self._acceptor.join()
+            listener.close()
+        with self._lock:
+            self._draining = True
+            connections = list(self._connections)
+            if drain:
+                for conn in connections:
+                    _shut(conn.sock, socket.SHUT_RD)
+        if drain:
+            deadline = monotonic() + timeout
+            for conn in connections:
+                conn.thread.join(max(0.0, deadline - monotonic()))
+        self.abort_connections()
+        for conn in connections:
+            conn.thread.join()
+
+    async def start(self) -> "ShardServer":
+        return self.serve()
 
     async def stop(self, drain: bool = True, timeout: float = 5.0) -> None:
-        """Stop serving; with ``drain`` (default) finish inflight work first."""
-        listener, self._server = self._server, None
-        if listener is not None:
-            listener.close()
-        if drain:
-            for conn in list(self._connections):
-                conn.shutdown()
-            await self._wait_idle(timeout)
-        self.abort_connections()
-        await self._wait_idle(timeout)
-        if listener is not None:
-            await listener.wait_closed()
-
-    async def _wait_idle(self, timeout: float) -> None:
-        try:
-            await asyncio.wait_for(self._idle.wait(), timeout)
-        except asyncio.TimeoutError:
-            pass
+        """:meth:`close` off the loop, so a loop that is the draining peer keeps reading."""
+        await asyncio.to_thread(self.close, drain, timeout)

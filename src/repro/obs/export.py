@@ -197,6 +197,8 @@ class PrometheusExporter:
             ),
         ]
         for raw, value, help_text in scalars:
+            if value is None:  # a scalar this run does not measure
+                continue
             name = _metric_name(raw, namespace)
             self._family(name, "gauge", help_text).add("", base, value)
 

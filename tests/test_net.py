@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import asyncio
 import logging
+import os
 import random
 import socket
+import struct
 import sys
 import threading
 import time
@@ -31,7 +33,8 @@ from repro.errors import ProtocolError, ShardDownError, ShardTimeoutError
 from repro.net.client import Connection, NetClientStats, ShardEndpoint
 from repro.net.plane import NetworkPlane, ShardProxy
 from repro.net.proto import Reply, ResponseDecoder, Value
-from repro.net.server import ShardServer
+from repro.net import server as server_module
+from repro.net.server import BATCH_BYTES, ShardServer
 from repro.policies.base import MISSING
 from repro.policies.registry import make_policy
 from tests._plane_equivalence import decision_equivalence
@@ -490,7 +493,11 @@ def test_blocking_proxy_reads_a_reply_that_arrives_a_byte_at_a_time():
 
     with scripted_shard(script, timeout=2.0) as proxy:
         assert proxy.get("a") == b"slowly"
-        assert proxy._sock.gettimeout() == pytest.approx(2.0)  # not what the deadline had left
+        # The kernel's receive deadline is the endpoint's again, not what the
+        # request's deadline had left when the last byte came.
+        raw = proxy._sock.getsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, 16)
+        seconds, micros = struct.unpack("ll", raw)
+        assert seconds + micros / 1e6 == pytest.approx(2.0)
         assert proxy.get("b") is MISSING
         assert proxy._endpoint.stats.connections == 1
 
@@ -656,6 +663,23 @@ async def read_replies(sock: socket.socket, count: int | None) -> list[Reply]:
     return replies
 
 
+def kernel_queues(sock: socket.socket) -> int:
+    """Bytes the kernel holds on ``sock``'s connection, both ends: the
+    server end's send queue plus this end's unread receive queue (Linux)."""
+    here, there = sock.getsockname()[1], sock.getpeername()[1]
+    queued = 0
+    with open("/proc/net/tcp") as table:
+        for line in list(table)[1:]:
+            fields = line.split()
+            local, remote = int(fields[1][-4:], 16), int(fields[2][-4:], 16)
+            tx, rx = (int(n, 16) for n in fields[4].split(":"))
+            if (local, remote) == (there, here):
+                queued += tx
+            elif (local, remote) == (here, there):
+                queued += rx
+    return queued
+
+
 def test_peer_that_does_not_read_stalls_the_server_not_its_memory():
     sent = 2_000
 
@@ -665,15 +689,18 @@ def test_peer_that_does_not_read_stalls_the_server_not_its_memory():
         pipeline = b"".join(b"get k%d\r\n" % (i % 4) for i in range(sent))
         await asyncio.get_running_loop().sock_sendall(sock, pipeline)
         await until(lambda: server.stats.bytes_in == len(pipeline))
-        (conn,) = server._connections
-        await until(lambda: conn._paused)
-        stalled_at = server.stats.requests
+        stalled_at = -1
+        while server.stats.requests != stalled_at:  # until its sendall blocks
+            stalled_at = server.stats.requests
+            await asyncio.sleep(0.05)
         await asyncio.sleep(0.1)
         # Flow control, not a queue: the server executes no further than
-        # the socket can take, and owes at most the mark plus one reply.
+        # the socket can take, and what it has answered but the kernel has
+        # not taken — one batch, at most the mark plus one reply — is all
+        # it holds for the peer.
         assert server.stats.requests == stalled_at < sent
-        high_water = conn.transport.get_write_buffer_limits()[1]
-        assert conn.transport.get_write_buffer_size() <= high_water + BIG + 64
+        held = server.stats.bytes_out - kernel_queues(sock)
+        assert 0 <= held <= BATCH_BYTES + BIG + 64
         replies = await read_replies(sock, sent)
         assert [r.values[0].key for r in replies] == [f"k{i % 4}" for i in range(sent)]
         assert all(r.values[0].data == bytes([65 + i % 4]) * BIG for i, r in enumerate(replies))
@@ -748,6 +775,175 @@ def test_stop_right_after_the_client_closes_logs_nothing(caplog):
     with caplog.at_level(logging.DEBUG, logger="asyncio"):
         assert asyncio.run(main()) == []
     assert [r for r in caplog.records if r.levelno >= logging.WARNING] == []
+
+
+# ------------------------------------------------ threads, sockets and caps
+
+
+def own_listeners() -> set[str]:
+    """Inodes of this process's listening TCP sockets (Linux)."""
+    with open("/proc/net/tcp") as table:
+        listening = {f[9] for f in map(str.split, list(table)[1:]) if f[3] == "0A"}
+    mine = set()
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            target = os.readlink(f"/proc/self/fd/{fd}")
+        except OSError:
+            continue
+        if target.startswith("socket:[") and target[8:-1] in listening:
+            mine.add(target[8:-1])
+    return mine
+
+
+@contextmanager
+def leaves_nothing_running():
+    """The block ends with this process's thread count and listening
+    sockets where they were when it began."""
+    threads, listeners = threading.active_count(), own_listeners()
+    yield
+    assert threading.active_count() == threads
+    assert own_listeners() == listeners
+
+
+def test_plane_close_leaves_no_thread_or_listener():
+    with leaves_nothing_running():
+        plane = NetworkPlane(make_cluster(num_servers=3)).start()
+        for sid in plane.server_ids:
+            plane.server(sid).set("k", sid)
+        plane.close()
+
+
+def test_awaited_stop_leaves_no_thread_or_listener():
+    async def main():
+        server = await ShardServer(BackendCacheServer("s")).start()
+        endpoint = ShardEndpoint("s", *server.address, pool_size=2)
+        await asyncio.gather(*(endpoint.set(f"k{i}", b"v") for i in range(8)))
+        await endpoint.close()
+        await server.stop()
+        assert server.stats.active_connections == 0
+
+    with leaves_nothing_running():
+        asyncio.run(main())
+
+
+def test_dropped_and_reconnected_twenty_times_leaves_nothing_running():
+    with leaves_nothing_running():
+        plane = NetworkPlane(make_cluster()).start()
+        sid = plane.server_ids[0]
+        shard = plane.server(sid)
+        shard.set("k", 1)
+        for _ in range(20):
+            plane.drop_connections(sid)
+            assert shard.get("k") == 1
+        server = plane._servers[sid]
+        assert (server.stats.connections, plane.client_stats.reconnects) == (21, 20)
+        plane.close()
+
+
+def test_close_against_a_peer_that_never_reads_is_bounded():
+    drain = 0.5
+
+    async def main():
+        server = await big_value_server()
+        sock = await raw_peer(server)
+        pipeline = b"get k0\r\n" * 200  # ~13 MiB of replies, never read
+        await asyncio.get_running_loop().sock_sendall(sock, pipeline)
+        await until(lambda: server.stats.bytes_in == len(pipeline))
+        start = time.monotonic()
+        await server.stop(drain=True, timeout=drain)
+        # The drain waits its whole timeout on the stalled send, then the
+        # abort ends it at once.
+        assert drain <= time.monotonic() - start < drain + 1.0
+        assert server.stats.active_connections == 0
+        assert server.stats.requests < 200
+        sock.close()
+
+    with leaves_nothing_running():
+        asyncio.run(main())
+
+
+class YieldingBackend(BackendCacheServer):
+    """Counts its calls with a read-modify-write that lets other threads
+    run midway: only a lock around the calls keeps the count."""
+
+    calls = 0
+
+    def _count(self) -> None:
+        seen = self.calls
+        time.sleep(0)
+        self.calls = seen + 1
+
+    def get(self, key):
+        self._count()
+        return super().get(key)
+
+    def set(self, key, value, size=None):
+        self._count()
+        super().set(key, value, size)
+
+
+def test_connections_sharing_a_shard_keep_its_counts_exact():
+    """One server thread per connection, all on one backend: the shard lock
+    keeps every read-modify-write of the backend and the wire counters."""
+    clients, rounds = 4, 300  # more connections than cores
+    backend = YieldingBackend("s", capacity_bytes=1 << 20, default_value_size=1)
+    server = ShardServer(backend).serve()
+    stats = NetClientStats()
+    proxies = [ShardProxy(ShardEndpoint("s", *server.address, stats=stats)) for _ in range(clients)]
+    wrong: list[tuple] = []
+
+    def hammer(index: int) -> None:
+        for step in range(rounds):
+            key = f"{index}:{step % 20}"
+            proxies[index].set(key, step)
+            if proxies[index].get(key) != step:
+                wrong.append((key, step))
+
+    threads = [threading.Thread(target=hammer, args=(i,), daemon=True) for i in range(clients)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads as often as the interpreter can
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30.0)
+    finally:
+        sys.setswitchinterval(interval)
+        for proxy in proxies:
+            proxy.close()
+        server.close()
+    assert not any(t.is_alive() for t in threads) and wrong == []
+    total = clients * rounds * 2
+    assert (server.stats.requests, server.stats.batches) == (total, total)  # lockstep
+    assert server.stats.batch_depths == {1: total}
+    assert backend.calls == total
+    assert (backend.stats.sets, backend.stats.gets) == (total // 2, total // 2)
+    assert (server.stats.bytes_in, server.stats.bytes_out) == (stats.bytes_out, stats.bytes_in)
+
+
+def test_a_connection_over_the_cap_is_refused_as_a_down_shard(monkeypatch):
+    monkeypatch.setattr(server_module, "MAX_CONNECTIONS", 1)
+    with leaves_nothing_running():
+        server = ShardServer(BackendCacheServer("s")).serve()
+        held = socket.create_connection(server.address)
+        proxy = ShardProxy(ShardEndpoint("s", *server.address, timeout=2.0))
+        try:
+            held.sendall(b"get a\r\n")
+            assert held.recv(4096) == b"END\r\n"  # served: it holds the one slot
+            with pytest.raises(ShardDownError, match="too many connections"):
+                proxy.get("a")
+            assert (server.stats.connections, server.stats.refused) == (1, 1)
+            proxy.close()
+            held.close()
+            deadline = time.monotonic() + 5.0
+            while server.stats.active_connections:
+                assert time.monotonic() < deadline, "the held connection never closed"
+                time.sleep(0.005)
+            assert proxy.get("a") is MISSING  # the slot is free again
+        finally:
+            proxy.close()
+            held.close()
+            server.close()
 
 
 # ------------------------------------------- the shard never reads a value

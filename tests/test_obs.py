@@ -891,6 +891,22 @@ class TestPrometheusExport:
                 assert f"cot_adaptive_shadow_hit_rate_{candidate}" in series
 
 
+    def test_fallback_latency_is_exported_only_where_it_is_measured(self, axis_runs):
+        """Only the simulator times a storage fallback: the faulted
+        simulated run exports ``latency.fallback_seconds_total`` > 0, and
+        every other runner's export has no such series (not a 0 it never
+        measured)."""
+        name = exported("latency.fallback_seconds_total")
+        for axis, (runner, _sources, _live) in AXES.items():
+            snapshot = axis_runs[axis][0].telemetry
+            series = parse_prometheus(render_prometheus(snapshot))
+            if runner == "SimRunner":
+                assert series[name][0][1] == snapshot.fallback_latency > 0
+            else:
+                assert snapshot.fallback_latency is None
+                assert name not in series, axis
+
+
 class TestCatalogue:
     def test_every_row_is_filed_by_some_runner(self, axis_runs):
         filed = {source for _result, sources in axis_runs.values() for source in sources}
