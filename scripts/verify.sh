@@ -139,26 +139,38 @@ fi
 echo "($hashring: one ring sort, bucket-bounded lookups)"
 # I_t is the only input: the elastic controller takes the target imbalance,
 # the cost-aware one its hit value and line cost, and all other tuning is a
-# module constant (DESIGN.md section 5, item 4).
+# module constant (DESIGN.md section 5, item 4). The fault path keeps the
+# four settings a run sets: the guard's attempts, the breaker's threshold and
+# cooldown, the injector's flaky-coin seed. A retry is immediate, so the
+# guard draws no random numbers (DESIGN.md section 7).
 python - <<'PY'
 import ast
 import sys
 
-expected = {
+#: (path, class) -> its __init__ parameters after self
+inits = {
     ("src/repro/core/resizing.py", "ResizingController"): ["target_imbalance"],
     ("src/repro/core/costaware.py", "CostAwareController"): ["hit_value", "line_cost"],
+    ("src/repro/cluster/retry.py", "ClusterGuard"): ["servers", "max_attempts", "breaker"],
+    ("src/repro/cluster/faults.py", "FaultInjector"): ["seed"],
 }
-wrong = []
-for (path, name), want in expected.items():
+#: (path, dataclass) -> its fields
+fields = {
+    ("src/repro/cluster/retry.py", "BreakerConfig"): ["failure_threshold", "cooldown"],
+}
+
+
+def body(path: str, name: str) -> list:
     tree = ast.parse(open(path, encoding="utf-8").read())
+    return next(
+        (c.body for c in tree.body if isinstance(c, ast.ClassDef) and c.name == name), []
+    )
+
+
+wrong = []
+for (path, name), want in inits.items():
     init = next(
-        (
-            node
-            for cls in tree.body
-            if isinstance(cls, ast.ClassDef) and cls.name == name
-            for node in cls.body
-            if isinstance(node, ast.FunctionDef) and node.name == "__init__"
-        ),
+        (n for n in body(path, name) if isinstance(n, ast.FunctionDef) and n.name == "__init__"),
         None,
     )
     if init is None:
@@ -170,10 +182,29 @@ for (path, name), want in expected.items():
     print(f"({name}.__init__(self, {', '.join(params)}))")
     if params != want:
         wrong.append(f"{path}: {name}.__init__ takes {params}, not {want}")
+for (path, name), want in fields.items():
+    have = [
+        n.target.id for n in body(path, name)
+        if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)
+    ]
+    print(f"({name} fields: {', '.join(have)})")
+    if have != want:
+        wrong.append(f"{path}: {name} has the fields {have}, not {want}")
+retry = "src/repro/cluster/retry.py"
+for node in ast.walk(ast.parse(open(retry, encoding="utf-8").read())):
+    if isinstance(node, ast.Import):
+        modules = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        modules = [node.module or ""]
+    else:
+        continue
+    if any(module.split(".")[0] == "random" for module in modules):
+        wrong.append(f"{retry}:{node.lineno}: imports random")
 if wrong:
     print("\n".join(wrong), file=sys.stderr)
-    print("an elastic controller takes a tuning option (see above): the paper's"
-          " inputs are its only parameters, the rest are module constants",
+    print("a controller or the fault path takes a setting no run varies (see above):"
+          " the paper's inputs and the fault path's four settings are the only"
+          " parameters, the rest are module constants",
           file=sys.stderr)
     sys.exit(1)
 PY

@@ -4,7 +4,7 @@ the client-driven front-end protocol (paper Section 2's system model)."""
 from repro.cluster.backend import BackendCacheServer, BackendStats
 from repro.cluster.client import FrontEndClient
 from repro.cluster.cluster import CacheCluster
-from repro.cluster.faults import FaultInjector, FaultStats, ShardFaultProfile
+from repro.cluster.faults import FaultInjector, ShardFaultProfile
 from repro.cluster.hashring import ConsistentHashRing
 from repro.cluster.loadmonitor import LoadMonitor, load_imbalance
 from repro.cluster.replication import (
@@ -18,7 +18,6 @@ from repro.cluster.retry import (
     BreakerState,
     CircuitBreaker,
     ClusterGuard,
-    RetryPolicy,
     RetryStats,
 )
 from repro.cluster.storage import PersistentStore, StorageStats
@@ -34,7 +33,6 @@ __all__ = [
     "CacheCluster",
     "ConsistentHashRing",
     "FaultInjector",
-    "FaultStats",
     "HotKeyRouter",
     "LoadMonitor",
     "ReplicaEntry",
@@ -42,7 +40,6 @@ __all__ = [
     "ReplicationStats",
     "load_imbalance",
     "PersistentStore",
-    "RetryPolicy",
     "RetryStats",
     "ShardFaultProfile",
     "StorageStats",

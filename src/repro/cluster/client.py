@@ -60,7 +60,7 @@ class FrontEndClient:
     """One stateless front-end server's caching client.
 
     Every shard request goes through a :class:`ClusterGuard` — bounded
-    retries with backoff for transient failures and a per-shard circuit
+    immediate retries for transient failures and a per-shard circuit
     breaker. When a shard is unavailable (breaker open / retries
     exhausted) reads degrade gracefully to persistent storage and are
     counted as *degraded reads* in the load monitor; writes lose only the

@@ -13,15 +13,17 @@ model) reads it for the slowdown factor only:
   (:class:`~repro.errors.ShardDownError`);
 * **slowdown** — a service-time multiplier. The simulator inflates the
   shard's service time by it; the data plane has no clock, so a
-  slowdown at or beyond ``timeout_factor`` is surfaced as the client's
-  request timer firing (:class:`~repro.errors.ShardTimeoutError`);
+  slowdown at or beyond :data:`TIMEOUT_FACTOR` is surfaced as the
+  client's request timer firing (:class:`~repro.errors.ShardTimeoutError`);
 * **flaky** — each request independently fails with probability
   ``error_rate`` (:class:`~repro.errors.ShardFlakyError`), seeded and
   deterministic.
 
 A shard with no injected fault pays one ``dict.get`` per request; a
 server whose ``fault_injector`` is ``None`` pays a single ``is None``
-check, keeping the healthy path inside the perf gate's budget.
+check, keeping the healthy path inside the perf gate's budget. The
+injector keeps no count of its own: the shard counts every request a
+fault refused (:attr:`~repro.cluster.backend.BackendStats.fault_errors`).
 """
 
 from __future__ import annotations
@@ -32,12 +34,17 @@ from dataclasses import dataclass
 from repro.errors import (
     ConfigurationError,
     ShardDownError,
-    ShardFailure,
     ShardFlakyError,
     ShardTimeoutError,
 )
 
-__all__ = ["FaultInjector", "FaultStats", "ShardFaultProfile"]
+__all__ = ["FaultInjector", "ShardFaultProfile", "TIMEOUT_FACTOR"]
+
+#: slowdown multiplier at (or beyond) which the live data plane reports a
+#: client-side timeout instead of merely serving slowly — the untimed
+#: cluster's stand-in for a per-request timer. The simulator, which has a
+#: clock, keeps serving below it with inflated service times.
+TIMEOUT_FACTOR = 8.0
 
 
 @dataclass
@@ -48,22 +55,6 @@ class ShardFaultProfile:
     slowdown: float = 1.0
     flaky_rate: float = 0.0
 
-    @property
-    def healthy(self) -> bool:
-        """Whether this profile injects nothing."""
-        return not self.down and self.slowdown == 1.0 and self.flaky_rate == 0.0
-
-
-@dataclass
-class FaultStats:
-    """Counters over everything the injector actually did."""
-
-    kills: int = 0
-    revives: int = 0
-    injected_down: int = 0
-    injected_timeouts: int = 0
-    injected_flaky: int = 0
-
 
 class FaultInjector:
     """Per-shard fault switchboard shared by live servers and the simulator.
@@ -72,21 +63,11 @@ class FaultInjector:
     ----------
     seed:
         seeds the flaky-error coin so chaos runs are reproducible.
-    timeout_factor:
-        slowdown multiplier at (or beyond) which the live data plane
-        reports a client-side timeout instead of merely serving slowly —
-        the untimed cluster's stand-in for a per-request timer. The
-        simulator, which has a clock, keeps serving below this threshold
-        with inflated service times.
     """
 
-    def __init__(self, seed: int = 0, timeout_factor: float = 8.0) -> None:
-        if timeout_factor <= 1.0:
-            raise ConfigurationError("timeout_factor must be > 1")
+    def __init__(self, seed: int = 0) -> None:
         self._profiles: dict[str, ShardFaultProfile] = {}
         self._rng = random.Random(seed)
-        self._timeout_factor = timeout_factor
-        self.stats = FaultStats()
 
     # ------------------------------------------------------------- controls
 
@@ -99,17 +80,11 @@ class FaultInjector:
 
     def kill(self, server_id: str) -> None:
         """Take the shard down; every request fails until :meth:`revive`."""
-        profile = self.profile(server_id)
-        if not profile.down:
-            profile.down = True
-            self.stats.kills += 1
+        self.profile(server_id).down = True
 
     def revive(self, server_id: str) -> None:
         """Bring the shard back (breakers re-probe it on their own)."""
-        profile = self.profile(server_id)
-        if profile.down:
-            profile.down = False
-            self.stats.revives += 1
+        self.profile(server_id).down = False
 
     def set_slowdown(self, server_id: str, factor: float) -> None:
         """Inflate the shard's service time by ``factor`` (1.0 = healthy)."""
@@ -157,31 +132,17 @@ class FaultInjector:
 
     # ------------------------------------------------------------ injection
 
-    def probe(self, server_id: str) -> ShardFailure | None:
-        """The failure this request suffers, or ``None`` when it succeeds.
-
-        Non-raising form of :meth:`check`, which the data plane calls.
-        Stats are counted here, once per failed request.
-        """
+    def check(self, server_id: str) -> None:
+        """Raise the failure this request suffers, if any (live data plane)."""
         profile = self._profiles.get(server_id)
         if profile is None:
-            return None
+            return
         if profile.down:
-            self.stats.injected_down += 1
-            return ShardDownError(f"shard {server_id} is down")
-        if profile.slowdown >= self._timeout_factor:
-            self.stats.injected_timeouts += 1
-            return ShardTimeoutError(
+            raise ShardDownError(f"shard {server_id} is down")
+        if profile.slowdown >= TIMEOUT_FACTOR:
+            raise ShardTimeoutError(
                 f"shard {server_id} exceeded the request deadline "
                 f"({profile.slowdown:g}x slowdown)"
             )
         if profile.flaky_rate and self._rng.random() < profile.flaky_rate:
-            self.stats.injected_flaky += 1
-            return ShardFlakyError(f"shard {server_id} flaked")
-        return None
-
-    def check(self, server_id: str) -> None:
-        """Raise the failure this request suffers, if any (live data plane)."""
-        failure = self.probe(server_id)
-        if failure is not None:
-            raise failure
+            raise ShardFlakyError(f"shard {server_id} flaked")

@@ -98,8 +98,6 @@ class ReplicationConfig:
         total accesses (across front ends) between promotion epochs — a
         deterministic cadence, so two runs of one spec agree on every
         epoch boundary.
-    seed:
-        seeds the router's control-plane guard jitter.
     """
 
     degree: int = 3
@@ -108,7 +106,6 @@ class ReplicationConfig:
     max_keys: int = 64
     min_share: float = 0.05
     refresh_every: int = 2_048
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.degree < 1:
@@ -141,10 +138,9 @@ class ReplicationStats:
     primary_fallbacks: int = 0
     #: shard-side deletes fanned out on replicated writes
     replica_invalidations: int = 0
-    #: fanned deletes that could not reach their shard
+    #: fanned deletes that could not reach their shard (a demotion's
+    #: included: that shard stays quarantined until the delete lands)
     failed_replica_invalidations: int = 0
-    #: demotion-invalidations deferred because the shard was unreachable
-    deferred_demotions: int = 0
 
 
 @dataclass
@@ -213,9 +209,7 @@ class HotKeyRouter:
     ) -> None:
         self.cluster = cluster
         self.config = config or ReplicationConfig()
-        self.guard = guard or ClusterGuard(
-            cluster.server_ids, seed=self.config.seed
-        )
+        self.guard = guard or ClusterGuard(cluster.server_ids)
         self.stats = ReplicationStats()
         #: promotion-epoch counter (bumped by every refresh and by the
         #: promote/demote primitives, so epoch transitions are observable)
@@ -330,7 +324,6 @@ class HotKeyRouter:
                 pending.discard(sid)
             else:
                 pending.add(sid)
-                self.stats.deferred_demotions += 1
         self._set_pending(key, pending)
 
     def quarantine(self, key: Hashable, server_id: str) -> None:
@@ -481,7 +474,6 @@ class HotKeyRouter:
             for sid in dropped:
                 if sid in members and not self._invalidate_on(sid, key):
                     pending.add(sid)
-                    self.stats.deferred_demotions += 1
                 else:
                     pending.discard(sid)
             entry.replicas = replicas

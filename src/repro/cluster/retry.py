@@ -1,18 +1,17 @@
-"""Client-side fault tolerance: retries, backoff, and circuit breakers.
+"""Client-side fault tolerance: retries and circuit breakers.
 
 The paper's client-driven protocol assumes every shard answers every
 lookup; in a cloud deployment shards migrate, restart and flake, so the
 front-end client needs the standard resilience triad the elastic-cache
 literature (Ditto, DistCache) treats as table stakes:
 
-* **bounded retries with exponential backoff + jitter** — transient
-  failures (:class:`~repro.errors.ShardFailure`) are retried up to
-  ``max_attempts`` times, with a jittered exponentially-growing delay
-  between attempts;
+* **bounded retries** — transient failures
+  (:class:`~repro.errors.ShardFailure`) are retried at once, up to
+  ``max_attempts`` attempts in all, and each retry is counted;
 * **a per-shard circuit breaker** — ``failure_threshold`` *consecutive*
   failures trip the breaker ``CLOSED → OPEN``; while open, requests are
   rejected instantly (no doomed round trips). After ``cooldown`` the
-  breaker admits probe requests (``HALF_OPEN``); a successful probe
+  breaker admits a probe request (``HALF_OPEN``); a successful probe
   closes it, a failed probe re-opens it. A shard re-joining the ring is
   therefore re-probed and folded back in automatically;
 * **graceful degradation** — when the breaker is open or retries are
@@ -22,15 +21,13 @@ literature (Ditto, DistCache) treats as table stakes:
 
 The live cluster is untimed, so the guard keeps a **logical clock**: one
 tick per guarded operation. ``cooldown`` is therefore expressed in
-operations, which keeps chaos tests fully deterministic. Backoff delays
-are *accounted* (``stats.backoff_total``), never slept, matching the
-repo's measure-don't-wait style.
+operations, which keeps chaos tests fully deterministic. Nothing is
+slept: the in-process plane has no clock to wait on.
 """
 
 from __future__ import annotations
 
 import enum
-import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, TypeVar
 
@@ -45,44 +42,10 @@ __all__ = [
     "BreakerState",
     "CircuitBreaker",
     "ClusterGuard",
-    "RetryPolicy",
     "RetryStats",
 ]
 
 T = TypeVar("T")
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded-retry parameters for one shard request.
-
-    ``backoff(attempt)`` grows as ``base_backoff * multiplier ** attempt``
-    with ±``jitter`` fractional randomization — the classic exponential
-    backoff with jitter that prevents synchronized retry storms across
-    front ends.
-    """
-
-    max_attempts: int = 3
-    base_backoff: float = 1e-3
-    multiplier: float = 2.0
-    jitter: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ConfigurationError("max_attempts must be >= 1")
-        if self.base_backoff < 0:
-            raise ConfigurationError("base_backoff must be >= 0")
-        if self.multiplier < 1.0:
-            raise ConfigurationError("multiplier must be >= 1")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ConfigurationError("jitter must be in [0, 1]")
-
-    def backoff(self, attempt: int, rng: random.Random) -> float:
-        """Delay before retry number ``attempt`` (0-based), jittered."""
-        delay = self.base_backoff * self.multiplier**attempt
-        if self.jitter:
-            delay *= 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
-        return delay
 
 
 @dataclass(frozen=True)
@@ -91,15 +54,12 @@ class BreakerConfig:
 
     failure_threshold: int = 5
     cooldown: float = 64.0
-    half_open_probes: int = 1
 
     def __post_init__(self) -> None:
         if self.failure_threshold < 1:
             raise ConfigurationError("failure_threshold must be >= 1")
         if self.cooldown < 0:
             raise ConfigurationError("cooldown must be >= 0")
-        if self.half_open_probes < 1:
-            raise ConfigurationError("half_open_probes must be >= 1")
 
 
 class BreakerState(enum.Enum):
@@ -121,7 +81,6 @@ class CircuitBreaker:
         "_state",
         "_consecutive_failures",
         "_opened_at",
-        "_half_open_successes",
         "opens",
         "half_opens",
         "closes",
@@ -132,7 +91,6 @@ class CircuitBreaker:
         self._state = BreakerState.CLOSED
         self._consecutive_failures = 0
         self._opened_at = 0.0
-        self._half_open_successes = 0
         #: lifetime transition counters (the instrumentation the chaos
         #: experiment reports)
         self.opens = 0
@@ -166,22 +124,18 @@ class CircuitBreaker:
             if now - self._opened_at < self._config.cooldown:
                 return False
             self._state = BreakerState.HALF_OPEN
-            self._half_open_successes = 0
             self.half_opens += 1
         return True
 
     # ------------------------------------------------------------- outcomes
 
     def record_success(self, now: float) -> None:
-        """Feed one successful request outcome."""
+        """Feed one successful request outcome (in HALF_OPEN: the probe
+        succeeded, and the breaker closes)."""
         if self._state is BreakerState.HALF_OPEN:
-            self._half_open_successes += 1
-            if self._half_open_successes >= self._config.half_open_probes:
-                self._state = BreakerState.CLOSED
-                self.closes += 1
-                self._consecutive_failures = 0
-        else:
-            self._consecutive_failures = 0
+            self._state = BreakerState.CLOSED
+            self.closes += 1
+        self._consecutive_failures = 0
 
     def record_failure(self, now: float) -> None:
         """Feed one failed request outcome."""
@@ -201,12 +155,6 @@ class CircuitBreaker:
             self._opened_at = now
             self.opens += 1
 
-    def reset(self) -> None:
-        """Force-close (explicit shard rejoin); transition totals are kept."""
-        self._state = BreakerState.CLOSED
-        self._consecutive_failures = 0
-        self._half_open_successes = 0
-
 
 @dataclass
 class RetryStats:
@@ -214,16 +162,12 @@ class RetryStats:
 
     #: guarded operations started
     operations: int = 0
-    #: individual request attempts (>= operations)
-    attempts: int = 0
     #: attempts that were retries of a failed attempt
     retries: int = 0
     #: operations abandoned (breaker open or retries exhausted)
     failures: int = 0
     #: operations rejected instantly by an open breaker
     open_rejections: int = 0
-    #: total backoff delay accounted (seconds; never slept)
-    backoff_total: float = 0.0
     #: write-path invalidations that could not reach their shard
     lost_invalidations: int = 0
 
@@ -236,27 +180,28 @@ class ClusterGuard:
     servers:
         shard ids to pre-register breakers for; shards discovered later
         (cluster scale-out) are registered on first use.
-    retry / breaker:
-        policy knobs; defaults are deliberately conservative.
-    seed:
-        seeds the backoff jitter.
+    max_attempts:
+        attempts per operation, the first included; a failed attempt is
+        retried at once until they run out.
+    breaker:
+        per-shard breaker thresholds; defaults are deliberately conservative.
     """
 
     def __init__(
         self,
         servers: Iterable[str] = (),
-        retry: RetryPolicy | None = None,
+        max_attempts: int = 3,
         breaker: BreakerConfig | None = None,
-        seed: int = 0,
     ) -> None:
-        self.retry = retry or RetryPolicy()
+        if max_attempts < 1:
+            raise ConfigurationError("max_attempts must be >= 1")
+        self.max_attempts = max_attempts
         self.breaker_config = breaker or BreakerConfig()
         self._breakers: dict[str, CircuitBreaker] = {
             sid: CircuitBreaker(self.breaker_config) for sid in servers
         }
         #: breakers :meth:`forget` dropped, kept for their transition totals
         self._forgotten: list[CircuitBreaker] = []
-        self._rng = random.Random(seed)
         self._clock = 0.0
         self.stats = RetryStats()
 
@@ -280,7 +225,7 @@ class ClusterGuard:
         """The shard's breaker state at the current logical time.
 
         A read: an id with no breaker on record is ``CLOSED`` and stays
-        unregistered (:meth:`breaker` / :meth:`reset` create).
+        unregistered (:meth:`breaker` and :meth:`call` create).
         """
         breaker = self._breakers.get(server_id)
         return _CLOSED if breaker is None else breaker.peek(self._clock)
@@ -312,10 +257,6 @@ class ClusterGuard:
         return [*self._breakers.values(), *self._forgotten]
 
     # ------------------------------------------------------------- topology
-
-    def reset(self, server_id: str) -> None:
-        """Force-close the shard's breaker (explicit rejoin notification)."""
-        self.breaker(server_id).reset()
 
     def forget(self, server_id: str) -> None:
         """Drop the breaker of a shard that left the ring for good (or
@@ -354,24 +295,18 @@ class ClusterGuard:
             )
         attempt = 0
         while True:
-            stats.attempts += 1
             try:
                 result = fn()
             except ShardFailure as exc:
                 breaker.record_failure(now)
                 attempt += 1
-                if (
-                    attempt >= self.retry.max_attempts
-                    or breaker.peek(now) is _OPEN
-                ):
+                if attempt >= self.max_attempts or breaker.peek(now) is _OPEN:
                     stats.failures += 1
                     raise ShardUnavailableError(
                         f"shard {server_id}: gave up after {attempt} "
                         f"attempt(s): {exc}"
                     ) from exc
-                delay = self.retry.backoff(attempt - 1, self._rng)
                 stats.retries += 1
-                stats.backoff_total += delay
                 continue
             if breaker._state is _CLOSED:
                 breaker._consecutive_failures = 0

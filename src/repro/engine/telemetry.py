@@ -192,6 +192,8 @@ CATALOGUE: tuple[Metric, ...] = (
            "client socket writes, each carrying one or more requests"),
     Metric("net.timeouts", _C, "requests", "net_client", "timeouts",
            "requests that outlived their deadline"),
+    Metric("net.refused", _C, "sockets", "net_server", "refused",
+           "connections a shard server turned away at its connection cap"),
     Metric("net.protocol_errors", _C, "frames", "net_server", "protocol_errors",
            "frames a shard server refused as malformed"),
     Metric("net.fault_errors", _C, "requests", "net_server", "fault_errors",

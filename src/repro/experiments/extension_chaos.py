@@ -34,7 +34,7 @@ from __future__ import annotations
 from typing import Hashable
 
 from repro.cluster.faults import FaultInjector
-from repro.cluster.retry import BreakerConfig, ClusterGuard, RetryPolicy
+from repro.cluster.retry import BreakerConfig, ClusterGuard
 from repro.cluster.storage import PersistentStore
 from repro.core.elastic import ElasticCoTClient
 from repro.engine import (
@@ -85,11 +85,10 @@ def run(scale: Scale | None = None, num_servers: int = 4) -> ExperimentResult:
     def client_factory(cluster, _i: int) -> ElasticCoTClient:
         guard = ClusterGuard(
             cluster.server_ids,
-            retry=RetryPolicy(max_attempts=2, base_backoff=1e-4),
+            max_attempts=2,
             breaker=BreakerConfig(
                 failure_threshold=FAILURE_THRESHOLD, cooldown=BREAKER_COOLDOWN
             ),
-            seed=scale.seed,
         )
         return ElasticCoTClient(
             cluster,

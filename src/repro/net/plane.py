@@ -45,7 +45,7 @@ from repro.errors import ClusterError, ProtocolError, ShardDownError
 from repro.net import client
 from repro.net.client import NetClientStats, ShardEndpoint
 from repro.net.proto import Reply, ResponseDecoder
-from repro.net.server import ShardServer, ShardServerStats
+from repro.net.server import REFUSAL, ShardServer, ShardServerStats
 
 __all__ = ["LoopThread", "NetworkPlane", "ShardProxy"]
 
@@ -95,8 +95,9 @@ class ShardProxy:
     A lock admits one request at a time, so the next bytes on the socket
     are its reply. Whenever that stops being certain — the deadline
     passed, the peer hung up, the stream did not parse, a second reply
-    arrived — the socket is closed: a late reply has nowhere to arrive,
-    and the next request connects afresh.
+    arrived — or the server refused the connection at its cap, the socket
+    is closed: a late reply has nowhere to arrive, and the next request
+    connects afresh.
     The kernel keeps the deadline (``SO_RCVTIMEO``/``SO_SNDTIMEO`` on a
     blocking socket), so a round trip is one ``send`` and one ``recv``.
     """
@@ -173,6 +174,8 @@ class ShardProxy:
             except (ShardDownError, ProtocolError):
                 self.close()
                 raise
+            if replies[0].message == REFUSAL:  # the server closed this socket behind it
+                self.close()
         return stats.checked(self.server_id, replies[0])
 
     # -------------------------------------------------------- shard surface

@@ -57,7 +57,9 @@ BATCH_BYTES = 1 << 16
 #: connections served at once, per server; one more is refused
 MAX_CONNECTIONS = 64
 
-_REFUSED = Reply("SERVER_ERROR", "down too many connections").encode()
+#: the text of the one reply a refused connection gets before it is closed
+REFUSAL = "down too many connections"
+_REFUSED = Reply("SERVER_ERROR", REFUSAL).encode()
 
 
 @dataclass

@@ -6,8 +6,10 @@ copied verbatim from the parent commit's ``src/repro/cluster/retry.py``:
 every breaker transition goes through ``CircuitBreaker.allow`` /
 ``record_success`` / ``record_failure``, which the live guard only calls
 off its fast path. Everything else is the live class. The guard's
-``sleep`` hook, which no caller ever set, has since been deleted, so its
-two lines are gone from this copy too.
+``sleep`` hook, which no caller ever set, has since been deleted, and so
+have its backoff delays (never slept, never read) and its ``attempts``
+count (never read), so their lines are gone from this copy too; the
+breaker transitions are as they were.
 """
 
 from __future__ import annotations
@@ -40,14 +42,13 @@ class ReferenceGuard(ClusterGuard):
             )
         attempt = 0
         while True:
-            self.stats.attempts += 1
             try:
                 result = fn()
             except ShardFailure as exc:
                 breaker.record_failure(now)
                 attempt += 1
                 if (
-                    attempt >= self.retry.max_attempts
+                    attempt >= self.max_attempts
                     or breaker.peek(now) is BreakerState.OPEN
                 ):
                     self.stats.failures += 1
@@ -55,9 +56,7 @@ class ReferenceGuard(ClusterGuard):
                         f"shard {server_id}: gave up after {attempt} "
                         f"attempt(s): {exc}"
                     ) from exc
-                delay = self.retry.backoff(attempt - 1, self._rng)
                 self.stats.retries += 1
-                self.stats.backoff_total += delay
                 continue
             breaker.record_success(now)
             return result

@@ -39,7 +39,6 @@ from __future__ import annotations
 import math
 import os
 from contextlib import ExitStack
-from dataclasses import replace
 from functools import partial
 from itertools import combinations, product
 from typing import Any
@@ -53,7 +52,7 @@ from hypothesis.stateful import precondition, rule, run_state_machine_as_test
 from repro.cluster.client import FrontEndClient
 from repro.cluster.faults import FaultInjector
 from repro.cluster.replication import ReplicationConfig
-from repro.cluster.retry import BreakerConfig, ClusterGuard, RetryPolicy
+from repro.cluster.retry import BreakerConfig, ClusterGuard
 from repro.cluster.storage import PersistentStore
 from repro.core.elastic import ElasticCoTClient
 from repro.engine.runners import build_cluster
@@ -107,14 +106,11 @@ AXES: dict[str, dict[str, Any]] = {
     # Shards served over localhost sockets: kill/revive also exercises
     # real TCP teardown and the client's lazy reconnect.
     "network": {"": None, "network": NetworkSpec()},
-    # (retry, breaker): tight trips a breaker on the first failure with a
-    # short cooldown, so OPEN/HALF_OPEN traffic dominates short runs.
+    # (max_attempts, breaker): tight trips a breaker on the first failure
+    # with a short cooldown, so OPEN/HALF_OPEN traffic dominates short runs.
     "guard": {
-        "": (None, None),
-        "tight": (
-            RetryPolicy(max_attempts=2, base_backoff=0.0, jitter=0.0),
-            BreakerConfig(failure_threshold=1, cooldown=6.0),
-        ),
+        "": (3, None),
+        "tight": (2, BreakerConfig(failure_threshold=1, cooldown=6.0)),
     },
 }
 
@@ -186,10 +182,10 @@ def client_factory(
     policy: PolicySpec | None, guard: tuple, target: Any, index: int
 ) -> FrontEndClient:
     """One fuzzed front end: arbitrated over ``policy``, else elastic."""
-    retry, breaker = guard
+    max_attempts, breaker = guard
     kwargs = dict(
         client_id=f"fe-{index}",
-        guard=ClusterGuard(target.server_ids, retry=retry, breaker=breaker, seed=index),
+        guard=ClusterGuard(target.server_ids, max_attempts=max_attempts, breaker=breaker),
     )
     if policy is not None:
         return FrontEndClient(target, policy.build(index), **kwargs)
@@ -217,7 +213,6 @@ class ElasticClusterMachine(RuleBasedStateMachine):
     @initialize(seed=st.integers(min_value=0, max_value=127))
     def build(self, seed: int) -> None:
         axes = self.axes
-        replication = axes["replication"]
         spec = ScenarioSpec(
             scale=SCALE,
             workload=WorkloadSpec(),
@@ -226,9 +221,7 @@ class ElasticClusterMachine(RuleBasedStateMachine):
                 capacity_bytes=1 << 16,
                 storage=PersistentStore(value_factory=synthesized_value),
                 faults=FaultInjector(seed=seed),
-                replication=None if replication is None else replace(
-                    replication, seed=seed
-                ),
+                replication=axes["replication"],
                 write=axes["write"],
                 network=axes["network"],
             ),

@@ -1,6 +1,6 @@
 """Chaos/recovery tests for the fault-tolerant data plane.
 
-Covers the resilience triad (retries with backoff, per-shard circuit
+Covers the resilience triad (immediate counted retries, per-shard circuit
 breakers, storage-fallback degraded reads), recovery handling (cold
 revival re-probes and re-closes the breaker), churn-safe elastic
 accounting (a dead or replaced shard must not fabricate an ``I_c`` spike
@@ -11,15 +11,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cluster.backend import BackendCacheServer
 from repro.cluster.client import FrontEndClient
 from repro.cluster.cluster import CacheCluster
-from repro.cluster.faults import FaultInjector
-from repro.cluster.retry import (
-    BreakerConfig,
-    BreakerState,
-    ClusterGuard,
-    RetryPolicy,
-)
+from repro.cluster.faults import TIMEOUT_FACTOR, FaultInjector
+from repro.cluster.retry import BreakerConfig, BreakerState, ClusterGuard
 from repro.cluster.storage import PersistentStore
 from repro.core.elastic import ElasticCoTClient
 from repro.engine import (
@@ -33,7 +29,9 @@ from repro.engine import (
 from repro.engine import telemetry as T
 from repro.errors import (
     ClusterError,
+    ConfigurationError,
     ShardDownError,
+    ShardFailure,
     ShardFlakyError,
     ShardTimeoutError,
     ShardUnavailableError,
@@ -57,9 +55,18 @@ def faulty_cluster(n=4, seed=0, storage=None):
 def tight_guard(cluster, threshold=3, cooldown=8.0):
     return ClusterGuard(
         cluster.server_ids,
-        retry=RetryPolicy(max_attempts=2, base_backoff=1e-4),
+        max_attempts=2,
         breaker=BreakerConfig(failure_threshold=threshold, cooldown=cooldown),
     )
+
+
+def refused(request) -> bool:
+    """Whether one shard request failed on an injected fault."""
+    try:
+        request()
+    except ShardFailure:
+        return True
+    return False
 
 
 class TestFaultInjector:
@@ -73,24 +80,22 @@ class TestFaultInjector:
         injector.revive("s0")
         assert not injector.is_down("s0")
         injector.check("s0")  # healthy again: no raise
-        assert injector.stats.kills == 1
-        assert injector.stats.revives == 1
-        assert injector.stats.injected_down == 1
 
     def test_kill_is_idempotent(self):
         injector = FaultInjector()
         injector.kill("s0")
         injector.kill("s0")
-        assert injector.stats.kills == 1
+        injector.revive("s0")  # a second kill is not a second outage
+        assert injector.down_servers() == frozenset()
+        injector.check("s0")
 
     def test_extreme_slowdown_is_a_timeout_on_the_live_plane(self):
-        injector = FaultInjector(timeout_factor=8.0)
-        injector.set_slowdown("s0", 4.0)
+        injector = FaultInjector()
+        injector.set_slowdown("s0", TIMEOUT_FACTOR / 2)
         injector.check("s0")  # below the deadline: merely slow
-        injector.set_slowdown("s0", 8.0)
+        injector.set_slowdown("s0", TIMEOUT_FACTOR)
         with pytest.raises(ShardTimeoutError):
             injector.check("s0")
-        assert injector.stats.injected_timeouts == 1
 
     def test_flaky_is_seeded_and_probabilistic(self):
         outcomes = []
@@ -98,21 +103,23 @@ class TestFaultInjector:
             injector = FaultInjector(seed=7)
             injector.set_flaky("s0", 0.3)
             outcomes.append(
-                [injector.probe("s0") is not None for _ in range(200)]
+                [refused(lambda: injector.check("s0")) for _ in range(200)]
             )
         assert outcomes[0] == outcomes[1]  # reproducible
         failures = sum(outcomes[0])
         assert 0 < failures < 200
         injector = FaultInjector(seed=7)
         injector.set_flaky("s0", 1.0)
-        assert isinstance(injector.probe("s0"), ShardFlakyError)
+        with pytest.raises(ShardFlakyError):
+            injector.check("s0")
 
     def test_clear_restores_health(self):
         injector = FaultInjector()
         injector.kill("s0")
         injector.set_flaky("s0", 1.0)
         injector.clear("s0")
-        assert injector.profile("s0").healthy
+        assert injector.tracked_servers() == frozenset()
+        injector.check("s0")
 
 
 class TestRetry:
@@ -120,10 +127,10 @@ class TestRetry:
         guard = ClusterGuard(["s0"])
         assert guard.call("s0", lambda: 42) == 42
         assert guard.stats.retries == 0
-        assert guard.stats.attempts == 1
+        assert guard.stats.operations == 1
 
     def test_transient_failure_is_retried(self):
-        guard = ClusterGuard(["s0"], retry=RetryPolicy(max_attempts=3))
+        guard = ClusterGuard(["s0"], max_attempts=3)
         calls = [0]
 
         def flaky_once():
@@ -133,34 +140,31 @@ class TestRetry:
             return "ok"
 
         assert guard.call("s0", flaky_once) == "ok"
+        assert calls[0] == 2
         assert guard.stats.retries == 1
         assert guard.stats.failures == 0
-        assert guard.stats.backoff_total > 0.0
 
     def test_exhausted_retries_raise_unavailable(self):
         guard = ClusterGuard(
             ["s0"],
-            retry=RetryPolicy(max_attempts=3),
+            max_attempts=3,
             breaker=BreakerConfig(failure_threshold=100),
         )
+        calls = [0]
 
         def always_down():
+            calls[0] += 1
             raise ShardDownError("down")
 
         with pytest.raises(ShardUnavailableError):
             guard.call("s0", always_down)
-        assert guard.stats.attempts == 3
+        assert calls[0] == 3
+        assert guard.stats.retries == 2
         assert guard.stats.failures == 1
 
-    def test_backoff_grows_and_jitters_within_bounds(self):
-        import random
-
-        policy = RetryPolicy(base_backoff=1e-3, multiplier=2.0, jitter=0.5)
-        rng = random.Random(3)
-        delays = [policy.backoff(attempt, rng) for attempt in range(5)]
-        for attempt, delay in enumerate(delays):
-            nominal = 1e-3 * 2.0**attempt
-            assert 0.5 * nominal <= delay <= 1.5 * nominal
+    def test_max_attempts_below_one_is_refused(self):
+        with pytest.raises(ConfigurationError):
+            ClusterGuard(["s0"], max_attempts=0)
 
     def test_non_shard_errors_propagate_untouched(self):
         guard = ClusterGuard(["s0"])
@@ -173,7 +177,10 @@ class TestRetry:
 
 
 class TestCircuitBreaker:
+    attempts = 0
+
     def always_down(self):
+        self.attempts += 1
         raise ShardDownError("down")
 
     def test_opens_after_threshold_and_rejects_instantly(self):
@@ -182,11 +189,11 @@ class TestCircuitBreaker:
             with pytest.raises(ShardUnavailableError):
                 guard.call("s0", self.always_down)
         assert guard.state("s0") is BreakerState.OPEN
-        attempts_before = guard.stats.attempts
+        assert self.attempts == 4
         with pytest.raises(ShardUnavailableError):
             guard.call("s0", self.always_down)
         # Rejected without a single doomed request attempt.
-        assert guard.stats.attempts == attempts_before
+        assert self.attempts == 4
         assert guard.stats.open_rejections == 1
 
     def test_half_opens_after_cooldown_then_closes_on_success(self):
@@ -226,7 +233,7 @@ class TestCircuitBreaker:
 def tight_guard_for(servers, threshold, cooldown):
     return ClusterGuard(
         servers,
-        retry=RetryPolicy(max_attempts=2, base_backoff=1e-4),
+        max_attempts=2,
         breaker=BreakerConfig(failure_threshold=threshold, cooldown=cooldown),
     )
 
@@ -268,8 +275,46 @@ class TestDegradedReads:
         cluster.kill_server("cache-0")
         for i in range(100):
             client.get(format_key(i))
-        assert cluster.server("cache-0").stats.fault_errors > 0
-        assert faults.stats.injected_down > 0
+        # Every attempt that reached the dead shard was refused and
+        # counted: the guard's attempts there, none of its open rejections.
+        routed = sum(
+            cluster.ring.server_for(format_key(i)) == "cache-0" for i in range(100)
+        )
+        stats = client.guard.stats
+        assert stats.failures == routed > 0
+        assert cluster.server("cache-0").stats.fault_errors == (
+            routed - stats.open_rejections + stats.retries
+        )
+
+    @pytest.mark.parametrize("fault", ["killed", "slowed", "flaky"])
+    def test_fault_errors_count_every_refused_request_on_every_verb(self, fault):
+        """``BackendStats.fault_errors`` is the one count of injected
+        failures: on each verb it moves by exactly the number of requests
+        a fault refused. Catches a verb that skips ``_check_fault`` (its
+        requests would succeed on a dead shard and count nothing)."""
+        faults = FaultInjector(seed=11)
+        shard = BackendCacheServer("s0", default_value_size=1, fault_injector=faults)
+        if fault == "killed":
+            faults.kill("s0")
+        elif fault == "slowed":
+            faults.set_slowdown("s0", TIMEOUT_FACTOR)
+        else:
+            faults.set_flaky("s0", 0.5)
+        verbs = {
+            "get": lambda i: shard.get(format_key(i)),
+            "get_many": lambda i: shard.get_many([format_key(i), format_key(i + 1)]),
+            "set": lambda i: shard.set(format_key(i), i),
+            "delete": lambda i: shard.delete(format_key(i)),
+        }
+        requests = 200
+        for verb, request in verbs.items():
+            before = shard.stats.fault_errors
+            failed = sum(refused(lambda: request(i)) for i in range(requests))
+            assert shard.stats.fault_errors - before == failed, verb
+            if fault == "flaky":
+                assert 0 < failed < requests, verb
+            else:
+                assert failed == requests, verb
 
     def test_kill_without_injector_is_an_error(self):
         cluster = CacheCluster(num_servers=2, virtual_nodes=64, value_size=1)
@@ -432,7 +477,7 @@ class TestRecovery:
         assert guard.state("a") is BreakerState.CLOSED
         assert guard.state("ghost") is BreakerState.CLOSED
         assert guard.tracked_servers() == {"b"}
-        guard.reset("a")  # an explicit rejoin still registers
+        guard.call("a", lambda: "ok")  # a request to it registers it again
         assert guard.tracked_servers() == {"a", "b"}
 
     def test_outage_is_transparent_to_callers(self):

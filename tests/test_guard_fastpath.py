@@ -6,7 +6,7 @@ The live guard tests the breaker's state itself and calls
 call goes through them. Both are driven with the same seeded schedules of
 successes, retried and exhausted ``ShardFailure`` runs and the odd
 programming error, over three shards (one of them unregistered at
-construction) and eight breaker configurations, and must agree after
+construction) and four breaker configurations, and must agree after
 *every* call — on what the call returned or raised, on all of
 ``RetryStats``, on the logical clock and on each breaker's state,
 failure run and transition counters.
@@ -20,7 +20,7 @@ import random
 
 import pytest
 
-from repro.cluster.retry import BreakerConfig, ClusterGuard, RetryPolicy
+from repro.cluster.retry import BreakerConfig, ClusterGuard
 from repro.errors import ShardFailure
 from tests._reference_guard import ReferenceGuard
 
@@ -28,8 +28,8 @@ SHARDS = ("cache-0", "cache-1", "cache-2")
 CALLS = 300
 SEEDS_PER_CONFIG = 25
 CONFIGS = [
-    BreakerConfig(failure_threshold=threshold, cooldown=cooldown, half_open_probes=probes)
-    for threshold, cooldown, probes in itertools.product((1, 3), (0.0, 5.0), (1, 2))
+    BreakerConfig(failure_threshold=threshold, cooldown=cooldown)
+    for threshold, cooldown in itertools.product((1, 3), (0.0, 5.0))
 ]
 
 
@@ -59,9 +59,8 @@ def outcome(guard: ClusterGuard, shard: str, failures: int, value: int):
 def snapshot(guard: ClusterGuard) -> tuple:
     stats = guard.stats
     return (
-        guard.now, stats.operations, stats.attempts, stats.retries,
-        stats.failures, stats.open_rejections, stats.backoff_total,
-        stats.lost_invalidations,
+        guard.now, stats.operations, stats.retries, stats.failures,
+        stats.open_rejections, stats.lost_invalidations,
         [
             (sid, b.state, b.consecutive_failures, b.opens, b.half_opens, b.closes)
             for sid, b in sorted(guard._breakers.items())
@@ -70,15 +69,15 @@ def snapshot(guard: ClusterGuard) -> tuple:
 
 
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: (
-    f"threshold{c.failure_threshold}-cooldown{c.cooldown:g}-probes{c.half_open_probes}"
+    f"threshold{c.failure_threshold}-cooldown{c.cooldown:g}"
 ))
 def test_fast_path_matches_reference_after_every_call(config):
     seen = collections.Counter()
     for seed in range(SEEDS_PER_CONFIG):
         rng = random.Random(seed)
-        retry = RetryPolicy(max_attempts=rng.choice((1, 3)))
+        max_attempts = rng.choice((1, 3))
         live, reference = (
-            cls(SHARDS[:2], retry=retry, breaker=config, seed=seed)
+            cls(SHARDS[:2], max_attempts=max_attempts, breaker=config)
             for cls in (ClusterGuard, ReferenceGuard)
         )
         down = dict.fromkeys(SHARDS, False)

@@ -946,6 +946,37 @@ def test_a_connection_over_the_cap_is_refused_as_a_down_shard(monkeypatch):
             server.close()
 
 
+def test_a_refused_proxy_reconnects_on_its_next_request(monkeypatch):
+    """Fails at the parent: the proxy kept the socket the server had closed
+    behind its refusal, so the next request failed once more (``connection
+    lost: ... Connection reset by peer``) before one reconnected."""
+    monkeypatch.setattr(server_module, "MAX_CONNECTIONS", 1)
+    with leaves_nothing_running():
+        backend = BackendCacheServer("s")
+        backend.set("a", (0, b"v"))
+        server = ShardServer(backend).serve()
+        held = socket.create_connection(server.address)
+        stats = NetClientStats()
+        proxy = ShardProxy(ShardEndpoint("s", *server.address, timeout=2.0, stats=stats))
+        try:
+            held.sendall(b"get a\r\n")
+            assert held.recv(4096).endswith(b"END\r\n")  # served: it holds the one slot
+            with pytest.raises(ShardDownError, match="too many connections"):
+                proxy.get("a")
+            held.close()
+            deadline = time.monotonic() + 5.0
+            while server.stats.active_connections:
+                assert time.monotonic() < deadline, "the held connection never closed"
+                time.sleep(0.005)
+            assert proxy.get("a") == b"v"
+            assert (stats.connections, stats.reconnects) == (2, 1)
+            assert server.stats.refused == 1
+        finally:
+            proxy.close()
+            held.close()
+            server.close()
+
+
 # ------------------------------------------- the shard never reads a value
 
 

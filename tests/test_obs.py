@@ -29,7 +29,7 @@ from repro.cluster.cluster import CacheCluster
 from repro.cluster.backend import BackendCacheServer
 from repro.cluster.faults import FaultInjector
 from repro.cluster.replication import HotKeyRouter, ReplicationConfig
-from repro.cluster.retry import BreakerConfig, ClusterGuard, RetryPolicy
+from repro.cluster.retry import BreakerConfig, ClusterGuard
 from repro.cluster.storage import PersistentStore
 from repro.cluster.writepolicy import TTLWritePolicy, WriteBehindPolicy
 from repro.engine import Scale, get_experiment
@@ -311,7 +311,7 @@ def axis_client(axis: str, tracer) -> FrontEndClient:
     )
     guard = ClusterGuard(
         cluster.server_ids,
-        retry=RetryPolicy(max_attempts=2, base_backoff=1e-4),
+        max_attempts=2,
         breaker=BreakerConfig(failure_threshold=3, cooldown=40.0),
     )
     client = FrontEndClient(
@@ -492,7 +492,8 @@ class TestStagesOfEachOutcome:
         ]
         # Every attempt on the dead shard is time spent in shard.lookup,
         # and the retry count stays in the trace.
-        attempts = client.guard.stats.attempts
+        stats = client.guard.stats
+        attempts = stats.operations - stats.open_rejections + stats.retries
         assert trace.find("shard.lookup")[0].duration == (
             pytest.approx(attempts * 2e-6)
         )
@@ -800,7 +801,8 @@ class TestPrometheusExport:
         snapshot, canonical = full_snapshot()
         series = parse_prometheus(render_prometheus(snapshot))
         net_names = [raw for raw in canonical if raw.startswith("net.")]
-        assert len(net_names) == 9  # every wire counter is canonical
+        assert len(net_names) == 10  # every wire counter is canonical
+        assert "net.refused" in net_names  # the connection cap's count
         for raw in net_names:
             name = "cot_" + raw.replace(".", "_") + "_total"
             assert name in series, f"{name} missing from export"
