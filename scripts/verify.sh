@@ -142,7 +142,11 @@ echo "($hashring: one ring sort, bucket-bounded lookups)"
 # module constant (DESIGN.md section 5, item 4). The fault path keeps the
 # four settings a run sets: the guard's attempts, the breaker's threshold and
 # cooldown, the injector's flaky-coin seed. A retry is immediate, so the
-# guard draws no random numbers (DESIGN.md section 7).
+# guard draws no random numbers (DESIGN.md section 7). The arbiter, its
+# engine axis, the registry, the router and the histogram keep only what an
+# experiment, benchmark, example or the fuzz grid sets: the ledger's line
+# cost, two choices and the bucket layout are module constants (DESIGN.md
+# section 14, section 10 and obs/hist.py).
 python - <<'PY'
 import ast
 import sys
@@ -153,35 +157,71 @@ inits = {
     ("src/repro/core/costaware.py", "CostAwareController"): ["hit_value", "line_cost"],
     ("src/repro/cluster/retry.py", "ClusterGuard"): ["servers", "max_attempts", "breaker"],
     ("src/repro/cluster/faults.py", "FaultInjector"): ["seed"],
+    ("src/repro/policies/adaptive.py", "AdaptiveArbiter"): [
+        "capacity", "candidates", "tracker_capacity", "epoch_length",
+        "sample_shift", "switch_margin", "min_samples", "initial",
+    ],
+    ("src/repro/obs/hist.py", "LatencyHistogram"): [],
 }
 #: (path, dataclass) -> its fields
 fields = {
     ("src/repro/cluster/retry.py", "BreakerConfig"): ["failure_threshold", "cooldown"],
+    ("src/repro/engine/spec.py", "ArbitrationSpec"): [
+        "epoch_length", "sample_shift", "switch_margin", "min_samples",
+    ],
+    ("src/repro/cluster/replication.py", "ReplicationConfig"): [
+        "degree", "top_n", "max_keys", "min_share", "refresh_every",
+    ],
+}
+#: (path, module-level function) -> its parameters
+functions = {
+    ("src/repro/policies/registry.py", "make_policy"): [
+        "name", "capacity", "tracker_capacity", "hot_keys",
+    ],
 }
 
 
+def module(path: str) -> list:
+    return ast.parse(open(path, encoding="utf-8").read()).body
+
+
 def body(path: str, name: str) -> list:
-    tree = ast.parse(open(path, encoding="utf-8").read())
     return next(
-        (c.body for c in tree.body if isinstance(c, ast.ClassDef) and c.name == name), []
+        (c.body for c in module(path) if isinstance(c, ast.ClassDef) and c.name == name), []
     )
+
+
+def function(nodes: list, name: str):
+    return next(
+        (n for n in nodes if isinstance(n, ast.FunctionDef) and n.name == name), None
+    )
+
+
+def params(node: ast.FunctionDef) -> list:
+    args = node.args
+    names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+    return names + [f"*{a.arg}" for a in (args.vararg, args.kwarg) if a is not None]
 
 
 wrong = []
 for (path, name), want in inits.items():
-    init = next(
-        (n for n in body(path, name) if isinstance(n, ast.FunctionDef) and n.name == "__init__"),
-        None,
-    )
+    init = function(body(path, name), "__init__")
     if init is None:
         wrong.append(f"{path}: no {name}.__init__")
         continue
-    args = init.args
-    params = [a.arg for a in (args.posonlyargs + args.args)[1:] + args.kwonlyargs]
-    params += [f"*{a.arg}" for a in (args.vararg, args.kwarg) if a is not None]
-    print(f"({name}.__init__(self, {', '.join(params)}))")
-    if params != want:
-        wrong.append(f"{path}: {name}.__init__ takes {params}, not {want}")
+    have = params(init)[1:]
+    print(f"({name}.__init__(self{''.join(', ' + p for p in have)}))")
+    if have != want:
+        wrong.append(f"{path}: {name}.__init__ takes {have}, not {want}")
+for (path, name), want in functions.items():
+    node = function(module(path), name)
+    if node is None:
+        wrong.append(f"{path}: no {name}")
+        continue
+    have = params(node)
+    print(f"({name}({', '.join(have)}))")
+    if have != want:
+        wrong.append(f"{path}: {name} takes {have}, not {want}")
 for (path, name), want in fields.items():
     have = [
         n.target.id for n in body(path, name)
@@ -202,9 +242,9 @@ for node in ast.walk(ast.parse(open(retry, encoding="utf-8").read())):
         wrong.append(f"{retry}:{node.lineno}: imports random")
 if wrong:
     print("\n".join(wrong), file=sys.stderr)
-    print("a controller or the fault path takes a setting no run varies (see above):"
-          " the paper's inputs and the fault path's four settings are the only"
-          " parameters, the rest are module constants",
+    print("a controller, the fault path, the arbiter, the registry, the router or"
+          " the histogram takes a setting no run varies (see above): what a run"
+          " sets is the only parameter, the rest are module constants",
           file=sys.stderr)
     sys.exit(1)
 PY

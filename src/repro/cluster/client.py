@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING, Any, Callable, Hashable
 
 from repro.cluster.cluster import CacheCluster
 from repro.cluster.loadmonitor import LoadMonitor
-from repro.cluster.replication import HotKeyRouter, ReplicaEntry
+from repro.cluster.replication import CHOICES, HotKeyRouter, ReplicaEntry
 from repro.cluster.retry import BreakerState, ClusterGuard
 from repro.errors import ClusterError, ShardUnavailableError
 from repro.obs.trace import Trace, Tracer
@@ -300,18 +300,20 @@ class FrontEndClient:
         return self.cluster.storage.get(key)
 
     def _pick_replica(self, entry: ReplicaEntry) -> str:
-        """Replicated-tier routing: power-of-``d``-choices over live replicas.
+        """Replicated-tier routing: power-of-two-choices (``CHOICES``) over
+        live replicas.
 
         The choice set is the entry's eligible replicas (quarantined
         shards already excluded) minus shards whose circuit breaker is
         OPEN — a killed replica falls out within one breaker trip and
         folds back in through the HALF_OPEN probe after it revives. Two
-        (or ``d``) distinct candidates are sampled with this front end's
-        seeded RNG and the first with the lightest epoch-load window
-        wins. Only a shard id comes back: replication changes which node
-        a read is routed to and nothing after that. With every replica
-        OPEN that is the primary, whose open breaker fails fast into a
-        degraded read — as on the unreplicated path with the owner down.
+        distinct candidates are compared — the only two when two are
+        alive, else two sampled with this front end's seeded RNG — and
+        the first with the lightest epoch-load window wins. Only a shard
+        id comes back: replication changes which node a read is routed
+        to and nothing after that. With every replica OPEN that is the
+        primary, whose open breaker fails fast into a degraded read — as
+        on the unreplicated path with the owner down.
         """
         router = self.router
         rstats = router.stats
@@ -325,22 +327,16 @@ class FrontEndClient:
             return entry.replicas[0]
         if count == 1:
             return alive[0]
-        rng = self._route_rng
-        d = router.config.choices
-        if d >= count:
-            sample = alive
-        elif d == 2:
+        rstats.two_choice_reads += 1
+        if count > CHOICES:
+            rng = self._route_rng
             i = rng.randrange(count)
             j = rng.randrange(count - 1)
             if j >= i:
                 j += 1
-            sample = (alive[i], alive[j])
-        else:
-            sample = rng.sample(alive, d)
-        if len(sample) > 1:
-            rstats.two_choice_reads += 1
+            alive = [alive[i], alive[j]]
         loads = self.monitor.epoch_window
-        return min(sample, key=lambda sid: loads.get(sid, 0))
+        return min(alive, key=lambda sid: loads.get(sid, 0))
 
     def _degraded_read(self, server_id: str, key: Hashable) -> Any:
         """Serve ``key`` from storage because its shard is unavailable."""

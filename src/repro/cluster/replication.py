@@ -18,9 +18,9 @@ plane:
   (primary first, so disabling replication degenerates to the classic
   single-owner protocol);
 * front ends (:class:`~repro.cluster.client.FrontEndClient`) route
-  replicated reads with power-of-``d``-choices over the per-shard load
-  window their own :class:`~repro.cluster.loadmonitor.LoadMonitor`
-  already measures, and fan writes out to every shard that may hold a
+  replicated reads with power-of-two-choices (``CHOICES``) over the
+  per-shard load window their own
+  :class:`~repro.cluster.loadmonitor.LoadMonitor` already measures, and fan writes out to every shard that may hold a
   copy, preserving the zero-stale-read guarantee.
 
 Coherence argument (why no stale read escapes):
@@ -60,12 +60,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.cluster import CacheCluster
 
 __all__ = [
+    "CHOICES",
     "HotKeyRouter",
     "ReplicaEntry",
     "ReplicationConfig",
     "ReplicationStats",
     "tracker_report",
 ]
+
+#: ``d`` of power-of-``d``-choices routing: two is the classic and the
+#: theory's sweet spot (arXiv:1706.10209), and what every run uses.
+CHOICES = 2
 
 
 @dataclass(frozen=True)
@@ -77,10 +82,6 @@ class ReplicationConfig:
     degree:
         ``R`` — shards per replicated key (primary included). 1 turns the
         tier into a pass-through (the replica set is just the primary).
-    choices:
-        ``d`` of power-of-``d``-choices routing (2 is the classic and the
-        theory's sweet spot; higher values trade routing cost for
-        marginally tighter balance).
     top_n:
         heavy-hitter candidates each front end reports per refresh.
     max_keys:
@@ -101,7 +102,6 @@ class ReplicationConfig:
     """
 
     degree: int = 3
-    choices: int = 2
     top_n: int = 64
     max_keys: int = 64
     min_share: float = 0.05
@@ -110,8 +110,6 @@ class ReplicationConfig:
     def __post_init__(self) -> None:
         if self.degree < 1:
             raise ConfigurationError("replication degree must be >= 1")
-        if self.choices < 1:
-            raise ConfigurationError("choices must be >= 1")
         if self.top_n < 1:
             raise ConfigurationError("top_n must be >= 1")
         if self.max_keys < 1:
@@ -132,7 +130,7 @@ class ReplicationStats:
     demotions: int = 0
     #: reads served through the replicated path
     replicated_reads: int = 0
-    #: replicated reads that actually compared >= 2 alive choices
+    #: replicated reads that compared two alive replicas
     two_choice_reads: int = 0
     #: replicated reads with no eligible replica (degraded via primary)
     primary_fallbacks: int = 0
@@ -498,5 +496,5 @@ class HotKeyRouter:
     def __repr__(self) -> str:
         return (
             f"HotKeyRouter(keys={len(self.routes)}, epoch={self.epoch}, "
-            f"degree={self.config.degree}, choices={self.config.choices})"
+            f"degree={self.config.degree})"
         )

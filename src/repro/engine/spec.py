@@ -27,7 +27,7 @@ from repro.cluster.writepolicy import (
 )
 from repro.errors import ConfigurationError, ExperimentError
 from repro.policies.base import CachePolicy
-from repro.policies.registry import make_policy
+from repro.policies.registry import POLICY_NAMES, make_policy
 from repro.workloads.base import KeyGenerator
 from repro.workloads.mixer import OperationMixer
 from repro.workloads.uniform import UniformGenerator
@@ -41,7 +41,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.cluster.storage import PersistentStore
     from repro.net.plane import NetworkPlane
     from repro.obs.trace import Tracer
-    from repro.sim.network import LatencyModel
+    from repro.sim.network import FixedLatency
     from repro.sim.server import ServiceModel
 
 __all__ = [
@@ -219,22 +219,17 @@ class ArbitrationSpec:
     engine builds exactly the pinned policy it always has — every
     registered experiment stays byte-identical, pinned by the golden
     tests. When attached, each client's policy becomes an
-    :class:`~repro.policies.adaptive.AdaptiveArbiter` wrapping the spec's
-    sizing; the fields mirror the arbiter's constructor (see
-    ``repro/policies/adaptive.py`` for semantics).
+    :class:`~repro.policies.adaptive.AdaptiveArbiter` over the paper's
+    comparison set (``POLICY_NAMES``) wrapping the spec's sizing, live
+    first on the PolicySpec's ``name`` when it is a candidate, else on
+    ``POLICY_NAMES[0]``. The fields are the arbiter's settings a run
+    varies (see ``repro/policies/adaptive.py`` for semantics).
     """
 
-    candidates: tuple[str, ...] = ("lru", "lfu", "arc", "lru2", "cot")
     epoch_length: int = 2_048
     sample_shift: int = 6
-    hit_value: float = 1.0
-    line_cost: float = 0.05
     switch_margin: float = 0.02
-    patience: int = 1
     min_samples: int = 8
-    #: starting live policy; ``None`` uses the PolicySpec's ``name`` when
-    #: it is a candidate, else the first candidate.
-    initial: str | None = None
 
     def build(
         self, name: str, cache_lines: int, tracker_lines: int | None
@@ -242,21 +237,14 @@ class ArbitrationSpec:
         """Construct one client's arbiter around the spec's sizing."""
         from repro.policies.adaptive import AdaptiveArbiter
 
-        initial = self.initial
-        if initial is None:
-            initial = name if name in self.candidates else self.candidates[0]
         return AdaptiveArbiter(
             cache_lines,
-            candidates=self.candidates,
             tracker_capacity=tracker_lines,
             epoch_length=self.epoch_length,
             sample_shift=self.sample_shift,
-            hit_value=self.hit_value,
-            line_cost=self.line_cost,
             switch_margin=self.switch_margin,
-            patience=self.patience,
             min_samples=self.min_samples,
-            initial=initial,
+            initial=name if name in POLICY_NAMES else POLICY_NAMES[0],
         )
 
 
@@ -436,7 +424,7 @@ class ScenarioSpec:
     verify_value: Callable[[Hashable], Any] | None = None
     #: sim-path timing models
     service_model: "ServiceModel | None" = None
-    latency: "LatencyModel | None" = None
+    latency: "FixedLatency | None" = None
     #: sampling request tracer shared by every client of the run; the
     #: runners attach it to front ends / sim clients (factory-built
     #: clients included). ``None`` — and any tracer at sample rate 0 —

@@ -57,9 +57,6 @@ CONVERGENCE_EPOCHS = 3
 #: value over the post-convergence window of every phase
 CONVERGENCE_SLACK = 0.05
 
-#: the cost ledger (same defaults as CostAwareController / the arbiter)
-HIT_VALUE = 1.0
-
 
 class _ScanInterleaver(KeyGenerator):
     """Interleave an inner generator 1:1 with a sequential one-touch scan.
@@ -180,7 +177,6 @@ def _build_arbiter(scale: Scale) -> CachePolicy:
         arbitration=ArbitrationSpec(
             epoch_length=EPOCH_LENGTH,
             sample_shift=2,
-            hit_value=HIT_VALUE,
         ),
     )
     return spec.build(0)

@@ -9,12 +9,14 @@ adding two histograms with identical bounds loses nothing, which is why
 every serious latency pipeline (HdrHistogram, Prometheus, Ditto's online
 collectors) is bucket-based.
 
-Buckets are log-spaced: ``bucket_bounds[i] = lowest * growth**i`` with a
-fixed number of buckets per decade, so relative error is constant across
-the whole dynamic range (microsecond front-end hits and second-scale
-storage fallbacks share one histogram). Values below ``lowest`` land in
-the first bucket; values at or above ``highest`` land in a final
-overflow bucket whose percentile estimate is the observed maximum.
+Every histogram shares one bucket layout, :data:`BOUNDS`, built once at
+import: log-spaced, ``BOUNDS[i] = LOWEST * growth**i`` with
+``BUCKETS_PER_DECADE`` buckets per decade, so relative error is constant
+across the whole dynamic range (microsecond front-end hits and
+second-scale storage fallbacks share one histogram) and any two
+histograms merge. Values below ``LOWEST`` land in the first bucket;
+values at or above ``HIGHEST`` land in a final overflow bucket whose
+percentile estimate is the observed maximum.
 """
 
 from __future__ import annotations
@@ -23,56 +25,47 @@ import math
 from bisect import bisect_right
 from typing import Iterable, Iterator
 
-from repro.errors import ConfigurationError
+__all__ = ["BOUNDS", "LatencyHistogram"]
 
-__all__ = ["LatencyHistogram"]
-
-#: Default dynamic range: 1 µs .. 100 s covers everything from a local
-#: cache hit to a pathological retry storm.
-DEFAULT_LOWEST = 1e-6
-DEFAULT_HIGHEST = 100.0
+#: Dynamic range: 1 µs .. 100 s covers everything from a local cache hit
+#: to a pathological retry storm.
+LOWEST = 1e-6
+HIGHEST = 100.0
 #: 10 buckets per decade → ~26% bucket growth → percentile estimates
 #: within ~13% of the true value (half a bucket) anywhere in range.
-DEFAULT_BUCKETS_PER_DECADE = 10
+BUCKETS_PER_DECADE = 10
 
 
-def _build_bounds(
-    lowest: float, highest: float, buckets_per_decade: int
-) -> tuple[float, ...]:
-    """Upper bucket bounds from ``lowest`` up to and including ``highest``."""
-    decades = math.log10(highest / lowest)
-    count = int(math.ceil(decades * buckets_per_decade)) + 1
-    growth = 10.0 ** (1.0 / buckets_per_decade)
-    bounds = [lowest * growth**i for i in range(count)]
-    # Pin the final bound exactly at ``highest`` so two histograms built
-    # from the same parameters always compare equal bound-for-bound.
-    bounds[-1] = highest
+def _build_bounds() -> tuple[float, ...]:
+    """Upper bucket bounds from ``LOWEST`` up to and including ``HIGHEST``."""
+    decades = math.log10(HIGHEST / LOWEST)
+    count = int(math.ceil(decades * BUCKETS_PER_DECADE)) + 1
+    growth = 10.0 ** (1.0 / BUCKETS_PER_DECADE)
+    bounds = [LOWEST * growth**i for i in range(count)]
+    # Pin the final bound exactly at ``HIGHEST``, whatever the rounding
+    # of ``growth**i``.
+    bounds[-1] = HIGHEST
     return tuple(bounds)
+
+
+#: Upper bounds of the finite buckets — the Prometheus ``le`` set.
+BOUNDS = _build_bounds()
 
 
 class LatencyHistogram:
     """Log-spaced fixed-bucket histogram with exact merging.
 
-    ``record`` is O(log buckets) (one bisect); ``merge`` is exact for
-    histograms with identical bounds; ``percentile`` interpolates inside
-    the containing bucket so the error is bounded by one bucket width.
+    ``record`` is O(log buckets) (one bisect); ``merge`` is exact, since
+    every histogram has the bounds :data:`BOUNDS`; ``percentile``
+    interpolates inside the containing bucket so the error is bounded by
+    one bucket width.
     """
 
-    __slots__ = ("_bounds", "_counts", "count", "total", "min_value", "max_value")
+    __slots__ = ("_counts", "count", "total", "min_value", "max_value")
 
-    def __init__(
-        self,
-        lowest: float = DEFAULT_LOWEST,
-        highest: float = DEFAULT_HIGHEST,
-        buckets_per_decade: int = DEFAULT_BUCKETS_PER_DECADE,
-    ) -> None:
-        if lowest <= 0 or highest <= lowest:
-            raise ConfigurationError("need 0 < lowest < highest")
-        if buckets_per_decade < 1:
-            raise ConfigurationError("buckets_per_decade must be >= 1")
-        self._bounds = _build_bounds(lowest, highest, buckets_per_decade)
-        # One slot per bound plus an overflow slot for values >= highest.
-        self._counts = [0] * (len(self._bounds) + 1)
+    def __init__(self) -> None:
+        # One slot per bound plus an overflow slot for values >= HIGHEST.
+        self._counts = [0] * (len(BOUNDS) + 1)
         self.count = 0
         self.total = 0.0
         self.min_value = math.inf
@@ -82,7 +75,7 @@ class LatencyHistogram:
 
     def record(self, value: float) -> None:
         """Add one observation (seconds)."""
-        self._counts[bisect_right(self._bounds, value)] += 1
+        self._counts[bisect_right(BOUNDS, value)] += 1
         self.count += 1
         self.total += value
         if value < self.min_value:
@@ -97,16 +90,8 @@ class LatencyHistogram:
 
     # ----------------------------------------------------------------- merge
 
-    def compatible(self, other: "LatencyHistogram") -> bool:
-        """Whether ``other`` shares this histogram's bucket bounds."""
-        return self._bounds == other._bounds
-
     def merge(self, other: "LatencyHistogram") -> None:
         """Fold ``other`` into this histogram — exact, no sampling loss."""
-        if not self.compatible(other):
-            raise ConfigurationError(
-                "cannot merge histograms with different bucket bounds"
-            )
         for i, count in enumerate(other._counts):
             self._counts[i] += count
         self.count += other.count
@@ -129,7 +114,6 @@ class LatencyHistogram:
     def copy(self) -> "LatencyHistogram":
         """An independent deep copy (snapshot freezing)."""
         clone = object.__new__(LatencyHistogram)
-        clone._bounds = self._bounds
         clone._counts = list(self._counts)
         clone.count = self.count
         clone.total = self.total
@@ -161,20 +145,16 @@ class LatencyHistogram:
         for i, bucket_count in enumerate(self._counts):
             cumulative += bucket_count
             if cumulative >= target and bucket_count:
-                if i >= len(self._bounds):  # overflow bucket
+                if i >= len(BOUNDS):  # overflow bucket
                     return self.max_value
-                upper = self._bounds[i]
-                lower = self._bounds[i - 1] if i else max(self.min_value, 0.0)
+                upper = BOUNDS[i]
+                lower = BOUNDS[i - 1] if i else max(self.min_value, 0.0)
                 lower = min(lower, upper)
                 frac = 1.0 - (cumulative - target) / bucket_count
                 estimate = lower + (upper - lower) * frac
                 # Never report outside the observed range.
                 return min(max(estimate, self.min_value), self.max_value)
         return self.max_value
-
-    def bucket_bounds(self) -> tuple[float, ...]:
-        """Upper bounds of the finite buckets (the Prometheus ``le`` set)."""
-        return self._bounds
 
     def cumulative_buckets(self) -> Iterator[tuple[float, int]]:
         """``(upper_bound, cumulative_count)`` pairs, Prometheus-style.
@@ -183,7 +163,7 @@ class LatencyHistogram:
         pair — exactly the ``_bucket{le=...}`` series of the text format.
         """
         cumulative = 0
-        for bound, bucket_count in zip(self._bounds, self._counts):
+        for bound, bucket_count in zip(BOUNDS, self._counts):
             cumulative += bucket_count
             yield bound, cumulative
         yield math.inf, self.count
@@ -193,7 +173,7 @@ class LatencyHistogram:
         out: list[tuple[float, int]] = []
         for i, bucket_count in enumerate(self._counts):
             if bucket_count:
-                bound = self._bounds[i] if i < len(self._bounds) else math.inf
+                bound = BOUNDS[i] if i < len(BOUNDS) else math.inf
                 out.append((bound, bucket_count))
         return out
 

@@ -22,10 +22,10 @@ front ends, the engine's ``PolicySpec`` axis):
   payloads;
 * every ``epoch_length`` accesses the shadows are scored on the
   hit-value ledger of :class:`~repro.core.costaware.CostAwareController`
-  (``hit_value`` per hit minus ``line_cost`` rent per line — identical
-  rent across candidates, so the ledger ranks by earned value), and the
-  live policy is switched with hysteresis (an additive score margin held
-  for ``patience`` consecutive epochs). Switching compares shadow to
+  (hit rate minus ``LINE_COST`` rent per line per access — identical
+  rent across candidates, so the ledger ranks by hit rate), and the live
+  policy switches to a challenger whose shadow clears an additive
+  ``switch_margin`` in a decided epoch. Switching compares shadow to
   shadow — the scaled shadows share a sampling bias that cancels between
   candidates — while the regret counter is charged against the hit value
   the live policy *actually served*;
@@ -46,13 +46,16 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 
-from repro.core.hotness import HotnessModel
 from repro.errors import ConfigurationError
 from repro.policies.base import CachePolicy
 from repro.policies.registry import POLICY_NAMES, make_policy
 from repro.policies.stats import CacheStats
 
-__all__ = ["AdaptiveArbiter", "ArbiterEpoch", "sample_hash"]
+__all__ = ["LINE_COST", "AdaptiveArbiter", "ArbiterEpoch", "sample_hash"]
+
+#: Rent per cache line per access in the hit-value ledger, in units of one
+#: hit (the cost-aware controller's default line cost, DESIGN.md §14).
+LINE_COST = 0.05
 
 #: Knuth's multiplicative constant (2^32 / phi), for integer key hashing.
 _KNUTH = 2654435761
@@ -65,6 +68,13 @@ _MASK32 = 0xFFFFFFFF
 #: this many keys: scan-style workloads touch unbounded key ranges exactly
 #: once and must not leak memory through it.
 _SAMPLE_MEMO_LIMIT = 1 << 20
+
+
+def _ledger(hits: int, accesses: int, lines: int) -> float:
+    """Epoch score: hit rate minus ``LINE_COST`` rent per line per access."""
+    if accesses == 0:
+        return 0.0
+    return hits / accesses - LINE_COST * lines / accesses
 
 
 def sample_hash(key: Hashable) -> int:
@@ -124,19 +134,13 @@ class AdaptiveArbiter(CachePolicy):
         hot-path budget (``run_perf_gate.py --adaptive``); skew amplifies
         sampled *volume* well past the key-space rate, so halving the
         rate roughly halves the replay cost.
-    hit_value / line_cost:
-        the cost ledger (same units and meaning as
-        :class:`~repro.core.costaware.CostAwareController`). Shadow
-        epoch score = ``hit_value * hit_rate - line_cost *
-        lines / samples``; rent is identical across candidates, so it
-        shifts, never reorders, the ranking.
     switch_margin:
         hysteresis: a challenger's shadow must beat the live candidate's
-        shadow score by ``switch_margin * hit_value`` (additive, in
-        score units) to start a switch.
-    patience:
-        consecutive epochs the same challenger must hold the margin
-        before the switch is executed.
+        shadow score by ``switch_margin`` (additive, in hits per access)
+        for the arbiter to switch to it. Scores are :func:`_ledger`
+        values: ``hit_rate - LINE_COST * lines / accesses``; rent is
+        identical across candidates, so it shifts, never reorders, the
+        ranking.
     min_samples:
         epochs with fewer sampled accesses than this make no decision
         (scores too noisy to act on).
@@ -154,14 +158,9 @@ class AdaptiveArbiter(CachePolicy):
         tracker_capacity: int | None = None,
         epoch_length: int = 2048,
         sample_shift: int = 6,
-        hit_value: float = 1.0,
-        line_cost: float = 0.05,
         switch_margin: float = 0.02,
-        patience: int = 1,
         min_samples: int = 8,
         initial: str | None = None,
-        model: HotnessModel | None = None,
-        k: int = 2,
     ) -> None:
         super().__init__(capacity)
         if not candidates:
@@ -172,29 +171,18 @@ class AdaptiveArbiter(CachePolicy):
             raise ConfigurationError("epoch_length must be >= 1")
         if not 0 <= sample_shift <= 16:
             raise ConfigurationError("sample_shift must be in [0, 16]")
-        if hit_value <= 0:
-            raise ConfigurationError("hit_value must be > 0")
-        if line_cost < 0:
-            raise ConfigurationError("line_cost must be >= 0")
         if switch_margin < 0:
             raise ConfigurationError("switch_margin must be >= 0")
-        if patience < 1:
-            raise ConfigurationError("patience must be >= 1")
         if min_samples < 1:
             raise ConfigurationError("min_samples must be >= 1")
         self._candidates = tuple(candidates)
         self._tracker_capacity = (
             tracker_capacity if tracker_capacity is not None else 4 * capacity
         )
-        self._model = model
-        self._k = k
         self._epoch_length = epoch_length
         self._sample_shift = sample_shift
         self._sample_mask = (1 << sample_shift) - 1
-        self.hit_value = hit_value
-        self.line_cost = line_cost
         self.switch_margin = switch_margin
-        self.patience = patience
         self.min_samples = min_samples
 
         self._live_name = initial if initial is not None else self._candidates[0]
@@ -220,8 +208,6 @@ class AdaptiveArbiter(CachePolicy):
         self.epochs = 0
         self.switches = 0
         self.regret = 0.0
-        self._pending_name: str | None = None
-        self._pending_epochs = 0
         self._sample_memo: dict[Hashable, bool] = {}
         self._live_hits_mark = 0
         self._live_misses_mark = 0
@@ -230,12 +216,14 @@ class AdaptiveArbiter(CachePolicy):
     # --------------------------------------------------------- construction
 
     def _build_full(self, name: str) -> CachePolicy:
+        # A resize can grow the cache past the construction-time tracker;
+        # the incoming policy's tracker then grows with it, the rule
+        # CoTCache._resize applies to a live CoT.
+        capacity = self._capacity
         return make_policy(
             name,
-            self._capacity,
-            tracker_capacity=self._tracker_capacity,
-            model=self._model,
-            k=self._k,
+            capacity,
+            tracker_capacity=max(self._tracker_capacity, capacity + 1),
         )
 
     def _shadow_sizes(self, capacity: int) -> tuple[int, int]:
@@ -245,9 +233,7 @@ class AdaptiveArbiter(CachePolicy):
 
     def _build_shadow(self, name: str) -> CachePolicy:
         cache, tracker = self._shadow_sizes(self._capacity)
-        return make_policy(
-            name, cache, tracker_capacity=tracker, model=self._model, k=self._k
-        )
+        return make_policy(name, cache, tracker_capacity=tracker)
 
     # ----------------------------------------------------------- inspection
 
@@ -399,15 +385,6 @@ class AdaptiveArbiter(CachePolicy):
 
     # ------------------------------------------------------------ arbitration
 
-    def _score(self, shadow: CachePolicy) -> float:
-        stats = shadow.stats
-        accesses = stats.epoch_accesses
-        if accesses == 0:
-            return 0.0
-        rate = stats.epoch_hits / accesses
-        rent = self.line_cost * shadow.capacity / accesses
-        return self.hit_value * rate - rent
-
     def _live_score(self) -> float:
         """Hit value the live policy actually served this epoch.
 
@@ -419,11 +396,8 @@ class AdaptiveArbiter(CachePolicy):
         """
         stats = self._live.stats
         hits = stats.hits - self._live_hits_mark
-        accesses = hits + (stats.misses - self._live_misses_mark)
-        if accesses == 0:
-            return 0.0
-        rent = self.line_cost * self._live.capacity / accesses
-        return self.hit_value * (hits / accesses) - rent
+        misses = stats.misses - self._live_misses_mark
+        return _ledger(hits, hits + misses, self._live.capacity)
 
     def _mark_live(self) -> None:
         self._live_hits_mark = self._live.stats.hits
@@ -443,7 +417,10 @@ class AdaptiveArbiter(CachePolicy):
     def _close_epoch(self) -> ArbiterEpoch:
         self._drain()
         accesses = self._epoch_length - self._room
-        scores = {name: self._score(s) for name, s in self._shadows.items()}
+        scores = {
+            name: _ledger(s.stats.epoch_hits, s.stats.epoch_accesses, s.capacity)
+            for name, s in self._shadows.items()
+        }
         live_score = self._live_score()
         samples = self._epoch_samples
         switched_to: str | None = None
@@ -461,20 +438,10 @@ class AdaptiveArbiter(CachePolicy):
             self.regret += max(0.0, best_score - live_score) * accesses
             if (
                 best_name != self._live_name
-                and best_score - scores[self._live_name]
-                > self.switch_margin * self.hit_value
+                and best_score - scores[self._live_name] > self.switch_margin
             ):
-                if self._pending_name == best_name:
-                    self._pending_epochs += 1
-                else:
-                    self._pending_name = best_name
-                    self._pending_epochs = 1
-                if self._pending_epochs >= self.patience:
-                    self._switch(best_name)
-                    switched_to = best_name
-            else:
-                self._pending_name = None
-                self._pending_epochs = 0
+                self._switch(best_name)
+                switched_to = best_name
         record = ArbiterEpoch(
             index=self.epochs,
             live=switched_to or self._live_name,
@@ -508,8 +475,6 @@ class AdaptiveArbiter(CachePolicy):
         self._live = incoming
         self._live_name = name
         self.switches += 1
-        self._pending_name = None
-        self._pending_epochs = 0
 
     # ----------------------------------------------------------- delegation
 

@@ -125,12 +125,6 @@ class CachePolicy(abc.ABC):
             self.admit(key, value)
         return value
 
-    def access(self, key: Hashable, loader: Callable[[Hashable], Any]) -> Any:
-        """Alias for :meth:`get_or_admit` under its paper-facing name
-        (Algorithm 2 is the cache's per-access routine). Dispatches
-        through ``get_or_admit`` so subclass fast paths apply here too."""
-        return self.get_or_admit(key, loader)
-
     def run_stream(self, keys: Iterable[Hashable]) -> None:
         """Drive a read-only key stream, admitting every missed key.
 

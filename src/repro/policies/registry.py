@@ -4,7 +4,8 @@ Experiment configs refer to policies by the short names used in the paper's
 plots (``lru``, ``lfu``, ``arc``, ``lru2``, ``cot``, ``none``); the registry
 turns a name plus sizing parameters into a ready policy instance, applying
 the paper's pairing rule that LRU-2's history size equals CoT's tracker
-size.
+size. Everything else is each policy's own default: CoT's hotness model,
+LRU-K at the paper's K = 2, the arbiter's tuning.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 from typing import Hashable, Iterable
 
 from repro.core.cache import CoTCache
-from repro.core.hotness import HotnessModel
 from repro.errors import ConfigurationError
 from repro.policies.arc import ARCCache
 from repro.policies.base import CachePolicy
@@ -30,9 +30,7 @@ def make_policy(
     capacity: int,
     *,
     tracker_capacity: int | None = None,
-    model: HotnessModel | None = None,
     hot_keys: Iterable[Hashable] | None = None,
-    k: int = 2,
 ) -> CachePolicy:
     """Construct the policy ``name`` with ``capacity`` cache-lines.
 
@@ -41,12 +39,8 @@ def make_policy(
     tracker_capacity:
         CoT's ``K`` / LRU-2's history size. The paper always configures
         LRU-2's history equal to CoT's tracker, so one knob drives both.
-    model:
-        hotness model for CoT (ignored by other policies).
     hot_keys:
         required for ``perfect``: the true hottest keys, descending.
-    k:
-        the K of LRU-K (default 2, as evaluated in the paper).
     """
     lowered = name.lower()
     if lowered == "lru":
@@ -57,15 +51,13 @@ def make_policy(
         return ARCCache(capacity)
     if lowered in ("lru2", "lruk", "lru-2", "lru-k"):
         history = tracker_capacity if tracker_capacity is not None else 2 * capacity
-        return LRUKCache(capacity, k=k, history_capacity=history)
+        return LRUKCache(capacity, history_capacity=history)
     if lowered == "cot":
-        return CoTCache(capacity, tracker_capacity=tracker_capacity, model=model)
+        return CoTCache(capacity, tracker_capacity=tracker_capacity)
     if lowered == "adaptive":
         from repro.policies.adaptive import AdaptiveArbiter
 
-        return AdaptiveArbiter(
-            capacity, tracker_capacity=tracker_capacity, model=model, k=k
-        )
+        return AdaptiveArbiter(capacity, tracker_capacity=tracker_capacity)
     if lowered in ("none", "nocache", "null"):
         return NullCache()
     if lowered in ("perfect", "tpc"):

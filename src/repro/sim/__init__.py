@@ -7,20 +7,13 @@ engine's :class:`~repro.engine.runners.SimRunner`."""
 
 from repro.sim.client import SimClient
 from repro.sim.events import Simulator
-from repro.sim.network import (
-    PAPER_RTT,
-    FixedLatency,
-    JitteredLatency,
-    LatencyModel,
-)
+from repro.sim.network import PAPER_RTT, FixedLatency
 from repro.sim.server import ServiceModel, SimBackendServer
 
 __all__ = [
     "SimClient",
     "Simulator",
     "FixedLatency",
-    "JitteredLatency",
-    "LatencyModel",
     "PAPER_RTT",
     "ServiceModel",
     "SimBackendServer",

@@ -22,7 +22,7 @@ from repro.obs.hist import LatencyHistogram
 from repro.obs.trace import Trace, Tracer
 from repro.policies.base import CachePolicy
 from repro.sim.events import Simulator
-from repro.sim.network import LatencyModel
+from repro.sim.network import FixedLatency
 from repro.sim.plane import SimPlane
 from repro.sim.server import SimBackendServer
 from repro.workloads.request import OpType
@@ -82,7 +82,7 @@ class SimClient:
         policy: CachePolicy,
         cluster: CacheCluster,
         servers: dict[str, SimBackendServer],
-        latency: LatencyModel,
+        latency: FixedLatency,
         total_requests: int,
         tracer: Tracer | None = None,
     ) -> None:

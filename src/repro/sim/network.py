@@ -1,38 +1,24 @@
-"""Network latency models for the end-to-end simulation.
+"""The network latency model of the end-to-end simulation.
 
 The paper's testbed measures an average front-end↔back-end RTT of 244 µs
 (same-cluster deployment) and argues the gains grow when front ends sit in
 edge datacenters with RTTs in the tens of milliseconds; both settings are
-representable here.
+a :class:`FixedLatency` (ext-edge-rtt sweeps its RTT). A constant RTT
+keeps every simulated instant reproducible.
 """
 
 from __future__ import annotations
 
-import abc
-import random
-
 from repro.errors import ConfigurationError
 
-__all__ = ["LatencyModel", "FixedLatency", "JitteredLatency", "PAPER_RTT"]
+__all__ = ["FixedLatency", "PAPER_RTT"]
 
 #: The paper's measured same-cluster round-trip time (seconds).
 PAPER_RTT = 244e-6
 
 
-class LatencyModel(abc.ABC):
-    """Samples one-way / round-trip delays."""
-
-    @abc.abstractmethod
-    def rtt(self) -> float:
-        """Sample a full round-trip time in seconds."""
-
-    def one_way(self) -> float:
-        """Sample a one-way delay (half an RTT by default)."""
-        return self.rtt() / 2.0
-
-
-class FixedLatency(LatencyModel):
-    """Constant RTT — the deterministic default for reproducible runs."""
+class FixedLatency:
+    """Constant RTT; a one-way delay is half of it."""
 
     def __init__(self, rtt: float = PAPER_RTT) -> None:
         if rtt < 0:
@@ -40,33 +26,9 @@ class FixedLatency(LatencyModel):
         self._rtt = rtt
 
     def rtt(self) -> float:
+        """The round-trip time in seconds."""
         return self._rtt
 
-
-class JitteredLatency(LatencyModel):
-    """Gaussian jitter around a base RTT, floored at a minimum.
-
-    Models the long-ish tail of datacenter networks without heavy machinery;
-    useful for checking that conclusions are not artifacts of determinism.
-    """
-
-    def __init__(
-        self,
-        base_rtt: float = PAPER_RTT,
-        jitter_fraction: float = 0.1,
-        floor_fraction: float = 0.5,
-        seed: int | None = None,
-    ) -> None:
-        if base_rtt <= 0:
-            raise ConfigurationError("base_rtt must be > 0")
-        if jitter_fraction < 0:
-            raise ConfigurationError("jitter_fraction must be >= 0")
-        if not 0 < floor_fraction <= 1:
-            raise ConfigurationError("floor_fraction must be in (0, 1]")
-        self._base = base_rtt
-        self._sigma = base_rtt * jitter_fraction
-        self._floor = base_rtt * floor_fraction
-        self._rng = random.Random(seed)
-
-    def rtt(self) -> float:
-        return max(self._floor, self._rng.gauss(self._base, self._sigma))
+    def one_way(self) -> float:
+        """A one-way delay in seconds."""
+        return self._rtt / 2.0

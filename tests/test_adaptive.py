@@ -2,11 +2,13 @@
 
 Covers the arbiter as a :class:`CachePolicy` (delegation, stats
 continuity across switches, warm handoff, eviction-listener exactness),
-the arbitration decision loop (scoring, hysteresis, patience,
-min-samples guard), the batch/scalar decision equivalence the fused
-run_stream path must preserve, a differential against an unbuffered
-reference that keeps the access tap unobservable, and the engine wiring (ArbitrationSpec
-axis, runner telemetry, spawn safety, default-off byte identity).
+the arbitration decision loop (the LINE_COST ledger, the margin rule that
+switches in the first decided epoch a challenger clears it, the
+min-samples guard, a switch after the arbiter outgrew its tracker), the
+batch/scalar decision equivalence the fused run_stream path must
+preserve, a differential against an unbuffered reference that keeps the
+access tap unobservable, and the engine wiring (ArbitrationSpec axis,
+runner telemetry, spawn safety, default-off byte identity).
 """
 
 from __future__ import annotations
@@ -28,7 +30,12 @@ from repro.engine import (
     spawn_safe,
 )
 from repro.errors import ConfigurationError
-from repro.policies.adaptive import AdaptiveArbiter, ArbiterEpoch, sample_hash
+from repro.policies.adaptive import (
+    LINE_COST,
+    AdaptiveArbiter,
+    ArbiterEpoch,
+    sample_hash,
+)
 from repro.policies.base import MISSING, CachePolicy
 from repro.policies.lru import LRUCache
 from repro.policies.registry import make_policy
@@ -67,13 +74,7 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             AdaptiveArbiter(64, sample_shift=17)
         with pytest.raises(ConfigurationError):
-            AdaptiveArbiter(64, hit_value=0.0)
-        with pytest.raises(ConfigurationError):
-            AdaptiveArbiter(64, line_cost=-0.1)
-        with pytest.raises(ConfigurationError):
             AdaptiveArbiter(64, switch_margin=-0.1)
-        with pytest.raises(ConfigurationError):
-            AdaptiveArbiter(64, patience=0)
         with pytest.raises(ConfigurationError):
             AdaptiveArbiter(64, min_samples=0)
         with pytest.raises(ConfigurationError):
@@ -193,21 +194,34 @@ class TestArbitration:
         assert arbiter.live_name == "lru"
         assert arbiter.switches == 0
 
-    def test_patience_delays_switch(self):
-        impatient = AdaptiveArbiter(
-            32, candidates=("lru", "lfu"), sample_shift=0,
-            epoch_length=512, patience=1,
+    def test_switches_in_every_decided_epoch_a_challenger_clears_the_margin(self):
+        arbiter = AdaptiveArbiter(
+            32, candidates=("lru", "lfu", "arc"), initial="lru",
+            sample_shift=0, epoch_length=512,
         )
-        patient = AdaptiveArbiter(
-            32, candidates=("lru", "lfu"), sample_shift=0,
-            epoch_length=512, patience=3,
+        keys = self.lfu_friendly_keys(8_000) + zipf_keys(8_000, key_space=200)
+        arbiter.run_stream(keys)
+        live = "lru"  # every epoch is decided: nothing is left unsampled
+        for record in arbiter.history:
+            best = max(record.scores.values())
+            clears = best - record.scores[live] > arbiter.switch_margin
+            # no patience: the first epoch that clears the margin switches
+            assert (record.switched_to is not None) == clears
+            if clears:
+                assert record.scores[record.switched_to] == best
+                live = record.switched_to
+            assert record.live == live
+        assert arbiter.switches >= 2
+
+    def test_epoch_scores_charge_line_cost_rent(self):
+        assert LINE_COST == 0.05
+        arbiter = AdaptiveArbiter(
+            4, candidates=("lru",), sample_shift=0, epoch_length=1 << 20
         )
-        keys = self.lfu_friendly_keys(8_000)
-        impatient.run_stream(keys)
-        patient.run_stream(keys)
-        first = next(i for i, r in enumerate(impatient.history) if r.switched_to)
-        later = next(i for i, r in enumerate(patient.history) if r.switched_to)
-        assert later - first >= 2
+        arbiter.run_stream([1, 2] * 4)  # two cold misses, six hits
+        record = arbiter.close_epoch()
+        assert record.scores == {"lru": 6 / 8 - LINE_COST * 4 / 8}
+        assert record.live_score == 6 / 8 - LINE_COST * 4 / 8
 
     def test_min_samples_guard_blocks_decisions(self):
         arbiter = AdaptiveArbiter(
@@ -219,6 +233,20 @@ class TestArbitration:
         )
         arbiter.run_stream(self.lfu_friendly_keys(4_000))
         assert arbiter.switches == 0
+
+    def test_switch_after_outgrowing_the_tracker_builds_a_valid_cot(self):
+        # The tracker is sized at construction (4 x 64 lines); a later
+        # switch to CoT at 512 lines grows the incoming tracker with it.
+        arbiter = AdaptiveArbiter(
+            64, candidates=("lru", "cot"), initial="lru",
+            sample_shift=0, epoch_length=256,
+        )
+        arbiter.resize(512)
+        arbiter.run_stream(zipf_keys(200_000, key_space=100_000, theta=0.99, seed=3))
+        assert arbiter.live_name == "cot"
+        live = arbiter.live_policy
+        assert (live.capacity, live.tracker_capacity) == (512, 513)
+        live.check_invariants()
 
     def test_close_epoch_flush(self):
         arbiter = AdaptiveArbiter(8, candidates=("lru",), epoch_length=1 << 20)
@@ -531,7 +559,7 @@ class TestEngineAxis:
         spec = PolicySpec(
             name="perfect",  # not in the candidate set
             cache_lines=32,
-            arbitration=ArbitrationSpec(candidates=("lru", "lfu")),
+            arbitration=ArbitrationSpec(),
         )
         policy = spec.build(0)
         assert isinstance(policy, AdaptiveArbiter)

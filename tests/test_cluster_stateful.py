@@ -93,7 +93,7 @@ AXES: dict[str, dict[str, Any]] = {
     "replication": {
         "": None,
         "replicated": ReplicationConfig(
-            degree=2, choices=2, top_n=8, max_keys=4, min_share=0.02
+            degree=2, top_n=8, max_keys=4, min_share=0.02
         ),
     },
     # Tiny bounds, so bound-flushes and expirations fire within a run.

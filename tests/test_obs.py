@@ -43,7 +43,7 @@ from repro.obs.export import (
     parse_prometheus,
     render_prometheus,
 )
-from repro.obs.hist import LatencyHistogram
+from repro.obs.hist import BOUNDS, LatencyHistogram
 from repro.obs.trace import Trace, Tracer, render_trace
 from repro.policies.registry import make_policy
 from repro.workloads.zipfian import ZipfianGenerator
@@ -527,13 +527,13 @@ class TestStagesOfEachOutcome:
 
 
 class TestLatencyHistogram:
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            LatencyHistogram(lowest=0.0)
-        with pytest.raises(ConfigurationError):
-            LatencyHistogram(lowest=1.0, highest=0.5)
-        with pytest.raises(ConfigurationError):
-            LatencyHistogram(buckets_per_decade=0)
+    def test_one_bucket_layout(self):
+        # 1 µs .. 100 s at ten buckets per decade: the exported ``le`` set
+        assert BOUNDS[0] == 1e-6
+        assert BOUNDS[-1] == 100.0
+        assert len(BOUNDS) == 81
+        histogram = LatencyHistogram()
+        assert [b for b, _ in histogram.cumulative_buckets()] == [*BOUNDS, math.inf]
 
     def test_streaming_stats_exact(self):
         histogram = LatencyHistogram()
@@ -565,14 +565,14 @@ class TestLatencyHistogram:
             assert exact / growth <= estimate <= exact * growth
 
     def test_overflow_and_underflow(self):
-        histogram = LatencyHistogram(lowest=1e-3, highest=1.0)
+        histogram = LatencyHistogram()
         histogram.record(1e-9)  # below range → first bucket
-        histogram.record(50.0)  # above range → overflow bucket
+        histogram.record(500.0)  # above range → overflow bucket
         assert histogram.count == 2
-        assert histogram.percentile(100) == 50.0
+        assert histogram.percentile(100) == 500.0
         bounds, counts = zip(*histogram.nonzero_buckets())
         assert counts == (1, 1)
-        assert bounds[-1] == math.inf
+        assert bounds == (BOUNDS[0], math.inf)
 
     def test_merge_is_exact(self):
         parts = [LatencyHistogram() for _ in range(3)]
@@ -604,10 +604,6 @@ class TestLatencyHistogram:
         # p50 tracks the busy client; p99.9 miss would catch the tail.
         assert merged.percentile(50) <= 1e-4 * growth
         assert merged.percentile(99.9) >= 1e-2 / growth
-
-    def test_incompatible_bounds_rejected(self):
-        with pytest.raises(ConfigurationError):
-            LatencyHistogram().merge(LatencyHistogram(buckets_per_decade=5))
 
     def test_merged_empty(self):
         assert LatencyHistogram.merged([]).count == 0

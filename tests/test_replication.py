@@ -85,8 +85,6 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             ReplicationConfig(degree=0)
         with pytest.raises(ConfigurationError):
-            ReplicationConfig(choices=0)
-        with pytest.raises(ConfigurationError):
             ReplicationConfig(min_share=0.0)
         with pytest.raises(ConfigurationError):
             ReplicationConfig(refresh_every=0)
@@ -337,19 +335,36 @@ class TestTwoChoicesRouting:
         assert values == {"auth"}
         assert router.stats.primary_fallbacks > 0
 
-    def test_single_choice_config_still_routes(self):
+    def test_two_choice_reads_count_reads_with_two_live_replicas(self):
         cluster, _ = make_cluster()
-        cluster.storage.set("usertable:0", 0)
-        router = HotKeyRouter(
-            cluster, ReplicationConfig(degree=2, choices=1)
-        )
-        client = make_client(cluster, router, policy=LRUCache(2))
-        router.promote("usertable:0")
-        for _ in range(50):
-            client.get("usertable:0")
-            client.policy.invalidate("usertable:0")
-        assert router.stats.replicated_reads == 50
-        assert router.stats.two_choice_reads == 0
+        cluster.storage.set("usertable:0", "v")
+        router = HotKeyRouter(cluster, ReplicationConfig(degree=3))
+        client = make_client(cluster, router, policy=LRUCache(2), threshold=1)
+        key = "usertable:0"
+        replicas = router.promote(key)
+        stats = router.stats
+
+        def reads(n):
+            """(replicated, two-choice) reads over ``n`` backend reads."""
+            before = stats.replicated_reads, stats.two_choice_reads
+            for _ in range(n):
+                assert client.get(key) == "v"
+                client.policy.invalidate(key)
+            return (
+                stats.replicated_reads - before[0],
+                stats.two_choice_reads - before[1],
+            )
+
+        assert reads(50) == (50, 50)  # three live replicas
+        for victim, live in ((replicas[1], 2), (replicas[2], 1)):
+            cluster.kill_server(victim)
+            reads(100)  # until the victim's breaker opens
+            assert client.guard.state(victim) is BreakerState.OPEN
+            assert reads(50) == (50, 50 if live >= 2 else 0)
+        cluster.kill_server(replicas[0])
+        reads(100)
+        assert reads(50) == (50, 0)  # every replica OPEN: primary fallback
+        assert stats.primary_fallbacks > 0
 
 
 class TestWriteFanout:

@@ -20,7 +20,7 @@ from repro.obs.trace import Tracer
 from repro.policies.lru import LRUCache
 from repro.policies.nullcache import NullCache
 from repro.sim.events import Simulator
-from repro.sim.network import FixedLatency, JitteredLatency, PAPER_RTT
+from repro.sim.network import FixedLatency, PAPER_RTT
 from repro.sim.server import ServiceModel, SimBackendServer
 from repro.workloads.mixer import OperationMixer
 from repro.workloads.uniform import UniformGenerator
@@ -86,17 +86,6 @@ class TestLatencyModels:
     def test_fixed_validation(self):
         with pytest.raises(ConfigurationError):
             FixedLatency(-1.0)
-
-    def test_jittered_bounds(self):
-        model = JitteredLatency(base_rtt=1e-3, jitter_fraction=0.5,
-                                floor_fraction=0.5, seed=1)
-        samples = [model.rtt() for _ in range(1000)]
-        assert all(s >= 0.5e-3 for s in samples)
-        assert len(set(samples)) > 1
-
-    def test_jittered_validation(self):
-        with pytest.raises(ConfigurationError):
-            JitteredLatency(base_rtt=0)
 
 
 class TestSimBackendServer:

@@ -179,7 +179,7 @@ def test_delete_leaves_no_copy_and_keeps_the_policys_books(mode, promoted):
     if promoted:
         router = HotKeyRouter(
             cluster,
-            ReplicationConfig(degree=3, choices=2, top_n=4, max_keys=4),
+            ReplicationConfig(degree=3, top_n=4, max_keys=4),
         )
         client.attach_router(router, seed=9)
         router.promote("k")
@@ -246,7 +246,7 @@ class TestWriteThrough:
         cluster, _ = build_cluster(num_servers=4)
         router = HotKeyRouter(
             cluster,
-            ReplicationConfig(degree=3, choices=2, top_n=4, max_keys=4),
+            ReplicationConfig(degree=3, top_n=4, max_keys=4),
         )
         client = build_client(cluster)
         client.attach_router(router, seed=9)
@@ -263,7 +263,7 @@ class TestWriteThrough:
         cluster, faults = build_cluster(num_servers=4)
         router = HotKeyRouter(
             cluster,
-            ReplicationConfig(degree=3, choices=2, top_n=4, max_keys=4),
+            ReplicationConfig(degree=3, top_n=4, max_keys=4),
         )
         client = build_client(cluster)
         client.attach_router(router, seed=9)
@@ -399,7 +399,7 @@ class TestWriteBehind:
         cluster, _ = build_cluster(num_servers=4)
         router = HotKeyRouter(
             cluster,
-            ReplicationConfig(degree=3, choices=2, top_n=4, max_keys=4),
+            ReplicationConfig(degree=3, top_n=4, max_keys=4),
         )
         client = build_client(cluster)
         client.attach_router(router, seed=9)
@@ -419,7 +419,7 @@ class TestWriteBehind:
         cluster, faults = build_cluster(num_servers=4)
         router = HotKeyRouter(
             cluster,
-            ReplicationConfig(degree=2, choices=2, top_n=4, max_keys=4),
+            ReplicationConfig(degree=2, top_n=4, max_keys=4),
         )
         client = build_client(cluster)
         client.attach_router(router, seed=9)
