@@ -13,7 +13,7 @@ import pytest
 
 from repro.cluster.hashring import ConsistentHashRing
 from repro.core.cache import CoTCache
-from repro.core.spacesaving import SpaceSaving
+from repro.core.tracker import CoTTracker
 from repro.engine import (
     PolicySpec,
     PolicyStreamRunner,
@@ -61,14 +61,14 @@ def bench_policy_lookup_admit(benchmark, key_stream, name):
     benchmark.extra_info["hit_rate"] = round(policy.stats.hit_rate, 4)
 
 
-def bench_spacesaving_offer(benchmark, key_stream):
-    sketch: SpaceSaving[int] = SpaceSaving(2048)
+def bench_tracker_track(benchmark, key_stream):
+    tracker: CoTTracker[int] = CoTTracker(2048, 0)
     cursor = [0]
 
     def run():
         start = cursor[0] % (len(key_stream) - OPS_PER_ROUND)
         for key in key_stream[start:start + OPS_PER_ROUND]:
-            sketch.offer(key)
+            tracker.track(key)
         cursor[0] += OPS_PER_ROUND
 
     benchmark(run)

@@ -2,9 +2,11 @@
 
 The paper adopts space-saving for CoT's tracker; the standard
 alternative is a Count-Min Sketch with a candidate heap. This bench
-compares both at equal counter memory on the paper's workload family and
-records recall of the true top-k plus per-op cost — the quantitative
-grounds for the paper's (and this reproduction's) choice.
+compares :class:`~repro.core.tracker.CoTTracker` with no cached keys
+(plain space-saving) and ``CMSTopK`` at equal counter memory on the
+paper's workload family, and records recall of the true top-k plus
+per-op cost — the quantitative grounds for the paper's (and this
+reproduction's) choice.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from collections import Counter
 
 from repro.core.countmin import CMSTopK
-from repro.core.spacesaving import SpaceSaving
+from repro.core.tracker import CoTTracker
 from repro.workloads.zipfian import ZipfianGenerator
 
 K = 16
@@ -31,15 +33,15 @@ def bench_tracker_recall_comparison(benchmark):
     true_top = [key for key, _ in Counter(stream).most_common(K)]
 
     def run_both() -> tuple[float, float]:
-        ss: SpaceSaving[int] = SpaceSaving(BUDGET_CELLS // 2)
+        tracker: CoTTracker[int] = CoTTracker(BUDGET_CELLS // 2, 0)
         cms: CMSTopK[int] = CMSTopK(
             K, width=(BUDGET_CELLS - K) // 4, depth=4, seed=12
         )
         for key in stream:
-            ss.offer(key)
+            tracker.track(key)
             cms.offer(key)
         return (
-            _recall([e.key for e in ss.top(K)], true_top),
+            _recall([key for key, _ in tracker.top(K)], true_top),
             _recall([key for key, _ in cms.top(K)], true_top),
         )
 
@@ -52,15 +54,15 @@ def bench_tracker_recall_comparison(benchmark):
     assert ss_recall >= cms_recall
 
 
-def bench_spacesaving_op(benchmark):
+def bench_tracker_op(benchmark):
     stream = list(ZipfianGenerator(KEY_SPACE, theta=THETA, seed=13).keys(20_000))
-    sketch: SpaceSaving[int] = SpaceSaving(BUDGET_CELLS // 2)
+    tracker: CoTTracker[int] = CoTTracker(BUDGET_CELLS // 2, 0)
     cursor = [0]
 
     def run():
         start = cursor[0] % (len(stream) - 2000)
         for key in stream[start:start + 2000]:
-            sketch.offer(key)
+            tracker.track(key)
         cursor[0] += 2000
 
     benchmark(run)

@@ -42,7 +42,6 @@ from repro.core import (
     NoDecay,
     ResizeDecision,
     ResizingController,
-    SpaceSaving,
 )
 from repro.policies import (
     ARCCache,
@@ -77,7 +76,6 @@ __all__ = [
     "ElasticCoTClient",
     "EpochRecord",
     "EpochSnapshot",
-    "SpaceSaving",
     "IndexedMinHeap",
     "AccessType",
     "HotnessModel",

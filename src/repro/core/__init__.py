@@ -1,8 +1,7 @@
 """The paper's primary contribution: Cache-on-Track.
 
-* Algorithm 1 — space-saving hotness tracking:
-  :mod:`repro.core.spacesaving` (classic sketch) and
-  :mod:`repro.core.tracker` (CoT's two-set variant).
+* Algorithm 1 — space-saving hotness tracking: :mod:`repro.core.tracker`
+  (space-saving with the cached top-``C`` kept inside it).
 * Algorithm 2 — the replacement policy: :mod:`repro.core.cache`.
 * Algorithm 3 — elastic resizing: :mod:`repro.core.epoch`,
   :mod:`repro.core.resizing`, applied by :mod:`repro.core.elastic`.
@@ -27,7 +26,6 @@ from repro.core.resizing import (
     ResizeDecision,
     ResizingController,
 )
-from repro.core.spacesaving import SpaceSaving, TrackedCount
 from repro.core.tracker import CoTTracker
 
 
@@ -61,8 +59,6 @@ __all__ = [
     "Phase",
     "ResizeDecision",
     "ResizingController",
-    "SpaceSaving",
-    "TrackedCount",
     "DecayPolicy",
     "NoDecay",
     "HalfLifeDecay",

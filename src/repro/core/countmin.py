@@ -13,10 +13,10 @@ asserted:
   keep the approximate top-``k`` in an indexed heap.
 
 ``benchmarks/bench_tracker_comparison.py`` and
-``tests/test_countmin.py`` compare recall/precision and per-op cost
-against :class:`~repro.core.spacesaving.SpaceSaving` at equal memory:
-space-saving's per-key error bound and exact-decrement structure make it
-the better fit for CoT's *small* trackers, which is the reproduction's
+``tests/test_countmin.py`` compare recall and per-op cost against
+:class:`~repro.core.tracker.CoTTracker` (space-saving, with no cached
+keys) at equal memory: space-saving's per-key error bound makes it the
+better fit for CoT's *small* trackers, which is the reproduction's
 evidence for the paper's choice.
 """
 

@@ -5,16 +5,12 @@ block of the declared length followed by ``\\r\\n``; every numeric field
 is ``[0-9]+`` and nothing else — no sign, underscore or padding)::
 
     request  = "get" 1*(" " key) CRLF
-             / "gets" 1*(" " key) CRLF
              / "set" " " key " " flags " " exptime " " nbytes [" noreply"] CRLF <data> CRLF
              / "delete" " " key [" noreply"] CRLF
-             / "touch" " " key " " exptime [" noreply"] CRLF
-             / "version" CRLF
              / "quit" CRLF
 
-    response = *( "VALUE" " " key " " flags " " nbytes [" " cas] CRLF <data> CRLF ) "END" CRLF
-             / "STORED" / "DELETED" / "NOT_FOUND" / "TOUCHED" CRLF
-             / "VERSION" " " token CRLF
+    response = *( "VALUE" " " key " " flags " " nbytes CRLF <data> CRLF ) "END" CRLF
+             / "STORED" / "DELETED" / "NOT_FOUND" CRLF
              / "ERROR" CRLF
              / "CLIENT_ERROR" " " text CRLF
              / "SERVER_ERROR" " " code " " text CRLF
@@ -28,6 +24,9 @@ copied aside, the next chunk appended to it. A chunk that is exactly one
 lockstep frame (one ``get``/``set``/``delete``; one bare reply line or
 single-``VALUE`` reply) arriving with nothing held is parsed by one
 anchored match instead; anything else takes the general loop.
+The request verbs are the ones the client sends, plus ``quit``; any
+other verb (memcached's ``gets``, ``touch`` or ``version`` among them)
+is an unknown command, answered ``ERROR``.
 Malformed input never raises — it surfaces as :class:`BadCommand` / an ``ERROR``-kind
 :class:`Reply` frame, and the decoder distinguishes *recoverable* damage
 (an unknown command on an otherwise well-framed line: skip the line,
@@ -78,9 +77,7 @@ __all__ = [
     "RequestDecoder",
     "ResponseDecoder",
     "SetCommand",
-    "TouchCommand",
     "Value",
-    "VersionCommand",
     "decode_failure",
     "delete_frame",
     "dump_value",
@@ -227,9 +224,9 @@ def _numbers(fields: list[bytes]) -> list[int] | None:
 # request layouts: each verb's frame is formatted here and nowhere else
 
 
-def get_frame(keys: Iterable[str], cas: bool = False) -> bytes:
-    """The ``get`` frame (``gets`` with ``cas``) asking for ``keys``."""
-    return (b"gets " if cas else b"get ") + b" ".join(map(_wire_key, keys)) + CRLF
+def get_frame(keys: Iterable[str]) -> bytes:
+    """The ``get`` frame asking for ``keys``."""
+    return b"get " + b" ".join(map(_wire_key, keys)) + CRLF
 
 
 def get_frames(keys: list[str]) -> list[bytes]:
@@ -268,13 +265,12 @@ def delete_frame(key: str, noreply: bool = False) -> bytes:
 
 @dataclass(slots=True)
 class GetCommand:
-    """``get``/``gets`` — one wire round-trip for any number of keys."""
+    """``get`` — one wire round-trip for any number of keys."""
 
     keys: tuple[str, ...]
-    cas: bool = False
 
     def encode(self) -> bytes:
-        return get_frame(self.keys, self.cas)
+        return get_frame(self.keys)
 
 
 @dataclass(slots=True)
@@ -299,26 +295,6 @@ class DeleteCommand:
 
 
 @dataclass(slots=True)
-class TouchCommand:
-    key: str
-    exptime: int = 0
-    noreply: bool = False
-
-    def encode(self) -> bytes:
-        return b"touch %b %d%b\r\n" % (
-            _wire_key(self.key),
-            self.exptime,
-            b" noreply" if self.noreply else b"",
-        )
-
-
-@dataclass(slots=True)
-class VersionCommand:
-    def encode(self) -> bytes:
-        return b"version\r\n"
-
-
-@dataclass(slots=True)
 class QuitCommand:
     def encode(self) -> bytes:
         return b"quit\r\n"
@@ -339,22 +315,12 @@ class BadCommand:
     fatal: bool = False
 
 
-Command = (
-    GetCommand
-    | SetCommand
-    | DeleteCommand
-    | TouchCommand
-    | VersionCommand
-    | QuitCommand
-    | BadCommand
-)
+Command = GetCommand | SetCommand | DeleteCommand | QuitCommand | BadCommand
 
 
-def encode_value(key: str, flags: int, data: bytes, cas: int | None = None) -> bytes:
+def encode_value(key: str, flags: int, data: bytes) -> bytes:
     """One ``VALUE`` frame: header line, data block, CRLF."""
-    if cas is None:
-        return b"VALUE %b %d %d\r\n%b\r\n" % (key.encode("ascii"), flags, len(data), data)
-    return b"VALUE %b %d %d %d\r\n%b\r\n" % (key.encode("ascii"), flags, len(data), cas, data)
+    return b"VALUE %b %d %d\r\n%b\r\n" % (key.encode("ascii"), flags, len(data), data)
 
 
 @dataclass(slots=True)
@@ -364,10 +330,9 @@ class Value:
     key: str
     flags: int
     data: bytes
-    cas: int | None = None
 
     def encode(self) -> bytes:
-        return encode_value(self.key, self.flags, self.data, self.cas)
+        return encode_value(self.key, self.flags, self.data)
 
 
 @dataclass(slots=True)
@@ -375,8 +340,8 @@ class Reply:
     """Any non-VALUE response frame.
 
     ``kind`` is the leading token (``STORED``, ``DELETED``,
-    ``NOT_FOUND``, ``TOUCHED``, ``VERSION``, ``END``, ``ERROR``,
-    ``CLIENT_ERROR``, ``SERVER_ERROR``); ``values`` is populated on
+    ``NOT_FOUND``, ``END``, ``ERROR``, ``CLIENT_ERROR``,
+    ``SERVER_ERROR``); ``values`` is populated on
     ``END`` replies with the VALUE frames that preceded the terminator.
     """
 
@@ -550,10 +515,10 @@ class RequestDecoder(_FrameDecoder):
     def _on_line(self, line: bytes) -> Command | None:
         parts = line.split()
         verb = parts[0] if parts else b""
-        if verb == b"get" or verb == b"gets":
+        if verb == b"get":
             keys = parts[1:]
             if keys and all(map(_KEY_RE.fullmatch, keys)):
-                return GetCommand(tuple(map(bytes.decode, keys)), verb == b"gets")
+                return GetCommand(tuple(map(bytes.decode, keys)))
             return _refusal(line, "bad key" if keys else "get needs at least one key")
         if verb == b"set":
             return self._on_set(line, parts)
@@ -562,16 +527,6 @@ class RequestDecoder(_FrameDecoder):
             if len(parts) - noreply == 2 and _KEY_RE.fullmatch(parts[1]):
                 return DeleteCommand(parts[1].decode(), noreply)
             return _refusal(line, "delete needs exactly one key")
-        if verb == b"touch":
-            noreply = parts[-1] == b"noreply"
-            if len(parts) - noreply != 3 or not _KEY_RE.fullmatch(parts[1]):
-                return _refusal(line, "touch needs a key and an exptime")
-            exptime = _numbers(parts[2:3])
-            if exptime is None:
-                return _refusal(line, "bad exptime")
-            return TouchCommand(parts[1].decode(), exptime[0], noreply)
-        if verb == b"version" and len(parts) == 1:
-            return VersionCommand()
         if verb == b"quit" and len(parts) == 1:
             return QuitCommand()
         if not line:
@@ -609,9 +564,9 @@ class RequestDecoder(_FrameDecoder):
 #: reply lines that are one bare token / a token and free text
 _BARE_REPLIES = {
     kind.encode(): kind
-    for kind in ("STORED", "NOT_STORED", "DELETED", "NOT_FOUND", "TOUCHED", "ERROR", "OK")
+    for kind in ("STORED", "NOT_STORED", "DELETED", "NOT_FOUND", "ERROR", "OK")
 }
-_TEXT_REPLIES = {kind.encode(): kind for kind in ("CLIENT_ERROR", "SERVER_ERROR", "VERSION")}
+_TEXT_REPLIES = {kind.encode(): kind for kind in ("CLIENT_ERROR", "SERVER_ERROR")}
 #: a chunk that is exactly one bare reply line (``END`` too, with no values)
 _WHOLE_LINES = {line + CRLF: kind for line, kind in [*_BARE_REPLIES.items(), (b"END", "END")]}
 
@@ -654,21 +609,20 @@ class ResponseDecoder(_FrameDecoder):
         return not (self._held or self._values or self._block >= 0)
 
     def _on_block(self, block: bytes) -> None:
-        key, flags, cas = self._head
-        self._values.append(Value(key, flags, block, cas))
+        key, flags = self._head
+        self._values.append(Value(key, flags, block))
 
     def _on_line(self, line: bytes) -> Reply | None:
         parts = line.split()
         kind = parts[0] if parts else b""
         if kind == b"VALUE":
-            numbers = _numbers(parts[2:]) if len(parts) in (4, 5) else None
+            numbers = _numbers(parts[2:]) if len(parts) == 4 else None
             if numbers is None:
                 problem = "bad VALUE header"
             elif numbers[1] > self.max_value_bytes:
                 problem = "VALUE payload exceeds maximum size"
             else:
-                cas = numbers[2] if len(numbers) == 3 else None
-                self._head = (parts[1].decode("ascii", "replace"), numbers[0], cas)
+                self._head = (parts[1].decode("ascii", "replace"), numbers[0])
                 self._block = numbers[1]
                 return None
         elif kind == b"END":

@@ -43,14 +43,10 @@ from repro.net.proto import (
     Reply,
     RequestDecoder,
     SetCommand,
-    TouchCommand,
-    VersionCommand,
     encode_value,
 )
 
-__all__ = ["ShardServer", "ShardServerStats", "SERVER_VERSION"]
-
-SERVER_VERSION = "repro-net/1"
+__all__ = ["ShardServer", "ShardServerStats"]
 
 #: a batch ends once its replies pass this many bytes (and one ``recv`` reads as many)
 BATCH_BYTES = 1 << 16
@@ -143,16 +139,15 @@ class _Connection:
         try:
             if kind is GetCommand:
                 keys = cmd.keys
-                cas = 0 if cmd.cas else None
                 if len(keys) == 1:
                     # Mirror the in-process plane exactly: a single-key
                     # get is `server.get`, a batch is `server.get_many`.
                     entry = backend.get(keys[0])
                     if entry is _MISSING:
                         return b"END\r\n"
-                    return encode_value(keys[0], entry[0], entry[1], cas) + b"END\r\n"
+                    return encode_value(keys[0], entry[0], entry[1]) + b"END\r\n"
                 found = backend.get_many(list(keys))
-                values = [encode_value(k, *found[k], cas) for k in keys if k in found]
+                values = [encode_value(k, *found[k]) for k in keys if k in found]
                 return b"".join(values) + b"END\r\n"
             if kind is SetCommand:
                 backend.set(cmd.key, (cmd.flags, cmd.data))
@@ -162,18 +157,9 @@ class _Connection:
                 if cmd.noreply:
                     return None
                 return b"DELETED\r\n" if existed else b"NOT_FOUND\r\n"
-            if kind is TouchCommand:
-                # The backend has no per-entry TTL; touch degrades to a
-                # counter-neutral membership probe so the verb exists on
-                # the wire without perturbing decision equivalence.
-                if cmd.noreply:
-                    return None
-                return b"TOUCHED\r\n" if cmd.key in backend else b"NOT_FOUND\r\n"
         except ShardFailure as exc:
             self.server.stats.fault_errors += 1
             return proto.encode_failure(exc).encode()
-        if kind is VersionCommand:
-            return Reply("VERSION", SERVER_VERSION).encode()
         if kind is QuitCommand:
             self._open = False  # nothing after this command is served
             return None

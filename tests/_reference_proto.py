@@ -4,8 +4,10 @@ A reference implementation the differential test in ``test_net_proto.py``
 compares :mod:`repro.net.proto` against; nothing ships from here.
 ``_LineBuffer``, ``RequestDecoder`` and ``ResponseDecoder`` (and the
 ``str`` key rule they call) are copied verbatim from the parent commit's
-``src/repro/net/proto.py``; the frames they build are the live ones, so
-their output compares equal to the live decoders' frame for frame.
+``src/repro/net/proto.py``, less the verbs and the ``cas`` field the wire
+no longer speaks (``gets``, ``touch``, ``version``); the frames they
+build are the live ones, so their output compares equal to the live
+decoders' frame for frame.
 """
 
 from __future__ import annotations
@@ -25,9 +27,7 @@ from repro.net.proto import (
     QuitCommand,
     Reply,
     SetCommand,
-    TouchCommand,
     Value,
-    VersionCommand,
 )
 
 _KEY_RE = re.compile("[!-~]{1,%d}" % MAX_KEY_BYTES)
@@ -167,13 +167,13 @@ class RequestDecoder:
             return BadCommand("command line is not ascii")
         parts = text.split()
         verb = parts[0] if parts else ""
-        if verb in ("get", "gets"):
+        if verb == "get":
             keys = parts[1:]
             if not keys:
                 return BadCommand("get needs at least one key")
             if not all(map(valid_key, keys)):
                 return BadCommand("bad key")
-            return GetCommand(tuple(keys), cas=(verb == "gets"))
+            return GetCommand(tuple(keys))
         if verb == "set":
             return self._parse_set(parts)
         if verb == "delete":
@@ -182,18 +182,6 @@ class RequestDecoder:
             if len(keys) != 1 or not valid_key(keys[0]):
                 return BadCommand("delete needs exactly one key")
             return DeleteCommand(keys[0], noreply=noreply)
-        if verb == "touch":
-            noreply = parts[-1] == "noreply"
-            args = parts[1 : len(parts) - (1 if noreply else 0)]
-            if len(args) != 2 or not valid_key(args[0]):
-                return BadCommand("touch needs a key and an exptime")
-            try:
-                exptime = int(args[1])
-            except ValueError:
-                return BadCommand("bad exptime")
-            return TouchCommand(args[0], exptime, noreply=noreply)
-        if verb == "version" and len(parts) == 1:
-            return VersionCommand()
         if verb == "quit" and len(parts) == 1:
             return QuitCommand()
         return BadCommand(f"unknown command: {verb!r}", kind="ERROR")
@@ -236,15 +224,15 @@ class ResponseDecoder:
     """
 
     _SIMPLE = frozenset(
-        ["STORED", "NOT_STORED", "DELETED", "NOT_FOUND", "TOUCHED", "END", "ERROR", "OK"]
+        ["STORED", "NOT_STORED", "DELETED", "NOT_FOUND", "END", "ERROR", "OK"]
     )
 
     def __init__(self, max_value_bytes: int = MAX_VALUE_BYTES) -> None:
         self._lines = _LineBuffer()
         self.max_value_bytes = max_value_bytes
         self._values: list[Value] = []
-        #: header of the VALUE whose data block is awaited: key, flags, cas, nbytes
-        self._pending_value: tuple[str, int, int | None, int] | None = None
+        #: header of the VALUE whose data block is awaited: key, flags, nbytes
+        self._pending_value: tuple[str, int, int] | None = None
         self._broken = False
 
     @property
@@ -278,12 +266,12 @@ class ResponseDecoder:
         lines = self._lines
         while True:
             if self._pending_value is not None:
-                key, flags, cas, nbytes = self._pending_value
+                key, flags, nbytes = self._pending_value
                 block = lines.readblock(nbytes)
                 if block is None:
                     return None
                 self._pending_value = None
-                self._values.append(Value(key, flags, block, cas))
+                self._values.append(Value(key, flags, block))
             line = lines.readline()
             if line is None:
                 if lines.overflowed:
@@ -302,20 +290,19 @@ class ResponseDecoder:
                 if self._values:
                     raise ProtocolError(f"{kind} interleaved with VALUE frames")
                 return Reply(kind)
-            if kind in ("CLIENT_ERROR", "SERVER_ERROR", "VERSION"):
+            if kind in ("CLIENT_ERROR", "SERVER_ERROR"):
                 # An error aborts any multi-get in flight; partial values drop.
                 self._values = []
                 return Reply(kind, text[len(kind) + 1 :])
             raise ProtocolError(f"unparsable response line: {text!r}")
 
     def _start_value(self, parts: list[str]) -> None:
-        if len(parts) not in (4, 5):
+        if len(parts) != 4:
             raise ProtocolError("bad VALUE header")
         try:
             flags, nbytes = int(parts[2]), int(parts[3])
-            cas = int(parts[4]) if len(parts) == 5 else None
         except ValueError:
             raise ProtocolError("bad VALUE header") from None
         if nbytes < 0 or nbytes > self.max_value_bytes:
             raise ProtocolError("VALUE payload exceeds maximum size")
-        self._pending_value = (parts[1], flags, cas, nbytes)
+        self._pending_value = (parts[1], flags, nbytes)

@@ -1,4 +1,4 @@
-"""Tests for the Count-Min Sketch tracker and the space-saving comparison."""
+"""Tests for the Count-Min Sketch tracker and its comparison with CoTTracker."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.countmin import CMSTopK, CountMinSketch
-from repro.core.spacesaving import SpaceSaving
+from repro.core.tracker import CoTTracker
 from repro.errors import ConfigurationError
 from repro.workloads.zipfian import ZipfianGenerator
 
@@ -111,39 +111,40 @@ class TestCMSTopK:
         assert tracker.memory_cells() == 32 * 2 + 1
 
 
-class TestSpaceSavingVsCMS:
+class TestTrackerVsCMS:
     """The design-choice evidence: at CoT-sized (small) trackers,
-    space-saving recalls the true top-k better per unit memory."""
+    CoT's space-saving tracker recalls the true top-k better per unit
+    memory."""
 
     @staticmethod
     def _recall(found: list[int], truth: list[int]) -> float:
         return len(set(found) & set(truth)) / len(truth)
 
-    def test_spacesaving_beats_cms_at_equal_small_memory(self):
+    def test_tracker_beats_cms_at_equal_small_memory(self):
         k = 16
         stream = list(ZipfianGenerator(20_000, theta=0.9, seed=11).keys(60_000))
         true_top = [key for key, _ in Counter(stream).most_common(k)]
 
-        # Space-saving with m counters vs CMS with the same cell budget.
+        # A tracker of m keys and no cache vs CMS with the same cell budget.
         budget = 256  # cells
-        ss: SpaceSaving[int] = SpaceSaving(budget // 2)  # 2 cells per entry
+        tracker: CoTTracker[int] = CoTTracker(budget // 2, 0)  # 2 cells per entry
         cms: CMSTopK[int] = CMSTopK(k, width=(budget - k) // 4, depth=4, seed=12)
         for key in stream:
-            ss.offer(key)
+            tracker.track(key)
             cms.offer(key)
-        ss_recall = self._recall([e.key for e in ss.top(k)], true_top)
+        tracker_recall = self._recall([key for key, _ in tracker.top(k)], true_top)
         cms_recall = self._recall([key for key, _ in cms.top(k)], true_top)
-        assert ss_recall >= cms_recall
-        assert ss_recall >= 0.8  # space-saving is near-exact here
+        assert tracker_recall >= cms_recall
+        assert tracker_recall >= 0.8  # space-saving is near-exact here
 
     def test_both_converge_with_ample_memory(self):
         k = 8
         stream = list(ZipfianGenerator(5_000, theta=1.2, seed=13).keys(40_000))
         true_top = [key for key, _ in Counter(stream).most_common(k)]
-        ss: SpaceSaving[int] = SpaceSaving(2048)
+        tracker: CoTTracker[int] = CoTTracker(2048, 0)
         cms: CMSTopK[int] = CMSTopK(k, width=8192, depth=5, seed=14)
         for key in stream:
-            ss.offer(key)
+            tracker.track(key)
             cms.offer(key)
-        assert self._recall([e.key for e in ss.top(k)], true_top) >= 0.9
+        assert self._recall([key for key, _ in tracker.top(k)], true_top) >= 0.9
         assert self._recall([key for key, _ in cms.top(k)], true_top) >= 0.9

@@ -756,6 +756,29 @@ def test_quit_and_fatal_frames_answer_then_close(sent, expected):
     asyncio.run(main())
 
 
+@pytest.mark.parametrize(
+    "line",
+    [b"gets k", b"touch k 0", b"touch k 0 noreply", b"version"],
+    ids=["gets", "touch", "touch-noreply", "version"],
+)
+def test_a_verb_the_client_never_sends_is_an_error_and_the_connection_serves_on(line):
+    async def main():
+        backend = BackendCacheServer("s")
+        backend.set("k", (0, b"v"))
+        server = await ShardServer(backend).start()
+        sock = await raw_peer(server)
+        await asyncio.get_running_loop().sock_sendall(sock, line + b"\r\nget k\r\n")
+        refusal, got = await read_replies(sock, 2)
+        assert refusal.kind == "ERROR"
+        assert got == Reply("END", values=(Value("k", 0, b"v"),))
+        assert server.stats.protocol_errors == 1
+        assert server.stats.active_connections == 1  # never hung up on
+        sock.close()
+        await server.stop()
+
+    asyncio.run(main())
+
+
 def test_stop_right_after_the_client_closes_logs_nothing(caplog):
     """PR 12 finding: stop() used to cancel connection tasks mid-close."""
 

@@ -41,9 +41,7 @@ from repro.net.proto import (
     RequestDecoder,
     ResponseDecoder,
     SetCommand,
-    TouchCommand,
     Value,
-    VersionCommand,
     decode_failure,
     dump_value,
     encode_failure,
@@ -66,7 +64,6 @@ payloads = st.binary(max_size=256)
 get_commands = st.builds(
     GetCommand,
     keys=st.lists(keys, min_size=1, max_size=5).map(tuple),
-    cas=st.booleans(),
 )
 set_commands = st.builds(
     SetCommand,
@@ -77,26 +74,13 @@ set_commands = st.builds(
     noreply=st.booleans(),
 )
 delete_commands = st.builds(DeleteCommand, key=keys, noreply=st.booleans())
-touch_commands = st.builds(
-    TouchCommand,
-    key=keys,
-    exptime=st.integers(min_value=0, max_value=1 << 20),
-    noreply=st.booleans(),
-)
-commands = st.one_of(
-    get_commands,
-    set_commands,
-    delete_commands,
-    touch_commands,
-    st.just(VersionCommand()),
-)
+commands = st.one_of(get_commands, set_commands, delete_commands, st.just(QuitCommand()))
 
 values = st.builds(
     Value,
     key=keys,
     flags=st.integers(min_value=0, max_value=7),
     data=payloads,
-    cas=st.one_of(st.none(), st.integers(min_value=0, max_value=1 << 30)),
 )
 replies = st.one_of(
     st.builds(
@@ -104,12 +88,10 @@ replies = st.one_of(
         kind=st.just("END"),
         values=st.lists(values, max_size=4).map(tuple),
     ),
-    st.sampled_from(
-        [Reply("STORED"), Reply("DELETED"), Reply("NOT_FOUND"), Reply("TOUCHED")]
-    ),
+    st.sampled_from([Reply("STORED"), Reply("DELETED"), Reply("NOT_FOUND")]),
     st.builds(
         Reply,
-        kind=st.sampled_from(["SERVER_ERROR", "CLIENT_ERROR", "VERSION"]),
+        kind=st.sampled_from(["SERVER_ERROR", "CLIENT_ERROR"]),
         message=st.text(
             alphabet=st.characters(min_codepoint=32, max_codepoint=126),
             min_size=1,
@@ -205,12 +187,12 @@ def test_oversized_value_is_consumed_and_recoverable():
 
 def test_bad_key_set_discards_block_and_recovers():
     decoder = RequestDecoder()
-    frames = decoder.feed(b"set bad\tkey 0 0 3\r\nabc\r\nversion\r\n")
+    frames = decoder.feed(b"set bad\tkey 0 0 3\r\nabc\r\nget k\r\n")
     # "bad\tkey" splits into two tokens -> 5 args -> unreadable header.
     assert frames[0].fatal
     decoder = RequestDecoder()
-    frames = decoder.feed(b"set " + b"k" * 300 + b" 0 0 3\r\nabc\r\nversion\r\n")
-    assert frames == [BadCommand("bad key"), VersionCommand()]
+    frames = decoder.feed(b"set " + b"k" * 300 + b" 0 0 3\r\nabc\r\nget k\r\n")
+    assert frames == [BadCommand("bad key"), GetCommand(("k",))]
     assert not decoder.broken
 
 
@@ -268,12 +250,9 @@ def test_unparsable_response_marks_broken():
 # ------------------------------------------------------------ odds and ends
 
 
-def test_quit_and_version_parse():
+def test_quit_parses():
     decoder = RequestDecoder()
-    assert decoder.feed(b"version\r\nquit\r\n") == [
-        VersionCommand(),
-        QuitCommand(),
-    ]
+    assert decoder.feed(b"get k\r\nquit\r\n") == [GetCommand(("k",)), QuitCommand()]
 
 
 @pytest.mark.parametrize(
@@ -398,17 +377,6 @@ FIELD_ROWS = {
         [SetCommand("k", MAX_FLAGS, 0, b"x")],
         False,
     ),
-    # parent: exptime -1
-    "touch-exptime-minus": (
-        RequestDecoder,
-        b"touch k -1\r\nversion\r\n",
-        [BadCommand("bad exptime"), VersionCommand()],
-        False,
-    ),
-    # parent: exptime 10
-    "touch-exptime-underscore": (
-        RequestDecoder, b"touch k 1_0\r\n", [BadCommand("bad exptime")], False,
-    ),
     # parent: get of the two keys "a" and "b"
     "get-key-with-control-byte": (
         RequestDecoder,
@@ -532,7 +500,6 @@ def near_miss(template: bytes, *fields):
 
 near_misses = st.one_of(
     near_miss(b"set %b %b %b %b%b\r\nabc\r\n", keyish, numberish, numberish, numberish, tailish),
-    near_miss(b"touch %b %b%b\r\n", keyish, numberish, tailish),
     near_miss(b"delete %b%b\r\n", keyish, tailish),
     near_miss(b"get %b %b\r\n", keyish, keyish),
     near_miss(b"VALUE %b %b %b%b\r\nabc\r\nEND\r\n", keyish, numberish, numberish, tailish),

@@ -1,144 +1,116 @@
-"""Tests for the classic space-saving sketch, including its guarantees."""
+"""Space-saving's guarantees (Metwally et al. 2005), checked on CoTTracker.
+
+CoT's tracker is space-saving with the cached top-``C`` kept inside it
+(paper Section 4.2, Algorithm 1). Over a read-only stream of length
+``N``, a tracker of ``K`` keys, ``C`` of them cacheable, keeps the
+classic sketch's bounds with ``K - C`` counters in the sketch's place:
+
+* every tracked key's hotness is at least its true count;
+* it overestimates that count by at most ``N / (K - C)``;
+* every key whose true count exceeds ``N / (K - C)`` is tracked.
+
+The victim comes from the rest heap, which holds at least ``K - C`` keys
+once the tracker is full and whose hotness sums to at most ``N``. With
+keys promoted the way :class:`~repro.core.cache.CoTCache` promotes them,
+no rest key is hotter than a cached one, so the victim's hotness (what a
+newcomer inherits) never falls. Each property below is checked by brute
+force at ``C = 0`` (the classic sketch) and at ``C > 0``.
+"""
 
 from __future__ import annotations
 
 from collections import Counter
 
-import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.spacesaving import SpaceSaving
-from repro.errors import ConfigurationError
+from repro.core.tracker import CoTTracker
+
+streams = st.lists(st.integers(0, 30), min_size=1, max_size=400)
+heavy_streams = st.lists(st.integers(0, 20), min_size=10, max_size=400)
 
 
-class TestBasics:
-    def test_capacity_validation(self):
-        with pytest.raises(ConfigurationError):
-            SpaceSaving(0)
+@st.composite
+def shapes(draw) -> tuple[int, int]:
+    """``(K, C)`` with ``0 < C < K <= 12``."""
+    k = draw(st.integers(2, 12))
+    return k, draw(st.integers(1, k - 1))
 
-    def test_offer_below_capacity(self):
-        sketch: SpaceSaving[str] = SpaceSaving(4)
-        assert sketch.offer("a") == 1.0
-        assert sketch.offer("a") == 2.0
-        assert sketch.offer("b") == 1.0
-        assert len(sketch) == 2
-        assert sketch.count_of("a") == 2.0
-        assert sketch.error_of("a") == 0.0
 
-    def test_offer_zero_weight_raises(self):
-        with pytest.raises(ValueError):
-            SpaceSaving(2).offer("a", 0.0)
+def run(stream: list[int], k: int, c: int) -> CoTTracker[int]:
+    """Track ``stream`` as reads, promoting as CoTCache does on a miss."""
+    tracker: CoTTracker[int] = CoTTracker(k, c)
+    for key in stream:
+        tracker.track(key)
+        if tracker.qualifies_for_cache(key):
+            tracker.promote(key)
+    return tracker
 
-    def test_eviction_inherits_count(self):
-        sketch: SpaceSaving[str] = SpaceSaving(2)
-        sketch.offer("a")
-        sketch.offer("a")
-        sketch.offer("b")
-        # "c" evicts "b" (min count 1) and inherits its count.
-        assert sketch.offer("c") == 2.0
-        assert "b" not in sketch
-        assert sketch.error_of("c") == 1.0
-        assert sketch.entries().__class__  # iterator exists
 
-    def test_min_count_not_full(self):
-        sketch: SpaceSaving[str] = SpaceSaving(3)
-        sketch.offer("a")
-        assert sketch.min_count() == 0.0
+def assert_overestimates(stream: list[int], k: int, c: int) -> None:
+    tracker, truth = run(stream, k, c), Counter(stream)
+    for key in tracker.tracked_keys():
+        assert tracker.hotness_of(key) >= truth[key]
 
-    def test_min_count_full(self):
-        sketch: SpaceSaving[str] = SpaceSaving(2)
-        sketch.offer("a")
-        sketch.offer("a")
-        sketch.offer("b")
-        assert sketch.min_count() == 1.0
 
-    def test_top_order(self):
-        sketch: SpaceSaving[str] = SpaceSaving(4)
-        sketch.offer_all(["a"] * 5 + ["b"] * 3 + ["c"] * 1)
-        top = sketch.top(2)
-        assert [t.key for t in top] == ["a", "b"]
-        assert top[0].count == 5.0
-        assert top[0].guaranteed_count == 5.0
+def assert_error_bounded(stream: list[int], k: int, c: int) -> None:
+    tracker, truth = run(stream, k, c), Counter(stream)
+    bound = len(stream) / (k - c)
+    for key in tracker.tracked_keys():
+        assert tracker.hotness_of(key) - truth[key] <= bound + 1e-9
 
-    def test_frequent_validation(self):
-        sketch: SpaceSaving[str] = SpaceSaving(2)
-        with pytest.raises(ValueError):
-            sketch.frequent(0.0)
-        with pytest.raises(ValueError):
-            sketch.frequent(1.0)
 
-    def test_frequent_query(self):
-        sketch: SpaceSaving[str] = SpaceSaving(8)
-        sketch.offer_all(["hot"] * 60 + ["warm"] * 30 + list("0123456789"))
-        keys = {e.key for e in sketch.frequent(0.5)}
-        assert keys == {"hot"}
-        keys = {e.key for e in sketch.frequent(0.25)}
-        assert keys == {"hot", "warm"}
-
-    def test_clear(self):
-        sketch: SpaceSaving[str] = SpaceSaving(2)
-        sketch.offer("a")
-        sketch.clear()
-        assert len(sketch) == 0
-        assert sketch.stream_length == 0.0
-
-    def test_weighted_offers(self):
-        sketch: SpaceSaving[str] = SpaceSaving(2)
-        sketch.offer("a", 5.0)
-        assert sketch.count_of("a") == 5.0
-        assert sketch.stream_length == 5.0
+def assert_heavy_keys_tracked(stream: list[int], k: int, c: int) -> None:
+    tracker = run(stream, k, c)
+    threshold = len(stream) / (k - c)
+    for key, count in Counter(stream).items():
+        if count > threshold:
+            assert key in tracker
 
 
 class TestGuarantees:
     """The textbook space-saving guarantees, verified by brute force."""
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        st.lists(st.integers(0, 30), min_size=1, max_size=400),
-        st.integers(2, 12),
-    )
+    @given(streams, st.integers(2, 12))
+    # A key evicted and tracked again: it must inherit at least its count.
+    @example([0, 0, 1, 2, 1], 2)
     def test_overestimate_never_underestimates(self, stream, capacity):
-        sketch: SpaceSaving[int] = SpaceSaving(capacity)
-        sketch.offer_all(stream)
-        truth = Counter(stream)
-        for entry in sketch.entries():
-            assert entry.count >= truth[entry.key]
-            assert entry.count - entry.error <= truth[entry.key]
+        assert_overestimates(stream, capacity, 0)
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        st.lists(st.integers(0, 30), min_size=1, max_size=400),
-        st.integers(2, 12),
-    )
+    @given(streams, shapes())
+    @example([0, 0, 0, 1, 2, 3, 1], (3, 1))
+    def test_overestimate_never_underestimates_with_cached_keys(self, stream, shape):
+        assert_overestimates(stream, *shape)
+
+    @settings(max_examples=60, deadline=None)
+    @given(streams, st.integers(2, 12))
     def test_error_bounded_by_n_over_m(self, stream, capacity):
-        sketch: SpaceSaving[int] = SpaceSaving(capacity)
-        sketch.offer_all(stream)
-        bound = len(stream) / capacity
-        for entry in sketch.entries():
-            assert entry.error <= bound + 1e-9
+        assert_error_bounded(stream, capacity, 0)
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        st.lists(st.integers(0, 20), min_size=10, max_size=400),
-        st.integers(2, 12),
-    )
+    @given(streams, shapes())
+    def test_error_bounded_by_n_over_k_minus_c(self, stream, shape):
+        assert_error_bounded(stream, *shape)
+
+    @settings(max_examples=60, deadline=None)
+    @given(heavy_streams, st.integers(2, 12))
     def test_heavy_keys_always_monitored(self, stream, capacity):
-        """Any key with frequency > N/m must be in the sketch."""
-        sketch: SpaceSaving[int] = SpaceSaving(capacity)
-        sketch.offer_all(stream)
-        truth = Counter(stream)
-        threshold = len(stream) / capacity
-        for key, count in truth.items():
-            if count > threshold:
-                assert key in sketch
+        """Any key with frequency > N/K must be tracked."""
+        assert_heavy_keys_tracked(stream, capacity, 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(heavy_streams, shapes())
+    def test_heavy_keys_always_monitored_with_cached_keys(self, stream, shape):
+        """Any key with frequency > N/(K - C) must be tracked."""
+        assert_heavy_keys_tracked(stream, *shape)
 
     def test_skewed_stream_top_k_is_exact(self):
-        """On a strongly skewed stream the sketch's top-k is the true top-k."""
+        """On a strongly skewed stream the tracker's top-k is the true top-k."""
         stream = []
         for rank in range(20):
             stream.extend([rank] * (2 ** (12 - rank) if rank < 12 else 1))
-        sketch: SpaceSaving[int] = SpaceSaving(16)
-        sketch.offer_all(stream)
-        top = [entry.key for entry in sketch.top(5)]
-        assert top == [0, 1, 2, 3, 4]
+        for c in (0, 4, 8):
+            top = [key for key, _hot in run(stream, 16, c).top(5)]
+            assert top == [0, 1, 2, 3, 4], c
