@@ -23,11 +23,11 @@ stage() {
 
 stage hygiene
 # Committed bytecode / tool caches are repo rot: fail fast if any sneak in.
-if git ls-files | grep -E '(^|/)__pycache__/|\.py[cod]$|(^|/)\.pytest_cache/|(^|/)\.benchmarks/|\.egg-info(/|$)|^benchmarks/output/' ; then
-    echo "tracked build/bytecode/benchmark-output artifacts found (see above); git rm them" >&2
+if git ls-files | grep -E '(^|/)__pycache__/|\.py[cod]$|(^|/)\.pytest_cache/|(^|/)\.benchmarks/|\.egg-info(/|$)' ; then
+    echo "tracked build/bytecode artifacts found (see above); git rm them" >&2
     exit 1
 fi
-echo "(no tracked bytecode, tool-cache, or benchmark-output artifacts)"
+echo "(no tracked bytecode or tool-cache artifacts)"
 
 stage lint
 # The linter is stdlib: a compile check plus an ast pass for what a
@@ -36,6 +36,16 @@ stage lint
 # reaches: what only tests call lives under tests/.
 python -m compileall -q src tests benchmarks
 python scripts/lint_unused.py src tests benchmarks scripts
+# Each paper claim is checked once, by its experiment's run(): the only
+# bench files are the perf gate's two suites and the frame counter a tier-1
+# test loads, so an assert that no stage runs cannot grow back beside them.
+if ls benchmarks/bench_*.py \
+        | grep -vxE 'benchmarks/bench_(ops_throughput|parallel_scaling|miss_frames)\.py'; then
+    echo "a bench file beyond the gate's two suites and bench_miss_frames.py (see above):" \
+         "check a paper shape in its experiment's run(), which the goldens and the" \
+         "engine smoke stage run" >&2
+    exit 1
+fi
 # The wire stays closed and small: nothing in repro/net names pickle, and
 # the package stays under its line cap.
 if grep -rn --include='*.py' pickle src/repro/net; then
@@ -146,7 +156,9 @@ echo "($hashring: one ring sort, bucket-bounded lookups)"
 # engine axis, the registry, the router and the histogram keep only what an
 # experiment, benchmark, example or the fuzz grid sets: the ledger's line
 # cost, two choices and the bucket layout are module constants (DESIGN.md
-# section 14, section 10 and obs/hist.py).
+# section 14, section 10 and obs/hist.py). CoT's cache and tracker take
+# the sizes and the hotness model (Algorithm 1's inheritance is not a
+# setting: the space-saving bounds need it).
 python - <<'PY'
 import ast
 import sys
@@ -162,6 +174,10 @@ inits = {
         "sample_shift", "switch_margin", "min_samples", "initial",
     ],
     ("src/repro/obs/hist.py", "LatencyHistogram"): [],
+    ("src/repro/core/cache.py", "CoTCache"): ["capacity", "tracker_capacity", "model"],
+    ("src/repro/core/tracker.py", "CoTTracker"): [
+        "tracker_capacity", "cache_capacity", "model",
+    ],
 }
 #: (path, dataclass) -> its fields
 fields = {
@@ -242,9 +258,10 @@ for node in ast.walk(ast.parse(open(retry, encoding="utf-8").read())):
         wrong.append(f"{retry}:{node.lineno}: imports random")
 if wrong:
     print("\n".join(wrong), file=sys.stderr)
-    print("a controller, the fault path, the arbiter, the registry, the router or"
-          " the histogram takes a setting no run varies (see above): what a run"
-          " sets is the only parameter, the rest are module constants",
+    print("a controller, the fault path, the arbiter, the registry, the router,"
+          " the histogram or CoT's cache or tracker takes a setting no run varies"
+          " (see above): what a run sets is the only parameter, the rest are"
+          " module constants",
           file=sys.stderr)
     sys.exit(1)
 PY
@@ -347,11 +364,15 @@ CLUSTER_FUZZ_EXAMPLES=200 CLUSTER_FUZZ_STEPS=60 CLUSTER_FUZZ_DERANDOMIZE=1 \
     python -m pytest tests/test_cluster_stateful.py -q -s
 
 stage "engine smoke"
-# Every registered experiment at smoke scale. ext-hotkey, ext-write,
-# ext-adaptive and ext-chaos raise ExperimentError on their own verdicts
+# Every registered experiment at smoke scale. Each of fig3, fig4, table2,
+# fig5, fig6, figA, ycsb-bug, ext-decay, ext-dists and ext-edge-rtt raises
+# ExperimentError when the paper shape it reproduces does not hold, and
+# ext-hotkey, ext-write, ext-adaptive and ext-chaos on their own verdicts
 # (replication targets, write-behind loss bound, arbiter convergence,
 # correct and degraded reads under churn), so this stage is where those
-# are enforced.
+# are enforced. fig7 and fig8 check their shapes at default and paper
+# scale only, where both searches complete; tests/test_experiments.py
+# holds them at 400k accesses.
 python -m repro.experiments --list
 metrics_out="$(mktemp)"
 python -m repro.experiments all --scale smoke --metrics-out "$metrics_out"

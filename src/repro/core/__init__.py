@@ -10,7 +10,6 @@
 """
 
 from repro.core.cache import CoTCache
-from repro.core.countmin import CMSTopK, CountMinSketch
 from repro.core.decay import (
     DecayPolicy,
     ExponentialDecay,
@@ -45,8 +44,6 @@ def __getattr__(name: str):
 
 __all__ = [
     "CoTCache",
-    "CountMinSketch",
-    "CMSTopK",
     "CoTTracker",
     "ElasticCoTClient",
     "EpochRecord",

@@ -62,7 +62,6 @@ class CoTCache(CachePolicy):
         capacity: int,
         tracker_capacity: int | None = None,
         model: HotnessModel | None = None,
-        inherit_hotness: bool = True,
     ) -> None:
         super().__init__(capacity)
         if tracker_capacity is None:
@@ -73,7 +72,7 @@ class CoTCache(CachePolicy):
                 f"capacity ({capacity})"
             )
         self._tracker: CoTTracker[Hashable] = CoTTracker(
-            tracker_capacity, capacity, model, inherit_hotness=inherit_hotness
+            tracker_capacity, capacity, model
         )
         self._values: dict[Hashable, Any] = {}
         self.epoch_tracker_hits = 0

@@ -54,11 +54,6 @@ class CoTTracker(Generic[K]):
         the resizing controller's ratio-discovery phase).
     model:
         the dual-cost :class:`~repro.core.hotness.HotnessModel` (Equation 1).
-    inherit_hotness:
-        Algorithm 1 line 4's "benefit of the doubt": newly tracked keys
-        inherit the evicted key's hotness. ``False`` starts newcomers at
-        zero instead — the ablation evaluated by
-        ``benchmarks/bench_ablation_inheritance.py``.
     """
 
     def __init__(
@@ -66,7 +61,6 @@ class CoTTracker(Generic[K]):
         tracker_capacity: int,
         cache_capacity: int,
         model: HotnessModel | None = None,
-        inherit_hotness: bool = True,
     ) -> None:
         if tracker_capacity < 1:
             raise ConfigurationError("tracker capacity must be >= 1")
@@ -80,7 +74,6 @@ class CoTTracker(Generic[K]):
         self._tracker_capacity = tracker_capacity
         self._cache_capacity = cache_capacity
         self._model = model or HotnessModel()
-        self._inherit_hotness = inherit_hotness
         # Per-access hotness deltas (Equation 1), bound once: the track
         # fast path applies these instead of re-evaluating the model.
         self._read_delta = self._model.read_weight
@@ -207,10 +200,9 @@ class CoTTracker(Generic[K]):
             entries = rest._entries
             if entries:
                 root = rest._settle()
-                if self._inherit_hotness:
-                    read_weight = self._read_delta
-                    stats.read_count = max(root[3], 0.0) / read_weight
-                    stats.hot = stats.read_count * read_weight
+                read_weight = self._read_delta
+                stats.read_count = max(root[3], 0.0) / read_weight
+                stats.hot = stats.read_count * read_weight
                 stats.hot = hot = stats.hot + delta
                 victim = root[2]
                 del entries[victim]
@@ -225,8 +217,7 @@ class CoTTracker(Generic[K]):
             # C): sacrifice the coldest cached key.
             victim, victim_hotness = self._cache_heap.pop()
             del self._stats[victim]
-            if self._inherit_hotness:
-                stats.seed_from_hotness(victim_hotness, self._model)
+            stats.seed_from_hotness(victim_hotness, self._model)
         stats.hot += delta
         self._rest_heap.push(key, stats.hot)
         self._stats[key] = stats

@@ -13,7 +13,7 @@ from __future__ import annotations
 from repro.engine import PolicySpec, ScenarioSpec, WorkloadSpec
 from repro.engine.parallel import map_specs
 from repro.engine.registry import register_experiment
-from repro.experiments.common import ExperimentResult, Scale
+from repro.experiments.common import CLAIM_SCALES, ExperimentResult, Scale, require
 
 __all__ = ["run", "EXPERIMENT_ID"]
 
@@ -65,7 +65,7 @@ def run(scale: Scale | None = None, sizes: list[int] | None = None) -> Experimen
             previous = hit_rate
         rows.append(row)
 
-    return ExperimentResult(
+    result = ExperimentResult(
         experiment_id=EXPERIMENT_ID,
         title=f"Appendix — CoT hit rate (%) vs tracker:cache ratio (Zipf {THETA})",
         headers=["cache_lines", *[f"K={r}C" for r in RATIOS]],
@@ -77,6 +77,23 @@ def run(scale: Scale | None = None, sizes: list[int] | None = None) -> Experimen
         ],
         extras={"saturation_ratio": saturation_ratio, "scale": scale.name},
     )
+    if scale.name in CLAIM_SCALES:
+        _check(result)
+    return result
+
+
+def _check(result: ExperimentResult) -> None:
+    claims = {}
+    for size, *rates in result.rows:
+        early, late = rates[1] - rates[0], rates[-1] - rates[-2]
+        worst = min(later - earlier for earlier, later in zip(rates, rates[1:]))
+        claims[
+            f"C={size}: 2C->4C gains more than 16C->32C ({early:.2f} vs {late:.2f})"
+        ] = early > late
+        claims[f"C={size}: no doubling loses over a point (worst {worst:.2f})"] = (
+            worst >= -1.0
+        )
+    require(EXPERIMENT_ID, claims)
 
 
 register_experiment(

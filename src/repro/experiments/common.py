@@ -9,9 +9,12 @@ package that regenerates it. All of them:
   through the engine's runners (:mod:`repro.engine.runners`);
 * return an :class:`ExperimentResult` carrying the same rows/series the
   paper reports, renderable as an aligned text table;
+* check the paper's shapes on those rows at the scales EXPERIMENTS.md
+  states them (:data:`CLAIM_SCALES`), raising
+  :class:`~repro.errors.ExperimentError` through :func:`require` on a
+  miss — so a golden test or the CLI fails where a shape stops holding;
 * register themselves in the spec registry (:mod:`repro.engine.registry`),
-  which is how the CLI (``python -m repro.experiments``) and
-  ``benchmarks/`` resolve them.
+  which is how the CLI (``python -m repro.experiments``) resolves them.
 
 ``Scale``/``make_generator``/``STREAM_CHUNK`` live in :mod:`repro.engine`
 now (the engine owns sizing and drive mechanics); they are re-exported
@@ -36,8 +39,15 @@ __all__ = [
     "make_generator",
     "STREAM_CHUNK",
     "mean_confidence",
+    "require",
+    "CLAIM_SCALES",
     "TRACKER_RATIOS",
 ]
+
+#: The CLI's presets, where EXPERIMENTS.md states the paper's shapes and
+#: the experiments check them. Unit-test sizings (``tiny``) sit below the
+#: sample sizes some shapes need, so they only exercise the code.
+CLAIM_SCALES = frozenset({"smoke", "default", "paper"})
 
 #: The paper's per-workload tracker:cache ratios (Section 5.2): high skew
 #: needs less history to separate hot from cold.
@@ -72,6 +82,13 @@ class ExperimentResult:
         """Extract one column by header name."""
         idx = self.headers.index(header)
         return [row[idx] for row in self.rows]
+
+
+def require(experiment_id: str, claims: dict[str, bool]) -> None:
+    """Raise :class:`ExperimentError` naming every claim that does not hold."""
+    missed = [claim for claim, holds in claims.items() if not holds]
+    if missed:
+        raise ExperimentError(f"{experiment_id} does not hold: " + "; ".join(missed))
 
 
 def mean_confidence(values: Sequence[float]) -> tuple[float, float]:

@@ -46,8 +46,7 @@ from repro.engine import (
     WorkloadSpec,
 )
 from repro.engine.registry import register_experiment
-from repro.errors import ExperimentError
-from repro.experiments.common import ExperimentResult, Scale
+from repro.experiments.common import ExperimentResult, Scale, require
 
 __all__ = ["run", "EXPERIMENT_ID", "expected_value"]
 
@@ -217,26 +216,18 @@ def run(scale: Scale | None = None, num_servers: int = 4) -> ExperimentResult:
         for name, count in result.telemetry.counters.items()
         if name.startswith("resilience.")
     }
-    failures = [
-        message
-        for failed, message in (
-            (incorrect_total > 0, f"{incorrect_total} incorrect read(s)"),
-            (result.telemetry.degraded_reads == 0, "no degraded read"),
-            (spurious_expands > 0, f"{spurious_expands} spurious expand(s)"),
-            (phantom_epochs > 0, f"{phantom_epochs} phantom epoch(s)"),
-            (
-                churn_max_imbalance >= CHURN_IMBALANCE_LIMIT,
-                f"churn-phase I_c {churn_max_imbalance:.3f} >= "
-                f"{CHURN_IMBALANCE_LIMIT:g}",
-            ),
-            (not resilience.get("breaker_opens"), "no breaker opened"),
-        )
-        if failed
-    ]
-    if failures:
-        raise ExperimentError(
-            "chaos run missed its fault-tolerance criteria — " + "; ".join(failures)
-        )
+    require(
+        EXPERIMENT_ID,
+        {
+            f"no incorrect read ({incorrect_total})": incorrect_total == 0,
+            "some read degrades to storage": result.telemetry.degraded_reads > 0,
+            f"no spurious expand ({spurious_expands})": spurious_expands == 0,
+            f"no phantom epoch ({phantom_epochs})": phantom_epochs == 0,
+            f"churn-phase I_c under {CHURN_IMBALANCE_LIMIT:g} "
+            f"({churn_max_imbalance:.3f})": churn_max_imbalance < CHURN_IMBALANCE_LIMIT,
+            "a breaker opens": bool(resilience.get("breaker_opens")),
+        },
+    )
     cache, tracker = client.converged_sizes()
     return ExperimentResult(
         experiment_id=EXPERIMENT_ID,

@@ -26,7 +26,7 @@ from repro.engine import (
     WorkloadSpec,
 )
 from repro.engine.registry import register_experiment
-from repro.experiments.common import ExperimentResult, Scale
+from repro.experiments.common import CLAIM_SCALES, ExperimentResult, Scale, require
 from repro.workloads.shift import RotatingHotSetGenerator
 from repro.workloads.zipfian import ZipfianGenerator
 
@@ -97,7 +97,7 @@ def run(scale: Scale | None = None, rotations: int = 4) -> ExperimentResult:
             [name, round(overall * 100, 2), round(post * 100, 2)]
         )
 
-    return ExperimentResult(
+    result = ExperimentResult(
         experiment_id=EXPERIMENT_ID,
         title="Extension — decay policies under hot-set rotation",
         headers=["decay", "hit_rate_%", "post_rotation_hit_rate_%"],
@@ -109,6 +109,28 @@ def run(scale: Scale | None = None, rotations: int = 4) -> ExperimentResult:
             "mechanism; this extension quantifies it",
         ],
         extras={"scale": scale.name},
+    )
+    if scale.name in CLAIM_SCALES:
+        _check(result)
+    return result
+
+
+def _check(result: ExperimentResult) -> None:
+    rates = {row[0]: (row[1], row[2]) for row in result.rows}
+    none, none_post = rates["none"]
+    half, half_post = rates["half_life"]
+    exponential, exponential_post = rates["exponential"]
+    best_post = max(half_post, exponential_post)
+    require(
+        EXPERIMENT_ID,
+        {
+            f"half-life decay keeps the hit rate ({half} vs {none})": half >= none,
+            f"exponential decay keeps the hit rate ({exponential} vs {none})": (
+                exponential >= none
+            ),
+            f"decay recovers faster after a rotation ({best_post} vs "
+            f"{none_post})": best_post > none_post,
+        },
     )
 
 

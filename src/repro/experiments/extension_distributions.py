@@ -27,7 +27,7 @@ from repro.engine import (
 )
 from repro.engine.registry import register_experiment
 from repro.errors import ExperimentError
-from repro.experiments.common import ExperimentResult, Scale
+from repro.experiments.common import CLAIM_SCALES, ExperimentResult, Scale, require
 from repro.policies.registry import POLICY_NAMES
 from repro.workloads.base import KeyGenerator
 from repro.workloads.gaussian import GaussianGenerator
@@ -135,7 +135,7 @@ def run(scale: Scale | None = None, cache_lines: int = CACHE_LINES) -> Experimen
             row.append("=cot")
         rows.append(row)
 
-    return ExperimentResult(
+    result = ExperimentResult(
         experiment_id=EXPERIMENT_ID,
         title=f"Extension — hit rate (%) on non-Zipfian workloads, C={cache_lines}",
         headers=["dist", *POLICY_NAMES, "cot+decay"],
@@ -148,6 +148,24 @@ def run(scale: Scale | None = None, cache_lines: int = CACHE_LINES) -> Experimen
             "tracker's hardest case — old trends must be retired)",
         ],
         extras={"scale": scale.name, "cache_lines": cache_lines},
+    )
+    if scale.name in CLAIM_SCALES:
+        _check(result)
+    return result
+
+
+def _check(result: ExperimentResult) -> None:
+    rows = {row[0]: dict(zip(result.headers, row)) for row in result.rows}
+    gaussian, latest = rows["gaussian"], rows["latest"]
+    runner_up = max(gaussian[name] for name in POLICY_NAMES if name != "cot")
+    require(
+        EXPERIMENT_ID,
+        {
+            f"CoT is the best policy on gaussian ({gaussian['cot']} vs "
+            f"{runner_up})": gaussian["cot"] > runner_up,
+            f"decay lifts CoT more than 5 points on latest ({latest['cot+decay']} "
+            f"vs {latest['cot']})": latest["cot+decay"] > latest["cot"] + 5,
+        },
     )
 
 

@@ -23,7 +23,7 @@ from repro.engine import (
 )
 from repro.engine.parallel import map_specs
 from repro.engine.registry import register_experiment
-from repro.experiments.common import ExperimentResult, Scale
+from repro.experiments.common import CLAIM_SCALES, ExperimentResult, Scale, require
 from repro.sim.network import FixedLatency
 
 __all__ = ["run", "EXPERIMENT_ID", "RTTS"]
@@ -81,7 +81,7 @@ def run(scale: Scale | None = None) -> ExperimentResult:
             ]
         )
 
-    return ExperimentResult(
+    result = ExperimentResult(
         experiment_id=EXPERIMENT_ID,
         title="Extension — CoT's end-to-end gain vs front-end↔back-end RTT",
         headers=[
@@ -104,6 +104,25 @@ def run(scale: Scale | None = None) -> ExperimentResult:
             "adds extra gains",
         ],
         extras={"scale": scale.name},
+    )
+    if scale.name in CLAIM_SCALES:
+        _check(result)
+    return result
+
+
+def _check(result: ExperimentResult) -> None:
+    savings = result.column("absolute_saving_s")
+    reductions = result.column("reduction_%")
+    require(
+        EXPERIMENT_ID,
+        {
+            f"the saving grows with RTT ({savings})": savings == sorted(savings),
+            f"the saving at {RTTS[-1] * 1e3:g} ms is over 20x the one at "
+            f"{RTTS[0] * 1e3:g} ms": savings[-1] > 20 * savings[0],
+            f"CoT cuts runtime over 10% at every RTT ({reductions})": (
+                min(reductions) > 10.0
+            ),
+        },
     )
 
 

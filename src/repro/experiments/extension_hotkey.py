@@ -46,8 +46,7 @@ from repro.engine import (
 from repro.engine import telemetry as T
 from repro.engine.registry import register_experiment
 from repro.engine.runners import ScenarioResult
-from repro.errors import ExperimentError
-from repro.experiments.common import ExperimentResult, Scale
+from repro.experiments.common import ExperimentResult, Scale, require
 from repro.workloads.base import KeyGenerator
 from repro.workloads.hotspot import HotspotGenerator
 from repro.workloads.shift import Phase as WorkloadPhase
@@ -238,27 +237,20 @@ def run(scale: Scale | None = None, num_servers: int = 8) -> ExperimentResult:
             "spread_ratio": spread_ratio,
         }
     single = extras["single-hot-key"]
-    failures: list[str] = []
-    if (
-        single["replicated"]["replicated_reads"] <= 0
-        or single["replicated"]["promotions"] <= 0
-    ):
-        failures.append("the tier never promoted or served a replicated read")
-    if single["throughput_speedup"] < THROUGHPUT_TARGET:
-        failures.append(
-            f"modeled throughput speedup {single['throughput_speedup']:.2f}x "
-            f"below {THROUGHPUT_TARGET:g}x"
-        )
-    if single["spread_ratio"] > SPREAD_TARGET:
-        failures.append(
-            f"max-shard spread ratio {single['spread_ratio']:.2f} above "
-            f"{SPREAD_TARGET:g}"
-        )
-    if failures:
-        raise ExperimentError(
-            "hot-key replication tier missed its single-hot-key targets — "
-            + "; ".join(failures)
-        )
+    replicated = single["replicated"]
+    speedup, spread = single["throughput_speedup"], single["spread_ratio"]
+    require(
+        EXPERIMENT_ID,
+        {
+            "single-hot-key: the tier promotes and serves replicated reads": (
+                replicated["replicated_reads"] > 0 and replicated["promotions"] > 0
+            ),
+            f"single-hot-key: modeled throughput speedup {speedup:.2f}x >= "
+            f"{THROUGHPUT_TARGET:g}x": speedup >= THROUGHPUT_TARGET,
+            f"single-hot-key: max-shard spread ratio {spread:.2f} <= "
+            f"{SPREAD_TARGET:g}": spread <= SPREAD_TARGET,
+        },
+    )
     return ExperimentResult(
         experiment_id=EXPERIMENT_ID,
         title=(

@@ -20,7 +20,7 @@ from repro.core.cache import CoTCache
 from repro.engine import PolicySpec, ScenarioSpec, WorkloadSpec
 from repro.engine.parallel import map_specs
 from repro.engine.registry import register_experiment
-from repro.experiments.common import ExperimentResult, Scale
+from repro.experiments.common import CLAIM_SCALES, ExperimentResult, Scale, require
 
 __all__ = ["run", "EXPERIMENT_ID"]
 
@@ -109,13 +109,32 @@ def run(scale: Scale | None = None, sizes: list[int] | None = None) -> Experimen
             f"measured: target I_t={TARGET_IMBALANCE} first reached at "
             f"{reached_at} cache-lines"
         )
-    return ExperimentResult(
+    result = ExperimentResult(
         experiment_id=EXPERIMENT_ID,
         title="Figure 3 — load-imbalance & relative load vs front-end cache size",
         headers=["cache_lines", "load_imbalance", "relative_server_load", "hit_rate"],
         rows=rows,
         notes=notes,
         extras={"target_reached_at": reached_at, "scale": scale.name},
+    )
+    if scale.name in CLAIM_SCALES:
+        _check(result)
+    return result
+
+
+def _check(result: ExperimentResult) -> None:
+    imbalance = result.column("load_imbalance")
+    relative = result.column("relative_server_load")
+    first_gain = relative[0] - relative[1]
+    last_gain = relative[-2] - relative[-1]
+    require(
+        EXPERIMENT_ID,
+        {
+            f"imbalance falls more than 5x over the sweep ({imbalance[0]} -> "
+            f"{imbalance[-1]})": imbalance[0] > 5 * imbalance[-1],
+            f"the first doubling cuts relative load more than 3x the last one "
+            f"does ({first_gain:.4f} vs {last_gain:.4f})": first_gain > 3 * last_gain,
+        },
     )
 
 

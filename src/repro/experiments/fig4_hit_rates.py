@@ -16,7 +16,13 @@ from __future__ import annotations
 from repro.engine import PolicySpec, ScenarioSpec, WorkloadSpec
 from repro.engine.parallel import map_specs
 from repro.engine.registry import register_experiment
-from repro.experiments.common import ExperimentResult, Scale, TRACKER_RATIOS
+from repro.experiments.common import (
+    CLAIM_SCALES,
+    ExperimentResult,
+    Scale,
+    TRACKER_RATIOS,
+    require,
+)
 from repro.policies.registry import POLICY_NAMES
 from repro.workloads.zipfian import zipf_cdf
 
@@ -24,6 +30,8 @@ __all__ = ["run", "run_all", "EXPERIMENT_ID", "SKEWS"]
 
 EXPERIMENT_ID = "fig4"
 SKEWS = (0.90, 0.99, 1.2)
+#: CoT's widest measured gap to TPC is 3.1 points (s=1.2, 2 lines, default scale)
+TPC_GAP = 4.0
 
 
 def sweep_sizes(key_space: int) -> list[int]:
@@ -73,7 +81,7 @@ def run(
         row.append(round(zipf_cdf(cache_size, scale.key_space, theta) * 100, 2))
         rows.append(row)
 
-    return ExperimentResult(
+    result = ExperimentResult(
         experiment_id=EXPERIMENT_ID,
         title=f"Figure 4 — hit rate (%) vs cache size, Zipfian s={theta:g}",
         headers=["cache_lines", *POLICY_NAMES, "tpc"],
@@ -86,11 +94,50 @@ def run(
         ],
         extras={"theta": theta, "ratio": ratio, "scale": scale.name},
     )
+    if scale.name in CLAIM_SCALES:
+        _check_panel(result)
+    return result
+
+
+def _check_panel(result: ExperimentResult) -> None:
+    sizes, cot = result.column("cache_lines"), result.column("cot")
+    claims = {}
+    for name in ("lru", "lfu", "arc", "lru2"):
+        losses = [s for s, c, o in zip(sizes, cot, result.column(name)) if c < o]
+        claims[f"CoT >= {name} at every size (below it at {losses})"] = not losses
+    gap = max(abs(c - t) for c, t in zip(cot, result.column("tpc")))
+    claims[f"CoT within {TPC_GAP:g} points of TPC (widest gap {gap:.2f})"] = (
+        gap <= TPC_GAP
+    )
+    require(f"{EXPERIMENT_ID} s={result.extras['theta']:g}", claims)
 
 
 def run_all(scale: Scale | None = None) -> list[ExperimentResult]:
     """All three panels (s = 0.90, 0.99, 1.2)."""
-    return [run(theta, scale=scale) for theta in SKEWS]
+    scale = scale or Scale.default()
+    results = [run(theta, scale=scale) for theta in SKEWS]
+    if scale.name in CLAIM_SCALES:
+        _check_narrowing(results[0], results[-1])
+    return results
+
+
+def _check_narrowing(low: ExperimentResult, high: ExperimentResult) -> None:
+    """CoT's ratio over LRU is smaller at the highest skew, size by size."""
+
+    def margins(result: ExperimentResult) -> list[float]:
+        cot, lru = result.column("cot"), result.column("lru")
+        return [c / max(l, 1e-9) for c, l in zip(cot, lru)]
+
+    sizes = low.column("cache_lines")
+    wider = [
+        size
+        for size, m_low, m_high in zip(sizes, margins(low), margins(high))
+        if m_high >= m_low
+    ]
+    require(
+        EXPERIMENT_ID,
+        {f"CoT's edge over LRU narrows as skew grows (not at {wider})": not wider},
+    )
 
 
 register_experiment(

@@ -27,10 +27,12 @@ from repro.engine import (
 from repro.engine.parallel import map_specs
 from repro.engine.registry import register_experiment
 from repro.experiments.common import (
+    CLAIM_SCALES,
     ExperimentResult,
     Scale,
     TRACKER_RATIOS,
     mean_confidence,
+    require,
 )
 from repro.policies.registry import POLICY_NAMES
 from repro.sim.server import ServiceModel
@@ -152,13 +154,42 @@ def run(
     ]
     if uniform_nocache:
         notes.append(f"uniform no-cache baseline: {uniform_nocache:.3f}s")
-    return ExperimentResult(
+    result = ExperimentResult(
         experiment_id=EXPERIMENT_ID,
         title="Figure 5 — end-to-end running time (20 closed-loop clients)",
         headers=["policy", *DISTS],
         rows=rows,
         notes=notes,
         extras={"scale": scale.name, "repetitions": repetitions},
+    )
+    if scale.name in CLAIM_SCALES:
+        _check(result)
+    return result
+
+
+def mean_runtimes(result: ExperimentResult) -> dict[str, list[float]]:
+    """Each config's mean runtimes, in :data:`DISTS` order, off its cells."""
+    return {
+        row[0]: [float(cell.split("±")[0]) for cell in row[1:]] for row in result.rows
+    }
+
+
+def _check(result: ExperimentResult) -> None:
+    runtimes = mean_runtimes(result)
+    none_uniform, none_z99, none_z12 = runtimes["none"]
+    cot_uniform, _, cot_z12 = runtimes["cot"]
+    require(
+        EXPERIMENT_ID,
+        {
+            f"no-cache runtime rises with skew ({none_uniform} < {none_z99} < "
+            f"{none_z12})": none_uniform < none_z99 < none_z12,
+            f"CoT at least halves zipf-1.2's runtime ({cot_z12} vs {none_z12})": (
+                cot_z12 < 0.5 * none_z12
+            ),
+            f"CoT costs uniform under 5% ({cot_uniform} vs {none_uniform})": (
+                cot_uniform < 1.05 * none_uniform
+            ),
+        },
     )
 
 

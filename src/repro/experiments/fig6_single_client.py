@@ -21,12 +21,19 @@ from __future__ import annotations
 
 from repro.engine.parallel import map_specs
 from repro.engine.registry import register_experiment
-from repro.experiments.common import ExperimentResult, Scale, mean_confidence
+from repro.experiments.common import (
+    CLAIM_SCALES,
+    ExperimentResult,
+    Scale,
+    mean_confidence,
+    require,
+)
 from repro.experiments.fig5_end_to_end import (
     ALL_CONFIGS,
     CACHE_LINES,
     DISTS,
     build_spec,
+    mean_runtimes,
 )
 
 __all__ = ["run", "EXPERIMENT_ID"]
@@ -61,7 +68,7 @@ def run(scale: Scale | None = None, repetitions: int = 3) -> ExperimentResult:
             row.append(f"{mean:.3f}±{ci:.3f}")
         rows.append(row)
 
-    return ExperimentResult(
+    result = ExperimentResult(
         experiment_id=EXPERIMENT_ID,
         title="Figure 6 — end-to-end running time (single client thread)",
         headers=["policy", *DISTS],
@@ -73,6 +80,26 @@ def run(scale: Scale | None = None, repetitions: int = 3) -> ExperimentResult:
             "front-end cache skewed runs *faster* than uniform",
         ],
         extras={"scale": scale.name, "repetitions": repetitions},
+    )
+    if scale.name in CLAIM_SCALES:
+        _check(result)
+    return result
+
+
+def _check(result: ExperimentResult) -> None:
+    runtimes = mean_runtimes(result)
+    none_uniform, none_z99, none_z12 = runtimes["none"]
+    cot_uniform, cot_z99, cot_z12 = runtimes["cot"]
+    require(
+        EXPERIMENT_ID,
+        {
+            f"no-cache runtime rises with skew ({none_uniform} < {none_z99} < "
+            f"{none_z12})": none_uniform < none_z99 < none_z12,
+            f"with CoT zipf-0.99 runs faster than uniform ({cot_z99} vs "
+            f"{cot_uniform})": cot_z99 < cot_uniform,
+            f"with CoT zipf-1.2 runs faster than uniform ({cot_z12} vs "
+            f"{cot_uniform})": cot_z12 < cot_uniform,
+        },
     )
 
 

@@ -16,7 +16,9 @@ keeping I_c within the target.
 Both experiments run through the engine's phased cluster mode — the dist
 switch of Figure 8 is one :class:`~repro.engine.spec.Phase` boundary —
 and emit the epoch-by-epoch series the paper plots: cache size, tracker
-size, I_c, alpha_c, alpha_t.
+size, I_c, alpha_c, alpha_t. The runs check their shapes
+(:func:`check_expand`, :func:`check_shrink`) at ``default`` and
+``paper`` scale only: smoke's 60k accesses end before either search does.
 """
 
 from __future__ import annotations
@@ -33,10 +35,17 @@ from repro.engine import (
 from repro.engine import telemetry as T
 from repro.engine.registry import register_experiment
 from repro.engine.runners import ScenarioResult
-from repro.experiments.common import ExperimentResult, Scale
+from repro.experiments.common import CLAIM_SCALES, ExperimentResult, Scale, require
 from repro.metrics.series import SeriesRecorder
 
-__all__ = ["run_expand", "run_shrink", "EXPERIMENT_ID_EXPAND", "EXPERIMENT_ID_SHRINK"]
+__all__ = [
+    "run_expand",
+    "run_shrink",
+    "check_expand",
+    "check_shrink",
+    "EXPERIMENT_ID_EXPAND",
+    "EXPERIMENT_ID_SHRINK",
+]
 
 EXPERIMENT_ID_EXPAND = "fig7"
 EXPERIMENT_ID_SHRINK = "fig8"
@@ -44,6 +53,8 @@ EXPERIMENT_ID_SHRINK = "fig8"
 THETA = 1.2
 TARGET_IMBALANCE = 1.1
 EPOCH = 5000
+#: the scales whose runs are long enough for both searches to complete
+ELASTIC_CLAIM_SCALES = CLAIM_SCALES - {"smoke"}
 
 
 def _elastic_factory(cluster, _i: int) -> ElasticCoTClient:
@@ -126,7 +137,7 @@ def run_expand(scale: Scale | None = None) -> ExperimentResult:
     """Figure 7: elastic expansion from a tiny cache to the I_t answer."""
     scale = scale or Scale.default()
     result = _run_phases(scale, (Phase("expand", accesses=scale.accesses),))
-    return _history_result(
+    expand = _history_result(
         result,
         EXPERIMENT_ID_EXPAND,
         f"Figure 7 — elastic expansion (Zipf {THETA}, I_t={TARGET_IMBALANCE})",
@@ -136,6 +147,31 @@ def run_expand(scale: Scale | None = None) -> ExperimentResult:
             "paper (1M keys): two-phase search settles at C=512/K=2048 with "
             "alpha_t ≈ 7.8",
         ],
+    )
+    if scale.name in ELASTIC_CLAIM_SCALES:
+        check_expand(expand)
+    return expand
+
+
+def check_expand(result: ExperimentResult) -> None:
+    """Figure 7's shape: both search phases ran, and K >= 2C throughout."""
+    decisions = result.column("decision")
+    narrow = [
+        epoch
+        for epoch, cache, tracker in zip(
+            result.column("epoch"), result.column("cache"), result.column("tracker")
+        )
+        if tracker < 2 * cache
+    ]
+    require(
+        EXPERIMENT_ID_EXPAND,
+        {
+            "phase 1 doubles the tracker": "double_tracker" in decisions,
+            f"phase 2 grows the cache from C=2 (ends at C="
+            f"{result.extras['final_cache']})": result.extras["final_cache"] > 2,
+            f"K >= 2C at every epoch (not at {narrow})": not narrow,
+            "the target is reached and alpha_t captured": "target_reached" in decisions,
+        },
     )
 
 
@@ -150,7 +186,7 @@ def run_shrink(scale: Scale | None = None) -> ExperimentResult:
         ),
     )
     switch_epoch = result.telemetry.phases[1].start_epoch
-    return _history_result(
+    shrink = _history_result(
         result,
         EXPERIMENT_ID_SHRINK,
         "Figure 8 — elastic shrinking after a switch to uniform",
@@ -160,6 +196,24 @@ def run_shrink(scale: Scale | None = None) -> ExperimentResult:
             "to negligible sizes without violating I_t",
         ],
         start_epoch=max(0, switch_epoch - 3),
+    )
+    if scale.name in ELASTIC_CLAIM_SCALES:
+        check_shrink(shrink)
+    return shrink
+
+
+def check_shrink(result: ExperimentResult) -> None:
+    """Figure 8's shape: the ratio resets and the cache halves to a quarter or less."""
+    decisions = result.column("decision")
+    peak, final = max(result.column("cache")), result.extras["final_cache"]
+    require(
+        EXPERIMENT_ID_SHRINK,
+        {
+            "the tracker ratio resets": "reset_ratio" in decisions,
+            "the cache halves": "shrink" in decisions,
+            f"the cache ends at a quarter of its peak or less (C={final} from "
+            f"{peak})": final <= peak // 4,
+        },
     )
 
 

@@ -27,7 +27,13 @@ from repro.cluster.loadmonitor import noise_allowance
 from repro.engine import ClusterRunner, PolicySpec, ScenarioSpec, WorkloadSpec
 from repro.engine.parallel import map_calls
 from repro.engine.registry import register_experiment
-from repro.experiments.common import ExperimentResult, Scale, TRACKER_RATIOS
+from repro.experiments.common import (
+    CLAIM_SCALES,
+    ExperimentResult,
+    Scale,
+    TRACKER_RATIOS,
+    require,
+)
 from repro.metrics import load_imbalance
 from repro.policies.registry import POLICY_NAMES
 from repro.workloads.base import format_key
@@ -163,7 +169,7 @@ def run(scale: Scale | None = None, target: float = TARGET_IMBALANCE) -> Experim
             row.append(next(values))
         rows.append(row)
 
-    return ExperimentResult(
+    result = ExperimentResult(
         experiment_id=EXPERIMENT_ID,
         title=f"Table 2 — min cache-lines to reach I_t = {target}",
         headers=["dist", "no_cache_imbalance", *POLICY_NAMES],
@@ -179,6 +185,20 @@ def run(scale: Scale | None = None, target: float = TARGET_IMBALANCE) -> Experim
         ],
         extras={"target": target, "scale": scale.name},
     )
+    if scale.name in CLAIM_SCALES:
+        _check(result)
+    return result
+
+
+def _check(result: ExperimentResult) -> None:
+    # "-" (never reached) needs more lines than any size.
+    claims = {}
+    for dist, lru, cot in zip(
+        result.column("dist"), result.column("lru"), result.column("cot")
+    ):
+        fewer = isinstance(cot, int) and (not isinstance(lru, int) or cot < lru)
+        claims[f"CoT needs fewer lines than LRU on {dist} ({cot} vs {lru})"] = fewer
+    require(EXPERIMENT_ID, claims)
 
 
 register_experiment(

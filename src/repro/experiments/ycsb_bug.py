@@ -15,7 +15,7 @@ moves with the requested skew — the bug in numbers.
 from __future__ import annotations
 
 from repro.engine.registry import register_experiment
-from repro.experiments.common import ExperimentResult, Scale
+from repro.experiments.common import CLAIM_SCALES, ExperimentResult, Scale, require
 from repro.workloads.analytical import estimate_zipf_exponent, head_mass
 from repro.workloads.scrambled import ScrambledZipfianGenerator
 from repro.workloads.zipfian import ZipfianGenerator
@@ -48,7 +48,7 @@ def run(scale: Scale | None = None) -> ExperimentResult:
             ]
         )
 
-    return ExperimentResult(
+    result = ExperimentResult(
         experiment_id=EXPERIMENT_ID,
         title="YCSB ScrambledZipfian bug — promised vs delivered skew",
         headers=[
@@ -67,6 +67,30 @@ def run(scale: Scale | None = None) -> ExperimentResult:
             "the tail uniformly onto every key, crushing the head mass",
         ],
         extras={"scale": scale.name},
+    )
+    if scale.name in CLAIM_SCALES:
+        _check(result)
+    return result
+
+
+def _check(result: ExperimentResult) -> None:
+    honest = result.column("fitted_s_zipfian")
+    scrambled = result.column("fitted_s_scrambled")
+    honest_span = max(honest) - min(honest)
+    scrambled_span = max(scrambled) - min(scrambled)
+    heads = [(row[3], row[4]) for row in result.rows]
+    require(
+        EXPERIMENT_ID,
+        {
+            f"honest fits rise with the request ({honest})": honest == sorted(honest),
+            f"honest fits span over 0.2 ({honest_span:.3f})": honest_span > 0.2,
+            f"scrambled fits span under 0.01 ({scrambled_span:.3f})": (
+                scrambled_span < 0.01
+            ),
+            f"scrambled head mass below honest on every row ({heads})": all(
+                scrambled_head < honest_head for honest_head, scrambled_head in heads
+            ),
+        },
     )
 
 

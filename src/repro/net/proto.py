@@ -564,7 +564,7 @@ class RequestDecoder(_FrameDecoder):
 #: reply lines that are one bare token / a token and free text
 _BARE_REPLIES = {
     kind.encode(): kind
-    for kind in ("STORED", "NOT_STORED", "DELETED", "NOT_FOUND", "ERROR", "OK")
+    for kind in ("STORED", "DELETED", "NOT_FOUND", "ERROR")
 }
 _TEXT_REPLIES = {kind.encode(): kind for kind in ("CLIENT_ERROR", "SERVER_ERROR")}
 #: a chunk that is exactly one bare reply line (``END`` too, with no values)

@@ -24,7 +24,6 @@ from repro.policies.nullcache import NullCache
 from repro.policies.perfect import PerfectCache
 from repro.policies.registry import POLICY_NAMES, make_policy
 from repro.policies.stats import CacheStats
-from repro.policies.tracked_lru import TrackedLRUCache
 
 __all__ = [
     "MISSING",
@@ -38,7 +37,6 @@ __all__ = [
     "LRUKCache",
     "PerfectCache",
     "NullCache",
-    "TrackedLRUCache",
     "POLICY_NAMES",
     "make_policy",
 ]

@@ -223,9 +223,7 @@ class ResponseDecoder:
     server aborts a multi-get by replying with a single error frame).
     """
 
-    _SIMPLE = frozenset(
-        ["STORED", "NOT_STORED", "DELETED", "NOT_FOUND", "END", "ERROR", "OK"]
-    )
+    _SIMPLE = frozenset(["STORED", "DELETED", "NOT_FOUND", "END", "ERROR"])
 
     def __init__(self, max_value_bytes: int = MAX_VALUE_BYTES) -> None:
         self._lines = _LineBuffer()

@@ -146,6 +146,27 @@ class TestFig78:
         caches = result.column("cache")
         assert caches[-1] <= caches[0]
 
+    # At 400k accesses both searches complete (smoke's 60k end Figure 7
+    # before its target), so the runs' own checks must pass.
+    def test_expand_shape_holds_at_400k_accesses(self):
+        scale = Scale.smoke().scaled(accesses=400_000, num_clients=1)
+        result = fig78_adaptive_resizing.run_expand(scale)
+        fig78_adaptive_resizing.check_expand(result)
+
+    def test_shrink_shape_holds_at_400k_accesses(self):
+        scale = Scale.smoke().scaled(accesses=400_000, num_clients=1)
+        result = fig78_adaptive_resizing.run_shrink(scale)
+        fig78_adaptive_resizing.check_shrink(result)
+
+    def test_a_missed_shape_raises_naming_it(self):
+        headers = ["epoch", "cache", "tracker", "decision"]
+        rows = [[0, 64, 256, "reset_ratio"], [1, 64, 128, "none"]]
+        result = ExperimentResult("fig8", "T", headers, rows)
+        result.extras["final_cache"] = 64
+        with pytest.raises(ExperimentError, match="the cache halves") as excinfo:
+            fig78_adaptive_resizing.check_shrink(result)
+        assert "ratio resets" not in str(excinfo.value)
+
 
 class TestAppendixAndBug:
     def test_tracker_size_monotone_gains(self):

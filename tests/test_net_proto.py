@@ -247,6 +247,16 @@ def test_unparsable_response_marks_broken():
     assert decoder.feed(Reply("STORED").encode()) == []
 
 
+@pytest.mark.parametrize("line", [b"OK\r\n", b"NOT_STORED\r\n"])
+def test_a_reply_outside_the_grammar_is_unparsable(line):
+    """No server here sends ``OK`` or ``NOT_STORED``: they are not replies."""
+    decoder = ResponseDecoder()
+    frames = decoder.feed(line)
+    assert len(frames) == 1 and frames[0].kind == "CLIENT_ERROR"
+    assert frames[0].message.startswith("unparsable response line")
+    assert decoder.broken
+
+
 # ------------------------------------------------------------ odds and ends
 
 

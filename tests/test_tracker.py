@@ -70,14 +70,6 @@ class TestTracking:
         tracker.track("c")          # evicts b (hotness 1), inherits 1, +1
         assert tracker.hotness_of("c") == pytest.approx(2.0)
 
-    def test_inherit_hotness_disabled(self):
-        tracker = CoTTracker(2, 0, inherit_hotness=False)
-        tracker.track("a")
-        tracker.track("a")
-        tracker.track("b")
-        tracker.track("c")
-        assert tracker.hotness_of("c") == pytest.approx(1.0)
-
     @pytest.mark.parametrize("full", [False, True])
     def test_first_access_update_enters_at_inherited_minus_u_w(self, full):
         """An untracked key first seen by an UPDATE enters its heap already
