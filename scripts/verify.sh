@@ -58,14 +58,18 @@ if [ "$net_lines" -gt 2133 ]; then
     exit 1
 fi
 echo "(repro/net: no pickle, $net_lines lines <= 2,133)"
-# Each frame layout exists once: a request verb's bytes are spelled only in
-# net/proto.py, whose formatters the client verbs and the frames both call.
+# Each frame layout exists once: a request verb's or a reply kind's bytes are
+# spelled only in net/proto.py, whose formatters and reply layouts the client
+# verbs, the server and the frames all use.
 proto=src/repro/net/proto.py
-if grep -rnE --include='*.py' 'b"(get|gets|set|delete|touch) ' src/repro | grep -v "^$proto:"; then
-    echo "a request-verb bytes literal outside $proto (see above): format frames with its *_frame functions" >&2
+if grep -rnE --include='*.py' \
+        'b"((get|gets|set|delete|touch) |(VALUE|END|STORED|DELETED|NOT_FOUND|ERROR|CLIENT_ERROR|SERVER_ERROR)[ \\])' \
+        src/repro | grep -v "^$proto:"; then
+    echo "a request-verb or reply-kind bytes literal outside $proto (see above):" \
+         "format frames with its *_frame functions and *_REPLY / value_reply layouts" >&2
     exit 1
 fi
-echo "($proto: the only request-verb layouts, $(wc -l < "$proto") lines; repro/net $net_lines)"
+echo "($proto: the only request and reply layouts, $(wc -l < "$proto") lines; repro/net $net_lines)"
 # The package serves and connects; load generation is the ladder's. (The
 # names are bracketed so a repo-wide grep for them does not find this line.)
 if grep -rn --include='*.py' -E 'run_network_[l]oad|measure_[p]ipelining|^\s*(import|from)\s+multiprocessing' src/repro/net; then

@@ -20,10 +20,10 @@ chunks (half a line, a line and a half, one huge blob) and they emit
 exactly the frames whose bytes have fully arrived. A chunk is parsed
 **where it lies** — lines are found, split and compared as bytes, each
 field read once — and only the tail of a frame that has not ended is
-copied aside, the next chunk appended to it. A chunk that is exactly one
-lockstep frame (one ``get``/``set``/``delete``; one bare reply line or
-single-``VALUE`` reply) arriving with nothing held is parsed by one
-anchored match instead; anything else takes the general loop.
+copied aside, the next chunk appended to it. A chunk arriving with nothing
+held is scanned first: each one-key ``get``/``set``/``delete`` (bare reply
+line, get reply) is one match where it lies, up to the first byte that
+starts none; the general loop takes the rest, and makes every refusal.
 The request verbs are the ones the client sends, plus ``quit``; any
 other verb (memcached's ``gets``, ``touch`` or ``version`` among them)
 is an unknown command, answered ``ERROR``.
@@ -318,9 +318,21 @@ class BadCommand:
 Command = GetCommand | SetCommand | DeleteCommand | QuitCommand | BadCommand
 
 
+#: reply layouts: each reply the server sends is formatted here and nowhere else
+STORED_REPLY = b"STORED\r\n"
+DELETED_REPLY = b"DELETED\r\n"
+NOT_FOUND_REPLY = b"NOT_FOUND\r\n"
+END_REPLY = b"END\r\n"  # a get reply that found nothing
+
+
 def encode_value(key: str, flags: int, data: bytes) -> bytes:
     """One ``VALUE`` frame: header line, data block, CRLF."""
     return b"VALUE %b %d %d\r\n%b\r\n" % (key.encode("ascii"), flags, len(data), data)
+
+
+def value_reply(key: str, flags: int, data: bytes) -> bytes:
+    """The reply to a one-key ``get`` that found ``data``: its ``VALUE`` frame, then ``END``."""
+    return b"VALUE %b %d %d\r\n%b\r\nEND\r\n" % (key.encode("ascii"), flags, len(data), data)
 
 
 @dataclass(slots=True)
@@ -466,16 +478,15 @@ def _refusal(line: bytes, problem: str, kind: str = "CLIENT_ERROR") -> BadComman
     return BadCommand("command line is not ascii")
 
 
-# Whole-frame shapes: a chunk that is exactly one frame of the lockstep verbs.
-# Each pattern parses and checks at once (the key rule, digits-only fields);
-# a field bounded to 20 digits keeps int() and the line limit out of reach,
-# and a longer one is left to the general loop, like any other near miss.
-_WHOLE_GET = re.compile(rb"get %b\r\n" % _KEY)
-_WHOLE_SET = re.compile(
-    rb"set %b ([0-9]{1,20}) ([0-9]{1,20}) ([0-9]{1,20})( noreply)?\r\n(.*)\r\n" % _KEY, re.DOTALL
+# The scan's shapes, each parsed and checked by one match (the key rule, digits-only fields; 20
+# digits at most keep int() and the line limit out of reach): any near miss stops the scan.
+_REQUEST = re.compile(
+    rb"get %b\r\n"  # 1: key
+    rb"|delete (?!noreply\r\n)%b( noreply)?\r\n"  # 2: key, 3: noreply
+    rb"|set %b ([0-9]{1,20}) ([0-9]{1,20}) ([0-9]{1,20})( noreply)?\r\n"  # 4-8
+    % (_KEY, _KEY, _KEY)
 )
-_WHOLE_DELETE = re.compile(rb"delete (?!noreply\r\n)%b( noreply)?\r\n" % _KEY)
-_WHOLE_VALUE = re.compile(rb"VALUE %b ([0-9]{1,20}) ([0-9]{1,20})\r\n(.*)\r\nEND\r\n" % _KEY, re.DOTALL)
+_VALUE = re.compile(rb"VALUE %b ([0-9]{1,20}) ([0-9]{1,20})\r\n" % _KEY)
 
 
 class RequestDecoder(_FrameDecoder):
@@ -485,23 +496,32 @@ class RequestDecoder(_FrameDecoder):
     _BAD_BLOCK = BadCommand("bad data chunk", fatal=True)
 
     def feed(self, data: bytes) -> list:
-        # A lockstep peer sends one frame per chunk: with nothing held,
-        # a chunk that is exactly one get, set or delete is parsed in one
-        # match. Anything else takes the general loop.
-        if not (self._held or self._block >= 0 or self.broken):
-            whole = _WHOLE_GET.fullmatch(data)
-            if whole is not None:
-                return [GetCommand((whole[1].decode(),))]
-            whole = _WHOLE_SET.fullmatch(data)
-            if whole is not None:
-                key, flags, exptime, nbytes, noreply, block = whole.groups()
-                flags = int(flags)
-                if len(block) == int(nbytes) <= self.max_value_bytes and flags <= MAX_FLAGS:
-                    return [SetCommand(key.decode(), flags, int(exptime), block, noreply is not None)]
-            whole = _WHOLE_DELETE.fullmatch(data)
-            if whole is not None:
-                return [DeleteCommand(whole[1].decode(), whole[2] is not None)]
-        return _FrameDecoder.feed(self, data)
+        # With nothing held or awaited, each one-key get, set or delete is one match
+        # where it lies; from the first byte that starts none, the general loop's.
+        if self._held or self._block >= 0 or self.broken:
+            return _FrameDecoder.feed(self, data)
+        out: list = []
+        pos, frame = 0, _REQUEST.match(data)
+        while frame is not None:
+            which = frame.lastindex
+            if which == 1:
+                out.append(GetCommand((frame[1].decode(),)))
+                pos = frame.end()
+            elif which <= 3:
+                out.append(DeleteCommand(frame[2].decode(), which == 3))
+                pos = frame.end()
+            else:
+                key, flags, exptime, nbytes = frame.group(4, 5, 6, 7)
+                start, flags = frame.end(), int(flags)
+                end = start + int(nbytes)
+                if end - start > self.max_value_bytes or flags > MAX_FLAGS or data[end : end + 2] != CRLF:
+                    break  # a refusal, a block yet to arrive, or damage
+                out.append(SetCommand(key.decode(), flags, int(exptime), data[start:end], which == 8))
+                pos = end + 2
+            if pos == len(data):
+                return out
+            frame = _REQUEST.match(data, pos)
+        return out + _FrameDecoder.feed(self, data[pos:])
 
     def _on_block(self, block: bytes) -> Command:
         # ``(key, flags, exptime, noreply)`` of the ``set`` this block ends,
@@ -562,12 +582,9 @@ class RequestDecoder(_FrameDecoder):
 
 
 #: reply lines that are one bare token / a token and free text
-_BARE_REPLIES = {
-    kind.encode(): kind
-    for kind in ("STORED", "DELETED", "NOT_FOUND", "ERROR")
-}
+_BARE_REPLIES = {kind.encode(): kind for kind in ("STORED", "DELETED", "NOT_FOUND", "ERROR")}
 _TEXT_REPLIES = {kind.encode(): kind for kind in ("CLIENT_ERROR", "SERVER_ERROR")}
-#: a chunk that is exactly one bare reply line (``END`` too, with no values)
+#: a bare reply line with its CRLF (``END`` too, closing no values)
 _WHOLE_LINES = {line + CRLF: kind for line, kind in [*_BARE_REPLIES.items(), (b"END", "END")]}
 
 
@@ -589,19 +606,43 @@ class ResponseDecoder(_FrameDecoder):
         self._values: list[Value] = []
 
     def feed(self, data: bytes) -> list:
-        # A lockstep reply is one frame per chunk: with nothing held or
-        # pending, a bare reply line is looked up and a single-VALUE get
-        # reply parsed in one match. Anything else takes the general loop.
-        if not (self._held or self._values or self._block >= 0 or self.broken):
-            kind = _WHOLE_LINES.get(data)
-            if kind is not None:
-                return [Reply(kind)]
-            whole = _WHOLE_VALUE.fullmatch(data)
-            if whole is not None:
-                key, flags, nbytes, block = whole.groups()
-                if len(block) == int(nbytes) <= self.max_value_bytes:
-                    return [Reply("END", "", (Value(key.decode(), int(flags), block),))]
-        return _FrameDecoder.feed(self, data)
+        # With nothing held, awaited or pending, a chunk that is one bare reply line is one
+        # lookup; else each bare line and get reply where it lies, up to one it cannot close.
+        if self._held or self._values or self._block >= 0 or self.broken:
+            return _FrameDecoder.feed(self, data)
+        kind = _WHOLE_LINES.get(data)
+        if kind is not None:
+            return [Reply(kind)]
+        out: list = []
+        pos, head = 0, _VALUE.match(data)
+        while True:
+            if head is None:  # a bare reply line, or where the scan stops
+                end = data.find(b"\n", pos) + 1
+                kind = _WHOLE_LINES.get(data[pos:end])
+                if kind is None:
+                    break
+                out.append(Reply(kind))
+                pos = end
+            else:  # a get reply: its VALUE frames, then END
+                values = []
+                while head is not None:
+                    key, flags, nbytes = head.groups()
+                    start = head.end()
+                    end = start + int(nbytes)
+                    if end - start > self.max_value_bytes:
+                        break
+                    values.append(Value(key.decode(), int(flags), data[start:end]))
+                    if data[end : end + 7] == b"\r\nEND\r\n":  # its CRLF, then END
+                        out.append(Reply("END", "", tuple(values)))
+                        pos = end + 7
+                        break
+                    head = _VALUE.match(data, end + 2) if data[end : end + 2] == CRLF else None
+                if pos < end:  # not closed: the loop takes this reply from its first byte
+                    break
+            if pos == len(data):
+                return out
+            head = _VALUE.match(data, pos)
+        return out + _FrameDecoder.feed(self, data[pos:])
 
     @property
     def idle(self) -> bool:

@@ -43,7 +43,6 @@ from repro.net.proto import (
     Reply,
     RequestDecoder,
     SetCommand,
-    encode_value,
 )
 
 __all__ = ["ShardServer", "ShardServerStats"]
@@ -144,19 +143,19 @@ class _Connection:
                     # get is `server.get`, a batch is `server.get_many`.
                     entry = backend.get(keys[0])
                     if entry is _MISSING:
-                        return b"END\r\n"
-                    return encode_value(keys[0], entry[0], entry[1]) + b"END\r\n"
+                        return proto.END_REPLY
+                    return proto.value_reply(keys[0], entry[0], entry[1])
                 found = backend.get_many(list(keys))
-                values = [encode_value(k, *found[k]) for k in keys if k in found]
-                return b"".join(values) + b"END\r\n"
+                values = [proto.encode_value(k, *found[k]) for k in keys if k in found]
+                return b"".join([*values, proto.END_REPLY])
             if kind is SetCommand:
                 backend.set(cmd.key, (cmd.flags, cmd.data))
-                return None if cmd.noreply else b"STORED\r\n"
+                return None if cmd.noreply else proto.STORED_REPLY
             if kind is DeleteCommand:
                 existed = backend.delete(cmd.key)
                 if cmd.noreply:
                     return None
-                return b"DELETED\r\n" if existed else b"NOT_FOUND\r\n"
+                return proto.DELETED_REPLY if existed else proto.NOT_FOUND_REPLY
         except ShardFailure as exc:
             self.server.stats.fault_errors += 1
             return proto.encode_failure(exc).encode()

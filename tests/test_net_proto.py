@@ -9,10 +9,14 @@ errors (oversized value with a readable length, unknown verb) keep the
 decoder parsing; fatal errors (unparsable ``set`` header, endless
 unterminated line) mark it broken — by hand-written cases, and by a
 differential against the decoders the one-pass rewrite replaced
-(``tests/_reference_proto.py``) on streams nobody hand-wrote, cut
-anywhere and also one generated piece per chunk — the shape a lockstep
-peer sends, which the decoders' whole-frame branches take (the branch
-scope itself is pinned by ``WHOLE`` / ``GENERAL``). Every property is
+(``tests/_reference_proto.py``) on streams nobody hand-wrote: cut
+anywhere, one generated piece per chunk (the shape a lockstep peer
+sends), and 1-8 consecutive pieces per chunk (the shape a pipelining
+peer sends), so the decoders' scans meet whole, damaged and near-miss
+frames where a chunk starts and after whole frames. The scan's scope is
+pinned by ``SCANNED`` / ``GENERAL`` / ``STOPPED``: what it decodes alone,
+what it leaves to the general loop from the first byte, and exactly which
+bytes it hands over when it stops after whole frames. Every property is
 derandomized: tier-1 runs the same examples every time.
 """
 
@@ -600,6 +604,49 @@ def test_each_piece_fed_as_its_own_chunk_decodes_like_the_reference(requests, re
     assert live.broken or live.idle == old.idle
 
 
+#: requests with set flags at the 32-bit limit and the scan's 20-digit bound, either side
+edge_commands = st.one_of(
+    commands,
+    st.builds(
+        SetCommand,
+        key=keys,
+        flags=st.sampled_from([MAX_FLAGS, MAX_FLAGS + 1, 10**19, 10**20]),
+        exptime=st.just(0),
+        data=payloads,
+        noreply=st.booleans(),
+    ),
+)
+
+
+@st.composite
+def pipelined_chunks(draw, frames):
+    """Runs of :func:`damaged_pieces`, joined k ∈ 1..8 consecutive pieces a chunk."""
+    pieces = [p for run in draw(st.lists(damaged_pieces(frames), min_size=1, max_size=4)) for p in run]
+    chunks, at = [], 0
+    while at < len(pieces):
+        k = draw(st.integers(min_value=1, max_value=8))
+        chunks.append(b"".join(pieces[at : at + k]))
+        at += k
+    return chunks
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    requests=pipelined_chunks(edge_commands),
+    responses=pipelined_chunks(replies),
+    limit=st.sampled_from([MAX_VALUE_BYTES, 2]),
+)
+def test_pipelined_chunks_decode_like_the_reference(requests, responses, limit):
+    """A pipelining peer's shape: whole, damaged and near-miss frames batched
+    several to a chunk. Covers the scan past a chunk's first frame, and where
+    it stops: at a near miss, damage or a frame cut by the chunk's end."""
+    old = reference.RequestDecoder(limit)
+    assert_decodes_like_the_reference(RequestDecoder(limit), old, requests)
+    live, old = ResponseDecoder(limit), reference.ResponseDecoder(limit)
+    assert_decodes_like_the_reference(live, old, responses)
+    assert live.broken or live.idle == old.idle
+
+
 class _GeneralLoop(Exception):
     """Raised by a stand-in for the general decoding loop."""
 
@@ -608,8 +655,9 @@ def _no_general_loop(self, data):
     raise _GeneralLoop
 
 
-#: the lockstep shapes ``net-sync`` sends, each one chunk: decoded without the loop
-WHOLE = {
+#: chunks the scan decodes whole: each lockstep shape ``net-sync`` sends, and
+#: frames of those shapes batched the way ``net-pipelined`` sends them
+SCANNED = {
     "get": (RequestDecoder, b"get k\r\n", [GetCommand(("k",))]),
     "set": (RequestDecoder, b"set k 7 0 3\r\nabc\r\n", [SetCommand("k", 7, 0, b"abc")]),
     "set-noreply": (
@@ -626,10 +674,18 @@ WHOLE = {
         kind: (ResponseDecoder, b"%s\r\n" % kind.encode(), [Reply(kind)])
         for kind in ("STORED", "DELETED", "NOT_FOUND", "END")
     },
+    # a pipelining peer's shape: several frames to a chunk, each scanned
+    "two-frames": (RequestDecoder, b"get k\r\nget k\r\n", [GetCommand(("k",))] * 2),
+    "two-replies": (ResponseDecoder, b"STORED\r\nSTORED\r\n", [Reply("STORED")] * 2),
+    "two-values": (
+        ResponseDecoder,
+        b"VALUE a 0 1\r\nx\r\nVALUE b 0 1\r\ny\r\nEND\r\n",
+        [Reply("END", values=(Value("a", 0, b"x"), Value("b", 0, b"y")))],
+    ),
 }
-#: everything else, near misses of those shapes included: the loop's to decode
+#: chunks whose first frame the scan cannot take whole, near misses of its
+#: shapes included: the loop's to decode from their first byte
 GENERAL = {
-    "two-frames": (RequestDecoder, b"get k\r\nget k\r\n"),
     "partial-get": (RequestDecoder, b"get k"),
     "partial-set": (RequestDecoder, b"set k 0 0 3\r\nab"),
     "gets": (RequestDecoder, b"gets k\r\n"),
@@ -639,16 +695,42 @@ GENERAL = {
     "set-block-short": (RequestDecoder, b"set k 0 0 4\r\nabc\r\n"),
     "set-21-digits": (RequestDecoder, b"set k 0 0 %b\r\nabc\r\n" % b"3".zfill(21)),
     "set-over-limit": (partial(RequestDecoder, 2), b"set k 0 0 3\r\nabc\r\n"),
-    "two-replies": (ResponseDecoder, b"STORED\r\nSTORED\r\n"),
-    "two-values": (ResponseDecoder, b"VALUE a 0 1\r\nx\r\nVALUE b 0 1\r\ny\r\nEND\r\n"),
     "value-with-cas": (ResponseDecoder, b"VALUE k 0 1 9\r\nx\r\nEND\r\n"),
     "partial-value": (ResponseDecoder, b"VALUE k 0 1\r\nx\r\nEN"),
     "value-over-limit": (partial(ResponseDecoder, 2), b"VALUE k 0 3\r\nabc\r\nEND\r\n"),
+    "bare-reply-while-values-pending": (ResponseDecoder, b"VALUE k 0 1\r\nx\r\nSTORED\r\n"),
+}
+#: whole frames, then a near miss: the scan takes the frames, and the loop
+#: gets exactly the bytes from the near miss on
+STOPPED = {
+    "get-then-gets": (RequestDecoder, b"get k\r\ngets k\r\n", [GetCommand(("k",))], b"gets k\r\n"),
+    "get-then-partial-set": (
+        RequestDecoder, b"get k\r\nset k 0 0 3\r\nab", [GetCommand(("k",))], b"set k 0 0 3\r\nab"
+    ),
+    "set-then-wide-flags": (
+        RequestDecoder,
+        b"set k 0 0 1\r\nx\r\nset k 4294967296 0 1\r\nx\r\n",
+        [SetCommand("k", 0, 0, b"x")],
+        b"set k 4294967296 0 1\r\nx\r\n",
+    ),
+    "stored-then-value-with-cas": (
+        ResponseDecoder,
+        b"STORED\r\nVALUE k 0 1 9\r\nx\r\nEND\r\n",
+        [Reply("STORED")],
+        b"VALUE k 0 1 9\r\nx\r\nEND\r\n",
+    ),
+    "end-then-bare-reply-while-values-pending": (
+        ResponseDecoder,
+        b"END\r\nVALUE a 0 1\r\nx\r\nVALUE b 0 1\r\ny\r\nSTORED\r\n",
+        [Reply("END")],
+        b"VALUE a 0 1\r\nx\r\nVALUE b 0 1\r\ny\r\nSTORED\r\n",
+    ),
 }
 
 
-@pytest.mark.parametrize("decoder, chunk, frames", WHOLE.values(), ids=WHOLE)
+@pytest.mark.parametrize("decoder, chunk, frames", SCANNED.values(), ids=SCANNED)
 def test_a_lockstep_frame_decodes_without_the_general_loop(monkeypatch, decoder, chunk, frames):
+    """Every frame of a scanned chunk, one or several, comes out of the scan."""
     decoder = decoder()
     monkeypatch.setattr(proto._FrameDecoder, "feed", _no_general_loop)
     assert decoder.feed(chunk) == frames
@@ -657,10 +739,26 @@ def test_a_lockstep_frame_decodes_without_the_general_loop(monkeypatch, decoder,
 
 @pytest.mark.parametrize("decoder, chunk", GENERAL.values(), ids=GENERAL)
 def test_anything_but_one_lockstep_frame_takes_the_general_loop(monkeypatch, decoder, chunk):
+    """A chunk whose first frame the scan cannot take whole is the loop's from its first byte."""
     decoder = decoder()
     monkeypatch.setattr(proto._FrameDecoder, "feed", _no_general_loop)
     with pytest.raises(_GeneralLoop):
         decoder.feed(chunk)
+
+
+@pytest.mark.parametrize("decoder, chunk, frames, rest", STOPPED.values(), ids=STOPPED)
+def test_the_scan_hands_the_loop_the_bytes_from_where_it_stops(
+    monkeypatch, decoder, chunk, frames, rest
+):
+    decoder, calls = decoder(), []
+
+    def general_loop(self, data):
+        calls.append(bytes(data))
+        return ["loop"]
+
+    monkeypatch.setattr(proto._FrameDecoder, "feed", general_loop)
+    assert decoder.feed(chunk) == [*frames, "loop"]
+    assert calls == [rest]
 
 
 def test_the_whole_frame_branch_waits_for_what_is_held_or_awaited(monkeypatch):
