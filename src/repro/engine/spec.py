@@ -97,7 +97,7 @@ class Scale:
 
     @classmethod
     def smoke(cls) -> "Scale":
-        """Seconds-scale: CI and pytest-benchmark runs."""
+        """Seconds-scale: CI and the perf gate's rows."""
         return cls("smoke", key_space=20_000, accesses=60_000, num_clients=4)
 
     @classmethod

@@ -10,8 +10,10 @@ C=512 / K=2048 with alpha_t ≈ 7.8 on its 1M-key workload.
 
 Figure 8 (shrinking): the workload then switches to uniform; the quality
 signal (alpha_c, alpha_k_c) collapses, CoT resets the ratio to 2:1 and
-halves both sizes epoch over epoch down to negligible values — all while
-keeping I_c within the target.
+halves both sizes epoch over epoch down to negligible values. I_c stays
+within the target where it decides: the windowed I_c of each decision
+epoch is ≤ 1.085 at default scale. The warm-up epochs after a halving,
+whose window restarts, read higher (up to 1.257 at default).
 
 Both experiments run through the engine's phased cluster mode — the dist
 switch of Figure 8 is one :class:`~repro.engine.spec.Phase` boundary —

@@ -130,8 +130,8 @@ class AdaptiveArbiter(CachePolicy):
         to a tap; sampling and the shadow replays happen when the tap is
         drained (at each epoch close, or when shadow state is read), so
         the rate prices the drain, not the access. The default (1/64)
-        keeps all five shadows together under the perf gate's 15%
-        hot-path budget (``run_perf_gate.py --adaptive``); skew amplifies
+        is what the perf gate holds to its 15% hot-path budget (the
+        ``arbiter_overhead`` row of ``run_perf_gate.py``); skew amplifies
         sampled *volume* well past the key-space rate, so halving the
         rate roughly halves the replay cost.
     switch_margin:
