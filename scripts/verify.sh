@@ -160,8 +160,12 @@ echo "($hashring: one ring sort, bucket-bounded lookups)"
 # experiment, benchmark, example or the fuzz grid sets: the ledger's line
 # cost, two choices and the bucket layout are module constants (DESIGN.md
 # section 14, section 10 and obs/hist.py). CoT's cache and tracker take
-# the sizes and the hotness model (Algorithm 1's inheritance is not a
-# setting: the space-saving bounds need it).
+# only the sizes C and K: Equation 1's weights and the half-life are module
+# constants (hotness.READ_WEIGHT, UPDATE_WEIGHT, decay.HALF_LIFE), and
+# Algorithm 1's inheritance is not a setting (the space-saving bounds need
+# it). The elastic front end takes I_t, its starting sizes, the epoch, its
+# controller and decay policy, its id and its guard; the decay layer's only
+# setting is the exponential rate; the router takes its cluster and config.
 python - <<'PY'
 import ast
 import sys
@@ -177,10 +181,15 @@ inits = {
         "sample_shift", "switch_margin", "min_samples", "initial",
     ],
     ("src/repro/obs/hist.py", "LatencyHistogram"): [],
-    ("src/repro/core/cache.py", "CoTCache"): ["capacity", "tracker_capacity", "model"],
-    ("src/repro/core/tracker.py", "CoTTracker"): [
-        "tracker_capacity", "cache_capacity", "model",
+    ("src/repro/core/cache.py", "CoTCache"): ["capacity", "tracker_capacity"],
+    ("src/repro/core/tracker.py", "CoTTracker"): ["tracker_capacity", "cache_capacity"],
+    ("src/repro/core/elastic.py", "ElasticCoTClient"): [
+        "cluster", "target_imbalance", "initial_cache", "initial_tracker",
+        "base_epoch", "controller", "decay", "client_id", "guard",
     ],
+    ("src/repro/core/decay.py", "HalfLifeDecay"): [],
+    ("src/repro/core/decay.py", "ExponentialDecay"): ["rate"],
+    ("src/repro/cluster/replication.py", "HotKeyRouter"): ["cluster", "config"],
 }
 #: (path, dataclass) -> its fields
 fields = {
@@ -262,7 +271,8 @@ for node in ast.walk(ast.parse(open(retry, encoding="utf-8").read())):
 if wrong:
     print("\n".join(wrong), file=sys.stderr)
     print("a controller, the fault path, the arbiter, the registry, the router,"
-          " the histogram or CoT's cache or tracker takes a setting no run varies"
+          " the histogram, CoT's cache, tracker or elastic front end or a decay"
+          " policy takes a setting no run varies"
           " (see above): what a run sets is the only parameter, the rest are"
           " module constants",
           file=sys.stderr)

@@ -36,7 +36,6 @@ from repro.core import (
     EpochSnapshot,
     ExponentialDecay,
     HalfLifeDecay,
-    HotnessModel,
     IndexedMinHeap,
     KeyStats,
     NoDecay,
@@ -78,7 +77,6 @@ __all__ = [
     "EpochSnapshot",
     "IndexedMinHeap",
     "AccessType",
-    "HotnessModel",
     "KeyStats",
     "ResizeDecision",
     "ResizingController",

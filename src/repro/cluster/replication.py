@@ -193,21 +193,16 @@ class HotKeyRouter:
         the shared back-end cluster.
     config:
         tier tuning; default :class:`ReplicationConfig`.
-    guard:
-        control-plane retry/breaker layer for the router's own
-        invalidation traffic (demotions, quarantine retries); a default
-        one is built when omitted.
     """
 
     def __init__(
-        self,
-        cluster: "CacheCluster",
-        config: ReplicationConfig | None = None,
-        guard: ClusterGuard | None = None,
+        self, cluster: "CacheCluster", config: ReplicationConfig | None = None
     ) -> None:
         self.cluster = cluster
         self.config = config or ReplicationConfig()
-        self.guard = guard or ClusterGuard(cluster.server_ids)
+        #: control-plane retry/breaker layer for the router's own
+        #: invalidation traffic (demotions, quarantine retries)
+        self.guard = ClusterGuard(cluster.server_ids)
         self.stats = ReplicationStats()
         #: promotion-epoch counter (bumped by every refresh and by the
         #: promote/demote primitives, so epoch transitions are observable)

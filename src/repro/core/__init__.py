@@ -18,7 +18,7 @@ from repro.core.decay import (
 )
 from repro.core.epoch import EpochRecord, EpochSnapshot
 from repro.core.heap import IndexedMinHeap
-from repro.core.hotness import AccessType, HotnessModel, KeyStats
+from repro.core.hotness import AccessType, KeyStats
 from repro.core.resizing import (
     DecisionKind,
     Phase,
@@ -50,7 +50,6 @@ __all__ = [
     "EpochSnapshot",
     "IndexedMinHeap",
     "AccessType",
-    "HotnessModel",
     "KeyStats",
     "DecisionKind",
     "Phase",

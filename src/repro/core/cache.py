@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Hashable, Iterable, Iterator
 
-from repro.core.hotness import AccessType, HotnessModel
+from repro.core.hotness import READ_WEIGHT, AccessType
 from repro.core.tracker import CoTTracker
 from repro.errors import ConfigurationError
 from repro.policies.base import MISSING, CachePolicy
@@ -51,18 +51,11 @@ class CoTCache(CachePolicy):
         ``K`` — number of tracked keys. Defaults to
         ``max(2, DEFAULT_TRACKER_RATIO * capacity)``. Must exceed
         ``capacity`` so space-saving victims exist.
-    model:
-        dual-cost hotness model; defaults to ``r_w = u_w = 1``.
     """
 
     name = "cot"
 
-    def __init__(
-        self,
-        capacity: int,
-        tracker_capacity: int | None = None,
-        model: HotnessModel | None = None,
-    ) -> None:
+    def __init__(self, capacity: int, tracker_capacity: int | None = None) -> None:
         super().__init__(capacity)
         if tracker_capacity is None:
             tracker_capacity = max(2, DEFAULT_TRACKER_RATIO * capacity)
@@ -71,9 +64,7 @@ class CoTCache(CachePolicy):
                 f"tracker capacity ({tracker_capacity}) must exceed cache "
                 f"capacity ({capacity})"
             )
-        self._tracker: CoTTracker[Hashable] = CoTTracker(
-            tracker_capacity, capacity, model
-        )
+        self._tracker: CoTTracker[Hashable] = CoTTracker(tracker_capacity, capacity)
         self._values: dict[Hashable, Any] = {}
         self.epoch_tracker_hits = 0
 
@@ -175,19 +166,19 @@ class CoTCache(CachePolicy):
         if stats is not None:
             stats.read_count += 1.0
             # ``update_delta`` inlined, as the heap's raise: ``+r_w`` is
-            # validated positive and an entry's snapshot is a lower bound
+            # positive and an entry's snapshot is a lower bound
             # of its priority, so a read never takes its ``_lower`` branch.
             if stats.cached:
                 entry = tracker._cache_heap._entries[key]
-                stats.hot = entry[3] = entry[3] + tracker._read_delta
+                stats.hot = entry[3] = entry[3] + READ_WEIGHT
                 cstat.hits += 1
                 cstat.epoch_hits += 1
                 return self._values[key]
             self.epoch_tracker_hits += 1
             entry = tracker._rest_heap._entries[key]
-            stats.hot = hot = entry[3] = entry[3] + tracker._read_delta
+            stats.hot = hot = entry[3] = entry[3] + READ_WEIGHT
         else:
-            stats = tracker._admit(key, tracker._read_delta)
+            stats = tracker._admit(key, READ_WEIGHT)
             stats.read_count += 1.0
             hot = stats.hot
         cstat.misses += 1
@@ -254,8 +245,8 @@ class CoTCache(CachePolicy):
                 self._notify_evicted(key)
         self._capacity = cache_capacity
 
-    def decay(self, factor: float = 0.5) -> None:
-        """Half-life decay of all tracked hotness (Algorithm 3, Case 2)."""
+    def decay(self, factor: float) -> None:
+        """Scale all tracked hotness by ``factor`` (:mod:`repro.core.decay`)."""
         self._tracker.decay(factor)
 
     def reset_epoch(self) -> None:

@@ -19,6 +19,10 @@ from repro.errors import ConfigurationError
 
 __all__ = ["DecayPolicy", "NoDecay", "HalfLifeDecay", "ExponentialDecay"]
 
+#: The factor a Case-2 trigger scales every tracked hotness by (Algorithm 3
+#: line 11): a half-life halves.
+HALF_LIFE = 0.5
+
 
 class DecayPolicy(abc.ABC):
     """Strategy invoked by the elastic front end around epoch boundaries."""
@@ -55,14 +59,11 @@ class HalfLifeDecay(DecayPolicy):
 
     name = "half_life"
 
-    def __init__(self, factor: float = 0.5) -> None:
-        if not 0 < factor < 1:
-            raise ConfigurationError("decay factor must be in (0, 1)")
-        self.factor = factor
+    def __init__(self) -> None:
         self.triggers = 0
 
     def on_trigger(self, cache: CoTCache) -> None:
-        cache.decay(self.factor)
+        cache.decay(HALF_LIFE)
         self.triggers += 1
 
 
@@ -71,19 +72,16 @@ class ExponentialDecay(DecayPolicy):
 
     With per-epoch factor ``rate`` the hotness of an untouched key decays
     geometrically, which retires stale trends without waiting for the
-    Case-2 signal; an explicit trigger additionally applies the half-life
-    factor. ``rate = 1.0`` disables the continuous part.
+    Case-2 signal; an explicit trigger additionally applies
+    :data:`HALF_LIFE`. ``rate = 1.0`` disables the continuous part.
     """
 
     name = "exponential"
 
-    def __init__(self, rate: float = 0.98, trigger_factor: float = 0.5) -> None:
+    def __init__(self, rate: float = 0.98) -> None:
         if not 0 < rate <= 1:
             raise ConfigurationError("rate must be in (0, 1]")
-        if not 0 < trigger_factor < 1:
-            raise ConfigurationError("trigger_factor must be in (0, 1)")
         self.rate = rate
-        self.trigger_factor = trigger_factor
         self.triggers = 0
         self.epoch_decays = 0
 
@@ -93,5 +91,5 @@ class ExponentialDecay(DecayPolicy):
             self.epoch_decays += 1
 
     def on_trigger(self, cache: CoTCache) -> None:
-        cache.decay(self.trigger_factor)
+        cache.decay(HALF_LIFE)
         self.triggers += 1

@@ -33,10 +33,8 @@ from repro.cluster.retry import ClusterGuard
 from repro.core.cache import CoTCache
 from repro.core.decay import DecayPolicy, HalfLifeDecay
 from repro.core.epoch import EpochRecord, EpochSnapshot
-from repro.core.hotness import HotnessModel
 from repro.core.resizing import ResizingController
 from repro.errors import ConfigurationError
-from repro.obs.trace import Tracer
 
 __all__ = ["ElasticCoTClient"]
 
@@ -71,16 +69,10 @@ class ElasticCoTClient(FrontEndClient):
         resizes on memory cost vs. hit value instead of imbalance.
     decay:
         decay policy for Case-2 triggers (default half-life).
-    model:
-        hotness model for the CoT cache.
     guard:
         retry/breaker layer forwarded to
         :class:`~repro.cluster.client.FrontEndClient`; the chaos
         experiments pass one with tightened thresholds.
-    tracer:
-        optional sampling request tracer, forwarded to
-        :class:`~repro.cluster.client.FrontEndClient` — elastic reads
-        trace through the same span tree as plain front-end reads.
     """
 
     def __init__(
@@ -92,17 +84,13 @@ class ElasticCoTClient(FrontEndClient):
         base_epoch: int = 5000,
         controller: "ResizingController | Any | None" = None,
         decay: DecayPolicy | None = None,
-        model: HotnessModel | None = None,
         client_id: str = "elastic-0",
         guard: "ClusterGuard | None" = None,
-        tracer: "Tracer | None" = None,
     ) -> None:
         if base_epoch < 1:
             raise ConfigurationError("base_epoch must be >= 1")
-        policy = CoTCache(initial_cache, initial_tracker, model=model)
-        super().__init__(
-            cluster, policy, client_id=client_id, guard=guard, tracer=tracer
-        )
+        policy = CoTCache(initial_cache, initial_tracker)
+        super().__init__(cluster, policy, client_id=client_id, guard=guard)
         self.cot: CoTCache = policy
         self.controller = controller or ResizingController(
             target_imbalance=target_imbalance

@@ -33,7 +33,7 @@ from heapq import heapreplace
 from typing import Generic, Hashable, Iterator, TypeVar
 
 from repro.core.heap import IndexedMinHeap
-from repro.core.hotness import AccessType, HotnessModel, KeyStats
+from repro.core.hotness import READ_WEIGHT, UPDATE_WEIGHT, AccessType, KeyStats
 from repro.errors import ConfigurationError, KeyNotTrackedError
 
 K = TypeVar("K", bound=Hashable)
@@ -52,16 +52,9 @@ class CoTTracker(Generic[K]):
         ``C`` — number of keys that may be marked cached. Must satisfy
         ``0 <= C < K`` (``C`` may be 0: tracking without caching, used by
         the resizing controller's ratio-discovery phase).
-    model:
-        the dual-cost :class:`~repro.core.hotness.HotnessModel` (Equation 1).
     """
 
-    def __init__(
-        self,
-        tracker_capacity: int,
-        cache_capacity: int,
-        model: HotnessModel | None = None,
-    ) -> None:
+    def __init__(self, tracker_capacity: int, cache_capacity: int) -> None:
         if tracker_capacity < 1:
             raise ConfigurationError("tracker capacity must be >= 1")
         if cache_capacity < 0:
@@ -73,11 +66,6 @@ class CoTTracker(Generic[K]):
             )
         self._tracker_capacity = tracker_capacity
         self._cache_capacity = cache_capacity
-        self._model = model or HotnessModel()
-        # Per-access hotness deltas (Equation 1), bound once: the track
-        # fast path applies these instead of re-evaluating the model.
-        self._read_delta = self._model.read_weight
-        self._update_delta = -self._model.update_weight
         self._cache_heap: IndexedMinHeap[K] = IndexedMinHeap()
         self._rest_heap: IndexedMinHeap[K] = IndexedMinHeap()
         self._stats: dict[K, KeyStats] = {}
@@ -93,11 +81,6 @@ class CoTTracker(Generic[K]):
     def cache_capacity(self) -> int:
         """``C`` — maximum number of cached keys."""
         return self._cache_capacity
-
-    @property
-    def model(self) -> HotnessModel:
-        """The hotness model in effect."""
-        return self._model
 
     def __len__(self) -> int:
         return len(self._cache_heap) + len(self._rest_heap)
@@ -167,7 +150,7 @@ class CoTTracker(Generic[K]):
         """
         stats = self._stats.get(key)
         is_read = access is AccessType.READ
-        delta = self._read_delta if is_read else self._update_delta
+        delta = READ_WEIGHT if is_read else -UPDATE_WEIGHT
         if stats is None:
             stats = self._admit(key, delta)
         elif stats.cached:
@@ -200,9 +183,8 @@ class CoTTracker(Generic[K]):
             entries = rest._entries
             if entries:
                 root = rest._settle()
-                read_weight = self._read_delta
-                stats.read_count = max(root[3], 0.0) / read_weight
-                stats.hot = stats.read_count * read_weight
+                stats.read_count = max(root[3], 0.0) / READ_WEIGHT
+                stats.hot = stats.read_count * READ_WEIGHT
                 stats.hot = hot = stats.hot + delta
                 victim = root[2]
                 del entries[victim]
@@ -217,7 +199,7 @@ class CoTTracker(Generic[K]):
             # C): sacrifice the coldest cached key.
             victim, victim_hotness = self._cache_heap.pop()
             del self._stats[victim]
-            stats.seed_from_hotness(victim_hotness, self._model)
+            stats.seed_from_hotness(victim_hotness)
         stats.hot += delta
         self._rest_heap.push(key, stats.hot)
         self._stats[key] = stats
@@ -343,7 +325,7 @@ class CoTTracker(Generic[K]):
                 break
         return dropped_cached
 
-    def decay(self, factor: float = 0.5) -> None:
+    def decay(self, factor: float) -> None:
         """Scale every key's counters and hotness by ``factor``.
 
         Implements the half-life decay hook of Algorithm 3 line 11 (the
@@ -384,6 +366,7 @@ class CoTTracker(Generic[K]):
                 assert priority == stats.hot, f"hot/priority drift for {key!r}"
                 # ... and both must match an Equation 1 recompute up to
                 # float associativity (delta accumulation vs. counter
-                # products can differ by ulps under non-unit weights).
-                expected = stats.hotness(self._model)
+                # products can differ by ulps once a decay has scaled
+                # them, as a non-power-of-two ExponentialDecay rate does).
+                expected = stats.hotness()
                 assert math.isclose(priority, expected, rel_tol=1e-9, abs_tol=1e-9)

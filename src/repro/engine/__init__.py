@@ -31,7 +31,6 @@ from repro.engine.registry import (
     experiment_ids,
     get_experiment,
     register_experiment,
-    run_experiment,
 )
 from repro.engine.runners import (
     STREAM_CHUNK,
@@ -88,7 +87,6 @@ __all__ = [
     "map_specs",
     "parallel_workers",
     "register_experiment",
-    "run_experiment",
     "spawn_safe",
     "spawn_seed",
 ]

@@ -20,7 +20,6 @@ __all__ = [
     "experiment_ids",
     "get_experiment",
     "register_experiment",
-    "run_experiment",
 ]
 
 
@@ -75,24 +74,3 @@ def get_experiment(experiment_id: str) -> RegisteredExperiment:
             f"registered: {', '.join(experiment_ids())}"
         ) from None
 
-
-def run_experiment(
-    experiment_id: str,
-    *args: Any,
-    workers: int | None = None,
-    **kwargs: Any,
-) -> Any:
-    """Resolve and invoke one experiment's entry point.
-
-    ``workers`` scopes the parallel fabric for the call: ``None`` keeps
-    the current configuration, any other value runs the experiment under
-    :func:`repro.engine.parallel.parallel_workers`. Outputs are identical
-    at every worker count (the fabric's invariance contract).
-    """
-    entry = get_experiment(experiment_id)
-    if workers is None:
-        return entry.run(*args, **kwargs)
-    from repro.engine import parallel  # local import: registry stays light
-
-    with parallel.parallel_workers(workers):
-        return entry.run(*args, **kwargs)

@@ -557,7 +557,7 @@ class SimRunner:
         sim = Simulator()
         faults = spec.topology.faults
         cluster = _build_cluster(spec)
-        model = spec.service_model or ServiceModel()
+        model = ServiceModel()
         latency = spec.latency or FixedLatency()
         fair = 1.0 / len(cluster.server_ids)
         total_counter = [0]

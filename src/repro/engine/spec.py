@@ -42,7 +42,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.net.plane import NetworkPlane
     from repro.obs.trace import Tracer
     from repro.sim.network import FixedLatency
-    from repro.sim.server import ServiceModel
 
 __all__ = [
     "ArbitrationSpec",
@@ -422,8 +421,7 @@ class ScenarioSpec:
     #: authoritative-value oracle; when set, every read of a round-robin
     #: pure-read run is checked, mismatches counted as ``INCORRECT_READS``
     verify_value: Callable[[Hashable], Any] | None = None
-    #: sim-path timing models
-    service_model: "ServiceModel | None" = None
+    #: sim-path round-trip model
     latency: "FixedLatency | None" = None
     #: sampling request tracer shared by every client of the run; the
     #: runners attach it to front ends / sim clients (factory-built

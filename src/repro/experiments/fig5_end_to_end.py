@@ -20,7 +20,6 @@ from __future__ import annotations
 from repro.engine import (
     PolicySpec,
     ScenarioSpec,
-    SimRunner,
     TopologySpec,
     WorkloadSpec,
 )
@@ -35,7 +34,6 @@ from repro.experiments.common import (
     require,
 )
 from repro.policies.registry import POLICY_NAMES
-from repro.sim.server import ServiceModel
 
 __all__ = ["run", "EXPERIMENT_ID", "DISTS", "CACHE_LINES"]
 
@@ -53,8 +51,6 @@ def build_spec(
     repetition: int,
     num_clients: int | None = None,
     requests_per_client: int | None = None,
-    cache_lines: int = CACHE_LINES,
-    service_model: ServiceModel | None = None,
 ) -> ScenarioSpec:
     """The spec of one simulated repetition (seed = base + 10k × rep)."""
     clients = num_clients if num_clients is not None else scale.num_clients
@@ -71,8 +67,8 @@ def build_spec(
     else:
         policy = PolicySpec(
             name=policy_name,
-            cache_lines=cache_lines,
-            tracker_lines=ratio * cache_lines,
+            cache_lines=CACHE_LINES,
+            tracker_lines=ratio * CACHE_LINES,
         )
     return ScenarioSpec(
         scale=scale,
@@ -81,32 +77,7 @@ def build_spec(
         topology=TopologySpec(num_clients=clients),
         seed=base_seed,
         requests_per_client=per_client,
-        service_model=service_model,
     )
-
-
-def run_one(
-    dist: str,
-    policy_name: str,
-    scale: Scale,
-    repetition: int,
-    num_clients: int | None = None,
-    requests_per_client: int | None = None,
-    cache_lines: int = CACHE_LINES,
-    service_model: ServiceModel | None = None,
-) -> float:
-    """One simulated run; returns the overall running time in seconds."""
-    spec = build_spec(
-        dist,
-        policy_name,
-        scale,
-        repetition,
-        num_clients=num_clients,
-        requests_per_client=requests_per_client,
-        cache_lines=cache_lines,
-        service_model=service_model,
-    )
-    return SimRunner().run(spec).telemetry.runtime
 
 
 def run(

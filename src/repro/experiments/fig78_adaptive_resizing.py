@@ -38,7 +38,6 @@ from repro.engine import telemetry as T
 from repro.engine.registry import register_experiment
 from repro.engine.runners import ScenarioResult
 from repro.experiments.common import CLAIM_SCALES, ExperimentResult, Scale, require
-from repro.metrics.series import SeriesRecorder
 
 __all__ = [
     "run_expand",
@@ -88,19 +87,11 @@ def _history_result(
     notes: list[str],
     start_epoch: int = 0,
 ) -> ExperimentResult:
-    recorder = SeriesRecorder()
     rows: list[list[object]] = []
     for record in result.telemetry.epoch_events:
         if record.index < start_epoch:
             continue
         row = record.as_row()
-        recorder.add_point(
-            record.index,
-            cache=row["cache"],
-            tracker=row["tracker"],
-            I_c=row["I_c"],
-            alpha_c=row["alpha_c"],
-        )
         rows.append(
             [
                 row["epoch"],
@@ -127,7 +118,6 @@ def _history_result(
         rows=rows,
         notes=notes,
         extras={
-            "series": recorder,
             "final_cache": cache,
             "final_tracker": tracker,
             "alpha_target": telemetry.gauges[T.ELASTIC_ALPHA_TARGET],

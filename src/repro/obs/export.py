@@ -324,7 +324,7 @@ class SnapshotCollector:
     Use as a context manager around any number of experiment runs::
 
         with SnapshotCollector() as collector:
-            run_experiment("fig4", scale=Scale.smoke())
+            get_experiment("fig4").run(Scale.smoke())
         Path("metrics.prom").write_text(collector.render())
 
     The collector only *reads* frozen snapshots; attaching one cannot

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.cache import CoTCache
-from repro.core.hotness import HotnessModel
 from repro.errors import ConfigurationError
 from repro.policies.base import MISSING
 
@@ -187,7 +186,7 @@ class TestHitRateSanity:
     @given(st.integers(0, 2**32 - 1))
     def test_invariants_under_random_mixed_stream(self, seed):
         rng = random.Random(seed)
-        cache = CoTCache(4, tracker_capacity=12, model=HotnessModel())
+        cache = CoTCache(4, tracker_capacity=12)
         for _ in range(500):
             key = rng.randrange(30)
             action = rng.random()

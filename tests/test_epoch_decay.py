@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.cache import CoTCache
-from repro.core.decay import ExponentialDecay, HalfLifeDecay, NoDecay
+from repro.core.decay import HALF_LIFE, ExponentialDecay, HalfLifeDecay, NoDecay
 from repro.core.epoch import EpochRecord, EpochSnapshot
 from repro.errors import ConfigurationError
 
@@ -72,10 +72,6 @@ class TestDecayPolicies:
         policy.on_epoch(cache)  # no continuous component
         assert cache.hotness_of("k") == pytest.approx(before / 2)
 
-    def test_half_life_validation(self):
-        with pytest.raises(ConfigurationError):
-            HalfLifeDecay(factor=1.0)
-
     def test_exponential_epoch_aging(self):
         cache = hot_cache()
         before = cache.hotness_of("k")
@@ -86,18 +82,16 @@ class TestDecayPolicies:
     def test_exponential_trigger(self):
         cache = hot_cache()
         before = cache.hotness_of("k")
-        policy = ExponentialDecay(rate=1.0, trigger_factor=0.25)
+        policy = ExponentialDecay(rate=1.0)
         policy.on_epoch(cache)  # rate 1.0: no continuous aging
         assert cache.hotness_of("k") == before
         policy.on_trigger(cache)
-        assert cache.hotness_of("k") == pytest.approx(before * 0.25)
+        assert cache.hotness_of("k") == before * HALF_LIFE
         assert policy.triggers == 1
 
     def test_exponential_validation(self):
         with pytest.raises(ConfigurationError):
             ExponentialDecay(rate=0.0)
-        with pytest.raises(ConfigurationError):
-            ExponentialDecay(trigger_factor=1.0)
 
     def test_decay_preserves_cache_order(self):
         cache = CoTCache(2, tracker_capacity=8)

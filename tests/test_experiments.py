@@ -137,7 +137,6 @@ class TestFig78:
         )
         assert result.headers[0] == "epoch"
         assert len(result.rows) >= 3
-        assert "series" in result.extras
 
     def test_shrink_reduces_cache(self):
         result = fig78_adaptive_resizing.run_shrink(

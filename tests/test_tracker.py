@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.hotness import AccessType, HotnessModel
+from repro.core.hotness import UPDATE_WEIGHT, AccessType
 from repro.core.tracker import CoTTracker
 from repro.errors import ConfigurationError, KeyNotTrackedError
 
@@ -73,16 +73,17 @@ class TestTracking:
     @pytest.mark.parametrize("full", [False, True])
     def test_first_access_update_enters_at_inherited_minus_u_w(self, full):
         """An untracked key first seen by an UPDATE enters its heap already
-        at ``inherited - u_w``: one heap operation, below the old root."""
-        tracker = CoTTracker(3, 1, HotnessModel(read_weight=2, update_weight=3))
+        at ``inherited - u_w``: one heap operation, below the old root.
+        ``inherited - u_w`` is neither ``inherited`` nor 0 in both cases."""
+        tracker = CoTTracker(3, 1)
         inherited = 0.0
         if full:
-            for key, reads in (("a", 3), ("b", 2), ("c", 1)):
+            for key, reads in (("a", 4), ("b", 3), ("c", 2)):
                 for _ in range(reads):
                     tracker.track(key)
-            inherited = 2.0  # "c", one read at r_w = 2, is the victim
-        assert tracker.track("w", AccessType.UPDATE) == inherited - 3
-        assert tracker.hotness_of("w") == inherited - 3
+            inherited = 2.0  # "c", two reads, is the victim
+        assert tracker.track("w", AccessType.UPDATE) == inherited - UPDATE_WEIGHT
+        assert tracker.hotness_of("w") == inherited - UPDATE_WEIGHT
         assert "c" not in tracker
         tracker.check_invariants()
         # ... and is the next space-saving victim: nothing is colder.
